@@ -17,7 +17,6 @@ metadata is quarantined to the summary's ``metadata`` block.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -320,15 +319,19 @@ def cmd_run(args) -> int:
         for variant in cfg["variants"]:
             name = variant["name"]
             per_seed = {}
-            # seeds fan out to a worker pool; the collector writes in seed order
-            if isinstance(problem, problems.TinyMlp) or len(seeds) == 1:
-                results = [_run_one_variant_seed(problem, cfg, variant, s) for s in seeds]
-            else:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, len(seeds))) as ex:
-                    results = list(
-                        ex.map(lambda s: _run_one_variant_seed(problem, cfg, variant, s), seeds)
-                    )
-            for seed, (result, rows) in zip(seeds, results):
+            # seeds run serially: the TinyMlp activation cache is shared by every
+            # run, and threads gain nothing on this GIL-bound loop
+            for seed in seeds:
+                try:
+                    # the run's finiteness guard reports an overflow itself;
+                    # numpy's floating-point warnings would only repeat it
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        result, rows = _run_one_variant_seed(problem, cfg, variant, seed)
+                except ConfigError:
+                    raise
+                except (KeyError, ValueError) as exc:
+                    print(f"run error: variant {name!r}, seed {seed}: {exc}", file=sys.stderr)
+                    return 1
                 csv_path = out_dir / f"{name}_seed{seed}.csv"
                 with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
                     fh.write(",".join(columns) + "\n")

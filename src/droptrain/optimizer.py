@@ -1,13 +1,18 @@
 """Layer-subset optimizer: freeze the inactive layers, update the active ones.
 
-Two step flavors mirror the two algorithm variants:
+``run`` is the one step path for both algorithm variants, chosen by the policy:
 
-* ``det_step`` -- exact-gradient sharp-operator step,
+* smoothness-inverse policies take the exact-gradient sharp-operator step
   ``X_i <- X_i - gamma_i * sharp(grad_i)``, with the stepsize taken from the
-  layer-wise smoothness constants (plain or gradient-dependent inverse).
-* ``stoch_step`` -- momentum + LMO step, ``M_i <- (1 - beta_i) M_i + beta_i g_i``
-  then ``X_i <- X_i + lmo(M_i, t_i)``; every applied update has primal norm
-  exactly t_i.
+  layer-wise smoothness constants (plain or gradient-dependent inverse);
+* radius policies take ``stoch_step``, the momentum + LMO step
+  ``M_i <- (1 - beta_i) M_i + beta_i g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
+  every applied update has primal norm exactly t_i.
+
+``run`` is also the only caller of ``problem.value_and_grad``: one call per
+iterate x_0..x_K.  That gradient feeds the reported diagnostics, the
+deterministic step, and -- plus noise from ``problems.stoch_grad`` -- the
+stochastic sample.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -15,9 +20,11 @@ beta = (K+1)^{-1/2}, which only makes sense under this parametrization (the
 mainstream Muon convention is the mirror image).
 
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
-traces replay bit-identically, and accumulates cost-model units when cost
-parameters are supplied.  ``theory_weights`` exposes the per-layer rate
-weights the convergence bounds are stated with.
+traces replay bit-identically, stops with a ValueError naming the iteration
+and the layer when f, a gradient or a step stops being finite, and
+accumulates cost-model units when cost parameters are supplied.
+``theory_weights`` exposes the per-layer rate weights the convergence bounds
+are stated with.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ __all__ = [
     "HorizonSchedule",
     "StepReport",
     "RunResult",
-    "det_step",
     "stoch_step",
     "run",
     "TheoryWeights",
@@ -71,9 +77,6 @@ class LayerModel:
     @property
     def b(self) -> int:
         return len(self.layers)
-
-    def copy(self) -> "LayerModel":
-        return LayerModel([x.copy() for x in self.layers], list(self.norms))
 
 
 @dataclass
@@ -164,11 +167,19 @@ class RunResult:
     cumulative_cost: float | None
 
 
-def _dual_norms(model: LayerModel, grads: Sequence[np.ndarray]) -> dict[int, float]:
-    return {
-        i: geometry.dual_norm(model.norms[i - 1], g)
-        for i, g in enumerate(grads, start=1)
-    }
+def _dual_norms(
+    model: LayerModel, mats: Sequence[np.ndarray], what: str = "gradient"
+) -> dict[int, float]:
+    """Per-layer dual norms; raises ValueError naming the layer if one is not finite."""
+    out = {}
+    for i, m in enumerate(mats, start=1):
+        try:
+            out[i] = geometry.dual_norm(model.norms[i - 1], m)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {what}: {exc}") from exc
+        if not math.isfinite(out[i]):
+            raise ValueError(f"layer {i}: {what} dual norm is {out[i]}")
+    return out
 
 
 def _apply_det_updates(
@@ -195,37 +206,9 @@ def _apply_det_updates(
     return applied
 
 
-def det_step(
-    model: LayerModel,
-    value_and_grad: Callable[[Sequence[np.ndarray]], tuple[float, list[np.ndarray]]],
-    active: frozenset[int],
-    policy: SmoothInverse | GenSmoothInverse,
-    table: SmoothnessTable,
-) -> StepReport:
-    """One exact-gradient step on the active layers; frozen layers untouched.
-
-    Updates the model in place: X_i -= gamma_i * sharp(grad_i) for i in the
-    active set.  Raises KeyError naming the (layer, set) pair when the table
-    lacks a needed constant.
-    """
-    if not isinstance(policy, (SmoothInverse, GenSmoothInverse)):
-        raise TypeError("det_step needs a smoothness-inverse policy")
-    f_before, grads = value_and_grad(model.layers)
-    norms = _dual_norms(model, grads)
-    applied = _apply_det_updates(model, grads, norms, active, policy, table)
-    f_after, _ = value_and_grad(model.layers)
-    return StepReport(
-        active=active,
-        f_before=f_before,
-        f_after=f_after,
-        grad_dual_norms=norms,
-        applied=applied,
-    )
-
-
 def stoch_step(
     model: LayerModel,
-    grad_oracle: Callable[[Sequence[np.ndarray]], list[np.ndarray]],
+    grads: Sequence[np.ndarray],
     momentum: MomentumState,
     active: frozenset[int],
     radii: Sequence[float],
@@ -234,10 +217,12 @@ def stoch_step(
     """One momentum + LMO step on the active layers.
 
     For i not active, M_i and X_i are untouched (bit-identical).  For active
-    layers the momentum is refreshed from the oracle and the parameters move
-    by the radius-t_i LMO step, i.e. a normalized steepest-descent step of
-    primal norm exactly t_i.  A zero refreshed momentum leaves the layer in
-    place and is flagged degenerate.
+    layers the momentum is refreshed from ``grads`` (one stochastic gradient
+    sample per layer) and the parameters move by the radius-t_i LMO step,
+    i.e. a normalized steepest-descent step of primal norm exactly t_i.  A
+    zero refreshed momentum leaves the layer in place and is flagged
+    degenerate.  A non-finite momentum, or a step that vanishes for a
+    non-zero momentum (its norm overflows), raises ValueError naming the layer.
 
     ``ns_config`` switches spectral-norm layers from the exact-SVD LMO to the
     Newton-Schulz approximate orthogonalization (the cheap optimizer path; the
@@ -247,7 +232,6 @@ def stoch_step(
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
-    grads = grad_oracle(model.layers)
     degenerate = set()
     applied = {}
     for i in sorted(active):
@@ -255,15 +239,22 @@ def stoch_step(
         momentum.m[i - 1] = (1.0 - bi) * momentum.m[i - 1] + bi * grads[i - 1]
         m = momentum.m[i - 1]
         t = float(radii[i - 1])
-        if ns_config is not None and model.norms[i - 1] == NormKind.SPECTRAL and m.any():
-            model.layers[i - 1] -= t * geometry.newton_schulz(m, ns_config)
-            applied[i] = t
-            continue
-        step = geometry.lmo(model.norms[i - 1], m, t)
-        if step.degenerate:
-            degenerate.add(i)
-            continue
-        model.layers[i - 1] += step.step
+        try:
+            if ns_config is not None and model.norms[i - 1] == NormKind.SPECTRAL and m.any():
+                step = -t * geometry.newton_schulz(m, ns_config)
+            else:
+                step, is_degenerate = geometry.lmo(model.norms[i - 1], m, t)
+                if is_degenerate:
+                    degenerate.add(i)
+                    continue
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: momentum: {exc}") from exc
+        if not step.any():
+            raise ValueError(
+                f"layer {i}: the radius-{t} step vanished for a non-zero momentum "
+                "(its norm overflows)"
+            )
+        model.layers[i - 1] += step
         applied[i] = t
     return StepReport(active=active, applied=applied, degenerate=frozenset(degenerate))
 
@@ -291,12 +282,18 @@ def run(
     iteration k, which consumes first the active-set draw, then the gradient
     noise.  Replaying any iteration therefore needs only (seed, k).
 
+    ``problem.value_and_grad`` runs once per iterate (K + 1 calls in all);
+    each stochastic sample is that exact gradient plus noise.
+
     An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
     backend for spectral layers on the stochastic path.
 
     Reports carry exact per-layer dual gradient norms and f values as
-    diagnostics (the stochastic path's *updates* see only the noisy oracle).
+    diagnostics (the stochastic path's *updates* see only the noisy sample).
+    A failed step -- a missing smoothness constant, a non-finite gradient,
+    momentum or f, a vanished LMO step -- raises with ``iteration k:`` and the
+    layer in the message.
     """
     b = problem.b
     if scheme.b != b:
@@ -313,6 +310,10 @@ def run(
     if deterministic and table is None:
         raise ValueError("smoothness-inverse policies need a SmoothnessTable")
 
+    f_curr, grads = problem.value_and_grad(model.layers)
+    if not math.isfinite(f_curr):
+        raise ValueError(f"f is {f_curr} at x0")
+
     momentum = None
     radii = None
     if isinstance(policy, FixedRadius):
@@ -321,8 +322,7 @@ def run(
         radii = np.asarray(policy.radii)
         beta = [policy.beta] * b
         if momentum_init == "grad":
-            init_rng = sampling.stream(seed, INIT_STREAM)
-            m0 = problems.stoch_grad(problem, model.layers, noise, init_rng)
+            m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
         elif momentum_init == "zeros":
             m0 = [np.zeros(s) for s in problem.shapes]
         else:
@@ -335,46 +335,38 @@ def run(
             )
         radii = policy.radii(b, iterations)
         beta = [HorizonSchedule.beta(iterations)] * b
-        init_rng = sampling.stream(seed, INIT_STREAM)
-        m0 = problems.stoch_grad(problem, model.layers, noise, init_rng)
+        m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
         momentum = MomentumState([m.copy() for m in m0], beta)
 
     reports: list[StepReport] = []
     cumulative = 0.0 if cost_params is not None else None
-    f_curr, grads = problem.value_and_grad(model.layers)
     for k in range(iterations):
         rng = sampling.stream(seed, k + 1)
         scheme_k = scheme
         if isinstance(scheme, sampling.EpochShiftRpt):
             scheme_k = scheme.at(k / iterations)
         active = sampling.sample(scheme_k, rng)
-        norms_map = _dual_norms(model, grads)
-
-        if deterministic:
-            try:
+        try:
+            norms_map = _dual_norms(model, grads)
+            if deterministic:
                 applied = _apply_det_updates(model, grads, norms_map, active, policy, table)
-            except (KeyError, ValueError) as exc:
-                raise type(exc)(f"iteration {k}: {exc}") from exc
-            report = StepReport(
-                active=active,
-                grad_dual_norms=norms_map,
-                applied=applied,
-            )
-        else:
-            g_stoch = problems.stoch_grad(problem, model.layers, noise, rng)
-            report = stoch_step(
-                model, lambda _layers: g_stoch, momentum, active, radii,
-                ns_config=newton_schulz_cfg,
-            )
+                report = StepReport(active=active, applied=applied)
+            else:
+                report = stoch_step(
+                    model, problems.stoch_grad(grads, noise, rng), momentum, active, radii,
+                    ns_config=newton_schulz_cfg,
+                )
+                report.momentum_error = _dual_norms(
+                    model, [m - g for m, g in zip(momentum.m, grads)], "momentum error"
+                )
             report.grad_dual_norms = norms_map
-            report.momentum_error = {
-                i: geometry.dual_norm(model.norms[i - 1], momentum.m[i - 1] - grads[i - 1])
-                for i in range(1, b + 1)
-            }
-
-        report.k = k
-        report.f_before = f_curr
-        f_curr, grads = problem.value_and_grad(model.layers)
+            report.k = k
+            report.f_before = f_curr
+            f_curr, grads = problem.value_and_grad(model.layers)
+            if not math.isfinite(f_curr):
+                raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
+        except (KeyError, ValueError) as exc:
+            raise type(exc)(f"iteration {k}: {exc}") from exc
         report.f_after = f_curr
         if cost_params is not None:
             report.cost_units = costmodel.iteration_cost(active, cost_params)

@@ -14,8 +14,9 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   truncated backward pass (gradients only for layers >= s), and a
   frozen-prefix forward cache that counts multiply-accumulate operations.
 
-``stoch_grad`` adds zero-mean Gaussian noise scaled so that the expected
-squared Frobenius noise norm per layer equals sigma_i^2.
+``stoch_grad`` turns gradients the caller already holds into a stochastic
+sample by adding zero-mean Gaussian noise scaled so that the expected squared
+Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "TinyMlp",
     "NoiseSpec",
     "CachedForward",
-    "value_and_grad",
     "stoch_grad",
     "smoothness_constants",
 ]
@@ -405,24 +405,21 @@ class TinyMlp:
 
 
 # ---------------------------------------------------------------------------
-# Free-function oracles
+# Stochastic gradient samples
 # ---------------------------------------------------------------------------
 
-def value_and_grad(problem, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Exact value and per-layer gradients of any problem."""
-    return problem.value_and_grad(layers)
-
-
 def stoch_grad(
-    problem,
-    layers: Sequence[np.ndarray],
+    grads: Sequence[np.ndarray],
     noise: NoiseSpec | None,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Unbiased stochastic gradient: exact gradient plus per-layer Gaussian noise."""
-    _, grads = problem.value_and_grad(layers)
+    """Unbiased stochastic gradient: the exact ``grads`` plus per-layer Gaussian noise.
+
+    Layers are drawn in order from ``rng``; a zero sigma draws nothing and
+    returns that layer's gradient unchanged.
+    """
     if noise is None:
-        return grads
+        return list(grads)
     if len(noise.sigmas) != len(grads):
         raise ValueError("need one sigma per layer")
     out = []

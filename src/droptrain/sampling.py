@@ -187,10 +187,6 @@ def scheme_flags(scheme: SamplingScheme) -> list[str]:
     return flags
 
 
-def num_layers(scheme: SamplingScheme) -> int:
-    return scheme.b
-
-
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Replayable generator for a (run, iteration, ...) coordinate.
 

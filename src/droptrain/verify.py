@@ -279,16 +279,21 @@ def descent_suite(seed: int = 0, iterations: int = 300):
     results.append(_check("descent/per_step_decrease_bound", ok, worst_slack=worst_gap))
 
     # freeze invariance: inactive layers bit-identical across a step
-    model = optimizer.LayerModel([x.copy() for x in x0], norms)
-    rng = np.random.default_rng(seed + 1)
+    snapshots = []
+    optimizer.run(
+        prob, scheme, optimizer.SmoothInverse(), 50, seed + 1, norms=norms,
+        x0=x0, table=table,
+        on_step=lambda _k, model, r: snapshots.append(
+            (r.active, [x.copy() for x in model.layers])
+        ),
+    )
     frozen_ok = True
-    for _ in range(50):
-        active = sampling.sample(scheme, sampling.stream(seed, int(rng.integers(1e6))))
-        before = [x.copy() for x in model.layers]
-        optimizer.det_step(model, prob.value_and_grad, active, optimizer.SmoothInverse(), table)
+    before = x0
+    for active, after in snapshots:
         for i in range(1, prob.b + 1):
-            if i not in active and not np.array_equal(before[i - 1], model.layers[i - 1]):
+            if i not in active and not np.array_equal(before[i - 1], after[i - 1]):
                 frozen_ok = False
+        before = after
     results.append(_check("descent/freeze_invariance", frozen_ok))
 
     # zero-noise stochastic step matches the deterministic direction exactly
@@ -297,8 +302,7 @@ def descent_suite(seed: int = 0, iterations: int = 300):
     _, grads = prob.value_and_grad(model_a.layers)
     momentum = optimizer.MomentumState([np.zeros_like(g) for g in grads], [1.0] * prob.b)
     optimizer.stoch_step(
-        model_a, lambda layers: prob.value_and_grad(layers)[1], momentum,
-        frozenset(range(1, prob.b + 1)), [t] * prob.b,
+        model_a, grads, momentum, frozenset(range(1, prob.b + 1)), [t] * prob.b
     )
     max_err = 0.0
     for i in range(prob.b):
@@ -617,7 +621,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     sums = [np.zeros_like(g) for g in exact]
     sq = [0.0, 0.0]
     for _ in range(draws):
-        gs = problems.stoch_grad(prob, x, spec, nrng)
+        gs = problems.stoch_grad(exact, spec, nrng)
         for i, g in enumerate(gs):
             noise = g - exact[i]
             sums[i] += noise
@@ -638,7 +642,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     results.append(_check(
         "stochastic/zero_sigma_exact",
         all(np.array_equal(a, b) for a, b in zip(
-            problems.stoch_grad(prob, x, problems.NoiseSpec((0.0, 0.0)), sampling.stream(0)),
+            problems.stoch_grad(exact, problems.NoiseSpec((0.0, 0.0)), sampling.stream(0)),
             exact,
         )),
     ))
@@ -655,9 +659,9 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
         srng = sampling.stream(seed + 3, k)
         active = sampling.sample(scheme, srng)
         before = [m.copy() for m in model.layers]
+        _, grads = qprob.value_and_grad(model.layers)
         rep = optimizer.stoch_step(
-            model,
-            lambda layers: problems.stoch_grad(qprob, layers, problems.NoiseSpec((0.1,) * 3), srng),
+            model, problems.stoch_grad(grads, problems.NoiseSpec((0.1,) * 3), srng),
             momentum, active, radii,
         )
         for i in rep.applied:

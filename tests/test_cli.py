@@ -1,6 +1,7 @@
 """CLI commands: config validation, CSV/summary emission, determinism, solvers."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,70 @@ def test_run_epoch_shift_scheme(tmp_path):
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "shift_seed0.csv").read_text().splitlines()
     assert len(lines) == 31
+
+
+def mlp_config(seeds=(0,)):
+    return {
+        "schema_version": 1,
+        "problem": {"kind": "tiny_mlp", "layer_sizes": [3, 4, 2], "n_samples": 16, "seed": 0},
+        "x0": {"kind": "random", "scale": 0.3, "seed": 1},
+        "noise": {"sigmas": [0.05, 0.05]},
+        "variants": [
+            {"name": "rpt", "scheme": {"kind": "rpt", "p": [0.5, 0.5]},
+             "policy": {"kind": "fixed_radius", "radii": [0.05, 0.05], "beta": 0.8}},
+            {"name": "full", "scheme": {"kind": "full_network", "b": 2},
+             "policy": {"kind": "horizon"}},
+        ],
+        "iterations": 12,
+        "seeds": list(seeds),
+    }
+
+
+def noisy_quadratic_config(seeds):
+    cfg = base_config(iterations=15, seeds=seeds)
+    cfg["noise"] = {"sigmas": [0.1, 0.2, 0.1]}
+    cfg["variants"].append(
+        {"name": "horizon", "scheme": {"kind": "rpt", "p": [0.5, 0.3, 0.2]},
+         "policy": {"kind": "horizon"}}
+    )
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg", [noisy_quadratic_config((0, 1, 2)), mlp_config((0, 1))], ids=["quadratic", "tiny_mlp"]
+)
+def test_run_multi_seed_csv_equals_single_seed_run(tmp_path, cfg):
+    # the tiny_mlp case also checks that each run reseeds the shared activation cache
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "all")]) == 0
+    for seed in cfg["seeds"]:
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out), "--seed", str(seed)]) == 0
+        for variant in cfg["variants"]:
+            name = f"{variant['name']}_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_run_non_finite_iterate_one_error_line(tmp_path, capsys):
+    cfg = base_config(iterations=4, seeds=(0,), targets=())
+    cfg["problem"] = {
+        "kind": "separable_quadratic", "shapes": [[2, 2]] * 3,
+        "curvatures": [1.0, 2.0, 0.5], "targets": "zeros",
+    }
+    cfg["x0"] = {"kind": "arrays", "values": [np.ones((2, 2)).tolist()] * 3}
+    cfg["variants"] = [
+        {"name": "blowup", "scheme": {"kind": "full_network", "b": 3},
+         "policy": {"kind": "fixed_radius", "radii": [1e308] * 3, "beta": 1.0}},
+    ]
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would add stderr lines
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "run error: variant 'blowup', seed 0: iteration 0: "
+        "f_after is inf after updating layers [1, 2, 3]"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def table_for(prob, norms=None):
 
 
 # ---------------------------------------------------------------------------
-# det_step
+# deterministic step (driven through run)
 # ---------------------------------------------------------------------------
 
 def test_det_step_full_network_exact_newton_landing():
@@ -34,12 +34,11 @@ def test_det_step_full_network_exact_newton_landing():
     rng = np.random.default_rng(0)
     prob = scalar_quadratic(rng)
     table = table_for(prob)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    rep = op.det_step(
-        model, prob.value_and_grad, frozenset({1, 2, 3}), op.SmoothInverse(), table
-    )
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    res = op.run(prob, sp.FullNetwork(3), op.SmoothInverse(), 1, 0, x0=x0, table=table)
     for i in range(3):
-        np.testing.assert_allclose(model.layers[i], prob.targets[i], atol=1e-12)
+        np.testing.assert_allclose(res.model.layers[i], prob.targets[i], atol=1e-12)
+    rep = res.reports[0]
     assert rep.f_after == pytest.approx(0.0, abs=1e-20)
     assert rep.applied == {1: 1.0, 2: 0.5, 3: 2.0}
 
@@ -48,12 +47,20 @@ def test_det_step_freezes_inactive_layers_bitwise():
     rng = np.random.default_rng(1)
     prob = scalar_quadratic(rng)
     table = table_for(prob)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    before = [x.copy() for x in model.layers]
-    op.det_step(model, prob.value_and_grad, frozenset({3}), op.SmoothInverse(), table)
-    np.testing.assert_array_equal(model.layers[0], before[0])
-    np.testing.assert_array_equal(model.layers[1], before[1])
-    assert not np.array_equal(model.layers[2], before[2])
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    steps = []  # (active set, layers after the step)
+    op.run(
+        prob, sp.Rpt((0.0, 0.5, 0.5)), op.SmoothInverse(), 6, 0, x0=x0, table=table,
+        on_step=lambda _k, model, r: steps.append((r.active, [x.copy() for x in model.layers])),
+    )
+    before = x0
+    for active, after in steps:
+        assert 1 not in active
+        for i in range(1, 4):
+            if i not in active:
+                np.testing.assert_array_equal(after[i - 1], before[i - 1])
+        before = after
+    assert not np.array_equal(steps[0][1][2], x0[2])  # layer 3 is always active
 
 
 def test_gen_smooth_with_zero_l1_reduces_to_smooth():
@@ -62,12 +69,9 @@ def test_gen_smooth_with_zero_l1_reduces_to_smooth():
     scheme = sp.FullNetwork(3)
     table = pb.smoothness_constants(prob, scheme, [EUC] * 3, with_l1_zeros=True)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    m1 = op.LayerModel([x.copy() for x in x0], [EUC] * 3)
-    m2 = op.LayerModel([x.copy() for x in x0], [EUC] * 3)
-    active = frozenset({1, 2, 3})
-    op.det_step(m1, prob.value_and_grad, active, op.SmoothInverse(), table)
-    op.det_step(m2, prob.value_and_grad, active, op.GenSmoothInverse(), table)
-    for a, b in zip(m1.layers, m2.layers):
+    r1 = op.run(prob, scheme, op.SmoothInverse(), 3, 0, x0=x0, table=table)
+    r2 = op.run(prob, scheme, op.GenSmoothInverse(), 3, 0, x0=x0, table=table)
+    for a, b in zip(r1.model.layers, r2.model.layers):
         np.testing.assert_array_equal(a, b)
 
 
@@ -75,9 +79,9 @@ def test_det_step_missing_constant_names_pair():
     rng = np.random.default_rng(3)
     prob = scalar_quadratic(rng)
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(1, 1): 1.0})  # only one entry
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    with pytest.raises(KeyError, match="layer 2, set key 2"):
-        op.det_step(model, prob.value_and_grad, frozenset({2, 3}), op.SmoothInverse(), table)
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    with pytest.raises(KeyError, match="iteration 0: .*layer 2, set key 2"):
+        op.run(prob, sp.Rpt((0.0, 1.0, 0.0)), op.SmoothInverse(), 2, 0, x0=x0, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +94,7 @@ def test_beta_one_momentum_is_fresh_gradient():
     model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
     _, grads = prob.value_and_grad(model.layers)
     momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], [1.0] * 3)
-    op.stoch_step(
-        model, lambda layers: prob.value_and_grad(layers)[1], momentum,
-        frozenset({1, 2, 3}), [0.1] * 3,
-    )
+    op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
     for i in range(3):
         np.testing.assert_allclose(momentum.m[i], grads[i], atol=1e-15)
 
@@ -109,8 +110,7 @@ def test_stoch_step_moves_exactly_radius():
         momentum = op.MomentumState([np.zeros((3, 2)) for _ in range(3)], [0.5] * 3)
         radii = [0.05, 0.1, 0.15]
         rep = op.stoch_step(
-            model, lambda layers: prob.value_and_grad(layers)[1], momentum,
-            frozenset({1, 2, 3}), radii,
+            model, prob.value_and_grad(model.layers)[1], momentum, frozenset({1, 2, 3}), radii
         )
         for i in rep.applied:
             moved = model.layers[i - 1] - before[i - 1]
@@ -122,8 +122,7 @@ def test_stoch_step_zero_momentum_flagged_degenerate():
     model = op.LayerModel([np.zeros((2, 2))], [EUC])  # at the optimum: zero gradient
     momentum = op.MomentumState([np.zeros((2, 2))], [1.0])
     rep = op.stoch_step(
-        model, lambda layers: prob.value_and_grad(layers)[1], momentum,
-        frozenset({1}), [0.1],
+        model, prob.value_and_grad(model.layers)[1], momentum, frozenset({1}), [0.1]
     )
     assert rep.degenerate == frozenset({1})
     np.testing.assert_array_equal(model.layers[0], np.zeros((2, 2)))
@@ -137,8 +136,7 @@ def test_stoch_step_freezes_momentum_and_layers():
     x_before = [x.copy() for x in model.layers]
     m_before = [m.copy() for m in momentum.m]
     op.stoch_step(
-        model, lambda layers: prob.value_and_grad(layers)[1], momentum,
-        frozenset({2}), [0.1] * 3,
+        model, prob.value_and_grad(model.layers)[1], momentum, frozenset({2}), [0.1] * 3
     )
     for i in (0, 2):  # layers 1 and 3 frozen
         np.testing.assert_array_equal(model.layers[i], x_before[i])
@@ -369,3 +367,153 @@ def test_run_report_momentum_error_tracks_lag():
     for rep in res.reports:
         for i in range(1, 4):
             assert rep.momentum_error[i] == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one gradient pass per iterate
+# ---------------------------------------------------------------------------
+
+def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x0, noise):
+    """The loop run replaced: each stochastic sample evaluates a fresh gradient plus noise."""
+
+    def fresh_sample(layers, rng):
+        _, grads = problem.value_and_grad(layers)
+        return [
+            gr if sigma == 0.0 else gr + sigma / np.sqrt(gr.size) * rng.standard_normal(gr.shape)
+            for gr, sigma in zip(grads, noise.sigmas)
+        ]
+
+    b = problem.b
+    model = op.LayerModel([np.array(x, dtype=float) for x in x0], list(norms))
+    if isinstance(policy, op.HorizonSchedule):
+        radii, beta = policy.radii(b, iterations), op.HorizonSchedule.beta(iterations)
+    else:
+        radii, beta = np.asarray(policy.radii), policy.beta
+    m0 = fresh_sample(model.layers, sp.stream(seed, 0))
+    momentum = op.MomentumState([m.copy() for m in m0], [beta] * b)
+    f, grads = problem.value_and_grad(model.layers)
+    rows = []
+    for k in range(iterations):
+        rng = sp.stream(seed, k + 1)
+        active = sp.sample(scheme, rng)
+        gnorms = {i: g.dual_norm(norms[i - 1], grads[i - 1]) for i in range(1, b + 1)}
+        op.stoch_step(model, fresh_sample(model.layers, rng), momentum, active, radii)
+        merr = {
+            i: g.dual_norm(norms[i - 1], momentum.m[i - 1] - grads[i - 1])
+            for i in range(1, b + 1)
+        }
+        f_before = f
+        f, grads = problem.value_and_grad(model.layers)
+        rows.append((active, f_before, f, gnorms, merr))
+    return model.layers, rows
+
+
+@pytest.mark.parametrize("case", ["quad_fixed", "quad_horizon", "mlp_horizon"])
+def test_run_single_pass_matches_fresh_gradient_reference(case):
+    rng = np.random.default_rng(19)
+    if case.startswith("quad"):
+        prob = pb.SeparableQuadratic(
+            [rng.standard_normal((3, 2)) for _ in range(3)], (1.0, 2.0, 0.5)
+        )
+        norms = [EUC, NormKind.SPECTRAL, EUC]
+        x0 = [rng.standard_normal((3, 2)) for _ in range(3)]
+    else:
+        prob = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=2)
+        norms = [EUC, NormKind.SPECTRAL, NormKind.SPECTRAL]
+        x0 = [w + 0.1 * rng.standard_normal(w.shape) for w in prob.weights]
+    policy = op.FixedRadius((0.05, 0.1, 0.02), beta=0.6) if case == "quad_fixed" \
+        else op.HorizonSchedule()
+    scheme = sp.Rpt((0.5, 0.3, 0.2))
+    noise = pb.NoiseSpec((0.2, 0.0, 0.3))
+    ref_layers, ref_rows = reference_stochastic_run(prob, scheme, policy, 25, 5, norms, x0, noise)
+    res = op.run(prob, scheme, policy, 25, 5, norms=norms, x0=x0, noise=noise)
+    got = [
+        (r.active, r.f_before, r.f_after, r.grad_dual_norms, r.momentum_error)
+        for r in res.reports
+    ]
+    assert got == ref_rows
+    for a, b in zip(res.model.layers, ref_layers):
+        np.testing.assert_array_equal(a, b)
+
+
+class CountingProblem:
+    """Delegates to a problem and counts its gradient evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def value_and_grad(self, layers):
+        self.calls += 1
+        return self.inner.value_and_grad(layers)
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()])
+def test_run_one_gradient_pass_per_iterate(policy):
+    rng = np.random.default_rng(20)
+    inner = scalar_quadratic(rng)
+    prob = CountingProblem(inner)
+    iterations = 7
+    op.run(
+        prob, sp.Rpt((0.5, 0.3, 0.2)), policy, iterations, 0,
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+        noise=pb.NoiseSpec((0.1,) * 3),
+    )
+    assert prob.calls == iterations + 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite guard
+# ---------------------------------------------------------------------------
+
+def overflow_quadratic():
+    return pb.SeparableQuadratic([np.zeros((2, 2))] * 3, (1, 2, 0.5)), [np.ones((2, 2))] * 3
+
+
+@pytest.mark.parametrize("path", ["stochastic", "deterministic"])
+def test_run_overflowing_step_names_iteration_and_layers(path):
+    prob, x0 = overflow_quadratic()
+    if path == "stochastic":
+        policy, table = op.FixedRadius((1e308,) * 3, beta=1), None
+    else:  # constants this small make the stepsize 1/L0 overflow the iterate
+        policy = op.SmoothInverse()
+        table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1e-308 for i in (1, 2, 3)})
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"iteration 0: f_after is inf after updating layers \[1, 2, 3\]"
+    ):
+        op.run(prob, sp.FullNetwork(3), policy, 4, 0, x0=x0, table=table)
+
+
+def test_run_overflowing_momentum_norm_names_iteration_and_layer():
+    prob, x0 = overflow_quadratic()
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"iteration 0: layer 1: the radius-1e\+200 step vanished"
+    ):
+        op.run(
+            prob, sp.FullNetwork(3), op.FixedRadius((1e200,) * 3, beta=1), 4, 0,
+            x0=x0, noise=pb.NoiseSpec((1e300,) * 3),
+        )
+
+
+class InfGradientAfterFirstStep(CountingProblem):
+    """Finite f everywhere; layer 2's gradient is infinite from x_1 on."""
+
+    def value_and_grad(self, layers):
+        f, grads = super().value_and_grad(layers)
+        if self.calls > 1:
+            grads[1] = np.full_like(grads[1], np.inf)
+        return f, grads
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+def test_run_non_finite_gradient_names_iteration_and_layer(policy):
+    rng = np.random.default_rng(21)
+    inner = scalar_quadratic(rng)
+    with pytest.raises(ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"):
+        op.run(
+            InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+        )
