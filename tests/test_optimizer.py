@@ -451,7 +451,9 @@ class CountingProblem:
         return self.inner.value_and_grad(layers)
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()])
+@pytest.mark.parametrize(
+    "policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()]
+)
 def test_run_one_gradient_pass_per_iterate(policy):
     rng = np.random.default_rng(20)
     inner = scalar_quadratic(rng)
@@ -512,7 +514,9 @@ class InfGradientAfterFirstStep(CountingProblem):
 def test_run_non_finite_gradient_names_iteration_and_layer(policy):
     rng = np.random.default_rng(21)
     inner = scalar_quadratic(rng)
-    with pytest.raises(ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"):
+    with pytest.raises(
+        ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
+    ):
         op.run(
             InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
             x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
