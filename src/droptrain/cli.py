@@ -337,10 +337,8 @@ def cmd_run(args) -> int:
                     fh.write(",".join(columns) + "\n")
                     for row in rows:
                         fh.write(",".join(_fmt(v) for v in row) + "\n")
-                x0 = build_x0(cfg.get("x0"), problem)
-                f0 = problem.value_and_grad(x0)[0]
                 per_seed[str(seed)] = {
-                    "initial_f": f0,
+                    "initial_f": result.f_initial,
                     "final_f": result.f_final,
                     "final_fgap": result.f_final - problem.f_star,
                     "cumulative_cost": result.cumulative_cost,

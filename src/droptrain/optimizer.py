@@ -19,6 +19,14 @@ beta meaning slow incorporation of fresh gradients: the horizon schedule sets
 beta = (K+1)^{-1/2}, which only makes sense under this parametrization (the
 mainstream Muon convention is the mirror image).
 
+Spectral layers of one shape form a group (``LayerModel.spectral_groups``,
+worked out once when ``run`` builds its model).  The dual norms of a group's
+gradients and momentum errors, and the SVD-LMO steps of its active layers,
+each take one stacked SVD (``geometry.nuclear_norms``,
+``geometry.spectral_lmos``) instead of one per layer; the values equal the
+per-layer calls bit for bit.  Euclidean layers, spectral layers with no
+same-shape partner and the Newton-Schulz backend stay per layer.
+
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, stops with a ValueError naming the iteration
 and the layer when f, a gradient or a step stops being finite, and
@@ -62,10 +70,15 @@ INIT_STREAM = 0  # stream(seed, 0) feeds initialization; iteration k uses stream
 
 @dataclass
 class LayerModel:
-    """Ordered layer matrices plus each layer's norm choice; shapes are fixed."""
+    """Ordered layer matrices plus each layer's norm choice; shapes are fixed.
+
+    ``spectral_groups`` lists the 1-based indices of spectral layers that
+    share a shape, in ascending groups of two or more.
+    """
 
     layers: list[np.ndarray]
     norms: list[NormKind]
+    spectral_groups: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layers = [geometry.check_matrix(x) for x in self.layers]
@@ -73,6 +86,11 @@ class LayerModel:
             raise ValueError("need one norm kind per layer")
         if not self.layers:
             raise ValueError("at least one layer required")
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for i, (x, kind) in enumerate(zip(self.layers, self.norms), start=1):
+            if kind == NormKind.SPECTRAL:
+                by_shape.setdefault(x.shape, []).append(i)
+        self.spectral_groups = [group for group in by_shape.values() if len(group) > 1]
 
     @property
     def b(self) -> int:
@@ -161,20 +179,34 @@ class StepReport:
 
 @dataclass
 class RunResult:
+    """The final model, one report per iteration, and f at x_0 and x_K."""
+
     model: LayerModel
     reports: list[StepReport]
     f_final: float
     cumulative_cost: float | None
+    f_initial: float
 
 
 def _dual_norms(
     model: LayerModel, mats: Sequence[np.ndarray], what: str = "gradient"
 ) -> dict[int, float]:
-    """Per-layer dual norms; raises ValueError naming the layer if one is not finite."""
+    """Per-layer dual norms, one stacked SVD per spectral group.
+
+    Raises ValueError naming the lowest-numbered layer whose matrix or dual
+    norm is not finite.
+    """
+    stacked = {}
+    for group in model.spectral_groups:
+        try:
+            values = geometry.nuclear_norms([mats[i - 1] for i in group])
+            stacked.update(zip(group, values.tolist()))
+        except ValueError:
+            pass  # a member is not finite: the per-layer calls below name the first one
     out = {}
     for i, m in enumerate(mats, start=1):
         try:
-            out[i] = geometry.dual_norm(model.norms[i - 1], m)
+            out[i] = stacked[i] if i in stacked else geometry.dual_norm(model.norms[i - 1], m)
         except ValueError as exc:
             raise ValueError(f"layer {i}: {what}: {exc}") from exc
         if not math.isfinite(out[i]):
@@ -227,28 +259,47 @@ def stoch_step(
     ``ns_config`` switches spectral-norm layers from the exact-SVD LMO to the
     Newton-Schulz approximate orthogonalization (the cheap optimizer path; the
     step norm then only approximates t_i, which is why property tests pin the
-    SVD path).
+    SVD path).  Without it, the active layers of each spectral group share
+    one stacked SVD; a zero momentum stays out of that stack and is flagged
+    degenerate as above.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
-    degenerate = set()
-    applied = {}
-    for i in sorted(active):
+    order = sorted(active)
+    for i in order:
         bi = momentum.beta[i - 1]
         momentum.m[i - 1] = (1.0 - bi) * momentum.m[i - 1] + bi * grads[i - 1]
+    stacked = {}
+    groups = model.spectral_groups if ns_config is None else []
+    for group in groups:
+        members = [i for i in group if i in active]
+        if len(members) < 2:
+            continue
+        try:
+            results = geometry.spectral_lmos(
+                [momentum.m[i - 1] for i in members], [float(radii[i - 1]) for i in members]
+            )
+            stacked.update(zip(members, results))
+        except ValueError:
+            pass  # a bad momentum or radius: the per-layer calls below name the first one
+    degenerate = set()
+    applied = {}
+    for i in order:
         m = momentum.m[i - 1]
         t = float(radii[i - 1])
         try:
-            if ns_config is not None and model.norms[i - 1] == NormKind.SPECTRAL and m.any():
-                step = -t * geometry.newton_schulz(m, ns_config)
+            if i in stacked:
+                step, is_degenerate = stacked[i]
+            elif ns_config is not None and model.norms[i - 1] == NormKind.SPECTRAL and m.any():
+                step, is_degenerate = -t * geometry.newton_schulz(m, ns_config), False
             else:
                 step, is_degenerate = geometry.lmo(model.norms[i - 1], m, t)
-                if is_degenerate:
-                    degenerate.add(i)
-                    continue
         except ValueError as exc:
             raise ValueError(f"layer {i}: momentum: {exc}") from exc
+        if is_degenerate:
+            degenerate.add(i)
+            continue
         if not step.any():
             raise ValueError(
                 f"layer {i}: the radius-{t} step vanished for a non-zero momentum "
@@ -313,6 +364,7 @@ def run(
     f_curr, grads = problem.value_and_grad(model.layers)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")
+    f_initial = f_curr
 
     momentum = None
     radii = None
@@ -375,7 +427,7 @@ def run(
             on_step(k, model, report)
         reports.append(report)
 
-    return RunResult(model, reports, f_curr, cumulative)
+    return RunResult(model, reports, f_curr, cumulative, f_initial)
 
 
 # ---------------------------------------------------------------------------

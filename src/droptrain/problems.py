@@ -176,9 +176,9 @@ class CoupledQuadratic:
         val = 0.5 * sum(self.curvatures[i] * float(e @ e) for i, e in enumerate(errs))
         gvecs = [self.curvatures[i] * e for i, e in enumerate(errs)]
         for i, r in enumerate(self.maps):
-            cross = self.coupling * float(errs[i] @ (r @ errs[i + 1]))
-            val += cross
-            gvecs[i] = gvecs[i] + self.coupling * (r @ errs[i + 1])
+            r_next = r @ errs[i + 1]
+            val += self.coupling * float(errs[i] @ r_next)
+            gvecs[i] = gvecs[i] + self.coupling * r_next
             gvecs[i + 1] = gvecs[i + 1] + self.coupling * (r.T @ errs[i])
         if self.tilt is not None:
             for i, t in enumerate(self.tilt):

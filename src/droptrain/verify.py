@@ -136,7 +136,41 @@ def geometry_suite(seed: int = 0, n_matrices: int = 1000, tol: float = 1e-9):
             results.append(
                 _check(f"geometry/{kind.value}/{name}", err <= tol, max_abs_error=err, tol=tol)
             )
+    results.append(_stacked_spectral_check(rng))
     return results
+
+
+def _stacked_spectral_check(rng: np.random.Generator, n_stacks: int = 200) -> CheckResult:
+    """Stacked nuclear norms and LMO steps equal the per-matrix calls exactly.
+
+    Each random same-shape stack may hold a zero (degenerate) and a rank-one
+    member; the tolerance is zero.
+    """
+    mismatches = 0
+    for _ in range(n_stacks):
+        m_dim, n_dim = (int(d) for d in rng.integers(1, 13, size=2))
+        stack = rng.standard_normal((int(rng.integers(2, 7)), m_dim, n_dim))
+        if rng.random() < 0.25:
+            stack[int(rng.integers(len(stack)))] = 0.0
+        if rng.random() < 0.25:
+            stack[int(rng.integers(len(stack)))] = np.outer(
+                rng.standard_normal(m_dim), rng.standard_normal(n_dim)
+            )
+        radii = rng.uniform(0.1, 5.0, size=len(stack)).tolist()
+        nuclear = geometry.nuclear_norms(stack)
+        lmos = geometry.spectral_lmos(stack, radii)
+        for m, t, dn, res in zip(stack, radii, nuclear, lmos):
+            ref = geometry.lmo(NormKind.SPECTRAL, m, t)
+            if (
+                dn != geometry.dual_norm(NormKind.SPECTRAL, m)
+                or res.degenerate != ref.degenerate
+                or not np.array_equal(res.step, ref.step)
+            ):
+                mismatches += 1
+    return _check(
+        "geometry/spectral/stacked_matches_per_matrix", mismatches == 0,
+        mismatches=mismatches, stacks=n_stacks, tol=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

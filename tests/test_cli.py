@@ -8,6 +8,7 @@ import pytest
 
 from droptrain import cli
 from droptrain import costmodel as cm
+from droptrain import problems
 from droptrain import verify
 
 
@@ -271,6 +272,34 @@ def test_run_non_finite_iterate_one_error_line(tmp_path, capsys):
         "run error: variant 'blowup', seed 0: iteration 0: "
         "f_after is inf after updating layers [1, 2, 3]"
     ]
+
+
+def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatch):
+    # initial_f comes from the run's own f(x_0): K + 1 passes, not K + 2
+    calls = []
+    inner = problems.SeparableQuadratic.value_and_grad
+
+    def counting(self, layers):
+        calls.append(None)
+        return inner(self, layers)
+
+    monkeypatch.setattr(problems.SeparableQuadratic, "value_and_grad", counting)
+    cfg = base_config(iterations=20, seeds=(0, 1))
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(cfg["variants"]) * len(cfg["seeds"]) * (cfg["iterations"] + 1)
+
+
+@pytest.mark.parametrize("cfg", [base_config(), mlp_config((0, 1))], ids=["quadratic", "tiny_mlp"])
+def test_run_initial_f_is_f_at_x0(tmp_path, cfg):
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    problem = cli.build_problem(cfg["problem"])
+    f0 = problem.value_and_grad(cli.build_x0(cfg["x0"], problem))[0]
+    for variant in cfg["variants"]:
+        for seed in cfg["seeds"]:
+            assert summary["variants"][variant["name"]][str(seed)]["initial_f"] == f0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 Oracles: power iteration for the spectral norm, explicit SVD sums for the
 nuclear norm, and random sampling of the sharp operator's defining argmax.
+The stacked spectral primitives are pinned to the per-matrix ones exactly.
 """
 
 import numpy as np
@@ -183,6 +184,59 @@ def test_generalized_cauchy_schwarz(seed, kind):
     b = rng.standard_normal(a.shape)
     lhs = abs(float(np.sum(a * b)))
     assert lhs <= g.dual_norm(kind, a) * g.norm(kind, b) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stacked spectral primitives: exactly the per-matrix calls
+# ---------------------------------------------------------------------------
+
+def assert_stack_matches_per_matrix(stack, radii):
+    nuclear = g.nuclear_norms(stack)
+    lmos = g.spectral_lmos(stack, radii)
+    assert len(nuclear) == len(lmos) == len(stack)
+    for m, t, dn, res in zip(stack, radii, nuclear, lmos):
+        ref = g.lmo(SPEC, m, t)
+        assert dn == g.dual_norm(SPEC, m)
+        assert res.degenerate == ref.degenerate
+        assert np.array_equal(res.step, ref.step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12), st.integers(1, 6),
+    st.booleans(), st.booleans(),
+)
+def test_stacked_spectral_matches_per_matrix(seed, m_dim, n_dim, count, with_zero, deficient):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, m_dim, n_dim)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    if deficient:  # rank one below full: the truncation drops a singular value
+        r = max(1, min(m_dim, n_dim) - 1)
+        j = int(rng.integers(count))
+        stack[j] = rng.standard_normal((m_dim, r)) @ rng.standard_normal((r, n_dim))
+    if with_zero:
+        stack[int(rng.integers(count))] = 0.0
+    assert_stack_matches_per_matrix(stack, rng.uniform(0.1, 5.0, count).tolist())
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 8), (2, 64, 64), (3, 64, 16), (2, 8, 64)])
+def test_stacked_spectral_matches_per_matrix_layer_shapes(shape):
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        assert_stack_matches_per_matrix(rng.standard_normal(shape), [0.3] * shape[0])
+
+
+def test_stacked_spectral_rejects_bad_input():
+    stack = np.ones((2, 2, 2))
+    with pytest.raises(ValueError, match="lmo radius t must be positive"):
+        g.spectral_lmos(stack, [0.5, 0.0])
+    with pytest.raises(ValueError, match="one lmo radius per matrix"):
+        g.spectral_lmos(stack, [0.5])
+    stack[1, 0, 0] = np.inf
+    for call in (lambda: g.nuclear_norms(stack), lambda: g.spectral_lmos(stack, [1.0, 1.0])):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            call()
+    with pytest.raises(ValueError, match="stack of 2-D matrices"):
+        g.nuclear_norms(np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------

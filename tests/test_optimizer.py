@@ -13,6 +13,7 @@ from droptrain import verify
 from droptrain.geometry import NormKind
 
 EUC = NormKind.EUCLIDEAN
+SPEC = NormKind.SPECTRAL
 
 
 def scalar_quadratic(rng, b=3, shape=(2, 2), curvatures=(1.0, 2.0, 0.5)):
@@ -374,7 +375,8 @@ def test_run_report_momentum_error_tracks_lag():
 # ---------------------------------------------------------------------------
 
 def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x0, noise):
-    """The loop run replaced: each stochastic sample evaluates a fresh gradient plus noise."""
+    """The loop run replaced: each stochastic sample evaluates a fresh gradient plus noise,
+    and every layer takes its own dual norms and its own ``geometry.lmo`` step."""
 
     def fresh_sample(layers, rng):
         _, grads = problem.value_and_grad(layers)
@@ -384,47 +386,72 @@ def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x
         ]
 
     b = problem.b
-    model = op.LayerModel([np.array(x, dtype=float) for x in x0], list(norms))
+    layers = [np.array(x, dtype=float) for x in x0]
     if isinstance(policy, op.HorizonSchedule):
         radii, beta = policy.radii(b, iterations), op.HorizonSchedule.beta(iterations)
     else:
         radii, beta = np.asarray(policy.radii), policy.beta
-    m0 = fresh_sample(model.layers, sp.stream(seed, 0))
-    momentum = op.MomentumState([m.copy() for m in m0], [beta] * b)
-    f, grads = problem.value_and_grad(model.layers)
+    momentum = [m.copy() for m in fresh_sample(layers, sp.stream(seed, 0))]
+    f, grads = problem.value_and_grad(layers)
     rows = []
     for k in range(iterations):
         rng = sp.stream(seed, k + 1)
         active = sp.sample(scheme, rng)
         gnorms = {i: g.dual_norm(norms[i - 1], grads[i - 1]) for i in range(1, b + 1)}
-        op.stoch_step(model, fresh_sample(model.layers, rng), momentum, active, radii)
+        sample = fresh_sample(layers, rng)
+        for i in sorted(active):
+            momentum[i - 1] = (1.0 - beta) * momentum[i - 1] + beta * sample[i - 1]
+            step, degenerate = g.lmo(norms[i - 1], momentum[i - 1], float(radii[i - 1]))
+            if not degenerate:
+                layers[i - 1] += step
         merr = {
-            i: g.dual_norm(norms[i - 1], momentum.m[i - 1] - grads[i - 1])
+            i: g.dual_norm(norms[i - 1], momentum[i - 1] - grads[i - 1])
             for i in range(1, b + 1)
         }
         f_before = f
-        f, grads = problem.value_and_grad(model.layers)
+        f, grads = problem.value_and_grad(layers)
         rows.append((active, f_before, f, gnorms, merr))
-    return model.layers, rows
+    return layers, rows
 
 
-@pytest.mark.parametrize("case", ["quad_fixed", "quad_horizon", "mlp_horizon"])
+@pytest.mark.parametrize(
+    "case",
+    ["quad_fixed", "quad_horizon", "mlp_horizon",
+     "quad_group_fixed", "coupled_group_horizon", "mlp_group_horizon"],
+)
 def test_run_single_pass_matches_fresh_gradient_reference(case):
+    # the *_group cases have two or more same-shape spectral layers, whose dual
+    # norms and LMO steps run takes from one stacked SVD per group
     rng = np.random.default_rng(19)
-    if case.startswith("quad"):
+    if case.startswith("quad_group"):
+        shapes = [(3, 2), (3, 2), (4, 3), (3, 2)]
+        prob = pb.SeparableQuadratic(
+            [rng.standard_normal(s) for s in shapes], (1.0, 2.0, 0.5, 1.5)
+        )
+        norms = [SPEC, EUC, SPEC, SPEC]  # group {1, 4}; layer 3 has no partner
+        x0 = [rng.standard_normal(s) for s in shapes]
+    elif case.startswith("quad"):
         prob = pb.SeparableQuadratic(
             [rng.standard_normal((3, 2)) for _ in range(3)], (1.0, 2.0, 0.5)
         )
-        norms = [EUC, NormKind.SPECTRAL, EUC]
+        norms = [EUC, SPEC, EUC]
         x0 = [rng.standard_normal((3, 2)) for _ in range(3)]
+    elif case.startswith("coupled"):
+        prob = pb.CoupledQuadratic(
+            [np.zeros((4, 4))] * 3, (2.0, 2.0, 2.0), 0.5, rng=np.random.default_rng(3)
+        )
+        norms = [SPEC] * 3
+        x0 = [rng.standard_normal((4, 4)) for _ in range(3)]
     else:
-        prob = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=2)
-        norms = [EUC, NormKind.SPECTRAL, NormKind.SPECTRAL]
+        sizes = [4, 6, 6, 6, 3] if case == "mlp_group_horizon" else [4, 6, 5, 3]
+        prob = pb.TinyMlp.synthetic(sizes, n_samples=16, seed=2)
+        norms = [EUC] + [SPEC] * (prob.b - 1)  # mlp_group: group {2, 3}
         x0 = [w + 0.1 * rng.standard_normal(w.shape) for w in prob.weights]
-    policy = op.FixedRadius((0.05, 0.1, 0.02), beta=0.6) if case == "quad_fixed" \
+    b = prob.b
+    policy = op.FixedRadius((0.05, 0.1, 0.02, 0.07)[:b], beta=0.6) if "fixed" in case \
         else op.HorizonSchedule()
-    scheme = sp.Rpt((0.5, 0.3, 0.2))
-    noise = pb.NoiseSpec((0.2, 0.0, 0.3))
+    scheme = sp.Rpt((0.4, 0.3, 0.2, 0.1)[:b] if b == 4 else (0.5, 0.3, 0.2))
+    noise = pb.NoiseSpec((0.2, 0.0, 0.3, 0.1)[:b])
     ref_layers, ref_rows = reference_stochastic_run(prob, scheme, policy, 25, 5, norms, x0, noise)
     res = op.run(prob, scheme, policy, 25, 5, norms=norms, x0=x0, noise=noise)
     got = [
@@ -501,12 +528,17 @@ def test_run_overflowing_momentum_norm_names_iteration_and_layer():
 
 
 class InfGradientAfterFirstStep(CountingProblem):
-    """Finite f everywhere; layer 2's gradient is infinite from x_1 on."""
+    """Finite f everywhere; the gradients of layers ``bad`` are infinite from x_1 on."""
+
+    def __init__(self, inner, bad=(2,)):
+        super().__init__(inner)
+        self.bad = bad
 
     def value_and_grad(self, layers):
         f, grads = super().value_and_grad(layers)
         if self.calls > 1:
-            grads[1] = np.full_like(grads[1], np.inf)
+            for i in self.bad:
+                grads[i - 1] = np.full_like(grads[i - 1], np.inf)
         return f, grads
 
 
@@ -520,4 +552,72 @@ def test_run_non_finite_gradient_names_iteration_and_layer(policy):
         op.run(
             InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
             x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+        )
+
+
+# the same guards where the failing layers share a stacked SVD with others
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+def test_run_non_finite_gradient_in_spectral_group_names_layer(policy):
+    rng = np.random.default_rng(21)
+    inner = scalar_quadratic(rng)
+    norms = [SPEC] * 3
+    with pytest.raises(
+        ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
+    ):
+        op.run(
+            InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0, norms=norms,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner, norms),
+        )
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 4)])
+def test_run_two_bad_layers_in_spectral_group_names_lowest(policy):
+    rng = np.random.default_rng(22)
+    inner = pb.SeparableQuadratic(
+        [rng.standard_normal((2, 2)) for _ in range(4)], (1.0, 2.0, 0.5, 1.5)
+    )
+    norms = [SPEC, EUC, SPEC, SPEC]  # layers 1, 3 and 4 share one stack
+    with pytest.raises(
+        ValueError, match="iteration 1: layer 3: gradient: matrix entries must be finite"
+    ):
+        op.run(
+            InfGradientAfterFirstStep(inner, bad=(4, 3)), sp.FullNetwork(4), policy, 4, 0,
+            norms=norms, x0=[rng.standard_normal((2, 2)) for _ in range(4)],
+            table=table_for(inner, norms),
+        )
+
+
+def test_stoch_step_two_bad_momenta_in_spectral_group_names_lowest():
+    rng = np.random.default_rng(23)
+    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
+    grads = [rng.standard_normal((2, 2)) for _ in range(3)]
+    grads[2][0, 0] = grads[1][1, 1] = np.inf
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], [0.5] * 3)
+    with pytest.raises(ValueError, match="layer 2: momentum: matrix entries must be finite"):
+        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+def test_stoch_step_zero_momentum_in_spectral_group_flagged_degenerate():
+    rng = np.random.default_rng(24)
+    model = op.LayerModel([rng.standard_normal((3, 2)) for _ in range(3)], [SPEC] * 3)
+    before = [x.copy() for x in model.layers]
+    grads = [rng.standard_normal((3, 2)), np.zeros((3, 2)), rng.standard_normal((3, 2))]
+    momentum = op.MomentumState([np.zeros((3, 2)) for _ in range(3)], [1.0] * 3)
+    rep = op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1, 0.2, 0.3])
+    assert rep.degenerate == frozenset({2}) and set(rep.applied) == {1, 3}
+    np.testing.assert_array_equal(model.layers[1], before[1])
+    for i in (1, 3):
+        expected = before[i - 1] + g.lmo(SPEC, grads[i - 1], rep.applied[i]).step
+        np.testing.assert_array_equal(model.layers[i - 1], expected)
+
+
+def test_run_overflowing_momentum_in_spectral_group_names_layer():
+    prob, x0 = overflow_quadratic()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match=r"iteration 0: layer 1: the radius-1e\+200 step vanished"
+    ):
+        op.run(
+            prob, sp.FullNetwork(3), op.FixedRadius((1e200,) * 3, beta=1), 4, 0,
+            norms=[SPEC] * 3, x0=x0, noise=pb.NoiseSpec((1e308,) * 3),
         )
