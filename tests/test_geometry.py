@@ -209,7 +209,7 @@ def assert_stack_matches_per_matrix(stack, radii):
 def test_stacked_spectral_matches_per_matrix(seed, m_dim, n_dim, count, with_zero, deficient):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((count, m_dim, n_dim)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
-    if deficient:  # rank one below full: the truncation drops a singular value
+    if deficient:  # below full rank when min(m, n) > 1: the truncation drops a value
         r = max(1, min(m_dim, n_dim) - 1)
         j = int(rng.integers(count))
         stack[j] = rng.standard_normal((m_dim, r)) @ rng.standard_normal((r, n_dim))
