@@ -188,14 +188,7 @@ def _fmt(value) -> str:
 def _variant_weights(scheme, table, b) -> np.ndarray:
     """Normalized rate weights for the CSV aggregate; ones when unavailable."""
     try:
-        if isinstance(scheme, sampling.FullNetwork):
-            p = np.zeros(b)
-            p[0] = 1.0
-        elif isinstance(scheme, sampling.Rpt):
-            p = np.asarray(scheme.p)
-        else:
-            return np.ones(b)
-        tw = optimizer.theory_weights(p, table, "smooth")
+        tw = optimizer.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
         return tw.w / tw.mean
     except (ValueError, KeyError):
         return np.ones(b)
@@ -217,21 +210,10 @@ def _run_one_variant_seed(problem, cfg, variant, seed):
     if isinstance(policy, (optimizer.SmoothInverse, optimizer.GenSmoothInverse)):
         table = problems.smoothness_constants(problem, scheme, norms, with_l1_zeros=needs_l1)
 
-    x0 = build_x0(cfg.get("x0"), problem)
-
-    macs_log: dict[int, int] = {}
-    on_step = None
-    if isinstance(problem, problems.TinyMlp):
-        problem.forward_with_cache(x0, 0)  # seed the activation cache
-
-        def on_step(k, model, report):
-            prefix = min(report.active) - 1
-            macs_log[k] = problem.forward_with_cache(model.layers, prefix).macs
-
     result = optimizer.run(
         problem, scheme, policy, cfg["iterations"], seed,
-        norms=norms, x0=x0, table=table, noise=noise, cost_params=cost_params,
-        on_step=on_step,
+        norms=norms, x0=build_x0(cfg.get("x0"), problem), table=table, noise=noise,
+        cost_params=cost_params,
     )
     weights = _variant_weights(scheme, table, problem.b) if table is not None else np.ones(problem.b)
 
@@ -242,25 +224,15 @@ def _run_one_variant_seed(problem, cfg, variant, seed):
         gsq = sum(
             weights[i - 1] * r.grad_dual_norms[i] ** 2 for i in range(1, problem.b + 1)
         )
-        row = [
-            r.k,
-            r.f_before,
-            r.f_after,
-            r.f_after - problem.f_star,
-            gsq,
-        ]
+        row = [r.k, r.f_before, r.f_after, r.f_after - problem.f_star, gsq]
         row += [r.grad_dual_norms[i] for i in range(1, problem.b + 1)]
-        row += [
-            min(r.active),
-            r.cost_units,
-            cum if r.cost_units is not None else None,
-            macs_log.get(r.k),
-        ]
+        cum_units = cum if r.cost_units is not None else None
+        row += [min(r.active), r.cost_units, cum_units, r.fwd_macs]
         rows.append(row)
     return result, rows
 
 
-def _horizon_caps_for_variant(cfg, variant, b):
+def _horizon_caps_for_variant(cfg, variant):
     """Radius-cap constants of the horizon schedule when a table is supplied."""
     if variant.get("policy", {}).get("kind") != "horizon":
         return None
@@ -269,12 +241,9 @@ def _horizon_caps_for_variant(cfg, variant, b):
     table = _load_table(cfg["smoothness_table"])
     if table.l1 is None:
         return None
-    scheme = sampling.scheme_from_dict(variant["scheme"])
-    if isinstance(scheme, sampling.Rpt):
-        p = list(scheme.p)
-    elif isinstance(scheme, sampling.FullNetwork):
-        p = [1.0] + [0.0] * (b - 1)
-    else:
+    try:
+        p = costmodel.cutoff_probs(sampling.scheme_from_dict(variant["scheme"]))
+    except ValueError:
         return None
     return optimizer.horizon_eta_caps(p, table, cfg["iterations"]).tolist()
 
@@ -319,8 +288,7 @@ def cmd_run(args) -> int:
         for variant in cfg["variants"]:
             name = variant["name"]
             per_seed = {}
-            # seeds run serially: the TinyMlp activation cache is shared by every
-            # run, and threads gain nothing on this GIL-bound loop
+            # seeds run serially: threads gain nothing on this GIL-bound loop
             for seed in seeds:
                 try:
                     # the run's finiteness guard reports an overflow itself;
@@ -346,7 +314,7 @@ def cmd_run(args) -> int:
                     "csv": csv_path.name,
                 }
             summary["variants"][name] = per_seed
-            caps = _horizon_caps_for_variant(cfg, variant, problem.b)
+            caps = _horizon_caps_for_variant(cfg, variant)
             if caps is not None:
                 summary["variants"][name]["eta_squared_caps"] = caps
 
@@ -469,16 +437,7 @@ def cmd_marginals(args) -> int:
         print(f"scheme error: {exc}", file=sys.stderr)
         return 2
     b = scheme.b
-    f_emp = np.zeros(b)
-    q_emp = np.zeros(b)
-    rng = sampling.stream(args.seed)
-    for _ in range(args.draws):
-        s = sampling.sample(scheme, rng)
-        f_emp[min(s) - 1 :] += 1
-        for i in s:
-            q_emp[i - 1] += 1
-    f_emp /= args.draws
-    q_emp /= args.draws
+    f_emp, q_emp = verify.empirical_marginals(scheme, args.draws, args.seed)
 
     def z(emp, ana):
         var = ana * (1 - ana)

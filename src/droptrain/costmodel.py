@@ -51,6 +51,7 @@ __all__ = [
     "CostBreakdown",
     "iteration_cost",
     "expected_iteration_cost",
+    "cutoff_probs",
     "total_cost",
     "rpt_smooth_weights",
     "rpt_l0l1_weights",
@@ -321,7 +322,8 @@ def partition_smooth_weights(
     return w
 
 
-def _scheme_cutoff_probs(scheme: SamplingScheme) -> np.ndarray:
+def cutoff_probs(scheme: SamplingScheme) -> np.ndarray:
+    """P(min S = s) of an RPT or full-network scheme."""
     if isinstance(scheme, Rpt):
         return np.asarray(scheme.p)
     if isinstance(scheme, FullNetwork):
@@ -369,7 +371,7 @@ def total_cost(
     else:
         if table.mode != TableMode.RPT_CUTOFF:
             raise ValueError("RPT-style scheme needs an rpt_cutoff-mode table")
-        p = _scheme_cutoff_probs(scheme)
+        p = cutoff_probs(scheme)
         if regime == "smooth":
             w = rpt_smooth_weights(p, table)
         else:

@@ -9,10 +9,12 @@
   ``M_i <- (1 - beta_i) M_i + beta_i g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
   every applied update has primal norm exactly t_i.
 
-``run`` is also the only caller of ``problem.value_and_grad``: one call per
-iterate x_0..x_K.  That gradient feeds the reported diagnostics, the
-deterministic step, and -- plus noise from ``problems.stoch_grad`` -- the
-stochastic sample.
+``run`` is also the only gradient caller, once per iterate x_0..x_K; that
+gradient feeds the diagnostics, the deterministic step and -- plus noise from
+``problems.stoch_grad`` -- the stochastic sample.  A problem with
+``value_and_grad_from_prefix`` (``TinyMlp``) gets back the activations the
+run kept from its last pass and recomputes only layers >= min S, since a step
+writes only its active layers; the pass reports the MACs it spent.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -175,6 +177,7 @@ class StepReport:
     degenerate: frozenset[int] = frozenset()
     cost_units: float | None = None
     k: int | None = None
+    fwd_macs: int | None = None  # forward MACs of the pass at x_{k+1}, when reported
 
 
 @dataclass
@@ -333,8 +336,9 @@ def run(
     iteration k, which consumes first the active-set draw, then the gradient
     noise.  Replaying any iteration therefore needs only (seed, k).
 
-    ``problem.value_and_grad`` runs once per iterate (K + 1 calls in all);
-    each stochastic sample is that exact gradient plus noise.
+    The problem is evaluated once per iterate (K + 1 passes); each stochastic
+    sample is that exact gradient plus noise.  ``on_step`` must not change the
+    model: a prefix-reusing pass relies on frozen layers staying as stepped.
 
     An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
@@ -361,7 +365,12 @@ def run(
     if deterministic and table is None:
         raise ValueError("smoothness-inverse policies need a SmoothnessTable")
 
-    f_curr, grads = problem.value_and_grad(model.layers)
+    evaluate = getattr(problem, "value_and_grad_from_prefix", None)
+    if evaluate is None:  # no prefix reuse: a fresh pass, no activations or MACs
+        def evaluate(layers, _acts, _frozen):
+            return (*problem.value_and_grad(layers), None, None)
+
+    f_curr, grads, acts, _ = evaluate(model.layers, None, 0)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")
     f_initial = f_curr
@@ -414,7 +423,7 @@ def run(
             report.grad_dual_norms = norms_map
             report.k = k
             report.f_before = f_curr
-            f_curr, grads = problem.value_and_grad(model.layers)
+            f_curr, grads, acts, report.fwd_macs = evaluate(model.layers, acts, min(active) - 1)
             if not math.isfinite(f_curr):
                 raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:

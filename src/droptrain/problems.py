@@ -11,8 +11,10 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   which makes the layer-wise constants genuinely depend on which other layers
   move; constants come from block operator norms of the assembled Hessian.
 * ``TinyMlp`` -- a small dense network with manual backpropagation, a
-  truncated backward pass (gradients only for layers >= s), and a
-  frozen-prefix forward cache that counts multiply-accumulate operations.
+  truncated backward pass (gradients only for layers >= s), and
+  ``value_and_grad_from_prefix``, which takes a frozen prefix's activations
+  from the caller's previous pass and counts the multiply-accumulate
+  operations it spends on the rest.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
@@ -227,7 +229,7 @@ class CachedForward:
 
 
 class TinyMlp:
-    """Dense network with manual backprop, truncated backward, and prefix caching.
+    """Dense network with manual backprop, truncated backward, and prefix reuse.
 
     Layer l computes z_l = W_l a_{l-1}; hidden layers apply tanh (default) or
     relu, the last layer is linear, and the loss is mean squared error against
@@ -293,28 +295,47 @@ class TinyMlp:
     def _phi(self, z: np.ndarray) -> np.ndarray:
         return np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0)
 
-    def _phi_prime(self, z: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        return (z > 0.0).astype(float)
+    def _checked(self, layers) -> list[np.ndarray]:
+        weights = _as_layer_list(layers)
+        if [w.shape for w in weights] != self.shapes:
+            raise ValueError("layer shapes do not match the network")
+        return weights
 
-    def _forward(self, weights, macs=None):
-        """Returns (pre-activations z_1..z_b, activations a_0..a_{b-1})."""
-        acts = [self.inputs]
-        zs = []
-        for l, w in enumerate(weights):
-            z = w @ acts[-1]
-            if macs is not None:
-                macs[0] += w.shape[0] * w.shape[1] * acts[-1].shape[1]
-            zs.append(z)
-            if l < len(weights) - 1:
+    def _forward(self, weights, prefix):
+        """(z_b, activations a_0..a_{b-1}, MACs) from the prefix a_0..a_s onwards."""
+        acts = list(prefix)
+        macs = 0
+        for l in range(len(acts) - 1, self.b):
+            z = weights[l] @ acts[-1]
+            macs += weights[l].shape[0] * weights[l].shape[1] * acts[-1].shape[1]
+            if l < self.b - 1:
                 acts.append(self._phi(z))
-        return zs, acts
+        return z, acts, macs
+
+    def _pass(self, layers, prefix, first_layer):
+        """(loss, gradients of layers >= first_layer, activations, MACs) of one pass.
+
+        MACs add out x n for the loss to the forward's.  phi'(z_l) comes from
+        a_l = phi(z_l): 1 - a^2 for tanh, [a > 0] for relu, bit for bit.
+        """
+        weights = self._checked(layers)
+        z, acts, macs = self._forward(weights, prefix)
+        residual = z - self.targets_out
+        n = self.inputs.shape[1]
+        loss = 0.5 * float(np.sum(residual**2)) / n
+        delta = residual / n
+        grads = []
+        for l in range(self.b, first_layer - 1, -1):
+            a = acts[l - 1]
+            grads.append(delta @ a.T)
+            if l > first_layer:
+                dphi = 1.0 - a * a if self.activation == "tanh" else a > 0.0
+                delta = (weights[l - 1].T @ delta) * dphi
+        return loss, grads[::-1], acts, macs + z.size
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        val, grads = self._value_and_grad_from(layers, 1)
-        return val, grads
+        loss, grads, _, _ = self._pass(layers, [self.inputs], 1)
+        return loss, grads
 
     def truncated_grad(
         self, layers: Sequence[np.ndarray], first_layer: int
@@ -325,23 +346,26 @@ class TinyMlp:
         computed slices are bit-identical to the full pass because the shared
         recursion is evaluated in the same order.
         """
-        return self._value_and_grad_from(layers, first_layer)
+        if not 1 <= first_layer <= self.b:
+            raise ValueError(f"first_layer must be in [1, {self.b}], got {first_layer}")
+        loss, grads, _, _ = self._pass(layers, [self.inputs], first_layer)
+        return loss, grads
 
-    def _value_and_grad_from(self, layers, first_layer):
-        weights = _as_layer_list(layers)
-        if [w.shape for w in weights] != self.shapes:
-            raise ValueError("layer shapes do not match the network")
-        n = self.inputs.shape[1]
-        zs, acts = self._forward(weights)
-        loss = 0.5 * float(np.sum((zs[-1] - self.targets_out) ** 2)) / n
-        grads: list[np.ndarray | None] = [None] * self.b
-        delta = (zs[-1] - self.targets_out) / n
-        for l in range(self.b, 0, -1):
-            grads[l - 1] = delta @ acts[l - 1].T
-            if l - 1 < first_layer:
-                break
-            delta = (weights[l - 1].T @ delta) * self._phi_prime(zs[l - 2])
-        return loss, [g for g in grads[first_layer - 1 :]] if first_layer > 1 else grads
+    def value_and_grad_from_prefix(
+        self, layers: Sequence[np.ndarray], acts: list[np.ndarray] | None, frozen: int
+    ) -> tuple[float, list[np.ndarray], list[np.ndarray], int]:
+        """(loss, all b gradients, activations, MACs spent), reusing ``frozen`` layers.
+
+        ``acts`` are the activations this returned for an earlier pass (None
+        before the first); the caller guarantees that layers 1..frozen are
+        unchanged since -- nothing compares them -- so only layers > frozen
+        are recomputed.  The backward is full.
+        """
+        if not 0 <= frozen < self.b:
+            raise ValueError(f"frozen must be in [0, {self.b}), got {frozen}")
+        if frozen and (acts is None or len(acts) != self.b):
+            raise ValueError("reusing a prefix needs the activations of an earlier pass")
+        return self._pass(layers, acts[: frozen + 1] if frozen else [self.inputs], 1)
 
     def forward_with_cache(
         self, layers: Sequence[np.ndarray], frozen_prefix: int
@@ -355,53 +379,27 @@ class TinyMlp:
         full-batch setting is cached: with fresh batches the prefix would be
         stale by construction.
         """
-        weights = _as_layer_list(layers)
-        if [w.shape for w in weights] != self.shapes:
-            raise ValueError("layer shapes do not match the network")
+        weights = self._checked(layers)
         if not 0 <= frozen_prefix < self.b:
             raise ValueError("frozen_prefix must be in [0, b)")
-        macs = [0]
-        used_cache = False
-        invalid = False
-        acts = None
-        if frozen_prefix > 0:
-            cache = self._cache
-            if cache is None:
-                invalid = True
-            elif len(cache["acts"]) < frozen_prefix + 1:
-                invalid = True
-            else:
-                for l in range(frozen_prefix):
-                    if not np.array_equal(cache["weights"][l], weights[l]):
-                        invalid = True
-                        break
-            if invalid:
-                warnings.warn(
-                    "frozen-prefix cache invalid (missing or prefix changed); "
-                    "recomputing the full forward pass",
-                    stacklevel=2,
-                )
-            else:
-                acts = cache["acts"][: frozen_prefix + 1]
-                used_cache = True
-
-        if acts is None:
-            acts = [self.inputs]
-            start = 0
-        else:
-            acts = list(acts)
-            start = frozen_prefix
-        z = None
-        for l in range(start, self.b):
-            z = weights[l] @ acts[-1]
-            macs[0] += weights[l].shape[0] * weights[l].shape[1] * acts[-1].shape[1]
-            if l < self.b - 1:
-                acts.append(self._phi(z))
-        n = self.inputs.shape[1]
-        loss = 0.5 * float(np.sum((z - self.targets_out) ** 2)) / n
-        macs[0] += z.size  # loss reduction
+        cache = self._cache
+        invalid = frozen_prefix > 0 and (
+            cache is None
+            or not all(map(np.array_equal, cache["weights"][:frozen_prefix], weights))
+        )
+        if invalid:
+            warnings.warn(
+                "frozen-prefix cache invalid (missing or prefix changed); "
+                "recomputing the full forward pass",
+                stacklevel=2,
+            )
+        used_cache = frozen_prefix > 0 and not invalid
+        z, acts, macs = self._forward(
+            weights, cache["acts"][: frozen_prefix + 1] if used_cache else [self.inputs]
+        )
+        loss = 0.5 * float(np.sum((z - self.targets_out) ** 2)) / self.inputs.shape[1]
         self._cache = {"acts": acts, "weights": [w.copy() for w in weights]}
-        return CachedForward(loss, macs[0], used_cache, invalid)
+        return CachedForward(loss, macs + z.size, used_cache, invalid)
 
 
 # ---------------------------------------------------------------------------

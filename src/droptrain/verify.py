@@ -25,6 +25,7 @@ __all__ = [
     "random_rpt_table",
     "random_l1_rpt_table",
     "random_cost_params",
+    "empirical_marginals",
     "rate_check_setup",
     "cost_ratio_setup",
     "geometry_suite",
@@ -177,7 +178,8 @@ def _stacked_spectral_check(rng: np.random.Generator, n_stacks: int = 200) -> Ch
 # sampling suite
 # ---------------------------------------------------------------------------
 
-def _mc_marginals(scheme, draws, seed):
+def empirical_marginals(scheme, draws, seed):
+    """Monte Carlo F_i = P(min S <= i) and Q_i = P(i in S) from ``stream(seed)``."""
     b = scheme.b
     f = np.zeros(b)
     q = np.zeros(b)
@@ -191,7 +193,7 @@ def _mc_marginals(scheme, draws, seed):
 
 
 def _marginal_check(name, scheme, draws, seed):
-    f_emp, q_emp = _mc_marginals(scheme, draws, seed)
+    f_emp, q_emp = empirical_marginals(scheme, draws, seed)
     f, q = sampling.marginals(scheme)
     worst_z = 0.0
     ok = True
@@ -345,7 +347,35 @@ def descent_suite(seed: int = 0, iterations: int = 300):
     results.append(
         _check("descent/zero_noise_matches_det_direction", max_err <= 1e-12, max_err=max_err)
     )
+    results.append(_prefix_reuse_check(seed))
     return results
+
+
+def _prefix_reuse_check(seed: int, iterations: int = 30) -> CheckResult:
+    """A run's prefix-reusing TinyMlp passes equal fresh ``value_and_grad`` calls exactly."""
+    seen = []  # (problem, layers, f, gradients) of every pass
+    for activation in ("tanh", "relu"):
+        mlp = problems.TinyMlp.synthetic([4, 6, 6, 5, 3], 12, activation=activation, seed=seed)
+        reuse = mlp.value_and_grad_from_prefix
+
+        def recording(layers, acts, frozen):  # called within this loop turn only
+            out = reuse(layers, acts, frozen)
+            seen.append((mlp, [x.copy() for x in layers], out[0], [g.copy() for g in out[1]]))
+            return out
+
+        mlp.value_and_grad_from_prefix = recording
+        optimizer.run(
+            mlp, sampling.Rpt((0.3, 0.3, 0.2, 0.2)), optimizer.HorizonSchedule(), iterations,
+            seed, x0=mlp.weights, noise=problems.NoiseSpec((0.05,) * 4),
+        )
+    mismatches = 0
+    for mlp, layers, f, grads in seen:
+        f_ref, grads_ref = mlp.value_and_grad(layers)
+        mismatches += f != f_ref or not all(map(np.array_equal, grads, grads_ref))
+    ok = mismatches == 0 and len(seen) == 2 * (iterations + 1)
+    return _check(
+        "descent/mlp/prefix_reuse_matches_fresh", ok, passes=len(seen), mismatches=mismatches
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,38 @@ def test_run_mlp_measured_macs(tmp_path):
         assert deep_pass < full_pass
 
 
+def test_run_mlp_measured_macs_are_the_pass_from_min_s(tmp_path):
+    # each row's forward recomputes layers >= min S, plus out x N for the loss
+    sizes, n = [3, 5, 4, 4, 2], 10
+    cfg = {
+        "schema_version": 1,
+        "problem": {"kind": "tiny_mlp", "layer_sizes": sizes, "n_samples": n, "seed": 2},
+        "x0": {"kind": "random", "scale": 0.3, "seed": 1},
+        "noise": {"sigmas": [0.05] * 4},
+        "variants": [
+            {"name": "rpt", "scheme": {"kind": "rpt", "p": [0.4, 0.3, 0.2, 0.1]},
+             "policy": {"kind": "horizon"}},
+            {"name": "part", "scheme": {"kind": "partitioned_submodel",
+                                        "blocks": [[1, 3], [2, 4]], "p": [0.5, 0.5]},
+             "policy": {"kind": "fixed_radius", "radii": [0.05] * 4, "beta": 0.7}},
+        ],
+        "iterations": 25,
+        "seeds": [0],
+    }
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    for name in ("rpt", "part"):
+        lines = (tmp_path / "out" / f"{name}_seed0.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 25
+        assert len({row["active_min"] for row in rows}) > 1
+        for row in rows:
+            s = int(row["active_min"])
+            expected = sum(sizes[l] * sizes[l - 1] * n for l in range(s, len(sizes)))
+            assert int(row["measured_fwd_macs"]) == expected + sizes[-1] * n
+
+
 def test_run_cost_ratio_experiment_matches_prediction(tmp_path):
     # end-to-end: instance where full-network optimality fails; the emitted
     # cost ratio at the target gap tracks the model's prediction
@@ -241,7 +273,7 @@ def noisy_quadratic_config(seeds):
     "cfg", [noisy_quadratic_config((0, 1, 2)), mlp_config((0, 1))], ids=["quadratic", "tiny_mlp"]
 )
 def test_run_multi_seed_csv_equals_single_seed_run(tmp_path, cfg):
-    # the tiny_mlp case also checks that each run reseeds the shared activation cache
+    # the tiny_mlp case also checks that no activations outlive a (variant, seed) run
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "all")]) == 0
     for seed in cfg["seeds"]:

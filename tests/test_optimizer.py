@@ -495,6 +495,80 @@ def test_run_one_gradient_pass_per_iterate(policy):
 
 
 # ---------------------------------------------------------------------------
+# run-owned frozen-prefix activations on TinyMlp
+# ---------------------------------------------------------------------------
+
+MLP_SCHEMES = {
+    "rpt": sp.Rpt((0.3, 0.3, 0.2, 0.2)),
+    "full_network": sp.FullNetwork(4),
+    "partitioned": sp.PartitionedSubmodel((frozenset({1, 3}), frozenset({2, 4})), (0.5, 0.5)),
+    "epoch_shift": sp.EpochShiftRpt(4, 3.0),
+}
+
+
+def recording_prefix_passes(prob):
+    """Wraps the problem's prefix-reusing pass; returns the list it records into."""
+    passes = []
+    reuse = prob.value_and_grad_from_prefix
+
+    def recording(layers, acts, frozen):
+        f, grads, new_acts, macs = reuse(layers, acts, frozen)
+        passes.append((frozen, f, [g.copy() for g in grads], macs))
+        return f, grads, new_acts, macs
+
+    prob.value_and_grad_from_prefix = recording
+    return passes
+
+
+@pytest.mark.parametrize("policy_name", ["horizon", "fixed_radius", "smooth_inverse"])
+@pytest.mark.parametrize("scheme_name", sorted(MLP_SCHEMES))
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, policy_name):
+    sizes = [4, 6, 6, 5, 3]
+    prob = pb.TinyMlp.synthetic(sizes, n_samples=12, activation=activation, seed=7)
+    scheme = MLP_SCHEMES[scheme_name]
+    norms = [EUC, SPEC, SPEC, EUC]
+    table, noise = None, pb.NoiseSpec((0.05, 0.0, 0.1, 0.05))
+    if policy_name == "smooth_inverse":
+        policy, noise = op.SmoothInverse(), None
+        table = pb.smoothness_constants(prob, scheme, norms)
+    elif policy_name == "fixed_radius":
+        policy = op.FixedRadius((0.05, 0.1, 0.07, 0.03), beta=0.6)
+    else:
+        policy = op.HorizonSchedule()
+    rng = np.random.default_rng(23)
+    x0 = [w + 0.1 * rng.standard_normal(w.shape) for w in prob.weights]
+    passes = recording_prefix_passes(prob)
+    iterates = [x0]
+    res = op.run(
+        prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=table, noise=noise,
+        on_step=lambda _k, model, _r: iterates.append([x.copy() for x in model.layers]),
+    )
+    assert len(passes) == len(iterates) == 21
+    for (_, f, grads, _), layers in zip(passes, iterates):
+        f_ref, grads_ref = prob.value_and_grad(layers)
+        assert f == f_ref
+        for g_run, g_ref in zip(grads, grads_ref):
+            np.testing.assert_array_equal(g_run, g_ref)
+    n = prob.inputs.shape[1]
+    for r, (frozen, f, _, macs) in zip(res.reports, passes[1:]):
+        s = min(r.active)
+        assert frozen == s - 1 and r.f_after == f
+        assert r.fwd_macs == macs == sum(
+            sizes[l] * sizes[l - 1] * n for l in range(s, prob.b + 1)
+        ) + sizes[-1] * n
+    if scheme_name != "full_network":
+        assert any(frozen > 0 for frozen, *_ in passes)
+
+
+def test_run_reports_no_macs_for_problems_without_prefix_reuse():
+    rng = np.random.default_rng(24)
+    prob = scalar_quadratic(rng)
+    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 5, 0)
+    assert all(r.fwd_macs is None for r in res.reports)
+
+
+# ---------------------------------------------------------------------------
 # non-finite guard
 # ---------------------------------------------------------------------------
 

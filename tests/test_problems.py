@@ -250,6 +250,72 @@ def test_truncated_backward_bit_identical_slices():
             np.testing.assert_array_equal(g, full[s - 1 + offset])
 
 
+@pytest.mark.parametrize("first_layer", [0, -1, 4])
+def test_truncated_grad_rejects_first_layer_out_of_range(first_layer):
+    mlp = pb.TinyMlp.synthetic([3, 4, 3, 2], n_samples=8, seed=14)
+    with pytest.raises(ValueError, match=r"first_layer must be in \[1, 3\]"):
+        mlp.truncated_grad(mlp.weights, first_layer)
+
+
+def reference_mlp_value_and_grad(mlp, layers):
+    """Backpropagation that keeps every z_l and re-evaluates phi'(z_l) from it."""
+    acts, zs = [mlp.inputs], []
+    for l, w in enumerate(layers):
+        zs.append(w @ acts[-1])
+        if l < mlp.b - 1:
+            acts.append(np.tanh(zs[-1]) if mlp.activation == "tanh" else np.maximum(zs[-1], 0.0))
+    n = mlp.inputs.shape[1]
+    loss = 0.5 * float(np.sum((zs[-1] - mlp.targets_out) ** 2)) / n
+    delta = (zs[-1] - mlp.targets_out) / n
+    grads = [None] * mlp.b
+    for l in range(mlp.b, 0, -1):
+        grads[l - 1] = delta @ acts[l - 1].T
+        if l > 1:
+            z = zs[l - 2]
+            if mlp.activation == "tanh":
+                t = np.tanh(z)
+                dphi = 1.0 - t * t
+            else:
+                dphi = (z > 0.0).astype(float)
+            delta = (layers[l - 1].T @ delta) * dphi
+    return loss, grads
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_backward_from_stored_activations_matches_phi_prime_of_z(activation):
+    mlp = pb.TinyMlp.synthetic([4, 6, 5, 5, 3], n_samples=20, activation=activation, seed=21)
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        x = [w + 0.3 * rng.standard_normal(w.shape) for w in mlp.weights]
+        loss_ref, grads_ref = reference_mlp_value_and_grad(mlp, x)
+        loss, grads = mlp.value_and_grad(x)
+        assert loss == loss_ref
+        for g, g_ref in zip(grads, grads_ref):
+            np.testing.assert_array_equal(g, g_ref)
+        for s in range(1, mlp.b + 1):
+            _, partial = mlp.truncated_grad(x, s)
+            for g, g_ref in zip(partial, grads_ref[s - 1 :]):
+                np.testing.assert_array_equal(g, g_ref)
+
+
+def test_prefix_pass_reuses_activations_and_counts_recomputed_macs():
+    mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=23)
+    x = [w.copy() for w in mlp.weights]
+    f0, _, acts, macs0 = mlp.value_and_grad_from_prefix(x, None, 0)
+    assert macs0 == (6 * 4 + 5 * 6 + 3 * 5) * 16 + 3 * 16
+    x[2] += 0.05  # only the last layer moves: two layers stay frozen
+    f, grads, _, macs = mlp.value_and_grad_from_prefix(x, acts, 2)
+    f_ref, grads_ref = mlp.value_and_grad(x)
+    assert f == f_ref and f != f0
+    for g, g_ref in zip(grads, grads_ref):
+        np.testing.assert_array_equal(g, g_ref)
+    assert macs == 3 * 5 * 16 + 3 * 16
+    with pytest.raises(ValueError, match="frozen must be in"):
+        mlp.value_and_grad_from_prefix(x, acts, 3)
+    with pytest.raises(ValueError, match="activations of an earlier pass"):
+        mlp.value_and_grad_from_prefix(x, None, 1)
+
+
 def test_cache_prefix_zero_matches_plain_forward():
     mlp = pb.TinyMlp.synthetic([3, 4, 2], n_samples=16, seed=16)
     res = mlp.forward_with_cache(mlp.weights, 0)
