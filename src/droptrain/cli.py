@@ -241,8 +241,9 @@ def _horizon_caps_for_variant(cfg, variant):
     table = _load_table(cfg["smoothness_table"])
     if table.l1 is None:
         return None
+    scheme = sampling.scheme_from_dict(variant["scheme"])
     try:
-        p = costmodel.cutoff_probs(sampling.scheme_from_dict(variant["scheme"]))
+        p = costmodel.cutoff_probs(scheme)
     except ValueError:
         return None
     return optimizer.horizon_eta_caps(p, table, cfg["iterations"]).tolist()
