@@ -86,13 +86,22 @@ def build_problem(spec: dict, path: str = "problem"):
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     if kind == "tiny_mlp":
-        return problems.TinyMlp.synthetic(
-            _require(spec, path, "layer_sizes", list),
-            n_samples=int(spec.get("n_samples", 64)),
-            n_clusters=int(spec.get("n_clusters", 3)),
-            activation=spec.get("activation", "tanh"),
-            seed=int(spec.get("seed", 0)),
-        )
+        layer_sizes = _require(spec, path, "layer_sizes", list)
+        if len(layer_sizes) < 2:
+            raise ConfigError(
+                f"{path}.layer_sizes",
+                f"need at least 2 sizes (input and output), got {len(layer_sizes)}",
+            )
+        try:
+            return problems.TinyMlp.synthetic(
+                layer_sizes,
+                n_samples=int(spec.get("n_samples", 64)),
+                n_clusters=int(spec.get("n_clusters", 3)),
+                activation=spec.get("activation", "tanh"),
+                seed=int(spec.get("seed", 0)),
+            )
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown problem kind {kind!r}")
 
 
@@ -107,8 +116,26 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
     if isinstance(spec, list):
         if len(spec) != b:
             raise ConfigError(path, f"expected {b} entries, got {len(spec)}")
-        return [NormKind(s) for s in spec]
+        norms = []
+        for j, s in enumerate(spec):
+            try:
+                norms.append(NormKind(s))
+            except ValueError as exc:
+                raise ConfigError(f"{path}[{j}]", str(exc)) from exc
+        return norms
     raise ConfigError(path, "expected a norm name or a list of norm names")
+
+
+def _build_noise(spec, b: int, path: str = "noise"):
+    if spec is None:
+        return None
+    sigmas = _require(spec, path, "sigmas", list)
+    if len(sigmas) != b:
+        raise ConfigError(f"{path}.sigmas", f"expected {b} entries, got {len(sigmas)}")
+    try:
+        return problems.NoiseSpec(tuple(sigmas))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.sigmas", str(exc)) from exc
 
 
 def build_policy(spec: dict, path: str):
@@ -194,15 +221,8 @@ def _variant_weights(scheme, table, b) -> np.ndarray:
         return np.ones(b)
 
 
-def _run_one_variant_seed(problem, cfg, variant, seed):
-    scheme = sampling.scheme_from_dict(variant["scheme"])
-    if scheme.b != problem.b:
-        raise ConfigError("variants.scheme", "scheme layer count differs from problem")
-    norms = build_norms(cfg.get("norms"), problem.b)
+def _run_one_variant_seed(problem, cfg, variant, scheme, norms, noise, seed):
     policy = build_policy(variant.get("policy", {"kind": "smooth_inverse"}), "policy")
-    noise = None
-    if cfg.get("noise") is not None:
-        noise = problems.NoiseSpec(tuple(cfg["noise"]["sigmas"]))
     cost_params = CostParams.from_dict(cfg["cost"]) if cfg.get("cost") else None
 
     table = None
@@ -232,21 +252,17 @@ def _run_one_variant_seed(problem, cfg, variant, seed):
     return result, rows
 
 
-def _horizon_caps_for_variant(cfg, variant):
+def _horizon_caps_for_variant(variant, scheme, table, iterations):
     """Radius-cap constants of the horizon schedule when a table is supplied."""
+    if table is None or table.l1 is None:
+        return None
     if variant.get("policy", {}).get("kind") != "horizon":
         return None
-    if "smoothness_table" not in cfg:
-        return None
-    table = _load_table(cfg["smoothness_table"])
-    if table.l1 is None:
-        return None
-    scheme = sampling.scheme_from_dict(variant["scheme"])
     try:
         p = costmodel.cutoff_probs(scheme)
     except ValueError:
         return None
-    return optimizer.horizon_eta_caps(p, table, cfg["iterations"]).tolist()
+    return optimizer.horizon_eta_caps(p, table, iterations).tolist()
 
 
 def _time_to_target(rows, thresholds):
@@ -266,6 +282,24 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         problem = build_problem(cfg["problem"])
+        # shared by every (variant, seed); built once, before any output is written
+        schemes = [sampling.scheme_from_dict(v["scheme"]) for v in cfg["variants"]]
+        for j, scheme in enumerate(schemes):
+            if scheme.b != problem.b:
+                raise ConfigError(
+                    f"config.variants[{j}].scheme",
+                    f"scheme has {scheme.b} layers, the problem has {problem.b}",
+                )
+        norms = build_norms(cfg.get("norms"), problem.b)
+        noise = _build_noise(cfg.get("noise"), problem.b)
+        caps_table = None
+        if "smoothness_table" in cfg:
+            try:
+                caps_table = _load_table(cfg["smoothness_table"])
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    "config.smoothness_table", f"cannot load {cfg['smoothness_table']}: {exc}"
+                ) from exc
         out_dir = Path(args.out or cfg.get("out", "results"))
         out_dir.mkdir(parents=True, exist_ok=True)
         seeds = [int(s) for s in cfg["seeds"]]
@@ -286,7 +320,7 @@ def cmd_run(args) -> int:
             "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool": "droptrain"},
         }
 
-        for variant in cfg["variants"]:
+        for variant, scheme in zip(cfg["variants"], schemes):
             name = variant["name"]
             per_seed = {}
             # seeds run serially: threads gain nothing on this GIL-bound loop
@@ -295,7 +329,9 @@ def cmd_run(args) -> int:
                     # the run's finiteness guard reports an overflow itself;
                     # numpy's floating-point warnings would only repeat it
                     with np.errstate(over="ignore", invalid="ignore"):
-                        result, rows = _run_one_variant_seed(problem, cfg, variant, seed)
+                        result, rows = _run_one_variant_seed(
+                            problem, cfg, variant, scheme, norms, noise, seed
+                        )
                 except ConfigError:
                     raise
                 except (KeyError, ValueError) as exc:
@@ -315,7 +351,7 @@ def cmd_run(args) -> int:
                     "csv": csv_path.name,
                 }
             summary["variants"][name] = per_seed
-            caps = _horizon_caps_for_variant(cfg, variant)
+            caps = _horizon_caps_for_variant(variant, scheme, caps_table, cfg["iterations"])
             if caps is not None:
                 summary["variants"][name]["eta_squared_caps"] = caps
 

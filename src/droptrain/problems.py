@@ -14,7 +14,8 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   truncated backward pass (gradients only for layers >= s), and
   ``value_and_grad_from_prefix``, which takes a frozen prefix's activations
   from the caller's previous pass and counts the multiply-accumulate
-  operations it spends on the rest.
+  operations it spends on the rest.  The network keeps no activations of
+  its own: the caller that runs the passes (``optimizer.run``) owns them.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
@@ -23,7 +24,6 @@ Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +38,6 @@ __all__ = [
     "CoupledQuadratic",
     "TinyMlp",
     "NoiseSpec",
-    "CachedForward",
     "stoch_grad",
     "smoothness_constants",
 ]
@@ -220,14 +219,6 @@ class NoiseSpec:
             raise ValueError("sigmas must be >= 0")
 
 
-@dataclass(frozen=True)
-class CachedForward:
-    loss: float
-    macs: int
-    used_cache: bool
-    cache_invalid: bool
-
-
 class TinyMlp:
     """Dense network with manual backprop, truncated backward, and prefix reuse.
 
@@ -258,7 +249,6 @@ class TinyMlp:
         if self.targets_out.shape != (self.weights[-1].shape[0], self.inputs.shape[1]):
             raise ValueError("targets shape must be (out_dim, n_samples)")
         self.f_star = 0.0  # MSE lower bound; not attained in general
-        self._cache: dict | None = None
 
     @staticmethod
     def synthetic(
@@ -292,34 +282,24 @@ class TinyMlp:
     def shapes(self) -> list[tuple[int, int]]:
         return [w.shape for w in self.weights]
 
-    def _phi(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0)
+    def _pass(self, layers, prefix, first_layer):
+        """(loss, gradients of layers >= first_layer, activations a_0..a_{b-1}, MACs).
 
-    def _checked(self, layers) -> list[np.ndarray]:
+        The forward runs on from the activation prefix a_0..a_s it is given;
+        MACs count out x in x n per recomputed layer plus out x n for the loss.
+        phi'(z_l) comes from a_l = phi(z_l): 1 - a^2 for tanh, [a > 0] for
+        relu, bit for bit.
+        """
         weights = _as_layer_list(layers)
         if [w.shape for w in weights] != self.shapes:
             raise ValueError("layer shapes do not match the network")
-        return weights
-
-    def _forward(self, weights, prefix):
-        """(z_b, activations a_0..a_{b-1}, MACs) from the prefix a_0..a_s onwards."""
         acts = list(prefix)
         macs = 0
         for l in range(len(acts) - 1, self.b):
             z = weights[l] @ acts[-1]
             macs += weights[l].shape[0] * weights[l].shape[1] * acts[-1].shape[1]
             if l < self.b - 1:
-                acts.append(self._phi(z))
-        return z, acts, macs
-
-    def _pass(self, layers, prefix, first_layer):
-        """(loss, gradients of layers >= first_layer, activations, MACs) of one pass.
-
-        MACs add out x n for the loss to the forward's.  phi'(z_l) comes from
-        a_l = phi(z_l): 1 - a^2 for tanh, [a > 0] for relu, bit for bit.
-        """
-        weights = self._checked(layers)
-        z, acts, macs = self._forward(weights, prefix)
+                acts.append(np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0))
         residual = z - self.targets_out
         n = self.inputs.shape[1]
         loss = 0.5 * float(np.sum(residual**2)) / n
@@ -366,40 +346,6 @@ class TinyMlp:
         if frozen and (acts is None or len(acts) != self.b):
             raise ValueError("reusing a prefix needs the activations of an earlier pass")
         return self._pass(layers, acts[: frozen + 1] if frozen else [self.inputs], 1)
-
-    def forward_with_cache(
-        self, layers: Sequence[np.ndarray], frozen_prefix: int
-    ) -> CachedForward:
-        """Forward pass reusing cached activations for an unchanged frozen prefix.
-
-        ``frozen_prefix`` is the number of leading layers whose weights (and the
-        batch) are unchanged since the cached pass.  Valid reuse recomputes only
-        from layer frozen_prefix + 1 on; a stale cache (changed prefix weight or
-        no prior pass) triggers a full recompute with a warning.  Only the
-        full-batch setting is cached: with fresh batches the prefix would be
-        stale by construction.
-        """
-        weights = self._checked(layers)
-        if not 0 <= frozen_prefix < self.b:
-            raise ValueError("frozen_prefix must be in [0, b)")
-        cache = self._cache
-        invalid = frozen_prefix > 0 and (
-            cache is None
-            or not all(map(np.array_equal, cache["weights"][:frozen_prefix], weights))
-        )
-        if invalid:
-            warnings.warn(
-                "frozen-prefix cache invalid (missing or prefix changed); "
-                "recomputing the full forward pass",
-                stacklevel=2,
-            )
-        used_cache = frozen_prefix > 0 and not invalid
-        z, acts, macs = self._forward(
-            weights, cache["acts"][: frozen_prefix + 1] if used_cache else [self.inputs]
-        )
-        loss = 0.5 * float(np.sum((z - self.targets_out) ** 2)) / self.inputs.shape[1]
-        self._cache = {"acts": acts, "weights": [w.copy() for w in weights]}
-        return CachedForward(loss, macs + z.size, used_cache, invalid)
 
 
 # ---------------------------------------------------------------------------

@@ -184,21 +184,34 @@ def test_criterion_8_mlp_truncated_backward_and_cache():
             if err > 1e-12:
                 slices_ok = False
 
-    mlp.forward_with_cache(x, 0)
-    base = mlp.forward_with_cache(x, 0)
-    x2 = [w.copy() for w in x]
-    x2[-1] += 0.01
-    cached = mlp.forward_with_cache(x2, mlp.b - 1)
-    plain_loss = mlp.value_and_grad(x2)[0]
-    cache_ok = (
-        cached.used_cache
-        and cached.macs < base.macs
-        and cached.loss == plain_loss
-    )
+    # cached-prefix half: the pass ``droptrain run`` makes after a step that
+    # left layers 1..frozen untouched
+    n = mlp.inputs.shape[1]
+    layer_macs = [w.size * n for w in mlp.weights]  # out_l * in_l * N
+    loss_macs = mlp.weights[-1].shape[0] * n
+    _, _, acts, full_macs = mlp.value_and_grad_from_prefix(x, None, 0)
+    macs_ok = full_macs == sum(layer_macs) + loss_macs
+    equal_ok = True
+    spent = {}
+    for frozen in range(1, mlp.b):
+        x2 = [w.copy() for w in x]
+        for l in range(frozen, mlp.b):
+            x2[l] += 0.01
+        loss, grads, _, macs = mlp.value_and_grad_from_prefix(x2, acts, frozen)
+        plain_loss, plain_grads = mlp.value_and_grad(x2)
+        spent[frozen] = macs
+        macs_ok = macs_ok and macs == sum(layer_macs[frozen:]) + loss_macs and macs < full_macs
+        equal_ok = (
+            equal_ok
+            and loss == plain_loss
+            and len(grads) == mlp.b
+            and all(map(np.array_equal, grads, plain_grads))
+        )
     elapsed = time.time() - t0
     _report(
         8, "truncated backward slices and cached-prefix forward",
-        slices_ok and cache_ok, elapsed, 30.0,
-        f"worst slice error {worst:.1e} <= 1e-12, cached macs {cached.macs} < "
-        f"full {base.macs}, loss identical: {cached.loss == plain_loss}",
+        slices_ok and macs_ok and equal_ok, elapsed, 30.0,
+        f"worst slice error {worst:.1e} <= 1e-12, prefix-pass macs by frozen layers "
+        f"{spent} < full {full_macs} and exact: {macs_ok}, "
+        f"loss and gradients identical: {equal_ok}",
     )

@@ -334,6 +334,38 @@ def test_run_initial_f_is_f_at_x0(tmp_path, cfg):
             assert summary["variants"][variant["name"]][str(seed)]["initial_f"] == f0
 
 
+def bad_mlp_configs():
+    """One param (config, field path its error must name) per fault found before output."""
+    cases = []
+
+    def case(name, field_path):
+        cfg = mlp_config()
+        cases.append(pytest.param(cfg, field_path, id=name))
+        return cfg
+
+    case("mlp_activation", "problem")["problem"]["activation"] = "sigmoid"
+    case("mlp_layer_sizes", "problem.layer_sizes")["problem"]["layer_sizes"] = [3]
+    case("norms_entry", "norms[1]")["norms"] = ["euclidean", "spectrall"]
+    case("noise_sigmas_length", "noise.sigmas")["noise"] = {"sigmas": [0.05]}
+    case("smoothness_table_missing", "config.smoothness_table")["smoothness_table"] = (
+        "missing/table.json"
+    )
+    case("scheme_layer_count", "config.variants[1].scheme")["variants"][1]["scheme"] = {
+        "kind": "full_network", "b": 3,
+    }
+    return cases
+
+
+@pytest.mark.parametrize("cfg, field_path", bad_mlp_configs())
+def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, cfg, field_path):
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field_path}: "), err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # optimal-probs
 # ---------------------------------------------------------------------------

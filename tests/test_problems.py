@@ -1,8 +1,7 @@
 """Test objectives: gradients vs finite differences, smoothness certificates,
-noise statistics, truncated backprop, and the activation cache."""
+noise statistics, truncated backprop, and frozen-prefix reuse."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +234,7 @@ def test_mlp_constants_flagged_approximate():
 
 
 # ---------------------------------------------------------------------------
-# truncated backward pass and activation cache
+# truncated backward pass and frozen-prefix reuse
 # ---------------------------------------------------------------------------
 
 def test_truncated_backward_bit_identical_slices():
@@ -298,57 +297,31 @@ def test_backward_from_stored_activations_matches_phi_prime_of_z(activation):
                 np.testing.assert_array_equal(g, g_ref)
 
 
-def test_prefix_pass_reuses_activations_and_counts_recomputed_macs():
+@pytest.mark.parametrize("frozen", [0, 1, 2])
+def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=23)
     x = [w.copy() for w in mlp.weights]
-    f0, _, acts, macs0 = mlp.value_and_grad_from_prefix(x, None, 0)
-    assert macs0 == (6 * 4 + 5 * 6 + 3 * 5) * 16 + 3 * 16
-    x[2] += 0.05  # only the last layer moves: two layers stay frozen
-    f, grads, _, macs = mlp.value_and_grad_from_prefix(x, acts, 2)
+    f0, grads0, acts, macs0 = mlp.value_and_grad_from_prefix(x, None, 0)
+    f0_ref, grads0_ref = mlp.value_and_grad(x)
+    assert f0 == f0_ref
+    for g, g_ref in zip(grads0, grads0_ref):
+        np.testing.assert_array_equal(g, g_ref)
+    layer_macs = [6 * 4 * 16, 5 * 6 * 16, 3 * 5 * 16]
+    assert macs0 == sum(layer_macs) + 3 * 16
+    for l in range(frozen, mlp.b):  # layers 1..frozen stay as they were
+        x[l] += 0.05
+    f, grads, _, macs = mlp.value_and_grad_from_prefix(x, acts, frozen)
     f_ref, grads_ref = mlp.value_and_grad(x)
     assert f == f_ref and f != f0
+    assert len(grads) == mlp.b
     for g, g_ref in zip(grads, grads_ref):
         np.testing.assert_array_equal(g, g_ref)
-    assert macs == 3 * 5 * 16 + 3 * 16
+    assert macs == sum(layer_macs[frozen:]) + 3 * 16
+    assert frozen == 0 or macs < macs0
     with pytest.raises(ValueError, match="frozen must be in"):
         mlp.value_and_grad_from_prefix(x, acts, 3)
     with pytest.raises(ValueError, match="activations of an earlier pass"):
         mlp.value_and_grad_from_prefix(x, None, 1)
-
-
-def test_cache_prefix_zero_matches_plain_forward():
-    mlp = pb.TinyMlp.synthetic([3, 4, 2], n_samples=16, seed=16)
-    res = mlp.forward_with_cache(mlp.weights, 0)
-    loss, _ = mlp.value_and_grad(mlp.weights)
-    assert res.loss == loss
-    assert not res.used_cache
-
-
-def test_cache_reuse_identical_loss_fewer_macs():
-    mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=32, seed=17)
-    x = [w.copy() for w in mlp.weights]
-    full = mlp.forward_with_cache(x, 0)
-    # change only the last layer; reuse activations below it
-    x2 = [w.copy() for w in x]
-    x2[-1] += 0.05
-    cached = mlp.forward_with_cache(x2, mlp.b - 1)
-    assert cached.used_cache and not cached.cache_invalid
-    assert cached.macs < full.macs
-    plain = mlp.forward_with_cache(x2, 0)
-    assert cached.loss == plain.loss  # bit-identical recompute of the tail
-
-
-def test_cache_invalidated_by_frozen_layer_change():
-    mlp = pb.TinyMlp.synthetic([3, 4, 2], n_samples=8, seed=18)
-    x = [w.copy() for w in mlp.weights]
-    mlp.forward_with_cache(x, 0)
-    x2 = [w.copy() for w in x]
-    x2[0] += 1.0  # supposedly frozen layer changed
-    with pytest.warns(UserWarning, match="cache invalid"):
-        res = mlp.forward_with_cache(x2, 1)
-    assert res.cache_invalid and not res.used_cache
-    # the recomputed loss is still correct
-    assert res.loss == mlp.value_and_grad(x2)[0]
 
 
 def test_relu_activation_gradients_close():

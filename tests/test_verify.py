@@ -21,6 +21,14 @@ def test_quick_cost_suite_passes():
     assert not failed, failed
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_descent_suite_passes(seed):
+    results = verify.descent_suite(seed=seed)
+    assert "descent/mlp/prefix_reuse_matches_fresh" in {r.name for r in results}
+    failed = [r for r in results if not r.passed]
+    assert not failed, failed
+
+
 def test_quick_stochastic_suite_passes():
     results = verify.stochastic_suite(seed=1, quick=True)
     failed = [r for r in results if not r.passed]
