@@ -12,6 +12,16 @@ cost           total-cost breakdown for a scheme/table/cost-params triple
 Configuration is a single JSON document (no environment variables); primary
 outputs are byte-identical across re-runs with identical inputs -- wall-clock
 metadata is quarantined to the summary's ``metadata`` block.
+
+``run`` compiles the config once into a ``RunPlan`` (``compile_plan``), which
+builds every scheme, policy, smoothness table, x0 and cost once, and then runs
+each (variant, seed) on it.  Its exit codes:
+
+0  all runs finished and their outputs are written;
+2  a config fault: one ``config error: <field path>: ...`` line on stderr,
+   reported before any output, so no output directory is made;
+1  a run failed: one ``run error: variant ..., seed ...: iteration k: ...``
+   line naming the variant, the seed, the iteration and the layer.
 """
 
 from __future__ import annotations
@@ -47,13 +57,38 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, path: str, key: str, kind=None):
+def _require(cfg, path: str, key: str, kind=None):
+    _expect(isinstance(cfg, dict), path, "an object", cfg)
     if key not in cfg:
         raise ConfigError(f"{path}.{key}", "missing required field")
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
+    if kind is not None:
+        _expect(isinstance(value, kind), f"{path}.{key}", kind.__name__, value)
     return value
+
+
+def _expect(ok: bool, path: str, what: str, value):
+    if not ok:
+        raise ConfigError(path, f"expected {what}, got {value!r}")
+    return value
+
+
+def _is_finite(value, kind=(int, float)) -> bool:
+    """``value`` is a finite JSON number of ``kind``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
+def _numbers(values, path: str, b: int | None = None, positive: bool = False) -> list:
+    """``values`` checked as a list of numbers, of length ``b`` when given."""
+    _expect(isinstance(values, list), path, "a list", values)
+    if b is not None and len(values) != b:
+        raise ConfigError(path, f"expected {b} entries, got {len(values)}")
+    what = "a positive finite number" if positive else "a finite number"
+    for j, v in enumerate(values):
+        _expect(_is_finite(v) and (v > 0 or not positive), f"{path}[{j}]", what, v)
+    return values
 
 
 def build_problem(spec: dict, path: str = "problem"):
@@ -129,75 +164,204 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
 def _build_noise(spec, b: int, path: str = "noise"):
     if spec is None:
         return None
-    sigmas = _require(spec, path, "sigmas", list)
-    if len(sigmas) != b:
-        raise ConfigError(f"{path}.sigmas", f"expected {b} entries, got {len(sigmas)}")
+    sigmas = _numbers(_require(spec, path, "sigmas"), f"{path}.sigmas", b)
     try:
         return problems.NoiseSpec(tuple(sigmas))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}.sigmas", str(exc)) from exc
 
 
-def build_policy(spec: dict, path: str):
+def _build_cost(spec, b: int, path: str = "cost") -> CostParams | None:
+    if spec is None:
+        return None
+    c_ov = _require(spec, path, "c_ov")
+    _expect(_is_finite(c_ov), f"{path}.c_ov", "a finite number", c_ov)
+    for key in ("c", "c_sharp"):
+        _numbers(_require(spec, path, key), f"{path}.{key}", b)
+    try:
+        return CostParams.from_dict(spec)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def build_policy(spec: dict, b: int, path: str):
     kind = _require(spec, path, "kind", str)
     if kind == "smooth_inverse":
         return optimizer.SmoothInverse()
     if kind == "gen_smooth_inverse":
         return optimizer.GenSmoothInverse()
     if kind == "fixed_radius":
-        return optimizer.FixedRadius(
-            tuple(_require(spec, path, "radii", list)), float(spec.get("beta", 0.9))
-        )
+        radii = _numbers(_require(spec, path, "radii"), f"{path}.radii", b, positive=True)
+        beta = spec.get("beta", 0.9)
+        _expect(_is_finite(beta) and 0 <= beta <= 1, f"{path}.beta", "a number in [0, 1]", beta)
+        return optimizer.FixedRadius(tuple(radii), float(beta))
     if kind == "horizon":
         eta = spec.get("eta")
-        return optimizer.HorizonSchedule(tuple(eta) if eta is not None else None)
+        if eta is not None:
+            eta = tuple(_numbers(eta, f"{path}.eta", b, positive=True))
+        return optimizer.HorizonSchedule(eta)
     raise ConfigError(f"{path}.kind", f"unknown policy kind {kind!r}")
 
 
-def build_x0(spec, problem, path: str = "x0"):
-    if spec is None or spec.get("kind", "zeros") == "zeros":
+def build_x0(spec, problem, path: str = "x0") -> list[np.ndarray]:
+    spec = {} if spec is None else _expect(isinstance(spec, dict), path, "an object", spec)
+    kind = spec.get("kind", "zeros")
+    if kind == "zeros":
         return [np.zeros(s) for s in problem.shapes]
-    kind = spec["kind"]
     if kind == "random":
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
-        scale = float(spec.get("scale", 1.0))
+        seed, scale = spec.get("seed", 0), spec.get("scale", 1.0)
+        _expect(_is_finite(seed, int) and seed >= 0, f"{path}.seed", "an integer >= 0", seed)
+        _expect(_is_finite(scale), f"{path}.scale", "a finite number", scale)
+        rng = np.random.default_rng(seed)
         base = getattr(problem, "targets", None)
         out = []
         for i, s in enumerate(problem.shapes):
             center = base[i] if base is not None else np.zeros(s)
-            out.append(center + scale * rng.standard_normal(s))
+            out.append(center + float(scale) * rng.standard_normal(s))
         return out
     if kind == "arrays":
         values = _require(spec, path, "values", list)
-        return [np.asarray(v, dtype=float) for v in values]
+        if len(values) != problem.b:
+            raise ConfigError(f"{path}.values", f"expected {problem.b} entries, got {len(values)}")
+        out = []
+        for j, (v, shape) in enumerate(zip(values, problem.shapes)):
+            try:
+                x = geometry.check_matrix(v)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}.values[{j}]", str(exc)) from exc
+            _expect(x.shape == tuple(shape), f"{path}.values[{j}]", f"shape {shape}", x.shape)
+            out.append(x)
+        return out
     raise ConfigError(f"{path}.kind", f"unknown x0 kind {kind!r}")
 
 
 def load_config(config_path: str) -> dict:
+    """The config's JSON object; ``compile_plan`` checks its contents."""
     try:
         cfg = json.loads(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("config", f"cannot read {config_path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
+    return cfg
+
+
+@dataclasses.dataclass(frozen=True)
+class VariantPlan:
+    """One variant's scheme and policy, and what its seeds share."""
+
+    name: str
+    scheme: sampling.SamplingScheme | sampling.EpochShiftRpt
+    policy: optimizer.StepPolicy
+    table: SmoothnessTable | None         # the smoothness-inverse policies' constants
+    weights: np.ndarray                   # rate weights of the CSV's grad_sq_weighted
+    eta_squared_caps: list[float] | None  # horizon policy with a loaded smoothness table
+
+
+@dataclasses.dataclass(frozen=True)
+class RunPlan:
+    """A checked ``run`` config; a (variant, seed) run is ``optimizer.run`` on it."""
+
+    problem: object
+    norms: list[NormKind]
+    noise: problems.NoiseSpec | None
+    x0: list[np.ndarray]
+    cost: CostParams | None
+    iterations: int
+    seeds: list[int]
+    targets: list[float]
+    variants: list[VariantPlan]
+
+
+def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> VariantPlan:
+    """Check one variant against the names taken and build what its seeds share."""
+    name = _require(spec, path, "name", str)
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{path}.name", f"{name!r} is not a file name stem")
+    if name in names:
+        raise ConfigError(f"{path}.name", f"duplicate variant name {name!r}")
+    try:
+        scheme = sampling.scheme_from_dict(_require(spec, path, "scheme", dict))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.scheme", str(exc)) from exc
+    b = problem.b
+    if scheme.b != b:
+        raise ConfigError(f"{path}.scheme", f"scheme has {scheme.b} layers, the problem has {b}")
+    policy = build_policy(spec.get("policy", {"kind": "smooth_inverse"}), b, f"{path}.policy")
+
+    table, weights, caps = None, np.ones(b), None
+    if isinstance(policy, (optimizer.SmoothInverse, optimizer.GenSmoothInverse)):
+        needs_l1 = isinstance(policy, optimizer.GenSmoothInverse)
+        try:
+            table = problems.smoothness_constants(problem, scheme, norms, with_l1_zeros=needs_l1)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.policy", str(exc)) from exc
+        try:
+            tw = optimizer.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
+            weights = tw.w / tw.mean
+        except (ValueError, KeyError):
+            pass  # no RPT rate weights for this scheme: the CSV weighs layers equally
+    if isinstance(policy, optimizer.HorizonSchedule) and caps_table is not None \
+            and caps_table.l1 is not None:
+        try:
+            p = costmodel.cutoff_probs(scheme)
+            caps = optimizer.horizon_eta_caps(p, caps_table, iterations).tolist()
+        except ValueError:
+            pass  # no cutoff distribution, no caps
+        except KeyError as exc:
+            raise ConfigError("config.smoothness_table", exc.args[0]) from exc
+    return VariantPlan(name, scheme, policy, table, weights, caps)
+
+
+def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
+    """Check ``cfg`` and build every object a run needs once, before any output.
+
+    ``seed`` (the ``--seed`` flag) replaces the config's seeds.  Raises
+    ConfigError naming the field path of the first fault.
+    """
+    problem = build_problem(_require(cfg, "config", "problem", dict))
+    b = problem.b
+    norms = build_norms(cfg.get("norms"), b)
+    noise = _build_noise(cfg.get("noise"), b)
+    x0 = build_x0(cfg.get("x0"), problem)
+    cost = _build_cost(cfg.get("cost"), b)
+    iterations = _require(cfg, "config", "iterations")
+    _expect(_is_finite(iterations, int) and iterations >= 0, "config.iterations",
+            "an integer >= 0", iterations)
     seeds = _require(cfg, "config", "seeds", list)
     if not seeds:
         raise ConfigError("config.seeds", "must be non-empty")
-    variants = _require(cfg, "config", "variants", list)
-    if not variants:
-        raise ConfigError("config.variants", "must be non-empty")
-    for j, v in enumerate(variants):
-        _require(v, f"config.variants[{j}]", "name", str)
-        scheme_spec = _require(v, f"config.variants[{j}]", "scheme", dict)
+    for j, s in enumerate(seeds):
+        _expect(_is_finite(s, int) and s >= 0, f"config.seeds[{j}]", "an integer >= 0", s)
+        if s in seeds[:j]:
+            raise ConfigError(f"config.seeds[{j}]", f"duplicate seed {s}")
+    if seed is not None:
+        seeds = [_expect(seed >= 0, "--seed", "an integer >= 0", seed)]
+    targets = [float(t) for t in _numbers(cfg.get("targets", []), "config.targets")]
+    _expect(isinstance(cfg.get("out", ""), str), "config.out", "a string", cfg.get("out"))
+
+    caps_table = None
+    if "smoothness_table" in cfg:
         try:
-            sampling.scheme_from_dict(scheme_spec)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config.variants[{j}].scheme", str(exc)) from exc
-        if "policy" in v:
-            build_policy(v["policy"], f"config.variants[{j}].policy")
-    _require(cfg, "config", "iterations", int)
-    _require(cfg, "config", "problem", dict)
-    return cfg
+            caps_table = _load_table(cfg["smoothness_table"])
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                "config.smoothness_table", f"cannot load {cfg['smoothness_table']}: {exc}"
+            ) from exc
+        if caps_table.b != b:
+            raise ConfigError(
+                "config.smoothness_table", f"table has {caps_table.b} layers, the problem has {b}"
+            )
+    variant_specs = _require(cfg, "config", "variants", list)
+    if not variant_specs:
+        raise ConfigError("config.variants", "must be non-empty")
+    variants = []
+    for j, spec in enumerate(variant_specs):
+        variants.append(_plan_variant(
+            spec, f"config.variants[{j}]", problem, norms, iterations, caps_table,
+            {v.name for v in variants},
+        ))
+    return RunPlan(problem, norms, noise, x0, cost, iterations, seeds, targets, variants)
 
 
 # ---------------------------------------------------------------------------
@@ -212,31 +376,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _variant_weights(scheme, table, b) -> np.ndarray:
-    """Normalized rate weights for the CSV aggregate; ones when unavailable."""
-    try:
-        tw = optimizer.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
-        return tw.w / tw.mean
-    except (ValueError, KeyError):
-        return np.ones(b)
-
-
-def _run_one_variant_seed(problem, cfg, variant, scheme, norms, noise, seed):
-    policy = build_policy(variant.get("policy", {"kind": "smooth_inverse"}), "policy")
-    cost_params = CostParams.from_dict(cfg["cost"]) if cfg.get("cost") else None
-
-    table = None
-    needs_l1 = isinstance(policy, optimizer.GenSmoothInverse)
-    if isinstance(policy, (optimizer.SmoothInverse, optimizer.GenSmoothInverse)):
-        table = problems.smoothness_constants(problem, scheme, norms, with_l1_zeros=needs_l1)
-
-    result = optimizer.run(
-        problem, scheme, policy, cfg["iterations"], seed,
-        norms=norms, x0=build_x0(cfg.get("x0"), problem), table=table, noise=noise,
-        cost_params=cost_params,
-    )
-    weights = _variant_weights(scheme, table, problem.b) if table is not None else np.ones(problem.b)
-
+def _csv_rows(result, weights, problem) -> list[list]:
     rows = []
     cum = 0.0
     for r in result.reports:
@@ -249,20 +389,7 @@ def _run_one_variant_seed(problem, cfg, variant, scheme, norms, noise, seed):
         cum_units = cum if r.cost_units is not None else None
         row += [min(r.active), r.cost_units, cum_units, r.fwd_macs]
         rows.append(row)
-    return result, rows
-
-
-def _horizon_caps_for_variant(variant, scheme, table, iterations):
-    """Radius-cap constants of the horizon schedule when a table is supplied."""
-    if table is None or table.l1 is None:
-        return None
-    if variant.get("policy", {}).get("kind") != "horizon":
-        return None
-    try:
-        p = costmodel.cutoff_probs(scheme)
-    except ValueError:
-        return None
-    return optimizer.horizon_eta_caps(p, table, iterations).tolist()
+    return rows
 
 
 def _time_to_target(rows, thresholds):
@@ -281,103 +408,82 @@ def _time_to_target(rows, thresholds):
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        problem = build_problem(cfg["problem"])
-        # shared by every (variant, seed); built once, before any output is written
-        schemes = [sampling.scheme_from_dict(v["scheme"]) for v in cfg["variants"]]
-        for j, scheme in enumerate(schemes):
-            if scheme.b != problem.b:
-                raise ConfigError(
-                    f"config.variants[{j}].scheme",
-                    f"scheme has {scheme.b} layers, the problem has {problem.b}",
-                )
-        norms = build_norms(cfg.get("norms"), problem.b)
-        noise = _build_noise(cfg.get("noise"), problem.b)
-        caps_table = None
-        if "smoothness_table" in cfg:
-            try:
-                caps_table = _load_table(cfg["smoothness_table"])
-            except (OSError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    "config.smoothness_table", f"cannot load {cfg['smoothness_table']}: {exc}"
-                ) from exc
-        out_dir = Path(args.out or cfg.get("out", "results"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        seeds = [int(s) for s in cfg["seeds"]]
-        if args.seed is not None:
-            seeds = [args.seed]
-        thresholds = [float(t) for t in cfg.get("targets", [])]
-
-        columns = (
-            CSV_COLUMNS_BASE
-            + [f"gnorm_{i}" for i in range(1, problem.b + 1)]
-            + CSV_COLUMNS_TAIL
-        )
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "csv_columns": columns,
-            "config": cfg,
-            "variants": {},
-            "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool": "droptrain"},
-        }
-
-        for variant, scheme in zip(cfg["variants"], schemes):
-            name = variant["name"]
-            per_seed = {}
-            # seeds run serially: threads gain nothing on this GIL-bound loop
-            for seed in seeds:
-                try:
-                    # the run's finiteness guard reports an overflow itself;
-                    # numpy's floating-point warnings would only repeat it
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        result, rows = _run_one_variant_seed(
-                            problem, cfg, variant, scheme, norms, noise, seed
-                        )
-                except ConfigError:
-                    raise
-                except (KeyError, ValueError) as exc:
-                    print(f"run error: variant {name!r}, seed {seed}: {exc}", file=sys.stderr)
-                    return 1
-                csv_path = out_dir / f"{name}_seed{seed}.csv"
-                with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(",".join(columns) + "\n")
-                    for row in rows:
-                        fh.write(",".join(_fmt(v) for v in row) + "\n")
-                per_seed[str(seed)] = {
-                    "initial_f": result.f_initial,
-                    "final_f": result.f_final,
-                    "final_fgap": result.f_final - problem.f_star,
-                    "cumulative_cost": result.cumulative_cost,
-                    "time_to_target": _time_to_target(rows, thresholds),
-                    "csv": csv_path.name,
-                }
-            summary["variants"][name] = per_seed
-            caps = _horizon_caps_for_variant(variant, scheme, caps_table, cfg["iterations"])
-            if caps is not None:
-                summary["variants"][name]["eta_squared_caps"] = caps
-
-        if len(cfg["variants"]) == 2 and thresholds:
-            a, b_ = (v["name"] for v in cfg["variants"])
-            ratios = {}
-            for thr in thresholds:
-                per = []
-                for seed in seeds:
-                    ta = summary["variants"][a][str(seed)]["time_to_target"][str(thr)]
-                    tb = summary["variants"][b_][str(seed)]["time_to_target"][str(thr)]
-                    if ta and tb and ta["cum_units"] and tb["cum_units"]:
-                        per.append(ta["cum_units"] / tb["cum_units"])
-                entry = {"per_seed": per, "direction": f"{a} / {b_}"}
-                if per:
-                    entry["arithmetic_mean"] = float(np.mean(per))
-                    entry["geometric_mean"] = float(np.exp(np.mean(np.log(per))))
-                ratios[str(thr)] = entry
-            summary["cost_ratio"] = ratios
-
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-        print(f"wrote {len(cfg['variants']) * len(seeds)} CSV file(s) and summary.json to {out_dir}")
-        return 0
+        plan = compile_plan(cfg, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    problem = plan.problem
+    out_dir = Path(args.out or cfg.get("out", "results"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    columns = (
+        CSV_COLUMNS_BASE
+        + [f"gnorm_{i}" for i in range(1, problem.b + 1)]
+        + CSV_COLUMNS_TAIL
+    )
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "csv_columns": columns,
+        "config": cfg,
+        "variants": {},
+        "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool": "droptrain"},
+    }
+
+    for variant in plan.variants:
+        per_seed = {}
+        # seeds run serially: threads gain nothing on this GIL-bound loop
+        for seed in plan.seeds:
+            try:
+                # the run's finiteness guard reports an overflow itself;
+                # numpy's floating-point warnings would only repeat it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    result = optimizer.run(
+                        problem, variant.scheme, variant.policy, plan.iterations, seed,
+                        norms=plan.norms, x0=plan.x0, table=variant.table, noise=plan.noise,
+                        cost_params=plan.cost,
+                    )
+                    rows = _csv_rows(result, variant.weights, problem)
+            except (KeyError, ValueError) as exc:
+                print(f"run error: variant {variant.name!r}, seed {seed}: {exc}", file=sys.stderr)
+                return 1
+            csv_path = out_dir / f"{variant.name}_seed{seed}.csv"
+            with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+            per_seed[str(seed)] = {
+                "initial_f": result.f_initial,
+                "final_f": result.f_final,
+                "final_fgap": result.f_final - problem.f_star,
+                "cumulative_cost": result.cumulative_cost,
+                "time_to_target": _time_to_target(rows, plan.targets),
+                "csv": csv_path.name,
+            }
+        summary["variants"][variant.name] = per_seed
+        if variant.eta_squared_caps is not None:
+            per_seed["eta_squared_caps"] = variant.eta_squared_caps
+
+    if len(plan.variants) == 2 and plan.targets:
+        a, b_ = (v.name for v in plan.variants)
+        ratios = {}
+        for thr in plan.targets:
+            per = []
+            for seed in plan.seeds:
+                ta = summary["variants"][a][str(seed)]["time_to_target"][str(thr)]
+                tb = summary["variants"][b_][str(seed)]["time_to_target"][str(thr)]
+                if ta and tb and ta["cum_units"] and tb["cum_units"]:
+                    per.append(ta["cum_units"] / tb["cum_units"])
+            entry = {"per_seed": per, "direction": f"{a} / {b_}"}
+            if per:
+                entry["arithmetic_mean"] = float(np.mean(per))
+                entry["geometric_mean"] = float(np.exp(np.mean(np.log(per))))
+            ratios[str(thr)] = entry
+        summary["cost_ratio"] = ratios
+
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    n_csv = len(plan.variants) * len(plan.seeds)
+    print(f"wrote {n_csv} CSV file(s) and summary.json to {out_dir}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """CLI commands: config validation, CSV/summary emission, determinism, solvers."""
 
+import hashlib
+import importlib.util
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,7 +337,7 @@ def test_run_initial_f_is_f_at_x0(tmp_path, cfg):
             assert summary["variants"][variant["name"]][str(seed)]["initial_f"] == f0
 
 
-def bad_mlp_configs():
+def bad_run_configs():
     """One param (config, field path its error must name) per fault found before output."""
     cases = []
 
@@ -343,6 +346,9 @@ def bad_mlp_configs():
         cases.append(pytest.param(cfg, field_path, id=name))
         return cfg
 
+    def variant(name, field_path, j):
+        return case(name, field_path)["variants"][j]
+
     case("mlp_activation", "problem")["problem"]["activation"] = "sigmoid"
     case("mlp_layer_sizes", "problem.layer_sizes")["problem"]["layer_sizes"] = [3]
     case("norms_entry", "norms[1]")["norms"] = ["euclidean", "spectrall"]
@@ -350,20 +356,96 @@ def bad_mlp_configs():
     case("smoothness_table_missing", "config.smoothness_table")["smoothness_table"] = (
         "missing/table.json"
     )
+    # a dict here is written to a file and its path put in its place
+    case("smoothness_table_layer_count", "config.smoothness_table")["smoothness_table"] = (
+        cm.SmoothnessTable.from_rpt_rows([[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]],
+                                         [[0.5], [0.8, 0.4], [1.2, 0.9, 0.5]]).to_dict()
+    )
     case("scheme_layer_count", "config.variants[1].scheme")["variants"][1]["scheme"] = {
         "kind": "full_network", "b": 3,
     }
+
+    cost = {"c_ov": 0.5, "c": [1.0, 1.0], "c_sharp": [0.25, 0.25]}
+    case("cost_lengths_differ", "cost.c_sharp")["cost"] = {**cost, "c_sharp": [0.25]}
+    case("cost_too_few_layers", "cost.c")["cost"] = {**cost, "c": [1.0]}
+    case("cost_too_many_layers", "cost.c")["cost"] = {**cost, "c": [1.0] * 3}
+    case("cost_not_object", "cost")["cost"] = "unit"
+    x0 = [np.zeros((4, 3)).tolist(), np.zeros((2, 4)).tolist()]
+    case("x0_entry_not_matrix", "x0.values[1]")["x0"] = {"kind": "arrays", "values": [x0[0], 1.0]}
+    case("x0_entry_count", "x0.values")["x0"] = {"kind": "arrays", "values": x0[:1]}
+    case("x0_entry_shape", "x0.values[0]")["x0"] = {"kind": "arrays", "values": x0[::-1]}
+    case("x0_not_object", "x0")["x0"] = "zeros"
+
+    variant("radii_length", "config.variants[0].policy.radii", 0)["policy"]["radii"] = [0.05]
+    variant("radii_non_positive", "config.variants[0].policy.radii[1]", 0)["policy"]["radii"] = [
+        0.05, 0.0,
+    ]
+    variant("beta_range", "config.variants[0].policy.beta", 0)["policy"]["beta"] = 1.5
+    variant("eta_length", "config.variants[1].policy.eta", 1)["policy"]["eta"] = [1.0]
+    variant("eta_not_list", "config.variants[1].policy.eta", 1)["policy"]["eta"] = 1.0
+    variant("policy_not_object", "config.variants[1].policy", 1)["policy"] = "horizon"
+    variant("table_scheme_unsupported", "config.variants[1].policy", 1).update(
+        scheme={"kind": "tau_nice", "b": 2, "tau": 1}, policy={"kind": "smooth_inverse"},
+    )
+
+    variant("name_duplicate", "config.variants[1].name", 1)["name"] = "rpt"
+    for name, bad in [("escapes", "../escaped"), ("backslash", "a\\b"), ("empty", ""),
+                      ("dot", "."), ("dotdot", "..")]:
+        variant(f"name_{name}", "config.variants[0].name", 0)["name"] = bad
+    case("variant_not_object", "config.variants[0]")["variants"] = ["name"]
+    case("seed_not_int", "config.seeds[0]")["seeds"] = ["a"]
+    case("seed_negative", "config.seeds[0]")["seeds"] = [-1]
+    case("seed_duplicate", "config.seeds[1]")["seeds"] = [0, 0]
+    case("target_not_number", "config.targets[0]")["targets"] = ["x"]
+    case("iterations_negative", "config.iterations")["iterations"] = -3
+    case("iterations_not_int", "config.iterations")["iterations"] = 2.5
     return cases
 
 
-@pytest.mark.parametrize("cfg, field_path", bad_mlp_configs())
+@pytest.mark.parametrize("cfg, field_path", bad_run_configs())
 def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, cfg, field_path):
+    if isinstance(cfg.get("smoothness_table"), dict):
+        cfg = {**cfg, "smoothness_table": write_json(tmp_path / "t.json", cfg["smoothness_table"])}
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field_path}: "), err
     assert not out.exists()
+
+
+def test_run_builds_one_smoothness_table_per_variant(tmp_path, monkeypatch):
+    calls = []
+    inner = problems.smoothness_constants
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "smoothness_constants", counting)
+    cfg = base_config(iterations=5, seeds=(0, 1))  # two smooth_inverse variants
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(cfg["variants"])
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.parametrize("workload", ["mlp_rpt", "coupled_spectral", "quad_det"])
+def test_run_benchmark_workload_csvs_match_reference_digests(tmp_path, workload):
+    # the benchmark files are only read: its workloads at the default seed must
+    # reproduce the recorded CSV bytes
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digests = json.loads((BENCHMARKS / "reference_digests.json").read_text())[workload]
+    cfg = workloads.make_config(workload, workloads.DEFAULT_SEED)
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert got == digests
 
 
 # ---------------------------------------------------------------------------
