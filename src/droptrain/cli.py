@@ -91,32 +91,73 @@ def _numbers(values, path: str, b: int | None = None, positive: bool = False) ->
     return values
 
 
+def _integer(value, path: str, minimum: int = 0) -> int:
+    """``value`` checked as a JSON integer >= ``minimum``."""
+    return _expect(_is_finite(value, int) and value >= minimum, path,
+                   f"an integer >= {minimum}", value)
+
+
+def _matrix(value, path: str, shape) -> np.ndarray:
+    """``value`` checked as a finite matrix of ``shape``."""
+    try:
+        x = geometry.check_matrix(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    _expect(x.shape == tuple(shape), path, f"shape {shape}", x.shape)
+    return x
+
+
+def _shapes(spec: dict, path: str) -> list[tuple[int, int]]:
+    shapes = _require(spec, path, "shapes", list)
+    if not shapes:
+        raise ConfigError(f"{path}.shapes", "must be non-empty")
+    for j, s in enumerate(shapes):
+        ok = isinstance(s, list) and len(s) == 2 and all(_is_finite(d, int) and d >= 1 for d in s)
+        _expect(ok, f"{path}.shapes[{j}]", "a [rows, columns] pair of integers >= 1", s)
+    return [tuple(s) for s in shapes]
+
+
+def _separable_targets(spec, path: str, shapes) -> list[np.ndarray]:
+    if spec == "zeros":
+        return [np.zeros(s) for s in shapes]
+    if isinstance(spec, dict):
+        trng = np.random.default_rng(_integer(_require(spec, path, "seed"), f"{path}.seed"))
+        return [trng.standard_normal(s) for s in shapes]
+    _expect(isinstance(spec, list), path, '"zeros", {"seed": n} or a list of matrices', spec)
+    if len(spec) != len(shapes):
+        raise ConfigError(path, f"expected {len(shapes)} entries, got {len(spec)}")
+    return [_matrix(t, f"{path}[{j}]", s) for j, (t, s) in enumerate(zip(spec, shapes))]
+
+
 def build_problem(spec: dict, path: str = "problem"):
     kind = _require(spec, path, "kind", str)
     if kind == "separable_quadratic":
-        shapes = [tuple(s) for s in _require(spec, path, "shapes", list)]
+        shapes = _shapes(spec, path)
         curvatures = _require(spec, path, "curvatures", list)
-        targets_spec = spec.get("targets", "zeros")
-        if targets_spec == "zeros":
-            targets = [np.zeros(s) for s in shapes]
-        elif isinstance(targets_spec, dict) and "seed" in targets_spec:
-            trng = np.random.default_rng(int(targets_spec["seed"]))
-            targets = [trng.standard_normal(s) for s in shapes]
-        else:
-            targets = [np.asarray(t, dtype=float) for t in targets_spec]
-        try:
-            return problems.SeparableQuadratic(targets, curvatures)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        if len(curvatures) != len(shapes):
+            raise ConfigError(
+                f"{path}.curvatures", f"expected {len(shapes)} entries, got {len(curvatures)}"
+            )
+        for j, (w, shape) in enumerate(zip(curvatures, shapes)):
+            where = f"{path}.curvatures[{j}]"
+            if isinstance(w, list):
+                _expect(np.all(_matrix(w, where, shape) > 0), where, "positive entries", w)
+            else:
+                _expect(_is_finite(w) and w > 0, where, "a positive number or a matrix", w)
+        targets = _separable_targets(spec.get("targets", "zeros"), f"{path}.targets", shapes)
+        return problems.SeparableQuadratic(targets, curvatures)
     if kind == "coupled_quadratic":
-        shapes = [tuple(s) for s in _require(spec, path, "shapes", list)]
-        targets = [np.zeros(s) for s in shapes]
+        shapes = _shapes(spec, path)
+        curvatures = _numbers(
+            _require(spec, path, "curvatures"), f"{path}.curvatures", len(shapes), positive=True
+        )
+        coupling = _require(spec, path, "coupling")
+        _expect(_is_finite(coupling), f"{path}.coupling", "a finite number", coupling)
+        map_seed = _integer(spec.get("map_seed", 0), f"{path}.map_seed")
         try:
             return problems.CoupledQuadratic(
-                targets,
-                _require(spec, path, "curvatures", list),
-                float(_require(spec, path, "coupling")),
-                rng=np.random.default_rng(int(spec.get("map_seed", 0))),
+                [np.zeros(s) for s in shapes], curvatures, float(coupling),
+                rng=np.random.default_rng(map_seed),
             )
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
@@ -127,16 +168,18 @@ def build_problem(spec: dict, path: str = "problem"):
                 f"{path}.layer_sizes",
                 f"need at least 2 sizes (input and output), got {len(layer_sizes)}",
             )
-        try:
-            return problems.TinyMlp.synthetic(
-                layer_sizes,
-                n_samples=int(spec.get("n_samples", 64)),
-                n_clusters=int(spec.get("n_clusters", 3)),
-                activation=spec.get("activation", "tanh"),
-                seed=int(spec.get("seed", 0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        for j, n in enumerate(layer_sizes):
+            _integer(n, f"{path}.layer_sizes[{j}]", 1)
+        activation = spec.get("activation", "tanh")
+        _expect(activation in ("tanh", "relu"), f"{path}.activation", '"tanh" or "relu"',
+                activation)
+        n_samples = _integer(spec.get("n_samples", 64), f"{path}.n_samples", 1)
+        n_clusters = _integer(spec.get("n_clusters", 3), f"{path}.n_clusters", 1)
+        seed = _integer(spec.get("seed", 0), f"{path}.seed")
+        return problems.TinyMlp.synthetic(
+            layer_sizes, n_samples=n_samples, n_clusters=n_clusters, activation=activation,
+            seed=seed,
+        )
     raise ConfigError(f"{path}.kind", f"unknown problem kind {kind!r}")
 
 
@@ -209,10 +252,9 @@ def build_x0(spec, problem, path: str = "x0") -> list[np.ndarray]:
     if kind == "zeros":
         return [np.zeros(s) for s in problem.shapes]
     if kind == "random":
-        seed, scale = spec.get("seed", 0), spec.get("scale", 1.0)
-        _expect(_is_finite(seed, int) and seed >= 0, f"{path}.seed", "an integer >= 0", seed)
+        scale = spec.get("scale", 1.0)
+        rng = np.random.default_rng(_integer(spec.get("seed", 0), f"{path}.seed"))
         _expect(_is_finite(scale), f"{path}.scale", "a finite number", scale)
-        rng = np.random.default_rng(seed)
         base = getattr(problem, "targets", None)
         out = []
         for i, s in enumerate(problem.shapes):
@@ -223,15 +265,10 @@ def build_x0(spec, problem, path: str = "x0") -> list[np.ndarray]:
         values = _require(spec, path, "values", list)
         if len(values) != problem.b:
             raise ConfigError(f"{path}.values", f"expected {problem.b} entries, got {len(values)}")
-        out = []
-        for j, (v, shape) in enumerate(zip(values, problem.shapes)):
-            try:
-                x = geometry.check_matrix(v)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}.values[{j}]", str(exc)) from exc
-            _expect(x.shape == tuple(shape), f"{path}.values[{j}]", f"shape {shape}", x.shape)
-            out.append(x)
-        return out
+        return [
+            _matrix(v, f"{path}.values[{j}]", shape)
+            for j, (v, shape) in enumerate(zip(values, problem.shapes))
+        ]
     raise ConfigError(f"{path}.kind", f"unknown x0 kind {kind!r}")
 
 
@@ -325,18 +362,16 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
     noise = _build_noise(cfg.get("noise"), b)
     x0 = build_x0(cfg.get("x0"), problem)
     cost = _build_cost(cfg.get("cost"), b)
-    iterations = _require(cfg, "config", "iterations")
-    _expect(_is_finite(iterations, int) and iterations >= 0, "config.iterations",
-            "an integer >= 0", iterations)
+    iterations = _integer(_require(cfg, "config", "iterations"), "config.iterations")
     seeds = _require(cfg, "config", "seeds", list)
     if not seeds:
         raise ConfigError("config.seeds", "must be non-empty")
     for j, s in enumerate(seeds):
-        _expect(_is_finite(s, int) and s >= 0, f"config.seeds[{j}]", "an integer >= 0", s)
+        _integer(s, f"config.seeds[{j}]")
         if s in seeds[:j]:
             raise ConfigError(f"config.seeds[{j}]", f"duplicate seed {s}")
     if seed is not None:
-        seeds = [_expect(seed >= 0, "--seed", "an integer >= 0", seed)]
+        seeds = [_integer(seed, "--seed")]
     targets = [float(t) for t in _numbers(cfg.get("targets", []), "config.targets")]
     _expect(isinstance(cfg.get("out", ""), str), "config.out", "a string", cfg.get("out"))
 
@@ -491,7 +526,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_table(path: str) -> SmoothnessTable:
-    return SmoothnessTable.from_dict(json.loads(Path(path).read_text()))
+    """The table at ``path``; ValueError if a subset's constant exceeds its superset's."""
+    table = SmoothnessTable.from_dict(json.loads(Path(path).read_text()))
+    violations = table.monotonicity_violations()
+    if violations:
+        raise ValueError(f"constants not monotone over nested sets: {', '.join(violations)}")
+    return table
 
 
 def _load_cost(path: str) -> CostParams:

@@ -11,10 +11,13 @@
 
 ``run`` is also the only gradient caller, once per iterate x_0..x_K; that
 gradient feeds the diagnostics, the deterministic step and -- plus noise from
-``problems.stoch_grad`` -- the stochastic sample.  A problem with
-``value_and_grad_from_prefix`` (``TinyMlp``) gets back the activations the
-run kept from its last pass and recomputes only layers >= min S, since a step
-writes only its active layers; the pass reports the MACs it spent.
+``problems.stoch_grad`` -- the stochastic sample.  The only diagnostics are
+f and the gradient dual norms; momentum errors ||M_i - grad_i||_dual are left
+to ``verify``, whose descent-lemma check drives ``stoch_step`` itself.  A
+problem with ``value_and_grad_from_prefix`` (``TinyMlp``) gets back the
+activations the run kept from its last pass and recomputes only layers
+>= min S, since a step writes only its active layers; the pass reports the
+MACs it spent.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -23,11 +26,11 @@ mainstream Muon convention is the mirror image).
 
 Spectral layers of one shape form a group (``LayerModel.spectral_groups``,
 worked out once when ``run`` builds its model).  The dual norms of a group's
-gradients and momentum errors, and the SVD-LMO steps of its active layers,
-each take one stacked SVD (``geometry.nuclear_norms``,
-``geometry.spectral_lmos``) instead of one per layer; the values equal the
-per-layer calls bit for bit.  Euclidean layers, spectral layers with no
-same-shape partner and the Newton-Schulz backend stay per layer.
+gradients, and the SVD-LMO steps of its active layers, each take one stacked
+SVD (``geometry.nuclear_norms``, ``geometry.spectral_lmos``) instead of one
+per layer; the values equal the per-layer calls bit for bit.  Euclidean
+layers, spectral layers with no same-shape partner and the Newton-Schulz
+backend stay per layer.
 
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, stops with a ValueError naming the iteration
@@ -173,7 +176,6 @@ class StepReport:
     f_after: float | None = None
     grad_dual_norms: dict[int, float] = field(default_factory=dict)
     applied: dict[int, float] = field(default_factory=dict)  # stepsize or radius, active layers
-    momentum_error: dict[int, float] | None = None           # ||M_i - grad_i||_dual
     degenerate: frozenset[int] = frozenset()
     cost_units: float | None = None
     k: int | None = None
@@ -191,29 +193,27 @@ class RunResult:
     f_initial: float
 
 
-def _dual_norms(
-    model: LayerModel, mats: Sequence[np.ndarray], what: str = "gradient"
-) -> dict[int, float]:
-    """Per-layer dual norms, one stacked SVD per spectral group.
+def _dual_norms(model: LayerModel, grads: Sequence[np.ndarray]) -> dict[int, float]:
+    """Per-layer gradient dual norms, one stacked SVD per spectral group.
 
-    Raises ValueError naming the lowest-numbered layer whose matrix or dual
+    Raises ValueError naming the lowest-numbered layer whose gradient or dual
     norm is not finite.
     """
     stacked = {}
     for group in model.spectral_groups:
         try:
-            values = geometry.nuclear_norms([mats[i - 1] for i in group])
+            values = geometry.nuclear_norms([grads[i - 1] for i in group])
             stacked.update(zip(group, values.tolist()))
         except ValueError:
             pass  # a member is not finite: the per-layer calls below name the first one
     out = {}
-    for i, m in enumerate(mats, start=1):
+    for i, g in enumerate(grads, start=1):
         try:
-            out[i] = stacked[i] if i in stacked else geometry.dual_norm(model.norms[i - 1], m)
+            out[i] = stacked[i] if i in stacked else geometry.dual_norm(model.norms[i - 1], g)
         except ValueError as exc:
-            raise ValueError(f"layer {i}: {what}: {exc}") from exc
+            raise ValueError(f"layer {i}: gradient: {exc}") from exc
         if not math.isfinite(out[i]):
-            raise ValueError(f"layer {i}: {what} dual norm is {out[i]}")
+            raise ValueError(f"layer {i}: gradient dual norm is {out[i]}")
     return out
 
 
@@ -344,8 +344,9 @@ def run(
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
     backend for spectral layers on the stochastic path.
 
-    Reports carry exact per-layer dual gradient norms and f values as
-    diagnostics (the stochastic path's *updates* see only the noisy sample).
+    Reports carry f before and after each step and the exact gradients'
+    per-layer dual norms as diagnostics (the stochastic path's *updates* see
+    only the noisy sample); momentum errors are not computed here.
     A failed step -- a missing smoothness constant, a non-finite gradient,
     momentum or f, a vanished LMO step -- raises with ``iteration k:`` and the
     layer in the message.
@@ -416,9 +417,6 @@ def run(
                 report = stoch_step(
                     model, problems.stoch_grad(grads, noise, rng), momentum, active, radii,
                     ns_config=newton_schulz_cfg,
-                )
-                report.momentum_error = _dual_norms(
-                    model, [m - g for m, g in zip(momentum.m, grads)], "momentum error"
                 )
             report.grad_dual_norms = norms_map
             report.k = k

@@ -736,27 +736,36 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
                 assert np.array_equal(before[i - 1], model.layers[i - 1])
     results.append(_check("stochastic/normalized_step_norm", worst <= 1e-9, worst=worst))
 
-    # (d) per-iteration descent inequality with measured momentum error
+    # (d) per-iteration descent inequality with measured momentum error.  The
+    # loop keeps run's stream rule: M0 from stream(seed, 0), and iteration k
+    # draws its active set, then its noise, from stream(seed, k + 1).
     table = problems.smoothness_constants(qprob, scheme, norms, with_l1_zeros=True)
-    res = optimizer.run(
-        qprob, scheme, optimizer.FixedRadius((0.05, 0.05, 0.05), beta=0.4),
-        150, seed + 4, norms=norms, x0=x0, table=table,
-        noise=problems.NoiseSpec((0.1,) * 3),
+    run_seed, noise, radii = seed + 4, problems.NoiseSpec((0.1,) * 3), [0.05] * 3
+    model = optimizer.LayerModel([v.copy() for v in x0], norms)
+    f, grads = qprob.value_and_grad(model.layers)
+    momentum = optimizer.MomentumState(
+        problems.stoch_grad(grads, noise, sampling.stream(run_seed, 0)), [0.4] * qprob.b
     )
-    worst_viol = -math.inf
-    ok = True
-    for r in res.reports:
-        key = min(r.active)
-        rhs = r.f_before
-        for i in r.active:
-            t_i = r.applied.get(i, 0.0)
-            rhs += 2.0 * t_i * r.momentum_error[i] - t_i * r.grad_dual_norms[i]
-            rhs += 0.5 * table.require(i, key) * t_i**2
-        viol = r.f_after - rhs
-        worst_viol = max(worst_viol, viol)
-        if viol > 1e-9:
-            ok = False
-    results.append(_check("stochastic/descent_lemma_diagnostic", ok, worst_violation=worst_viol))
+    violations = []
+    for k in range(150):
+        srng = sampling.stream(run_seed, k + 1)
+        active = sampling.sample(scheme, srng)
+        rep = optimizer.stoch_step(
+            model, problems.stoch_grad(grads, noise, srng), momentum, active, radii
+        )
+        f_after, grads_after = qprob.value_and_grad(model.layers)
+        rhs = f
+        for i in active:
+            t_i = rep.applied.get(i, 0.0)
+            m_err = geometry.dual_norm(norms[i - 1], momentum.m[i - 1] - grads[i - 1])
+            rhs += 2.0 * t_i * m_err - t_i * geometry.dual_norm(norms[i - 1], grads[i - 1])
+            rhs += 0.5 * table.require(i, min(active)) * t_i**2
+        violations.append(f_after - rhs)
+        f, grads = f_after, grads_after
+    results.append(_check(
+        "stochastic/descent_lemma_diagnostic", all(v <= 1e-9 for v in violations),
+        worst_violation=max(violations),
+    ))
 
     # (e) horizon-schedule trend: longer horizons drive the weighted norm lower
     results.append(horizon_trend_check(seed, n_seeds=5 if quick else 20))

@@ -349,8 +349,33 @@ def bad_run_configs():
     def variant(name, field_path, j):
         return case(name, field_path)["variants"][j]
 
-    case("mlp_activation", "problem")["problem"]["activation"] = "sigmoid"
+    case("mlp_activation", "problem.activation")["problem"]["activation"] = "sigmoid"
     case("mlp_layer_sizes", "problem.layer_sizes")["problem"]["layer_sizes"] = [3]
+    case("mlp_layer_size_entry", "problem.layer_sizes[1]")["problem"]["layer_sizes"] = [3, "4", 2]
+    case("mlp_n_samples", "problem.n_samples")["problem"]["n_samples"] = "x"
+    case("mlp_n_clusters", "problem.n_clusters")["problem"]["n_clusters"] = 0
+    case("mlp_seed", "problem.seed")["problem"]["seed"] = 1.5
+    # quadratics over the MLP's two layer shapes, so only the problem block differs
+    quad = {"kind": "separable_quadratic", "shapes": [[4, 3], [2, 4]], "curvatures": [1.0, 2.0]}
+    case("quad_shapes", "problem.shapes[0]")["problem"] = {**quad, "shapes": [3, 3]}
+    case("quad_curvatures_count", "problem.curvatures")["problem"] = {**quad, "curvatures": [1.0]}
+    case("quad_curvature_entry", "problem.curvatures[1]")["problem"] = {
+        **quad, "curvatures": [1.0, -2.0],
+    }
+    case("quad_curvature_matrix", "problem.curvatures[0]")["problem"] = {
+        **quad, "curvatures": [[[1.0, 1.0]], 2.0],
+    }
+    case("quad_targets_seed", "problem.targets.seed")["problem"] = {**quad, "targets": {"seed": -1}}
+    case("quad_targets_entry", "problem.targets[1]")["problem"] = {
+        **quad, "targets": [np.zeros((4, 3)).tolist(), "zeros"],
+    }
+    case("quad_targets_kind", "problem.targets")["problem"] = {**quad, "targets": "ones"}
+    coupled = {**quad, "kind": "coupled_quadratic", "shapes": [[2, 2]] * 2, "coupling": 0.5}
+    case("coupled_curvature_entry", "problem.curvatures[0]")["problem"] = {
+        **coupled, "curvatures": ["2", 2.0],
+    }
+    case("coupled_coupling", "problem.coupling")["problem"] = {**coupled, "coupling": "weak"}
+    case("coupled_map_seed", "problem.map_seed")["problem"] = {**coupled, "map_seed": -3}
     case("norms_entry", "norms[1]")["norms"] = ["euclidean", "spectrall"]
     case("noise_sigmas_length", "noise.sigmas")["noise"] = {"sigmas": [0.05]}
     case("smoothness_table_missing", "config.smoothness_table")["smoothness_table"] = (
@@ -360,6 +385,9 @@ def bad_run_configs():
     case("smoothness_table_layer_count", "config.smoothness_table")["smoothness_table"] = (
         cm.SmoothnessTable.from_rpt_rows([[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]],
                                          [[0.5], [0.8, 0.4], [1.2, 0.9, 0.5]]).to_dict()
+    )
+    case("smoothness_table_not_monotone", "config.smoothness_table")["smoothness_table"] = (
+        cm.SmoothnessTable.from_rpt_rows([[1.0], [0.5, 0.8]]).to_dict()
     )
     case("scheme_layer_count", "config.variants[1].scheme")["variants"][1]["scheme"] = {
         "kind": "full_network", "b": 3,
@@ -491,6 +519,21 @@ def test_optimal_probs_l0l1_with_cost(tmp_path, capsys):
     ) == 0
     payload = capsys.readouterr().out
     assert "vertex_beaten" in payload and "suboptimal" in payload
+
+
+@pytest.mark.parametrize("command, prefix", [("optimal-probs", "table error: "), ("cost", "error: ")])
+def test_table_commands_refuse_non_monotone_table(tmp_path, capsys, command, prefix):
+    # L0 of layer 2 over {2} may not exceed its value over {1, 2}
+    t = cm.SmoothnessTable.from_rpt_rows([[1.0], [0.5, 0.8]])
+    argv = [command, "--table", write_json(tmp_path / "t.json", t.to_dict())]
+    if command == "cost":
+        argv += [
+            "--scheme", write_json(tmp_path / "s.json", {"kind": "rpt", "p": [0.5, 0.5]}),
+            "--cost", write_json(tmp_path / "c.json", {"c_ov": 1, "c": [1, 1], "c_sharp": [0, 0]}),
+        ]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "L0[2,{2..b}] > L0[2,{1..b}]" in err
 
 
 def test_optimal_probs_missing_constants_named(tmp_path, capsys):

@@ -35,6 +35,14 @@ def test_quick_stochastic_suite_passes():
     assert not failed, failed
 
 
+def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
+    # check (d) drives stoch_step itself; quick shortens only checks (a, b, e)
+    results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
+    check = results["stochastic/descent_lemma_diagnostic"]
+    assert check.passed
+    assert check.detail["worst_violation"] == -0.002339504740431264
+
+
 def test_random_table_generator_monotone():
     import numpy as np
 
