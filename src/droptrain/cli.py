@@ -334,7 +334,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
         except ValueError as exc:
             raise ConfigError(f"{path}.policy", str(exc)) from exc
         try:
-            tw = optimizer.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
+            tw = costmodel.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
             weights = tw.w / tw.mean
         except (ValueError, KeyError):
             pass  # no RPT rate weights for this scheme: the CSV weighs layers equally
@@ -342,7 +342,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
             and caps_table.l1 is not None:
         try:
             p = costmodel.cutoff_probs(scheme)
-            caps = optimizer.horizon_eta_caps(p, caps_table, iterations).tolist()
+            caps = costmodel.horizon_eta_caps(p, caps_table, iterations).tolist()
         except ValueError:
             pass  # no cutoff distribution, no caps
         except KeyError as exc:
@@ -544,7 +544,7 @@ REGIMES = {"smooth": "smooth", "l0l1-eps": "l0l1_eps", "l0l1-eps2": "l0l1_eps2"}
 def cmd_optimal_probs(args) -> int:
     try:
         table = _load_table(args.table)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
         return 2
     out: dict = {"regime": args.regime}
@@ -582,7 +582,7 @@ def cmd_optimal_probs(args) -> int:
                     "verdict": verdict,
                 }
             )
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("p* =", " ".join(f"{x:.6f}" for x in out["p"]))
@@ -594,12 +594,14 @@ def cmd_optimal_probs(args) -> int:
 def cmd_cost(args) -> int:
     try:
         scheme = sampling.scheme_from_dict(json.loads(Path(args.scheme).read_text()))
+        if isinstance(scheme, sampling.EpochShiftRpt):
+            raise ValueError("an epoch_shift scheme has no fixed cost: its cutoffs move with k / K")
         table = _load_table(args.table)
         cp = _load_cost(args.cost)
         breakdown = costmodel.total_cost(
             scheme, cp, table, args.eps, REGIMES[args.regime], delta0=args.delta0
         )
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(dataclasses.asdict(breakdown), indent=2, sort_keys=True))
@@ -616,7 +618,7 @@ def cmd_marginals(args) -> int:
         if isinstance(scheme, sampling.EpochShiftRpt):
             scheme = scheme.at(args.progress)
         f_ana, q_ana = sampling.marginals(scheme)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"scheme error: {exc}", file=sys.stderr)
         return 2
     b = scheme.b

@@ -14,6 +14,8 @@ Dividing the expected per-iteration cost by the convergence-rate weight of the
 slowest layer gives the total cost to a target accuracy; minimizing it over
 cutoff probabilities is a linear-fractional program.  This module implements
 
+* the per-layer rate weights and iteration-count bounds the guarantees are
+  stated with (``theory_weights``, ``horizon_eta_caps``, ``l0l1_iterations``),
 * the exact recursive construction of the optimal cutoff probabilities in the
   layer-wise smooth regime (cost-parameter independent),
 * the closed-form optimal block probabilities for partitioned sampling,
@@ -53,8 +55,11 @@ __all__ = [
     "expected_iteration_cost",
     "cutoff_probs",
     "total_cost",
-    "rpt_smooth_weights",
-    "rpt_l0l1_weights",
+    "TheoryWeights",
+    "theory_weights",
+    "smooth_rate_rhs",
+    "horizon_eta_caps",
+    "l0l1_iterations",
     "partition_smooth_weights",
     "smooth_recursion_q",
     "optimal_rpt_probs_smooth",
@@ -254,58 +259,144 @@ def expected_iteration_cost(scheme: SamplingScheme, cp: CostParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Convergence-rate weights (per scheme family and smoothness regime)
+# Convergence-rate weights and iteration-count bounds
 # ---------------------------------------------------------------------------
 
-def _rpt_l0_matrix(table: SmoothnessTable) -> np.ndarray:
-    """Dense (b, b) array L[i-1, s-1] = L0_{i,{s..b}} for s <= i; 0 elsewhere."""
+@dataclass(frozen=True)
+class TheoryWeights:
+    """Per-layer rate weights, their mean, and the regime they hold in."""
+
+    w: np.ndarray
+    mean: float
+    regime: str
+
+
+def _rpt_matrix(table: SmoothnessTable, which: str = "l0") -> np.ndarray:
+    """Dense (b, b) array M[i-1, s-1] = L_{i,{s..b}} (L0 or L1) for s <= i; 0 elsewhere."""
     b = table.b
     out = np.zeros((b, b))
     for i in range(1, b + 1):
         for s in range(1, i + 1):
-            out[i - 1, s - 1] = table.require(i, s)
+            out[i - 1, s - 1] = table.require(i, s, which)
     return out
 
 
-def _rpt_l1_matrix(table: SmoothnessTable) -> np.ndarray:
-    b = table.b
-    out = np.zeros((b, b))
-    for i in range(1, b + 1):
-        for s in range(1, i + 1):
-            out[i - 1, s - 1] = table.require(i, s, "l1")
-    return out
+def _l0l1_sums(p, table: SmoothnessTable) -> tuple[np.ndarray, ...]:
+    """(cum, a0, a1): sum_{s<=i} p_s, sum_{s<=i} p_s L0_{i,{s..b}} and the same with L1.
 
-
-def rpt_smooth_weights(p: Sequence[float], table: SmoothnessTable) -> np.ndarray:
-    """w_i = sum_{s <= i} p_s / (2 L0_{i,{s..b}})."""
+    ``p`` is one cutoff vector (b,) or an (N, b) grid of them; the sums run
+    along its last axis.
+    """
     p = np.asarray(p, dtype=float)
-    b = table.b
-    w = np.zeros(b)
-    for i in range(1, b + 1):
-        acc = 0.0
-        for s in range(1, i + 1):
-            if p[s - 1] > 0.0:
-                l = table.require(i, s)
-                if l <= 0.0:
-                    raise ValueError(f"L0 for layer {i}, cutoff {s} must be > 0")
-                acc += p[s - 1] / (2.0 * l)
-        w[i - 1] = acc
+    return np.cumsum(p, axis=-1), p @ _rpt_matrix(table, "l0").T, p @ _rpt_matrix(table, "l1").T
+
+
+def _all_updated(w: np.ndarray) -> np.ndarray:
+    """``w``, unless a layer has weight 0: it is never updated and no rate bound holds."""
+    if np.any(w <= 0.0):
+        i = int(np.argmin(w)) + 1
+        raise ValueError(f"layer {i} never updated (weight 0); rate bound undefined")
     return w
 
 
-def rpt_l0l1_weights(p: Sequence[float], table: SmoothnessTable) -> np.ndarray:
-    """w_i = (sum_{s<=i} p_s)^2 / sum_{s<=i} p_s L1_{i,{s..b}}."""
+def theory_weights(
+    p: Sequence[float],
+    table: SmoothnessTable,
+    regime: str,
+    eta: Sequence[float] | None = None,
+) -> TheoryWeights:
+    """Per-layer rate weights for an RPT cutoff distribution over the table's layers.
+
+    smooth:     w_i = sum_{s<=i} p_s / (2 L0_{i,{s..b}})
+    l0l1:       w_i = (sum_{s<=i} p_s)^2 / sum_{s<=i} p_s L1_{i,{s..b}}
+    stochastic: w_i = (sum_{s<=i} p_s) * eta_i
+
+    Raises if p does not have one entry per layer, or if any weight is zero
+    (that layer is never updated and no rate holds).
+    """
     p = np.asarray(p, dtype=float)
     b = table.b
-    w = np.zeros(b)
-    cum = np.cumsum(p)
-    for i in range(1, b + 1):
-        denom = 0.0
-        for s in range(1, i + 1):
-            if p[s - 1] > 0.0:
-                denom += p[s - 1] * table.require(i, s, "l1")
-        w[i - 1] = cum[i - 1] ** 2 / denom if denom > 0.0 else 0.0
-    return w
+    if p.shape != (b,):
+        raise ValueError(f"p has {p.size} entries, the table has {b} layers")
+    if regime == "smooth":
+        # summed over s = 1..i in order: the run CSV's grad_sq_weighted reads these
+        w = np.zeros(b)
+        for i in range(1, b + 1):
+            for s in range(1, i + 1):
+                if p[s - 1] > 0.0:
+                    l = table.require(i, s)
+                    if l <= 0.0:
+                        raise ValueError(f"L0 for layer {i}, cutoff {s} must be > 0")
+                    w[i - 1] += p[s - 1] / (2.0 * l)
+    elif regime == "l0l1":
+        cum, _, a1 = _l0l1_sums(p, table)
+        w = cum**2 / np.where(a1 > 0.0, a1, np.inf)
+    elif regime == "stochastic":
+        w = np.cumsum(p) * (1.0 if eta is None else np.asarray(eta, dtype=float))
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    return TheoryWeights(_all_updated(w), float(w.mean()), regime)
+
+
+def smooth_rate_rhs(delta0: float, iterations: int, weights: TheoryWeights) -> float:
+    """Right-hand side of the smooth-regime rate: delta0 / (K * mean(w))."""
+    return delta0 / (iterations * weights.mean)
+
+
+def horizon_eta_caps(
+    p: Sequence[float],
+    table: SmoothnessTable,
+    horizon: int,
+    rho_ratio: Sequence[float] | float = 1.0,
+) -> np.ndarray:
+    """Per-layer caps on eta_i^2 under which the horizon-schedule guarantee holds.
+
+    The stochastic bound constrains eta_i^2 by the smaller of a horizon term
+    and a sampling term (both built from the L1 constants and the cutoff
+    distribution), capped at 1.  ``rho_ratio`` is the per-layer ratio of the
+    norm-equivalence constants (1 for Euclidean layers).  Diagnostic only: the
+    default eta = 1 mirrors the shared constant learning rate used in training
+    practice, and these caps report how conservative that is.
+    """
+    p = np.asarray(p, dtype=float)
+    b = table.b
+    rho = np.broadcast_to(np.asarray(rho_ratio, dtype=float), (b,))
+    beta = 1.0 / math.sqrt(horizon + 1)  # the horizon schedule's momentum parameter
+    # E[max_l L1_{l, S}] over the cutoff draw
+    e_max_l1 = sum(
+        p[s - 1] * max(table.require(i, s, "l1") for i in range(s, b + 1))
+        for s in range(1, b + 1)
+        if p[s - 1] > 0
+    )
+    cum, _, a1 = _l0l1_sums(p, table)
+    caps = np.ones(b)
+    for i in range(b):
+        if a1[i] <= 0 or e_max_l1 <= 0:
+            continue
+        horizon_term = math.sqrt(horizon + 1) / (4.0 * a1[i] * e_max_l1)
+        sampling_term = (
+            p[0] / (rho[i] * 16.0 * (1.0 - beta)) / (cum[i] * a1[i] * e_max_l1)
+            if p[0] > 0 and beta < 1.0
+            else math.inf
+        )
+        caps[i] = min(horizon_term, sampling_term, 1.0)
+    return caps
+
+
+def l0l1_iterations(
+    p: Sequence[float], table: SmoothnessTable, delta0: float, eps: float
+) -> int:
+    """Iterations sufficient for the weighted dual-gradient-norm criterion <= eps.
+
+    Two-term bound: a 1/eps^2 term with the mixed L0/L1 sums plus a 1/eps
+    term, both normalized by the mean weight.
+    """
+    tw = theory_weights(p, table, "l0l1")
+    cum, a0, a1 = _l0l1_sums(p, table)
+    total = float(np.sum(cum**2 * a0 / a1**2))
+    return math.ceil(
+        2.0 * delta0 * total / (eps**2 * tw.mean**2) + 2.0 * delta0 / (eps * tw.mean)
+    )
 
 
 def partition_smooth_weights(
@@ -353,6 +444,8 @@ def total_cost(
     """
     if eps <= 0.0 or delta0 <= 0.0:
         raise ValueError("eps and delta0 must be positive")
+    if scheme.b != table.b:
+        raise ValueError(f"the scheme has {scheme.b} layers, the table has {table.b}")
     exp_cost = expected_iteration_cost(scheme, cp)
 
     if isinstance(scheme, PartitionedSubmodel):
@@ -368,25 +461,15 @@ def total_cost(
             w = np.where(a1 > 0, q / a1, 0.0)
             a0 = np.array([table.require(i, scheme.block_of(i)) for i in range(1, scheme.b + 1)])
             ratio_terms = np.where(a1 > 0, q * a0 / a1**2, np.inf)
+        w = _all_updated(w)
     else:
         if table.mode != TableMode.RPT_CUTOFF:
             raise ValueError("RPT-style scheme needs an rpt_cutoff-mode table")
         p = cutoff_probs(scheme)
-        if regime == "smooth":
-            w = rpt_smooth_weights(p, table)
-        else:
-            w = rpt_l0l1_weights(p, table)
-            l0m = _rpt_l0_matrix(table)
-            l1m = _rpt_l1_matrix(table)
-            cum = np.cumsum(p)
-            a0 = l0m @ p  # sum_{s<=i} p_s L0_{i,{s..b}}
-            a1 = l1m @ p
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio_terms = np.where(a1 > 0, cum**2 * a0 / a1**2, np.inf)
-
-    if np.any(w <= 0.0):
-        i = int(np.argmin(w)) + 1
-        raise ValueError(f"layer {i} never updated (weight 0); rate bound undefined")
+        w = theory_weights(p, table, "smooth" if regime == "smooth" else "l0l1").w
+        if regime != "smooth":
+            cum, a0, a1 = _l0l1_sums(p, table)
+            ratio_terms = cum**2 * a0 / a1**2  # every a1 > 0: no weight is 0
 
     if regime == "smooth":
         k_raw = delta0 / (eps * float(w.min()))
@@ -423,7 +506,7 @@ def smooth_recursion_q(table: SmoothnessTable) -> np.ndarray:
     if table.mode != TableMode.RPT_CUTOFF:
         raise ValueError("recursion needs an rpt_cutoff-mode table")
     b = table.b
-    lmat = _rpt_l0_matrix(table)
+    lmat = _rpt_matrix(table)
     if np.any(lmat[np.tril_indices(b)] <= 0.0):
         raise ValueError("all L0 constants for cutoffs s <= i must be present and > 0")
     q = np.zeros(b)
@@ -519,10 +602,7 @@ def rpt_cost_objective_smooth(
     p: Sequence[float], table: SmoothnessTable, cp: CostParams
 ) -> float:
     """Smooth-regime RPT cost ratio: expected iteration cost over min_i w_i."""
-    p = np.asarray(p, dtype=float)
-    num = float(np.dot(_rpt_d_vector(cp), p))
-    den = float(rpt_smooth_weights(p, table).min())
-    return num / den if den > 0.0 else math.inf
+    return float(_smooth_objective_grid(np.asarray(p, dtype=float)[None, :], table, cp)[0])
 
 
 def rpt_cost_objective_l0l1(
@@ -549,10 +629,8 @@ def _l0l1_objective_grid(
     """Vectorized (L0, L1) objective over an (N, b) array of cutoff vectors."""
     if regime not in ("eps", "eps2"):
         raise ValueError(f"unknown regime {regime!r}")
-    l1m = _rpt_l1_matrix(table)
     num = grid @ _rpt_d_vector(cp)
-    cum = np.cumsum(grid, axis=1)
-    a1 = grid @ l1m.T  # a1[:, i-1] = sum_{s<=i} p_s L1_{i,{s..b}}
+    cum, a0, a1 = _l0l1_sums(grid, table)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(a1 > 0.0, cum**2 / a1, np.where(cum > 0.0, np.inf, 0.0))
     min_ratio = ratio.min(axis=1)
@@ -561,8 +639,6 @@ def _l0l1_objective_grid(
     if regime == "eps":
         out[ok] = num[ok] / min_ratio[ok]
         return out
-    l0m = _rpt_l0_matrix(table)
-    a0 = grid @ l0m.T
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(a1 > 0.0, cum**2 * a0 / a1**2, np.where(cum > 0.0, np.inf, 0.0))
     out[ok] = terms[ok].sum(axis=1) * num[ok] / min_ratio[ok] ** 2
@@ -573,11 +649,9 @@ def _smooth_objective_grid(
     grid: np.ndarray, table: SmoothnessTable, cp: CostParams
 ) -> np.ndarray:
     """Vectorized smooth-regime objective over an (N, b) array of cutoff vectors."""
-    b = table.b
-    inv = np.zeros((b, b))
-    for i in range(1, b + 1):
-        for s in range(1, i + 1):
-            inv[i - 1, s - 1] = 0.5 / table.require(i, s)
+    lower = np.tri(table.b, dtype=bool)
+    inv = np.zeros((table.b, table.b))
+    inv[lower] = 0.5 / _rpt_matrix(table)[lower]  # inv[i-1, s-1] = 1 / (2 L0_{i,{s..b}})
     num = grid @ _rpt_d_vector(cp)
     den = (grid @ inv.T).min(axis=1)
     out = np.full(grid.shape[0], np.inf)

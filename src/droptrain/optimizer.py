@@ -35,9 +35,9 @@ backend stay per layer.
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, stops with a ValueError naming the iteration
 and the layer when f, a gradient or a step stops being finite, and
-accumulates cost-model units when cost parameters are supplied.
-``theory_weights`` exposes the per-layer rate weights the convergence bounds
-are stated with.
+accumulates cost-model units when cost parameters are supplied.  The rate
+weights and iteration-count bounds the guarantees are stated with live in
+``costmodel``.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ __all__ = [
     "RunResult",
     "stoch_step",
     "run",
-    "TheoryWeights",
-    "theory_weights",
-    "smooth_rate_rhs",
-    "horizon_eta_caps",
-    "l0l1_iterations",
 ]
 
 INIT_STREAM = 0  # stream(seed, 0) feeds initialization; iteration k uses stream(seed, k + 1)
@@ -130,7 +125,7 @@ class GenSmoothInverse:
 
 @dataclass(frozen=True)
 class FixedRadius:
-    """Constant per-layer LMO radii t_i with momentum parameter beta."""
+    """Constant per-layer LMO radii t_i, momentum beta, M0 = stochastic gradient at X0."""
 
     radii: tuple[float, ...]
     beta: float = 0.9
@@ -325,7 +320,6 @@ def run(
     table: SmoothnessTable | None = None,
     noise: problems.NoiseSpec | None = None,
     cost_params: CostParams | None = None,
-    momentum_init: str = "grad",
     newton_schulz_cfg: geometry.NewtonSchulzConfig | None = None,
     on_step: Callable[[int, LayerModel, StepReport], None] | None = None,
 ) -> RunResult:
@@ -376,29 +370,16 @@ def run(
         raise ValueError(f"f is {f_curr} at x0")
     f_initial = f_curr
 
-    momentum = None
-    radii = None
+    momentum = radii = None
     if isinstance(policy, FixedRadius):
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")
-        radii = np.asarray(policy.radii)
-        beta = [policy.beta] * b
-        if momentum_init == "grad":
-            m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
-        elif momentum_init == "zeros":
-            m0 = [np.zeros(s) for s in problem.shapes]
-        else:
-            raise ValueError("momentum_init must be 'grad' or 'zeros'")
-        momentum = MomentumState([m.copy() for m in m0], beta)
+        radii, beta = np.asarray(policy.radii), policy.beta
     elif isinstance(policy, HorizonSchedule):
-        if momentum_init != "grad":
-            raise ValueError(
-                "the horizon schedule requires gradient momentum initialization"
-            )
-        radii = policy.radii(b, iterations)
-        beta = [HorizonSchedule.beta(iterations)] * b
+        radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
+    if radii is not None:
         m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
-        momentum = MomentumState([m.copy() for m in m0], beta)
+        momentum = MomentumState([m.copy() for m in m0], [beta] * b)
 
     reports: list[StepReport] = []
     cumulative = 0.0 if cost_params is not None else None
@@ -435,115 +416,3 @@ def run(
         reports.append(report)
 
     return RunResult(model, reports, f_curr, cumulative, f_initial)
-
-
-# ---------------------------------------------------------------------------
-# Rate weights and iteration-count bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TheoryWeights:
-    w: np.ndarray
-    mean: float
-    regime: str
-
-
-def theory_weights(
-    p: Sequence[float],
-    table: SmoothnessTable,
-    regime: str,
-    eta: Sequence[float] | None = None,
-) -> TheoryWeights:
-    """Per-layer rate weights for an RPT cutoff distribution.
-
-    smooth:     w_i = sum_{s<=i} p_s / (2 L0_{i,{s..b}})
-    l0l1:       w_i = (sum_{s<=i} p_s)^2 / sum_{s<=i} p_s L1_{i,{s..b}}
-    stochastic: w_i = (sum_{s<=i} p_s) * eta_i
-
-    Raises if any weight is zero (that layer is never updated and no rate
-    holds).
-    """
-    p = np.asarray(p, dtype=float)
-    if regime == "smooth":
-        w = costmodel.rpt_smooth_weights(p, table)
-    elif regime == "l0l1":
-        w = costmodel.rpt_l0l1_weights(p, table)
-    elif regime == "stochastic":
-        eta_arr = np.ones(table.b) if eta is None else np.asarray(eta, dtype=float)
-        w = np.cumsum(p) * eta_arr
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if np.any(w <= 0.0):
-        i = int(np.argmin(w)) + 1
-        raise ValueError(f"layer {i} never updated (weight 0)")
-    return TheoryWeights(w, float(w.mean()), regime)
-
-
-def smooth_rate_rhs(delta0: float, iterations: int, weights: TheoryWeights) -> float:
-    """Right-hand side of the smooth-regime rate: delta0 / (K * mean(w))."""
-    return delta0 / (iterations * weights.mean)
-
-
-def horizon_eta_caps(
-    p: Sequence[float],
-    table: SmoothnessTable,
-    horizon: int,
-    rho_ratio: Sequence[float] | float = 1.0,
-) -> np.ndarray:
-    """Per-layer caps on eta_i^2 under which the horizon-schedule guarantee holds.
-
-    The stochastic bound constrains eta_i^2 by the smaller of a horizon term
-    and a sampling term (both built from the L1 constants and the cutoff
-    distribution), capped at 1.  ``rho_ratio`` is the per-layer ratio of the
-    norm-equivalence constants (1 for Euclidean layers).  Diagnostic only: the
-    default eta = 1 mirrors the shared constant learning rate used in training
-    practice, and these caps report how conservative that is.
-    """
-    p = np.asarray(p, dtype=float)
-    b = table.b
-    rho = np.broadcast_to(np.asarray(rho_ratio, dtype=float), (b,))
-    beta = HorizonSchedule.beta(horizon)
-    # E[max_l L1_{l, S}] over the cutoff draw
-    e_max_l1 = sum(
-        p[s - 1] * max(table.require(i, s, "l1") for i in range(s, b + 1))
-        for s in range(1, b + 1)
-        if p[s - 1] > 0
-    )
-    caps = np.ones(b)
-    cum = np.cumsum(p)
-    for i in range(1, b + 1):
-        a1 = sum(p[s - 1] * table.require(i, s, "l1") for s in range(1, i + 1) if p[s - 1] > 0)
-        if a1 <= 0 or e_max_l1 <= 0:
-            continue
-        horizon_term = math.sqrt(horizon + 1) / (4.0 * a1 * e_max_l1)
-        sampling_term = (
-            p[0] / (rho[i - 1] * 16.0 * (1.0 - beta)) / (cum[i - 1] * a1 * e_max_l1)
-            if p[0] > 0 and beta < 1.0
-            else math.inf
-        )
-        caps[i - 1] = min(horizon_term, sampling_term, 1.0)
-    return caps
-
-
-def l0l1_iterations(
-    p: Sequence[float], table: SmoothnessTable, delta0: float, eps: float
-) -> int:
-    """Iterations sufficient for the weighted dual-gradient-norm criterion <= eps.
-
-    Two-term bound: a 1/eps^2 term with the mixed L0/L1 sums plus a 1/eps
-    term, both normalized by the mean weight.
-    """
-    p = np.asarray(p, dtype=float)
-    tw = theory_weights(p, table, "l0l1")
-    b = table.b
-    cum = np.cumsum(p)
-    total = 0.0
-    for i in range(1, b + 1):
-        a0 = sum(p[s - 1] * table.require(i, s) for s in range(1, i + 1) if p[s - 1] > 0)
-        a1 = sum(
-            p[s - 1] * table.require(i, s, "l1") for s in range(1, i + 1) if p[s - 1] > 0
-        )
-        total += cum[i - 1] ** 2 * a0 / a1**2
-    return math.ceil(
-        2.0 * delta0 * total / (eps**2 * tw.mean**2) + 2.0 * delta0 / (eps * tw.mean)
-    )

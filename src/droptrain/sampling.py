@@ -1,4 +1,4 @@
-"""Distributions over layer subsets: construction, sampling, marginals, support.
+"""Distributions over layer subsets: construction, sampling, marginals, enumeration.
 
 Layers are numbered 1..b throughout (matching the cutoff formulas); an active
 set is a frozenset of 1-based layer indices.  Marginal vectors are numpy arrays
@@ -40,11 +40,8 @@ __all__ = [
     "stream",
     "sample",
     "marginals",
-    "support",
     "distribution",
     "epoch_shift_probs",
-    "scheme_flags",
-    "scheme_to_dict",
     "scheme_from_dict",
 ]
 
@@ -156,7 +153,7 @@ class EpochShiftRpt:
 
     ``at(progress)`` materializes the cutoff vector via ``epoch_shift_probs``;
     the optimizer recomputes it each iteration from progress = k / K.  The
-    static scheme operations (sample, marginals, support) need a progress
+    static scheme operations (sample, marginals, distribution) need a progress
     value, so call ``at`` first.
     """
 
@@ -172,19 +169,6 @@ class EpochShiftRpt:
 
 
 SamplingScheme = Union[Rpt, TauNice, TauSubmodel, PartitionedSubmodel, FullNetwork]
-
-
-def scheme_flags(scheme: SamplingScheme) -> list[str]:
-    """Soft warnings that do not invalidate the scheme for cost computations.
-
-    An RPT vector with p[0] == 0 never updates layer 1, so convergence-rate
-    weights are undefined; the cost tools still work, hence a flag, not an
-    error.
-    """
-    flags = []
-    if isinstance(scheme, Rpt) and scheme.p[0] == 0.0:
-        flags.append("rpt: p_1 == 0, layer 1 is never updated")
-    return flags
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -258,11 +242,6 @@ def marginals(scheme: SamplingScheme) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unknown scheme {scheme!r}")
 
 
-def support(scheme: SamplingScheme) -> list[frozenset[int]]:
-    """All subsets with positive probability, sorted by (min, size, elements)."""
-    return sorted(distribution(scheme), key=lambda s: (min(s), len(s), sorted(s)))
-
-
 def distribution(scheme: SamplingScheme) -> dict[frozenset[int], float]:
     """Exact distribution as a subset -> probability map (small b only).
 
@@ -319,28 +298,8 @@ def epoch_shift_probs(b: int, alpha: float, progress: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (structured config documents)
+# Parsing (structured config documents)
 # ---------------------------------------------------------------------------
-
-def scheme_to_dict(scheme: SamplingScheme) -> dict:
-    if isinstance(scheme, Rpt):
-        return {"kind": "rpt", "p": list(scheme.p)}
-    if isinstance(scheme, TauNice):
-        return {"kind": "tau_nice", "b": scheme.b, "tau": scheme.tau}
-    if isinstance(scheme, TauSubmodel):
-        return {"kind": "tau_submodel", "b": scheme.b, "tau": scheme.tau, "p": list(scheme.p)}
-    if isinstance(scheme, PartitionedSubmodel):
-        return {
-            "kind": "partitioned_submodel",
-            "blocks": [sorted(blk) for blk in scheme.blocks],
-            "p": list(scheme.p),
-        }
-    if isinstance(scheme, FullNetwork):
-        return {"kind": "full_network", "b": scheme.b}
-    if isinstance(scheme, EpochShiftRpt):
-        return {"kind": "epoch_shift", "b": scheme.b, "alpha": scheme.alpha}
-    raise TypeError(f"unknown scheme {scheme!r}")
-
 
 def scheme_from_dict(spec: dict) -> SamplingScheme:
     kind = spec.get("kind")

@@ -28,6 +28,8 @@ __all__ = [
     "empirical_marginals",
     "rate_check_setup",
     "cost_ratio_setup",
+    "recursion_oracle_checks",
+    "l0l1_condition_check",
     "geometry_suite",
     "sampling_suite",
     "descent_suite",
@@ -386,7 +388,7 @@ def rates_suite(seed: int = 0, n_seeds: int = 20, horizons=(10, 100, 1000)):
     """Averaged weighted squared dual gradient norms against the rate bound."""
     prob, scheme, table, norms, x0 = rate_check_setup(seed)
     delta0 = prob.value_and_grad(x0)[0] - prob.f_star
-    tw = optimizer.theory_weights(scheme.p, table, "smooth")
+    tw = costmodel.theory_weights(scheme.p, table, "smooth")
     results = []
     for horizon in horizons:
         values = []
@@ -403,7 +405,7 @@ def rates_suite(seed: int = 0, n_seeds: int = 20, horizons=(10, 100, 1000)):
                 )
             values.append(acc / horizon)
         lhs = float(np.mean(values))
-        rhs = optimizer.smooth_rate_rhs(delta0, horizon, tw)
+        rhs = costmodel.smooth_rate_rhs(delta0, horizon, tw)
         results.append(
             _check(
                 f"rates/weighted_grad_bound_K{horizon}",
@@ -418,54 +420,72 @@ def rates_suite(seed: int = 0, n_seeds: int = 20, horizons=(10, 100, 1000)):
 # cost suite
 # ---------------------------------------------------------------------------
 
-def cost_suite(seed: int = 0, quick: bool = False):
-    rng = np.random.default_rng(seed)
-    results = []
-    n_oracle = 100 if quick else 500
-    n_equiv = 200 if quick else 1000
-    n_l0l1 = 40 if quick else 200
+def recursion_oracle_checks(rng: np.random.Generator, n_tables: int) -> list[CheckResult]:
+    """Checks (a)-(c) of the smooth-regime recursion over ``n_tables`` random tables.
 
-    # (a) recursion value <= every simplex grid point (resolution 1/100) + 1e-9
+    Per table (b in 2..4, with random cost parameters):
+    (a) the recursion's objective is at most every simplex-grid point's
+        (resolution 1/100) + 1e-9;
+    (b) it returns the vertex iff the full-network condition holds;
+    (c) it is bit-identical under 10 further cost-parameter draws.
+    """
     worst_excess = -math.inf
-    ok = True
-    for _ in range(n_oracle):
+    grid_ok = True
+    mismatches = 0
+    invariant = True
+    for _ in range(n_tables):
         b = int(rng.integers(2, 5))
         table = random_rpt_table(rng, b)
         cp = random_cost_params(rng, b)
         p_star = costmodel.optimal_rpt_probs_smooth(table, cp)
         val = costmodel.rpt_cost_objective_smooth(p_star, table, cp)
-        grid = costmodel.simplex_grid(b, 100)
-        grid_vals = costmodel._smooth_objective_grid(grid, table, cp)
+        grid_vals = costmodel._smooth_objective_grid(costmodel.simplex_grid(b, 100), table, cp)
         excess = val - float(grid_vals.min())
         worst_excess = max(worst_excess, excess)
-        if excess > 1e-9:
-            ok = False
-    results.append(
-        _check("cost/recursion_beats_grid", ok, tables=n_oracle, worst_excess=worst_excess)
-    )
-
-    # (b) full-network-optimality condition <=> recursion returns the vertex
-    mismatches = 0
-    for _ in range(n_equiv):
-        b = int(rng.integers(2, 5))
-        table = random_rpt_table(rng, b)
-        p_star = costmodel.optimal_rpt_probs_smooth(table)
+        grid_ok = grid_ok and excess <= 1e-9
         is_vertex = bool(np.all(p_star[1:] == 0.0))
-        if is_vertex != costmodel.full_network_optimal_smooth(table):
-            mismatches += 1
-    results.append(
+        mismatches += is_vertex != costmodel.full_network_optimal_smooth(table)
+        for _ in range(10):
+            other = costmodel.optimal_rpt_probs_smooth(table, random_cost_params(rng, b))
+            invariant = invariant and np.array_equal(p_star, other)
+    return [
+        _check("cost/recursion_beats_grid", grid_ok, tables=n_tables, worst_excess=worst_excess),
         _check("cost/vertex_condition_equivalence", mismatches == 0,
-               tables=n_equiv, mismatches=mismatches)
+               tables=n_tables, mismatches=mismatches),
+        _check("cost/recursion_cost_param_independent", invariant, tables=n_tables),
+    ]
+
+
+def l0l1_condition_check(rng: np.random.Generator, n_tables: int) -> CheckResult:
+    """The first-layer L1 condition against the numeric (L0, L1) solver.
+
+    Per draw (b in 2..3): a table whose L1_{1,[b]} is not the maximum must
+    have the vertex beaten, and one whose L1_{1,[b]} is the maximum by a 10%
+    margin must return the vertex and report the condition.
+    """
+    beaten_fail = 0
+    vertex_fail = 0
+    for _ in range(n_tables):
+        b = int(rng.integers(2, 4))
+        cp = random_cost_params(rng, b)
+        t_nonmax = random_l1_rpt_table(rng, b, first_layer_max=False)
+        beaten_fail += not costmodel.optimal_rpt_probs_l0l1(t_nonmax, cp, "eps").vertex_beaten
+        t_max = random_l1_rpt_table(rng, b, first_layer_max=True)
+        sol = costmodel.optimal_rpt_probs_l0l1(t_max, cp, "eps")
+        vertex_fail += not (np.array_equal(sol.p, np.eye(b)[0]) and sol.first_layer_l1_is_max)
+    return _check(
+        "cost/l0l1_first_layer_condition", beaten_fail == 0 and vertex_fail == 0,
+        tables=n_tables, non_max_not_beaten=beaten_fail, max_not_vertex=vertex_fail,
     )
 
-    # (c) recursion output invariant under cost parameters (bit equality)
-    table = random_rpt_table(rng, 4)
-    base = costmodel.optimal_rpt_probs_smooth(table, random_cost_params(rng, 4))
-    invariant = all(
-        np.array_equal(base, costmodel.optimal_rpt_probs_smooth(table, random_cost_params(rng, 4)))
-        for _ in range(10)
-    )
-    results.append(_check("cost/recursion_cost_param_independent", invariant))
+
+def cost_suite(seed: int = 0, quick: bool = False):
+    rng = np.random.default_rng(seed)
+    n_oracle = 100 if quick else 500
+    n_l0l1 = 40 if quick else 200
+
+    # (a)-(c) the smooth recursion: grid oracle, vertex condition, cost invariance
+    results = recursion_oracle_checks(rng, n_oracle)
 
     # (d) exchange property: positive mass forces a tight constraint
     worst_slack = 0.0
@@ -540,23 +560,7 @@ def cost_suite(seed: int = 0, quick: bool = False):
         )
 
     # (g) first-layer L1 condition vs the numeric (L0, L1) solver
-    beaten_fail = 0
-    vertex_fail = 0
-    for _ in range(n_l0l1):
-        b = int(rng.integers(2, 4))
-        cp = random_cost_params(rng, b)
-        t_nonmax = random_l1_rpt_table(rng, b, first_layer_max=False)
-        sol = costmodel.optimal_rpt_probs_l0l1(t_nonmax, cp, "eps")
-        if not sol.vertex_beaten:
-            beaten_fail += 1
-        t_max = random_l1_rpt_table(rng, b, first_layer_max=True)
-        sol = costmodel.optimal_rpt_probs_l0l1(t_max, cp, "eps")
-        if not (np.array_equal(sol.p, np.eye(b)[0]) and sol.first_layer_l1_is_max):
-            vertex_fail += 1
-    results.append(
-        _check("cost/l0l1_first_layer_condition", beaten_fail == 0 and vertex_fail == 0,
-               tables=n_l0l1, non_max_not_beaten=beaten_fail, max_not_vertex=vertex_fail)
-    )
+    results.append(l0l1_condition_check(rng, n_l0l1))
 
     # (h) tau-nice scan: constant L -> tau* = b; linear L -> tau* = 1; B decreasing
     cp6 = CostParams(0.4, (1.0, 0.8, 1.2, 0.9, 1.1, 1.0), (0.3,) * 6)

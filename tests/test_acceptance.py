@@ -5,18 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` (or ``droptrain verify
 runtime budget, asserted alongside the substance.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
-from droptrain import costmodel as cm
-from droptrain import optimizer as op
 from droptrain import problems as pb
 from droptrain import sampling as sp
 from droptrain import verify
-from droptrain.geometry import NormKind
 
 
 def _report(num: int, title: str, passed: bool, elapsed: float, budget: float, detail: str):
@@ -85,61 +80,27 @@ def test_criterion_3_deterministic_descent_and_rate():
 
 def test_criterion_4_optimal_probability_oracle():
     t0 = time.time()
-    rng = np.random.default_rng(2024)
-    n_tables = 500
-    grid_ok = vertex_ok = invariant_ok = True
-    worst_excess = -math.inf
-    for _ in range(n_tables):
-        b = int(rng.integers(2, 5))
-        table = verify.random_rpt_table(rng, b)
-        cp = verify.random_cost_params(rng, b)
-        p_star = cm.optimal_rpt_probs_smooth(table, cp)
-        # (a) recursion value is minimal over the resolution-1/100 simplex grid
-        val = cm.rpt_cost_objective_smooth(p_star, table, cp)
-        grid_vals = cm._smooth_objective_grid(cm.simplex_grid(b, 100), table, cp)
-        excess = val - float(grid_vals.min())
-        worst_excess = max(worst_excess, excess)
-        if excess > 1e-9:
-            grid_ok = False
-        # (b) vertex output iff the full-network condition holds
-        if bool(np.all(p_star[1:] == 0.0)) != cm.full_network_optimal_smooth(table):
-            vertex_ok = False
-        # (c) bit-identical output across 10 cost-parameter draws
-        for _ in range(10):
-            if not np.array_equal(
-                p_star, cm.optimal_rpt_probs_smooth(table, verify.random_cost_params(rng, b))
-            ):
-                invariant_ok = False
+    # (a) minimal over the 1/100 simplex grid, (b) vertex iff the full-network
+    # condition, (c) bit-identical across 10 cost-parameter draws
+    grid, vertex, invariant = verify.recursion_oracle_checks(np.random.default_rng(2024), 500)
     elapsed = time.time() - t0
     _report(
         4, "recursion vs simplex-grid oracle over 500 tables",
-        grid_ok and vertex_ok and invariant_ok, elapsed, 120.0,
-        f"worst grid excess {worst_excess:.2e}, condition mismatches 0: {vertex_ok}, "
-        f"cost-invariant: {invariant_ok}",
+        grid.passed and vertex.passed and invariant.passed, elapsed, 120.0,
+        f"worst grid excess {grid.detail['worst_excess']:.2e}, condition mismatches 0: "
+        f"{vertex.passed}, cost-invariant: {invariant.passed}",
     )
 
 
 def test_criterion_5_l0l1_first_layer_condition():
     t0 = time.time()
-    rng = np.random.default_rng(77)
-    n_tables = 200
-    beaten_fail = vertex_fail = 0
-    for _ in range(n_tables):
-        b = int(rng.integers(2, 4))
-        cp = verify.random_cost_params(rng, b)
-        t_nonmax = verify.random_l1_rpt_table(rng, b, first_layer_max=False)
-        if not cm.optimal_rpt_probs_l0l1(t_nonmax, cp, "eps").vertex_beaten:
-            beaten_fail += 1
-        t_max = verify.random_l1_rpt_table(rng, b, first_layer_max=True, margin=0.1)
-        sol = cm.optimal_rpt_probs_l0l1(t_max, cp, "eps")
-        if not np.array_equal(sol.p, np.eye(b)[0]):
-            vertex_fail += 1
+    result = verify.l0l1_condition_check(np.random.default_rng(77), 200)
     elapsed = time.time() - t0
     _report(
         5, "first-layer generalized-smooth condition over 200 tables",
-        beaten_fail == 0 and vertex_fail == 0, elapsed, 120.0,
-        f"non-max tables where the vertex survived: {beaten_fail}, "
-        f"max-margin tables not returning the vertex: {vertex_fail}",
+        result.passed, elapsed, 120.0,
+        f"non-max tables where the vertex survived: {result.detail['non_max_not_beaten']}, "
+        f"max-margin tables not returning the vertex: {result.detail['max_not_vertex']}",
     )
 
 

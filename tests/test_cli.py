@@ -100,6 +100,22 @@ def test_run_csv_roundtrip_parses(tmp_path):
         int(cells[0])
 
 
+@pytest.mark.xfail(
+    np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
+    reason="cli._fmt writes numpy scalars with repr, which numpy >= 2 prints as "
+    "np.float64(...) (grad_sq_weighted); the fix changes the CSV bytes the benchmark's "
+    "reference digests pin",
+)
+def test_run_csv_cells_are_numbers(tmp_path):
+    cfg_path = write_json(tmp_path / "cfg.json", base_config(iterations=5, seeds=(0,)))
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    for csv_path in (tmp_path / "out").glob("*.csv"):
+        for line in csv_path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                if cell:
+                    float(cell)
+
+
 def test_run_invalid_config_field_path(tmp_path, capsys):
     cfg = base_config()
     del cfg["seeds"]
@@ -576,6 +592,42 @@ def test_cost_command(tmp_path, capsys):
     assert payload["total"] == pytest.approx(
         payload["iterations"] * payload["expected_iteration_cost"], rel=1e-9
     )
+
+
+RPT3 = {"kind": "rpt", "p": [0.5, 0.3, 0.2]}
+TABLE3 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]]).to_dict()
+COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
+TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
+COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
+
+
+@pytest.mark.parametrize("command, scheme, table, cost", [
+    ("cost", {"kind": "rpt", "p": 5}, TABLE3, COST3),
+    ("cost", RPT3, {**TABLE3, "l0": 5}, COST3),
+    ("optimal-probs", None, {**TABLE3, "l0": 5}, None),
+    ("optimal-probs", None, TABLE3, {**COST3, "c": 5}),
+    ("cost", {"kind": "epoch_shift", "b": 3, "alpha": 0.5}, TABLE3, COST3),
+    ("cost", {"kind": "rpt", "p": [0.5, 0.5]}, TABLE3, COST2),
+    ("cost", RPT3, TABLE2, COST3),
+    ("cost", {"kind": "partitioned_submodel", "blocks": [[1], [2]], "p": [0.5, 0.5]},
+     cm.SmoothnessTable(cm.TableMode.PARTITION, 3, {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
+     .to_dict(), COST2),
+], ids=["scheme_p_not_a_list", "table_l0_not_a_list", "optimal_probs_table_l0_not_a_list",
+        "optimal_probs_cost_c_not_a_list", "epoch_shift_scheme", "scheme_2_table_3",
+        "scheme_3_table_2", "partition_scheme_2_table_3"])
+def test_table_commands_bad_input_exit_2(tmp_path, capsys, command, scheme, table, cost):
+    argv = [command, "--table", write_json(tmp_path / "t.json", table)]
+    if scheme is not None:
+        argv += ["--scheme", write_json(tmp_path / "s.json", scheme)]
+    if cost is not None:
+        argv += ["--cost", write_json(tmp_path / "c.json", cost)]
+    if command == "optimal-probs" and cost is not None:
+        argv += ["--regime", "l0l1-eps"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error: " in lines[0]
 
 
 def test_verify_command_geometry(tmp_path, capsys):

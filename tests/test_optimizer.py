@@ -229,18 +229,16 @@ def test_run_horizon_schedule_parameters():
             assert rep.applied[i] == pytest.approx(t_expected)
 
 
-def test_run_momentum_init_grad_vs_zeros():
+def test_run_radius_policies_start_momentum_at_gradient():
     rng = np.random.default_rng(13)
     prob = scalar_quadratic(rng)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    shared = dict(x0=x0, noise=None)
-    r_grad = op.run(prob, sp.FullNetwork(3), op.FixedRadius((0.1,) * 3, beta=0.0), 1, 0,
-                    momentum_init="grad", **shared)
-    r_zero = op.run(prob, sp.FullNetwork(3), op.FixedRadius((0.1,) * 3, beta=0.0), 1, 0,
-                    momentum_init="zeros", **shared)
-    # beta = 0 keeps the initial momentum: grad-init moves, zero-init is degenerate
-    assert r_grad.f_final != r_zero.f_final
-    assert all(r.degenerate == frozenset({1, 2, 3}) for r in r_zero.reports)
+    _, grads = prob.value_and_grad(x0)
+    # beta = 0 keeps M0: without noise the one step is the LMO step along the gradient at x0
+    res = op.run(prob, sp.FullNetwork(3), op.FixedRadius((0.1,) * 3, beta=0.0), 1, 0, x0=x0)
+    for x, x_start, grad in zip(res.model.layers, x0, grads):
+        np.testing.assert_allclose(x, x_start - 0.1 * grad / np.linalg.norm(grad), atol=1e-15)
+    assert res.reports[0].degenerate == frozenset()
 
 
 def test_run_requires_table_for_det_policies():
@@ -255,7 +253,7 @@ def test_run_requires_table_for_det_policies():
 
 def test_theory_weights_hand_example():
     table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]])
-    tw = op.theory_weights((0.5, 0.5), table, "smooth")
+    tw = cm.theory_weights((0.5, 0.5), table, "smooth")
     np.testing.assert_allclose(tw.w, [0.25, 0.375], atol=1e-15)
     assert tw.mean == pytest.approx(0.3125)
 
@@ -265,19 +263,29 @@ def test_theory_weights_l0l1_vertex_recovers_inverse_l1():
         [[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]],
         [[2.0], [4.0, 1.0], [5.0, 2.0, 1.0]],
     )
-    tw = op.theory_weights((1.0, 0.0, 0.0), table, "l0l1")
+    tw = cm.theory_weights((1.0, 0.0, 0.0), table, "l0l1")
     np.testing.assert_allclose(tw.w, [1 / 2.0, 1 / 4.0, 1 / 5.0], atol=1e-15)
 
 
 def test_theory_weights_zero_p1_errors():
     table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="layer 1 never updated"):
-        op.theory_weights((0.0, 1.0), table, "smooth")
+        cm.theory_weights((0.0, 1.0), table, "smooth")
+
+
+@pytest.mark.parametrize("regime", ["smooth", "l0l1", "stochastic"])
+@pytest.mark.parametrize("p", [(0.5, 0.5), (0.4, 0.3, 0.2, 0.1)])
+def test_theory_weights_need_one_cutoff_probability_per_layer(regime, p):
+    table = cm.SmoothnessTable.from_rpt_rows(
+        [[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]], [[2.0], [4.0, 1.0], [5.0, 2.0, 1.0]]
+    )
+    with pytest.raises(ValueError, match=f"p has {len(p)} entries, the table has 3 layers"):
+        cm.theory_weights(p, table, regime)
 
 
 def test_theory_weights_stochastic():
     table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]])
-    tw = op.theory_weights((0.5, 0.5), table, "stochastic", eta=(2.0, 1.0))
+    tw = cm.theory_weights((0.5, 0.5), table, "stochastic", eta=(2.0, 1.0))
     np.testing.assert_allclose(tw.w, [1.0, 1.0], atol=1e-15)
 
 
@@ -288,7 +296,7 @@ def test_horizon_eta_caps_match_direct_formula():
     )
     p = np.array([0.5, 0.3, 0.2])
     horizon = 16
-    caps = op.horizon_eta_caps(tuple(p), table, horizon)
+    caps = cm.horizon_eta_caps(tuple(p), table, horizon)
     assert caps.shape == (3,)
     assert np.all(caps <= 1.0) and np.all(caps > 0.0)
     # direct evaluation of min{horizon term, sampling term, 1}
@@ -308,15 +316,15 @@ def test_horizon_eta_caps_match_direct_formula():
         [[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]],
         [[5.0], [8.0, 4.0], [12.0, 9.0, 5.0]],
     )
-    assert np.all(op.horizon_eta_caps(tuple(p), table_big, horizon) <= caps + 1e-15)
+    assert np.all(cm.horizon_eta_caps(tuple(p), table_big, horizon) <= caps + 1e-15)
 
 
 def test_l0l1_iterations_positive_and_monotone_in_eps():
     table = cm.SmoothnessTable.from_rpt_rows(
         [[1.0], [1.0, 0.5]], [[2.0], [4.0, 1.0]]
     )
-    k1 = op.l0l1_iterations((0.5, 0.5), table, delta0=1.0, eps=1e-1)
-    k2 = op.l0l1_iterations((0.5, 0.5), table, delta0=1.0, eps=1e-2)
+    k1 = cm.l0l1_iterations((0.5, 0.5), table, delta0=1.0, eps=1e-1)
+    k2 = cm.l0l1_iterations((0.5, 0.5), table, delta0=1.0, eps=1e-2)
     assert 0 < k1 < k2
 
 
@@ -349,12 +357,6 @@ def test_run_newton_schulz_backend_close_to_svd():
     for a, b in zip(exact.model.layers, approx.model.layers):
         assert np.max(np.abs(a - b)) <= 0.05  # same direction up to iteration error
     assert approx.f_final < prob.value_and_grad(x0)[0]  # still makes progress
-
-
-def test_horizon_schedule_rejects_zero_momentum_init():
-    prob = scalar_quadratic(np.random.default_rng(18))
-    with pytest.raises(ValueError, match="gradient momentum initialization"):
-        op.run(prob, sp.FullNetwork(3), op.HorizonSchedule(), 5, 0, momentum_init="zeros")
 
 
 def test_stoch_step_unit_beta_zero_noise_momentum_is_exact_gradient():

@@ -1,5 +1,7 @@
 """Sampling distributions: closed-form marginals vs enumeration and Monte Carlo."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droptrain import costmodel as cm
 from droptrain import sampling as sp
 
 
@@ -79,9 +82,12 @@ def test_partition_must_cover():
 
 
 def test_rpt_zero_p1_flagged_not_rejected():
+    # a valid scheme for the cost tools; the rate weights flag the layer it never updates
     scheme = sp.Rpt((0.0, 1.0))
-    assert sp.scheme_flags(scheme)
-    assert sp.scheme_flags(sp.Rpt((1.0, 0.0))) == []
+    np.testing.assert_array_equal(sp.marginals(scheme)[0], [0.0, 1.0])
+    table = cm.SmoothnessTable.from_rpt_rows([[1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="layer 1 never updated"):
+        cm.theory_weights(scheme.p, table, "smooth")
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +201,18 @@ def test_rpt_f_nondecreasing_ends_at_one():
 # ---------------------------------------------------------------------------
 
 def test_support_full_network():
-    assert sp.support(sp.FullNetwork(3)) == [frozenset({1, 2, 3})]
+    assert sp.distribution(sp.FullNetwork(3)) == {frozenset({1, 2, 3}): 1.0}
 
 
 def test_support_rpt_drops_zero_cutoffs():
-    assert sp.support(sp.Rpt((0.5, 0.0, 0.5))) == [frozenset({1, 2, 3}), frozenset({3})]
+    assert sp.distribution(sp.Rpt((0.5, 0.0, 0.5))) == {
+        frozenset({1, 2, 3}): 0.5, frozenset({3}): 0.5,
+    }
 
 
 def test_support_partitioned():
-    scheme = sp.PartitionedSubmodel((frozenset({1, 3}), frozenset({2})), (0.5, 0.5))
-    assert sp.support(scheme) == [frozenset({1, 3}), frozenset({2})]
+    scheme = sp.PartitionedSubmodel((frozenset({1, 3}), frozenset({2})), (0.25, 0.75))
+    assert sp.distribution(scheme) == {frozenset({1, 3}): 0.25, frozenset({2}): 0.75}
 
 
 def test_singleton_partition_is_serial_sampling():
@@ -263,15 +271,28 @@ def test_epoch_shift_scheme_materializes_rpt():
     assert scheme.at(1.0).p[-1] > scheme.at(0.0).p[-1]
 
 
-def test_epoch_shift_scheme_roundtrip():
-    scheme = sp.EpochShiftRpt(5, -0.3)
-    assert sp.scheme_from_dict(sp.scheme_to_dict(scheme)) == scheme
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+KINDS = {
+    sp.Rpt: "rpt", sp.TauNice: "tau_nice", sp.TauSubmodel: "tau_submodel",
+    sp.PartitionedSubmodel: "partitioned_submodel", sp.FullNetwork: "full_network",
+    sp.EpochShiftRpt: "epoch_shift",
+}
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
+def config_document(scheme):
+    """The scheme as a JSON config document: its kind plus every dataclass field."""
+    fields = json.loads(json.dumps(dataclasses.asdict(scheme), default=sorted))
+    return {"kind": KINDS[type(scheme)], **fields}
+
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: type(s).__name__)
 def test_scheme_roundtrip(scheme):
-    assert sp.scheme_from_dict(sp.scheme_to_dict(scheme)) == scheme
+    assert sp.scheme_from_dict(config_document(scheme)) == scheme
+
+
+def test_epoch_shift_scheme_roundtrip():
+    scheme = sp.EpochShiftRpt(5, -0.3)
+    assert sp.scheme_from_dict(config_document(scheme)) == scheme
