@@ -766,14 +766,24 @@ def optimal_rpt_probs_l0l1(
     for _ in range(refine_rounds):
         improved = False
         for i in range(b):
-            if best[i] < step - 1e-15:
-                continue
-            for j in range(b):
-                if j == i:
+            # j = b sends the mass to all the other coordinates in proportion
+            # to theirs, which follows a kink of the objective's min where
+            # every pair transfer ascends
+            for j in range(b + 1):
+                # an improving transfer may have drained best[i]: re-check it
+                # for every j, and never move more mass than it holds
+                move = min(step, best[i])
+                if j == i or move <= 0.0:
                     continue
                 cand = best.copy()
-                cand[i] -= step
-                cand[j] += step
+                cand[i] = 0.0
+                if j < b:
+                    cand[j] += move
+                elif cand.sum() > 0.0:
+                    cand += move * cand / cand.sum()
+                else:
+                    continue
+                cand[i] = best[i] - move
                 val = float(_l0l1_objective_grid(cand[None, :], table, cp, regime)[0])
                 if val < best_val:
                     best, best_val, improved = cand, val, True

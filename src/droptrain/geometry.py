@@ -22,11 +22,19 @@ same-shape matrices, which LAPACK factors one matrix at a time exactly as the
 per-matrix calls do, so every result equals the per-matrix one bit for bit.
 They exist because at desk scale the per-call overhead, not the
 factorization, dominates the cost of an SVD.
+
+Every function checks its input once.  The Euclidean ``dual_norm`` and
+``lmo`` check finiteness by the Frobenius norm they compute anyway: a matrix
+with an inf or nan entry always has a non-finite norm, and only then does
+``check_matrix`` scan the entries, to raise its message.  A finite matrix
+whose norm overflows passes that scan, and its infinite norm is returned.
+The other functions scan with ``check_matrix`` first.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,6 +117,21 @@ def check_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_frobenius(m: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """``m`` as a float matrix and its Frobenius norm, raising as ``check_matrix`` does.
+
+    The entries are scanned only when the shape is wrong or the norm is not
+    finite; an overflowing norm of finite entries is returned as it is.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or not a.size:
+        check_matrix(a)  # raises the shape message
+    nrm = np.linalg.norm(a)
+    if not math.isfinite(nrm):
+        check_matrix(a)  # raises on an inf or nan entry
+    return a, nrm
+
+
 def _check_stack(ms) -> np.ndarray:
     """Validate and return ``ms`` as a 3-D float stack of finite same-shape matrices."""
     a = np.asarray(ms, dtype=float)
@@ -145,9 +168,9 @@ def norm(kind: NormKind, m: np.ndarray) -> float:
 
 def dual_norm(kind: NormKind, m: np.ndarray) -> float:
     """Dual norm of ``m``: Frobenius (self-dual) or nuclear (sum of singular values)."""
-    m = check_matrix(m)
     if kind == NormKind.EUCLIDEAN:
-        return float(np.linalg.norm(m))
+        return float(_checked_frobenius(m)[1])
+    m = check_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     return float(s.sum())
 
@@ -160,13 +183,16 @@ def lmo(kind: NormKind, m: np.ndarray, t: float) -> LmoResult:
     the zero matrix is returned with ``degenerate=True`` (a zero step is a
     valid minimizer limit and keeps runs deterministic).
     """
-    m = check_matrix(m)
+    if kind == NormKind.EUCLIDEAN:
+        m, nrm = _checked_frobenius(m)
+    else:
+        m = check_matrix(m)
     if t <= 0.0:
         raise ValueError("lmo radius t must be positive")
     if not m.any():
         return LmoResult(np.zeros_like(m), True)
     if kind == NormKind.EUCLIDEAN:
-        return LmoResult(-(t / np.linalg.norm(m)) * m, False)
+        return LmoResult(-(t / nrm) * m, False)
     u, _, vt = _compact_svd(m)
     return LmoResult(-t * (u @ vt), False)
 

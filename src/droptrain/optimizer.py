@@ -32,6 +32,14 @@ per layer; the values equal the per-layer calls bit for bit.  Euclidean
 layers, spectral layers with no same-shape partner and the Newton-Schulz
 backend stay per layer.
 
+``run`` checks each array once per iteration, by a value it computes anyway:
+a gradient by its dual norm (``_dual_norms``; the Euclidean norm is non-finite
+for any inf or nan entry, and only then does ``geometry.check_matrix`` scan it
+for the message), f by ``math.isfinite``, and an active momentum by its LMO
+call.  The deterministic step therefore moves a Euclidean layer by
+``gamma * grad`` without a second scan, since the Euclidean sharp operator is
+the identity.
+
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, stops with a ValueError naming the iteration
 and the layer when f, a gradient or a step stops being finite, and
@@ -220,7 +228,12 @@ def _apply_det_updates(
     policy: SmoothInverse | GenSmoothInverse,
     table: SmoothnessTable,
 ) -> dict[int, float]:
-    """In-place sharp-operator updates on the active layers; returns stepsizes."""
+    """In-place sharp-operator updates on the active layers; returns stepsizes.
+
+    The Euclidean sharp operator is the identity, so a Euclidean layer moves
+    by ``gamma * grad`` directly; ``_dual_norms`` has already checked that
+    gradient.  Spectral layers take ``geometry.sharp``.
+    """
     key = table.key_for(active)
     applied = {}
     for i in sorted(active):
@@ -231,7 +244,9 @@ def _apply_det_updates(
         if denom <= 0.0:
             raise ValueError(f"non-positive stepsize denominator for layer {i}")
         gamma = 1.0 / denom
-        model.layers[i - 1] -= gamma * geometry.sharp(model.norms[i - 1], grads[i - 1])
+        kind = model.norms[i - 1]
+        sharp = grads[i - 1] if kind == NormKind.EUCLIDEAN else geometry.sharp(kind, grads[i - 1])
+        model.layers[i - 1] -= gamma * sharp
         applied[i] = gamma
     return applied
 

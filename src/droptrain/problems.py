@@ -83,8 +83,9 @@ class SeparableQuadratic:
         grads = []
         for x, a, w in zip(layers, self.targets, self.weights):
             e = x - a
-            val += 0.5 * float(np.sum(w * e * e))
-            grads.append(w * e)
+            we = w * e
+            val += 0.5 * float((we * e).sum())
+            grads.append(we)
         return val, grads
 
     def layer_l0(self, i: int) -> float:

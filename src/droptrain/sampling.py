@@ -17,14 +17,19 @@ Five families ship:
 Sampling draws from a caller-supplied ``numpy.random.Generator``; the
 ``stream`` helper derives independent, replayable generators from a base seed
 via SeedSequence spawn keys (documented rule: ``stream(seed, run, k)`` is the
-generator for iteration k of run ``run``).
+generator for iteration k of run ``run``).  The schemes that draw an index
+from a probability vector (``Rpt``, ``TauSubmodel``, ``PartitionedSubmodel``)
+build its CDF once, at construction, and ``sample`` draws with
+``Generator.choice``'s own arithmetic on it (one uniform double, a
+right-sided search), so every draw equals ``rng.choice(len(p), p=p)``
+without re-validating ``p`` on each call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -59,14 +64,29 @@ def _check_prob_vector(p, name: str = "p") -> tuple[float, ...]:
     return p
 
 
+def _cdf(p: tuple[float, ...]) -> np.ndarray:
+    """The CDF ``Generator.choice`` builds from ``p`` on every call, built once."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """0-based index drawn exactly as ``rng.choice(len(p), p=p)`` draws it."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass(frozen=True)
 class Rpt:
     """Randomized progressive training: cutoff s ~ p, active set {s, ..., b}."""
 
     p: tuple[float, ...]
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_prob_vector(self.p))
+        object.__setattr__(self, "cdf", _cdf(self.p))
 
     @property
     def b(self) -> int:
@@ -92,11 +112,13 @@ class TauSubmodel:
     b: int
     tau: int
     p: tuple[float, ...]
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.tau <= self.b:
             raise ValueError(f"need 1 <= tau <= b, got tau={self.tau}, b={self.b}")
         object.__setattr__(self, "p", _check_prob_vector(self.p))
+        object.__setattr__(self, "cdf", _cdf(self.p))
         if len(self.p) != self.b - self.tau + 1:
             raise ValueError(
                 f"p must have length b - tau + 1 = {self.b - self.tau + 1}, got {len(self.p)}"
@@ -109,11 +131,13 @@ class PartitionedSubmodel:
 
     blocks: tuple[frozenset[int], ...]
     p: tuple[float, ...]
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(frozenset(int(i) for i in blk) for blk in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "p", _check_prob_vector(self.p))
+        object.__setattr__(self, "cdf", _cdf(self.p))
         if len(self.p) != len(blocks):
             raise ValueError("p must have one entry per block")
         if any(len(blk) == 0 for blk in blocks):
@@ -188,7 +212,7 @@ def sample(scheme: SamplingScheme, rng: np.random.Generator) -> frozenset[int]:
     if isinstance(scheme, FullNetwork):
         return frozenset(range(1, scheme.b + 1))
     if isinstance(scheme, Rpt):
-        s = int(rng.choice(scheme.b, p=np.asarray(scheme.p))) + 1
+        s = _draw(scheme.cdf, rng) + 1
         return frozenset(range(s, scheme.b + 1))
     if isinstance(scheme, TauNice):
         # Partial Fisher-Yates: exactly uniform over size-tau subsets, O(b).
@@ -198,10 +222,10 @@ def sample(scheme: SamplingScheme, rng: np.random.Generator) -> frozenset[int]:
             ids[j], ids[k] = ids[k], ids[j]
         return frozenset(ids[: scheme.tau])
     if isinstance(scheme, TauSubmodel):
-        s = int(rng.choice(len(scheme.p), p=np.asarray(scheme.p))) + 1
+        s = _draw(scheme.cdf, rng) + 1
         return frozenset(range(s, s + scheme.tau))
     if isinstance(scheme, PartitionedSubmodel):
-        k = int(rng.choice(len(scheme.p), p=np.asarray(scheme.p)))
+        k = _draw(scheme.cdf, rng)
         return scheme.blocks[k]
     raise TypeError(f"unknown scheme {scheme!r}")
 

@@ -5,10 +5,13 @@ nuclear norm, and random sampling of the sharp operator's defining argmax.
 The stacked spectral primitives are pinned to the per-matrix ones exactly.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from droptrain import geometry as g
 
@@ -137,6 +140,76 @@ def test_sharp_spectral_diag_matches_sampled_argmax():
 
 def test_sharp_zero():
     np.testing.assert_array_equal(g.sharp(SPEC, np.zeros((2, 3))), np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the Euclidean dual norm and LMO check finiteness by the norm they compute
+# ---------------------------------------------------------------------------
+
+def checked_euclidean_dual_norm(m):
+    """The Euclidean dual norm computed after a full check_matrix scan."""
+    return float(np.linalg.norm(g.check_matrix(m)))
+
+
+def checked_euclidean_lmo(m, t):
+    """The Euclidean LMO computed after a full check_matrix scan."""
+    m = g.check_matrix(m)
+    if not m.any():
+        return np.zeros_like(m), True
+    return -(t / np.linalg.norm(m)) * m, False
+
+
+# zero, subnormal, tiny (the squared norm underflows to 0 while entries do
+# not), unit, huge (the norm overflows to inf while entries stay finite)
+SCALES = (0.0, 5e-324, 1e-300, 1e-170, 1.0, 1e150, 1e170, 1e300)
+
+
+@st.composite
+def finite_matrices(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6))
+    if draw(st.booleans()):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        return draw(hnp.arrays(np.float64, shape, elements=finite))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw(st.sampled_from(SCALES)) * rng.standard_normal(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_matrices(), st.floats(1e-3, 1e3))
+def test_euclidean_dual_norm_and_lmo_equal_the_checked_calls(m, t):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        assert g.dual_norm(EUC, m) == checked_euclidean_dual_norm(m)
+        res = g.lmo(EUC, m, t)
+        step, degenerate = checked_euclidean_lmo(m, t)
+    assert res.degenerate == degenerate
+    np.testing.assert_array_equal(res.step, step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_euclidean_dual_norm_and_lmo_reject_non_finite_entries(bad):
+    m = np.ones((3, 2))
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        g.dual_norm(EUC, m)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        g.lmo(EUC, m, 1.0)
+
+
+@pytest.mark.parametrize("m", [np.zeros((0, 2)), np.ones(3), np.ones((1, 2, 2))])
+def test_euclidean_dual_norm_and_lmo_reject_non_matrices(m):
+    message = re.escape(f"expected a 2-D matrix with positive dims, got shape {m.shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.dual_norm(EUC, m)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.lmo(EUC, m, 1.0)
+
+
+def test_euclidean_dual_norm_of_finite_entries_may_overflow():
+    # finite entries pass the check; the norm itself overflows, and the
+    # caller (optimizer.run) names the layer whose dual norm is inf
+    m = np.full((2, 2), 1e200)
+    with np.errstate(over="ignore"):
+        assert g.dual_norm(EUC, m) == np.inf
 
 
 # ---------------------------------------------------------------------------

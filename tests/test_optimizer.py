@@ -3,6 +3,9 @@ rate weights."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geometry import finite_matrices
 
 from droptrain import costmodel as cm
 from droptrain import geometry as g
@@ -624,18 +627,19 @@ def test_run_overflowing_momentum_norm_names_iteration_and_layer():
         )
 
 
-class InfGradientAfterFirstStep(CountingProblem):
-    """Finite f everywhere; the gradients of layers ``bad`` are infinite from x_1 on."""
+class BadGradientAfterFirstStep(CountingProblem):
+    """Finite f everywhere; the gradients of layers ``bad`` are all ``fill`` from x_1 on."""
 
-    def __init__(self, inner, bad=(2,)):
+    def __init__(self, inner, bad=(2,), fill=np.inf):
         super().__init__(inner)
         self.bad = bad
+        self.fill = fill
 
     def value_and_grad(self, layers):
         f, grads = super().value_and_grad(layers)
         if self.calls > 1:
             for i in self.bad:
-                grads[i - 1] = np.full_like(grads[i - 1], np.inf)
+                grads[i - 1] = np.full_like(grads[i - 1], self.fill)
         return f, grads
 
 
@@ -647,9 +651,143 @@ def test_run_non_finite_gradient_names_iteration_and_layer(policy):
         ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
     ):
         op.run(
-            InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
+            BadGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
             x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
         )
+
+
+@pytest.mark.parametrize("norm", [EUC, SPEC])
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+def test_run_nan_gradient_names_iteration_and_layer(policy, norm):
+    rng = np.random.default_rng(21)
+    inner = scalar_quadratic(rng)
+    norms = [norm] * 3
+    with pytest.raises(
+        ValueError, match="^iteration 1: layer 2: gradient: matrix entries must be finite$"
+    ):
+        op.run(
+            BadGradientAfterFirstStep(inner, fill=np.nan), sp.Rpt((0.5, 0.3, 0.2)), policy, 4,
+            0, norms=norms, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
+            table=table_for(inner, norms),
+        )
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+def test_run_finite_gradient_with_overflowing_norm_names_iteration_and_layer(policy):
+    # the entries pass the finiteness check; the Euclidean dual norm is inf
+    rng = np.random.default_rng(21)
+    inner = scalar_quadratic(rng)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^iteration 1: layer 2: gradient dual norm is inf$"
+    ):
+        op.run(
+            BadGradientAfterFirstStep(inner, fill=1e200), sp.FullNetwork(3), policy, 4, 0,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+        )
+
+
+@pytest.mark.parametrize(
+    "fill, message",
+    [
+        (np.nan, "layer 2: momentum: matrix entries must be finite"),
+        (np.inf, "layer 2: momentum: matrix entries must be finite"),
+        (1e200, r"layer 2: the radius-0.1 step vanished for a non-zero momentum "
+                r"\(its norm overflows\)"),
+    ],
+)
+def test_stoch_step_overflowing_euclidean_momentum_names_layer(fill, message):
+    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
+    grads = [np.ones((2, 2)), np.full((2, 2), fill), np.ones((2, 2))]
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], [1.0] * 3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+class FixedGradients:
+    """f = 0 and the same gradients at every point."""
+
+    def __init__(self, grads):
+        self.grads = grads
+        self.b = len(grads)
+        self.shapes = [gr.shape for gr in grads]
+        self.f_star = 0.0
+
+    def value_and_grad(self, layers):
+        return 0.0, self.grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(finite_matrices(), min_size=1, max_size=3),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1e3),
+    st.booleans(),
+)
+def test_run_det_update_equals_the_checked_sharp_step(grads, l0, l1, generalized):
+    # a Euclidean layer moves by gamma * grad, bit for bit the step through
+    # geometry.sharp (the identity behind a check_matrix scan)
+    b = len(grads)
+    x0 = [np.full_like(gr, 0.5) for gr in grads]
+    table = cm.SmoothnessTable(
+        cm.TableMode.RPT_CUTOFF, b, {(i, 1): l0 for i in range(1, b + 1)},
+        {(i, 1): l1 for i in range(1, b + 1)},
+    )
+    policy = op.GenSmoothInverse() if generalized else op.SmoothInverse()
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(np.linalg.norm(gr)) for gr in grads]
+        if not all(np.isfinite(norms)):
+            first = next(i for i, n in enumerate(norms, start=1) if not np.isfinite(n))
+            with pytest.raises(
+                ValueError, match=f"^iteration 0: layer {first}: gradient dual norm is inf$"
+            ):
+                op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, x0=x0, table=table)
+            return
+        res = op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, x0=x0, table=table)
+        for i, (x, gr, dn) in enumerate(zip(x0, grads, norms), start=1):
+            gamma = 1.0 / (l0 + l1 * dn) if generalized else 1.0 / l0
+            assert res.reports[0].applied[i] == gamma
+            expected = x.copy()
+            expected -= gamma * g.sharp(EUC, gr)
+            np.testing.assert_array_equal(res.model.layers[i - 1], expected)
+
+
+def test_run_euclidean_det_loop_scans_no_matrix_and_calls_no_choice(monkeypatch):
+    # a SeparableQuadratic run with Euclidean norms, SmoothInverse and Rpt
+    # checks each gradient by its dual norm alone: the only check_matrix calls
+    # are the model's b checks of x0, and no Generator.choice call validates
+    # the cutoff vector again at each draw
+    b = 6
+    rng = np.random.default_rng(31)
+    prob = pb.SeparableQuadratic(
+        [rng.standard_normal((4, 3)) for _ in range(b)], (1.0, 2.0, 1.5, 3.0, 0.5, 1.0)
+    )
+    checks, choices = [], []
+    check_matrix = g.check_matrix
+
+    def counting_check(m):
+        checks.append(None)
+        return check_matrix(m)
+
+    class CountingGenerator(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            choices.append(None)
+            return super().choice(*args, **kwargs)
+
+    monkeypatch.setattr(g, "check_matrix", counting_check)
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed))
+    )
+    sp.stream(0, 1).choice(3)  # the spies are live
+    g.check_matrix(np.ones((1, 1)))
+    assert (len(checks), len(choices)) == (1, 1)
+    checks.clear(), choices.clear()
+    counts = []
+    op.run(
+        prob, sp.Rpt((0.3, 0.2, 0.2, 0.1, 0.1, 0.1)), op.SmoothInverse(), 20, 0,
+        x0=[rng.standard_normal((4, 3)) for _ in range(b)], table=table_for(prob),
+        on_step=lambda k, _model, _r: counts.append((len(checks), len(choices))),
+    )
+    assert counts == [(b, 0)] * 20
 
 
 # the same guards where the failing layers share a stacked SVD with others
@@ -663,7 +801,7 @@ def test_run_non_finite_gradient_in_spectral_group_names_layer(policy):
         ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
     ):
         op.run(
-            InfGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0, norms=norms,
+            BadGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0, norms=norms,
             x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner, norms),
         )
 
@@ -679,7 +817,7 @@ def test_run_two_bad_layers_in_spectral_group_names_lowest(policy):
         ValueError, match="iteration 1: layer 3: gradient: matrix entries must be finite"
     ):
         op.run(
-            InfGradientAfterFirstStep(inner, bad=(4, 3)), sp.FullNetwork(4), policy, 4, 0,
+            BadGradientAfterFirstStep(inner, bad=(4, 3)), sp.FullNetwork(4), policy, 4, 0,
             norms=norms, x0=[rng.standard_normal((2, 2)) for _ in range(4)],
             table=table_for(inner, norms),
         )

@@ -38,9 +38,10 @@ CASES = {
 
 # total_cost: (expected_iteration_cost, iterations, total, min_weight) at eps 1e-2,
 # delta0 2, no ceiling; optimal_l0l1: (p, value, vertex_value, vertex_beaten,
-# first_layer_l1_is_max).  The b = 6 solver vectors hold negative entries: the
-# recorded behaviour of the refinement, kept here so that the merge is checked
-# on its own (see test_l0l1_solver_returns_a_probability_vector).
+# first_layer_l1_is_max).  The b = 6 solver vectors are those of the refinement
+# that re-checks the source mass before every transfer and can also spread it
+# over the other coordinates in proportion; before that fix they held negative
+# entries (see test_l0l1_solver_returns_a_probability_vector).
 PINNED = {1: {'weights_smooth': ([0.25], 0.25),
          'weights_l0l1': ([2.0], 2.0),
          'weights_stochastic': ([0.7], 0.7),
@@ -111,24 +112,24 @@ PINNED = {1: {'weights_smooth': ([0.25], 0.25),
          'l0l1_iterations': 553586,
          'objective_smooth': 45.89000000000001,
          'objective_l0l1_eps': 12.708000000000002,
-         'optimal_l0l1_eps': ([0.36387184688023166,
-                               0.3389298575265068,
-                               -0.008876119341169084,
-                               0.3060902186802456,
+         'optimal_l0l1_eps': ([0.3633699345061751,
+                               0.33846238813353685,
                                0.0,
-                               -1.580374581473214e-05],
-                              9.827788317568578,
+                               0.298167677360288,
+                               0.0,
+                               0.0],
+                              9.85845155932887,
                               16.390000000000004,
                               True,
                               False),
          'objective_l0l1_eps2': 295.04795480946336,
-         'optimal_l0l1_eps2': ([0.3637781143188477,
-                                0.33884239196777355,
-                                -0.007244655064174108,
-                                0.30463286808558876,
+         'optimal_l0l1_eps2': ([0.36336995150355056,
+                                0.3384623713641081,
                                 0.0,
-                                -8.719308035714285e-06],
-                               165.376954546168,
+                                0.29816767713234127,
+                                0.0,
+                                0.0],
+                               166.46257475363262,
                                462.72372655640703,
                                True,
                                False)}}
@@ -197,11 +198,6 @@ def test_optimal_rpt_probs_l0l1_pinned(b, regime):
     assert (sol.vertex_beaten, sol.first_layer_l1_is_max) == (beaten, first_max)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the refinement moves mass out of a coordinate again after an improving "
-    "transfer without re-checking that it still holds a full step, so entries go negative",
-)
 def test_l0l1_solver_returns_a_probability_vector():
     _, table, cp = setup(6)
     sol = cm.optimal_rpt_probs_l0l1(table, cp, "eps")

@@ -141,6 +141,44 @@ def test_sample_determinism_same_stream_path():
     assert a != c
 
 
+def choice_reference(scheme, rng):
+    """The active set ``Generator.choice`` draws for a scheme with a probability vector."""
+    k = int(rng.choice(len(scheme.p), p=np.asarray(scheme.p)))
+    if isinstance(scheme, sp.Rpt):
+        return frozenset(range(k + 1, scheme.b + 1))
+    if isinstance(scheme, sp.TauSubmodel):
+        return frozenset(range(k + 1, k + 1 + scheme.tau))
+    return scheme.blocks[k]
+
+
+CHOICE_SCHEMES = {
+    "rpt-zero-first": sp.Rpt((0.0, 0.3, 0.2, 0.5)),
+    "rpt-zero-last": sp.Rpt((0.4, 0.35, 0.25, 0.0)),
+    "rpt-zeros-both-ends": sp.Rpt((0.0, 0.0, 1.0, 0.0)),
+    "tau-submodel-zeros-both-ends": sp.TauSubmodel(6, 3, (0.0, 0.3, 0.7, 0.0)),
+    "partitioned-zero-first": sp.PartitionedSubmodel(
+        (frozenset({2}), frozenset({1, 4}), frozenset({3, 5})), (0.0, 0.6, 0.4)
+    ),
+    "partitioned-zero-last": sp.PartitionedSubmodel(
+        (frozenset({1, 2}), frozenset({3}), frozenset({4})), (0.9, 0.1, 0.0)
+    ),
+    **{
+        f"epoch-shift-at-{progress}": sp.EpochShiftRpt(5, 0.8).at(progress)
+        for progress in (0.0, 0.3, 1.0)
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", CHOICE_SCHEMES.values(), ids=CHOICE_SCHEMES.keys())
+def test_sample_draws_what_generator_choice_draws(scheme):
+    # the cached CDF reproduces Generator.choice draw for draw, and like it
+    # takes one double from the stream, so the noise drawn next is unchanged
+    for k in range(10_000):
+        rng, ref = sp.stream(7, k), sp.stream(7, k)
+        assert sp.sample(scheme, rng) == choice_reference(scheme, ref), k
+        assert rng.random() == ref.random(), k
+
+
 # ---------------------------------------------------------------------------
 # marginals
 # ---------------------------------------------------------------------------
