@@ -743,9 +743,11 @@ def optimal_rpt_probs_l0l1(
     """Best cutoff vector found for the (L0, L1) cost objective.
 
     The reduced program has a nonconvex feasible set, so this runs a
-    deterministic simplex-grid enumeration followed by coordinate-pair mass
-    transfers with a halving step (strict-improvement hill descent).  Results
-    are reproducible and oracle-checkable; limited to b <= 8.
+    deterministic simplex-grid enumeration followed by mass transfers with a
+    halving step (strict-improvement hill descent), from one coordinate to
+    another or to all others in proportion, never more than the source
+    holds, so the result stays on the simplex.  Results are reproducible and
+    oracle-checkable; limited to b <= 8.
     """
     b = table.b
     if b > L0L1_MAX_LAYERS:
