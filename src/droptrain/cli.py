@@ -411,20 +411,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_rows(result, weights, problem) -> list[list]:
+def _csv_rows(result, weights, problem, cost) -> tuple[list[list], float | None]:
+    """The CSV rows, whose ``cum_units`` sum ``iteration_cost`` over the active sets, and that sum.
+
+    Without ``cost`` the cost cells and the sum are None.
+    """
     rows = []
-    cum = 0.0
+    cum = None if cost is None else 0.0
     for r in result.reports:
-        cum += r.cost_units or 0.0
+        units = None
+        if cost is not None:
+            units = costmodel.iteration_cost(r.active, cost)
+            cum += units
         gsq = sum(
             weights[i - 1] * r.grad_dual_norms[i] ** 2 for i in range(1, problem.b + 1)
         )
         row = [r.k, r.f_before, r.f_after, r.f_after - problem.f_star, gsq]
         row += [r.grad_dual_norms[i] for i in range(1, problem.b + 1)]
-        cum_units = cum if r.cost_units is not None else None
-        row += [min(r.active), r.cost_units, cum_units, r.fwd_macs]
+        row += [min(r.active), units, cum, r.fwd_macs]
         rows.append(row)
-    return rows
+    return rows, cum
 
 
 def _time_to_target(rows, thresholds):
@@ -475,9 +481,8 @@ def cmd_run(args) -> int:
                     result = optimizer.run(
                         problem, variant.scheme, variant.policy, plan.iterations, seed,
                         norms=plan.norms, x0=plan.x0, table=variant.table, noise=plan.noise,
-                        cost_params=plan.cost,
                     )
-                    rows = _csv_rows(result, variant.weights, problem)
+                    rows, cumulative_cost = _csv_rows(result, variant.weights, problem, plan.cost)
             except (KeyError, ValueError) as exc:
                 print(f"run error: variant {variant.name!r}, seed {seed}: {exc}", file=sys.stderr)
                 return 1
@@ -490,7 +495,7 @@ def cmd_run(args) -> int:
                 "initial_f": result.f_initial,
                 "final_f": result.f_final,
                 "final_fgap": result.f_final - problem.f_star,
-                "cumulative_cost": result.cumulative_cost,
+                "cumulative_cost": cumulative_cost,
                 "time_to_target": _time_to_target(rows, plan.targets),
                 "csv": csv_path.name,
             }
@@ -591,7 +596,15 @@ def cmd_optimal_probs(args) -> int:
     return 0
 
 
+def _bad_flag(flag: str, what: str, value) -> int:
+    print(f"error: {flag}: expected {what}, got {value!r}", file=sys.stderr)
+    return 2
+
+
 def cmd_cost(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--delta0", args.delta0)):
+        if not (math.isfinite(value) and value > 0):
+            return _bad_flag(flag, "a finite number > 0", value)
     try:
         scheme = sampling.scheme_from_dict(json.loads(Path(args.scheme).read_text()))
         if isinstance(scheme, sampling.EpochShiftRpt):
@@ -613,6 +626,9 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_marginals(args) -> int:
+    for flag, value, minimum in (("--draws", args.draws, 1), ("--seed", args.seed, 0)):
+        if value < minimum:
+            return _bad_flag(flag, f"an integer >= {minimum}", value)
     try:
         scheme = sampling.scheme_from_dict(json.loads(Path(args.scheme).read_text()))
         if isinstance(scheme, sampling.EpochShiftRpt):
@@ -647,6 +663,8 @@ def cmd_marginals(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        return _bad_flag("--seed", "an integer >= 0", args.seed)
     try:
         results = verify.run_suite(args.suite, seed=args.seed)
     except ValueError as exc:

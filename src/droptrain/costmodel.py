@@ -78,6 +78,9 @@ __all__ = [
 ]
 
 L0L1_MAX_LAYERS = 8  # grid solver limit; use partitioned mode beyond this
+L0L1_GRID_DENOMINATOR = {1: 1, 2: 200, 3: 100, 4: 40, 5: 24, 6: 14, 7: 10, 8: 8}  # by b
+L0L1_REFINE_ROUNDS = 60
+MONOTONICITY_TOL = 1e-12  # a subset's constant may exceed its superset's by this much
 
 
 @dataclass(frozen=True)
@@ -137,25 +140,20 @@ class SmoothnessTable:
     def from_rpt_rows(
         rows_l0: Sequence[Sequence[float]],
         rows_l1: Sequence[Sequence[float]] | None = None,
-        approximate: bool = False,
     ) -> "SmoothnessTable":
         """Build an RPT-cutoff table from rows ``rows[i-1][s-1] = L_{i, {s..b}}``, s <= i."""
-        b = len(rows_l0)
-        l0 = {}
-        for i, row in enumerate(rows_l0, start=1):
-            if len(row) != i:
-                raise ValueError(f"row {i} must list constants for cutoffs 1..{i}")
-            for s, val in enumerate(row, start=1):
-                l0[(i, s)] = float(val)
-        l1 = None
-        if rows_l1 is not None:
-            l1 = {}
-            for i, row in enumerate(rows_l1, start=1):
+        def keyed(rows, name: str) -> dict[tuple[int, int], float]:
+            out = {}
+            for i, row in enumerate(rows, start=1):
                 if len(row) != i:
-                    raise ValueError(f"L1 row {i} must list constants for cutoffs 1..{i}")
+                    raise ValueError(f"{name} {i} must list constants for cutoffs 1..{i}")
                 for s, val in enumerate(row, start=1):
-                    l1[(i, s)] = float(val)
-        return SmoothnessTable(TableMode.RPT_CUTOFF, b, l0, l1, approximate)
+                    out[(i, s)] = float(val)
+            return out
+
+        l0 = keyed(rows_l0, "row")
+        l1 = None if rows_l1 is None else keyed(rows_l1, "L1 row")
+        return SmoothnessTable(TableMode.RPT_CUTOFF, len(rows_l0), l0, l1)
 
     def require(self, i: int, key: int, which: str = "l0") -> float:
         table = self.l0 if which == "l0" else self.l1
@@ -181,7 +179,7 @@ class SmoothnessTable:
                 return k
         raise ValueError(f"active set {sorted(active)} matches no block of the table")
 
-    def monotonicity_violations(self, tol: float = 1e-12) -> list[str]:
+    def monotonicity_violations(self) -> list[str]:
         """Nested-set monotonicity: suffix {s2..b} of {s1..b} cannot have a larger constant."""
         out = []
         if self.mode != TableMode.RPT_CUTOFF:
@@ -190,7 +188,7 @@ class SmoothnessTable:
             for i in range(1, self.b + 1):
                 for s in range(2, i + 1):
                     if (i, s) in table and (i, s - 1) in table:
-                        if table[(i, s)] > table[(i, s - 1)] + tol:
+                        if table[(i, s)] > table[(i, s - 1)] + MONOTONICITY_TOL:
                             out.append(
                                 f"{which}[{i},{{{s}..b}}] > {which}[{i},{{{s - 1}..b}}]"
                             )
@@ -264,11 +262,10 @@ def expected_iteration_cost(scheme: SamplingScheme, cp: CostParams) -> float:
 
 @dataclass(frozen=True)
 class TheoryWeights:
-    """Per-layer rate weights, their mean, and the regime they hold in."""
+    """Per-layer rate weights and their mean."""
 
     w: np.ndarray
     mean: float
-    regime: str
 
 
 def _rpt_matrix(table: SmoothnessTable, which: str = "l0") -> np.ndarray:
@@ -335,7 +332,7 @@ def theory_weights(
         w = np.cumsum(p) * (1.0 if eta is None else np.asarray(eta, dtype=float))
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    return TheoryWeights(_all_updated(w), float(w.mean()), regime)
+    return TheoryWeights(_all_updated(w), float(w.mean()))
 
 
 def smooth_rate_rhs(delta0: float, iterations: int, weights: TheoryWeights) -> float:
@@ -442,7 +439,7 @@ def total_cost(
     dominates; regime selection is the caller's).  ``apply_ceil=False`` skips
     the ceiling for proportionality checks.
     """
-    if eps <= 0.0 or delta0 <= 0.0:
+    if not (0.0 < eps < math.inf and 0.0 < delta0 < math.inf):
         raise ValueError("eps and delta0 must be positive")
     if scheme.b != table.b:
         raise ValueError(f"the scheme has {scheme.b} layers, the table has {table.b}")
@@ -562,7 +559,7 @@ def optimal_partition_probs(
     ``objective='smooth'`` uses L0, ``'l0l1_eps'`` the same closed form with
     L1.  When cost params are supplied the minimal total cost
     2 * sum_k d_k * max_{i in B_k} L_{i,B_k} is returned alongside, with
-    d_k = c_ov + sum_{j >= min B_k} c_j + sum_{j in B_k} c_sharp_j.
+    d_k = iteration_cost(B_k).
     """
     which = "l0" if objective == "smooth" else "l1"
     if objective not in ("smooth", "l0l1_eps"):
@@ -580,10 +577,7 @@ def optimal_partition_probs(
     p = maxes / maxes.sum()
     cost = None
     if cp is not None:
-        d = [
-            cp.c_ov + sum(cp.c[min(blk) - 1 :]) + sum(cp.c_sharp[j - 1] for j in blk)
-            for blk in blocks
-        ]
+        d = [iteration_cost(blk, cp) for blk in blocks]
         cost = 2.0 * float(np.dot(d, maxes))
     return PartitionProbs(p, cost)
 
@@ -729,16 +723,10 @@ class L0L1Probs:
     first_layer_l1_is_max: bool  # L1_{1,[b]} == max_i L1_{i,[b]}
 
 
-def _default_grid_denominator(b: int) -> int:
-    return {1: 1, 2: 200, 3: 100, 4: 40, 5: 24, 6: 14, 7: 10, 8: 8}[b]
-
-
 def optimal_rpt_probs_l0l1(
     table: SmoothnessTable,
     cp: CostParams,
     regime: str = "eps",
-    grid_denominator: int | None = None,
-    refine_rounds: int = 60,
 ) -> L0L1Probs:
     """Best cutoff vector found for the (L0, L1) cost objective.
 
@@ -757,7 +745,7 @@ def optimal_rpt_probs_l0l1(
         )
     if table.l1 is None:
         raise ValueError("table must carry L1 constants")
-    n = grid_denominator or _default_grid_denominator(b)
+    n = L0L1_GRID_DENOMINATOR[b]
     grid = simplex_grid(b, n)
     vals = _l0l1_objective_grid(grid, table, cp, regime)
     best_idx = int(np.argmin(vals))
@@ -765,7 +753,7 @@ def optimal_rpt_probs_l0l1(
     best_val = float(vals[best_idx])
 
     step = 1.0 / n
-    for _ in range(refine_rounds):
+    for _ in range(L0L1_REFINE_ROUNDS):
         improved = False
         for i in range(b):
             # j = b sends the mass to all the other coordinates in proportion

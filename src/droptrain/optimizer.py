@@ -6,7 +6,7 @@
   ``X_i <- X_i - gamma_i * sharp(grad_i)``, with the stepsize taken from the
   layer-wise smoothness constants (plain or gradient-dependent inverse);
 * radius policies take ``stoch_step``, the momentum + LMO step
-  ``M_i <- (1 - beta_i) M_i + beta_i g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
+  ``M_i <- (1 - beta) M_i + beta g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
   every applied update has primal norm exactly t_i.
 
 ``run`` is also the only gradient caller, once per iterate x_0..x_K; that
@@ -41,11 +41,10 @@ call.  The deterministic step therefore moves a Euclidean layer by
 the identity.
 
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
-traces replay bit-identically, stops with a ValueError naming the iteration
-and the layer when f, a gradient or a step stops being finite, and
-accumulates cost-model units when cost parameters are supplied.  The rate
-weights and iteration-count bounds the guarantees are stated with live in
-``costmodel``.
+traces replay bit-identically, and stops with a ValueError naming the
+iteration and the layer when f, a gradient or a step stops being finite.  The
+cost of an active set, and the rate weights and iteration-count bounds the
+guarantees are stated with, live in ``costmodel``.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import costmodel, geometry, problems, sampling
-from .costmodel import CostParams, SmoothnessTable
+from . import geometry, problems, sampling
+from .costmodel import SmoothnessTable
 from .geometry import NormKind
 
 __all__ = [
@@ -107,18 +106,15 @@ class LayerModel:
 
 @dataclass
 class MomentumState:
-    """Per-layer momentum buffers M_i and parameters beta_i in [0, 1]."""
+    """Per-layer momentum buffers M_i and the one parameter beta in [0, 1] they share."""
 
     m: list[np.ndarray]
-    beta: list[float]
+    beta: float
 
     def __post_init__(self):
-        if len(self.m) != len(self.beta):
-            raise ValueError("need one beta per momentum buffer")
-        for bi in self.beta:
-            # beta = 1 is the fresh-gradient endpoint of the convex combination
-            if not 0.0 <= bi <= 1.0:
-                raise ValueError("beta must lie in [0, 1]")
+        # beta = 1 is the fresh-gradient endpoint of the convex combination
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,6 @@ class StepReport:
     grad_dual_norms: dict[int, float] = field(default_factory=dict)
     applied: dict[int, float] = field(default_factory=dict)  # stepsize or radius, active layers
     degenerate: frozenset[int] = frozenset()
-    cost_units: float | None = None
     k: int | None = None
     fwd_macs: int | None = None  # forward MACs of the pass at x_{k+1}, when reported
 
@@ -192,7 +187,6 @@ class RunResult:
     model: LayerModel
     reports: list[StepReport]
     f_final: float
-    cumulative_cost: float | None
     f_initial: float
 
 
@@ -280,9 +274,9 @@ def stoch_step(
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
     order = sorted(active)
+    beta = momentum.beta
     for i in order:
-        bi = momentum.beta[i - 1]
-        momentum.m[i - 1] = (1.0 - bi) * momentum.m[i - 1] + bi * grads[i - 1]
+        momentum.m[i - 1] = (1.0 - beta) * momentum.m[i - 1] + beta * grads[i - 1]
     stacked = {}
     groups = model.spectral_groups if ns_config is None else []
     for group in groups:
@@ -334,7 +328,6 @@ def run(
     x0: Sequence[np.ndarray] | None = None,
     table: SmoothnessTable | None = None,
     noise: problems.NoiseSpec | None = None,
-    cost_params: CostParams | None = None,
     newton_schulz_cfg: geometry.NewtonSchulzConfig | None = None,
     on_step: Callable[[int, LayerModel, StepReport], None] | None = None,
 ) -> RunResult:
@@ -394,10 +387,9 @@ def run(
         radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
     if radii is not None:
         m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
-        momentum = MomentumState([m.copy() for m in m0], [beta] * b)
+        momentum = MomentumState([m.copy() for m in m0], beta)
 
     reports: list[StepReport] = []
-    cumulative = 0.0 if cost_params is not None else None
     for k in range(iterations):
         rng = sampling.stream(seed, k + 1)
         scheme_k = scheme
@@ -423,11 +415,8 @@ def run(
         except (KeyError, ValueError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         report.f_after = f_curr
-        if cost_params is not None:
-            report.cost_units = costmodel.iteration_cost(active, cost_params)
-            cumulative += report.cost_units
         if on_step is not None:
             on_step(k, model, report)
         reports.append(report)
 
-    return RunResult(model, reports, f_curr, cumulative, f_initial)
+    return RunResult(model, reports, f_curr, f_initial)

@@ -111,7 +111,6 @@ class CoupledQuadratic:
         targets: Sequence[np.ndarray],
         curvatures: Sequence[float],
         coupling: float,
-        coupling_maps: Sequence[np.ndarray] | None = None,
         tilt: Sequence[np.ndarray] | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
@@ -121,16 +120,10 @@ class CoupledQuadratic:
             raise ValueError("need one positive curvature per layer")
         self.coupling = float(coupling)
         dims = [a.size for a in self.targets]
-        if coupling_maps is None:
-            rng = rng or np.random.default_rng(0)
-            coupling_maps = [
-                rng.standard_normal((dims[i], dims[i + 1])) for i in range(self.b - 1)
-            ]
+        rng = rng or np.random.default_rng(0)
         self.maps = []
-        for i, r in enumerate(coupling_maps):
-            r = np.asarray(r, dtype=float)
-            if r.shape != (dims[i], dims[i + 1]):
-                raise ValueError(f"coupling map {i} has wrong shape")
+        for i in range(self.b - 1):
+            r = rng.standard_normal((dims[i], dims[i + 1]))
             op = np.linalg.norm(r, 2)
             self.maps.append(r / op if op > 0 else r)
         self.tilt = None
@@ -258,9 +251,11 @@ class TinyMlp:
         n_clusters: int = 3,
         activation: str = "tanh",
         seed: int = 0,
-        weight_scale: float = 0.5,
     ) -> "TinyMlp":
-        """Hermetic instance: Gaussian-cluster inputs and targets from the seed."""
+        """Hermetic instance: Gaussian-cluster inputs and targets from the seed.
+
+        Layer l's weights are 0.5 * N(0, 1) / sqrt(fan-in).
+        """
         rng = np.random.default_rng(seed)
         d0, dout = layer_sizes[0], layer_sizes[-1]
         centers = rng.standard_normal((n_clusters, d0)) * 2.0
@@ -268,7 +263,7 @@ class TinyMlp:
         x = centers[labels].T + 0.3 * rng.standard_normal((d0, n_samples))
         y = rng.standard_normal((n_clusters, dout))[labels].T
         weights = [
-            weight_scale
+            0.5
             * rng.standard_normal((layer_sizes[l + 1], layer_sizes[l]))
             / np.sqrt(layer_sizes[l])
             for l in range(len(layer_sizes) - 1)
@@ -383,7 +378,6 @@ def smoothness_constants(
     norms: Sequence[NormKind],
     with_l1_zeros: bool = False,
     secant_samples: int = 200,
-    secant_seed: int = 0,
 ) -> SmoothnessTable:
     """Layer-wise constants for the sets the scheme can activate.
 
@@ -428,7 +422,7 @@ def smoothness_constants(
                 l0[(i, key)] = problem.layer_l0(i, active) * spectral_factor[i - 1]
     elif isinstance(problem, TinyMlp):
         approximate = True
-        est = _mlp_secant_estimates(problem, secant_samples, secant_seed)
+        est = _mlp_secant_estimates(problem, secant_samples)
         for key, active in keyed_sets.items():
             for i in active:
                 l0[(i, key)] = est[i - 1] * spectral_factor[i - 1]
@@ -439,13 +433,13 @@ def smoothness_constants(
     return SmoothnessTable(mode, b, l0, l1, approximate)
 
 
-def _mlp_secant_estimates(mlp: TinyMlp, samples: int, seed: int) -> np.ndarray:
+def _mlp_secant_estimates(mlp: TinyMlp, samples: int) -> np.ndarray:
     """Per-layer curvature upper estimates from random secants around the weights.
 
-    Single-layer perturbations only; a 1.5x safety factor absorbs the sampling
-    gap.  Upper estimate, not a certificate.
+    Single-layer perturbations only, drawn from seed 0; a 1.5x safety factor
+    absorbs the sampling gap.  Upper estimate, not a certificate.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     est = np.zeros(mlp.b)
     base = [w.copy() for w in mlp.weights]
     for _ in range(samples):

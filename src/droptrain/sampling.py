@@ -16,8 +16,10 @@ Five families ship:
 
 Sampling draws from a caller-supplied ``numpy.random.Generator``; the
 ``stream`` helper derives independent, replayable generators from a base seed
-via SeedSequence spawn keys (documented rule: ``stream(seed, run, k)`` is the
-generator for iteration k of run ``run``).  The schemes that draw an index
+via SeedSequence spawn keys.  ``optimizer.run`` follows one rule:
+``stream(seed, 0)`` feeds initialization and ``stream(seed, k + 1)`` feeds
+iteration k, which draws its active set before its gradient noise, so any
+iteration replays from (seed, k) alone.  The schemes that draw an index
 from a probability vector (``Rpt``, ``TauSubmodel``, ``PartitionedSubmodel``)
 build its CDF once, at construction, and ``sample`` draws with
 ``Generator.choice``'s own arithmetic on it (one uniform double, a
@@ -53,14 +55,14 @@ __all__ = [
 PROB_SUM_TOL = 1e-12
 
 
-def _check_prob_vector(p, name: str = "p") -> tuple[float, ...]:
+def _check_prob_vector(p) -> tuple[float, ...]:
     p = tuple(float(x) for x in p)
     if len(p) == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise ValueError("p must be non-empty")
     if any(x < 0.0 for x in p):
-        raise ValueError(f"{name} must be non-negative")
+        raise ValueError("p must be non-negative")
     if abs(sum(p) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}, got {sum(p)}")
+        raise ValueError(f"p must sum to 1 within {PROB_SUM_TOL}, got {sum(p)}")
     return p
 
 
@@ -196,13 +198,13 @@ SamplingScheme = Union[Rpt, TauNice, TauSubmodel, PartitionedSubmodel, FullNetwo
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Replayable generator for a (run, iteration, ...) coordinate.
+    """Replayable generator for the spawn-key ``path`` under ``seed``.
 
-    ``stream(seed)`` is the root; ``stream(seed, r)`` the per-run stream;
-    ``stream(seed, r, k)`` the per-iteration stream of run r.  Distinct paths
-    give statistically independent streams (SeedSequence spawn keys), so any
-    iteration can be replayed bit-identically without replaying its
-    predecessors.
+    Distinct paths give statistically independent streams (SeedSequence spawn
+    keys).  ``optimizer.run`` draws initialization from ``stream(seed, 0)``
+    and iteration k -- its active set, then its gradient noise -- from
+    ``stream(seed, k + 1)``, so any iteration replays bit-identically without
+    replaying its predecessors.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 

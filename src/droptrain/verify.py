@@ -57,37 +57,31 @@ def _check(name: str, passed, **detail) -> CheckResult:
 # Random instance generators (shared by suites and tests)
 # ---------------------------------------------------------------------------
 
-def random_rpt_table(
-    rng: np.random.Generator, b: int, low: float = 0.2, high: float = 3.0
-) -> SmoothnessTable:
+def random_rpt_table(rng: np.random.Generator, b: int) -> SmoothnessTable:
     """Random cutoff-keyed L0 table satisfying nested-set monotonicity.
 
-    Row i is drawn and sorted decreasing in the cutoff s, so shrinking the
-    active set never increases a constant.
+    Row i is drawn from U(0.2, 3) and sorted decreasing in the cutoff s, so
+    shrinking the active set never increases a constant.
     """
-    rows = [np.sort(rng.uniform(low, high, size=i))[::-1].tolist() for i in range(1, b + 1)]
+    rows = [np.sort(rng.uniform(0.2, 3.0, size=i))[::-1].tolist() for i in range(1, b + 1)]
     return SmoothnessTable.from_rpt_rows(rows)
 
 
 def random_l1_rpt_table(
-    rng: np.random.Generator,
-    b: int,
-    first_layer_max: bool,
-    margin: float = 0.1,
+    rng: np.random.Generator, b: int, first_layer_max: bool
 ) -> SmoothnessTable:
     """Random (L0, L1) table controlling whether L1_{1,[b]} is the row-1 maximum.
 
-    ``first_layer_max=True`` makes L1_{1,[b]} exceed every other full-network
-    constant by at least ``margin`` relatively; False caps it at least
-    ``margin`` below the maximum.
+    ``first_layer_max=True`` makes L1_{1,[b]} at least 1.1 times every other
+    full-network constant; False makes it at most their maximum / 1.1.
     """
     rows0 = [np.sort(rng.uniform(0.2, 3.0, size=i))[::-1].tolist() for i in range(1, b + 1)]
     rows1 = [np.sort(rng.uniform(0.5, 2.0, size=i))[::-1].tolist() for i in range(2, b + 1)]
     other_max = max(row[0] for row in rows1)
     if first_layer_max:
-        first = other_max * (1.0 + margin) * float(rng.uniform(1.0, 1.5))
+        first = other_max * 1.1 * float(rng.uniform(1.0, 1.5))
     else:
-        first = other_max / (1.0 + margin) * float(rng.uniform(0.4, 1.0))
+        first = other_max / 1.1 * float(rng.uniform(0.4, 1.0))
     return SmoothnessTable.from_rpt_rows(rows0, [[first]] + rows1)
 
 
@@ -99,8 +93,8 @@ def random_cost_params(rng: np.random.Generator, b: int) -> CostParams:
     )
 
 
-def _random_matrix(rng, max_dim=6):
-    return rng.standard_normal((int(rng.integers(1, max_dim + 1)), int(rng.integers(1, max_dim + 1))))
+def _random_matrix(rng):
+    return rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +137,13 @@ def geometry_suite(seed: int = 0, n_matrices: int = 1000, tol: float = 1e-9):
     return results
 
 
-def _stacked_spectral_check(rng: np.random.Generator, n_stacks: int = 200) -> CheckResult:
+def _stacked_spectral_check(rng: np.random.Generator) -> CheckResult:
     """Stacked nuclear norms and LMO steps equal the per-matrix calls exactly.
 
-    Each random same-shape stack may hold a zero (degenerate) and a rank-one
-    member; the tolerance is zero.
+    Each of 200 random same-shape stacks may hold a zero (degenerate) and a
+    rank-one member; the tolerance is zero.
     """
+    n_stacks = 200
     mismatches = 0
     for _ in range(n_stacks):
         m_dim, n_dim = (int(d) for d in rng.integers(1, 13, size=2))
@@ -211,8 +206,9 @@ def _marginal_check(name, scheme, draws, seed):
     return _check(f"sampling/marginals/{name}", ok, draws=draws, worst_z=worst_z)
 
 
-def sampling_suite(seed: int = 0, draws: int = 100_000):
+def sampling_suite(seed: int = 0):
     """Monte Carlo marginals vs closed forms (3-sigma binomial), plus structure checks."""
+    draws = 100_000
     rng = np.random.default_rng(seed)
     p6 = rng.uniform(0.2, 1.0, size=6)
     p6 /= p6.sum()
@@ -269,15 +265,15 @@ def sampling_suite(seed: int = 0, draws: int = 100_000):
 # descent suite (deterministic path)
 # ---------------------------------------------------------------------------
 
-def _weighted_quadratic(rng, b=3, shape=(2, 2), l_values=(1.0, 2.0, 1.5)):
-    """Separable quadratic whose per-layer curvature spectrum spans [L/4, L]."""
+def _weighted_quadratic(rng):
+    """Three 2x2 separable layers whose curvature spectra span [L/4, L], L = 1, 2, 1.5."""
     weights = []
     targets = []
-    for li in l_values:
-        w = np.exp(rng.uniform(np.log(li / 4.0), np.log(li), size=shape))
+    for li in (1.0, 2.0, 1.5):
+        w = np.exp(rng.uniform(np.log(li / 4.0), np.log(li), size=(2, 2)))
         w.flat[0] = li  # pin the max so the table constant is exact
         weights.append(w)
-        targets.append(rng.standard_normal(shape))
+        targets.append(rng.standard_normal((2, 2)))
     return problems.SeparableQuadratic(targets, weights)
 
 
@@ -292,7 +288,8 @@ def rate_check_setup(seed: int = 0):
     return prob, scheme, table, norms, x0
 
 
-def descent_suite(seed: int = 0, iterations: int = 300):
+def descent_suite(seed: int = 0):
+    iterations = 300
     results = []
     prob, scheme, table, norms, x0 = rate_check_setup(seed)
 
@@ -338,7 +335,7 @@ def descent_suite(seed: int = 0, iterations: int = 300):
     t = 0.1
     model_a = optimizer.LayerModel([x.copy() for x in x0], norms)
     _, grads = prob.value_and_grad(model_a.layers)
-    momentum = optimizer.MomentumState([np.zeros_like(g) for g in grads], [1.0] * prob.b)
+    momentum = optimizer.MomentumState([np.zeros_like(g) for g in grads], 1.0)
     optimizer.stoch_step(
         model_a, grads, momentum, frozenset(range(1, prob.b + 1)), [t] * prob.b
     )
@@ -353,8 +350,9 @@ def descent_suite(seed: int = 0, iterations: int = 300):
     return results
 
 
-def _prefix_reuse_check(seed: int, iterations: int = 30) -> CheckResult:
+def _prefix_reuse_check(seed: int) -> CheckResult:
     """A run's prefix-reusing TinyMlp passes equal fresh ``value_and_grad`` calls exactly."""
+    iterations = 30
     seen = []  # (problem, layers, f, gradients) of every pass
     for activation in ("tanh", "relu"):
         mlp = problems.TinyMlp.synthetic([4, 6, 6, 5, 3], 12, activation=activation, seed=seed)
@@ -645,11 +643,11 @@ def cost_ratio_check(seed: int = 0, n_rpt_seeds: int = 5) -> CheckResult:
     def cost_to_target(scheme, run_seed):
         res = optimizer.run(
             prob, scheme, optimizer.SmoothInverse(), 2000, run_seed,
-            norms=norms, x0=[x.copy() for x in x0], table=table, cost_params=cp,
+            norms=norms, x0=[x.copy() for x in x0], table=table,
         )
         cum = 0.0
         for r in res.reports:
-            cum += r.cost_units
+            cum += costmodel.iteration_cost(r.active, cp)
             if r.f_after - prob.f_star <= target:
                 return cum
         raise RuntimeError("target not reached within the iteration budget")
@@ -718,9 +716,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     # (c) every applied stochastic update has primal norm exactly t_i
     qprob, scheme, _table, norms, x0 = rate_check_setup(seed + 2)
     model = optimizer.LayerModel([v.copy() for v in x0], norms)
-    momentum = optimizer.MomentumState(
-        [np.zeros(s) for s in qprob.shapes], [0.7] * qprob.b
-    )
+    momentum = optimizer.MomentumState([np.zeros(s) for s in qprob.shapes], 0.7)
     radii = [0.05, 0.1, 0.2]
     worst = 0.0
     for k in range(100):
@@ -748,7 +744,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     model = optimizer.LayerModel([v.copy() for v in x0], norms)
     f, grads = qprob.value_and_grad(model.layers)
     momentum = optimizer.MomentumState(
-        problems.stoch_grad(grads, noise, sampling.stream(run_seed, 0)), [0.4] * qprob.b
+        problems.stoch_grad(grads, noise, sampling.stream(run_seed, 0)), 0.4
     )
     violations = []
     for k in range(150):

@@ -73,6 +73,51 @@ def test_run_k0_header_only(tmp_path):
     assert summary["variants"]["full"]["0"]["initial_f"] > 0
 
 
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_run_cost_units_and_their_running_sum(tmp_path):
+    cfg = base_config(iterations=25, seeds=(0,))
+    cfg["cost"] = {"c_ov": 0.3, "c": [1.1, 0.7, 2.3], "c_sharp": [0.1, 0.2, 0.3]}
+    cp = cm.CostParams.from_dict(cfg["cost"])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_json(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for variant in ("full", "rpt"):
+        rows = read_csv(out / f"{variant}_seed0.csv")
+        cum = 0.0
+        for row in rows:
+            units = cm.iteration_cost(frozenset(range(int(row["active_min"]), 4)), cp)
+            cum += units
+            assert float(row["cost_units"]) == units
+            assert float(row["cum_units"]) == cum
+        assert summary["variants"][variant]["0"]["cumulative_cost"] == float(rows[-1]["cum_units"])
+    assert len({row["active_min"] for row in read_csv(out / "rpt_seed0.csv")}) > 1
+
+
+@pytest.mark.parametrize("iterations, with_cost, expected", [
+    (0, True, 0.0), (0, False, None), (5, False, None),
+], ids=["k0_with_cost", "k0_without_cost", "k5_without_cost"])
+def test_run_cumulative_cost_without_iterations_or_cost(tmp_path, iterations, with_cost,
+                                                        expected):
+    cfg = base_config(iterations=iterations, seeds=(0,), targets=())
+    if not with_cost:
+        del cfg["cost"]
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_json(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for variant in ("full", "rpt"):
+        total = summary["variants"][variant]["0"]["cumulative_cost"]
+        assert total == expected and type(total) is type(expected)
+        for row in read_csv(out / f"{variant}_seed0.csv"):
+            assert row["cost_units"] == row["cum_units"] == ""
+
+
 def test_run_byte_identical_reruns(tmp_path):
     cfg_path = write_json(tmp_path / "cfg.json", base_config(iterations=15, seeds=(2,)))
     cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])
@@ -599,6 +644,30 @@ TABLE3 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]]).
 COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
 TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
 COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
+
+
+@pytest.mark.parametrize("command, flags, flag", [
+    ("marginals", ["--draws", "0"], "--draws"),
+    ("marginals", ["--draws", "-5"], "--draws"),
+    ("cost", ["--delta0", "inf"], "--delta0"),
+    ("cost", ["--eps", "inf"], "--eps"),
+    ("cost", ["--eps", "nan"], "--eps"),
+    ("marginals", ["--seed", "-1"], "--seed"),
+    ("verify", ["--seed", "-1"], "--seed"),
+], ids=["draws_0", "draws_negative", "delta0_inf", "eps_inf", "eps_nan", "marginals_seed_negative",
+        "verify_seed_negative"])
+def test_numeric_flags_refused_with_exit_2(tmp_path, capsys, command, flags, flag):
+    argv = [command, "--scheme", write_json(tmp_path / "s.json", RPT3)]
+    if command == "verify":
+        argv = [command, "--suite", "sampling"]
+    if command == "cost":
+        argv += ["--table", write_json(tmp_path / "t.json", TABLE3),
+                 "--cost", write_json(tmp_path / "c.json", COST3)]
+    assert cli.main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: ")
 
 
 @pytest.mark.parametrize("command, scheme, table, cost", [

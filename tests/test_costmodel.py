@@ -334,6 +334,15 @@ def test_total_cost_degenerate_rpt_equals_full():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("eps, delta0", [
+    (math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0), (1e-3, math.inf), (1e-3, math.nan), (1e-3, -1.0),
+])
+def test_total_cost_refuses_non_positive_or_non_finite_eps_and_delta0(eps, delta0):
+    table = verify.random_rpt_table(np.random.default_rng(10), 3)
+    with pytest.raises(ValueError, match="eps and delta0 must be positive"):
+        cm.total_cost(sp.Rpt((0.5, 0.3, 0.2)), CP3, table, eps, "smooth", delta0=delta0)
+
+
 def test_total_cost_zero_weight_layer_errors():
     table = verify.random_rpt_table(np.random.default_rng(10), 3)
     with pytest.raises(ValueError, match="layer 1 never updated"):
