@@ -16,19 +16,25 @@ mutated.  Spectral quantities use full SVD (matrices here are desk-scale);
 ``newton_schulz`` provides the cheaper approximate orthogonalization used by
 Muon-style optimizers and is exposed separately so tests can pin the SVD path.
 
-``nuclear_norms`` and ``spectral_lmos`` are the stacked forms of the spectral
-``dual_norm`` and ``lmo``: one ``np.linalg.svd`` call over a stack of
-same-shape matrices, which LAPACK factors one matrix at a time exactly as the
-per-matrix calls do, so every result equals the per-matrix one bit for bit.
-They exist because at desk scale the per-call overhead, not the
-factorization, dominates the cost of an SVD.
+``dual_norms``, ``lmos`` and ``sharps`` are the stacked forms of ``dual_norm``,
+``lmo`` and ``sharp``: they take a stack of same-shape matrices, shape
+(n, m, k), and return stacked results that equal the per-matrix calls bit
+for bit.  A spectral stack takes one ``np.linalg.svd`` call, which LAPACK
+factors one matrix at a time exactly as the per-matrix calls do, and its
+LMO or sharp step takes one stacked ``u @ vt`` when no member needs rank
+truncation.  A Euclidean stack takes each member's Frobenius norm as the
+same BLAS dot product ``np.linalg.norm`` uses.  They exist because at desk
+scale the per-call overhead, not the arithmetic, dominates.  A member that
+fails the per-matrix check raises ``MemberError``: the per-matrix message,
+plus the index of the lowest failing member.
 
-Every function checks its input once.  The Euclidean ``dual_norm`` and
-``lmo`` check finiteness by the Frobenius norm they compute anyway: a matrix
-with an inf or nan entry always has a non-finite norm, and only then does
-``check_matrix`` scan the entries, to raise its message.  A finite matrix
-whose norm overflows passes that scan, and its infinite norm is returned.
-The other functions scan with ``check_matrix`` first.
+Every function checks its input once.  The Euclidean dual norms and LMOs
+check finiteness by the Frobenius norms they compute anyway: a matrix with
+an inf or nan entry always has a non-finite norm, and only then are its
+entries scanned, to raise the message.  A finite matrix whose norm
+overflows passes that scan, and its infinite norm is returned.  The other
+functions scan the entries first.  An LMO radius must be positive and
+finite.
 """
 
 from __future__ import annotations
@@ -44,13 +50,15 @@ __all__ = [
     "NormKind",
     "NewtonSchulzConfig",
     "LmoResult",
+    "MemberError",
     "check_matrix",
     "norm",
     "dual_norm",
     "lmo",
-    "nuclear_norms",
-    "spectral_lmos",
     "sharp",
+    "dual_norms",
+    "lmos",
+    "sharps",
     "newton_schulz",
     "NEWTON_SCHULZ_QUINTIC",
     "NEWTON_SCHULZ_CUBIC",
@@ -101,10 +109,25 @@ class NewtonSchulzConfig:
 
 
 class LmoResult(NamedTuple):
-    """An LMO step plus a degeneracy flag (set when the input was zero)."""
+    """An LMO step plus a degeneracy flag (set when the input was zero).
+
+    The stacked ``lmos`` return an (n, m, k) step and an (n,) flag array.
+    """
 
     step: np.ndarray
-    degenerate: bool
+    degenerate: bool | np.ndarray
+
+
+class MemberError(ValueError):
+    """A member of a stack failed the per-matrix check; ``member`` is its index.
+
+    The message is the per-matrix one, so a caller can name the member in
+    its own terms.
+    """
+
+    def __init__(self, member: int, message: str) -> None:
+        super().__init__(message)
+        self.member = member
 
 
 def check_matrix(m: np.ndarray) -> np.ndarray:
@@ -115,6 +138,10 @@ def check_matrix(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _bad_radius(t: float) -> str:
+    return f"lmo radius t must be positive and finite, got {t}"
 
 
 def _checked_frobenius(m: np.ndarray) -> tuple[np.ndarray, np.float64]:
@@ -132,14 +159,53 @@ def _checked_frobenius(m: np.ndarray) -> tuple[np.ndarray, np.float64]:
     return a, nrm
 
 
-def _check_stack(ms) -> np.ndarray:
-    """Validate and return ``ms`` as a 3-D float stack of finite same-shape matrices."""
+def _stack(ms) -> np.ndarray:
+    """``ms`` as a 3-D float stack of matrices with positive dims (it may hold none)."""
     a = np.asarray(ms, dtype=float)
-    if a.ndim != 3 or 0 in a.shape:
-        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    if a.ndim != 3 or 0 in a.shape[1:]:
+        raise ValueError(f"expected a stack of 2-D matrices, got shape {a.shape}")
     return a
+
+
+def _members(a: np.ndarray) -> np.ndarray:
+    """A stack as an (n, m * k) array, one member per row (a view of a contiguous stack)."""
+    return a.reshape(len(a), a.shape[1] * a.shape[2])
+
+
+def _nonzero_members(a: np.ndarray) -> np.ndarray:
+    return np.logical_or.reduce(_members(a), axis=1)
+
+
+def _raise_first_failure(bad_entries: list[bool], t: list[float] | None = None) -> None:
+    """Raise ``MemberError`` for the lowest member with a non-finite entry or a bad radius.
+
+    A member is checked as the per-matrix call checks it: entries, then radius.
+    """
+    for j, bad in enumerate(bad_entries):
+        if bad:
+            raise MemberError(j, "matrix entries must be finite")
+        if t is not None and not 0.0 < t[j] < math.inf:
+            raise MemberError(j, _bad_radius(t[j]))
+
+
+def _scan_entries(a: np.ndarray) -> list[bool]:
+    """Per member: does it hold an inf or nan entry?"""
+    return (~np.logical_and.reduce(np.isfinite(_members(a)), axis=1)).tolist()
+
+
+def _frobenius_norms(a: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Each member's Frobenius norm, and whether it holds an inf or nan entry.
+
+    A norm is the same BLAS dot product ``np.linalg.norm`` takes; only the
+    members whose norm is not finite are scanned.
+    """
+    rows = _members(a)
+    nrm = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(len(a)))
+    bad = [
+        not math.isfinite(v) and not np.isfinite(rows[j]).all()
+        for j, v in enumerate(nrm.tolist())
+    ]
+    return nrm, bad
 
 
 def _compact_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,6 +221,34 @@ def _truncate(
         return u[:, :0], s[:0], vt[:0, :]
     keep = s > RANK_TOL * s[0]
     return u[:, keep], s[keep], vt[keep, :]
+
+
+def _polar_stack(a: np.ndarray, nonzero: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """``c_j * U_j V_j^T`` for each ``nonzero`` member of ``a``, zero for the others.
+
+    ``c_j`` is ``-t[j]`` (the LMO step) or, without ``t``, the sum of the kept
+    singular values (the sharp operator).  One compact SVD covers the
+    non-zero members; when none needs rank truncation one stacked ``u @ vt``
+    follows, else each member is truncated as ``_truncate`` does it.
+    """
+    if not nonzero.any():
+        return np.zeros_like(a)
+    every = nonzero.all()
+    u, s, vt = np.linalg.svd(a if every else a[nonzero], full_matrices=False)
+    neg_t = None if t is None else -(t if every else t[nonzero])
+    if all(lo > RANK_TOL * hi for hi, lo in zip(s[:, 0].tolist(), s[:, -1].tolist())):
+        c = s.sum(axis=-1) if t is None else neg_t
+        polar = c[:, None, None] * (u @ vt)
+    else:
+        polar = np.empty((len(s),) + a.shape[1:])
+        for j, factors in enumerate(zip(u, s, vt)):
+            uj, sj, vtj = _truncate(*factors)
+            polar[j] = (float(sj.sum()) if t is None else neg_t[j]) * (uj @ vtj)
+    if every:
+        return polar
+    out = np.zeros_like(a)
+    out[nonzero] = polar
+    return out
 
 
 def norm(kind: NormKind, m: np.ndarray) -> float:
@@ -187,47 +281,14 @@ def lmo(kind: NormKind, m: np.ndarray, t: float) -> LmoResult:
         m, nrm = _checked_frobenius(m)
     else:
         m = check_matrix(m)
-    if t <= 0.0:
-        raise ValueError("lmo radius t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(_bad_radius(t))
     if not m.any():
         return LmoResult(np.zeros_like(m), True)
     if kind == NormKind.EUCLIDEAN:
         return LmoResult(-(t / nrm) * m, False)
     u, _, vt = _compact_svd(m)
     return LmoResult(-t * (u @ vt), False)
-
-
-def nuclear_norms(ms) -> np.ndarray:
-    """Nuclear norms of a stack of same-shape matrices, from one SVD call.
-
-    Entry j equals ``dual_norm(SPECTRAL, ms[j])`` exactly.
-    """
-    return np.linalg.svd(_check_stack(ms), compute_uv=False).sum(axis=-1)
-
-
-def spectral_lmos(ms, t) -> list[LmoResult]:
-    """Spectral-norm LMOs of a stack of same-shape matrices at radii ``t``.
-
-    Result j equals ``lmo(SPECTRAL, ms[j], t[j])`` exactly.  The non-zero
-    matrices share one compact SVD call; each is rank-truncated as ``lmo``
-    does it.  Zero matrices stay out of that call and come back degenerate.
-    """
-    a = _check_stack(ms)
-    t = [float(x) for x in t]
-    if len(t) != len(a):
-        raise ValueError("need one lmo radius per matrix")
-    if any(tj <= 0.0 for tj in t):
-        raise ValueError("lmo radius t must be positive")
-    nonzero = a.any(axis=(1, 2))
-    factors = zip(*np.linalg.svd(a[nonzero], full_matrices=False)) if nonzero.any() else None
-    out = []
-    for j, is_nonzero in enumerate(nonzero.tolist()):
-        if is_nonzero:
-            u, _, vt = _truncate(*next(factors))
-            out.append(LmoResult(-t[j] * (u @ vt), False))
-        else:
-            out.append(LmoResult(np.zeros_like(a[j]), True))
-    return out
 
 
 def sharp(kind: NormKind, m: np.ndarray) -> np.ndarray:
@@ -244,6 +305,51 @@ def sharp(kind: NormKind, m: np.ndarray) -> np.ndarray:
         return np.zeros_like(m)
     u, s, vt = _compact_svd(m)
     return float(s.sum()) * (u @ vt)
+
+
+def dual_norms(kind: NormKind, ms) -> np.ndarray:
+    """Dual norms of a stack of same-shape matrices; entry j equals ``dual_norm(kind, ms[j])``.
+
+    The spectral stack takes one values-only SVD call.
+    """
+    a = _stack(ms)
+    if kind == NormKind.EUCLIDEAN:
+        nrm, bad = _frobenius_norms(a)
+        _raise_first_failure(bad)
+        return nrm
+    _raise_first_failure(_scan_entries(a))
+    return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+
+
+def lmos(kind: NormKind, ms, t) -> LmoResult:
+    """LMOs of a stack of same-shape matrices at radii ``t``, one per matrix.
+
+    Step j and flag j equal ``lmo(kind, ms[j], t[j])``.  Zero matrices come
+    back degenerate with a zero step and stay out of the spectral SVD.
+    """
+    a = _stack(ms)
+    t = np.asarray(t, dtype=float)
+    if t.shape != (len(a),):
+        raise ValueError("need one lmo radius per matrix")
+    nonzero = _nonzero_members(a)
+    if kind == NormKind.EUCLIDEAN:
+        nrm, bad = _frobenius_norms(a)
+        _raise_first_failure(bad, t.tolist())
+        step = -np.divide(t, nrm, out=np.zeros_like(nrm), where=nonzero)[:, None, None] * a
+        if not nonzero.all():
+            step[~nonzero] = 0.0  # +0, as lmo returns for a zero matrix
+        return LmoResult(step, ~nonzero)
+    _raise_first_failure(_scan_entries(a), t.tolist())
+    return LmoResult(_polar_stack(a, nonzero, t), ~nonzero)
+
+
+def sharps(kind: NormKind, ms) -> np.ndarray:
+    """Sharp operators of a stack of same-shape matrices; member j equals ``sharp(kind, ms[j])``."""
+    a = _stack(ms)
+    _raise_first_failure(_scan_entries(a))
+    if kind == NormKind.EUCLIDEAN:
+        return a.copy()
+    return _polar_stack(a, _nonzero_members(a))
 
 
 def newton_schulz(m: np.ndarray, cfg: NewtonSchulzConfig = NewtonSchulzConfig()) -> np.ndarray:

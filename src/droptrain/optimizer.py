@@ -24,21 +24,27 @@ beta meaning slow incorporation of fresh gradients: the horizon schedule sets
 beta = (K+1)^{-1/2}, which only makes sense under this parametrization (the
 mainstream Muon convention is the mirror image).
 
-Spectral layers of one shape form a group (``LayerModel.spectral_groups``,
-worked out once when ``run`` builds its model).  The dual norms of a group's
-gradients, and the SVD-LMO steps of its active layers, each take one stacked
-SVD (``geometry.nuclear_norms``, ``geometry.spectral_lmos``) instead of one
-per layer; the values equal the per-layer calls bit for bit.  Euclidean
-layers, spectral layers with no same-shape partner and the Newton-Schulz
-backend stay per layer.
+Every layer is a member of exactly one ``LayerGroup``: the layers that share
+its shape and norm kind, worked out once when ``run`` builds its model.
+``LayerModel`` stores each group as one contiguous (n, m, k) array, and
+``model.layers[i - 1]`` is a view of layer i's row: update it in place and
+never rebind it.  ``MomentumState`` stores its buffers the same way.  Each
+per-iteration operation runs once per group, not once per layer: the
+gradient dual norms (``geometry.dual_norms``), the momentum update, the LMO
+or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
+update.  Under RPT the active members of a group are a suffix of it, so
+this is one slice per stack; other schemes gather and scatter.  A group of
+one is a stack of one.  The results equal the per-layer calls bit for bit.
+Only the Newton-Schulz backend orthogonalizes member by member.
 
 ``run`` checks each array once per iteration, by a value it computes anyway:
 a gradient by its dual norm (``_dual_norms``; the Euclidean norm is non-finite
-for any inf or nan entry, and only then does ``geometry.check_matrix`` scan it
-for the message), f by ``math.isfinite``, and an active momentum by its LMO
-call.  The deterministic step therefore moves a Euclidean layer by
+for any inf or nan entry, and only then are its entries scanned for the
+message), f by ``math.isfinite``, and an active momentum by its LMO call.
+The deterministic step therefore moves a Euclidean group by
 ``gamma * grad`` without a second scan, since the Euclidean sharp operator is
-the identity.
+the identity.  A failure names the lowest-numbered failing layer, across
+groups.
 
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, and stops with a ValueError naming the
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +67,7 @@ from .costmodel import SmoothnessTable
 from .geometry import NormKind
 
 __all__ = [
+    "LayerGroup",
     "LayerModel",
     "MomentumState",
     "SmoothInverse",
@@ -75,17 +83,51 @@ __all__ = [
 INIT_STREAM = 0  # stream(seed, 0) feeds initialization; iteration k uses stream(seed, k + 1)
 
 
+@dataclass(frozen=True)
+class LayerGroup:
+    """The layers of one shape and one norm kind: 1-based ``members``, ascending."""
+
+    kind: NormKind
+    members: tuple[int, ...]
+
+    def active_rows(self, active: frozenset[int]) -> tuple[slice | list[int], list[int]]:
+        """The rows of the active members in the group's stack, and their layers.
+
+        The rows are a slice when they are consecutive, as a suffix ``{s..b}``
+        always is; otherwise a list, which gathers and scatters.
+        """
+        rows = [j for j, i in enumerate(self.members) if i in active]
+        layers = [self.members[j] for j in rows]
+        if rows and rows[-1] - rows[0] == len(rows) - 1:
+            return slice(rows[0], rows[-1] + 1), layers
+        return rows, layers
+
+
+def _stack_rows(arrays: list[np.ndarray], groups: list[LayerGroup]) -> list[np.ndarray]:
+    """Copy ``arrays`` into one (n, m, k) stack per group and rebind them to its rows."""
+    stacks = []
+    for group in groups:
+        stack = np.array([arrays[i - 1] for i in group.members], dtype=float)
+        for i, row in zip(group.members, stack):
+            arrays[i - 1] = row
+        stacks.append(stack)
+    return stacks
+
+
 @dataclass
 class LayerModel:
     """Ordered layer matrices plus each layer's norm choice; shapes are fixed.
 
-    ``spectral_groups`` lists the 1-based indices of spectral layers that
-    share a shape, in ascending groups of two or more.
+    Every layer belongs to exactly one ``LayerGroup``: the layers that share
+    its shape and norm kind.  ``stacks[g]`` holds group g's members as the
+    rows of one (n, m, k) array, and ``layers[i - 1]`` is a view of layer
+    i's row, so update a layer in place and never rebind it.
     """
 
     layers: list[np.ndarray]
     norms: list[NormKind]
-    spectral_groups: list[list[int]] = field(init=False, repr=False)
+    groups: list[LayerGroup] = field(init=False, repr=False)
+    stacks: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layers = [geometry.check_matrix(x) for x in self.layers]
@@ -93,11 +135,11 @@ class LayerModel:
             raise ValueError("need one norm kind per layer")
         if not self.layers:
             raise ValueError("at least one layer required")
-        by_shape: dict[tuple[int, ...], list[int]] = {}
+        members: dict[tuple, list[int]] = {}
         for i, (x, kind) in enumerate(zip(self.layers, self.norms), start=1):
-            if kind == NormKind.SPECTRAL:
-                by_shape.setdefault(x.shape, []).append(i)
-        self.spectral_groups = [group for group in by_shape.values() if len(group) > 1]
+            members.setdefault((x.shape, kind), []).append(i)
+        self.groups = [LayerGroup(kind, tuple(ids)) for (_, kind), ids in members.items()]
+        self.stacks = _stack_rows(self.layers, self.groups)
 
     @property
     def b(self) -> int:
@@ -106,15 +148,40 @@ class LayerModel:
 
 @dataclass
 class MomentumState:
-    """Per-layer momentum buffers M_i and the one parameter beta in [0, 1] they share."""
+    """Per-layer momentum buffers M_i and the one parameter beta in [0, 1] they share.
+
+    ``stoch_step`` stores the buffers as one stack per group of its model
+    (``stacks``); ``m[i - 1]`` is then a view of its row, updated in place.
+    """
 
     m: list[np.ndarray]
     beta: float
+    _groups: list[LayerGroup] | None = field(default=None, init=False, repr=False)
+    _stacks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
+        self.m = list(self.m)
         # beta = 1 is the fresh-gradient endpoint of the convex combination
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
+
+    def stacks(self, model: LayerModel) -> list[np.ndarray]:
+        """The buffers as one stack per group of ``model``, stacked on first use."""
+        if self._groups is not model.groups:
+            if [np.shape(m) for m in self.m] != [x.shape for x in model.layers]:
+                raise ValueError("need one momentum buffer per layer, shaped like the layer")
+            self._stacks = _stack_rows(self.m, model.groups)
+            self._groups = model.groups
+        return self._stacks
+
+
+def _positive_finite(values, name: str) -> tuple[float, ...]:
+    """``values`` as floats, each checked to be positive and finite."""
+    values = tuple(float(v) for v in values)
+    for j, v in enumerate(values):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name}[{j}] must be positive and finite, got {v}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -135,9 +202,7 @@ class FixedRadius:
     beta: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(float(t) for t in self.radii))
-        if any(t <= 0 for t in self.radii):
-            raise ValueError("radii must be positive")
+        object.__setattr__(self, "radii", _positive_finite(self.radii, "radii"))
 
 
 @dataclass(frozen=True)
@@ -151,6 +216,10 @@ class HorizonSchedule:
     """
 
     eta: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.eta is not None:
+            object.__setattr__(self, "eta", _positive_finite(self.eta, "eta"))
 
     def radii(self, b: int, horizon: int) -> np.ndarray:
         eta = np.ones(b) if self.eta is None else np.asarray(self.eta, dtype=float)
@@ -190,43 +259,71 @@ class RunResult:
     f_initial: float
 
 
-def _dual_norms(model: LayerModel, grads: Sequence[np.ndarray]) -> dict[int, float]:
-    """Per-layer gradient dual norms, one stacked SVD per spectral group.
+def _gather(arrays: Sequence[np.ndarray], layers: Sequence[int]) -> np.ndarray:
+    """The arrays of ``layers`` (1-based) copied into one stack."""
+    return np.array([arrays[i - 1] for i in layers], dtype=float)
+
+
+def _until_failure(call, stack: np.ndarray, *per_member: np.ndarray):
+    """``call(stack, *per_member)`` and None; or, when member j fails its check,
+    ``call`` on the members below j and the ``MemberError``.
+
+    So a caller can name the lowest failing member even where a lower one
+    fails a check of the caller's own (a non-finite norm, a vanished step).
+    """
+    try:
+        return call(stack, *per_member), None
+    except geometry.MemberError as exc:
+        j = exc.member
+        return call(stack[:j], *(a[:j] for a in per_member)), exc
+
+
+def _raise_lowest(failures: list[tuple[int, str]]) -> None:
+    """Raise ValueError for the lowest-numbered layer among ``(layer, message)`` failures."""
+    if failures:
+        layer, message = min(failures)
+        raise ValueError(f"layer {layer}: {message}")
+
+
+def _dual_norms(
+    model: LayerModel, grads: Sequence[np.ndarray]
+) -> tuple[dict[int, float], list[np.ndarray]]:
+    """Per-layer gradient dual norms from one stacked call per group, and the gradient stacks.
 
     Raises ValueError naming the lowest-numbered layer whose gradient or dual
     norm is not finite.
     """
-    stacked = {}
-    for group in model.spectral_groups:
-        try:
-            values = geometry.nuclear_norms([grads[i - 1] for i in group])
-            stacked.update(zip(group, values.tolist()))
-        except ValueError:
-            pass  # a member is not finite: the per-layer calls below name the first one
-    out = {}
-    for i, g in enumerate(grads, start=1):
-        try:
-            out[i] = stacked[i] if i in stacked else geometry.dual_norm(model.norms[i - 1], g)
-        except ValueError as exc:
-            raise ValueError(f"layer {i}: gradient: {exc}") from exc
-        if not math.isfinite(out[i]):
-            raise ValueError(f"layer {i}: gradient dual norm is {out[i]}")
-    return out
+    values = [0.0] * model.b
+    stacks, failures = [], []
+    for group in model.groups:
+        g = _gather(grads, group.members)
+        norms, exc = _until_failure(partial(geometry.dual_norms, group.kind), g)
+        norms = norms.tolist()
+        bad = [j for j, value in enumerate(norms) if not math.isfinite(value)]
+        if bad:
+            failures.append((group.members[bad[0]], f"gradient dual norm is {norms[bad[0]]}"))
+        elif exc is not None:
+            failures.append((group.members[exc.member], f"gradient: {exc}"))
+        for i, value in zip(group.members, norms):
+            values[i - 1] = value
+        stacks.append(g)
+    _raise_lowest(failures)
+    return dict(enumerate(values, start=1)), stacks
 
 
 def _apply_det_updates(
     model: LayerModel,
-    grads: Sequence[np.ndarray],
+    grad_stacks: list[np.ndarray],
     dual_norms: dict[int, float],
     active: frozenset[int],
     policy: SmoothInverse | GenSmoothInverse,
     table: SmoothnessTable,
 ) -> dict[int, float]:
-    """In-place sharp-operator updates on the active layers; returns stepsizes.
+    """In-place sharp-operator updates on the active layers, once per group; returns stepsizes.
 
-    The Euclidean sharp operator is the identity, so a Euclidean layer moves
-    by ``gamma * grad`` directly; ``_dual_norms`` has already checked that
-    gradient.  Spectral layers take ``geometry.sharp``.
+    The Euclidean sharp operator is the identity, so a Euclidean group moves
+    by ``gamma * grad`` directly; ``_dual_norms`` has already checked those
+    gradients.  Spectral groups take ``geometry.sharps``.
     """
     key = table.key_for(active)
     applied = {}
@@ -237,12 +334,30 @@ def _apply_det_updates(
             denom = l0 + table.require(i, key, "l1") * dual_norms[i]
         if denom <= 0.0:
             raise ValueError(f"non-positive stepsize denominator for layer {i}")
-        gamma = 1.0 / denom
-        kind = model.norms[i - 1]
-        sharp = grads[i - 1] if kind == NormKind.EUCLIDEAN else geometry.sharp(kind, grads[i - 1])
-        model.layers[i - 1] -= gamma * sharp
-        applied[i] = gamma
+        applied[i] = 1.0 / denom
+    for group, x, g in zip(model.groups, model.stacks, grad_stacks):
+        rows, layers = group.active_rows(active)
+        if not layers:
+            continue
+        step = g[rows]
+        if group.kind != NormKind.EUCLIDEAN:
+            step = geometry.sharps(group.kind, step)
+        x[rows] -= np.array([applied[i] for i in layers])[:, None, None] * step
     return applied
+
+
+def _newton_schulz_lmos(
+    ms: np.ndarray, t: np.ndarray, cfg: geometry.NewtonSchulzConfig
+) -> geometry.LmoResult:
+    """The Newton-Schulz stand-in for ``geometry.lmos`` on a spectral stack, member by member."""
+    step = np.zeros_like(ms)
+    degenerate = ~ms.any(axis=(1, 2))
+    for j in np.flatnonzero(~degenerate).tolist():
+        try:
+            step[j] = -t[j] * geometry.newton_schulz(ms[j], cfg)
+        except ValueError as exc:
+            raise geometry.MemberError(j, str(exc)) from exc
+    return geometry.LmoResult(step, degenerate)
 
 
 def stoch_step(
@@ -253,7 +368,7 @@ def stoch_step(
     radii: Sequence[float],
     ns_config: geometry.NewtonSchulzConfig | None = None,
 ) -> StepReport:
-    """One momentum + LMO step on the active layers.
+    """One momentum + LMO step on the active layers, once per layer group.
 
     For i not active, M_i and X_i are untouched (bit-identical).  For active
     layers the momentum is refreshed from ``grads`` (one stochastic gradient
@@ -261,60 +376,61 @@ def stoch_step(
     i.e. a normalized steepest-descent step of primal norm exactly t_i.  A
     zero refreshed momentum leaves the layer in place and is flagged
     degenerate.  A non-finite momentum, or a step that vanishes for a
-    non-zero momentum (its norm overflows), raises ValueError naming the layer.
+    non-zero momentum (its norm overflows), raises ValueError naming the
+    lowest such layer.
 
-    ``ns_config`` switches spectral-norm layers from the exact-SVD LMO to the
-    Newton-Schulz approximate orthogonalization (the cheap optimizer path; the
-    step norm then only approximates t_i, which is why property tests pin the
-    SVD path).  Without it, the active layers of each spectral group share
-    one stacked SVD; a zero momentum stays out of that stack and is flagged
-    degenerate as above.
+    Each group's active members update as one slice of its momentum and
+    layer stacks (a gather and scatter when they are not consecutive) and
+    take one ``geometry.lmos`` call.  ``ns_config`` switches spectral groups
+    from the exact-SVD LMO to the Newton-Schulz approximate orthogonalization,
+    member by member (the cheap optimizer path; the step norm then only
+    approximates t_i, which is why property tests pin the SVD path).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
-    order = sorted(active)
     beta = momentum.beta
-    for i in order:
-        momentum.m[i - 1] = (1.0 - beta) * momentum.m[i - 1] + beta * grads[i - 1]
-    stacked = {}
-    groups = model.spectral_groups if ns_config is None else []
-    for group in groups:
-        members = [i for i in group if i in active]
-        if len(members) < 2:
+    degenerate, applied, failures = set(), {}, []
+    for group, x, m in zip(model.groups, model.stacks, momentum.stacks(model)):
+        rows, layers = group.active_rows(active)
+        if not layers:
             continue
-        try:
-            results = geometry.spectral_lmos(
-                [momentum.m[i - 1] for i in members], [float(radii[i - 1]) for i in members]
-            )
-            stacked.update(zip(members, results))
-        except ValueError:
-            pass  # a bad momentum or radius: the per-layer calls below name the first one
-    degenerate = set()
-    applied = {}
-    for i in order:
-        m = momentum.m[i - 1]
-        t = float(radii[i - 1])
-        try:
-            if i in stacked:
-                step, is_degenerate = stacked[i]
-            elif ns_config is not None and model.norms[i - 1] == NormKind.SPECTRAL and m.any():
-                step, is_degenerate = -t * geometry.newton_schulz(m, ns_config), False
-            else:
-                step, is_degenerate = geometry.lmo(model.norms[i - 1], m, t)
-        except ValueError as exc:
-            raise ValueError(f"layer {i}: momentum: {exc}") from exc
-        if is_degenerate:
-            degenerate.add(i)
-            continue
-        if not step.any():
-            raise ValueError(
-                f"layer {i}: the radius-{t} step vanished for a non-zero momentum "
-                "(its norm overflows)"
-            )
-        model.layers[i - 1] += step
-        applied[i] = t
-    return StepReport(active=active, applied=applied, degenerate=frozenset(degenerate))
+        m[rows] = (1.0 - beta) * m[rows] + beta * _gather(grads, layers)
+        t = radii[[i - 1 for i in layers]]
+        if ns_config is not None and group.kind == NormKind.SPECTRAL:
+            lmos = partial(_newton_schulz_lmos, cfg=ns_config)
+        else:
+            lmos = partial(geometry.lmos, group.kind)
+        res, exc = _until_failure(lmos, m[rows], t)
+        flags = res.degenerate.tolist()
+        vanished = [
+            j for j, (flag, moved) in enumerate(zip(flags, res.step.any(axis=(1, 2)).tolist()))
+            if not (flag or moved)
+        ]
+        if vanished:
+            j = vanished[0]
+            failures.append((
+                layers[j],
+                f"the radius-{float(t[j])} step vanished for a non-zero momentum "
+                "(its norm overflows)",
+            ))
+        elif exc is not None:
+            failures.append((layers[exc.member], f"momentum: {exc}"))
+        else:
+            step = res.step
+            if True in flags:
+                moved = ~res.degenerate
+                rows, step = np.arange(len(x))[rows][moved], step[moved]
+            x[rows] += step
+            for i, flag, t_i in zip(layers, flags, t.tolist()):
+                if flag:
+                    degenerate.add(i)
+                else:
+                    applied[i] = t_i
+    _raise_lowest(failures)
+    return StepReport(
+        active=active, applied=dict(sorted(applied.items())), degenerate=frozenset(degenerate)
+    )
 
 
 def run(
@@ -357,12 +473,7 @@ def run(
     if scheme.b != b:
         raise ValueError("scheme and problem disagree on layer count")
     norms = list(norms) if norms is not None else [NormKind.EUCLIDEAN] * b
-    layers = (
-        [np.array(x, dtype=float) for x in x0]
-        if x0 is not None
-        else [np.zeros(s) for s in problem.shapes]
-    )
-    model = LayerModel(layers, norms)
+    model = LayerModel(list(x0) if x0 is not None else [np.zeros(s) for s in problem.shapes], norms)
 
     deterministic = isinstance(policy, (SmoothInverse, GenSmoothInverse))
     if deterministic and table is None:
@@ -387,7 +498,7 @@ def run(
         radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
     if radii is not None:
         m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
-        momentum = MomentumState([m.copy() for m in m0], beta)
+        momentum = MomentumState(m0, beta)  # stoch_step copies it into stacks
 
     reports: list[StepReport] = []
     for k in range(iterations):
@@ -397,9 +508,9 @@ def run(
             scheme_k = scheme.at(k / iterations)
         active = sampling.sample(scheme_k, rng)
         try:
-            norms_map = _dual_norms(model, grads)
+            norms_map, grad_stacks = _dual_norms(model, grads)
             if deterministic:
-                applied = _apply_det_updates(model, grads, norms_map, active, policy, table)
+                applied = _apply_det_updates(model, grad_stacks, norms_map, active, policy, table)
                 report = StepReport(active=active, applied=applied)
             else:
                 report = stoch_step(

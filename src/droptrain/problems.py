@@ -17,13 +17,22 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   operations it spends on the rest.  The network keeps no activations of
   its own: the caller that runs the passes (``optimizer.run``) owns them.
 
+The two quadratics evaluate ``value_and_grad`` once per group of layers, not
+once per layer: both stack same-shape layers with their targets (and
+weights), and ``CoupledQuadratic`` stacks the coupling maps between the same
+two layer shapes at construction.  Each keeps the per-layer formula's BLAS
+calls and order of additions, so f and the gradients equal the per-layer
+formulas bit for bit.
+
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
 Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
+It draws the noise of every noisy layer, in layer order, in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +56,36 @@ def _as_layer_list(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.asarray(a, dtype=float) for a in arrays]
 
 
+def _groups_by(keys: Sequence) -> list[list[int]]:
+    """0-based indices grouped by equal key, groups in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _stack_of(arrays: Sequence[np.ndarray], ids: list[int]) -> np.ndarray:
+    """The arrays at the 0-based ``ids`` copied into one float stack."""
+    return np.array([arrays[i] for i in ids], dtype=float)
+
+
+def _row_index(rows: list[int]) -> slice | list[int]:
+    """Rows of a stack as a slice when they are consecutive (a view), else as a list."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``a[j] @ b[j]`` for each row j, each the dot product of two vectors."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a)).tolist()
+
+
+def _check_shapes(layers: Sequence[np.ndarray], shapes: list[tuple[int, int]]) -> None:
+    if [np.shape(x) for x in layers] != shapes:
+        raise ValueError("layer shapes do not match the problem")
+
+
 class SeparableQuadratic:
     """f(X) = sum_i 1/2 <W_i * (X_i - A_i), X_i - A_i> with elementwise weights.
 
@@ -66,6 +105,10 @@ class SeparableQuadratic:
                 raise ValueError("curvatures must be positive")
             self.weights.append(warr)
         self.f_star = 0.0
+        # value_and_grad stacks the layers of one shape with their targets and weights
+        self._groups = _groups_by(self.shapes)
+        self._target_stacks = [_stack_of(self.targets, g) for g in self._groups]
+        self._weight_stacks = [_stack_of(self.weights, g) for g in self._groups]
 
     @property
     def b(self) -> int:
@@ -76,16 +119,23 @@ class SeparableQuadratic:
         return [a.shape for a in self.targets]
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        layers = _as_layer_list(layers)
-        if [x.shape for x in layers] != self.shapes:
-            raise ValueError("layer shapes do not match the problem")
-        val = 0.0
-        grads = []
-        for x, a, w in zip(layers, self.targets, self.weights):
-            e = x - a
+        """f and the per-layer gradients, computed once per group of same-shape layers.
+
+        Each layer's term is summed over its own entries and the terms are
+        added in layer order, so f equals the per-layer sum bit for bit.
+        """
+        _check_shapes(layers, self.shapes)
+        terms = [0.0] * self.b
+        grads = [None] * self.b
+        for group, a, w in zip(self._groups, self._target_stacks, self._weight_stacks):
+            e = _stack_of(layers, group) - a
             we = w * e
-            val += 0.5 * float((we * e).sum())
-            grads.append(we)
+            for i, term, g in zip(group, (we * e).sum(axis=(1, 2)).tolist(), we):
+                terms[i] = term
+                grads[i] = g
+        val = 0.0
+        for term in terms:
+            val += 0.5 * term
         return val, grads
 
     def layer_l0(self, i: int) -> float:
@@ -132,6 +182,30 @@ class CoupledQuadratic:
             if [t.shape for t in self.tilt] != self.shapes:
                 raise ValueError("tilt shapes must match layer shapes")
 
+        # value_and_grad stacks the layers of one shape, as rows of error
+        # vectors, and the maps between the same two layer shapes
+        self._groups = _groups_by(self.shapes)
+        where = {i: (g, row) for g, ids in enumerate(self._groups) for row, i in enumerate(ids)}
+        self._target_rows = [
+            _stack_of(self.targets, ids).reshape(len(ids), -1) for ids in self._groups
+        ]
+        self._curvature_cols = [
+            np.array([self.curvatures[i] for i in ids])[:, None] for ids in self._groups
+        ]
+        self._tilt_rows = None
+        if self.tilt is not None:
+            self._tilt_rows = [
+                _stack_of(self.tilt, ids).reshape(len(ids), -1) for ids in self._groups
+            ]
+        self._map_groups = []
+        for ids in _groups_by([(self.shapes[i], self.shapes[i + 1]) for i in range(self.b - 1)]):
+            left, right = where[ids[0]][0], where[ids[0] + 1][0]
+            self._map_groups.append((
+                ids, np.array([self.maps[i] for i in ids]),
+                left, _row_index([where[i][1] for i in ids]),
+                right, _row_index([where[i + 1][1] for i in ids]),
+            ))
+
         self._hessian = self._assemble_hessian()
         eigmin = float(np.linalg.eigvalsh(self._hessian).min())
         if eigmin < -1e-10:
@@ -164,23 +238,53 @@ class CoupledQuadratic:
         return h
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        layers = _as_layer_list(layers)
-        if [x.shape for x in layers] != self.shapes:
-            raise ValueError("layer shapes do not match the problem")
-        errs = [(x - a).ravel() for x, a in zip(layers, self.targets)]
-        val = 0.5 * sum(self.curvatures[i] * float(e @ e) for i, e in enumerate(errs))
-        gvecs = [self.curvatures[i] * e for i, e in enumerate(errs)]
-        for i, r in enumerate(self.maps):
-            r_next = r @ errs[i + 1]
-            val += self.coupling * float(errs[i] @ r_next)
-            gvecs[i] = gvecs[i] + self.coupling * r_next
-            gvecs[i + 1] = gvecs[i + 1] + self.coupling * (r.T @ errs[i])
-        if self.tilt is not None:
-            for i, t in enumerate(self.tilt):
-                val += float(t.ravel() @ errs[i])
-                gvecs[i] = gvecs[i] + t.ravel()
-        grads = [g.reshape(self.shapes[i]) for i, g in enumerate(gvecs)]
-        return float(val), grads
+        """f and the per-layer gradients, computed once per group of same-shape layers
+        and once per group of coupling maps between the same two layer shapes.
+
+        Each product is the BLAS call of the per-layer formula and each sum
+        runs in its order, so the result equals it bit for bit:
+        f = 1/2 sum_i a_i e_i.e_i, then + coupling e_i.R_i e_{i+1} map by map,
+        then + tilt_i.e_i; grad_i = a_i e_i + coupling R_{i-1}^T e_{i-1}, then
+        + coupling R_i e_{i+1}, then + tilt_i.
+        """
+        _check_shapes(layers, self.shapes)
+        sq = [0.0] * self.b
+        tilt_dots = [0.0] * self.b
+        errs, grads = [], []
+        for g, ids in enumerate(self._groups):
+            e = _stack_of(layers, ids).reshape(len(ids), -1) - self._target_rows[g]
+            for i, v in zip(ids, _row_dots(e, e)):
+                sq[i] = v
+            if self._tilt_rows is not None:
+                for i, v in zip(ids, _row_dots(self._tilt_rows[g], e)):
+                    tilt_dots[i] = v
+            errs.append(e)
+            grads.append(self._curvature_cols[g] * e)
+        val = 0.5 * sum(a * v for a, v in zip(self.curvatures, sq))
+        cross = [0.0] * (self.b - 1)
+        forward = []
+        for ids, r, left, left_rows, right, right_rows in self._map_groups:
+            e_left = errs[left][left_rows]
+            r_next = (r @ errs[right][right_rows][:, :, None])[:, :, 0]
+            for i, v in zip(ids, _row_dots(e_left, r_next)):
+                cross[i] = v
+            r_back = (r.transpose(0, 2, 1) @ e_left[:, :, None])[:, :, 0]
+            grads[right][right_rows] += self.coupling * r_back
+            forward.append((left, left_rows, r_next))
+        for left, left_rows, r_next in forward:
+            grads[left][left_rows] += self.coupling * r_next
+        for v in cross:
+            val += self.coupling * v
+        if self._tilt_rows is not None:
+            for v in tilt_dots:
+                val += v
+            for grad, t in zip(grads, self._tilt_rows):
+                grad += t
+        out = [None] * self.b
+        for ids, grad in zip(self._groups, grads):
+            for i, row in zip(ids, grad.reshape((len(ids),) + self.shapes[ids[0]])):
+                out[i] = row
+        return float(val), out
 
     def block_norm(self, i: int, j: int) -> float:
         """Operator norm of Hessian block (i, j), 1-based."""
@@ -209,8 +313,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("sigmas must be >= 0")
+        for j, sigma in enumerate(self.sigmas):
+            if not 0.0 <= sigma < math.inf:
+                raise ValueError(f"sigmas[{j}] must be finite and >= 0, got {sigma}")
 
 
 class TinyMlp:
@@ -355,20 +460,26 @@ def stoch_grad(
 ) -> list[np.ndarray]:
     """Unbiased stochastic gradient: the exact ``grads`` plus per-layer Gaussian noise.
 
-    Layers are drawn in order from ``rng``; a zero sigma draws nothing and
-    returns that layer's gradient unchanged.
+    One ``standard_normal`` call draws the noise of every layer with a
+    non-zero sigma, in layer order, which gives the same numbers as one call
+    per layer; a zero sigma draws nothing and returns that layer's gradient
+    unchanged.
     """
     if noise is None:
         return list(grads)
     if len(noise.sigmas) != len(grads):
         raise ValueError("need one sigma per layer")
+    sizes = [g.size if sigma else 0 for g, sigma in zip(grads, noise.sigmas)]
+    draws = rng.standard_normal(sum(sizes)) if any(sizes) else None
     out = []
-    for g, sigma in zip(grads, noise.sigmas):
+    start = 0
+    for g, sigma, size in zip(grads, noise.sigmas, sizes):
         if sigma == 0.0:
             out.append(g)
-        else:
-            scale = sigma / np.sqrt(g.size)
-            out.append(g + scale * rng.standard_normal(g.shape))
+            continue
+        z = draws[start : start + size].reshape(g.shape)
+        out.append(g + sigma / math.sqrt(size) * z)
+        start += size
     return out
 
 

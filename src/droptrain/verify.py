@@ -138,13 +138,14 @@ def geometry_suite(seed: int = 0, n_matrices: int = 1000, tol: float = 1e-9):
 
 
 def _stacked_spectral_check(rng: np.random.Generator) -> CheckResult:
-    """Stacked nuclear norms and LMO steps equal the per-matrix calls exactly.
+    """Stacked nuclear norms, LMO steps and sharp operators equal the per-matrix calls exactly.
 
     Each of 200 random same-shape stacks may hold a zero (degenerate) and a
     rank-one member; the tolerance is zero.
     """
     n_stacks = 200
     mismatches = 0
+    spectral = NormKind.SPECTRAL
     for _ in range(n_stacks):
         m_dim, n_dim = (int(d) for d in rng.integers(1, 13, size=2))
         stack = rng.standard_normal((int(rng.integers(2, 7)), m_dim, n_dim))
@@ -154,15 +155,17 @@ def _stacked_spectral_check(rng: np.random.Generator) -> CheckResult:
             stack[int(rng.integers(len(stack)))] = np.outer(
                 rng.standard_normal(m_dim), rng.standard_normal(n_dim)
             )
-        radii = rng.uniform(0.1, 5.0, size=len(stack)).tolist()
-        nuclear = geometry.nuclear_norms(stack)
-        lmos = geometry.spectral_lmos(stack, radii)
-        for m, t, dn, res in zip(stack, radii, nuclear, lmos):
-            ref = geometry.lmo(NormKind.SPECTRAL, m, t)
+        radii = rng.uniform(0.1, 5.0, size=len(stack))
+        nuclear = geometry.dual_norms(spectral, stack)
+        steps, degenerate = geometry.lmos(spectral, stack, radii)
+        sharps = geometry.sharps(spectral, stack)
+        for j, m in enumerate(stack):
+            ref = geometry.lmo(spectral, m, float(radii[j]))
             if (
-                dn != geometry.dual_norm(NormKind.SPECTRAL, m)
-                or res.degenerate != ref.degenerate
-                or not np.array_equal(res.step, ref.step)
+                nuclear[j] != geometry.dual_norm(spectral, m)
+                or degenerate[j] != ref.degenerate
+                or not np.array_equal(steps[j], ref.step)
+                or not np.array_equal(sharps[j], geometry.sharp(spectral, m))
             ):
                 mismatches += 1
     return _check(

@@ -2,7 +2,7 @@
 
 Oracles: power iteration for the spectral norm, explicit SVD sums for the
 nuclear norm, and random sampling of the sharp operator's defining argmax.
-The stacked spectral primitives are pinned to the per-matrix ones exactly.
+The stacked primitives are pinned to the per-matrix ones exactly.
 """
 
 import re
@@ -113,6 +113,16 @@ def test_lmo_zero_is_degenerate():
 def test_lmo_requires_positive_radius():
     with pytest.raises(ValueError):
         g.lmo(EUC, [[1.0]], 0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lmo_rejects_a_radius_that_is_not_positive_and_finite(kind, t):
+    with pytest.raises(ValueError, match=f"^lmo radius t must be positive and finite, got {t}$"):
+        g.lmo(kind, [[1.0, 2.0]], t)
+    with pytest.raises(g.MemberError, match="^lmo radius t must be positive") as info:
+        g.lmos(kind, np.ones((3, 1, 2)), [0.5, t, t])
+    assert info.value.member == 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +270,20 @@ def test_generalized_cauchy_schwarz(seed, kind):
 
 
 # ---------------------------------------------------------------------------
-# stacked spectral primitives: exactly the per-matrix calls
+# stacked primitives: exactly the per-matrix calls
 # ---------------------------------------------------------------------------
 
-def assert_stack_matches_per_matrix(stack, radii):
-    nuclear = g.nuclear_norms(stack)
-    lmos = g.spectral_lmos(stack, radii)
-    assert len(nuclear) == len(lmos) == len(stack)
-    for m, t, dn, res in zip(stack, radii, nuclear, lmos):
-        ref = g.lmo(SPEC, m, t)
-        assert dn == g.dual_norm(SPEC, m)
-        assert res.degenerate == ref.degenerate
-        assert np.array_equal(res.step, ref.step)
+def assert_stack_matches_per_matrix(kind, stack, radii):
+    norms = g.dual_norms(kind, stack)
+    steps, degenerate = g.lmos(kind, stack, radii)
+    sharps = g.sharps(kind, stack)
+    assert len(norms) == len(steps) == len(degenerate) == len(sharps) == len(stack)
+    for j, m in enumerate(stack):
+        ref = g.lmo(kind, m, float(radii[j]))
+        assert norms[j] == g.dual_norm(kind, m)
+        assert degenerate[j] == ref.degenerate
+        np.testing.assert_array_equal(steps[j], ref.step)
+        np.testing.assert_array_equal(sharps[j], g.sharp(kind, m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,28 +300,74 @@ def test_stacked_spectral_matches_per_matrix(seed, m_dim, n_dim, count, with_zer
         stack[j] = rng.standard_normal((m_dim, r)) @ rng.standard_normal((r, n_dim))
     if with_zero:
         stack[int(rng.integers(count))] = 0.0
-    assert_stack_matches_per_matrix(stack, rng.uniform(0.1, 5.0, count).tolist())
+    assert_stack_matches_per_matrix(SPEC, stack, rng.uniform(0.1, 5.0, count))
 
 
-@pytest.mark.parametrize("shape", [(6, 8, 8), (2, 64, 64), (3, 64, 16), (2, 8, 64)])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    st.lists(st.sampled_from(SCALES), min_size=1, max_size=6),
+)
+def test_stacked_euclidean_matches_per_matrix(seed, shape, scales):
+    # SCALES holds a zero member, members whose squared norm underflows and
+    # finite members whose Frobenius norm overflows to inf
+    rng = np.random.default_rng(seed)
+    stack = np.array(scales)[:, None, None] * rng.standard_normal((len(scales),) + shape)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        assert_stack_matches_per_matrix(EUC, stack, rng.uniform(1e-3, 1e3, len(scales)))
+
+
+LAYER_SHAPES = [(6, 8, 8), (2, 64, 64), (3, 64, 16), (2, 8, 64)]
+
+
+@pytest.mark.parametrize("shape", LAYER_SHAPES)
 def test_stacked_spectral_matches_per_matrix_layer_shapes(shape):
     rng = np.random.default_rng(26)
     for _ in range(5):
-        assert_stack_matches_per_matrix(rng.standard_normal(shape), [0.3] * shape[0])
+        assert_stack_matches_per_matrix(SPEC, rng.standard_normal(shape), [0.3] * shape[0])
+
+
+@pytest.mark.parametrize("shape", LAYER_SHAPES)
+def test_stacked_euclidean_matches_per_matrix_layer_shapes(shape):
+    rng = np.random.default_rng(27)
+    for _ in range(5):
+        assert_stack_matches_per_matrix(EUC, rng.standard_normal(shape), [0.3] * shape[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_primitives_raise_the_per_matrix_message_for_the_lowest_bad_member(kind, bad):
+    stack = np.ones((4, 3, 2))
+    stack[0] = 1e200  # finite entries; the Euclidean norm overflows
+    stack[3, 0, 0] = stack[2, 1, 1] = bad
+    calls = (
+        lambda: g.dual_norms(kind, stack),
+        lambda: g.lmos(kind, stack, [1.0] * 4),
+        lambda: g.sharps(kind, stack),
+    )
+    for call in calls:
+        with np.errstate(over="ignore"), pytest.raises(
+            g.MemberError, match="^matrix entries must be finite$"
+        ) as info:
+            call()
+        assert info.value.member == 2
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        g.dual_norm(kind, stack[2])
 
 
 def test_stacked_spectral_rejects_bad_input():
     stack = np.ones((2, 2, 2))
     with pytest.raises(ValueError, match="lmo radius t must be positive"):
-        g.spectral_lmos(stack, [0.5, 0.0])
+        g.lmos(SPEC, stack, [0.5, 0.0])
     with pytest.raises(ValueError, match="one lmo radius per matrix"):
-        g.spectral_lmos(stack, [0.5])
+        g.lmos(SPEC, stack, [0.5])
     stack[1, 0, 0] = np.inf
-    for call in (lambda: g.nuclear_norms(stack), lambda: g.spectral_lmos(stack, [1.0, 1.0])):
+    for call in (lambda: g.dual_norms(SPEC, stack), lambda: g.lmos(SPEC, stack, [1.0, 1.0])):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             call()
     with pytest.raises(ValueError, match="stack of 2-D matrices"):
-        g.nuclear_norms(np.ones((2, 2)))
+        g.dual_norms(SPEC, np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------

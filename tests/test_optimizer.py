@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geometry import finite_matrices
+from hypothesis.extra import numpy as hnp
+from test_geometry import SCALES, finite_matrices
 
 from droptrain import costmodel as cm
 from droptrain import geometry as g
@@ -216,6 +217,15 @@ def test_run_horizon_schedule_parameters():
     for rep in res.reports:
         for i in rep.applied:
             assert rep.applied[i] == pytest.approx(t_expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_radius_policies_reject_a_radius_or_eta_that_is_not_positive_and_finite(bad):
+    # caught at construction, not later as a non-finite f_after or momentum
+    with pytest.raises(ValueError, match=rf"^radii\[1\] must be positive and finite, got {bad}$"):
+        op.FixedRadius((0.1, bad))
+    with pytest.raises(ValueError, match=rf"^eta\[0\] must be positive and finite, got {bad}$"):
+        op.HorizonSchedule(eta=(bad, 1.0))
 
 
 def test_run_radius_policies_start_momentum_at_gradient():
@@ -432,12 +442,19 @@ def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x
 @pytest.mark.parametrize(
     "case",
     ["quad_fixed", "quad_horizon", "mlp_horizon",
-     "quad_group_fixed", "coupled_group_horizon", "mlp_group_horizon"],
+     "quad_group_fixed", "coupled_group_horizon", "mlp_group_horizon",
+     "coupled_bench_horizon", "quad_tau_nice_fixed", "quad_partitioned_fixed",
+     "coupled_unequal_horizon"],
 )
 def test_run_single_pass_matches_fresh_gradient_reference(case):
-    # the *_group cases have two or more same-shape spectral layers, whose dual
-    # norms and LMO steps run takes from one stacked SVD per group
+    # run takes each group's dual norms, momentum update and LMO step in one
+    # stacked call per same-shape, same-norm group; the reference goes layer
+    # by layer.  The *_group cases have two or more same-shape spectral
+    # layers; coupled_bench has the benchmark's one six-layer 8x8 spectral
+    # group; under tau_nice and partitioned the active members of a group are
+    # not a suffix of it; coupled_unequal couples layers of unequal sizes
     rng = np.random.default_rng(19)
+    scheme = noise = None
     if case.startswith("quad_group"):
         shapes = [(3, 2), (3, 2), (4, 3), (3, 2)]
         prob = pb.SeparableQuadratic(
@@ -445,12 +462,39 @@ def test_run_single_pass_matches_fresh_gradient_reference(case):
         )
         norms = [SPEC, EUC, SPEC, SPEC]  # group {1, 4}; layer 3 has no partner
         x0 = [rng.standard_normal(s) for s in shapes]
-    elif case.startswith("quad"):
+    elif case in ("quad_tau_nice_fixed", "quad_partitioned_fixed"):
+        prob = pb.SeparableQuadratic(
+            [rng.standard_normal((3, 2)) for _ in range(4)], (1.0, 2.0, 0.5, 1.5)
+        )
+        x0 = [rng.standard_normal((3, 2)) for _ in range(4)]
+        if case == "quad_tau_nice_fixed":
+            norms, scheme = [SPEC, EUC, SPEC, SPEC], sp.TauNice(4, 2)
+        else:  # blocks {1, 3} and {2, 4}: rows 0 and 2 of the spectral group {1, 2, 3}
+            norms = [SPEC, SPEC, SPEC, EUC]
+            scheme = sp.PartitionedSubmodel(
+                (frozenset({1, 3}), frozenset({2, 4})), (0.5, 0.5)
+            )
+    elif case == "quad_fixed" or case == "quad_horizon":
         prob = pb.SeparableQuadratic(
             [rng.standard_normal((3, 2)) for _ in range(3)], (1.0, 2.0, 0.5)
         )
         norms = [EUC, SPEC, EUC]
         x0 = [rng.standard_normal((3, 2)) for _ in range(3)]
+    elif case == "coupled_bench_horizon":
+        prob = pb.CoupledQuadratic(
+            [np.zeros((8, 8))] * 6, (2.0,) * 6, 0.5, rng=np.random.default_rng(3)
+        )
+        norms = [SPEC] * 6
+        x0 = [rng.standard_normal((8, 8)) for _ in range(6)]
+        scheme, noise = sp.Rpt((0.2, 0.2, 0.2, 0.2, 0.1, 0.1)), pb.NoiseSpec((0.1,) * 6)
+    elif case == "coupled_unequal_horizon":
+        shapes = [(2, 2), (2, 3), (3, 2), (2, 3)]  # spectral groups {1}, {2, 4}, {3}
+        prob = pb.CoupledQuadratic(
+            [rng.standard_normal(s) for s in shapes], (2.0, 2.5, 2.0, 3.0), 0.5,
+            rng=np.random.default_rng(4),
+        )
+        norms = [SPEC] * 4
+        x0 = [rng.standard_normal(s) for s in shapes]
     elif case.startswith("coupled"):
         prob = pb.CoupledQuadratic(
             [np.zeros((4, 4))] * 3, (2.0, 2.0, 2.0), 0.5, rng=np.random.default_rng(3)
@@ -465,8 +509,10 @@ def test_run_single_pass_matches_fresh_gradient_reference(case):
     b = prob.b
     policy = op.FixedRadius((0.05, 0.1, 0.02, 0.07)[:b], beta=0.6) if "fixed" in case \
         else op.HorizonSchedule()
-    scheme = sp.Rpt((0.4, 0.3, 0.2, 0.1)[:b] if b == 4 else (0.5, 0.3, 0.2))
-    noise = pb.NoiseSpec((0.2, 0.0, 0.3, 0.1)[:b])
+    if scheme is None:
+        scheme = sp.Rpt((0.4, 0.3, 0.2, 0.1)[:b] if b == 4 else (0.5, 0.3, 0.2))
+    if noise is None:
+        noise = pb.NoiseSpec((0.2, 0.0, 0.3, 0.1)[:b])
     ref_layers, ref_rows = reference_stochastic_run(prob, scheme, policy, 25, 5, norms, x0, noise)
     res = op.run(prob, scheme, policy, 25, 5, norms=norms, x0=x0, noise=noise)
     got = [(r.active, r.f_before, r.f_after, r.grad_dual_norms) for r in res.reports]
@@ -702,16 +748,37 @@ class FixedGradients:
         return 0.0, self.grads
 
 
+@st.composite
+def grouped_gradients(draw):
+    """Up to five gradients of at most two shapes, each Euclidean or spectral, so that
+    same-shape Euclidean and spectral groups form; entries at the scales of SCALES."""
+    shape_choices = st.sampled_from(
+        draw(st.lists(hnp.array_shapes(min_dims=2, max_dims=2, max_side=4), min_size=1, max_size=2))
+    )
+    grads, kinds = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grads.append(draw(st.sampled_from(SCALES)) * rng.standard_normal(draw(shape_choices)))
+        kinds.append(draw(st.sampled_from([EUC, SPEC])))
+    return grads, kinds
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(finite_matrices(), min_size=1, max_size=3),
+    st.one_of(
+        st.lists(finite_matrices(), min_size=1, max_size=3).map(lambda gs: (gs, [EUC] * len(gs))),
+        grouped_gradients(),
+    ),
     st.floats(1e-3, 1e3),
     st.floats(0.0, 1e3),
     st.booleans(),
 )
-def test_run_det_update_equals_the_checked_sharp_step(grads, l0, l1, generalized):
-    # a Euclidean layer moves by gamma * grad, bit for bit the step through
-    # geometry.sharp (the identity behind a check_matrix scan)
+def test_run_det_update_equals_the_checked_sharp_step(grads_and_kinds, l0, l1, generalized):
+    # each layer moves by gamma * sharp(grad), bit for bit the per-layer step
+    # through geometry.sharp; a Euclidean group moves by gamma * grad (the
+    # identity behind a check_matrix scan), a spectral group takes one
+    # stacked sharp
+    grads, kinds = grads_and_kinds
     b = len(grads)
     x0 = [np.full_like(gr, 0.5) for gr in grads]
     table = cm.SmoothnessTable(
@@ -719,21 +786,22 @@ def test_run_det_update_equals_the_checked_sharp_step(grads, l0, l1, generalized
         {(i, 1): l1 for i in range(1, b + 1)},
     )
     policy = op.GenSmoothInverse() if generalized else op.SmoothInverse()
+    kwargs = dict(norms=kinds, x0=x0, table=table)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [float(np.linalg.norm(gr)) for gr in grads]
+        norms = [g.dual_norm(kind, gr) for kind, gr in zip(kinds, grads)]
         if not all(np.isfinite(norms)):
             first = next(i for i, n in enumerate(norms, start=1) if not np.isfinite(n))
-            with pytest.raises(
-                ValueError, match=f"^iteration 0: layer {first}: gradient dual norm is inf$"
-            ):
-                op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, x0=x0, table=table)
+            message = f"^iteration 0: layer {first}: gradient dual norm is {norms[first - 1]}$"
+            with pytest.raises(ValueError, match=message):
+                op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, **kwargs)
             return
-        res = op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, x0=x0, table=table)
-        for i, (x, gr, dn) in enumerate(zip(x0, grads, norms), start=1):
+        res = op.run(FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, **kwargs)
+        for i, (x, gr, dn, kind) in enumerate(zip(x0, grads, norms, kinds), start=1):
             gamma = 1.0 / (l0 + l1 * dn) if generalized else 1.0 / l0
             assert res.reports[0].applied[i] == gamma
+            assert res.reports[0].grad_dual_norms[i] == dn
             expected = x.copy()
-            expected -= gamma * g.sharp(EUC, gr)
+            expected -= gamma * g.sharp(kind, gr)
             np.testing.assert_array_equal(res.model.layers[i - 1], expected)
 
 
@@ -816,6 +884,26 @@ def test_stoch_step_two_bad_momenta_in_spectral_group_names_lowest():
     grads[2][0, 0] = grads[1][1, 1] = np.inf
     momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 0.5)
     with pytest.raises(ValueError, match="layer 2: momentum: matrix entries must be finite"):
+        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
+    # the group's stacked call raises for layer 3's nan entries; layer 2, below it
+    # in the same group, has finite entries whose dual norm overflows, and is named
+    grads = [np.ones((2, 2)), np.full((2, 2), 1e200), np.full((2, 2), np.nan)]
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1.0 for i in (1, 2, 3)})
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^iteration 0: layer 2: gradient dual norm is inf$"
+    ):
+        op.run(
+            FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0,
+            x0=[np.zeros((2, 2))] * 3, table=table,
+        )
+    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"^layer 2: the radius-0.1 step vanished"
+    ):
         op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
 
 

@@ -126,6 +126,86 @@ def test_shape_mismatch_raises():
         prob.value_and_grad([np.zeros((1, 1)), np.zeros((3, 2))])
 
 
+# the stacked value_and_grad equals the per-layer formulas bit for bit
+
+def separable_reference(prob, layers):
+    """The per-layer formula: each layer's term summed over its entries, added in order."""
+    val, grads = 0.0, []
+    for x, a, w in zip(layers, prob.targets, prob.weights):
+        e = np.asarray(x, dtype=float) - a
+        we = w * e
+        val += 0.5 * float((we * e).sum())
+        grads.append(we)
+    return val, grads
+
+
+def coupled_reference(prob, layers):
+    """The per-layer formula, with its order of additions: a_i e_i + c R_{i-1}^T e_{i-1}
+    first, then + c R_i e_{i+1}, then + tilt_i; f adds the map terms map by map."""
+    errs = [(np.asarray(x, dtype=float) - a).ravel() for x, a in zip(layers, prob.targets)]
+    val = 0.5 * sum(prob.curvatures[i] * float(e @ e) for i, e in enumerate(errs))
+    gvecs = [prob.curvatures[i] * e for i, e in enumerate(errs)]
+    for i, r in enumerate(prob.maps):
+        r_next = r @ errs[i + 1]
+        val += prob.coupling * float(errs[i] @ r_next)
+        gvecs[i] = gvecs[i] + prob.coupling * r_next
+        gvecs[i + 1] = gvecs[i + 1] + prob.coupling * (r.T @ errs[i])
+    if prob.tilt is not None:
+        for i, t in enumerate(prob.tilt):
+            val += float(t.ravel() @ errs[i])
+            gvecs[i] = gvecs[i] + t.ravel()
+    return float(val), [gv.reshape(prob.shapes[i]) for i, gv in enumerate(gvecs)]
+
+
+def assert_value_and_grad_equal(prob, reference, layers):
+    val, grads = prob.value_and_grad(layers)
+    ref_val, ref_grads = reference(prob, layers)
+    assert val == ref_val
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+SHAPE_MIXES = {
+    "one_group": [(8, 8)] * 6,
+    "mixed": [(3, 2), (3, 2), (4, 3), (3, 2), (2, 6), (4, 3)],
+    "unequal": [(2, 2), (2, 3), (3, 2), (1, 5)],
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("mix", sorted(SHAPE_MIXES))
+def test_separable_stacked_value_and_grad_equals_per_layer_formula(mix, weighted):
+    rng = np.random.default_rng(40)
+    shapes = SHAPE_MIXES[mix]
+    curvs = [np.exp(rng.uniform(-1, 1, s)) if weighted else float(rng.uniform(0.5, 3))
+             for s in shapes]
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], curvs)
+    for scale in (1e-3, 1.0, 1e3):
+        assert_value_and_grad_equal(
+            prob, separable_reference, [scale * rng.standard_normal(s) for s in shapes]
+        )
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+@pytest.mark.parametrize("mix", sorted(SHAPE_MIXES))
+def test_coupled_stacked_value_and_grad_equals_per_layer_formula(mix, tilt):
+    rng = np.random.default_rng(41)
+    shapes = SHAPE_MIXES[mix]
+    b = len(shapes)
+    tilts = [0.1 * rng.standard_normal(s) for s in shapes] if tilt else None
+    prob = pb.CoupledQuadratic(
+        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5,
+        tilt=tilts, rng=rng,
+    )
+    for scale in (1e-3, 1.0, 1e3):
+        assert_value_and_grad_equal(
+            prob, coupled_reference, [scale * rng.standard_normal(s) for s in shapes]
+        )
+    # integer entries are taken as floats, as the per-layer formula takes them
+    assert_value_and_grad_equal(prob, coupled_reference, [np.ones(s, dtype=int) for s in shapes])
+
+
 # ---------------------------------------------------------------------------
 # stochastic gradients
 # ---------------------------------------------------------------------------
@@ -158,6 +238,32 @@ def test_stoch_grad_unbiased_and_variance():
         entry_std = spec.sigmas[i] / math.sqrt(exact[i].size)
         assert np.all(np.abs(sums[i] / n) <= 3 * entry_std / math.sqrt(n))
         assert abs(sq[i] / n - spec.sigmas[i] ** 2) <= 0.05 * spec.sigmas[i] ** 2
+
+
+@pytest.mark.parametrize(
+    "sigmas", [(0.4, 0.0, 1.2, 0.3, 0.0), (0.0,) * 5, (0.1,) * 5, (0.0, 0.0, 0.0, 0.0, 2.0)]
+)
+def test_stoch_grad_one_draw_equals_per_layer_draws(sigmas):
+    # mixed shapes and zero sigmas; the generator is left where per-layer draws leave it
+    rng = np.random.default_rng(42)
+    grads = [rng.standard_normal(s) for s in [(2, 3), (3, 2), (8, 8), (2, 3), (1, 4)]]
+    got_rng, ref_rng = sp.stream(3, 7), sp.stream(3, 7)
+    got = pb.stoch_grad(grads, pb.NoiseSpec(sigmas), got_rng)
+    ref = [
+        g if sigma == 0.0
+        else g + sigma / np.sqrt(g.size) * ref_rng.standard_normal(g.shape)
+        for g, sigma in zip(grads, sigmas)
+    ]
+    for g, want, sigma, grad in zip(got, ref, sigmas, grads):
+        assert np.array_equal(g, want)
+        assert (g is grad) == (sigma == 0.0)
+    assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_noise_spec_rejects_a_sigma_that_is_not_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match=rf"^sigmas\[1\] must be finite and >= 0, got {bad}$"):
+        pb.NoiseSpec((0.1, bad, 0.2))
 
 
 # ---------------------------------------------------------------------------
