@@ -531,8 +531,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_table(path: str) -> SmoothnessTable:
-    """The table at ``path``; ValueError if a subset's constant exceeds its superset's."""
+    """The table at ``path``; ValueError if a constant is not finite or not monotone."""
     table = SmoothnessTable.from_dict(json.loads(Path(path).read_text()))
+    for which, constants in (("L0", table.l0), ("L1", table.l1 or {})):
+        for (i, key), value in sorted(constants.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"{which} of layer {i}, set key {key} is {value}")
     violations = table.monotonicity_violations()
     if violations:
         raise ValueError(f"constants not monotone over nested sets: {', '.join(violations)}")

@@ -94,6 +94,12 @@ class CostParams:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         object.__setattr__(self, "c_sharp", tuple(float(x) for x in self.c_sharp))
+        if not math.isfinite(self.c_ov):
+            raise ValueError(f"c_ov must be finite, got {self.c_ov}")
+        for name in ("c", "c_sharp"):
+            for j, x in enumerate(getattr(self, name)):
+                if not math.isfinite(x):
+                    raise ValueError(f"{name}[{j}] must be finite, got {x}")
         if self.c_ov < 0.0:
             raise ValueError("c_ov must be >= 0")
         if any(x <= 0.0 for x in self.c):
@@ -514,16 +520,12 @@ def smooth_recursion_q(table: SmoothnessTable) -> np.ndarray:
     return q
 
 
-def optimal_rpt_probs_smooth(
-    table: SmoothnessTable, cp: CostParams | None = None
-) -> np.ndarray:
+def optimal_rpt_probs_smooth(table: SmoothnessTable) -> np.ndarray:
     """Cost-minimizing cutoff probabilities under layer-wise smoothness.
 
     Normalization of ``smooth_recursion_q``.  The optimum depends only on the
-    smoothness constants -- ``cp`` is accepted for interface symmetry and
-    deliberately ignored.
+    smoothness constants, not on the cost parameters.
     """
-    del cp  # optimum is cost-parameter independent
     q = smooth_recursion_q(table)
     return q / q.sum()
 

@@ -14,7 +14,8 @@ whose LMO direction is the orthogonal polar factor ``U V^T``.
 All functions are pure; matrices are dense 2-D float arrays and are never
 mutated.  Spectral quantities use full SVD (matrices here are desk-scale);
 ``newton_schulz`` provides the cheaper approximate orthogonalization used by
-Muon-style optimizers and is exposed separately so tests can pin the SVD path.
+Muon-style optimizers.  An optimizer reaches it through ``lmos(..., ns=)``,
+so both backends share one LMO contract, and tests pin the SVD path.
 
 ``dual_norms``, ``lmos`` and ``sharps`` are the stacked forms of ``dual_norm``,
 ``lmo`` and ``sharp``: they take a stack of same-shape matrices, shape
@@ -28,13 +29,14 @@ scale the per-call overhead, not the arithmetic, dominates.  A member that
 fails the per-matrix check raises ``MemberError``: the per-matrix message,
 plus the index of the lowest failing member.
 
-Every function checks its input once.  The Euclidean dual norms and LMOs
-check finiteness by the Frobenius norms they compute anyway: a matrix with
-an inf or nan entry always has a non-finite norm, and only then are its
-entries scanned, to raise the message.  A finite matrix whose norm
-overflows passes that scan, and its infinite norm is returned.  The other
-functions scan the entries first.  An LMO radius must be positive and
-finite.
+Every function checks its input once.  Only the stacked Euclidean forms
+(``dual_norms``, ``lmos``) and a ``newton_schulz`` stack check finiteness
+by the Frobenius norms they compute anyway: a matrix with an inf or nan
+entry always has a non-finite norm, and only then are its entries scanned,
+to raise the message.  A finite matrix whose norm overflows passes that
+scan, and its infinite norm is returned.  The per-matrix functions, the
+reference the stacked forms are tested against, scan the entries first.
+An LMO radius must be positive and finite.
 """
 
 from __future__ import annotations
@@ -144,21 +146,6 @@ def _bad_radius(t: float) -> str:
     return f"lmo radius t must be positive and finite, got {t}"
 
 
-def _checked_frobenius(m: np.ndarray) -> tuple[np.ndarray, np.float64]:
-    """``m`` as a float matrix and its Frobenius norm, raising as ``check_matrix`` does.
-
-    The entries are scanned only when the shape is wrong or the norm is not
-    finite; an overflowing norm of finite entries is returned as it is.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or not a.size:
-        check_matrix(a)  # raises the shape message
-    nrm = np.linalg.norm(a)
-    if not math.isfinite(nrm):
-        check_matrix(a)  # raises on an inf or nan entry
-    return a, nrm
-
-
 def _stack(ms) -> np.ndarray:
     """``ms`` as a 3-D float stack of matrices with positive dims (it may hold none)."""
     a = np.asarray(ms, dtype=float)
@@ -262,11 +249,10 @@ def norm(kind: NormKind, m: np.ndarray) -> float:
 
 def dual_norm(kind: NormKind, m: np.ndarray) -> float:
     """Dual norm of ``m``: Frobenius (self-dual) or nuclear (sum of singular values)."""
-    if kind == NormKind.EUCLIDEAN:
-        return float(_checked_frobenius(m)[1])
     m = check_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s.sum())
+    if kind == NormKind.EUCLIDEAN:
+        return float(np.linalg.norm(m))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def lmo(kind: NormKind, m: np.ndarray, t: float) -> LmoResult:
@@ -277,16 +263,13 @@ def lmo(kind: NormKind, m: np.ndarray, t: float) -> LmoResult:
     the zero matrix is returned with ``degenerate=True`` (a zero step is a
     valid minimizer limit and keeps runs deterministic).
     """
-    if kind == NormKind.EUCLIDEAN:
-        m, nrm = _checked_frobenius(m)
-    else:
-        m = check_matrix(m)
+    m = check_matrix(m)
     if not 0.0 < t < math.inf:
         raise ValueError(_bad_radius(t))
     if not m.any():
         return LmoResult(np.zeros_like(m), True)
     if kind == NormKind.EUCLIDEAN:
-        return LmoResult(-(t / nrm) * m, False)
+        return LmoResult(-(t / np.linalg.norm(m)) * m, False)
     u, _, vt = _compact_svd(m)
     return LmoResult(-t * (u @ vt), False)
 
@@ -321,11 +304,13 @@ def dual_norms(kind: NormKind, ms) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
 
 
-def lmos(kind: NormKind, ms, t) -> LmoResult:
+def lmos(kind: NormKind, ms, t, ns: NewtonSchulzConfig | None = None) -> LmoResult:
     """LMOs of a stack of same-shape matrices at radii ``t``, one per matrix.
 
     Step j and flag j equal ``lmo(kind, ms[j], t[j])``.  Zero matrices come
-    back degenerate with a zero step and stay out of the spectral SVD.
+    back degenerate with a zero step and stay out of the spectral SVD.  With
+    ``ns``, a spectral stack's non-zero members take ``-t[j] *
+    newton_schulz(ms[j], ns)``, one stacked call; a Euclidean stack ignores it.
     """
     a = _stack(ms)
     t = np.asarray(t, dtype=float)
@@ -340,7 +325,11 @@ def lmos(kind: NormKind, ms, t) -> LmoResult:
             step[~nonzero] = 0.0  # +0, as lmo returns for a zero matrix
         return LmoResult(step, ~nonzero)
     _raise_first_failure(_scan_entries(a), t.tolist())
-    return LmoResult(_polar_stack(a, nonzero, t), ~nonzero)
+    if ns is None:
+        return LmoResult(_polar_stack(a, nonzero, t), ~nonzero)
+    step = np.zeros_like(a)
+    step[nonzero] = -t[nonzero][:, None, None] * newton_schulz(a[nonzero], ns)
+    return LmoResult(step, ~nonzero)
 
 
 def sharps(kind: NormKind, ms) -> np.ndarray:
@@ -361,23 +350,33 @@ def newton_schulz(m: np.ndarray, cfg: NewtonSchulzConfig = NewtonSchulzConfig())
     singular-value ratio is at most 100 comes out with every singular value in
     [0.7, 1.3] (empirically in [0.998, 1.0]).
 
-    Raises ValueError on a zero matrix: the polar factor is undefined there.
+    ``m`` may be a stack, shape (n, m, k), orthogonalized in one pass as the
+    per-matrix calls would be.  Raises ValueError on a non-finite entry or a
+    zero matrix (the polar factor is undefined there); for a stack,
+    ``MemberError`` names the lowest such member.
     """
-    m = check_matrix(m)
-    if not m.any():
-        raise ValueError("cannot orthogonalize zero matrix")
-    x = m / np.linalg.norm(m)
+    if np.ndim(m) != 3:
+        return newton_schulz(check_matrix(m)[None], cfg)[0]
+    m = _stack(m)
+    nrm, bad = _frobenius_norms(m)
+    failing = np.flatnonzero(np.array(bad, dtype=bool) | ~_nonzero_members(m))
+    if failing.size:
+        j = int(failing[0])
+        raise MemberError(
+            j, "matrix entries must be finite" if bad[j] else "cannot orthogonalize zero matrix"
+        )
+    x = m / nrm[:, None, None]
     if cfg.iterations == 0:
         return x
-    transpose = x.shape[0] > x.shape[1]
+    transpose = x.shape[1] > x.shape[2]
     if transpose:
-        x = x.T
+        x = x.swapaxes(1, 2)
     a, b, c = cfg.coefficients
     for _ in range(cfg.iterations):
-        g = x @ x.T
+        g = x @ x.swapaxes(1, 2)
         x = a * x + (b * g + c * (g @ g)) @ x
     ap, bp, _ = NEWTON_SCHULZ_CUBIC
     for _ in range(cfg.polish_iterations):
-        g = x @ x.T
+        g = x @ x.swapaxes(1, 2)
         x = ap * x + bp * (g @ x)
-    return x.T if transpose else x
+    return x.swapaxes(1, 2) if transpose else x

@@ -35,7 +35,6 @@ or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
 update.  Under RPT the active members of a group are a suffix of it, so
 this is one slice per stack; other schemes gather and scatter.  A group of
 one is a stack of one.  The results equal the per-layer calls bit for bit.
-Only the Newton-Schulz backend orthogonalizes member by member.
 
 ``run`` checks each array once per iteration, by a value it computes anyway:
 a gradient by its dual norm (``_dual_norms``; the Euclidean norm is non-finite
@@ -346,20 +345,6 @@ def _apply_det_updates(
     return applied
 
 
-def _newton_schulz_lmos(
-    ms: np.ndarray, t: np.ndarray, cfg: geometry.NewtonSchulzConfig
-) -> geometry.LmoResult:
-    """The Newton-Schulz stand-in for ``geometry.lmos`` on a spectral stack, member by member."""
-    step = np.zeros_like(ms)
-    degenerate = ~ms.any(axis=(1, 2))
-    for j in np.flatnonzero(~degenerate).tolist():
-        try:
-            step[j] = -t[j] * geometry.newton_schulz(ms[j], cfg)
-        except ValueError as exc:
-            raise geometry.MemberError(j, str(exc)) from exc
-    return geometry.LmoResult(step, degenerate)
-
-
 def stoch_step(
     model: LayerModel,
     grads: Sequence[np.ndarray],
@@ -381,10 +366,11 @@ def stoch_step(
 
     Each group's active members update as one slice of its momentum and
     layer stacks (a gather and scatter when they are not consecutive) and
-    take one ``geometry.lmos`` call.  ``ns_config`` switches spectral groups
-    from the exact-SVD LMO to the Newton-Schulz approximate orthogonalization,
-    member by member (the cheap optimizer path; the step norm then only
-    approximates t_i, which is why property tests pin the SVD path).
+    take one ``geometry.lmos`` call, on either backend.  ``ns_config``
+    switches spectral groups from the exact-SVD LMO to the Newton-Schulz
+    approximate orthogonalization, with the same checks (the cheap optimizer
+    path; the step norm then only approximates t_i, which is why property
+    tests pin the SVD path).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
@@ -397,11 +383,7 @@ def stoch_step(
             continue
         m[rows] = (1.0 - beta) * m[rows] + beta * _gather(grads, layers)
         t = radii[[i - 1 for i in layers]]
-        if ns_config is not None and group.kind == NormKind.SPECTRAL:
-            lmos = partial(_newton_schulz_lmos, cfg=ns_config)
-        else:
-            lmos = partial(geometry.lmos, group.kind)
-        res, exc = _until_failure(lmos, m[rows], t)
+        res, exc = _until_failure(partial(geometry.lmos, group.kind, ns=ns_config), m[rows], t)
         flags = res.degenerate.tolist()
         vanished = [
             j for j, (flag, moved) in enumerate(zip(flags, res.step.any(axis=(1, 2)).tolist()))

@@ -59,6 +59,9 @@ def _check_prob_vector(p) -> tuple[float, ...]:
     p = tuple(float(x) for x in p)
     if len(p) == 0:
         raise ValueError("p must be non-empty")
+    for j, x in enumerate(p):
+        if not math.isfinite(x):
+            raise ValueError(f"p[{j}] must be finite, got {x}")
     if any(x < 0.0 for x in p):
         raise ValueError("p must be non-negative")
     if abs(sum(p) - 1.0) > PROB_SUM_TOL:
@@ -189,6 +192,8 @@ class EpochShiftRpt:
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("b must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     def at(self, progress: float) -> "Rpt":
         return Rpt(tuple(epoch_shift_probs(self.b, self.alpha, progress)))

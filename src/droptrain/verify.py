@@ -428,17 +428,18 @@ def recursion_oracle_checks(rng: np.random.Generator, n_tables: int) -> list[Che
     (a) the recursion's objective is at most every simplex-grid point's
         (resolution 1/100) + 1e-9;
     (b) it returns the vertex iff the full-network condition holds;
-    (c) it is bit-identical under 10 further cost-parameter draws.
+    (c) it stays optimal under 10 further cost-parameter draws: its objective
+        is at most every resolution-1/40 grid point's + 1e-9.
     """
     worst_excess = -math.inf
     grid_ok = True
     mismatches = 0
-    invariant = True
+    worst_other_excess = -math.inf
     for _ in range(n_tables):
         b = int(rng.integers(2, 5))
         table = random_rpt_table(rng, b)
         cp = random_cost_params(rng, b)
-        p_star = costmodel.optimal_rpt_probs_smooth(table, cp)
+        p_star = costmodel.optimal_rpt_probs_smooth(table)
         val = costmodel.rpt_cost_objective_smooth(p_star, table, cp)
         grid_vals = costmodel._smooth_objective_grid(costmodel.simplex_grid(b, 100), table, cp)
         excess = val - float(grid_vals.min())
@@ -447,13 +448,16 @@ def recursion_oracle_checks(rng: np.random.Generator, n_tables: int) -> list[Che
         is_vertex = bool(np.all(p_star[1:] == 0.0))
         mismatches += is_vertex != costmodel.full_network_optimal_smooth(table)
         for _ in range(10):
-            other = costmodel.optimal_rpt_probs_smooth(table, random_cost_params(rng, b))
-            invariant = invariant and np.array_equal(p_star, other)
+            other = random_cost_params(rng, b)
+            val = costmodel.rpt_cost_objective_smooth(p_star, table, other)
+            grid = costmodel._smooth_objective_grid(costmodel.simplex_grid(b, 40), table, other)
+            worst_other_excess = max(worst_other_excess, val - float(grid.min()))
     return [
         _check("cost/recursion_beats_grid", grid_ok, tables=n_tables, worst_excess=worst_excess),
         _check("cost/vertex_condition_equivalence", mismatches == 0,
                tables=n_tables, mismatches=mismatches),
-        _check("cost/recursion_cost_param_independent", invariant, tables=n_tables),
+        _check("cost/recursion_cost_param_independent", worst_other_excess <= 1e-9,
+               tables=n_tables, draws_per_table=10, worst_excess=worst_other_excess),
     ]
 
 

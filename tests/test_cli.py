@@ -453,6 +453,12 @@ def bad_run_configs():
     case("scheme_layer_count", "config.variants[1].scheme")["variants"][1]["scheme"] = {
         "kind": "full_network", "b": 3,
     }
+    case("scheme_p_nan", "config.variants[0].scheme")["variants"][0]["scheme"] = {
+        "kind": "rpt", "p": [float("nan"), 0.5],
+    }
+    case("scheme_alpha_nan", "config.variants[1].scheme")["variants"][1]["scheme"] = {
+        "kind": "epoch_shift", "b": 2, "alpha": float("nan"),
+    }
 
     cost = {"c_ov": 0.5, "c": [1.0, 1.0], "c_sharp": [0.25, 0.25]}
     case("cost_lengths_differ", "cost.c_sharp")["cost"] = {**cost, "c_sharp": [0.25]}
@@ -597,6 +603,34 @@ def test_table_commands_refuse_non_monotone_table(tmp_path, capsys, command, pre
     assert err.startswith(prefix) and "L0[2,{2..b}] > L0[2,{1..b}]" in err
 
 
+@pytest.mark.parametrize("which", ["l0", "l1"])
+@pytest.mark.parametrize("command, prefix", [("optimal-probs", "table error: "), ("cost", "error: ")])
+def test_table_commands_refuse_a_non_finite_constant(tmp_path, capsys, command, prefix, which):
+    t = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]], [[0.5], [0.5, 0.5]]).to_dict()
+    t[which][1][2] = float("nan")  # the entry (layer 2, set key 1), sorted by key
+    argv = [command, "--table", write_json(tmp_path / "t.json", t)]
+    if command == "cost":
+        argv += ["--scheme", write_json(tmp_path / "s.json", {"kind": "rpt", "p": [0.5, 0.5]}),
+                 "--cost", write_json(tmp_path / "c.json", COST2)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{prefix}{which.upper()} of layer 2, set key 1 is nan\n"
+    )
+
+
+def test_cost_command_refuses_a_non_finite_cost_parameter(tmp_path, capsys):
+    argv = [
+        "cost", "--scheme", write_json(tmp_path / "s.json", {"kind": "rpt", "p": [0.5, 0.5]}),
+        "--table", write_json(tmp_path / "t.json", TABLE2),
+        "--cost", write_json(tmp_path / "c.json", {**COST2, "c_ov": float("nan")}),
+    ]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: c_ov must be finite, got nan\n"
+
+
 def test_optimal_probs_missing_constants_named(tmp_path, capsys):
     t = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 2, {(1, 1): 1.0, (2, 2): 1.0})
     path = write_json(tmp_path / "t.json", t.to_dict())
@@ -620,6 +654,17 @@ def test_marginals_tau_nice(tmp_path, capsys):
     assert cli.main(["marginals", "--scheme", path, "--draws", "20000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "0.500000" in out  # analytic Q column
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ({"kind": "rpt", "p": [float("nan"), 0.5, 0.5]}, "p[0] must be finite, got nan"),
+    ({"kind": "epoch_shift", "b": 3, "alpha": float("nan")}, "alpha must be finite, got nan"),
+], ids=["p_nan", "alpha_nan"])
+def test_marginals_refuses_a_non_finite_scheme(tmp_path, capsys, scheme, message):
+    path = write_json(tmp_path / "s.json", scheme)
+    assert cli.main(["marginals", "--scheme", path, "--draws", "100", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"scheme error: {message}\n"
 
 
 def test_cost_command(tmp_path, capsys):

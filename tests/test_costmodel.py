@@ -19,6 +19,17 @@ def table_b2(l11=1.0, l21=2.0, l22=1.0):
 CP3 = CostParams(1.0, (1.0, 2.0, 3.0), (0.1, 0.2, 0.3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, args", [
+    ("c_ov", lambda x: (x, (1.0, 1.0), (0.0, 0.0))),
+    (r"c\[1\]", lambda x: (1.0, (1.0, x), (0.0, 0.0))),
+    (r"c_sharp\[0\]", lambda x: (1.0, (1.0, 1.0), (x, 0.0))),
+], ids=["c_ov", "c", "c_sharp"])
+def test_cost_params_refuse_a_non_finite_entry_by_name(field, args, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+        CostParams(*args(bad))
+
+
 # ---------------------------------------------------------------------------
 # iteration / expected cost
 # ---------------------------------------------------------------------------
@@ -110,7 +121,7 @@ def test_recursion_hand_example():
 def test_recursion_hand_example_agrees_with_grid_oracle():
     table = table_b2(1.0, 2.0, 1.0)
     cp = CostParams(0.5, (1.0, 1.0), (0.2, 0.2))
-    p_star = cm.optimal_rpt_probs_smooth(table, cp)
+    p_star = cm.optimal_rpt_probs_smooth(table)
     oracle = cm.brute_force_optimal_probs(
         lambda p: cm.rpt_cost_objective_smooth(p, table, cp), 2, 200
     )

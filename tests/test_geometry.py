@@ -436,3 +436,91 @@ def test_newton_schulz_cubic_coefficients_converge():
         iterations=5, coefficients=g.NEWTON_SCHULZ_CUBIC, polish_iterations=0
     )
     assert np.linalg.norm(g.newton_schulz(q, cfg) - q) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# newton-schulz on a stack, and as the LMO backend of lmos
+# ---------------------------------------------------------------------------
+
+NS_CONFIGS = [
+    g.NewtonSchulzConfig(),
+    g.NewtonSchulzConfig(iterations=0),
+    g.NewtonSchulzConfig(iterations=2, polish_iterations=1),
+]
+
+
+def assert_ns_lmos_match_per_matrix(stack, radii, cfg):
+    steps, degenerate = g.lmos(SPEC, stack, radii, ns=cfg)
+    assert len(steps) == len(degenerate) == len(stack)
+    for j, m in enumerate(stack):
+        if m.any():
+            assert not degenerate[j]
+            np.testing.assert_array_equal(steps[j], -radii[j] * g.newton_schulz(m, cfg))
+        else:
+            assert degenerate[j]
+            assert not np.signbit(steps[j]).any() and not steps[j].any()  # +0
+
+
+@pytest.mark.parametrize("cfg", NS_CONFIGS)
+@pytest.mark.parametrize("shape", LAYER_SHAPES + [(3, 5, 3), (2, 1, 4)])
+def test_newton_schulz_stack_matches_per_matrix(shape, cfg):
+    rng = np.random.default_rng(28)
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, (shape[0], 1, 1))
+    out = g.newton_schulz(stack, cfg)
+    assert out.shape == stack.shape
+    for j, m in enumerate(stack):
+        np.testing.assert_array_equal(out[j], g.newton_schulz(m, cfg))
+    assert_ns_lmos_match_per_matrix(stack, rng.uniform(0.1, 5.0, shape[0]), cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9),
+    st.lists(st.booleans(), min_size=1, max_size=5), st.sampled_from(NS_CONFIGS),
+)
+def test_newton_schulz_lmos_match_per_matrix_with_zero_members(seed, m_dim, n_dim, zero, cfg):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((len(zero), m_dim, n_dim))
+    stack[zero] = 0.0
+    assert_ns_lmos_match_per_matrix(stack, rng.uniform(0.1, 5.0, len(zero)), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_newton_schulz_lmos_raise_the_lowest_bad_member(bad):
+    cfg = g.NewtonSchulzConfig()
+    stack = np.ones((4, 3, 2))
+    stack[0] = 0.0  # zero members are degenerate, not failures
+    stack[3, 0, 0] = stack[2, 1, 1] = bad
+    with pytest.raises(g.MemberError, match="^matrix entries must be finite$") as info:
+        g.lmos(SPEC, stack, [1.0] * 4, ns=cfg)
+    assert info.value.member == 2
+    message = f"^lmo radius t must be positive and finite, got {bad}$"
+    with pytest.raises(g.MemberError, match=message) as info:
+        g.lmos(SPEC, np.ones((4, 3, 2)), [1.0, bad, 1.0, bad], ns=cfg)
+    assert info.value.member == 1
+    # entries, then radius, member by member, as the per-matrix lmo checks them
+    with pytest.raises(g.MemberError, match="^lmo radius t must be positive") as info:
+        g.lmos(SPEC, stack, [1.0, bad, 1.0, 1.0], ns=cfg)
+    assert info.value.member == 1
+
+
+def test_newton_schulz_stack_names_the_lowest_zero_or_non_finite_member():
+    stack = np.ones((3, 2, 2))
+    stack[1] = 0.0
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(g.MemberError, match="^cannot orthogonalize zero matrix$") as info:
+        g.newton_schulz(stack)
+    assert info.value.member == 1
+    with pytest.raises(g.MemberError, match="^matrix entries must be finite$") as info:
+        g.newton_schulz(stack[::-1])
+    assert info.value.member == 0
+
+
+def test_euclidean_lmos_ignore_newton_schulz():
+    rng = np.random.default_rng(29)
+    stack = rng.standard_normal((3, 4, 2))
+    stack[1] = 0.0
+    plain = g.lmos(EUC, stack, [0.5, 1.0, 2.0])
+    with_ns = g.lmos(EUC, stack, [0.5, 1.0, 2.0], ns=g.NewtonSchulzConfig())
+    np.testing.assert_array_equal(with_ns.step, plain.step)
+    np.testing.assert_array_equal(with_ns.degenerate, plain.degenerate)

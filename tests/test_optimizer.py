@@ -399,6 +399,42 @@ def test_run_makes_two_svds_per_stochastic_iteration(monkeypatch):
     assert len(calls) == 2 * 12
 
 
+@pytest.mark.parametrize("scheme", [sp.Rpt((0.3, 0.2, 0.2, 0.2, 0.1)), sp.TauNice(5, 2)])
+def test_newton_schulz_run_makes_one_call_per_active_spectral_group(monkeypatch, scheme):
+    # each spectral group with an active member orthogonalizes its active rows
+    # in one stacked call; the Euclidean group takes none
+    rng = np.random.default_rng(25)
+    shapes = [(3, 3), (3, 3), (3, 3), (2, 3), (2, 3)]
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], (1.0,) * 5)
+    norms = [SPEC, SPEC, EUC, SPEC, SPEC]  # spectral groups {1, 2} and {4, 5}
+    calls = []
+    newton_schulz = g.newton_schulz
+
+    def counting(m, cfg):
+        calls.append(np.shape(m))
+        return newton_schulz(m, cfg)
+
+    monkeypatch.setattr(g, "newton_schulz", counting)
+    per_iteration = []
+
+    def on_step(_k, _model, report):
+        per_iteration.append((list(calls), report.active))
+        calls.clear()
+
+    op.run(
+        prob, scheme, op.HorizonSchedule(), 12, 0, norms=norms,
+        x0=[rng.standard_normal(s) for s in shapes], noise=pb.NoiseSpec((0.1,) * 5),
+        newton_schulz_cfg=g.NewtonSchulzConfig(), on_step=on_step,
+    )
+    assert len(per_iteration) == 12
+    for shapes_seen, active in per_iteration:
+        expected = [
+            (len(active & group),) + shapes[min(group) - 1]
+            for group in ({1, 2}, {4, 5}) if active & group
+        ]
+        assert shapes_seen == expected
+
+
 # ---------------------------------------------------------------------------
 # one gradient pass per iterate
 # ---------------------------------------------------------------------------
@@ -885,6 +921,37 @@ def test_stoch_step_two_bad_momenta_in_spectral_group_names_lowest():
     momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 0.5)
     with pytest.raises(ValueError, match="layer 2: momentum: matrix entries must be finite"):
         op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+def test_stoch_step_newton_schulz_two_bad_momenta_in_spectral_group_names_lowest():
+    rng = np.random.default_rng(23)
+    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
+    grads = [rng.standard_normal((2, 2)) for _ in range(3)]
+    grads[2][0, 0] = grads[1][1, 1] = np.inf
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 0.5)
+    with pytest.raises(ValueError, match="^layer 2: momentum: matrix entries must be finite$"):
+        op.stoch_step(
+            model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3,
+            ns_config=g.NewtonSchulzConfig(),
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("ns_config", [None, g.NewtonSchulzConfig()])
+def test_stoch_step_refuses_a_bad_radius_on_either_backend(ns_config, bad):
+    # the Newton-Schulz backend takes the SVD backend's radius check and message
+    rng = np.random.default_rng(26)
+    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
+    before = [x.copy() for x in model.layers]
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
+    message = f"^layer 2: momentum: lmo radius t must be positive and finite, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        op.stoch_step(
+            model, [rng.standard_normal((2, 2)) for _ in range(3)], momentum,
+            frozenset({1, 2, 3}), [0.1, bad, bad], ns_config=ns_config,
+        )
+    for x, x0 in zip(model.layers, before):
+        np.testing.assert_array_equal(x, x0)
 
 
 def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():

@@ -67,6 +67,25 @@ def test_probability_vector_must_sum_to_one():
         sp.Rpt((0.5, -0.5, 1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probability_vectors_refuse_a_non_finite_entry(bad):
+    # a NaN entry fails no comparison, so the sum check alone lets it through
+    message = rf"^p\[1\] must be finite, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        sp.Rpt((0.5, bad, 0.5))
+    with pytest.raises(ValueError, match=message):
+        sp.TauSubmodel(3, 2, (0.5, bad))
+    with pytest.raises(ValueError, match=message):
+        sp.PartitionedSubmodel(({1}, {2, 3}), (0.5, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_epoch_shift_refuses_a_non_finite_alpha(bad):
+    message = f"^alpha must be finite, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        sp.EpochShiftRpt(3, bad)
+
+
 def test_tau_bounds():
     with pytest.raises(ValueError):
         sp.TauNice(3, 0)
