@@ -25,18 +25,20 @@ factors one matrix at a time exactly as the per-matrix calls do, and its
 LMO or sharp step takes one stacked ``u @ vt`` when no member needs rank
 truncation.  A Euclidean stack takes each member's Frobenius norm as the
 same BLAS dot product ``np.linalg.norm`` uses.  They exist because at desk
-scale the per-call overhead, not the arithmetic, dominates.  A member that
-fails the per-matrix check raises ``MemberError``: the per-matrix message,
-plus the index of the lowest failing member.
+scale the per-call overhead, not the arithmetic, dominates.
 
-Every function checks its input once.  Only the stacked Euclidean forms
-(``dual_norms``, ``lmos``) and a ``newton_schulz`` stack check finiteness
-by the Frobenius norms they compute anyway: a matrix with an inf or nan
-entry always has a non-finite norm, and only then are its entries scanned,
-to raise the message.  A finite matrix whose norm overflows passes that
-scan, and its infinite norm is returned.  The per-matrix functions, the
-reference the stacked forms are tested against, scan the entries first.
-An LMO radius must be positive and finite.
+Every function checks its input once.  A stacked form checks the stack as a
+whole: an inf or nan entry anywhere raises ``matrix entries must be
+finite``, then the first radius that is not positive and finite raises the
+per-matrix radius message; naming the member is the caller's business.  The
+stacked Euclidean forms and a ``newton_schulz`` stack scan the entries only
+when a Frobenius norm they compute anyway is not finite, as any inf or nan
+entry makes it; a finite matrix whose norm overflows passes, and its inf
+norm is returned.  The per-matrix functions, the reference the stacked
+forms are tested against, scan the entries first.  A Euclidean LMO or
+Newton-Schulz step divides a non-zero matrix whose norm is below
+``SQRT_TINY`` by its largest absolute entry and measures it again, since its
+squared norm underflows.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "NormKind",
     "NewtonSchulzConfig",
     "LmoResult",
-    "MemberError",
     "check_matrix",
     "norm",
     "dual_norm",
@@ -75,6 +76,9 @@ NEWTON_SCHULZ_CUBIC = (1.5, -0.5, 0.0)
 # Singular values below RANK_TOL * sigma_max are treated as zero when forming
 # U V^T; the polar direction is undefined on the null space.
 RANK_TOL = 1e-12
+
+# A Frobenius norm below this has a squared norm below the smallest normal float.
+SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 class NormKind(str, enum.Enum):
@@ -120,18 +124,6 @@ class LmoResult(NamedTuple):
     degenerate: bool | np.ndarray
 
 
-class MemberError(ValueError):
-    """A member of a stack failed the per-matrix check; ``member`` is its index.
-
-    The message is the per-matrix one, so a caller can name the member in
-    its own terms.
-    """
-
-    def __init__(self, member: int, message: str) -> None:
-        super().__init__(message)
-        self.member = member
-
-
 def check_matrix(m: np.ndarray) -> np.ndarray:
     """Validate and return ``m`` as a 2-D float array with finite entries."""
     a = np.asarray(m, dtype=float)
@@ -163,36 +155,34 @@ def _nonzero_members(a: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce(_members(a), axis=1)
 
 
-def _raise_first_failure(bad_entries: list[bool], t: list[float] | None = None) -> None:
-    """Raise ``MemberError`` for the lowest member with a non-finite entry or a bad radius.
-
-    A member is checked as the per-matrix call checks it: entries, then radius.
-    """
-    for j, bad in enumerate(bad_entries):
+def _check_stack(a: np.ndarray, t: np.ndarray | None = None, nrm: np.ndarray | None = None) -> None:
+    """Raise ValueError if ``a`` has an inf or nan entry, then if a radius in ``t`` is bad;
+    given the members' Frobenius norms ``nrm``, scan the entries only if one is not finite."""
+    if (nrm is None or not np.isfinite(nrm).all()) and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if t is not None:
+        bad = [v for v in t.tolist() if not 0.0 < v < math.inf]
         if bad:
-            raise MemberError(j, "matrix entries must be finite")
-        if t is not None and not 0.0 < t[j] < math.inf:
-            raise MemberError(j, _bad_radius(t[j]))
+            raise ValueError(_bad_radius(bad[0]))
 
 
-def _scan_entries(a: np.ndarray) -> list[bool]:
-    """Per member: does it hold an inf or nan entry?"""
-    return (~np.logical_and.reduce(np.isfinite(_members(a)), axis=1)).tolist()
-
-
-def _frobenius_norms(a: np.ndarray) -> tuple[np.ndarray, list[bool]]:
-    """Each member's Frobenius norm, and whether it holds an inf or nan entry.
-
-    A norm is the same BLAS dot product ``np.linalg.norm`` takes; only the
-    members whose norm is not finite are scanned.
-    """
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Each member's Frobenius norm, the same BLAS dot product ``np.linalg.norm`` takes."""
     rows = _members(a)
-    nrm = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(len(a)))
-    bad = [
-        not math.isfinite(v) and not np.isfinite(rows[j]).all()
-        for j, v in enumerate(nrm.tolist())
-    ]
-    return nrm, bad
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(len(a)))
+
+
+def _remeasure_small(
+    a: np.ndarray, nrm: np.ndarray, nonzero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``nrm``, with each non-zero member whose norm is below ``SQRT_TINY``
+    divided by its largest absolute entry and measured again (copies when any is)."""
+    small = nonzero & (nrm < SQRT_TINY)
+    if small.any():
+        a, nrm = a.copy(), nrm.copy()
+        a[small] /= np.abs(a[small]).max(axis=(1, 2), keepdims=True)
+        nrm[small] = _frobenius_norms(a[small])
+    return a, nrm
 
 
 def _compact_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,7 +259,11 @@ def lmo(kind: NormKind, m: np.ndarray, t: float) -> LmoResult:
     if not m.any():
         return LmoResult(np.zeros_like(m), True)
     if kind == NormKind.EUCLIDEAN:
-        return LmoResult(-(t / np.linalg.norm(m)) * m, False)
+        nrm = np.linalg.norm(m)
+        if nrm < SQRT_TINY:  # the squared norm underflows: measure m / max|m| instead
+            m = m / np.abs(m).max()
+            nrm = np.linalg.norm(m)
+        return LmoResult(-(t / nrm) * m, False)
     u, _, vt = _compact_svd(m)
     return LmoResult(-t * (u @ vt), False)
 
@@ -297,10 +291,10 @@ def dual_norms(kind: NormKind, ms) -> np.ndarray:
     """
     a = _stack(ms)
     if kind == NormKind.EUCLIDEAN:
-        nrm, bad = _frobenius_norms(a)
-        _raise_first_failure(bad)
+        nrm = _frobenius_norms(a)
+        _check_stack(a, nrm=nrm)
         return nrm
-    _raise_first_failure(_scan_entries(a))
+    _check_stack(a)
     return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
 
 
@@ -318,13 +312,14 @@ def lmos(kind: NormKind, ms, t, ns: NewtonSchulzConfig | None = None) -> LmoResu
         raise ValueError("need one lmo radius per matrix")
     nonzero = _nonzero_members(a)
     if kind == NormKind.EUCLIDEAN:
-        nrm, bad = _frobenius_norms(a)
-        _raise_first_failure(bad, t.tolist())
+        nrm = _frobenius_norms(a)
+        _check_stack(a, t, nrm)
+        a, nrm = _remeasure_small(a, nrm, nonzero)
         step = -np.divide(t, nrm, out=np.zeros_like(nrm), where=nonzero)[:, None, None] * a
         if not nonzero.all():
             step[~nonzero] = 0.0  # +0, as lmo returns for a zero matrix
         return LmoResult(step, ~nonzero)
-    _raise_first_failure(_scan_entries(a), t.tolist())
+    _check_stack(a, t)
     if ns is None:
         return LmoResult(_polar_stack(a, nonzero, t), ~nonzero)
     step = np.zeros_like(a)
@@ -335,7 +330,7 @@ def lmos(kind: NormKind, ms, t, ns: NewtonSchulzConfig | None = None) -> LmoResu
 def sharps(kind: NormKind, ms) -> np.ndarray:
     """Sharp operators of a stack of same-shape matrices; member j equals ``sharp(kind, ms[j])``."""
     a = _stack(ms)
-    _raise_first_failure(_scan_entries(a))
+    _check_stack(a)
     if kind == NormKind.EUCLIDEAN:
         return a.copy()
     return _polar_stack(a, _nonzero_members(a))
@@ -351,20 +346,18 @@ def newton_schulz(m: np.ndarray, cfg: NewtonSchulzConfig = NewtonSchulzConfig())
     [0.7, 1.3] (empirically in [0.998, 1.0]).
 
     ``m`` may be a stack, shape (n, m, k), orthogonalized in one pass as the
-    per-matrix calls would be.  Raises ValueError on a non-finite entry or a
-    zero matrix (the polar factor is undefined there); for a stack,
-    ``MemberError`` names the lowest such member.
+    per-matrix calls would be.  Raises ValueError on a non-finite entry, then
+    on a zero matrix (the polar factor is undefined there).
     """
     if np.ndim(m) != 3:
         return newton_schulz(check_matrix(m)[None], cfg)[0]
     m = _stack(m)
-    nrm, bad = _frobenius_norms(m)
-    failing = np.flatnonzero(np.array(bad, dtype=bool) | ~_nonzero_members(m))
-    if failing.size:
-        j = int(failing[0])
-        raise MemberError(
-            j, "matrix entries must be finite" if bad[j] else "cannot orthogonalize zero matrix"
-        )
+    nrm = _frobenius_norms(m)
+    _check_stack(m, nrm=nrm)
+    nonzero = _nonzero_members(m)
+    if not nonzero.all():
+        raise ValueError("cannot orthogonalize zero matrix")
+    m, nrm = _remeasure_small(m, nrm, nonzero)
     x = m / nrm[:, None, None]
     if cfg.iterations == 0:
         return x

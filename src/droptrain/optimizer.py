@@ -37,13 +37,16 @@ this is one slice per stack; other schemes gather and scatter.  A group of
 one is a stack of one.  The results equal the per-layer calls bit for bit.
 
 ``run`` checks each array once per iteration, by a value it computes anyway:
-a gradient by its dual norm (``_dual_norms``; the Euclidean norm is non-finite
-for any inf or nan entry, and only then are its entries scanned for the
-message), f by ``math.isfinite``, and an active momentum by its LMO call.
-The deterministic step therefore moves a Euclidean group by
-``gamma * grad`` without a second scan, since the Euclidean sharp operator is
-the identity.  A failure names the lowest-numbered failing layer, across
-groups.
+a gradient by its group's dual norms (``_dual_norms``; the Euclidean norm is
+non-finite for any inf or nan entry, and only then are the entries scanned),
+f by ``math.isfinite``, and an active momentum by its group's LMO call.  The
+deterministic step therefore moves a Euclidean group by ``gamma * grad``
+without a second scan, since the Euclidean sharp operator is the identity.
+The stacked calls only detect a fault: a group that raises, has a non-finite
+dual norm or a vanished step sets a flag, and after the loop one walk over
+the layers, with the per-matrix checks, names the lowest failing layer
+(``_raise_gradient_fault``, ``_raise_momentum_fault``).  Nothing is walked
+while every group passes.
 
 ``run`` owns a model exclusively, splits a seedable stream per iteration so
 traces replay bit-identically, and stops with a ValueError naming the
@@ -56,8 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -263,25 +265,35 @@ def _gather(arrays: Sequence[np.ndarray], layers: Sequence[int]) -> np.ndarray:
     return np.array([arrays[i - 1] for i in layers], dtype=float)
 
 
-def _until_failure(call, stack: np.ndarray, *per_member: np.ndarray):
-    """``call(stack, *per_member)`` and None; or, when member j fails its check,
-    ``call`` on the members below j and the ``MemberError``.
-
-    So a caller can name the lowest failing member even where a lower one
-    fails a check of the caller's own (a non-finite norm, a vanished step).
-    """
-    try:
-        return call(stack, *per_member), None
-    except geometry.MemberError as exc:
-        j = exc.member
-        return call(stack[:j], *(a[:j] for a in per_member)), exc
+def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoReturn:
+    """Raise ValueError naming the lowest layer whose gradient or its dual norm is not finite."""
+    for i, (kind, grad) in enumerate(zip(model.norms, grads), start=1):
+        try:
+            value = geometry.dual_norm(kind, grad)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: gradient: {exc}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"layer {i}: gradient dual norm is {value}")
+    raise ValueError("a stacked gradient check failed that no layer fails alone")
 
 
-def _raise_lowest(failures: list[tuple[int, str]]) -> None:
-    """Raise ValueError for the lowest-numbered layer among ``(layer, message)`` failures."""
-    if failures:
-        layer, message = min(failures)
-        raise ValueError(f"layer {layer}: {message}")
+def _raise_momentum_fault(
+    model: LayerModel, momentum: MomentumState, active: frozenset[int], radii: np.ndarray,
+    ns_config: geometry.NewtonSchulzConfig | None,
+) -> NoReturn:
+    """Raise ValueError naming the lowest active layer whose LMO step fails or vanishes."""
+    for i in sorted(active):
+        t = float(radii[i - 1])
+        try:
+            res = geometry.lmos(model.norms[i - 1], momentum.m[i - 1][None], [t], ns=ns_config)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: momentum: {exc}") from None
+        if not (res.degenerate[0] or res.step.any()):
+            raise ValueError(
+                f"layer {i}: the radius-{t} step vanished for a non-zero momentum "
+                "(its norm overflows)"
+            )
+    raise ValueError("a stacked momentum step failed that no layer fails alone")
 
 
 def _dual_norms(
@@ -292,21 +304,19 @@ def _dual_norms(
     Raises ValueError naming the lowest-numbered layer whose gradient or dual
     norm is not finite.
     """
-    values = [0.0] * model.b
-    stacks, failures = [], []
+    values, stacks, failed = [0.0] * model.b, [], False
     for group in model.groups:
-        g = _gather(grads, group.members)
-        norms, exc = _until_failure(partial(geometry.dual_norms, group.kind), g)
-        norms = norms.tolist()
-        bad = [j for j, value in enumerate(norms) if not math.isfinite(value)]
-        if bad:
-            failures.append((group.members[bad[0]], f"gradient dual norm is {norms[bad[0]]}"))
-        elif exc is not None:
-            failures.append((group.members[exc.member], f"gradient: {exc}"))
+        stacks.append(_gather(grads, group.members))
+        try:
+            norms = geometry.dual_norms(group.kind, stacks[-1]).tolist()
+        except ValueError:
+            failed = True
+            continue
+        failed = failed or not all(map(math.isfinite, norms))
         for i, value in zip(group.members, norms):
             values[i - 1] = value
-        stacks.append(g)
-    _raise_lowest(failures)
+    if failed:
+        _raise_gradient_fault(model, grads)
     return dict(enumerate(values, start=1)), stacks
 
 
@@ -331,8 +341,8 @@ def _apply_det_updates(
         denom = l0
         if isinstance(policy, GenSmoothInverse):
             denom = l0 + table.require(i, key, "l1") * dual_norms[i]
-        if denom <= 0.0:
-            raise ValueError(f"non-positive stepsize denominator for layer {i}")
+        if not denom > 0.0:  # also refuses nan
+            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
         applied[i] = 1.0 / denom
     for group, x, g in zip(model.groups, model.stacks, grad_stacks):
         rows, layers = group.active_rows(active)
@@ -362,7 +372,7 @@ def stoch_step(
     zero refreshed momentum leaves the layer in place and is flagged
     degenerate.  A non-finite momentum, or a step that vanishes for a
     non-zero momentum (its norm overflows), raises ValueError naming the
-    lowest such layer.
+    lowest such layer, after the groups without one have stepped.
 
     Each group's active members update as one slice of its momentum and
     layer stacks (a gather and scatter when they are not consecutive) and
@@ -376,40 +386,33 @@ def stoch_step(
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
     beta = momentum.beta
-    degenerate, applied, failures = set(), {}, []
+    degenerate, applied, failed = set(), {}, False
     for group, x, m in zip(model.groups, model.stacks, momentum.stacks(model)):
         rows, layers = group.active_rows(active)
         if not layers:
             continue
         m[rows] = (1.0 - beta) * m[rows] + beta * _gather(grads, layers)
         t = radii[[i - 1 for i in layers]]
-        res, exc = _until_failure(partial(geometry.lmos, group.kind, ns=ns_config), m[rows], t)
+        try:
+            res = geometry.lmos(group.kind, m[rows], t, ns=ns_config)
+        except ValueError:
+            res = None
+        if res is None or not (res.degenerate | res.step.any(axis=(1, 2))).all():
+            failed = True  # the call raised, or a step vanished for a non-zero momentum
+            continue
         flags = res.degenerate.tolist()
-        vanished = [
-            j for j, (flag, moved) in enumerate(zip(flags, res.step.any(axis=(1, 2)).tolist()))
-            if not (flag or moved)
-        ]
-        if vanished:
-            j = vanished[0]
-            failures.append((
-                layers[j],
-                f"the radius-{float(t[j])} step vanished for a non-zero momentum "
-                "(its norm overflows)",
-            ))
-        elif exc is not None:
-            failures.append((layers[exc.member], f"momentum: {exc}"))
-        else:
-            step = res.step
-            if True in flags:
-                moved = ~res.degenerate
-                rows, step = np.arange(len(x))[rows][moved], step[moved]
-            x[rows] += step
-            for i, flag, t_i in zip(layers, flags, t.tolist()):
-                if flag:
-                    degenerate.add(i)
-                else:
-                    applied[i] = t_i
-    _raise_lowest(failures)
+        step = res.step
+        if True in flags:
+            moved = ~res.degenerate
+            rows, step = np.arange(len(x))[rows][moved], step[moved]
+        x[rows] += step
+        for i, flag, t_i in zip(layers, flags, t.tolist()):
+            if flag:
+                degenerate.add(i)
+            else:
+                applied[i] = t_i
+    if failed:
+        _raise_momentum_fault(model, momentum, active, radii, ns_config)
     return StepReport(
         active=active, applied=dict(sorted(applied.items())), degenerate=frozenset(degenerate)
     )

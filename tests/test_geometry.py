@@ -120,9 +120,8 @@ def test_lmo_requires_positive_radius():
 def test_lmo_rejects_a_radius_that_is_not_positive_and_finite(kind, t):
     with pytest.raises(ValueError, match=f"^lmo radius t must be positive and finite, got {t}$"):
         g.lmo(kind, [[1.0, 2.0]], t)
-    with pytest.raises(g.MemberError, match="^lmo radius t must be positive") as info:
-        g.lmos(kind, np.ones((3, 1, 2)), [0.5, t, t])
-    assert info.value.member == 1
+    with pytest.raises(ValueError, match=f"^lmo radius t must be positive and finite, got {t}$"):
+        g.lmos(kind, np.ones((3, 1, 2)), [0.5, t, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +161,13 @@ def checked_euclidean_dual_norm(m):
 
 
 def checked_euclidean_lmo(m, t):
-    """The Euclidean LMO computed after a full check_matrix scan."""
+    """The Euclidean LMO computed after a full check_matrix scan; a matrix whose
+    norm is below sqrt(tiny) is first divided by its largest absolute entry."""
     m = g.check_matrix(m)
     if not m.any():
         return np.zeros_like(m), True
+    if np.linalg.norm(m) < np.sqrt(np.finfo(float).tiny):
+        m = m / np.abs(m).max()
     return -(t / np.linalg.norm(m)) * m, False
 
 
@@ -348,10 +350,9 @@ def test_stacked_primitives_raise_the_per_matrix_message_for_the_lowest_bad_memb
     )
     for call in calls:
         with np.errstate(over="ignore"), pytest.raises(
-            g.MemberError, match="^matrix entries must be finite$"
-        ) as info:
+            ValueError, match="^matrix entries must be finite$"
+        ):
             call()
-        assert info.value.member == 2
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         g.dual_norm(kind, stack[2])
 
@@ -491,29 +492,26 @@ def test_newton_schulz_lmos_raise_the_lowest_bad_member(bad):
     stack = np.ones((4, 3, 2))
     stack[0] = 0.0  # zero members are degenerate, not failures
     stack[3, 0, 0] = stack[2, 1, 1] = bad
-    with pytest.raises(g.MemberError, match="^matrix entries must be finite$") as info:
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         g.lmos(SPEC, stack, [1.0] * 4, ns=cfg)
-    assert info.value.member == 2
     message = f"^lmo radius t must be positive and finite, got {bad}$"
-    with pytest.raises(g.MemberError, match=message) as info:
-        g.lmos(SPEC, np.ones((4, 3, 2)), [1.0, bad, 1.0, bad], ns=cfg)
-    assert info.value.member == 1
-    # entries, then radius, member by member, as the per-matrix lmo checks them
-    with pytest.raises(g.MemberError, match="^lmo radius t must be positive") as info:
+    with pytest.raises(ValueError, match=message):
+        g.lmos(SPEC, np.ones((4, 3, 2)), [1.0, bad, 1.0, -1.0], ns=cfg)
+    # the whole stack's entries, then its radii: member 1's bad radius is
+    # reported after members 2 and 3's bad entries
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         g.lmos(SPEC, stack, [1.0, bad, 1.0, 1.0], ns=cfg)
-    assert info.value.member == 1
 
 
-def test_newton_schulz_stack_names_the_lowest_zero_or_non_finite_member():
+def test_newton_schulz_stack_reports_non_finite_entries_before_zero_members():
     stack = np.ones((3, 2, 2))
     stack[1] = 0.0
-    stack[2, 0, 0] = np.nan
-    with pytest.raises(g.MemberError, match="^cannot orthogonalize zero matrix$") as info:
+    with pytest.raises(ValueError, match="^cannot orthogonalize zero matrix$"):
         g.newton_schulz(stack)
-    assert info.value.member == 1
-    with pytest.raises(g.MemberError, match="^matrix entries must be finite$") as info:
-        g.newton_schulz(stack[::-1])
-    assert info.value.member == 0
+    stack[2, 0, 0] = np.nan
+    for order in (stack, stack[::-1]):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            g.newton_schulz(order)
 
 
 def test_euclidean_lmos_ignore_newton_schulz():

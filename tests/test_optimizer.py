@@ -1,6 +1,8 @@
 """Optimizer steps and runs: freeze contracts, exact-step landings, determinism,
 rate weights."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -997,3 +999,200 @@ def test_run_overflowing_momentum_in_spectral_group_names_layer():
             prob, sp.FullNetwork(3), op.FixedRadius((1e200,) * 3, beta=1), 4, 0,
             norms=[SPEC] * 3, x0=x0, noise=pb.NoiseSpec((1e308,) * 3),
         )
+
+
+@pytest.mark.parametrize("kind, ns_config", [(EUC, None), (SPEC, None), (SPEC, g.NewtonSchulzConfig())])
+def test_stoch_step_steps_a_momentum_whose_squared_norm_underflows(kind, ns_config):
+    # layer 2's momentum is layer 1's scaled by 1e-170, so its squared norm
+    # underflows to 0; it takes the same step as layer 1, of norm t
+    model = op.LayerModel([np.zeros((2, 2)) for _ in range(2)], [kind] * 2)
+    grads = [np.ones((2, 2)), np.full((2, 2), 1e-170)]
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(2)], 1.0)
+    rep = op.stoch_step(model, grads, momentum, frozenset({1, 2}), [0.1, 0.1], ns_config=ns_config)
+    assert rep.applied == {1: 0.1, 2: 0.1} and not rep.degenerate
+    assert np.isfinite(model.layers[1]).all()
+    np.testing.assert_allclose(model.layers[1], model.layers[0], rtol=1e-12)
+    if kind == EUC:
+        assert g.norm(EUC, model.layers[1]) == pytest.approx(0.1, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "l0, l1, gamma",
+    [(np.nan, None, None), (1.0, np.inf, None), (np.inf, None, 0.0)],
+)
+def test_run_refuses_a_nan_stepsize_denominator(l0, l1, gamma):
+    # an inf L1 times layer 2's zero gradient makes the denominator nan too;
+    # an infinite denominator is a zero step
+    grads = [np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2))]
+    l0s = {(1, 1): 1.0, (2, 1): l0, (3, 1): 1.0}
+    l1s = None if l1 is None else {(1, 1): 0.0, (2, 1): l1, (3, 1): 0.0}
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, l0s, l1s)
+    policy = op.SmoothInverse() if l1 is None else op.GenSmoothInverse()
+    x0 = [np.zeros((2, 2))] * 3
+
+    def call():
+        return op.run(FixedGradients(grads), sp.FullNetwork(3), policy, 1, 0, x0=x0, table=table)
+
+    if gamma is not None:
+        res = call()
+        assert res.reports[0].applied[2] == gamma
+        np.testing.assert_array_equal(res.model.layers[1], x0[1])
+        return
+    message = "^iteration 0: layer 2: stepsize denominator must be positive, got nan$"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# a failed step names the lowest failing layer, across interleaved groups:
+# the stacked calls only detect a fault, and the run names it per layer
+# ---------------------------------------------------------------------------
+
+FAULTS = ("none", "nan", "inf", "overflow", "zero")
+BAD_RADII = (np.nan, np.inf, 0.0, -1.0)
+
+
+@st.composite
+def faulty_layers(draw, bad_radii=True):
+    """Two to five layers of three shapes, each Euclidean or spectral, so that
+    shapes and kinds interleave across groups (norms [S, E, S, S] on one
+    shape, for one); each gradient carries one random fault or none, and with
+    ``bad_radii`` each radius may be bad."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads, kinds, radii = [], [], []
+    for _ in range(draw(st.integers(2, 5))):
+        shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+        grad = rng.standard_normal(shape)
+        fault = draw(st.sampled_from(FAULTS)) if draw(st.booleans()) else "none"
+        if fault in ("nan", "inf"):
+            grad[tuple(rng.integers(shape))] = float(fault)
+        elif fault == "overflow":  # finite entries whose Frobenius norm overflows
+            grad[:] = 1e200
+        elif fault == "zero":  # degenerate, not a fault
+            grad[:] = 0.0
+        grads.append(grad)
+        kinds.append(draw(st.sampled_from([EUC, SPEC])))
+        bad = bad_radii and all(draw(st.lists(st.booleans(), min_size=3, max_size=3)))
+        radii.append(draw(st.sampled_from(BAD_RADII) if bad else st.floats(0.1, 1.0)))
+    return grads, kinds, radii
+
+
+def gradient_fault(kinds, grads):
+    """Oracle: the message for the lowest layer whose gradient or dual norm is not finite."""
+    for i, (kind, grad) in enumerate(zip(kinds, grads), start=1):
+        try:
+            value = g.dual_norm(kind, grad)
+        except ValueError as exc:
+            return f"layer {i}: gradient: {exc}"
+        if not np.isfinite(value):
+            return f"layer {i}: gradient dual norm is {value}"
+    return None
+
+
+def per_matrix_step(kind, m, t, ns_config):
+    """The LMO step of one layer on either backend, from the per-matrix functions."""
+    step = g.lmo(kind, m, t).step
+    if ns_config is not None and kind == SPEC and m.any():
+        step = -t * g.newton_schulz(m, ns_config)
+    return step
+
+
+def momentum_fault(i, kind, m, t, ns_config):
+    """Oracle: the message for layer i when its LMO step fails or vanishes, else None."""
+    try:
+        step = per_matrix_step(kind, m, t, ns_config)
+    except ValueError as exc:
+        return f"layer {i}: momentum: {exc}"
+    if m.any() and not step.any():
+        return f"layer {i}: the radius-{t} step vanished for a non-zero momentum (its norm overflows)"
+    return None
+
+
+def assert_raises_exactly(message, call):
+    if message is None:
+        return call()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+NS_BACKENDS = st.sampled_from([None, g.NewtonSchulzConfig()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_layers(), st.data(), NS_BACKENDS)
+def test_stoch_step_names_the_lowest_failing_layer_across_groups(layers, data, ns_config):
+    grads, kinds, radii = layers
+    b = len(grads)
+    active = frozenset(data.draw(st.sets(st.integers(1, b), min_size=1)))
+    x0 = [np.full_like(gr, 0.5) for gr in grads]
+    model = op.LayerModel(x0, kinds)
+    momentum = op.MomentumState([np.zeros_like(gr) for gr in grads], 1.0)  # M_i = g_i
+    with np.errstate(over="ignore", invalid="ignore"):
+        faults = {
+            i: momentum_fault(i, kinds[i - 1], grads[i - 1], radii[i - 1], ns_config)
+            for i in active
+        }
+        first = next((faults[i] for i in sorted(active) if faults[i]), None)
+        assert_raises_exactly(
+            first,
+            lambda: op.stoch_step(model, grads, momentum, active, radii, ns_config=ns_config),
+        )
+        # a group steps unless one of its active layers failed
+        for i, (x, start) in enumerate(zip(model.layers, x0), start=1):
+            group = [j for j in active if (grads[j - 1].shape, kinds[j - 1]) == (x.shape, kinds[i - 1])]
+            expected = start
+            if i in active and not any(faults[j] for j in group):
+                expected = start + per_matrix_step(kinds[i - 1], grads[i - 1], radii[i - 1], ns_config)
+            np.testing.assert_array_equal(x, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulty_layers(bad_radii=False), st.sampled_from(["smooth", "svd", "ns"]))
+def test_run_names_the_lowest_failing_layer_across_groups(layers, path):
+    grads, kinds, radii = layers
+    b = len(grads)
+    beta = 0.5
+    ns_config = g.NewtonSchulzConfig() if path == "ns" else None
+    policy = op.SmoothInverse() if path == "smooth" else op.FixedRadius(radii, beta)
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, b, {(i, 1): 1.0 for i in range(1, b + 1)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        message = gradient_fault(kinds, grads)
+        if message is None and path != "smooth":  # M_0 = g, then M_1 = (1 - beta) M_0 + beta g
+            momenta = [(1.0 - beta) * gr + beta * gr for gr in grads]
+            message = next(
+                filter(None, (
+                    momentum_fault(i, kind, m, t, ns_config)
+                    for i, (kind, m, t) in enumerate(zip(kinds, momenta, radii), start=1)
+                )),
+                None,
+            )
+        assert_raises_exactly(
+            None if message is None else f"iteration 0: {message}",
+            lambda: op.run(
+                FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, norms=kinds,
+                x0=[np.full_like(gr, 0.5) for gr in grads], table=table,
+                newton_schulz_cfg=ns_config,
+            ),
+        )
+
+
+def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
+    # the walks name the layer by one-layer checks; a fault that only a stacked
+    # call reports still raises rather than being dropped
+    dual_norms, lmos = g.dual_norms, g.lmos
+
+    def stacked_lmos_fail(kind, ms, t, ns=None):
+        if len(ms) > 1:
+            raise ValueError("stacked only")
+        return lmos(kind, ms, t, ns=ns)
+
+    grads = [np.ones((2, 2)) for _ in range(3)]
+    monkeypatch.setattr(g, "dual_norms", lambda kind, ms: dual_norms(kind, ms) * np.nan)
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1.0 for i in (1, 2, 3)})
+    with pytest.raises(ValueError, match="^iteration 0: a stacked gradient check failed"):
+        op.run(FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0, table=table)
+    monkeypatch.setattr(g, "lmos", stacked_lmos_fail)
+    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
+    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
+    with pytest.raises(ValueError, match="^a stacked momentum step failed"):
+        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
