@@ -414,14 +414,18 @@ def _fmt(value) -> str:
 def _csv_rows(result, weights, problem, cost) -> tuple[list[list], float | None]:
     """The CSV rows, whose ``cum_units`` sum ``iteration_cost`` over the active sets, and that sum.
 
-    Without ``cost`` the cost cells and the sum are None.
+    Without ``cost`` the cost cells and the sum are None.  Each distinct
+    active set is priced once.
     """
     rows = []
     cum = None if cost is None else 0.0
+    prices: dict[frozenset[int], float] = {}
     for r in result.reports:
         units = None
         if cost is not None:
-            units = costmodel.iteration_cost(r.active, cost)
+            units = prices.get(r.active)
+            if units is None:
+                units = prices[r.active] = costmodel.iteration_cost(r.active, cost)
             cum += units
         gsq = sum(
             weights[i - 1] * r.grad_dual_norms[i] ** 2 for i in range(1, problem.b + 1)

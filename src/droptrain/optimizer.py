@@ -9,15 +9,27 @@
   ``M_i <- (1 - beta) M_i + beta g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
   every applied update has primal norm exactly t_i.
 
-``run`` is also the only gradient caller, once per iterate x_0..x_K; that
-gradient feeds the diagnostics, the deterministic step and -- plus noise from
-``problems.stoch_grad`` -- the stochastic sample.  The only diagnostics are
-f and the gradient dual norms; momentum errors ||M_i - grad_i||_dual are left
-to ``verify``, whose descent-lemma check drives ``stoch_step`` itself.  A
-problem with ``value_and_grad_from_prefix`` (``TinyMlp``) gets back the
-activations the run kept from its last pass and recomputes only layers
->= min S, since a step writes only its active layers; the pass reports the
-MACs it spent.
+``run`` is also the only gradient caller, once per iterate x_0..x_K, and
+it keeps gradients in layer-group stacks from the problem to the step.  It
+asks the problem once for ``stacked_oracle(model.groups)``, which takes the
+model's stacks and the frozen-prefix length and returns f, one gradient
+stack per group and the forward MACs (or None); a problem without one is
+evaluated through ``value_and_grad`` and one gather per group.  ``TinyMlp``'s
+oracle keeps the activations of its last pass and recomputes only layers
+>= min S, since a step writes only its active layers.  That gradient feeds
+the diagnostics, the deterministic step and the stochastic sample, which
+adds noise to the active rows only, drawn as ``problems.stoch_grad`` draws
+it: one ``standard_normal`` call over every noisy layer, in layer order.
+The only diagnostics are f and the gradient dual norms; momentum errors
+||M_i - grad_i||_dual are left to ``verify``, whose descent-lemma check
+drives ``stoch_step`` itself.
+
+What an active set determines -- each group's active rows and layers, their
+radii, noise offsets and scales, the smoothness-table key and the stepsizes
+1/L0 (or the L0 and L1 of ``GenSmoothInverse``) -- is a plan, built on the
+first draw of its set and kept for the run, so a run builds at most one plan
+per distinct set it draws (b under RPT).  A missing constant or a bad
+stepsize denominator raises at the first iteration that draws the set.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -35,6 +47,8 @@ or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
 update.  Under RPT the active members of a group are a suffix of it, so
 this is one slice per stack; other schemes gather and scatter.  A group of
 one is a stack of one.  The results equal the per-layer calls bit for bit.
+The public ``stoch_step`` stacks a per-layer gradient list and takes the
+same step as ``run``.
 
 ``run`` checks each array once per iteration, by a value it computes anyway:
 a gradient by its group's dual norms (``_dual_norms``; the Euclidean norm is
@@ -59,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -88,6 +102,7 @@ INIT_STREAM = 0  # stream(seed, 0) feeds initialization; iteration k uses stream
 class LayerGroup:
     """The layers of one shape and one norm kind: 1-based ``members``, ascending."""
 
+    shape: tuple[int, ...]
     kind: NormKind
     members: tuple[int, ...]
 
@@ -139,7 +154,9 @@ class LayerModel:
         members: dict[tuple, list[int]] = {}
         for i, (x, kind) in enumerate(zip(self.layers, self.norms), start=1):
             members.setdefault((x.shape, kind), []).append(i)
-        self.groups = [LayerGroup(kind, tuple(ids)) for (_, kind), ids in members.items()]
+        self.groups = [
+            LayerGroup(shape, kind, tuple(ids)) for (shape, kind), ids in members.items()
+        ]
         self.stacks = _stack_rows(self.layers, self.groups)
 
     @property
@@ -265,9 +282,150 @@ def _gather(arrays: Sequence[np.ndarray], layers: Sequence[int]) -> np.ndarray:
     return np.array([arrays[i - 1] for i in layers], dtype=float)
 
 
+def _layer_rows(model: LayerModel, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-layer views of the rows of one stack per group of ``model``, in layer order."""
+    out = [None] * model.b
+    for group, stack in zip(model.groups, stacks):
+        for i, row in zip(group.members, stack):
+            out[i - 1] = row
+    return out
+
+
+def _layer_oracle(problem, model: LayerModel):
+    """The stacked oracle of a problem that has only ``value_and_grad``: one gather per group."""
+
+    def oracle(_stacks, _frozen):
+        f, grads = problem.value_and_grad(model.layers)
+        return f, [_gather(grads, group.members) for group in model.groups], None
+
+    return oracle
+
+
+class _Noise(NamedTuple):
+    """Where a group's noisy active rows take their noise from the iteration's one draw."""
+
+    rows: list[int] | None  # positions among the group's active rows; None for all of them
+    at: slice | np.ndarray  # their entries of the draw, in row order
+    shape: tuple[int, ...]  # (noisy rows, m, k)
+    scales: np.ndarray  # (noisy rows, 1, 1): sigma_i / sqrt(size_i)
+
+
+@dataclass
+class _GroupStep:
+    """One layer group's share of an active set's plan: its active rows and what they take."""
+
+    index: int  # the group's position in ``model.groups``
+    kind: NormKind
+    rows: slice | list[int]
+    layers: list[int]
+    radii: np.ndarray | None = None  # t_i of the rows (stochastic path)
+    noise: _Noise | None = None
+    gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (SmoothInverse)
+    l0: np.ndarray | None = None  # L0 and L1 of the rows (GenSmoothInverse)
+    l1: np.ndarray | None = None
+
+
+@dataclass
+class _Plan:
+    """What an active set determines, built on its first draw and kept for the run."""
+
+    active: frozenset[int]
+    groups: list[_GroupStep]  # the groups with active members, in model order
+    applied: dict[int, float] | None = None  # SmoothInverse stepsizes, in layer order
+
+    @property
+    def frozen(self) -> int:
+        """The layers below min S, which a step leaves as they were."""
+        return min(self.active) - 1
+
+
+def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None:
+    """The noise of a group's active rows under ``layout`` (``NoiseSpec.layout``)."""
+    offsets, scales, _ = layout
+    noisy = [j for j, i in enumerate(st.layers) if offsets[i - 1] is not None]
+    if not noisy:
+        return None
+    shape = (len(noisy),) + tuple(model.groups[st.index].shape)
+    size = math.prod(shape[1:])
+    starts = [offsets[st.layers[j] - 1] for j in noisy]
+    if starts == list(range(starts[0], starts[0] + len(starts) * size, size)):
+        at = slice(starts[0], starts[0] + len(starts) * size)  # consecutive: a view
+    else:
+        at = (np.array(starts)[:, None] + np.arange(size)).ravel()
+    column = np.array([scales[st.layers[j] - 1] for j in noisy])[:, None, None]
+    return _Noise(None if len(noisy) == len(st.layers) else noisy, at, shape, column)
+
+
+def _plan(
+    model: LayerModel,
+    active: frozenset[int],
+    radii: np.ndarray | None = None,
+    layout: tuple | None = None,
+) -> _Plan:
+    """Each group's active rows, with their radii and, under ``layout``, their noise."""
+    steps = []
+    for index, group in enumerate(model.groups):
+        rows, layers = group.active_rows(active)
+        if layers:
+            steps.append(_GroupStep(index, group.kind, rows, layers))
+    for st in steps:
+        if radii is not None:
+            st.radii = radii[[i - 1 for i in st.layers]]
+        if layout is not None:
+            st.noise = _noise_of(model, st, layout)
+    return _Plan(active, steps)
+
+
+def _plan_stepsizes(
+    plan: _Plan,
+    policy: SmoothInverse | GenSmoothInverse,
+    table: SmoothnessTable,
+    dual_norms: dict[int, float],
+) -> None:
+    """Give each planned group its stepsizes 1/L0, or its L0 and L1 under ``GenSmoothInverse``.
+
+    A missing constant or a non-positive denominator raises as the per-layer
+    loop does, for the lowest such layer (``_raise_stepsize_fault``).
+    """
+    active = plan.active
+    key = table.key_for(active)
+    order = sorted(active)
+    generalized = isinstance(policy, GenSmoothInverse)
+    try:
+        l0 = {i: table.require(i, key) for i in order}
+        l1 = {i: table.require(i, key, "l1") for i in order} if generalized else None
+    except KeyError:
+        _raise_stepsize_fault(active, policy, table, dual_norms)
+    if generalized:
+        for st in plan.groups:
+            st.l0 = np.array([l0[i] for i in st.layers])
+            st.l1 = np.array([l1[i] for i in st.layers])
+        return
+    if not all(v > 0.0 for v in l0.values()):  # also refuses nan
+        _raise_stepsize_fault(active, policy, table, dual_norms)
+    plan.applied = {i: 1.0 / l0[i] for i in order}
+    for st in plan.groups:
+        st.gammas = np.array([plan.applied[i] for i in st.layers])[:, None, None]
+
+
+def _raise_stepsize_fault(
+    active: frozenset[int], policy, table: SmoothnessTable, dual_norms: dict[int, float]
+) -> NoReturn:
+    """Raise the error of the lowest active layer whose constant is missing or whose
+    stepsize denominator is not positive."""
+    key = table.key_for(active)
+    for i in sorted(active):
+        denom = table.require(i, key)
+        if isinstance(policy, GenSmoothInverse):
+            denom = denom + table.require(i, key, "l1") * dual_norms[i]
+        if not denom > 0.0:  # also refuses nan
+            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
+    raise ValueError("a stacked stepsize check failed that no layer fails alone")
+
+
 def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoReturn:
     """Raise ValueError naming the lowest layer whose gradient or its dual norm is not finite."""
-    for i, (kind, grad) in enumerate(zip(model.norms, grads), start=1):
+    for i, (kind, grad) in enumerate(zip(model.norms, _layer_rows(model, grads)), start=1):
         try:
             value = geometry.dual_norm(kind, grad)
         except ValueError as exc:
@@ -298,61 +456,127 @@ def _raise_momentum_fault(
 
 def _dual_norms(
     model: LayerModel, grads: Sequence[np.ndarray]
-) -> tuple[dict[int, float], list[np.ndarray]]:
-    """Per-layer gradient dual norms from one stacked call per group, and the gradient stacks.
+) -> tuple[dict[int, float], list[np.ndarray | None]]:
+    """Per-layer gradient dual norms from one stacked call per group of gradient stacks,
+    and each group's array of them.
 
     Raises ValueError naming the lowest-numbered layer whose gradient or dual
     norm is not finite.
     """
-    values, stacks, failed = [0.0] * model.b, [], False
-    for group in model.groups:
-        stacks.append(_gather(grads, group.members))
+    values, norms, failed = [0.0] * model.b, [], False
+    for group, grad in zip(model.groups, grads):
         try:
-            norms = geometry.dual_norms(group.kind, stacks[-1]).tolist()
+            nrm = geometry.dual_norms(group.kind, grad)
         except ValueError:
             failed = True
+            norms.append(None)
             continue
-        failed = failed or not all(map(math.isfinite, norms))
-        for i, value in zip(group.members, norms):
+        column = nrm.tolist()
+        failed = failed or not all(map(math.isfinite, column))
+        for i, value in zip(group.members, column):
             values[i - 1] = value
+        norms.append(nrm)
     if failed:
         _raise_gradient_fault(model, grads)
-    return dict(enumerate(values, start=1)), stacks
+    return dict(enumerate(values, start=1)), norms
 
 
-def _apply_det_updates(
+def _det_step(
     model: LayerModel,
-    grad_stacks: list[np.ndarray],
-    dual_norms: dict[int, float],
-    active: frozenset[int],
+    grads: list[np.ndarray],
+    norms: list[np.ndarray],
+    plan: _Plan,
     policy: SmoothInverse | GenSmoothInverse,
     table: SmoothnessTable,
+    dual_norms: dict[int, float],
 ) -> dict[int, float]:
-    """In-place sharp-operator updates on the active layers, once per group; returns stepsizes.
+    """In-place sharp-operator updates on the plan's rows, once per group; returns stepsizes.
 
     The Euclidean sharp operator is the identity, so a Euclidean group moves
     by ``gamma * grad`` directly; ``_dual_norms`` has already checked those
-    gradients.  Spectral groups take ``geometry.sharps``.
+    gradients.  Spectral groups take ``geometry.sharps``.  Under
+    ``GenSmoothInverse`` each group computes 1 / (L0 + L1 * dn) for its rows.
     """
-    key = table.key_for(active)
-    applied = {}
-    for i in sorted(active):
-        l0 = table.require(i, key)
-        denom = l0
-        if isinstance(policy, GenSmoothInverse):
-            denom = l0 + table.require(i, key, "l1") * dual_norms[i]
-        if not denom > 0.0:  # also refuses nan
-            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
-        applied[i] = 1.0 / denom
-    for group, x, g in zip(model.groups, model.stacks, grad_stacks):
-        rows, layers = group.active_rows(active)
-        if not layers:
-            continue
-        step = g[rows]
-        if group.kind != NormKind.EUCLIDEAN:
-            step = geometry.sharps(group.kind, step)
-        x[rows] -= np.array([applied[i] for i in layers])[:, None, None] * step
+    if plan.applied is not None:
+        gammas = [st.gammas for st in plan.groups]
+        applied = dict(plan.applied)
+    else:
+        gammas, layers, values = [], [], []
+        for st in plan.groups:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                denom = st.l0 + st.l1 * norms[st.index][st.rows]
+                gamma = 1.0 / denom
+            if not (denom > 0.0).all():  # also refuses nan
+                _raise_stepsize_fault(plan.active, policy, table, dual_norms)
+            gammas.append(gamma[:, None, None])
+            layers += st.layers
+            values += gamma.tolist()
+        applied = dict(sorted(zip(layers, values)))
+    for st, gamma in zip(plan.groups, gammas):
+        step = grads[st.index][st.rows]
+        if st.kind != NormKind.EUCLIDEAN:
+            step = geometry.sharps(st.kind, step)
+        model.stacks[st.index][st.rows] -= gamma * step
     return applied
+
+
+def _samples(grads: list[np.ndarray], plan: _Plan, draws: np.ndarray | None) -> list[np.ndarray]:
+    """The stochastic gradient sample of each planned group's rows: its exact gradient
+    rows plus, on noisy rows, the scaled standard normals of ``problems.stoch_grad``'s draw."""
+    out = []
+    for st in plan.groups:
+        sample = grads[st.index][st.rows]
+        if st.noise is not None:
+            noise = st.noise
+            z = draws[noise.at].reshape(noise.shape)
+            if noise.rows is None:
+                sample = sample + noise.scales * z
+            else:
+                sample = sample.copy()
+                sample[noise.rows] += noise.scales * z
+        out.append(sample)
+    return out
+
+
+def _stoch_step(
+    model: LayerModel,
+    samples: list[np.ndarray],
+    momentum: MomentumState,
+    m_stacks: list[np.ndarray],
+    plan: _Plan,
+    radii: np.ndarray,
+    ns_config: geometry.NewtonSchulzConfig | None,
+) -> StepReport:
+    """``stoch_step`` on one sample stack per planned group."""
+    beta = momentum.beta
+    degenerate, applied, failed = set(), {}, False
+    for st, sample in zip(plan.groups, samples):
+        x, m, rows = model.stacks[st.index], m_stacks[st.index], st.rows
+        m[rows] = (1.0 - beta) * m[rows] + beta * sample
+        try:
+            res = geometry.lmos(st.kind, m[rows], st.radii, ns=ns_config)
+        except ValueError:
+            res = None
+        if res is None or not (res.degenerate | res.step.any(axis=(1, 2))).all():
+            failed = True  # the call raised, or a step vanished for a non-zero momentum
+            continue
+        flags = res.degenerate.tolist()
+        step = res.step
+        if True in flags:
+            moved = ~res.degenerate
+            rows, step = np.arange(len(x))[rows][moved], step[moved]
+        x[rows] += step
+        for i, flag, t_i in zip(st.layers, flags, st.radii.tolist()):
+            if flag:
+                degenerate.add(i)
+            else:
+                applied[i] = t_i
+    if failed:
+        _raise_momentum_fault(model, momentum, plan.active, radii, ns_config)
+    return StepReport(
+        active=plan.active, applied=dict(sorted(applied.items())),
+        degenerate=frozenset(degenerate),
+    )
 
 
 def stoch_step(
@@ -380,42 +604,15 @@ def stoch_step(
     switches spectral groups from the exact-SVD LMO to the Newton-Schulz
     approximate orthogonalization, with the same checks (the cheap optimizer
     path; the step norm then only approximates t_i, which is why property
-    tests pin the SVD path).
+    tests pin the SVD path).  ``run`` takes the same step on gradient stacks.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
-    beta = momentum.beta
-    degenerate, applied, failed = set(), {}, False
-    for group, x, m in zip(model.groups, model.stacks, momentum.stacks(model)):
-        rows, layers = group.active_rows(active)
-        if not layers:
-            continue
-        m[rows] = (1.0 - beta) * m[rows] + beta * _gather(grads, layers)
-        t = radii[[i - 1 for i in layers]]
-        try:
-            res = geometry.lmos(group.kind, m[rows], t, ns=ns_config)
-        except ValueError:
-            res = None
-        if res is None or not (res.degenerate | res.step.any(axis=(1, 2))).all():
-            failed = True  # the call raised, or a step vanished for a non-zero momentum
-            continue
-        flags = res.degenerate.tolist()
-        step = res.step
-        if True in flags:
-            moved = ~res.degenerate
-            rows, step = np.arange(len(x))[rows][moved], step[moved]
-        x[rows] += step
-        for i, flag, t_i in zip(layers, flags, t.tolist()):
-            if flag:
-                degenerate.add(i)
-            else:
-                applied[i] = t_i
-    if failed:
-        _raise_momentum_fault(model, momentum, active, radii, ns_config)
-    return StepReport(
-        active=active, applied=dict(sorted(applied.items())), degenerate=frozenset(degenerate)
-    )
+    m_stacks = momentum.stacks(model)
+    plan = _plan(model, active, radii)
+    samples = [_gather(grads, st.layers) for st in plan.groups]
+    return _stoch_step(model, samples, momentum, m_stacks, plan, radii, ns_config)
 
 
 def run(
@@ -439,9 +636,10 @@ def run(
     iteration k, which consumes first the active-set draw, then the gradient
     noise.  Replaying any iteration therefore needs only (seed, k).
 
-    The problem is evaluated once per iterate (K + 1 passes); each stochastic
-    sample is that exact gradient plus noise.  ``on_step`` must not change the
-    model: a prefix-reusing pass relies on frozen layers staying as stepped.
+    The problem is evaluated once per iterate (K + 1 passes), through its
+    ``stacked_oracle`` when it has one; each stochastic sample is that exact
+    gradient plus noise.  ``on_step`` must not change the model: a
+    prefix-reusing pass relies on frozen layers staying as stepped.
 
     An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
@@ -464,17 +662,14 @@ def run(
     if deterministic and table is None:
         raise ValueError("smoothness-inverse policies need a SmoothnessTable")
 
-    evaluate = getattr(problem, "value_and_grad_from_prefix", None)
-    if evaluate is None:  # no prefix reuse: a fresh pass, no activations or MACs
-        def evaluate(layers, _acts, _frozen):
-            return (*problem.value_and_grad(layers), None, None)
-
-    f_curr, grads, acts, _ = evaluate(model.layers, None, 0)
+    oracle = getattr(problem, "stacked_oracle", None)
+    oracle = _layer_oracle(problem, model) if oracle is None else oracle(model.groups)
+    f_curr, grads, _ = oracle(model.stacks, 0)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")
     f_initial = f_curr
 
-    momentum = radii = None
+    momentum = radii = layout = None
     if isinstance(policy, FixedRadius):
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")
@@ -482,9 +677,15 @@ def run(
     elif isinstance(policy, HorizonSchedule):
         radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
     if radii is not None:
-        m0 = problems.stoch_grad(grads, noise, sampling.stream(seed, INIT_STREAM))
-        momentum = MomentumState(m0, beta)  # stoch_step copies it into stacks
+        m0 = problems.stoch_grad(
+            _layer_rows(model, grads), noise, sampling.stream(seed, INIT_STREAM)
+        )
+        momentum = MomentumState(m0, beta)  # stacks() copies it into stacks
+        m_stacks = momentum.stacks(model)
+        if noise is not None:
+            layout = noise.layout([x.size for x in model.layers])
 
+    plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
     reports: list[StepReport] = []
     for k in range(iterations):
         rng = sampling.stream(seed, k + 1)
@@ -493,19 +694,26 @@ def run(
             scheme_k = scheme.at(k / iterations)
         active = sampling.sample(scheme_k, rng)
         try:
-            norms_map, grad_stacks = _dual_norms(model, grads)
+            norms_map, norms = _dual_norms(model, grads)
+            plan = plans.get(active)
+            if plan is None:
+                plan = _plan(model, active, radii, layout)
+                if deterministic:
+                    _plan_stepsizes(plan, policy, table, norms_map)
+                plans[active] = plan
             if deterministic:
-                applied = _apply_det_updates(model, grad_stacks, norms_map, active, policy, table)
+                applied = _det_step(model, grads, norms, plan, policy, table, norms_map)
                 report = StepReport(active=active, applied=applied)
             else:
-                report = stoch_step(
-                    model, problems.stoch_grad(grads, noise, rng), momentum, active, radii,
-                    ns_config=newton_schulz_cfg,
+                draws = rng.standard_normal(layout[2]) if layout and layout[2] else None
+                report = _stoch_step(
+                    model, _samples(grads, plan, draws), momentum, m_stacks, plan, radii,
+                    newton_schulz_cfg,
                 )
             report.grad_dual_norms = norms_map
             report.k = k
             report.f_before = f_curr
-            f_curr, grads, acts, report.fwd_macs = evaluate(model.layers, acts, min(active) - 1)
+            f_curr, grads, report.fwd_macs = oracle(model.stacks, plan.frozen)
             if not math.isfinite(f_curr):
                 raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:

@@ -1,7 +1,7 @@
 """Desk-scale objectives with controllable layer-wise smoothness.
 
 Three problem families share one duck-typed interface (``b``, ``shapes``,
-``f_star``, ``value_and_grad(layers)``):
+``f_star``, ``value_and_grad(layers)``, ``stacked_oracle(groups)``):
 
 * ``SeparableQuadratic`` -- per-layer quadratics with no cross terms; the
   curvature may be a scalar per layer or an elementwise weight array, so the
@@ -15,19 +15,26 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   ``value_and_grad_from_prefix``, which takes a frozen prefix's activations
   from the caller's previous pass and counts the multiply-accumulate
   operations it spends on the rest.  The network keeps no activations of
-  its own: the caller that runs the passes (``optimizer.run``) owns them.
+  its own: the oracle that runs the passes owns them.
 
-The two quadratics evaluate ``value_and_grad`` once per group of layers, not
-once per layer: both stack same-shape layers with their targets (and
-weights), and ``CoupledQuadratic`` stacks the coupling maps between the same
-two layer shapes at construction.  Each keeps the per-layer formula's BLAS
-calls and order of additions, so f and the gradients equal the per-layer
-formulas bit for bit.
+``stacked_oracle(groups)`` binds a problem to its caller's layer groups (each
+with a ``shape`` and 1-based ``members``, as ``optimizer.LayerGroup`` has),
+checking the shapes once.  The oracle it returns takes one (n, m, k) stack
+of layers per group and the frozen-prefix length, and returns f, one
+gradient stack per group and the forward MACs (None for the quadratics).
+The two quadratics build their target, weight, curvature and tilt stacks
+for those groups, and stack the coupling maps per (left group, right group)
+pair; ``value_and_grad`` runs the same arithmetic on their own grouping by
+shape and splits the result into layers.  Each keeps the per-layer
+formula's BLAS calls and order of additions, so f and the gradients equal
+the per-layer formulas bit for bit whatever the grouping.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
 Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
-It draws the noise of every noisy layer, in layer order, in one call.
+It draws the noise of every noisy layer, in layer order, in one call, laid
+out by ``NoiseSpec.layout``, which ``optimizer.run`` shares to add the same
+noise to the active rows of its gradient stacks.
 """
 
 from __future__ import annotations
@@ -86,6 +93,153 @@ def _check_shapes(layers: Sequence[np.ndarray], shapes: list[tuple[int, int]]) -
         raise ValueError("layer shapes do not match the problem")
 
 
+def _group_ids(groups, shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """The 0-based members of the caller's layer groups, checked against the layer shapes.
+
+    Each group has ``shape`` and 1-based ``members``; together the groups
+    must hold every layer once, each of its group's shape.
+    """
+    ids = [[i - 1 for i in group.members] for group in groups]
+    if sorted(i for g in ids for i in g) != list(range(len(shapes))) or any(
+        shapes[i] != tuple(group.shape) for group, g in zip(groups, ids) for i in g
+    ):
+        raise ValueError("layer shapes do not match the problem")
+    return ids
+
+
+def _layer_order(groups: list[list[int]]) -> list[int]:
+    """Position of each layer, in layer order, among the groups' members listed group by group."""
+    flat = [i for g in groups for i in g]
+    return sorted(range(len(flat)), key=flat.__getitem__)
+
+
+def _unstack(stacks: list[np.ndarray], groups: list[list[int]], b: int) -> list[np.ndarray]:
+    """Per-layer views of the rows of one stack per group of 0-based ``groups``."""
+    out = [None] * b
+    for ids, stack in zip(groups, stacks):
+        for i, row in zip(ids, stack):
+            out[i] = row
+    return out
+
+
+class _SeparableStacks:
+    """f and the gradient stacks of a ``SeparableQuadratic`` for one grouping of its layers.
+
+    Called with one (n, m, k) stack of layers per group; returns f, one
+    gradient stack per group and no MACs.  Each layer's term is summed over
+    its own entries and the terms are added in layer order, so f equals the
+    per-layer sum bit for bit whatever the grouping.
+    """
+
+    def __init__(self, prob: "SeparableQuadratic", groups: list[list[int]]) -> None:
+        self._targets = [_stack_of(prob.targets, ids) for ids in groups]
+        self._weights = [_stack_of(prob.weights, ids) for ids in groups]
+        self._order = _layer_order(groups)
+
+    def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
+        terms, grads = [], []
+        for x, a, w in zip(stacks, self._targets, self._weights):
+            e = x - a
+            we = w * e
+            terms += (we * e).sum(axis=(1, 2)).tolist()
+            grads.append(we)
+        val = 0.0
+        for j in self._order:
+            val += 0.5 * terms[j]
+        return val, grads, None
+
+
+class _CoupledStacks:
+    """f and the gradient stacks of a ``CoupledQuadratic`` for one grouping of its layers.
+
+    The curvatures, targets and tilts are stacked per group, and the coupling
+    maps per (left group, right group) pair.  Each product is the BLAS call
+    of the per-layer formula and each sum runs in its order, so the result
+    equals it bit for bit whatever the grouping:
+    f = 1/2 sum_i a_i e_i.e_i, then + coupling e_i.R_i e_{i+1} map by map,
+    then + tilt_i.e_i; grad_i = a_i e_i + coupling R_{i-1}^T e_{i-1}, then
+    + coupling R_i e_{i+1}, then + tilt_i.
+    """
+
+    def __init__(self, prob: "CoupledQuadratic", groups: list[list[int]]) -> None:
+        self._coupling = prob.coupling
+        self._curvatures = prob.curvatures
+        self._order = _layer_order(groups)
+        where = {i: (g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids)}
+        self._targets = [_stack_of(prob.targets, ids).reshape(len(ids), -1) for ids in groups]
+        self._curvature_cols = [
+            np.array([prob.curvatures[i] for i in ids])[:, None] for ids in groups
+        ]
+        self._tilts = None
+        if prob.tilt is not None:
+            self._tilts = [_stack_of(prob.tilt, ids).reshape(len(ids), -1) for ids in groups]
+        self._maps = []
+        pairs = [(where[i][0], where[i + 1][0]) for i in range(prob.b - 1)]
+        for ids in _groups_by(pairs):
+            left, right = pairs[ids[0]]
+            self._maps.append((
+                ids, np.array([prob.maps[i] for i in ids]),
+                left, _row_index([where[i][1] for i in ids]),
+                right, _row_index([where[i + 1][1] for i in ids]),
+            ))
+
+    def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
+        sq, tilt_dots, errs, grads = [], [], [], []
+        for g, x in enumerate(stacks):
+            e = x.reshape(len(x), -1) - self._targets[g]
+            sq += _row_dots(e, e)
+            if self._tilts is not None:
+                tilt_dots += _row_dots(self._tilts[g], e)
+            errs.append(e)
+            grads.append(self._curvature_cols[g] * e)
+        val = 0.5 * sum(a * sq[j] for a, j in zip(self._curvatures, self._order))
+        cross = [0.0] * (len(self._curvatures) - 1)
+        forward = []
+        for ids, r, left, left_rows, right, right_rows in self._maps:
+            e_left = errs[left][left_rows]
+            r_next = (r @ errs[right][right_rows][:, :, None])[:, :, 0]
+            for i, v in zip(ids, _row_dots(e_left, r_next)):
+                cross[i] = v
+            r_back = (r.transpose(0, 2, 1) @ e_left[:, :, None])[:, :, 0]
+            grads[right][right_rows] += self._coupling * r_back
+            forward.append((left, left_rows, r_next))
+        for left, left_rows, r_next in forward:
+            grads[left][left_rows] += self._coupling * r_next
+        for v in cross:
+            val += self._coupling * v
+        if self._tilts is not None:
+            for j in self._order:
+                val += tilt_dots[j]
+            for grad, t in zip(grads, self._tilts):
+                grad += t
+        return float(val), [grad.reshape(x.shape) for grad, x in zip(grads, stacks)], None
+
+
+class _MlpPasses:
+    """A ``TinyMlp``'s passes on layer stacks; it owns the activations of the last pass.
+
+    Each call is one ``value_and_grad_from_prefix`` call through the network
+    instance, on per-layer views of the stacks, reusing the frozen prefix of
+    the previous call's activations; the gradients are stacked once per group.
+    """
+
+    def __init__(self, mlp: "TinyMlp", groups: list[list[int]]) -> None:
+        self._mlp = mlp
+        self._groups = groups
+        self._rows = [None] * mlp.b  # (group, row) of each layer
+        for g, ids in enumerate(groups):
+            for row, i in enumerate(ids):
+                self._rows[i] = (g, row)
+        self._acts = None
+
+    def __call__(self, stacks: list[np.ndarray], frozen: int):
+        layers = [stacks[g][row] for g, row in self._rows]
+        f, grads, self._acts, macs = self._mlp.value_and_grad_from_prefix(
+            layers, self._acts, frozen
+        )
+        return f, [_stack_of(grads, ids) for ids in self._groups], macs
+
+
 class SeparableQuadratic:
     """f(X) = sum_i 1/2 <W_i * (X_i - A_i), X_i - A_i> with elementwise weights.
 
@@ -107,8 +261,7 @@ class SeparableQuadratic:
         self.f_star = 0.0
         # value_and_grad stacks the layers of one shape with their targets and weights
         self._groups = _groups_by(self.shapes)
-        self._target_stacks = [_stack_of(self.targets, g) for g in self._groups]
-        self._weight_stacks = [_stack_of(self.weights, g) for g in self._groups]
+        self._by_shape = _SeparableStacks(self, self._groups)
 
     @property
     def b(self) -> int:
@@ -119,24 +272,19 @@ class SeparableQuadratic:
         return [a.shape for a in self.targets]
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        """f and the per-layer gradients, computed once per group of same-shape layers.
-
-        Each layer's term is summed over its own entries and the terms are
-        added in layer order, so f equals the per-layer sum bit for bit.
-        """
+        """f and the per-layer gradients, computed once per group of same-shape layers."""
         _check_shapes(layers, self.shapes)
-        terms = [0.0] * self.b
-        grads = [None] * self.b
-        for group, a, w in zip(self._groups, self._target_stacks, self._weight_stacks):
-            e = _stack_of(layers, group) - a
-            we = w * e
-            for i, term, g in zip(group, (we * e).sum(axis=(1, 2)).tolist(), we):
-                terms[i] = term
-                grads[i] = g
-        val = 0.0
-        for term in terms:
-            val += 0.5 * term
-        return val, grads
+        val, grads, _ = self._by_shape([_stack_of(layers, ids) for ids in self._groups])
+        return val, _unstack(grads, self._groups, self.b)
+
+    def stacked_oracle(self, groups):
+        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
+
+        ``groups`` are the caller's layer groups (``shape`` and 1-based
+        ``members``); the shapes are checked here, once.  The oracle equals
+        ``value_and_grad`` bit for bit.
+        """
+        return _SeparableStacks(self, _group_ids(groups, self.shapes))
 
     def layer_l0(self, i: int) -> float:
         """Exact Euclidean-norm curvature bound for layer i (1-based): max weight."""
@@ -185,26 +333,7 @@ class CoupledQuadratic:
         # value_and_grad stacks the layers of one shape, as rows of error
         # vectors, and the maps between the same two layer shapes
         self._groups = _groups_by(self.shapes)
-        where = {i: (g, row) for g, ids in enumerate(self._groups) for row, i in enumerate(ids)}
-        self._target_rows = [
-            _stack_of(self.targets, ids).reshape(len(ids), -1) for ids in self._groups
-        ]
-        self._curvature_cols = [
-            np.array([self.curvatures[i] for i in ids])[:, None] for ids in self._groups
-        ]
-        self._tilt_rows = None
-        if self.tilt is not None:
-            self._tilt_rows = [
-                _stack_of(self.tilt, ids).reshape(len(ids), -1) for ids in self._groups
-            ]
-        self._map_groups = []
-        for ids in _groups_by([(self.shapes[i], self.shapes[i + 1]) for i in range(self.b - 1)]):
-            left, right = where[ids[0]][0], where[ids[0] + 1][0]
-            self._map_groups.append((
-                ids, np.array([self.maps[i] for i in ids]),
-                left, _row_index([where[i][1] for i in ids]),
-                right, _row_index([where[i + 1][1] for i in ids]),
-            ))
+        self._by_shape = _CoupledStacks(self, self._groups)
 
         self._hessian = self._assemble_hessian()
         eigmin = float(np.linalg.eigvalsh(self._hessian).min())
@@ -239,52 +368,19 @@ class CoupledQuadratic:
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
         """f and the per-layer gradients, computed once per group of same-shape layers
-        and once per group of coupling maps between the same two layer shapes.
-
-        Each product is the BLAS call of the per-layer formula and each sum
-        runs in its order, so the result equals it bit for bit:
-        f = 1/2 sum_i a_i e_i.e_i, then + coupling e_i.R_i e_{i+1} map by map,
-        then + tilt_i.e_i; grad_i = a_i e_i + coupling R_{i-1}^T e_{i-1}, then
-        + coupling R_i e_{i+1}, then + tilt_i.
-        """
+        and once per group of coupling maps between the same two groups."""
         _check_shapes(layers, self.shapes)
-        sq = [0.0] * self.b
-        tilt_dots = [0.0] * self.b
-        errs, grads = [], []
-        for g, ids in enumerate(self._groups):
-            e = _stack_of(layers, ids).reshape(len(ids), -1) - self._target_rows[g]
-            for i, v in zip(ids, _row_dots(e, e)):
-                sq[i] = v
-            if self._tilt_rows is not None:
-                for i, v in zip(ids, _row_dots(self._tilt_rows[g], e)):
-                    tilt_dots[i] = v
-            errs.append(e)
-            grads.append(self._curvature_cols[g] * e)
-        val = 0.5 * sum(a * v for a, v in zip(self.curvatures, sq))
-        cross = [0.0] * (self.b - 1)
-        forward = []
-        for ids, r, left, left_rows, right, right_rows in self._map_groups:
-            e_left = errs[left][left_rows]
-            r_next = (r @ errs[right][right_rows][:, :, None])[:, :, 0]
-            for i, v in zip(ids, _row_dots(e_left, r_next)):
-                cross[i] = v
-            r_back = (r.transpose(0, 2, 1) @ e_left[:, :, None])[:, :, 0]
-            grads[right][right_rows] += self.coupling * r_back
-            forward.append((left, left_rows, r_next))
-        for left, left_rows, r_next in forward:
-            grads[left][left_rows] += self.coupling * r_next
-        for v in cross:
-            val += self.coupling * v
-        if self._tilt_rows is not None:
-            for v in tilt_dots:
-                val += v
-            for grad, t in zip(grads, self._tilt_rows):
-                grad += t
-        out = [None] * self.b
-        for ids, grad in zip(self._groups, grads):
-            for i, row in zip(ids, grad.reshape((len(ids),) + self.shapes[ids[0]])):
-                out[i] = row
-        return float(val), out
+        val, grads, _ = self._by_shape([_stack_of(layers, ids) for ids in self._groups])
+        return val, _unstack(grads, self._groups, self.b)
+
+    def stacked_oracle(self, groups):
+        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
+
+        ``groups`` are the caller's layer groups (``shape`` and 1-based
+        ``members``); the shapes are checked here, once.  The oracle equals
+        ``value_and_grad`` bit for bit.
+        """
+        return _CoupledStacks(self, _group_ids(groups, self.shapes))
 
     def block_norm(self, i: int, j: int) -> float:
         """Operator norm of Hessian block (i, j), 1-based."""
@@ -316,6 +412,23 @@ class NoiseSpec:
         for j, sigma in enumerate(self.sigmas):
             if not 0.0 <= sigma < math.inf:
                 raise ValueError(f"sigmas[{j}] must be finite and >= 0, got {sigma}")
+
+    def layout(self, sizes: Sequence[int]) -> tuple[list[int | None], list[float], int]:
+        """Where each layer's noise lies in the one draw, its scale, and the draw's length.
+
+        Layer i (0-based, ``sizes[i]`` entries) with a non-zero sigma takes
+        ``sizes[i]`` standard normals from offset ``offsets[i]`` of one
+        ``standard_normal(length)`` draw, in layer order, scaled by
+        ``sigma_i / sqrt(sizes[i])``; a zero sigma has offset None and draws nothing.
+        """
+        if len(self.sigmas) != len(sizes):
+            raise ValueError("need one sigma per layer")
+        offsets, scales, length = [], [], 0
+        for sigma, size in zip(self.sigmas, sizes):
+            offsets.append(length if sigma else None)
+            scales.append(sigma / math.sqrt(size) if sigma else 0.0)
+            length += size if sigma else 0
+        return offsets, scales, length
 
 
 class TinyMlp:
@@ -448,6 +561,15 @@ class TinyMlp:
             raise ValueError("reusing a prefix needs the activations of an earlier pass")
         return self._pass(layers, acts[: frozen + 1] if frozen else [self.inputs], 1)
 
+    def stacked_oracle(self, groups):
+        """``(stacks, frozen) -> (f, gradient stacks, MACs)`` on one stack per group in ``groups``.
+
+        Each call is a ``value_and_grad_from_prefix`` pass that reuses the
+        activations of the oracle's previous pass for layers 1..frozen, which
+        the caller guarantees are unchanged since; the backward is full.
+        """
+        return _MlpPasses(self, _group_ids(groups, self.shapes))
+
 
 # ---------------------------------------------------------------------------
 # Stochastic gradient samples
@@ -467,20 +589,12 @@ def stoch_grad(
     """
     if noise is None:
         return list(grads)
-    if len(noise.sigmas) != len(grads):
-        raise ValueError("need one sigma per layer")
-    sizes = [g.size if sigma else 0 for g, sigma in zip(grads, noise.sigmas)]
-    draws = rng.standard_normal(sum(sizes)) if any(sizes) else None
-    out = []
-    start = 0
-    for g, sigma, size in zip(grads, noise.sigmas, sizes):
-        if sigma == 0.0:
-            out.append(g)
-            continue
-        z = draws[start : start + size].reshape(g.shape)
-        out.append(g + sigma / math.sqrt(size) * z)
-        start += size
-    return out
+    offsets, scales, length = noise.layout([g.size for g in grads])
+    draws = rng.standard_normal(length) if length else None
+    return [
+        g if start is None else g + scale * draws[start : start + g.size].reshape(g.shape)
+        for g, start, scale in zip(grads, offsets, scales)
+    ]
 
 
 def smoothness_constants(

@@ -373,13 +373,18 @@ def test_run_non_finite_iterate_one_error_line(tmp_path, capsys):
 def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatch):
     # initial_f comes from the run's own f(x_0): K + 1 passes, not K + 2
     calls = []
-    inner = problems.SeparableQuadratic.value_and_grad
+    inner = problems.SeparableQuadratic.stacked_oracle
 
-    def counting(self, layers):
-        calls.append(None)
-        return inner(self, layers)
+    def counting(self, groups):  # counts the passes of the oracle run builds
+        oracle = inner(self, groups)
 
-    monkeypatch.setattr(problems.SeparableQuadratic, "value_and_grad", counting)
+        def counted(stacks, frozen):
+            calls.append(None)
+            return oracle(stacks, frozen)
+
+        return counted
+
+    monkeypatch.setattr(problems.SeparableQuadratic, "stacked_oracle", counting)
     cfg = base_config(iterations=20, seeds=(0, 1))
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0

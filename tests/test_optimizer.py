@@ -560,7 +560,7 @@ def test_run_single_pass_matches_fresh_gradient_reference(case):
 
 
 class CountingProblem:
-    """Delegates to a problem and counts its gradient evaluations."""
+    """Delegates to a problem and counts its gradient evaluations, per layer or stacked."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -572,6 +572,15 @@ class CountingProblem:
     def value_and_grad(self, layers):
         self.calls += 1
         return self.inner.value_and_grad(layers)
+
+    def stacked_oracle(self, groups):
+        oracle = self.inner.stacked_oracle(groups)
+
+        def counted(stacks, frozen):
+            self.calls += 1
+            return oracle(stacks, frozen)
+
+        return counted
 
 
 @pytest.mark.parametrize(
@@ -699,6 +708,8 @@ def test_run_overflowing_momentum_norm_names_iteration_and_layer():
 
 class BadGradientAfterFirstStep(CountingProblem):
     """Finite f everywhere; the gradients of layers ``bad`` are all ``fill`` from x_1 on."""
+
+    stacked_oracle = None  # the faults are per layer: run evaluates through value_and_grad
 
     def __init__(self, inner, bad=(2,), fill=np.inf):
         super().__init__(inner)
