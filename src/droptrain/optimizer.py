@@ -333,11 +333,6 @@ class _Plan:
     groups: list[_GroupStep]  # the groups with active members, in model order
     applied: dict[int, float] | None = None  # SmoothInverse stepsizes, in layer order
 
-    @property
-    def frozen(self) -> int:
-        """The layers below min S, which a step leaves as they were."""
-        return min(self.active) - 1
-
 
 def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None:
     """The noise of a group's active rows under ``layout`` (``NoiseSpec.layout``)."""
@@ -520,9 +515,12 @@ def _det_step(
     return applied
 
 
-def _samples(grads: list[np.ndarray], plan: _Plan, draws: np.ndarray | None) -> list[np.ndarray]:
+def _samples(
+    grads: list[np.ndarray], plan: _Plan, layout: tuple | None, rng: np.random.Generator
+) -> list[np.ndarray]:
     """The stochastic gradient sample of each planned group's rows: its exact gradient
-    rows plus, on noisy rows, the scaled standard normals of ``problems.stoch_grad``'s draw."""
+    rows plus, on noisy rows, their share of ``problems.stoch_grad``'s one draw."""
+    draws = rng.standard_normal(layout[2]) if layout is not None and layout[2] else None
     out = []
     for st in plan.groups:
         sample = grads[st.index][st.rows]
@@ -542,13 +540,12 @@ def _stoch_step(
     model: LayerModel,
     samples: list[np.ndarray],
     momentum: MomentumState,
-    m_stacks: list[np.ndarray],
     plan: _Plan,
     radii: np.ndarray,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> StepReport:
     """``stoch_step`` on one sample stack per planned group."""
-    beta = momentum.beta
+    beta, m_stacks = momentum.beta, momentum.stacks(model)
     degenerate, applied, failed = set(), {}, False
     for st, sample in zip(plan.groups, samples):
         x, m, rows = model.stacks[st.index], m_stacks[st.index], st.rows
@@ -609,10 +606,9 @@ def stoch_step(
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
-    m_stacks = momentum.stacks(model)
     plan = _plan(model, active, radii)
     samples = [_gather(grads, st.layers) for st in plan.groups]
-    return _stoch_step(model, samples, momentum, m_stacks, plan, radii, ns_config)
+    return _stoch_step(model, samples, momentum, plan, radii, ns_config)
 
 
 def run(
@@ -680,8 +676,7 @@ def run(
         m0 = problems.stoch_grad(
             _layer_rows(model, grads), noise, sampling.stream(seed, INIT_STREAM)
         )
-        momentum = MomentumState(m0, beta)  # stacks() copies it into stacks
-        m_stacks = momentum.stacks(model)
+        momentum = MomentumState(m0, beta)  # stoch_step copies it into stacks
         if noise is not None:
             layout = noise.layout([x.size for x in model.layers])
 
@@ -705,15 +700,14 @@ def run(
                 applied = _det_step(model, grads, norms, plan, policy, table, norms_map)
                 report = StepReport(active=active, applied=applied)
             else:
-                draws = rng.standard_normal(layout[2]) if layout and layout[2] else None
                 report = _stoch_step(
-                    model, _samples(grads, plan, draws), momentum, m_stacks, plan, radii,
+                    model, _samples(grads, plan, layout, rng), momentum, plan, radii,
                     newton_schulz_cfg,
                 )
             report.grad_dual_norms = norms_map
             report.k = k
             report.f_before = f_curr
-            f_curr, grads, report.fwd_macs = oracle(model.stacks, plan.frozen)
+            f_curr, grads, report.fwd_macs = oracle(model.stacks, min(active) - 1)
             if not math.isfinite(f_curr):
                 raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:

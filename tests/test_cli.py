@@ -391,6 +391,34 @@ def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatc
     assert len(calls) == len(cfg["variants"]) * len(cfg["seeds"]) * (cfg["iterations"] + 1)
 
 
+def test_run_prices_each_distinct_active_set_once_per_csv(tmp_path, monkeypatch):
+    # the rows' cost cells equal iteration_cost, which runs once per distinct
+    # active set of a (variant, seed) run; both variants' sets are fixed by min S
+    calls = []
+    inner = cm.iteration_cost
+
+    def counting(active, cost):
+        calls.append(active)
+        return inner(active, cost)
+
+    monkeypatch.setattr(cm, "iteration_cost", counting)
+    cfg = base_config(iterations=30, seeds=(0, 1))
+    cost = cm.CostParams(cfg["cost"]["c_ov"], tuple(cfg["cost"]["c"]), tuple(cfg["cost"]["c_sharp"]))
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    distinct = 0
+    for csv in sorted((tmp_path / "out").glob("*.csv")):
+        lines = csv.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        cutoffs = {int(r["active_min"]) for r in rows}
+        distinct += len(cutoffs)
+        for r in rows:
+            s = int(r["active_min"])
+            assert float(r["cost_units"]) == inner(frozenset(range(s, 4)), cost)
+    assert len(calls) == distinct
+
+
 @pytest.mark.parametrize("cfg", [base_config(), mlp_config((0, 1))], ids=["quadratic", "tiny_mlp"])
 def test_run_initial_f_is_f_at_x0(tmp_path, cfg):
     cfg_path = write_json(tmp_path / "cfg.json", cfg)

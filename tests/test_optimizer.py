@@ -1207,3 +1207,136 @@ def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
     momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
     with pytest.raises(ValueError, match="^a stacked momentum step failed"):
         op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+# ---------------------------------------------------------------------------
+# stacked noise and per-active-set plans
+# ---------------------------------------------------------------------------
+
+@st.composite
+def noisy_stacks(draw):
+    """Layers of at most two shapes in interleaved Euclidean and spectral groups, their
+    gradients, sigmas with zeros among them, and any non-empty active set."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=2, unique=True
+    ))
+    b = draw(st.integers(1, 6))
+    layer_shapes = [draw(st.sampled_from(shapes)) for _ in range(b)]
+    norms = [draw(st.sampled_from([EUC, SPEC])) for _ in range(b)]
+    sigmas = [draw(st.sampled_from([0.0, 0.3, 2.0])) for _ in range(b)]
+    active = draw(st.sets(st.integers(1, b), min_size=1))
+    return layer_shapes, norms, sigmas, frozenset(active), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_stacks())
+def test_stacked_noise_on_active_rows_equals_stoch_grad(case):
+    # run adds stoch_grad's noise to the active rows of its gradient stacks only;
+    # every active row equals stoch_grad's layer bit for bit, a zero-sigma row is
+    # the exact gradient, and the one draw leaves the generator where stoch_grad does
+    shapes, norms, sigmas, active, seed = case
+    rng = np.random.default_rng(seed)
+    model = op.LayerModel([np.zeros(s) for s in shapes], norms)
+    grads = [rng.standard_normal((len(gr.members),) + gr.shape) for gr in model.groups]
+    per_layer = [None] * len(shapes)
+    for group, stack in zip(model.groups, grads):
+        for i, row in zip(group.members, stack):
+            per_layer[i - 1] = row
+    noise = pb.NoiseSpec(sigmas)
+    got_rng, ref_rng = sp.stream(seed % 97, 3), sp.stream(seed % 97, 3)
+    ref = pb.stoch_grad(per_layer, noise, ref_rng)
+    layout = noise.layout([x.size for x in model.layers])
+    plan = op._plan(model, active, layout=layout)
+    samples = op._samples(grads, plan, layout, got_rng)
+    assert [i for step in plan.groups for i in step.layers] == [
+        i for group in model.groups for i in group.members if i in active
+    ]
+    for step, sample in zip(plan.groups, samples):
+        assert sample.shape == (len(step.layers),) + model.groups[step.index].shape
+        for i, row in zip(step.layers, sample):
+            assert np.array_equal(row, ref[i - 1])
+            if sigmas[i - 1] == 0.0:
+                assert np.array_equal(row, per_layer[i - 1])
+    assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("scheme_name", ["tau_nice", "partitioned"])
+def test_run_stacked_noise_on_non_suffix_sets_matches_fresh_reference(scheme_name):
+    # interleaved groups {1, 3} (spectral 3x2) and {2, 4} (Euclidean 3x2), a zero sigma,
+    # and active sets that are not suffixes of their groups
+    rng = np.random.default_rng(46)
+    shapes = [(3, 2)] * 4
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], (1.0, 2.0, 0.5, 1.5))
+    norms = [SPEC, EUC, SPEC, EUC]
+    scheme = sp.TauNice(4, 2) if scheme_name == "tau_nice" else sp.PartitionedSubmodel(
+        (frozenset({1, 2}), frozenset({3}), frozenset({4})), (0.4, 0.3, 0.3)
+    )
+    x0 = [rng.standard_normal(s) for s in shapes]
+    noise = pb.NoiseSpec((0.3, 0.0, 0.2, 0.5))
+    policy = op.FixedRadius((0.05, 0.1, 0.02, 0.07), beta=0.6)
+    ref_layers, ref_rows = reference_stochastic_run(prob, scheme, policy, 25, 5, norms, x0, noise)
+    res = op.run(prob, scheme, policy, 25, 5, norms=norms, x0=x0, noise=noise)
+    assert [(r.active, r.f_before, r.f_after, r.grad_dual_norms) for r in res.reports] == ref_rows
+    for a, b in zip(res.model.layers, ref_layers):
+        np.testing.assert_array_equal(a, b)
+
+
+def first_iteration_drawing(scheme, seed, cutoff, iterations):
+    """The first iteration k < iterations whose active set has min S == cutoff, or None."""
+    for k in range(iterations):
+        if min(sp.sample(scheme, sp.stream(seed, k + 1))) == cutoff:
+            return k
+    return None
+
+
+def test_run_plans_an_active_set_on_its_first_draw_only():
+    # the table lacks only cutoff 3's constants: the run stops at the first
+    # iteration k > 0 that draws cutoff 3, and runs to the end under a scheme
+    # that never draws it; a run that planned every set in advance would stop
+    # before its first step
+    rng = np.random.default_rng(47)
+    prob = pb.SeparableQuadratic([rng.standard_normal((2, 2)) for _ in range(4)], (1, 2, 0.5, 3))
+    scheme = sp.Rpt((0.3, 0.3, 0.2, 0.2))
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 4)
+    table.l0 = {(i, s): v for (i, s), v in table.l0.items() if s != 3}
+    iterations = 40
+    seed = next(
+        s for s in range(100) if (first_iteration_drawing(scheme, s, 3, iterations) or 0) > 0
+    )
+    k = first_iteration_drawing(scheme, seed, 3, iterations)
+    x0 = [np.zeros((2, 2))] * 4
+    with pytest.raises(KeyError, match=f"iteration {k}: .*for layer 3, set key 3"):
+        op.run(prob, scheme, op.SmoothInverse(), iterations, seed, x0=x0, table=table)
+    never = sp.Rpt((0.4, 0.3, 0.0, 0.3))
+    res = op.run(prob, never, op.SmoothInverse(), iterations, seed, x0=x0, table=table)
+    assert len(res.reports) == iterations
+    assert {min(r.active) for r in res.reports} == {1, 2, 4}
+
+
+def test_run_plans_each_distinct_active_set_once(monkeypatch):
+    # LayerGroup.active_rows runs once per (set, group) and SmoothnessTable.require
+    # once per (set, layer), however often a set is drawn
+    rng = np.random.default_rng(48)
+    shapes = [(3, 2), (2, 2), (3, 2), (3, 2), (2, 2)]
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], (1, 2, 0.5, 3, 1.5))
+    scheme = sp.Rpt((0.2,) * 5)
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 5)
+    rows_calls, require_calls = [], []
+    active_rows, require = op.LayerGroup.active_rows, cm.SmoothnessTable.require
+
+    def counting_rows(self, active):
+        rows_calls.append((self.members, active))
+        return active_rows(self, active)
+
+    def counting_require(self, i, key, which="l0"):
+        require_calls.append((i, key, which))
+        return require(self, i, key, which)
+
+    monkeypatch.setattr(op.LayerGroup, "active_rows", counting_rows)
+    monkeypatch.setattr(cm.SmoothnessTable, "require", counting_require)
+    res = op.run(prob, scheme, op.SmoothInverse(), 60, 2, table=table)
+    drawn = {r.active for r in res.reports}
+    assert len(drawn) >= 3 and len(res.reports) > 2 * len(drawn)
+    groups = [(1, 3, 4), (2, 5)]  # by shape
+    assert sorted(rows_calls) == sorted((m, a) for m in groups for a in drawn)
+    assert len(require_calls) == len(set(require_calls)) == sum(len(a) for a in drawn)

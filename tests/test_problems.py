@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from droptrain import problems as pb
 from droptrain import sampling as sp
 from droptrain.geometry import NormKind
+from droptrain.optimizer import LayerModel
+
+EUC, SPEC = NormKind.EUCLIDEAN, NormKind.SPECTRAL
 
 
 def finite_difference_grads(problem, layers, h=1e-5):
@@ -204,6 +209,119 @@ def test_coupled_stacked_value_and_grad_equals_per_layer_formula(mix, tilt):
         )
     # integer entries are taken as floats, as the per-layer formula takes them
     assert_value_and_grad_equal(prob, coupled_reference, [np.ones(s, dtype=int) for s in shapes])
+
+
+# the stacked oracle on a model's layer groups equals value_and_grad bit for bit
+
+def assert_oracle_equals_value_and_grad(prob, layers, norms):
+    """The oracle bound to the groups of (layers, norms) against the per-layer evaluation."""
+    model = LayerModel([np.array(x, dtype=float) for x in layers], norms)
+    f, grads, macs = prob.stacked_oracle(model.groups)(model.stacks, 0)
+    ref_f, ref_grads = prob.value_and_grad(model.layers)
+    assert f == ref_f and macs is None
+    assert len(grads) == len(model.groups)
+    for group, stack in zip(model.groups, grads):
+        assert stack.shape == (len(group.members),) + group.shape
+        for i, row in zip(group.members, stack):
+            assert np.array_equal(row, ref_grads[i - 1])
+
+
+@st.composite
+def grouped_layers(draw):
+    """Two to six layers of at most two shapes, each Euclidean or spectral, so that one shape
+    splits into a Euclidean and a spectral group whose members interleave (e.g. S, E, S, S)."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=2, unique=True
+    ))
+    b = draw(st.integers(2, 6))
+    layer_shapes = [draw(st.sampled_from(shapes)) for _ in range(b)]
+    norms = [draw(st.sampled_from([EUC, SPEC])) for _ in range(b)]
+    return layer_shapes, norms, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(grouped_layers())
+@example(([(2, 2)] * 4, [SPEC, EUC, SPEC, SPEC], 0))  # one shape, groups {1, 3, 4} and {2}
+def test_separable_oracle_equals_value_and_grad_on_any_grouping(weighted, case):
+    shapes, norms, seed = case
+    rng = np.random.default_rng(seed)
+    curvs = [np.exp(rng.uniform(-1, 1, s)) if weighted else float(rng.uniform(0.5, 3))
+             for s in shapes]
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], curvs)
+    for scale in (1e-3, 1.0, 1e3):
+        assert_oracle_equals_value_and_grad(
+            prob, [scale * rng.standard_normal(s) for s in shapes], norms
+        )
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(grouped_layers())
+@example(([(2, 2)] * 4, [SPEC, EUC, SPEC, SPEC], 0))  # one shape, groups {1, 3, 4} and {2}
+def test_coupled_oracle_equals_value_and_grad_on_any_grouping(tilt, case):
+    shapes, norms, seed = case
+    rng = np.random.default_rng(seed)
+    b = len(shapes)
+    prob = pb.CoupledQuadratic(
+        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5,
+        tilt=[0.1 * rng.standard_normal(s) for s in shapes] if tilt else None, rng=rng,
+    )
+    for scale in (1e-3, 1.0, 1e3):
+        assert_oracle_equals_value_and_grad(
+            prob, [scale * rng.standard_normal(s) for s in shapes], norms
+        )
+
+
+@pytest.mark.parametrize("tilt", [False, True])
+@pytest.mark.parametrize(
+    "norms", [[SPEC] * 4, [SPEC, EUC, SPEC, SPEC], [EUC, SPEC, EUC, SPEC]], ids=["S", "SESS", "ESES"]
+)
+def test_coupled_oracle_equals_value_and_grad_on_unequal_shapes(norms, tilt):
+    # the shapes of the unequal-size coupled run: maps 2x2-2x3, 2x3-3x2, 3x2-2x3
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 3)]
+    rng = np.random.default_rng(43)
+    prob = pb.CoupledQuadratic(
+        [rng.standard_normal(s) for s in shapes], (2.0, 2.5, 2.0, 3.0), 0.5,
+        tilt=[0.1 * rng.standard_normal(s) for s in shapes] if tilt else None, rng=rng,
+    )
+    assert_oracle_equals_value_and_grad(prob, [rng.standard_normal(s) for s in shapes], norms)
+
+
+def test_oracle_refuses_groups_that_do_not_match_the_layer_shapes():
+    rng = np.random.default_rng(44)
+    sep, coup = make_separable(rng), make_coupled(rng)
+    mlp = pb.TinyMlp.synthetic([3, 4, 2], n_samples=5, seed=1)
+    for prob in (sep, coup, mlp):
+        wrong = LayerModel([np.zeros((1, 1))] * prob.b, [EUC] * prob.b)
+        short = LayerModel([np.zeros(prob.shapes[0])], [EUC])
+        for model in (wrong, short):
+            with pytest.raises(ValueError, match="layer shapes do not match the problem"):
+                prob.stacked_oracle(model.groups)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_oracle_equals_a_fresh_pass_for_every_frozen_prefix(activation):
+    # layers 2 and 3 share a shape and a group; after each pass the oracle
+    # keeps its activations, and a pass that moves only layers > frozen
+    # equals a fresh value_and_grad
+    sizes = [4, 6, 6, 6, 3]
+    mlp = pb.TinyMlp.synthetic(sizes, n_samples=12, activation=activation, seed=5)
+    model = LayerModel([w.copy() for w in mlp.weights], [EUC, SPEC, SPEC, EUC])
+    oracle = mlp.stacked_oracle(model.groups)
+    rng = np.random.default_rng(45)
+    n = mlp.inputs.shape[1]
+    for frozen in [0, 3, 1, 2, 0, 2]:
+        if frozen:
+            for x in model.layers[frozen:]:
+                x += 0.05 * rng.standard_normal(x.shape)
+        f, grads, macs = oracle(model.stacks, frozen)
+        ref_f, ref_grads = mlp.value_and_grad(model.layers)
+        assert f == ref_f
+        for group, stack in zip(model.groups, grads):
+            for i, row in zip(group.members, stack):
+                assert np.array_equal(row, ref_grads[i - 1])
+        assert macs == sum(sizes[l] * sizes[l - 1] * n for l in range(frozen + 1, 5)) + 3 * n
 
 
 # ---------------------------------------------------------------------------
