@@ -255,10 +255,10 @@ def build_x0(spec, problem, path: str = "x0") -> list[np.ndarray]:
         scale = spec.get("scale", 1.0)
         rng = np.random.default_rng(_integer(spec.get("seed", 0), f"{path}.seed"))
         _expect(_is_finite(scale), f"{path}.scale", "a finite number", scale)
-        base = getattr(problem, "targets", None)
+        quadratic = isinstance(problem, (problems.SeparableQuadratic, problems.CoupledQuadratic))
         out = []
         for i, s in enumerate(problem.shapes):
-            center = base[i] if base is not None else np.zeros(s)
+            center = problem.targets[i] if quadratic else np.zeros(s)
             out.append(center + float(scale) * rng.standard_normal(s))
         return out
     if kind == "arrays":

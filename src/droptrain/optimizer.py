@@ -10,26 +10,28 @@
   every applied update has primal norm exactly t_i.
 
 ``run`` is also the only gradient caller, once per iterate x_0..x_K, and
-it keeps gradients in layer-group stacks from the problem to the step.  It
-asks the problem once for ``stacked_oracle(model.groups)``, which takes the
-model's stacks and the frozen-prefix length and returns f, one gradient
-stack per group and the forward MACs (or None); a problem without one is
-evaluated through ``value_and_grad`` and one gather per group.  ``TinyMlp``'s
+it keeps gradients in layer-group stacks from the problem to the step.  Its
+one gradient path is the oracle it asks the problem for once,
+``stacked_oracle(model.groups)``, which takes the model's stacks and the
+frozen-prefix length and returns f, one gradient stack per group and the
+forward MACs (or None); it never calls ``value_and_grad``.  ``TinyMlp``'s
 oracle keeps the activations of its last pass and recomputes only layers
 >= min S, since a step writes only its active layers.  That gradient feeds
 the diagnostics, the deterministic step and the stochastic sample, which
-adds noise to the active rows only, drawn as ``problems.stoch_grad`` draws
-it: one ``standard_normal`` call over every noisy layer, in layer order.
-The only diagnostics are f and the gradient dual norms; momentum errors
-||M_i - grad_i||_dual are left to ``verify``, whose descent-lemma check
-drives ``stoch_step`` itself.
+adds noise to the active rows only (to every row for M0), drawn as
+``problems.stoch_grad`` draws it: one ``standard_normal`` call over every
+noisy layer, in layer order.  The only diagnostics are f and the gradient
+dual norms; momentum errors ||M_i - grad_i||_dual are left to ``verify``,
+whose descent-lemma check drives ``stoch_step`` itself.
 
 What an active set determines -- each group's active rows and layers, their
 radii, noise offsets and scales, the smoothness-table key and the stepsizes
 1/L0 (or the L0 and L1 of ``GenSmoothInverse``) -- is a plan, built on the
 first draw of its set and kept for the run, so a run builds at most one plan
-per distinct set it draws (b under RPT).  A missing constant or a bad
-stepsize denominator raises at the first iteration that draws the set.
+per distinct set it draws (b under RPT).  The stochastic path builds the
+full set's plan before the loop, to draw M0 through it.  A missing constant
+or a bad stepsize denominator raises at the first iteration that draws the
+set.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -113,17 +115,14 @@ class LayerGroup:
         always is; otherwise a list, which gathers and scatters.
         """
         rows = [j for j, i in enumerate(self.members) if i in active]
-        layers = [self.members[j] for j in rows]
-        if rows and rows[-1] - rows[0] == len(rows) - 1:
-            return slice(rows[0], rows[-1] + 1), layers
-        return rows, layers
+        return problems._row_index(rows), [self.members[j] for j in rows]
 
 
 def _stack_rows(arrays: list[np.ndarray], groups: list[LayerGroup]) -> list[np.ndarray]:
     """Copy ``arrays`` into one (n, m, k) stack per group and rebind them to its rows."""
     stacks = []
     for group in groups:
-        stack = np.array([arrays[i - 1] for i in group.members], dtype=float)
+        stack = problems._stack_of(arrays, [i - 1 for i in group.members])
         for i, row in zip(group.members, stack):
             arrays[i - 1] = row
         stacks.append(stack)
@@ -151,11 +150,9 @@ class LayerModel:
             raise ValueError("need one norm kind per layer")
         if not self.layers:
             raise ValueError("at least one layer required")
-        members: dict[tuple, list[int]] = {}
-        for i, (x, kind) in enumerate(zip(self.layers, self.norms), start=1):
-            members.setdefault((x.shape, kind), []).append(i)
+        keys = [(x.shape, kind) for x, kind in zip(self.layers, self.norms)]
         self.groups = [
-            LayerGroup(shape, kind, tuple(ids)) for (shape, kind), ids in members.items()
+            LayerGroup(*keys[ids[0]], tuple(i + 1 for i in ids)) for ids in problems._groups_by(keys)
         ]
         self.stacks = _stack_rows(self.layers, self.groups)
 
@@ -277,11 +274,6 @@ class RunResult:
     f_initial: float
 
 
-def _gather(arrays: Sequence[np.ndarray], layers: Sequence[int]) -> np.ndarray:
-    """The arrays of ``layers`` (1-based) copied into one stack."""
-    return np.array([arrays[i - 1] for i in layers], dtype=float)
-
-
 def _layer_rows(model: LayerModel, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per-layer views of the rows of one stack per group of ``model``, in layer order."""
     out = [None] * model.b
@@ -289,16 +281,6 @@ def _layer_rows(model: LayerModel, stacks: Sequence[np.ndarray]) -> list[np.ndar
         for i, row in zip(group.members, stack):
             out[i - 1] = row
     return out
-
-
-def _layer_oracle(problem, model: LayerModel):
-    """The stacked oracle of a problem that has only ``value_and_grad``: one gather per group."""
-
-    def oracle(_stacks, _frozen):
-        f, grads = problem.value_and_grad(model.layers)
-        return f, [_gather(grads, group.members) for group in model.groups], None
-
-    return oracle
 
 
 class _Noise(NamedTuple):
@@ -593,7 +575,9 @@ def stoch_step(
     zero refreshed momentum leaves the layer in place and is flagged
     degenerate.  A non-finite momentum, or a step that vanishes for a
     non-zero momentum (its norm overflows), raises ValueError naming the
-    lowest such layer, after the groups without one have stepped.
+    lowest such layer, after the groups without one have stepped.  An active
+    layer outside 1..b, or gradients whose count or shapes do not match the
+    layers, raise ValueError before anything moves.
 
     Each group's active members update as one slice of its momentum and
     layer stacks (a gather and scatter when they are not consecutive) and
@@ -606,8 +590,18 @@ def stoch_step(
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (model.b,):
         raise ValueError("need one radius per layer")
+    if len(grads) != model.b:
+        raise ValueError(f"need one gradient per layer, got {len(grads)} for {model.b} layers")
+    for i, (grad, x) in enumerate(zip(grads, model.layers), start=1):
+        if np.shape(grad) != x.shape:
+            raise ValueError(
+                f"layer {i}: gradient shape {np.shape(grad)} does not match the layer's {x.shape}"
+            )
+    for i in sorted(active):
+        if not 1 <= i <= model.b:
+            raise ValueError(f"active layer {i} is not in 1..{model.b}")
     plan = _plan(model, active, radii)
-    samples = [_gather(grads, st.layers) for st in plan.groups]
+    samples = [problems._stack_of(grads, [i - 1 for i in st.layers]) for st in plan.groups]
     return _stoch_step(model, samples, momentum, plan, radii, ns_config)
 
 
@@ -633,9 +627,11 @@ def run(
     noise.  Replaying any iteration therefore needs only (seed, k).
 
     The problem is evaluated once per iterate (K + 1 passes), through its
-    ``stacked_oracle`` when it has one; each stochastic sample is that exact
-    gradient plus noise.  ``on_step`` must not change the model: a
-    prefix-reusing pass relies on frozen layers staying as stepped.
+    ``stacked_oracle(model.groups)``; a problem without one raises
+    AttributeError before x0 is evaluated.  Each stochastic sample, M0
+    included, is that exact gradient plus noise on the sampled rows.
+    ``on_step`` must not change the model: a prefix-reusing pass relies on
+    frozen layers staying as stepped.
 
     An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
@@ -658,13 +654,13 @@ def run(
     if deterministic and table is None:
         raise ValueError("smoothness-inverse policies need a SmoothnessTable")
 
-    oracle = getattr(problem, "stacked_oracle", None)
-    oracle = _layer_oracle(problem, model) if oracle is None else oracle(model.groups)
+    oracle = problem.stacked_oracle(model.groups)
     f_curr, grads, _ = oracle(model.stacks, 0)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")
     f_initial = f_curr
 
+    plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
     momentum = radii = layout = None
     if isinstance(policy, FixedRadius):
         if len(policy.radii) != b:
@@ -673,14 +669,14 @@ def run(
     elif isinstance(policy, HorizonSchedule):
         radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
     if radii is not None:
-        m0 = problems.stoch_grad(
-            _layer_rows(model, grads), noise, sampling.stream(seed, INIT_STREAM)
-        )
-        momentum = MomentumState(m0, beta)  # stoch_step copies it into stacks
         if noise is not None:
             layout = noise.layout([x.size for x in model.layers])
+        full = frozenset(range(1, b + 1))
+        plans[full] = _plan(model, full, radii, layout)
+        m0 = _samples(grads, plans[full], layout, sampling.stream(seed, INIT_STREAM))
+        # MomentumState.stacks copies M0 on the first step: it shares no row with grads
+        momentum = MomentumState(_layer_rows(model, m0), beta)
 
-    plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
     reports: list[StepReport] = []
     for k in range(iterations):
         rng = sampling.stream(seed, k + 1)

@@ -1,7 +1,8 @@
 """Desk-scale objectives with controllable layer-wise smoothness.
 
 Three problem families share one duck-typed interface (``b``, ``shapes``,
-``f_star``, ``value_and_grad(layers)``, ``stacked_oracle(groups)``):
+``f_star``, ``stacked_oracle(groups)`` and the per-layer reference
+``value_and_grad(layers)``):
 
 * ``SeparableQuadratic`` -- per-layer quadratics with no cross terms; the
   curvature may be a scalar per layer or an elementwise weight array, so the
@@ -22,26 +23,28 @@ with a ``shape`` and 1-based ``members``, as ``optimizer.LayerGroup`` has),
 checking the shapes once.  The oracle it returns takes one (n, m, k) stack
 of layers per group and the frozen-prefix length, and returns f, one
 gradient stack per group and the forward MACs (None for the quadratics).
-The two quadratics build their target, weight, curvature and tilt stacks
-for those groups, and stack the coupling maps per (left group, right group)
-pair; ``value_and_grad`` runs the same arithmetic on their own grouping by
-shape and splits the result into layers.  Each keeps the per-layer
-formula's BLAS calls and order of additions, so f and the gradients equal
-the per-layer formulas bit for bit whatever the grouping.
+It is the only gradient path ``optimizer.run`` takes.  The two quadratics
+build their target, weight, curvature and tilt stacks for those groups, and
+stack the coupling maps per (left group, right group) pair; each keeps the
+per-layer formula's BLAS calls and order of additions, so f and the
+gradients equal the per-layer formulas bit for bit whatever the grouping.
+Their ``value_and_grad`` is that oracle on one stack per layer.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
 Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
 It draws the noise of every noisy layer, in layer order, in one call, laid
-out by ``NoiseSpec.layout``, which ``optimizer.run`` shares to add the same
-noise to the active rows of its gradient stacks.
+out by ``NoiseSpec.layout``.  ``optimizer.run`` does not call it: it adds the
+same noise, by the same layout, to the rows of its gradient stacks, so
+``stoch_grad`` is the per-layer reference that ``verify`` and the tests
+compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +81,7 @@ def _stack_of(arrays: Sequence[np.ndarray], ids: list[int]) -> np.ndarray:
 
 def _row_index(rows: list[int]) -> slice | list[int]:
     """Rows of a stack as a slice when they are consecutive (a view), else as a list."""
-    if rows[-1] - rows[0] == len(rows) - 1:
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
         return slice(rows[0], rows[-1] + 1)
     return rows
 
@@ -86,11 +89,6 @@ def _row_index(rows: list[int]) -> slice | list[int]:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     """``a[j] @ b[j]`` for each row j, each the dot product of two vectors."""
     return (a[:, None, :] @ b[:, :, None]).reshape(len(a)).tolist()
-
-
-def _check_shapes(layers: Sequence[np.ndarray], shapes: list[tuple[int, int]]) -> None:
-    if [np.shape(x) for x in layers] != shapes:
-        raise ValueError("layer shapes do not match the problem")
 
 
 def _group_ids(groups, shapes: list[tuple[int, int]]) -> list[list[int]]:
@@ -111,15 +109,6 @@ def _layer_order(groups: list[list[int]]) -> list[int]:
     """Position of each layer, in layer order, among the groups' members listed group by group."""
     flat = [i for g in groups for i in g]
     return sorted(range(len(flat)), key=flat.__getitem__)
-
-
-def _unstack(stacks: list[np.ndarray], groups: list[list[int]], b: int) -> list[np.ndarray]:
-    """Per-layer views of the rows of one stack per group of 0-based ``groups``."""
-    out = [None] * b
-    for ids, stack in zip(groups, stacks):
-        for i, row in zip(ids, stack):
-            out[i] = row
-    return out
 
 
 class _SeparableStacks:
@@ -240,13 +229,52 @@ class _MlpPasses:
         return f, [_stack_of(grads, ids) for ids in self._groups], macs
 
 
-class SeparableQuadratic:
+class _OracleGroup(NamedTuple):
+    """A layer group as ``stacked_oracle`` takes it: a layer shape and 1-based members."""
+
+    shape: tuple[int, ...]
+    members: tuple[int, ...]
+
+
+class _Quadratic:
+    """What the two quadratics share: ``b`` and ``shapes`` from their targets, the
+    stacked oracle of their ``_Stacks`` class, and ``value_and_grad`` through it."""
+
+    _Stacks: type
+
+    @property
+    def b(self) -> int:
+        return len(self.targets)
+
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [a.shape for a in self.targets]
+
+    def stacked_oracle(self, groups):
+        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
+
+        ``groups`` are the caller's layer groups (``shape`` and 1-based
+        ``members``); the shapes are checked here, once.
+        """
+        return self._Stacks(self, _group_ids(groups, self.shapes))
+
+    def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        """f and the per-layer gradients: the stacked oracle on one float stack per layer."""
+        stacks = [np.array([x], dtype=float) for x in layers]
+        groups = [_OracleGroup(x.shape[1:], (i,)) for i, x in enumerate(stacks, start=1)]
+        f, grads, _ = self.stacked_oracle(groups)(stacks, 0)
+        return f, [grad[0] for grad in grads]
+
+
+class SeparableQuadratic(_Quadratic):
     """f(X) = sum_i 1/2 <W_i * (X_i - A_i), X_i - A_i> with elementwise weights.
 
     ``curvatures[i]`` may be a positive scalar (the classic a_i/2 ||X_i - A_i||^2
     layer) or an array of positive entry weights matching the layer shape.
     The minimum is X = A with f* = 0.
     """
+
+    _Stacks = _SeparableStacks
 
     def __init__(self, targets: Sequence[np.ndarray], curvatures: Sequence) -> None:
         self.targets = _as_layer_list(targets)
@@ -259,39 +287,13 @@ class SeparableQuadratic:
                 raise ValueError("curvatures must be positive")
             self.weights.append(warr)
         self.f_star = 0.0
-        # value_and_grad stacks the layers of one shape with their targets and weights
-        self._groups = _groups_by(self.shapes)
-        self._by_shape = _SeparableStacks(self, self._groups)
-
-    @property
-    def b(self) -> int:
-        return len(self.targets)
-
-    @property
-    def shapes(self) -> list[tuple[int, int]]:
-        return [a.shape for a in self.targets]
-
-    def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        """f and the per-layer gradients, computed once per group of same-shape layers."""
-        _check_shapes(layers, self.shapes)
-        val, grads, _ = self._by_shape([_stack_of(layers, ids) for ids in self._groups])
-        return val, _unstack(grads, self._groups, self.b)
-
-    def stacked_oracle(self, groups):
-        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
-
-        ``groups`` are the caller's layer groups (``shape`` and 1-based
-        ``members``); the shapes are checked here, once.  The oracle equals
-        ``value_and_grad`` bit for bit.
-        """
-        return _SeparableStacks(self, _group_ids(groups, self.shapes))
 
     def layer_l0(self, i: int) -> float:
         """Exact Euclidean-norm curvature bound for layer i (1-based): max weight."""
         return float(self.weights[i - 1].max())
 
 
-class CoupledQuadratic:
+class CoupledQuadratic(_Quadratic):
     """Adjacent-layer coupled quadratic with exact subset-dependent constants.
 
     f(X) = sum_i a_i/2 ||X_i - A_i||_F^2
@@ -303,6 +305,8 @@ class CoupledQuadratic:
     Positive semidefiniteness is checked at construction; f* comes from a
     direct linear solve on the assembled (desk-scale) Hessian.
     """
+
+    _Stacks = _CoupledStacks
 
     def __init__(
         self,
@@ -330,11 +334,6 @@ class CoupledQuadratic:
             if [t.shape for t in self.tilt] != self.shapes:
                 raise ValueError("tilt shapes must match layer shapes")
 
-        # value_and_grad stacks the layers of one shape, as rows of error
-        # vectors, and the maps between the same two layer shapes
-        self._groups = _groups_by(self.shapes)
-        self._by_shape = _CoupledStacks(self, self._groups)
-
         self._hessian = self._assemble_hessian()
         eigmin = float(np.linalg.eigvalsh(self._hessian).min())
         if eigmin < -1e-10:
@@ -345,14 +344,6 @@ class CoupledQuadratic:
             t = np.concatenate([x.ravel() for x in self.tilt])
             zstar = np.linalg.lstsq(self._hessian, -t, rcond=None)[0]
             self.f_star = float(0.5 * zstar @ self._hessian @ zstar + t @ zstar)
-
-    @property
-    def b(self) -> int:
-        return len(self.targets)
-
-    @property
-    def shapes(self) -> list[tuple[int, int]]:
-        return [a.shape for a in self.targets]
 
     def _assemble_hessian(self) -> np.ndarray:
         dims = [a.size for a in self.targets]
@@ -365,22 +356,6 @@ class CoupledQuadratic:
             h[offs[i] : offs[i + 1], offs[i + 1] : offs[i + 2]] = blk
             h[offs[i + 1] : offs[i + 2], offs[i] : offs[i + 1]] = blk.T
         return h
-
-    def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        """f and the per-layer gradients, computed once per group of same-shape layers
-        and once per group of coupling maps between the same two groups."""
-        _check_shapes(layers, self.shapes)
-        val, grads, _ = self._by_shape([_stack_of(layers, ids) for ids in self._groups])
-        return val, _unstack(grads, self._groups, self.b)
-
-    def stacked_oracle(self, groups):
-        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
-
-        ``groups`` are the caller's layer groups (``shape`` and 1-based
-        ``members``); the shapes are checked here, once.  The oracle equals
-        ``value_and_grad`` bit for bit.
-        """
-        return _CoupledStacks(self, _group_ids(groups, self.shapes))
 
     def block_norm(self, i: int, j: int) -> float:
         """Operator norm of Hessian block (i, j), 1-based."""

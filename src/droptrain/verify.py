@@ -640,9 +640,15 @@ def cost_ratio_setup():
 
 
 def cost_ratio_check(seed: int = 0, n_rpt_seeds: int = 5) -> CheckResult:
-    """Run full-network vs optimal-RPT to one f-gap target and compare cost ratios."""
+    """Run full-network vs optimal-RPT to one f-gap target and compare cost ratios.
+
+    Fails, without a ratio, when full-network training is optimal on the
+    instance or a run does not reach the target within its budget.
+    """
+    name = "cost/constructed_instance_cost_ratio"
     prob, x0, cp, table, scheme_full, scheme_rpt = cost_ratio_setup()
-    assert not costmodel.full_network_optimal_smooth(table)
+    if costmodel.full_network_optimal_smooth(table):
+        return _check(name, False, error="full-network training is optimal on the instance")
     delta0 = prob.value_and_grad(x0)[0]
     target = 1e-3 * delta0
     norms = [NormKind.EUCLIDEAN] * 4
@@ -657,18 +663,20 @@ def cost_ratio_check(seed: int = 0, n_rpt_seeds: int = 5) -> CheckResult:
             cum += costmodel.iteration_cost(r.active, cp)
             if r.f_after - prob.f_star <= target:
                 return cum
-        raise RuntimeError("target not reached within the iteration budget")
+        return None
 
     cost_full = cost_to_target(scheme_full, seed)
-    cost_rpt = float(np.mean([cost_to_target(scheme_rpt, seed + 1 + s) for s in range(n_rpt_seeds)]))
-    measured = cost_full / cost_rpt
+    costs_rpt = [cost_to_target(scheme_rpt, seed + 1 + s) for s in range(n_rpt_seeds)]
+    if cost_full is None or None in costs_rpt:
+        return _check(name, False, error="target not reached within the iteration budget")
+    measured = cost_full / float(np.mean(costs_rpt))
 
     pred_full = costmodel.total_cost(scheme_full, cp, table, 1e-6, "smooth", delta0=delta0)
     pred_rpt = costmodel.total_cost(scheme_rpt, cp, table, 1e-6, "smooth", delta0=delta0)
     predicted = pred_full.total / pred_rpt.total
     rel_err = abs(measured - predicted) / predicted
     return _check(
-        "cost/constructed_instance_cost_ratio",
+        name,
         measured >= 1.1 and rel_err <= 0.15,
         measured_ratio=measured, predicted_ratio=predicted, relative_error=rel_err,
     )
@@ -720,12 +728,12 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
         )),
     ))
 
-    # (c) every applied stochastic update has primal norm exactly t_i
+    # (c) every applied stochastic update has primal norm exactly t_i; frozen layers stay
     qprob, scheme, _table, norms, x0 = rate_check_setup(seed + 2)
     model = optimizer.LayerModel([v.copy() for v in x0], norms)
     momentum = optimizer.MomentumState([np.zeros(s) for s in qprob.shapes], 0.7)
     radii = [0.05, 0.1, 0.2]
-    worst = 0.0
+    worst, frozen_moved = 0.0, 0
     for k in range(100):
         srng = sampling.stream(seed + 3, k)
         active = sampling.sample(scheme, srng)
@@ -738,10 +746,14 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
         for i in rep.applied:
             step_norm = geometry.norm(norms[i - 1], model.layers[i - 1] - before[i - 1])
             worst = max(worst, abs(step_norm - radii[i - 1]))
-        for i in range(1, qprob.b + 1):
-            if i not in active:
-                assert np.array_equal(before[i - 1], model.layers[i - 1])
-    results.append(_check("stochastic/normalized_step_norm", worst <= 1e-9, worst=worst))
+        frozen_moved += sum(
+            not np.array_equal(before[i - 1], model.layers[i - 1])
+            for i in range(1, qprob.b + 1) if i not in active
+        )
+    results.append(_check(
+        "stochastic/normalized_step_norm", worst <= 1e-9 and not frozen_moved,
+        worst=worst, frozen_moved=frozen_moved,
+    ))
 
     # (d) per-iteration descent inequality with measured momentum error.  The
     # loop keeps run's stream rule: M0 from stream(seed, 0), and iteration k

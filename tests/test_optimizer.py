@@ -599,6 +599,57 @@ def test_run_one_gradient_pass_per_iterate(policy):
     assert prob.calls == iterations + 1
 
 
+def shipped_problem(name, rng):
+    """A three-layer instance of each problem family the package ships."""
+    if name == "separable":
+        return scalar_quadratic(rng)
+    if name == "coupled":
+        return pb.CoupledQuadratic(
+            [rng.standard_normal((2, 2)) for _ in range(3)], (2.0, 2.5, 3.0), 0.5,
+            tilt=[0.1 * rng.standard_normal((2, 2)) for _ in range(3)], rng=rng,
+        )
+    return pb.TinyMlp.synthetic([3, 4, 4, 2], n_samples=8, seed=3)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [op.SmoothInverse(), op.GenSmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
+)
+@pytest.mark.parametrize("name", ["separable", "coupled", "mlp"])
+def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy):
+    # neither the per-layer value_and_grad nor stoch_grad is on run's path,
+    # M0 included: both raise here and the run still finishes
+    rng = np.random.default_rng(49)
+    prob = shipped_problem(name, rng)
+    scheme = sp.Rpt((0.5, 0.3, 0.2))
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 3, with_l1_zeros=True)
+    x0 = [0.5 * rng.standard_normal(s) for s in prob.shapes]
+
+    def per_layer_path(*_args, **_kwargs):
+        raise AssertionError("run took a per-layer path")
+
+    monkeypatch.setattr(type(prob), "value_and_grad", per_layer_path)
+    monkeypatch.setattr(pb, "stoch_grad", per_layer_path)
+    noise = pb.NoiseSpec((0.1, 0.0, 0.2))
+    res = op.run(prob, scheme, policy, 10, 0, x0=x0, table=table, noise=noise)
+    assert len(res.reports) == 10 and np.isfinite(res.f_final)
+
+
+def test_run_refuses_a_problem_without_a_stacked_oracle_before_evaluating_x0():
+    class PerLayerOnly:
+        b, shapes, f_star = 2, [(2, 2)] * 2, 0.0
+        calls = 0
+
+        def value_and_grad(self, layers):
+            self.calls += 1
+            return 0.0, [np.zeros((2, 2))] * 2
+
+    prob = PerLayerOnly()
+    with pytest.raises(AttributeError, match="stacked_oracle"):
+        op.run(prob, sp.FullNetwork(2), op.HorizonSchedule(), 3, 0)
+    assert prob.calls == 0
+
+
 # ---------------------------------------------------------------------------
 # run-owned frozen-prefix activations on TinyMlp
 # ---------------------------------------------------------------------------
@@ -707,21 +758,26 @@ def test_run_overflowing_momentum_norm_names_iteration_and_layer():
 
 
 class BadGradientAfterFirstStep(CountingProblem):
-    """Finite f everywhere; the gradients of layers ``bad`` are all ``fill`` from x_1 on."""
-
-    stacked_oracle = None  # the faults are per layer: run evaluates through value_and_grad
+    """Finite f everywhere; the gradient rows of layers ``bad`` are all ``fill`` from x_1 on."""
 
     def __init__(self, inner, bad=(2,), fill=np.inf):
         super().__init__(inner)
         self.bad = bad
         self.fill = fill
 
-    def value_and_grad(self, layers):
-        f, grads = super().value_and_grad(layers)
-        if self.calls > 1:
-            for i in self.bad:
-                grads[i - 1] = np.full_like(grads[i - 1], self.fill)
-        return f, grads
+    def stacked_oracle(self, groups):
+        counted = super().stacked_oracle(groups)
+
+        def oracle(stacks, frozen):
+            f, grads, macs = counted(stacks, frozen)
+            if self.calls > 1:
+                for group, grad in zip(groups, grads):
+                    for row, i in enumerate(group.members):
+                        if i in self.bad:
+                            grad[row] = self.fill
+            return f, grads, macs
+
+        return oracle
 
 
 @pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
@@ -793,8 +849,11 @@ class FixedGradients:
         self.shapes = [gr.shape for gr in grads]
         self.f_star = 0.0
 
-    def value_and_grad(self, layers):
-        return 0.0, self.grads
+    def stacked_oracle(self, groups):
+        stacks = [
+            np.array([self.grads[i - 1] for i in group.members], dtype=float) for group in groups
+        ]
+        return lambda _stacks, _frozen: (0.0, stacks, None)
 
 
 @st.composite
@@ -985,6 +1044,40 @@ def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
         ValueError, match=r"^layer 2: the radius-0.1 step vanished"
     ):
         op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+def assert_stoch_step_refuses(grads, active, message):
+    """stoch_step raises ``message`` and leaves the model and the momentum as they were."""
+    rng = np.random.default_rng(27)
+    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
+    momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], 0.5)
+    before = [x.copy() for x in model.layers], [m.copy() for m in momentum.m]
+    with pytest.raises(ValueError, match=message):
+        op.stoch_step(model, grads, momentum, active, [0.1] * 3)
+    for now, then in zip(model.layers + momentum.m, before[0] + before[1]):
+        np.testing.assert_array_equal(now, then)
+
+
+@pytest.mark.parametrize("active, bad", [({4}, 4), ({0}, 0), ({1, 2, 4}, 4), ({-1, 3}, -1)])
+def test_stoch_step_refuses_an_active_layer_outside_the_model(active, bad):
+    grads = [np.ones((2, 2)) for _ in range(3)]
+    assert_stoch_step_refuses(grads, frozenset(active), rf"^active layer {bad} is not in 1\.\.3$")
+
+
+@pytest.mark.parametrize(
+    "grads, message",
+    [
+        ([np.ones((1, 2))] * 3,
+         r"^layer 1: gradient shape \(1, 2\) does not match the layer's \(2, 2\)$"),
+        ([np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2, 1))],
+         r"^layer 3: gradient shape \(2, 2, 1\) does not match the layer's \(2, 2\)$"),
+        ([np.ones((2, 2))] * 2, r"^need one gradient per layer, got 2 for 3 layers$"),
+        ([np.ones((2, 2))] * 4, r"^need one gradient per layer, got 4 for 3 layers$"),
+    ],
+)
+def test_stoch_step_refuses_gradients_that_do_not_match_the_layers(grads, message):
+    # a (1, 2) gradient would broadcast into a (2, 2) momentum and step every layer
+    assert_stoch_step_refuses(grads, frozenset({1, 2, 3}), message)
 
 
 def test_stoch_step_zero_momentum_in_spectral_group_flagged_degenerate():

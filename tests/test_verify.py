@@ -2,7 +2,7 @@
 
 import pytest
 
-from droptrain import verify
+from droptrain import cli, costmodel, optimizer, verify
 
 
 def test_unknown_suite_rejected():
@@ -41,6 +41,54 @@ def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
     check = results["stochastic/descent_lemma_diagnostic"]
     assert check.passed
     assert check.detail["worst_violation"] == -0.002339504740431264
+
+
+def test_stochastic_suite_reports_a_moved_frozen_layer_as_fail(monkeypatch, capsys):
+    # check (c) folds the frozen-layer invariant into its result instead of asserting
+    stoch_step = optimizer.stoch_step
+
+    def moving_frozen_layers(model, grads, momentum, active, radii, ns_config=None):
+        report = stoch_step(model, grads, momentum, active, radii, ns_config)
+        for i in range(1, model.b + 1):
+            if i not in active:
+                model.layers[i - 1] += 1.0
+        return report
+
+    monkeypatch.setattr(optimizer, "stoch_step", moving_frozen_layers)
+    results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
+    check = results["stochastic/normalized_step_norm"]
+    assert not check.passed and check.detail["frozen_moved"] > 0
+    assert check.detail["worst"] <= 1e-9  # the applied steps still have norm t_i
+    assert cli.main(["verify", "--suite", "stochastic"]) == 1
+    assert "[FAIL] stochastic/normalized_step_norm" in capsys.readouterr().out
+
+
+def force_full_network_optimal(monkeypatch):
+    monkeypatch.setattr(costmodel, "full_network_optimal_smooth", lambda table: True)
+    return "full-network training is optimal on the instance"
+
+
+def force_target_not_reached(monkeypatch):
+    run = optimizer.run
+
+    def one_iteration(prob, scheme, policy, _iterations, seed, **kwargs):
+        return run(prob, scheme, policy, 1, seed, **kwargs)
+
+    monkeypatch.setattr(optimizer, "run", one_iteration)
+    return "target not reached within the iteration budget"
+
+
+@pytest.mark.parametrize("force", [force_full_network_optimal, force_target_not_reached])
+def test_cost_ratio_check_reports_a_broken_premise_as_fail(monkeypatch, capsys, force):
+    error = force(monkeypatch)
+    result = verify.cost_ratio_check(seed=0, n_rpt_seeds=5)
+    assert result.name == "cost/constructed_instance_cost_ratio"
+    assert not result.passed and result.detail == {"error": error}
+    # the CLI runs the cost suite narrowed to this check, which is the one that raised
+    monkeypatch.setitem(verify.SUITES, "cost", lambda seed: [verify.cost_ratio_check(seed)])
+    assert cli.main(["verify", "--suite", "cost"]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] cost/constructed_instance_cost_ratio (error={error})" in out
 
 
 def test_random_table_generator_monotone():
