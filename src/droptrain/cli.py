@@ -491,10 +491,9 @@ def cmd_run(args) -> int:
                 print(f"run error: variant {variant.name!r}, seed {seed}: {exc}", file=sys.stderr)
                 return 1
             csv_path = out_dir / f"{variant.name}_seed{seed}.csv"
+            lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
             with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write("\n".join(lines) + "\n")
             per_seed[str(seed)] = {
                 "initial_f": result.f_initial,
                 "final_f": result.f_final,

@@ -624,7 +624,10 @@ def run(
     Stream-splitting rule: stream(seed, 0) feeds initialization draws (e.g.
     the momentum-initializing stochastic gradient), stream(seed, k + 1) feeds
     iteration k, which consumes first the active-set draw, then the gradient
-    noise.  Replaying any iteration therefore needs only (seed, k).
+    noise.  Replaying any iteration therefore needs only (seed, k).  The
+    per-iteration ``sampling.stream(seed, k + 1)`` call is also what the
+    benchmark tracer (``benchmarks/tracer.py``) counts as the start of
+    iteration k, so it stays one call per iteration.
 
     The problem is evaluated once per iterate (K + 1 passes), through its
     ``stacked_oracle(model.groups)``; a problem without one raises

@@ -28,7 +28,8 @@ build their target, weight, curvature and tilt stacks for those groups, and
 stack the coupling maps per (left group, right group) pair; each keeps the
 per-layer formula's BLAS calls and order of additions, so f and the
 gradients equal the per-layer formulas bit for bit whatever the grouping.
-Their ``value_and_grad`` is that oracle on one stack per layer.
+Their ``value_and_grad`` is that oracle on one stack per layer, built once
+per instance.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
@@ -42,9 +43,10 @@ compare against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,13 +231,6 @@ class _MlpPasses:
         return f, [_stack_of(grads, ids) for ids in self._groups], macs
 
 
-class _OracleGroup(NamedTuple):
-    """A layer group as ``stacked_oracle`` takes it: a layer shape and 1-based members."""
-
-    shape: tuple[int, ...]
-    members: tuple[int, ...]
-
-
 class _Quadratic:
     """What the two quadratics share: ``b`` and ``shapes`` from their targets, the
     stacked oracle of their ``_Stacks`` class, and ``value_and_grad`` through it."""
@@ -258,11 +253,21 @@ class _Quadratic:
         """
         return self._Stacks(self, _group_ids(groups, self.shapes))
 
+    @functools.cached_property
+    def _per_layer_oracle(self):
+        return self._Stacks(self, [[i] for i in range(self.b)])
+
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        """f and the per-layer gradients: the stacked oracle on one float stack per layer."""
+        """f and the per-layer gradients: the stacked oracle on one float stack per layer.
+
+        That oracle is built on the first call and kept, so the problem's
+        targets, weights, curvatures, maps and tilt are fixed after
+        construction.
+        """
         stacks = [np.array([x], dtype=float) for x in layers]
-        groups = [_OracleGroup(x.shape[1:], (i,)) for i, x in enumerate(stacks, start=1)]
-        f, grads, _ = self.stacked_oracle(groups)(stacks, 0)
+        if [x.shape[1:] for x in stacks] != self.shapes:
+            raise ValueError("layer shapes do not match the problem")
+        f, grads, _ = self._per_layer_oracle(stacks, 0)
         return f, [grad[0] for grad in grads]
 
 

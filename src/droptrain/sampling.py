@@ -19,18 +19,27 @@ Sampling draws from a caller-supplied ``numpy.random.Generator``; the
 via SeedSequence spawn keys.  ``optimizer.run`` follows one rule:
 ``stream(seed, 0)`` feeds initialization and ``stream(seed, k + 1)`` feeds
 iteration k, which draws its active set before its gradient noise, so any
-iteration replays from (seed, k) alone.  The schemes that draw an index
-from a probability vector (``Rpt``, ``TauSubmodel``, ``PartitionedSubmodel``)
-build its CDF once, at construction, and ``sample`` draws with
-``Generator.choice``'s own arithmetic on it (one uniform double, a
-right-sided search), so every draw equals ``rng.choice(len(p), p=p)``
-without re-validating ``p`` on each call.
+iteration replays from (seed, k) alone.  ``stream(seed, *path)`` is bit for
+bit ``default_rng(SeedSequence(seed, spawn_key=path))``, but it does not
+build the ``SeedSequence``: it hashes the spawn keys of 256 consecutive last
+path elements at once, in numpy arrays, with SeedSequence's own documented
+algorithm, keeps the last few such blocks, and seeds each ``PCG64`` from its
+key's precomputed row.  Its generators therefore cannot ``spawn``.
+
+The schemes that draw an index from a probability vector (``Rpt``,
+``TauSubmodel``, ``PartitionedSubmodel``) build its CDF once, at
+construction, and ``sample`` draws with ``Generator.choice``'s own arithmetic
+on it (one uniform double, a right-sided search), so every draw equals
+``rng.choice(len(p), p=p)`` without re-validating ``p`` on each call.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -69,17 +78,16 @@ def _check_prob_vector(p) -> tuple[float, ...]:
     return p
 
 
-def _cdf(p: tuple[float, ...]) -> np.ndarray:
+def _cdf(p: tuple[float, ...]) -> tuple[float, ...]:
     """The CDF ``Generator.choice`` builds from ``p`` on every call, built once."""
     cdf = np.asarray(p, dtype=float).cumsum()
     cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
+    return tuple(cdf.tolist())
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _draw(cdf: tuple[float, ...], rng: np.random.Generator) -> int:
     """0-based index drawn exactly as ``rng.choice(len(p), p=p)`` draws it."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right(cdf, rng.random())
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class Rpt:
     """Randomized progressive training: cutoff s ~ p, active set {s, ..., b}."""
 
     p: tuple[float, ...]
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_prob_vector(self.p))
@@ -117,7 +125,7 @@ class TauSubmodel:
     b: int
     tau: int
     p: tuple[float, ...]
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.tau <= self.b:
@@ -136,7 +144,7 @@ class PartitionedSubmodel:
 
     blocks: tuple[frozenset[int], ...]
     p: tuple[float, ...]
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(frozenset(int(i) for i in blk) for blk in self.blocks)
@@ -202,6 +210,125 @@ class EpochShiftRpt:
 SamplingScheme = Union[Rpt, TauNice, TauSubmodel, PartitionedSubmodel, FullNetwork]
 
 
+# numpy's SeedSequence: pool of 4 uint32 words, hashed with these constants
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_BLOCK_BITS = 8  # a block holds the keys of 2**8 consecutive last path elements
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pairs of ``n`` successive hashes run from the constant ``init``."""
+    out, const = [], init
+    for _ in range(n):
+        nxt = const * mult & _MASK32
+        out.append((const, nxt))
+        const = nxt
+    return tuple(out)
+
+
+# the hash constants do not depend on the data: the mixing pairs cover
+# entropy of up to 16 words, the output pairs one PCG64 seed (8 words)
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * 12)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value, xor: int, mult: int):
+    """SeedSequence's ``hashmix`` on a uint32 word: a Python int or a uint64 array."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 words, each a Python int or a uint64 array."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a non-negative int, least significant first ([0] for 0)."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _entropy_int(x) -> int:
+    """``x`` as a non-negative int, refused as ``SeedSequence`` refuses it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_block(seed: int, prefix: tuple[int, ...], high: int | None) -> np.ndarray:
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=prefix + (k,))``, one row per k.
+
+    The rows are the 256 keys ``k = high * 256 + j``, j = 0..255; with
+    ``high`` None, the one row of ``SeedSequence(seed)``.  Only word 0 of k
+    varies within a block and never carries, so it is the only array: the
+    words before it are mixed once, as Python ints.
+    """
+    entropy = _words(seed)
+    if high is not None:
+        entropy += [0] * (_POOL_SIZE - len(entropy))  # run entropy padded before a spawn key
+        for p in prefix:
+            entropy += _words(p)
+        last = _words(high << _BLOCK_BITS)
+        last[0] = np.arange(1 << _BLOCK_BITS, dtype=np.uint64) + last[0]
+        entropy += last
+    n_hashes = _POOL_SIZE**2 + _POOL_SIZE * max(0, len(entropy) - _POOL_SIZE)
+    consts = _HASH_A if n_hashes <= len(_HASH_A) else _hash_consts(_INIT_A, _MULT_A, n_hashes)
+    hashes = iter(consts)
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else 0, *next(hashes)) for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(hashes)))
+    state = [_hashmix(pool[i % _POOL_SIZE], *c) for i, c in enumerate(_HASH_B)]
+    cols = [np.asarray(state[2 * i] | state[2 * i + 1] << 32, dtype=np.uint64) for i in range(4)]
+    block = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 4)
+    block.flags.writeable = False
+    return block
+
+
+@functools.cache
+def _fixed_seed_class() -> type:
+    """An ``ISeedSequence`` that hands PCG64 one precomputed row of seed words.
+
+    Made on first use: subclassing at import would load ``numpy.random``
+    with every import of the package.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedWords(ISeedSequence):
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only PCG64's seed: 4 uint64 words")
+            return self.row
+
+        def __reduce__(self):  # a pickled generator keeps its seed words
+            return _fixed_seed_words, (self.row,)
+
+    return FixedSeedWords
+
+
+def _fixed_seed_words(row: np.ndarray):
+    return _fixed_seed_class()(row)
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Replayable generator for the spawn-key ``path`` under ``seed``.
 
@@ -210,8 +337,22 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     and iteration k -- its active set, then its gradient noise -- from
     ``stream(seed, k + 1)``, so any iteration replays bit-identically without
     replaying its predecessors.
+
+    Each call returns a fresh ``Generator(PCG64)`` whose state, and so every
+    draw, equals ``default_rng(SeedSequence(seed, spawn_key=path))``'s, and
+    refuses a negative (ValueError) or non-integer (TypeError) seed or path
+    element as that does.  The PCG64 seed words come from ``_seed_block``,
+    which hashes 256 consecutive last path elements at once and keeps the
+    last 16 blocks.  The generator's ``bit_generator.seed_seq`` is not a
+    ``SeedSequence``, so ``Generator.spawn`` is not supported.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+    seed = _entropy_int(seed)
+    path = tuple(map(_entropy_int, path))
+    if path:
+        row = _seed_block(seed, path[:-1], path[-1] >> _BLOCK_BITS)[path[-1] & 0xFF]
+    else:
+        row = _seed_block(seed, (), None)[0]
+    return np.random.Generator(np.random.PCG64(_fixed_seed_words(row)))
 
 
 def sample(scheme: SamplingScheme, rng: np.random.Generator) -> frozenset[int]:

@@ -1,7 +1,12 @@
 """Optimizer steps and runs: freeze contracts, exact-step landings, determinism,
 rate weights."""
 
+import importlib.util
+import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from droptrain import sampling as sp
 from droptrain import verify
 from droptrain.geometry import NormKind
 
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 EUC = NormKind.EUCLIDEAN
 SPEC = NormKind.SPECTRAL
 
@@ -936,9 +942,7 @@ def test_run_euclidean_det_loop_scans_no_matrix_and_calls_no_choice(monkeypatch)
             return super().choice(*args, **kwargs)
 
     monkeypatch.setattr(g, "check_matrix", counting_check)
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed))
-    )
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     sp.stream(0, 1).choice(3)  # the spies are live
     g.check_matrix(np.ones((1, 1)))
     assert (len(checks), len(choices)) == (1, 1)
@@ -1433,3 +1437,30 @@ def test_run_plans_each_distinct_active_set_once(monkeypatch):
     groups = [(1, 3, 4), (2, 5)]  # by shape
     assert sorted(rows_calls) == sorted((m, a) for m in groups for a in drawn)
     assert len(require_calls) == len(set(require_calls)) == sum(len(a) for a in drawn)
+
+
+# the benchmark tracer opens an iteration on run's per-iteration stream call
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["quad_det", "mlp_rpt"])
+def test_benchmark_tracer_sees_every_iteration(name, tmp_path):
+    cfg = _benchmark_workloads().make_config(name, 0, tiny=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "child.py"), "--config", str(config),
+         "--out", str(tmp_path / "out"), "--result", str(tmp_path / "result.json"),
+         "--trace", str(tmp_path / "spans.json")],
+        capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "result.json").read_text())["rc"] == 0
+    iterations = json.loads((tmp_path / "spans.json").read_text())["iterations"]
+    assert len(iterations) == len(cfg["variants"]) * len(cfg["seeds"]) * cfg["iterations"]
+    assert all(it[4] is not None and it[5] is not None for it in iterations)  # closed, with min S

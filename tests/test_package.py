@@ -45,3 +45,15 @@ def test_readme_examples_run(tmp_path):
     config.write_text(readme_block("json"))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "results")]) == 0
     assert len(list((tmp_path / "results").glob("*.csv"))) == 6
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # sampling.stream makes its numpy.random subclass on first use, so an
+    # import alone pays nothing for numpy.random
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, droptrain.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

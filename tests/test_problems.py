@@ -211,6 +211,32 @@ def test_coupled_stacked_value_and_grad_equals_per_layer_formula(mix, tilt):
     assert_value_and_grad_equal(prob, coupled_reference, [np.ones(s, dtype=int) for s in shapes])
 
 
+@pytest.mark.parametrize("kind", ["separable", "coupled"])
+def test_value_and_grad_repeated_calls_equal_a_fresh_instances(kind):
+    # the per-layer oracle is built on the first call and kept: later calls
+    # on one instance still equal a first call on a fresh one
+    def build():
+        rng = np.random.default_rng(42)
+        if kind == "separable":
+            return make_separable(rng, weighted=True)
+        return make_coupled(rng, tilt=True)
+
+    prob = build()
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        layers = [rng.standard_normal(s) for s in prob.shapes]
+        val, grads = prob.value_and_grad(layers)
+        ref_val, ref_grads = build().value_and_grad(layers)
+        assert val == ref_val
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+    with pytest.raises(ValueError, match="layer shapes"):
+        prob.value_and_grad([np.zeros(s) for s in prob.shapes[:-1]])
+    with pytest.raises(ValueError, match="layer shapes"):
+        prob.value_and_grad([np.zeros(s[::-1]) for s in prob.shapes])
+
+
 # the stacked oracle on a model's layer groups equals value_and_grad bit for bit
 
 def assert_oracle_equals_value_and_grad(prob, layers, norms):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -196,6 +197,73 @@ def test_sample_draws_what_generator_choice_draws(scheme):
         rng, ref = sp.stream(7, k), sp.stream(7, k)
         assert sp.sample(scheme, rng) == choice_reference(scheme, ref), k
         assert rng.random() == ref.random(), k
+
+
+# ---------------------------------------------------------------------------
+# stream: bit for bit the SeedSequence generator it replaces
+# ---------------------------------------------------------------------------
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**140 + 17]
+STREAM_PATHS = [
+    (), (0,), (255,), (256,), (2**32 - 1,), (2**32,), (2**64 - 1,), (2**70,),
+    (1, 7), (3, 2**33), (0, 0, 0),
+]
+
+
+def reference_stream(seed, *path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+
+
+def assert_same_stream(rng, ref):
+    assert type(rng.bit_generator) is type(ref.bit_generator)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(rng.random(5), ref.random(5))
+    assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+    assert np.array_equal(rng.integers(0, 2**40, 5), ref.integers(0, 2**40, 5))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("path", STREAM_PATHS, ids=str)
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+def test_stream_equals_seed_sequence_generator(seed, path):
+    assert_same_stream(sp.stream(seed, *path), reference_stream(seed, *path))
+
+
+def test_stream_equals_seed_sequence_generator_across_blocks():
+    # consecutive keys as optimizer.run asks for them, across block bounds,
+    # and keys whose entropy outgrows the precomputed hash constants
+    for k in range(1000):
+        assert_same_stream(sp.stream(9, k + 1), reference_stream(9, k + 1))
+    for seed, path in [(2**600 + 3, (1,)), (5, (2**700, 2**513 + 9)), (2**600, ())]:
+        assert_same_stream(sp.stream(seed, *path), reference_stream(seed, *path))
+    assert_same_stream(sp.stream(np.int64(4), np.uint8(2)), reference_stream(4, 2))
+
+
+def test_streams_for_one_key_share_no_state():
+    # drawing from one generator does not move the other
+    a, b = sp.stream(3, 17), sp.stream(3, 17)
+    ref_a, ref_b = reference_stream(3, 17), reference_stream(3, 17)
+    a.random(1000), ref_a.random(1000)
+    assert_same_stream(b, ref_b)
+    assert_same_stream(a, ref_a)
+
+
+def test_stream_survives_pickling():
+    rng = sp.stream(11, 300)
+    rng.random(7)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert_same_stream(copy, rng)
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(-1, ValueError), (1.5, TypeError)], ids=["negative", "float"]
+)
+def test_stream_refuses_keys_as_seed_sequence_does(bad, error):
+    for args in [(bad,), (bad, 1), (0, bad), (0, 1, bad)]:
+        with pytest.raises(error):
+            reference_stream(*args)
+        with pytest.raises(error):
+            sp.stream(*args)
 
 
 # ---------------------------------------------------------------------------
