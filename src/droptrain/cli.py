@@ -328,9 +328,8 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
 
     table, weights, caps = None, np.ones(b), None
     if isinstance(policy, (optimizer.SmoothInverse, optimizer.GenSmoothInverse)):
-        needs_l1 = isinstance(policy, optimizer.GenSmoothInverse)
         try:
-            table = problems.smoothness_constants(problem, scheme, norms, with_l1_zeros=needs_l1)
+            table = problems.smoothness_constants(problem, scheme, norms)
         except ValueError as exc:
             raise ConfigError(f"{path}.policy", str(exc)) from exc
         try:
@@ -342,7 +341,8 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
             and caps_table.l1 is not None:
         try:
             p = costmodel.cutoff_probs(scheme)
-            caps = costmodel.horizon_eta_caps(p, caps_table, iterations).tolist()
+            rho = [math.sqrt(geometry.norm_ratio_squared(*ks)) for ks in zip(norms, problem.shapes)]
+            caps = costmodel.horizon_eta_caps(p, caps_table, iterations, rho).tolist()
         except ValueError:
             pass  # no cutoff distribution, no caps
         except KeyError as exc:

@@ -56,6 +56,7 @@ __all__ = [
     "LmoResult",
     "check_matrix",
     "norm",
+    "norm_ratio_squared",
     "dual_norm",
     "lmo",
     "sharp",
@@ -235,6 +236,12 @@ def norm(kind: NormKind, m: np.ndarray) -> float:
         return float(np.linalg.norm(m))
     s = np.linalg.svd(m, compute_uv=False)
     return float(s[0]) if s.size else 0.0
+
+
+def norm_ratio_squared(kind: NormKind, shape: tuple[int, ...]) -> int:
+    """The exact integer rho^2 with ||X|| <= ||X||_F <= rho ||X|| on ``shape`` matrices:
+    min(m, n) for the spectral norm (rho = sqrt(min(m, n))), 1 for the Euclidean."""
+    return min(shape) if kind == NormKind.SPECTRAL else 1
 
 
 def dual_norm(kind: NormKind, m: np.ndarray) -> float:

@@ -26,12 +26,14 @@ whose descent-lemma check drives ``stoch_step`` itself.
 
 What an active set determines -- each group's active rows and layers, their
 radii, noise offsets and scales, the smoothness-table key and the stepsizes
-1/L0 (or the L0 and L1 of ``GenSmoothInverse``) -- is a plan, built on the
-first draw of its set and kept for the run, so a run builds at most one plan
-per distinct set it draws (b under RPT).  The stochastic path builds the
-full set's plan before the loop, to draw M0 through it.  A missing constant
-or a bad stepsize denominator raises at the first iteration that draws the
-set.
+1/L0 (or the L0 and L1 of ``GenSmoothInverse`` on a table with an L1 map) --
+is a plan, built on the first draw of its set and kept for the run, so a run
+builds at most one plan per distinct set it draws (b under RPT).  The
+stochastic path builds the full set's plan before the loop, to draw M0
+through it.  The plan derives and checks the stepsizes, layer by layer (L0,
+L1, denominator), so a missing constant or a bad denominator raises at the
+first iteration that draws the set; only ``GenSmoothInverse``'s denominators
+are checked again, per iteration, as they are computed.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -59,8 +61,8 @@ f by ``math.isfinite``, and an active momentum by its group's LMO call.  The
 deterministic step therefore moves a Euclidean group by ``gamma * grad``
 without a second scan, since the Euclidean sharp operator is the identity.
 The stacked calls only detect a fault: a group that raises, has a non-finite
-dual norm or a vanished step sets a flag, and after the loop one walk over
-the layers, with the per-matrix checks, names the lowest failing layer
+dual norm or a vanished step sets a flag, and after the loop one of two walks
+over the layers, with the per-matrix checks, names the lowest failing layer
 (``_raise_gradient_fault``, ``_raise_momentum_fault``).  Nothing is walked
 while every group passes.
 
@@ -206,7 +208,10 @@ class SmoothInverse:
 
 @dataclass(frozen=True)
 class GenSmoothInverse:
-    """gamma_i = 1 / (L0_{i,S} + L1_{i,S} ||grad_i||_dual); exact-gradient path."""
+    """gamma_i = 1 / (L0_{i,S} + L1_{i,S} ||grad_i||_dual); exact-gradient path.
+
+    A table without an L1 map means L1 = 0, and the run takes ``SmoothInverse``'s
+    stepsizes 1/L0, equal bit for bit since the dual norms are finite."""
 
 
 @dataclass(frozen=True)
@@ -302,8 +307,8 @@ class _GroupStep:
     layers: list[int]
     radii: np.ndarray | None = None  # t_i of the rows (stochastic path)
     noise: _Noise | None = None
-    gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (SmoothInverse)
-    l0: np.ndarray | None = None  # L0 and L1 of the rows (GenSmoothInverse)
+    gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (without L1)
+    l0: np.ndarray | None = None  # L0 and L1 of the rows (GenSmoothInverse with L1)
     l1: np.ndarray | None = None
 
 
@@ -313,7 +318,7 @@ class _Plan:
 
     active: frozenset[int]
     groups: list[_GroupStep]  # the groups with active members, in model order
-    applied: dict[int, float] | None = None  # SmoothInverse stepsizes, in layer order
+    applied: dict[int, float] | None = None  # stepsizes 1/L0 (without L1), in layer order
 
 
 def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None:
@@ -359,45 +364,30 @@ def _plan_stepsizes(
     table: SmoothnessTable,
     dual_norms: dict[int, float],
 ) -> None:
-    """Give each planned group its stepsizes 1/L0, or its L0 and L1 under ``GenSmoothInverse``.
+    """Give each planned group its stepsizes 1/L0, or its L0 and L1 under ``GenSmoothInverse``
+    on a table with an L1 map.
 
-    A missing constant or a non-positive denominator raises as the per-layer
-    loop does, for the lowest such layer (``_raise_stepsize_fault``).
+    Each active layer, in layer order, raises on a missing L0, then L1, then
+    a stepsize denominator under ``dual_norms`` that is not positive.
     """
-    active = plan.active
-    key = table.key_for(active)
-    order = sorted(active)
-    generalized = isinstance(policy, GenSmoothInverse)
-    try:
-        l0 = {i: table.require(i, key) for i in order}
-        l1 = {i: table.require(i, key, "l1") for i in order} if generalized else None
-    except KeyError:
-        _raise_stepsize_fault(active, policy, table, dual_norms)
+    key = table.key_for(plan.active)
+    generalized = isinstance(policy, GenSmoothInverse) and table.l1 is not None
+    l0, l1 = {}, {}
+    for i in sorted(plan.active):
+        denom = l0[i] = table.require(i, key)
+        if generalized:
+            l1[i] = table.require(i, key, "l1")
+            denom = denom + l1[i] * dual_norms[i]
+        if not denom > 0.0:  # also refuses nan
+            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
     if generalized:
         for st in plan.groups:
             st.l0 = np.array([l0[i] for i in st.layers])
             st.l1 = np.array([l1[i] for i in st.layers])
         return
-    if not all(v > 0.0 for v in l0.values()):  # also refuses nan
-        _raise_stepsize_fault(active, policy, table, dual_norms)
-    plan.applied = {i: 1.0 / l0[i] for i in order}
+    plan.applied = {i: 1.0 / v for i, v in l0.items()}
     for st in plan.groups:
         st.gammas = np.array([plan.applied[i] for i in st.layers])[:, None, None]
-
-
-def _raise_stepsize_fault(
-    active: frozenset[int], policy, table: SmoothnessTable, dual_norms: dict[int, float]
-) -> NoReturn:
-    """Raise the error of the lowest active layer whose constant is missing or whose
-    stepsize denominator is not positive."""
-    key = table.key_for(active)
-    for i in sorted(active):
-        denom = table.require(i, key)
-        if isinstance(policy, GenSmoothInverse):
-            denom = denom + table.require(i, key, "l1") * dual_norms[i]
-        if not denom > 0.0:  # also refuses nan
-            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
-    raise ValueError("a stacked stepsize check failed that no layer fails alone")
 
 
 def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoReturn:
@@ -413,12 +403,12 @@ def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoR
 
 
 def _raise_momentum_fault(
-    model: LayerModel, momentum: MomentumState, active: frozenset[int], radii: np.ndarray,
+    model: LayerModel, momentum: MomentumState, plan: _Plan,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> NoReturn:
     """Raise ValueError naming the lowest active layer whose LMO step fails or vanishes."""
-    for i in sorted(active):
-        t = float(radii[i - 1])
+    radii = {i: t for st in plan.groups for i, t in zip(st.layers, st.radii.tolist())}
+    for i, t in sorted(radii.items()):
         try:
             res = geometry.lmos(model.norms[i - 1], momentum.m[i - 1][None], [t], ns=ns_config)
         except ValueError as exc:
@@ -459,35 +449,32 @@ def _dual_norms(
 
 
 def _det_step(
-    model: LayerModel,
-    grads: list[np.ndarray],
-    norms: list[np.ndarray],
-    plan: _Plan,
-    policy: SmoothInverse | GenSmoothInverse,
-    table: SmoothnessTable,
-    dual_norms: dict[int, float],
+    model: LayerModel, grads: list[np.ndarray], norms: list[np.ndarray], plan: _Plan
 ) -> dict[int, float]:
     """In-place sharp-operator updates on the plan's rows, once per group; returns stepsizes.
 
     The Euclidean sharp operator is the identity, so a Euclidean group moves
     by ``gamma * grad`` directly; ``_dual_norms`` has already checked those
-    gradients.  Spectral groups take ``geometry.sharps``.  Under
-    ``GenSmoothInverse`` each group computes 1 / (L0 + L1 * dn) for its rows.
+    gradients.  Spectral groups take ``geometry.sharps``.  A plan with L0 and
+    L1 computes 1 / (L0 + L1 * dn) for each group's rows; a denominator that
+    is not positive raises for the lowest such layer, before anything moves.
     """
     if plan.applied is not None:
         gammas = [st.gammas for st in plan.groups]
         applied = dict(plan.applied)
     else:
-        gammas, layers, values = [], [], []
+        gammas, layers, values, faults = [], [], [], []
         for st in plan.groups:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 denom = st.l0 + st.l1 * norms[st.index][st.rows]
                 gamma = 1.0 / denom
-            if not (denom > 0.0).all():  # also refuses nan
-                _raise_stepsize_fault(plan.active, policy, table, dual_norms)
+            faults += [(i, d) for i, d in zip(st.layers, denom.tolist()) if not d > 0.0]  # nan too
             gammas.append(gamma[:, None, None])
             layers += st.layers
             values += gamma.tolist()
+        if faults:
+            i, denom = min(faults)  # groups run in model order, not layer order
+            raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
         applied = dict(sorted(zip(layers, values)))
     for st, gamma in zip(plan.groups, gammas):
         step = grads[st.index][st.rows]
@@ -523,7 +510,6 @@ def _stoch_step(
     samples: list[np.ndarray],
     momentum: MomentumState,
     plan: _Plan,
-    radii: np.ndarray,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> StepReport:
     """``stoch_step`` on one sample stack per planned group."""
@@ -551,7 +537,7 @@ def _stoch_step(
             else:
                 applied[i] = t_i
     if failed:
-        _raise_momentum_fault(model, momentum, plan.active, radii, ns_config)
+        _raise_momentum_fault(model, momentum, plan, ns_config)
     return StepReport(
         active=plan.active, applied=dict(sorted(applied.items())),
         degenerate=frozenset(degenerate),
@@ -602,7 +588,7 @@ def stoch_step(
             raise ValueError(f"active layer {i} is not in 1..{model.b}")
     plan = _plan(model, active, radii)
     samples = [problems._stack_of(grads, [i - 1 for i in st.layers]) for st in plan.groups]
-    return _stoch_step(model, samples, momentum, plan, radii, ns_config)
+    return _stoch_step(model, samples, momentum, plan, ns_config)
 
 
 def run(
@@ -696,12 +682,11 @@ def run(
                     _plan_stepsizes(plan, policy, table, norms_map)
                 plans[active] = plan
             if deterministic:
-                applied = _det_step(model, grads, norms, plan, policy, table, norms_map)
+                applied = _det_step(model, grads, norms, plan)
                 report = StepReport(active=active, applied=applied)
             else:
                 report = _stoch_step(
-                    model, _samples(grads, plan, layout, rng), momentum, plan, radii,
-                    newton_schulz_cfg,
+                    model, _samples(grads, plan, layout, rng), momentum, plan, newton_schulz_cfg
                 )
             report.grad_dual_norms = norms_map
             report.k = k

@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .costmodel import SmoothnessTable, TableMode
-from .geometry import NormKind
+from .geometry import NormKind, norm_ratio_squared
 from .sampling import EpochShiftRpt, FullNetwork, PartitionedSubmodel, Rpt, SamplingScheme
 
 __all__ = [
@@ -254,21 +254,23 @@ class _Quadratic:
         return self._Stacks(self, _group_ids(groups, self.shapes))
 
     @functools.cached_property
-    def _per_layer_oracle(self):
-        return self._Stacks(self, [[i] for i in range(self.b)])
+    def _shape_oracle(self):
+        groups = _groups_by(self.shapes)
+        return groups, _layer_order(groups), self._Stacks(self, groups)
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        """f and the per-layer gradients: the stacked oracle on one float stack per layer.
+        """f and the per-layer gradients: the stacked oracle on one float stack per layer shape.
 
         That oracle is built on the first call and kept, so the problem's
         targets, weights, curvatures, maps and tilt are fixed after
         construction.
         """
-        stacks = [np.array([x], dtype=float) for x in layers]
-        if [x.shape[1:] for x in stacks] != self.shapes:
+        if [np.shape(x) for x in layers] != self.shapes:
             raise ValueError("layer shapes do not match the problem")
-        f, grads, _ = self._per_layer_oracle(stacks, 0)
-        return f, [grad[0] for grad in grads]
+        groups, order, oracle = self._shape_oracle
+        f, grads, _ = oracle([_stack_of(layers, ids) for ids in groups], 0)
+        rows = [row for grad in grads for row in grad]
+        return f, [rows[j] for j in order]
 
 
 class SeparableQuadratic(_Quadratic):
@@ -581,26 +583,24 @@ def smoothness_constants(
     problem,
     scheme: SamplingScheme,
     norms: Sequence[NormKind],
-    with_l1_zeros: bool = False,
     secant_samples: int = 200,
 ) -> SmoothnessTable:
     """Layer-wise constants for the sets the scheme can activate.
 
     Exact for quadratics: separable problems have subset-independent constants
     (max curvature weight); coupled problems use block-operator-norm row sums.
-    Spectral-norm layers multiply the Euclidean constant by min(m, n), the
-    exact worst-case Frobenius-to-spectral ratio (tight for scalar-curvature
-    separable layers).  TinyMlp constants are sampled-secant upper estimates
-    and the table is flagged approximate.  ``with_l1_zeros`` attaches an
-    all-zero L1 map so generalized-smooth policies degrade to the smooth ones.
+    Spectral-norm layers multiply the Euclidean constant by
+    ``norm_ratio_squared``, min(m, n), the exact worst-case
+    Frobenius-to-spectral ratio (tight for scalar-curvature separable layers).
+    TinyMlp constants are sampled-secant upper estimates and the table is
+    flagged approximate.  The table has no L1 map, which ``GenSmoothInverse``
+    reads as L1 = 0.
     """
     b = problem.b
     norms = list(norms)
     if len(norms) != b:
         raise ValueError("need one norm kind per layer")
-    spectral_factor = [
-        min(problem.shapes[i]) if norms[i] == NormKind.SPECTRAL else 1.0 for i in range(b)
-    ]
+    spectral_factor = [norm_ratio_squared(k, s) for k, s in zip(norms, problem.shapes)]
 
     if isinstance(scheme, PartitionedSubmodel):
         mode = TableMode.PARTITION
@@ -634,8 +634,7 @@ def smoothness_constants(
     else:
         raise TypeError(f"no constant rule for {type(problem).__name__}")
 
-    l1 = {k: 0.0 for k in l0} if with_l1_zeros else None
-    return SmoothnessTable(mode, b, l0, l1, approximate)
+    return SmoothnessTable(mode, b, l0, approximate=approximate)
 
 
 def _mlp_secant_estimates(mlp: TinyMlp, samples: int) -> np.ndarray:

@@ -758,7 +758,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     # (d) per-iteration descent inequality with measured momentum error.  The
     # loop keeps run's stream rule: M0 from stream(seed, 0), and iteration k
     # draws its active set, then its noise, from stream(seed, k + 1).
-    table = problems.smoothness_constants(qprob, scheme, norms, with_l1_zeros=True)
+    table = problems.smoothness_constants(qprob, scheme, norms)
     run_seed, noise, radii = seed + 4, problems.NoiseSpec((0.1,) * 3), [0.05] * 3
     model = optimizer.LayerModel([v.copy() for v in x0], norms)
     f, grads = qprob.value_and_grad(model.layers)

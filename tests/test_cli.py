@@ -294,6 +294,30 @@ def test_run_horizon_eta_caps_logged(tmp_path):
     assert len(caps) == 3 and all(0 < c <= 1 for c in caps)
 
 
+def test_run_horizon_eta_caps_use_each_layers_norm_ratio(tmp_path):
+    # spectral layers cap eta^2 with rho = sqrt(min(m, n)), Euclidean ones with rho = 1
+    table = cm.SmoothnessTable.from_rpt_rows(
+        [[1.0], [1.0, 0.5], [1.0, 0.7, 0.3]],
+        [[0.5], [0.8, 0.4], [1.2, 0.9, 0.5]],
+    )
+    cfg = base_config(iterations=16, seeds=(0,), targets=())
+    cfg["problem"]["shapes"] = [[2, 3], [3, 3], [4, 4]]
+    cfg["norms"] = ["spectral", "euclidean", "spectral"]
+    cfg["variants"] = [
+        {"name": "rpt", "scheme": {"kind": "rpt", "p": [0.5, 0.3, 0.2]},
+         "policy": {"kind": "horizon"}},
+    ]
+    cfg["noise"] = {"sigmas": [0.1, 0.1, 0.1]}
+    cfg["smoothness_table"] = write_json(tmp_path / "table.json", table.to_dict())
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    caps = summary["variants"]["rpt"]["eta_squared_caps"]
+    rho = [np.sqrt(2.0), 1.0, 2.0]
+    assert caps == cm.horizon_eta_caps([0.5, 0.3, 0.2], table, 16, rho).tolist()
+    assert caps != cm.horizon_eta_caps([0.5, 0.3, 0.2], table, 16).tolist()
+
+
 def test_run_epoch_shift_scheme(tmp_path):
     cfg = base_config(iterations=30, seeds=(0,), targets=())
     cfg["variants"] = [

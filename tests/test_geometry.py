@@ -58,6 +58,30 @@ def test_spectral_norm_vs_power_iteration():
         assert g.norm(SPEC, m) == pytest.approx(power_iteration_norm(m), rel=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_norm_ratio_squared_bounds_the_frobenius_to_norm_ratio_tightly(seed):
+    # ||X|| <= ||X||_F <= rho ||X||: random matrices fall in [1, rho], a rank-one
+    # matrix attains 1 and one with orthonormal rows or columns attains rho
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    for kind in KINDS:
+        rho_sq = g.norm_ratio_squared(kind, shape)
+        assert isinstance(rho_sq, int) and rho_sq == (min(shape) if kind == SPEC else 1)
+        rho = np.sqrt(rho_sq)
+
+        def ratio(x):
+            return np.linalg.norm(x) / g.norm(kind, x)
+
+        for _ in range(20):
+            assert 1.0 - 1e-12 <= ratio(rng.standard_normal(shape)) <= rho * (1.0 + 1e-12)
+        rank_one = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+        assert ratio(rank_one) == pytest.approx(1.0, rel=1e-12)
+        q, _ = np.linalg.qr(rng.standard_normal((max(shape), min(shape))))
+        orthogonal = q if shape[0] >= shape[1] else q.T
+        assert orthogonal.shape == shape
+        assert ratio(orthogonal) == pytest.approx(rho, rel=1e-12)
+
+
 def test_dual_norm_euclidean_self_dual():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((3, 4))

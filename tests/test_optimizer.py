@@ -80,7 +80,8 @@ def test_gen_smooth_with_zero_l1_reduces_to_smooth():
     rng = np.random.default_rng(2)
     prob = scalar_quadratic(rng)
     scheme = sp.FullNetwork(3)
-    table = pb.smoothness_constants(prob, scheme, [EUC] * 3, with_l1_zeros=True)
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 3)
+    table.l1 = {key: 0.0 for key in table.l0}
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
     r1 = op.run(prob, scheme, op.SmoothInverse(), 3, 0, x0=x0, table=table)
     r2 = op.run(prob, scheme, op.GenSmoothInverse(), 3, 0, x0=x0, table=table)
@@ -628,7 +629,7 @@ def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy
     rng = np.random.default_rng(49)
     prob = shipped_problem(name, rng)
     scheme = sp.Rpt((0.5, 0.3, 0.2))
-    table = pb.smoothness_constants(prob, scheme, [EUC] * 3, with_l1_zeros=True)
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 3)
     x0 = [0.5 * rng.standard_normal(s) for s in prob.shapes]
 
     def per_layer_path(*_args, **_kwargs):
@@ -1304,6 +1305,159 @@ def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
     momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
     with pytest.raises(ValueError, match="^a stacked momentum step failed"):
         op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+
+
+# ---------------------------------------------------------------------------
+# stepsizes are derived and checked in the active set's plan, one layer at a
+# time in layer order, for both smoothness-inverse policies
+# ---------------------------------------------------------------------------
+
+STEPSIZE_FAULTS = ("no_l0", "no_l1", "l0_zero", "l0_negative", "nan_denominator")
+
+
+@st.composite
+def stepsize_faults(draw):
+    """Two to five layers of two shapes, each Euclidean or spectral, so that groups
+    interleave, and a full-set table with an L1 map where each layer may carry one
+    fault: a missing L0 or L1, an L0 <= 0, or an inf L1 on a zero gradient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads, kinds, l0, l1 = [], [], {}, {}
+    for i in range(1, draw(st.integers(2, 5)) + 1):
+        fault = draw(st.sampled_from(STEPSIZE_FAULTS)) if draw(st.booleans()) else "none"
+        grad = rng.standard_normal(draw(st.sampled_from([(2, 2), (2, 3)])))
+        grads.append(0.0 * grad if fault == "nan_denominator" else grad)
+        kinds.append(draw(st.sampled_from([EUC, SPEC])))
+        if fault != "no_l0":
+            l0[(i, 1)] = {"l0_zero": 0.0, "l0_negative": -1.0}.get(fault, 1.5)
+        if fault != "no_l1":
+            l1[(i, 1)] = np.inf if fault == "nan_denominator" else 0.25
+    return grads, kinds, l0, l1
+
+
+def stepsize_fault(table, generalized, dual_norms):
+    """Oracle: the error of the lowest layer with a missing constant (L0 before L1) or a
+    stepsize denominator that is not positive, else None."""
+    for i, dn in enumerate(dual_norms, start=1):
+        if (i, 1) not in table.l0:
+            return KeyError(f"missing smoothness constant L0 for layer {i}, set key 1")
+        denom = table.l0[(i, 1)]
+        if generalized:
+            if (i, 1) not in table.l1:
+                return KeyError(f"missing smoothness constant L1 for layer {i}, set key 1")
+            denom = denom + table.l1[(i, 1)] * dn
+        if not denom > 0.0:
+            return ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(stepsize_faults(), st.sampled_from(["smooth", "gen", "gen_without_l1"]))
+def test_run_names_the_lowest_stepsize_fault_across_groups(case, policy_name):
+    grads, kinds, l0, l1 = case
+    b = len(grads)
+    table = cm.SmoothnessTable(
+        cm.TableMode.RPT_CUTOFF, b, l0, None if policy_name == "gen_without_l1" else l1
+    )
+    policy = op.SmoothInverse() if policy_name == "smooth" else op.GenSmoothInverse()
+    dual_norms = [g.dual_norm(kind, gr) for kind, gr in zip(kinds, grads)]
+    expected = stepsize_fault(table, policy_name == "gen", dual_norms)
+
+    def call():
+        return op.run(
+            FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, norms=kinds,
+            x0=[np.full_like(gr, 0.5) for gr in grads], table=table,
+        )
+
+    if expected is None:
+        applied = call().reports[0].applied
+        for i, dn in enumerate(dual_norms, start=1):
+            l1_term = l1[(i, 1)] * dn if policy_name == "gen" else 0.0
+            assert applied[i] == 1.0 / (l0[(i, 1)] + l1_term)
+        return
+    with pytest.raises(type(expected)) as info:
+        call()
+    assert info.value.args == (f"iteration 0: {expected}",)
+
+
+class ScriptedGradients(FixedGradients):
+    """f = 0 and, at the n-th evaluation, the n-th gradients of ``script`` (the last
+    ones from then on)."""
+
+    def __init__(self, script):
+        super().__init__(script[0])
+        self.script = script
+
+    def stacked_oracle(self, groups):
+        calls = []
+
+        def oracle(_stacks, _frozen):
+            grads = self.script[min(len(calls), len(self.script) - 1)]
+            calls.append(None)
+            stacks = [np.array([grads[i - 1] for i in gr.members]) for gr in groups]
+            return 0.0, stacks, None
+
+        return oracle
+
+
+def test_run_names_the_lowest_late_stepsize_fault_across_groups():
+    # the full set is planned at iteration 0, where every denominator is
+    # positive; at iteration 2 layer 3 (in the first group, {1, 3}) gets a nan
+    # denominator and layer 2 (in the second) a negative one, and layer 2 is named
+    healthy = [np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 3))]
+    late = [np.ones((2, 3)), np.full((2, 2), 0.25), np.zeros((2, 3))]  # ||g_2|| = 0.5
+    l0 = {(1, 1): 1.0, (2, 1): -1.0, (3, 1): 1.0}
+    l1 = {(1, 1): 0.5, (2, 1): 1.0, (3, 1): np.inf}
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, l0, l1)
+    prob = ScriptedGradients([healthy, healthy, late])
+    x0 = [np.zeros(s) for s in prob.shapes]
+    reports = []
+    message = "^iteration 2: layer 2: stepsize denominator must be positive, got -0.5$"
+    with pytest.raises(ValueError, match=message):
+        op.run(
+            prob, sp.FullNetwork(3), op.GenSmoothInverse(), 4, 0, x0=x0, table=table,
+            on_step=lambda _k, _model, r: reports.append(r),
+        )
+    assert [r.applied for r in reports] == [{1: 1.0 / (1.0 + 0.5 * 6 ** 0.5), 2: 1.0, 3: 0.0}] * 2
+
+
+@pytest.mark.parametrize("scheme_name", ["rpt", "partitioned"])
+def test_gen_smooth_without_l1_equals_smooth_bit_for_bit(scheme_name):
+    # a table without an L1 map means L1 = 0: GenSmoothInverse takes
+    # SmoothInverse's stepsizes, and both equal the per-iteration
+    # 1 / (L0 + 0 * dn) of an explicit zero L1 map, on spectral and Euclidean
+    # groups with interleaved members
+    rng = np.random.default_rng(50)
+    shapes = [(3, 2), (2, 2), (3, 2), (3, 2), (2, 2)]
+    norms = [SPEC, EUC, EUC, SPEC, SPEC]
+    prob = pb.CoupledQuadratic(
+        [rng.standard_normal(s) for s in shapes], (2.0, 1.5, 3.0, 1.0, 2.5), 0.3, rng=rng
+    )
+    scheme = {
+        "rpt": sp.Rpt((0.3, 0.2, 0.2, 0.2, 0.1)),
+        "partitioned": sp.PartitionedSubmodel(
+            (frozenset({1, 3}), frozenset({2, 5}), frozenset({4})), (0.4, 0.3, 0.3)
+        ),
+    }[scheme_name]
+    table = pb.smoothness_constants(prob, scheme, norms)
+    assert table.l1 is None
+    zero_l1 = cm.SmoothnessTable(table.mode, table.b, table.l0, {k: 0.0 for k in table.l0})
+    x0 = [rng.standard_normal(s) for s in shapes]
+    runs = [
+        op.run(prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=t)
+        for policy, t in [
+            (op.SmoothInverse(), table), (op.GenSmoothInverse(), table),
+            (op.GenSmoothInverse(), zero_l1),
+        ]
+    ]
+    smooth = runs[0]
+    for other in runs[1:]:
+        assert other.f_final == smooth.f_final
+        for a, b in zip(other.model.layers, smooth.model.layers):
+            np.testing.assert_array_equal(a, b)
+        for r, ref in zip(other.reports, smooth.reports, strict=True):
+            assert (r.active, r.f_before, r.f_after, r.applied) == (
+                ref.active, ref.f_before, ref.f_after, ref.applied
+            )
 
 
 # ---------------------------------------------------------------------------

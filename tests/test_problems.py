@@ -175,6 +175,7 @@ SHAPE_MIXES = {
     "one_group": [(8, 8)] * 6,
     "mixed": [(3, 2), (3, 2), (4, 3), (3, 2), (2, 6), (4, 3)],
     "unequal": [(2, 2), (2, 3), (3, 2), (1, 5)],
+    "interleaved": [(2, 3), (3, 3), (2, 3), (2, 3), (3, 3)],
 }
 
 
