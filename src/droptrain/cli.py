@@ -231,8 +231,6 @@ def build_policy(spec: dict, b: int, path: str):
     kind = _require(spec, path, "kind", str)
     if kind == "smooth_inverse":
         return optimizer.SmoothInverse()
-    if kind == "gen_smooth_inverse":
-        return optimizer.GenSmoothInverse()
     if kind == "fixed_radius":
         radii = _numbers(_require(spec, path, "radii"), f"{path}.radii", b, positive=True)
         beta = spec.get("beta", 0.9)
@@ -290,7 +288,7 @@ class VariantPlan:
     name: str
     scheme: sampling.SamplingScheme | sampling.EpochShiftRpt
     policy: optimizer.StepPolicy
-    table: SmoothnessTable | None         # the smoothness-inverse policies' constants
+    table: SmoothnessTable | None         # the smoothness-inverse policy's constants
     weights: np.ndarray                   # rate weights of the CSV's grad_sq_weighted
     eta_squared_caps: list[float] | None  # horizon policy with a loaded smoothness table
 
@@ -327,7 +325,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
     policy = build_policy(spec.get("policy", {"kind": "smooth_inverse"}), b, f"{path}.policy")
 
     table, weights, caps = None, np.ones(b), None
-    if isinstance(policy, (optimizer.SmoothInverse, optimizer.GenSmoothInverse)):
+    if isinstance(policy, optimizer.SmoothInverse):
         try:
             table = problems.smoothness_constants(problem, scheme, norms)
         except ValueError as exc:
@@ -641,7 +639,7 @@ def cmd_marginals(args) -> int:
         if isinstance(scheme, sampling.EpochShiftRpt):
             scheme = scheme.at(args.progress)
         f_ana, q_ana = sampling.marginals(scheme)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"scheme error: {exc}", file=sys.stderr)
         return 2
     b = scheme.b

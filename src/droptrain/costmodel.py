@@ -43,6 +43,8 @@ from .sampling import (
     PartitionedSubmodel,
     Rpt,
     SamplingScheme,
+    _json_list,
+    _json_number,
     marginals,
 )
 
@@ -217,15 +219,33 @@ class SmoothnessTable:
 
     @staticmethod
     def from_dict(spec: dict) -> "SmoothnessTable":
-        l1 = None
-        if spec.get("l1") is not None:
-            l1 = {(int(i), int(k)): float(v) for i, k, v in spec["l1"]}
+        """The table of a ``to_dict`` document, read without coercion.
+
+        ``b`` and each entry's layer and set key must be integers, its
+        constant a number (a bool or a string is neither) and ``approximate``
+        a bool; a value of another type, or a second entry for one (layer,
+        set key), raises ValueError naming ``table.<field>``.
+        """
+        def constants(which: str) -> dict[tuple[int, int], float]:
+            out = {}
+            for j, (i, k, v) in enumerate(_json_list(spec[which], f"table.{which}")):
+                at = f"table.{which}[{j}]"
+                key = (_json_number(i, f"{at}[0]", integer=True),
+                       _json_number(k, f"{at}[1]", integer=True))
+                if key in out:
+                    raise ValueError(f"{at}: a second entry for layer {key[0]}, set key {key[1]}")
+                out[key] = _json_number(v, f"{at}[2]")
+            return out
+
+        approximate = spec.get("approximate", False)
+        if not isinstance(approximate, bool):
+            raise ValueError(f"table.approximate: expected a bool, got {approximate!r}")
         return SmoothnessTable(
             TableMode(spec["mode"]),
-            int(spec["b"]),
-            {(int(i), int(k)): float(v) for i, k, v in spec["l0"]},
-            l1,
-            bool(spec.get("approximate", False)),
+            _json_number(spec["b"], "table.b", integer=True),
+            constants("l0"),
+            None if spec.get("l1") is None else constants("l1"),
+            approximate,
         )
 
 

@@ -2,9 +2,10 @@
 
 ``run`` is the one step path for both algorithm variants, chosen by the policy:
 
-* smoothness-inverse policies take the exact-gradient sharp-operator step
+* the smoothness-inverse policy takes the exact-gradient sharp-operator step
   ``X_i <- X_i - gamma_i * sharp(grad_i)``, with the stepsize taken from the
-  layer-wise smoothness constants (plain or gradient-dependent inverse);
+  layer-wise smoothness table: 1/L0, or 1/(L0 + L1 ||grad_i||_dual) when the
+  table carries an L1 map;
 * radius policies take ``stoch_step``, the momentum + LMO step
   ``M_i <- (1 - beta) M_i + beta g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
   every applied update has primal norm exactly t_i.
@@ -26,14 +27,14 @@ whose descent-lemma check drives ``stoch_step`` itself.
 
 What an active set determines -- each group's active rows and layers, their
 radii, noise offsets and scales, the smoothness-table key and the stepsizes
-1/L0 (or the L0 and L1 of ``GenSmoothInverse`` on a table with an L1 map) --
-is a plan, built on the first draw of its set and kept for the run, so a run
-builds at most one plan per distinct set it draws (b under RPT).  The
-stochastic path builds the full set's plan before the loop, to draw M0
-through it.  The plan derives and checks the stepsizes, layer by layer (L0,
-L1, denominator), so a missing constant or a bad denominator raises at the
-first iteration that draws the set; only ``GenSmoothInverse``'s denominators
-are checked again, per iteration, as they are computed.
+1/L0 (or, on a table with an L1 map, the L0 and L1) -- is a plan, built on
+the first draw of its set and kept for the run, so a run builds at most one
+plan per distinct set it draws (b under RPT).  The stochastic path builds the
+full set's plan before the loop, to draw M0 through it.  The plan derives and
+checks the stepsizes, layer by layer (L0, L1, denominator), so a missing
+constant or a bad denominator raises at the first iteration that draws the
+set; only the gradient-dependent denominators of a table with L1 are checked
+again, per iteration, as they are computed.
 
 The momentum convention is deliberately (1 - beta) M + beta g with *small*
 beta meaning slow incorporation of fresh gradients: the horizon schedule sets
@@ -42,9 +43,10 @@ mainstream Muon convention is the mirror image).
 
 Every layer is a member of exactly one ``LayerGroup``: the layers that share
 its shape and norm kind, worked out once when ``run`` builds its model.
-``LayerModel`` stores each group as one contiguous (n, m, k) array, and
-``model.layers[i - 1]`` is a view of layer i's row: update it in place and
-never rebind it.  ``MomentumState`` stores its buffers the same way.  Each
+``LayerModel`` stores each group as one contiguous (n, m, k) array, at the
+(group, row) places of its ``problems.Layout``, and ``model.layers[i - 1]`` is
+a view of layer i's row: update it in place and never rebind it.
+``MomentumState`` stores its buffers by the same layout.  Each
 per-iteration operation runs once per group, not once per layer: the
 gradient dual norms (``geometry.dual_norms``), the momentum update, the LMO
 or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
@@ -90,7 +92,6 @@ __all__ = [
     "LayerModel",
     "MomentumState",
     "SmoothInverse",
-    "GenSmoothInverse",
     "FixedRadius",
     "HorizonSchedule",
     "StepReport",
@@ -120,30 +121,21 @@ class LayerGroup:
         return problems._row_index(rows), [self.members[j] for j in rows]
 
 
-def _stack_rows(arrays: list[np.ndarray], groups: list[LayerGroup]) -> list[np.ndarray]:
-    """Copy ``arrays`` into one (n, m, k) stack per group and rebind them to its rows."""
-    stacks = []
-    for group in groups:
-        stack = problems._stack_of(arrays, [i - 1 for i in group.members])
-        for i, row in zip(group.members, stack):
-            arrays[i - 1] = row
-        stacks.append(stack)
-    return stacks
-
-
 @dataclass
 class LayerModel:
     """Ordered layer matrices plus each layer's norm choice; shapes are fixed.
 
     Every layer belongs to exactly one ``LayerGroup``: the layers that share
     its shape and norm kind.  ``stacks[g]`` holds group g's members as the
-    rows of one (n, m, k) array, and ``layers[i - 1]`` is a view of layer
-    i's row, so update a layer in place and never rebind it.
+    rows of one (n, m, k) array, at the places ``layout`` gives, and
+    ``layers[i - 1]`` is a view of layer i's row, so update a layer in place
+    and never rebind it.
     """
 
     layers: list[np.ndarray]
     norms: list[NormKind]
     groups: list[LayerGroup] = field(init=False, repr=False)
+    layout: problems.Layout = field(init=False, repr=False)
     stacks: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -153,10 +145,12 @@ class LayerModel:
         if not self.layers:
             raise ValueError("at least one layer required")
         keys = [(x.shape, kind) for x, kind in zip(self.layers, self.norms)]
+        self.layout = problems.Layout(problems._groups_by(keys))
         self.groups = [
-            LayerGroup(*keys[ids[0]], tuple(i + 1 for i in ids)) for ids in problems._groups_by(keys)
+            LayerGroup(*keys[ids[0]], tuple(i + 1 for i in ids)) for ids in self.layout.groups
         ]
-        self.stacks = _stack_rows(self.layers, self.groups)
+        self.stacks = self.layout.stack(self.layers)
+        self.layers = self.layout.rows(self.stacks)
 
     @property
     def b(self) -> int:
@@ -173,7 +167,7 @@ class MomentumState:
 
     m: list[np.ndarray]
     beta: float
-    _groups: list[LayerGroup] | None = field(default=None, init=False, repr=False)
+    _layout: problems.Layout | None = field(default=None, init=False, repr=False)
     _stacks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
@@ -184,11 +178,12 @@ class MomentumState:
 
     def stacks(self, model: LayerModel) -> list[np.ndarray]:
         """The buffers as one stack per group of ``model``, stacked on first use."""
-        if self._groups is not model.groups:
+        if self._layout is not model.layout:
             if [np.shape(m) for m in self.m] != [x.shape for x in model.layers]:
                 raise ValueError("need one momentum buffer per layer, shaped like the layer")
-            self._stacks = _stack_rows(self.m, model.groups)
-            self._groups = model.groups
+            self._stacks = model.layout.stack(self.m)
+            self.m[:] = model.layout.rows(self._stacks)
+            self._layout = model.layout
         return self._stacks
 
 
@@ -203,15 +198,12 @@ def _positive_finite(values, name: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SmoothInverse:
-    """gamma_i = 1 / L0_{i,S}; exact-gradient path."""
+    """gamma_i = 1 / (L0_{i,S} + L1_{i,S} ||grad_i||_dual) on a table with an L1 map,
+    else gamma_i = 1 / L0_{i,S}; exact-gradient path.
 
-
-@dataclass(frozen=True)
-class GenSmoothInverse:
-    """gamma_i = 1 / (L0_{i,S} + L1_{i,S} ||grad_i||_dual); exact-gradient path.
-
-    A table without an L1 map means L1 = 0, and the run takes ``SmoothInverse``'s
-    stepsizes 1/L0, equal bit for bit since the dual norms are finite."""
+    The table decides the rule: layer-wise (L0, L1)-smoothness with an L1
+    map, layer-wise smoothness without one.
+    """
 
 
 @dataclass(frozen=True)
@@ -252,7 +244,7 @@ class HorizonSchedule:
         return 1.0 / math.sqrt(horizon + 1)
 
 
-StepPolicy = SmoothInverse | GenSmoothInverse | FixedRadius | HorizonSchedule
+StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule
 
 
 @dataclass
@@ -279,15 +271,6 @@ class RunResult:
     f_initial: float
 
 
-def _layer_rows(model: LayerModel, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-layer views of the rows of one stack per group of ``model``, in layer order."""
-    out = [None] * model.b
-    for group, stack in zip(model.groups, stacks):
-        for i, row in zip(group.members, stack):
-            out[i - 1] = row
-    return out
-
-
 class _Noise(NamedTuple):
     """Where a group's noisy active rows take their noise from the iteration's one draw."""
 
@@ -307,8 +290,8 @@ class _GroupStep:
     layers: list[int]
     radii: np.ndarray | None = None  # t_i of the rows (stochastic path)
     noise: _Noise | None = None
-    gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (without L1)
-    l0: np.ndarray | None = None  # L0 and L1 of the rows (GenSmoothInverse with L1)
+    gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (table without L1)
+    l0: np.ndarray | None = None  # L0 and L1 of the rows (table with L1)
     l1: np.ndarray | None = None
 
 
@@ -318,7 +301,7 @@ class _Plan:
 
     active: frozenset[int]
     groups: list[_GroupStep]  # the groups with active members, in model order
-    applied: dict[int, float] | None = None  # stepsizes 1/L0 (without L1), in layer order
+    applied: dict[int, float] | None = None  # stepsizes 1/L0 (table without L1), in layer order
 
 
 def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None:
@@ -358,20 +341,14 @@ def _plan(
     return _Plan(active, steps)
 
 
-def _plan_stepsizes(
-    plan: _Plan,
-    policy: SmoothInverse | GenSmoothInverse,
-    table: SmoothnessTable,
-    dual_norms: dict[int, float],
-) -> None:
-    """Give each planned group its stepsizes 1/L0, or its L0 and L1 under ``GenSmoothInverse``
-    on a table with an L1 map.
+def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: dict[int, float]) -> None:
+    """Give each planned group its stepsizes 1/L0, or its L0 and L1 on a table with an L1 map.
 
     Each active layer, in layer order, raises on a missing L0, then L1, then
     a stepsize denominator under ``dual_norms`` that is not positive.
     """
     key = table.key_for(plan.active)
-    generalized = isinstance(policy, GenSmoothInverse) and table.l1 is not None
+    generalized = table.l1 is not None
     l0, l1 = {}, {}
     for i in sorted(plan.active):
         denom = l0[i] = table.require(i, key)
@@ -392,7 +369,7 @@ def _plan_stepsizes(
 
 def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoReturn:
     """Raise ValueError naming the lowest layer whose gradient or its dual norm is not finite."""
-    for i, (kind, grad) in enumerate(zip(model.norms, _layer_rows(model, grads)), start=1):
+    for i, (kind, grad) in enumerate(zip(model.norms, model.layout.rows(grads)), start=1):
         try:
             value = geometry.dual_norm(kind, grad)
         except ValueError as exc:
@@ -639,9 +616,9 @@ def run(
     norms = list(norms) if norms is not None else [NormKind.EUCLIDEAN] * b
     model = LayerModel(list(x0) if x0 is not None else [np.zeros(s) for s in problem.shapes], norms)
 
-    deterministic = isinstance(policy, (SmoothInverse, GenSmoothInverse))
+    deterministic = isinstance(policy, SmoothInverse)
     if deterministic and table is None:
-        raise ValueError("smoothness-inverse policies need a SmoothnessTable")
+        raise ValueError("the smoothness-inverse policy needs a SmoothnessTable")
 
     oracle = problem.stacked_oracle(model.groups)
     f_curr, grads, _ = oracle(model.stacks, 0)
@@ -664,7 +641,7 @@ def run(
         plans[full] = _plan(model, full, radii, layout)
         m0 = _samples(grads, plans[full], layout, sampling.stream(seed, INIT_STREAM))
         # MomentumState.stacks copies M0 on the first step: it shares no row with grads
-        momentum = MomentumState(_layer_rows(model, m0), beta)
+        momentum = MomentumState(model.layout.rows(m0), beta)
 
     reports: list[StepReport] = []
     for k in range(iterations):
@@ -679,7 +656,7 @@ def run(
             if plan is None:
                 plan = _plan(model, active, radii, layout)
                 if deterministic:
-                    _plan_stepsizes(plan, policy, table, norms_map)
+                    _plan_stepsizes(plan, table, norms_map)
                 plans[active] = plan
             if deterministic:
                 applied = _det_step(model, grads, norms, plan)

@@ -18,17 +18,20 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   operations it spends on the rest.  The network keeps no activations of
   its own: the oracle that runs the passes owns them.
 
-``stacked_oracle(groups)`` binds a problem to its caller's layer groups (each
-with a ``shape`` and 1-based ``members``, as ``optimizer.LayerGroup`` has),
-checking the shapes once.  The oracle it returns takes one (n, m, k) stack
-of layers per group and the frozen-prefix length, and returns f, one
-gradient stack per group and the forward MACs (None for the quadratics).
-It is the only gradient path ``optimizer.run`` takes.  The two quadratics
-build their target, weight, curvature and tilt stacks for those groups, and
-stack the coupling maps per (left group, right group) pair; each keeps the
-per-layer formula's BLAS calls and order of additions, so f and the
-gradients equal the per-layer formulas bit for bit whatever the grouping.
-Their ``value_and_grad`` is that oracle on one stack per layer, built once
+``Layout`` is the one owner of how layers sit in group stacks: each group's
+0-based layers, each layer's (group, row), and the copies between per-layer
+lists and stacks.  ``stacked_oracle(groups)`` binds a problem to its
+caller's layer groups (each with a ``shape`` and 1-based ``members``, as
+``optimizer.LayerGroup`` has), checking the shapes once and keeping their
+``Layout``.  The oracle it returns takes one (n, m, k) stack of layers per
+group and the frozen-prefix length, and returns f, one gradient stack per
+group and the forward MACs (None for the quadratics).  It is the only
+gradient path ``optimizer.run`` takes.  The two quadratics build their
+target, weight, curvature and tilt stacks for those groups, and stack the
+coupling maps per (left group, right group) pair; each keeps the per-layer
+formula's BLAS calls and order of additions, so f and the gradients equal
+the per-layer formulas bit for bit whatever the grouping.  Their
+``value_and_grad`` is that oracle on one stack per layer shape, built once
 per instance.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
@@ -55,6 +58,7 @@ from .geometry import NormKind, norm_ratio_squared
 from .sampling import EpochShiftRpt, FullNetwork, PartitionedSubmodel, Rpt, SamplingScheme
 
 __all__ = [
+    "Layout",
     "SeparableQuadratic",
     "CoupledQuadratic",
     "TinyMlp",
@@ -93,8 +97,26 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     return (a[:, None, :] @ b[:, :, None]).reshape(len(a)).tolist()
 
 
-def _group_ids(groups, shapes: list[tuple[int, int]]) -> list[list[int]]:
-    """The 0-based members of the caller's layer groups, checked against the layer shapes.
+class Layout:
+    """Layers as the rows of group stacks: ``groups[g]`` lists group g's 0-based layers,
+    and ``where[i]`` is layer i's (group, row)."""
+
+    def __init__(self, groups: list[list[int]]) -> None:
+        self.groups = groups
+        where = {i: (g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids)}
+        self.where = [where[i] for i in range(len(where))]
+
+    def stack(self, arrays: Sequence) -> list[np.ndarray]:
+        """``arrays``, one per layer, copied into one float stack per group."""
+        return [_stack_of(arrays, ids) for ids in self.groups]
+
+    def rows(self, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per-layer views of the rows of one stack per group, in layer order."""
+        return [stacks[g][row] for g, row in self.where]
+
+
+def _group_ids(groups, shapes: list[tuple[int, int]]) -> Layout:
+    """The layout of the caller's layer groups, checked against the layer shapes.
 
     Each group has ``shape`` and 1-based ``members``; together the groups
     must hold every layer once, each of its group's shape.
@@ -104,17 +126,11 @@ def _group_ids(groups, shapes: list[tuple[int, int]]) -> list[list[int]]:
         shapes[i] != tuple(group.shape) for group, g in zip(groups, ids) for i in g
     ):
         raise ValueError("layer shapes do not match the problem")
-    return ids
-
-
-def _layer_order(groups: list[list[int]]) -> list[int]:
-    """Position of each layer, in layer order, among the groups' members listed group by group."""
-    flat = [i for g in groups for i in g]
-    return sorted(range(len(flat)), key=flat.__getitem__)
+    return Layout(ids)
 
 
 class _SeparableStacks:
-    """f and the gradient stacks of a ``SeparableQuadratic`` for one grouping of its layers.
+    """f and the gradient stacks of a ``SeparableQuadratic`` for one ``Layout`` of its layers.
 
     Called with one (n, m, k) stack of layers per group; returns f, one
     gradient stack per group and no MACs.  Each layer's term is summed over
@@ -122,26 +138,26 @@ class _SeparableStacks:
     per-layer sum bit for bit whatever the grouping.
     """
 
-    def __init__(self, prob: "SeparableQuadratic", groups: list[list[int]]) -> None:
-        self._targets = [_stack_of(prob.targets, ids) for ids in groups]
-        self._weights = [_stack_of(prob.weights, ids) for ids in groups]
-        self._order = _layer_order(groups)
+    def __init__(self, prob: "SeparableQuadratic", layout: Layout) -> None:
+        self._targets = layout.stack(prob.targets)
+        self._weights = layout.stack(prob.weights)
+        self._where = layout.where
 
     def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
         terms, grads = [], []
         for x, a, w in zip(stacks, self._targets, self._weights):
             e = x - a
             we = w * e
-            terms += (we * e).sum(axis=(1, 2)).tolist()
+            terms.append((we * e).sum(axis=(1, 2)).tolist())
             grads.append(we)
         val = 0.0
-        for j in self._order:
-            val += 0.5 * terms[j]
+        for g, row in self._where:
+            val += 0.5 * terms[g][row]
         return val, grads, None
 
 
 class _CoupledStacks:
-    """f and the gradient stacks of a ``CoupledQuadratic`` for one grouping of its layers.
+    """f and the gradient stacks of a ``CoupledQuadratic`` for one ``Layout`` of its layers.
 
     The curvatures, targets and tilts are stacked per group, and the coupling
     maps per (left group, right group) pair.  Each product is the BLAS call
@@ -152,18 +168,15 @@ class _CoupledStacks:
     + coupling R_i e_{i+1}, then + tilt_i.
     """
 
-    def __init__(self, prob: "CoupledQuadratic", groups: list[list[int]]) -> None:
+    def __init__(self, prob: "CoupledQuadratic", layout: Layout) -> None:
         self._coupling = prob.coupling
         self._curvatures = prob.curvatures
-        self._order = _layer_order(groups)
-        where = {i: (g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids)}
-        self._targets = [_stack_of(prob.targets, ids).reshape(len(ids), -1) for ids in groups]
-        self._curvature_cols = [
-            np.array([prob.curvatures[i] for i in ids])[:, None] for ids in groups
-        ]
+        self._where = where = layout.where
+        self._targets = [a.reshape(len(a), -1) for a in layout.stack(prob.targets)]
+        self._curvature_cols = [a[:, None] for a in layout.stack(prob.curvatures)]
         self._tilts = None
         if prob.tilt is not None:
-            self._tilts = [_stack_of(prob.tilt, ids).reshape(len(ids), -1) for ids in groups]
+            self._tilts = [t.reshape(len(t), -1) for t in layout.stack(prob.tilt)]
         self._maps = []
         pairs = [(where[i][0], where[i + 1][0]) for i in range(prob.b - 1)]
         for ids in _groups_by(pairs):
@@ -178,12 +191,12 @@ class _CoupledStacks:
         sq, tilt_dots, errs, grads = [], [], [], []
         for g, x in enumerate(stacks):
             e = x.reshape(len(x), -1) - self._targets[g]
-            sq += _row_dots(e, e)
+            sq.append(_row_dots(e, e))
             if self._tilts is not None:
-                tilt_dots += _row_dots(self._tilts[g], e)
+                tilt_dots.append(_row_dots(self._tilts[g], e))
             errs.append(e)
             grads.append(self._curvature_cols[g] * e)
-        val = 0.5 * sum(a * sq[j] for a, j in zip(self._curvatures, self._order))
+        val = 0.5 * sum(a * sq[g][row] for a, (g, row) in zip(self._curvatures, self._where))
         cross = [0.0] * (len(self._curvatures) - 1)
         forward = []
         for ids, r, left, left_rows, right, right_rows in self._maps:
@@ -199,8 +212,8 @@ class _CoupledStacks:
         for v in cross:
             val += self._coupling * v
         if self._tilts is not None:
-            for j in self._order:
-                val += tilt_dots[j]
+            for g, row in self._where:
+                val += tilt_dots[g][row]
             for grad, t in zip(grads, self._tilts):
                 grad += t
         return float(val), [grad.reshape(x.shape) for grad, x in zip(grads, stacks)], None
@@ -214,21 +227,16 @@ class _MlpPasses:
     the previous call's activations; the gradients are stacked once per group.
     """
 
-    def __init__(self, mlp: "TinyMlp", groups: list[list[int]]) -> None:
+    def __init__(self, mlp: "TinyMlp", layout: Layout) -> None:
         self._mlp = mlp
-        self._groups = groups
-        self._rows = [None] * mlp.b  # (group, row) of each layer
-        for g, ids in enumerate(groups):
-            for row, i in enumerate(ids):
-                self._rows[i] = (g, row)
+        self._layout = layout
         self._acts = None
 
     def __call__(self, stacks: list[np.ndarray], frozen: int):
-        layers = [stacks[g][row] for g, row in self._rows]
         f, grads, self._acts, macs = self._mlp.value_and_grad_from_prefix(
-            layers, self._acts, frozen
+            self._layout.rows(stacks), self._acts, frozen
         )
-        return f, [_stack_of(grads, ids) for ids in self._groups], macs
+        return f, self._layout.stack(grads), macs
 
 
 class _Quadratic:
@@ -255,8 +263,8 @@ class _Quadratic:
 
     @functools.cached_property
     def _shape_oracle(self):
-        groups = _groups_by(self.shapes)
-        return groups, _layer_order(groups), self._Stacks(self, groups)
+        layout = Layout(_groups_by(self.shapes))
+        return layout, self._Stacks(self, layout)
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
         """f and the per-layer gradients: the stacked oracle on one float stack per layer shape.
@@ -267,10 +275,9 @@ class _Quadratic:
         """
         if [np.shape(x) for x in layers] != self.shapes:
             raise ValueError("layer shapes do not match the problem")
-        groups, order, oracle = self._shape_oracle
-        f, grads, _ = oracle([_stack_of(layers, ids) for ids in groups], 0)
-        rows = [row for grad in grads for row in grad]
-        return f, [rows[j] for j in order]
+        layout, oracle = self._shape_oracle
+        f, grads, _ = oracle(layout.stack(layers), 0)
+        return f, layout.rows(grads)
 
 
 class SeparableQuadratic(_Quadratic):
@@ -593,8 +600,8 @@ def smoothness_constants(
     ``norm_ratio_squared``, min(m, n), the exact worst-case
     Frobenius-to-spectral ratio (tight for scalar-curvature separable layers).
     TinyMlp constants are sampled-secant upper estimates and the table is
-    flagged approximate.  The table has no L1 map, which ``GenSmoothInverse``
-    reads as L1 = 0.
+    flagged approximate.  The table has no L1 map, so ``optimizer.SmoothInverse``
+    takes the layer-wise smooth stepsizes 1/L0 on it.
     """
     b = problem.b
     norms = list(norms)

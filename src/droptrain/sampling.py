@@ -39,6 +39,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Union
@@ -473,20 +474,59 @@ def epoch_shift_probs(b: int, alpha: float, progress: float) -> np.ndarray:
 # Parsing (structured config documents)
 # ---------------------------------------------------------------------------
 
+def _json_list(value, path: str) -> list:
+    """``value`` checked as a JSON list; ValueError naming ``path`` otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _json_number(value, path: str, integer: bool = False):
+    """``value`` checked as a JSON number, or integer, and never a bool or a string.
+
+    Returns it as a float, or an int; ValueError naming ``path`` otherwise.
+    """
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{path}: expected {what}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def scheme_from_dict(spec: dict) -> SamplingScheme:
+    """The scheme of a config document, read without coercion.
+
+    ``b``, ``tau`` and block members must be integers and ``p`` and
+    ``alpha`` numbers (a bool or a string is neither); a value of another
+    type raises ValueError naming ``scheme.<field>``, a missing field KeyError.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"scheme: expected an object, got {spec!r}")
     kind = spec.get("kind")
+
+    def integer(key: str) -> int:
+        return _json_number(spec[key], f"scheme.{key}", integer=True)
+
+    def probs() -> tuple[float, ...]:
+        p = _json_list(spec["p"], "scheme.p")
+        return tuple(_json_number(v, f"scheme.p[{j}]") for j, v in enumerate(p))
+
     if kind == "rpt":
-        return Rpt(tuple(spec["p"]))
+        return Rpt(probs())
     if kind == "tau_nice":
-        return TauNice(int(spec["b"]), int(spec["tau"]))
+        return TauNice(integer("b"), integer("tau"))
     if kind == "tau_submodel":
-        return TauSubmodel(int(spec["b"]), int(spec["tau"]), tuple(spec["p"]))
+        return TauSubmodel(integer("b"), integer("tau"), probs())
     if kind == "partitioned_submodel":
-        return PartitionedSubmodel(
-            tuple(frozenset(blk) for blk in spec["blocks"]), tuple(spec["p"])
+        blocks = tuple(
+            frozenset(
+                _json_number(i, f"scheme.blocks[{k}][{j}]", integer=True)
+                for j, i in enumerate(_json_list(blk, f"scheme.blocks[{k}]"))
+            )
+            for k, blk in enumerate(_json_list(spec["blocks"], "scheme.blocks"))
         )
+        return PartitionedSubmodel(blocks, probs())
     if kind == "full_network":
-        return FullNetwork(int(spec["b"]))
+        return FullNetwork(integer("b"))
     if kind == "epoch_shift":
-        return EpochShiftRpt(int(spec["b"]), float(spec["alpha"]))
+        return EpochShiftRpt(integer("b"), _json_number(spec["alpha"], "scheme.alpha"))
     raise ValueError(f"scheme.kind: unknown kind {kind!r}")

@@ -516,6 +516,26 @@ def bad_run_configs():
     case("scheme_alpha_nan", "config.variants[1].scheme")["variants"][1]["scheme"] = {
         "kind": "epoch_shift", "b": 2, "alpha": float("nan"),
     }
+    # values the scheme and table readers would coerce: a float or bool integer, a string number
+    for name, j, scheme in [
+        ("tau_float", 0, {"kind": "tau_nice", "b": 2, "tau": 1.5}),
+        ("tau_bool", 0, {"kind": "tau_nice", "b": 2, "tau": True}),
+        ("block_member_float", 0,
+         {"kind": "partitioned_submodel", "blocks": [[1.5, 2]], "p": [1.0]}),
+        ("b_float", 1, {"kind": "full_network", "b": 2.5}),
+        ("p_string", 0, {"kind": "rpt", "p": ["0.5", 0.5]}),
+        ("alpha_string", 1, {"kind": "epoch_shift", "b": 2, "alpha": "2"}),
+    ]:
+        case(f"scheme_{name}", f"config.variants[{j}].scheme")["variants"][j]["scheme"] = scheme
+    for name, edit in [
+        ("b_float", lambda t: t.update(b=2.7)),
+        ("layer_float", lambda t: t["l0"][0].__setitem__(0, 1.5)),
+        ("layer_bool", lambda t: t["l0"][1].__setitem__(0, True)),
+        ("value_string", lambda t: t["l0"][2].__setitem__(2, "3")),
+    ]:
+        table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
+        edit(table)
+        case(f"smoothness_table_{name}", "config.smoothness_table")["smoothness_table"] = table
 
     cost = {"c_ov": 0.5, "c": [1.0, 1.0], "c_sharp": [0.25, 0.25]}
     case("cost_lengths_differ", "cost.c_sharp")["cost"] = {**cost, "c_sharp": [0.25]}
@@ -563,6 +583,19 @@ def test_run_bad_config_exits_2_before_any_output(tmp_path, capsys, cfg, field_p
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field_path}: "), err
+    assert not out.exists()
+
+
+def test_run_refuses_the_removed_gen_smooth_inverse_kind(tmp_path, capsys):
+    # the table decides the smoothness-inverse rule, so there is no second kind
+    cfg = base_config()
+    cfg["variants"][0]["policy"] = {"kind": "gen_smooth_inverse"}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_json(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: config.variants[0].policy.kind: unknown policy kind 'gen_smooth_inverse'"
+    ]
     assert not out.exists()
 
 
@@ -722,6 +755,29 @@ def test_marginals_refuses_a_non_finite_scheme(tmp_path, capsys, scheme, message
     assert cli.main(["marginals", "--scheme", path, "--draws", "100", "--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"scheme error: {message}\n"
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("marginals", "scheme", "scheme error: scheme.tau: expected an integer, got 1.5"),
+    ("cost", "scheme", "error: scheme.tau: expected an integer, got 1.5"),
+    ("optimal-probs", "table", "table error: table.b: expected an integer, got 2.7"),
+    ("cost", "table", "error: table.b: expected an integer, got 2.7"),
+])
+def test_scheme_and_table_commands_refuse_a_coercible_value(tmp_path, capsys, command, bad,
+                                                            message):
+    scheme = {"kind": "tau_nice", "b": 2, "tau": 1.5 if bad == "scheme" else 1}
+    table = {**TABLE2, "b": 2.7 if bad == "table" else 2}
+    files = {
+        "--scheme": write_json(tmp_path / "s.json", scheme),
+        "--table": write_json(tmp_path / "t.json", table),
+        "--cost": write_json(tmp_path / "c.json", COST2),
+    }
+    flags = {"marginals": ["--scheme"], "optimal-probs": ["--table"],
+             "cost": ["--scheme", "--table", "--cost"]}[command]
+    argv = [command] + [arg for flag in flags for arg in (flag, files[flag])]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
 
 
 def test_cost_command(tmp_path, capsys):

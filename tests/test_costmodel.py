@@ -101,6 +101,37 @@ def test_table_roundtrip():
     assert t2.l0 == t.l0 and t2.mode == t.mode and t2.b == t.b
 
 
+def malformed_tables():
+    """One param (table document, error message) per value ``from_dict`` would coerce."""
+    cases = []
+
+    def case(name, message):
+        doc = SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]], [[0.5], [0.5, 0.5]]).to_dict()
+        cases.append(pytest.param(doc, message, id=name))
+        return doc
+
+    case("b_float", "table.b: expected an integer, got 2.7")["b"] = 2.7
+    case("b_bool", "table.b: expected an integer, got True")["b"] = True
+    case("layer_float", "table.l0[0][0]: expected an integer, got 1.5")["l0"][0][0] = 1.5
+    case("layer_bool", "table.l0[1][0]: expected an integer, got True")["l0"][1][0] = True
+    case("set_key_string", "table.l1[2][1]: expected an integer, got '2'")["l1"][2][1] = "2"
+    case("value_string", "table.l0[2][2]: expected a number, got '3'")["l0"][2][2] = "3"
+    case("l1_value_bool", "table.l1[0][2]: expected a number, got False")["l1"][0][2] = False
+    case("l0_not_list", "table.l0: expected a list, got 1.0")["l0"] = 1.0
+    case("approximate_string", "table.approximate: expected a bool, got 'no'")["approximate"] = "no"
+    case("second_entry", "table.l0[3]: a second entry for layer 1, set key 1")["l0"].append(
+        [1, 1, 9.0]
+    )
+    return cases
+
+
+@pytest.mark.parametrize("doc, message", malformed_tables())
+def test_table_from_dict_refuses_what_it_would_coerce(doc, message):
+    with pytest.raises(ValueError) as info:
+        SmoothnessTable.from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_key_for_suffix_and_rejects_non_suffix():
     t = verify.random_rpt_table(np.random.default_rng(2), 4)
     assert t.key_for(frozenset({2, 3, 4})) == 2

@@ -3,9 +3,10 @@
 The benchmark's reference digests pin three workloads: a tanh MLP and two
 quadratics with one shape and one norm kind each.  These configs pin the
 rest of the step path byte for byte: interleaved shapes and norm kinds (so a
-group's members are not consecutive), both smoothness-inverse policies under
+group's members are not consecutive), the smoothness-inverse policy under
 ``rpt`` and ``partitioned_submodel``, a relu MLP with a spectral middle layer,
-matrix curvatures, a zero noise sigma, ``tau_nice`` and ``epoch_shift``.
+matrix curvatures, a zero noise sigma, ``tau_nice`` and ``epoch_shift``.  No
+two CSVs of one config share a digest: a duplicate run pins nothing new.
 
 The bytes depend on numpy's scalar ``repr`` (``cli._fmt`` writes numpy
 floats as ``np.float64(...)`` under numpy 2) and on the LAPACK build behind
@@ -47,8 +48,8 @@ def _coupled_interleaved():
         "norms": ["spectral", "euclidean", "euclidean", "spectral", "spectral"],
         "x0": {"kind": "random", "scale": 1.0, "seed": 5},
         "variants": [
-            {"name": f"{policy}_{name}", "scheme": scheme, "policy": {"kind": policy}}
-            for policy in ("smooth_inverse", "gen_smooth_inverse")
+            {"name": f"smooth_inverse_{name}", "scheme": scheme,
+             "policy": {"kind": "smooth_inverse"}}
             for name, scheme in (("rpt", rpt), ("part", part))
         ],
         "iterations": 25,
@@ -65,8 +66,9 @@ def _relu_mlp():
         "norms": ["euclidean", "spectral", "euclidean"],
         "x0": {"kind": "random", "scale": 0.3, "seed": 1},
         "variants": [
+            # the name keys the recorded digest of its CSV
             {"name": "gen_rpt", "scheme": {"kind": "rpt", "p": [0.5, 0.3, 0.2]},
-             "policy": {"kind": "gen_smooth_inverse"}},
+             "policy": {"kind": "smooth_inverse"}},
             {"name": "smooth_full", "scheme": {"kind": "full_network", "b": 3},
              "policy": {"kind": "smooth_inverse"}},
         ],
@@ -122,6 +124,12 @@ def _digests(name, tmp):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_csvs_match_golden_digests(tmp_path, name):
     assert _digests(name, tmp_path) == json.loads(DIGESTS.read_text())[name]
+
+
+def test_golden_digests_are_distinct_within_each_config():
+    # two runs of one config that write the same bytes pin one path twice
+    for name, digests in json.loads(DIGESTS.read_text()).items():
+        assert len(set(digests.values())) == len(digests), f"{name}: two CSVs share a digest"
 
 
 if __name__ == "__main__":

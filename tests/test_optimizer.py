@@ -76,19 +76,6 @@ def test_det_step_freezes_inactive_layers_bitwise():
     assert not np.array_equal(steps[0][1][2], x0[2])  # layer 3 is always active
 
 
-def test_gen_smooth_with_zero_l1_reduces_to_smooth():
-    rng = np.random.default_rng(2)
-    prob = scalar_quadratic(rng)
-    scheme = sp.FullNetwork(3)
-    table = pb.smoothness_constants(prob, scheme, [EUC] * 3)
-    table.l1 = {key: 0.0 for key in table.l0}
-    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    r1 = op.run(prob, scheme, op.SmoothInverse(), 3, 0, x0=x0, table=table)
-    r2 = op.run(prob, scheme, op.GenSmoothInverse(), 3, 0, x0=x0, table=table)
-    for a, b in zip(r1.model.layers, r2.model.layers):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_det_step_missing_constant_names_pair():
     rng = np.random.default_rng(3)
     prob = scalar_quadratic(rng)
@@ -620,7 +607,7 @@ def shipped_problem(name, rng):
 
 @pytest.mark.parametrize(
     "policy",
-    [op.SmoothInverse(), op.GenSmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
+    [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
 )
 @pytest.mark.parametrize("name", ["separable", "coupled", "mlp"])
 def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy):
@@ -892,15 +879,16 @@ def test_run_det_update_equals_the_checked_sharp_step(grads_and_kinds, l0, l1, g
     # each layer moves by gamma * sharp(grad), bit for bit the per-layer step
     # through geometry.sharp; a Euclidean group moves by gamma * grad (the
     # identity behind a check_matrix scan), a spectral group takes one
-    # stacked sharp
+    # stacked sharp; a table with an L1 map gives 1 / (L0 + L1 dn), one
+    # without gives 1 / L0
     grads, kinds = grads_and_kinds
     b = len(grads)
     x0 = [np.full_like(gr, 0.5) for gr in grads]
     table = cm.SmoothnessTable(
         cm.TableMode.RPT_CUTOFF, b, {(i, 1): l0 for i in range(1, b + 1)},
-        {(i, 1): l1 for i in range(1, b + 1)},
+        {(i, 1): l1 for i in range(1, b + 1)} if generalized else None,
     )
-    policy = op.GenSmoothInverse() if generalized else op.SmoothInverse()
+    policy = op.SmoothInverse()
     kwargs = dict(norms=kinds, x0=x0, table=table)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [g.dual_norm(kind, gr) for kind, gr in zip(kinds, grads)]
@@ -1136,7 +1124,7 @@ def test_run_refuses_a_nan_stepsize_denominator(l0, l1, gamma):
     l0s = {(1, 1): 1.0, (2, 1): l0, (3, 1): 1.0}
     l1s = None if l1 is None else {(1, 1): 0.0, (2, 1): l1, (3, 1): 0.0}
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, l0s, l1s)
-    policy = op.SmoothInverse() if l1 is None else op.GenSmoothInverse()
+    policy = op.SmoothInverse()
     x0 = [np.zeros((2, 2))] * 3
 
     def call():
@@ -1309,7 +1297,7 @@ def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # stepsizes are derived and checked in the active set's plan, one layer at a
-# time in layer order, for both smoothness-inverse policies
+# time in layer order, on tables with and without an L1 map
 # ---------------------------------------------------------------------------
 
 STEPSIZE_FAULTS = ("no_l0", "no_l1", "l0_zero", "l0_negative", "nan_denominator")
@@ -1351,27 +1339,24 @@ def stepsize_fault(table, generalized, dual_norms):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stepsize_faults(), st.sampled_from(["smooth", "gen", "gen_without_l1"]))
-def test_run_names_the_lowest_stepsize_fault_across_groups(case, policy_name):
+@given(stepsize_faults(), st.booleans())
+def test_run_names_the_lowest_stepsize_fault_across_groups(case, with_l1):
     grads, kinds, l0, l1 = case
     b = len(grads)
-    table = cm.SmoothnessTable(
-        cm.TableMode.RPT_CUTOFF, b, l0, None if policy_name == "gen_without_l1" else l1
-    )
-    policy = op.SmoothInverse() if policy_name == "smooth" else op.GenSmoothInverse()
+    table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, b, l0, l1 if with_l1 else None)
     dual_norms = [g.dual_norm(kind, gr) for kind, gr in zip(kinds, grads)]
-    expected = stepsize_fault(table, policy_name == "gen", dual_norms)
+    expected = stepsize_fault(table, with_l1, dual_norms)
 
     def call():
         return op.run(
-            FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, norms=kinds,
+            FixedGradients(grads), sp.FullNetwork(b), op.SmoothInverse(), 1, 0, norms=kinds,
             x0=[np.full_like(gr, 0.5) for gr in grads], table=table,
         )
 
     if expected is None:
         applied = call().reports[0].applied
         for i, dn in enumerate(dual_norms, start=1):
-            l1_term = l1[(i, 1)] * dn if policy_name == "gen" else 0.0
+            l1_term = l1[(i, 1)] * dn if with_l1 else 0.0
             assert applied[i] == 1.0 / (l0[(i, 1)] + l1_term)
         return
     with pytest.raises(type(expected)) as info:
@@ -1414,7 +1399,7 @@ def test_run_names_the_lowest_late_stepsize_fault_across_groups():
     message = "^iteration 2: layer 2: stepsize denominator must be positive, got -0.5$"
     with pytest.raises(ValueError, match=message):
         op.run(
-            prob, sp.FullNetwork(3), op.GenSmoothInverse(), 4, 0, x0=x0, table=table,
+            prob, sp.FullNetwork(3), op.SmoothInverse(), 4, 0, x0=x0, table=table,
             on_step=lambda _k, _model, r: reports.append(r),
         )
     assert [r.applied for r in reports] == [{1: 1.0 / (1.0 + 0.5 * 6 ** 0.5), 2: 1.0, 3: 0.0}] * 2
@@ -1422,10 +1407,10 @@ def test_run_names_the_lowest_late_stepsize_fault_across_groups():
 
 @pytest.mark.parametrize("scheme_name", ["rpt", "partitioned"])
 def test_gen_smooth_without_l1_equals_smooth_bit_for_bit(scheme_name):
-    # a table without an L1 map means L1 = 0: GenSmoothInverse takes
-    # SmoothInverse's stepsizes, and both equal the per-iteration
-    # 1 / (L0 + 0 * dn) of an explicit zero L1 map, on spectral and Euclidean
-    # groups with interleaved members
+    # SmoothInverse's stepsizes 1 / L0 on a table without an L1 map equal the
+    # per-iteration 1 / (L0 + 0 * dn) of the same table with an explicit zero
+    # L1 map, bit for bit, on spectral and Euclidean groups with interleaved
+    # members
     rng = np.random.default_rng(50)
     shapes = [(3, 2), (2, 2), (3, 2), (3, 2), (2, 2)]
     norms = [SPEC, EUC, EUC, SPEC, SPEC]
@@ -1442,22 +1427,17 @@ def test_gen_smooth_without_l1_equals_smooth_bit_for_bit(scheme_name):
     assert table.l1 is None
     zero_l1 = cm.SmoothnessTable(table.mode, table.b, table.l0, {k: 0.0 for k in table.l0})
     x0 = [rng.standard_normal(s) for s in shapes]
-    runs = [
-        op.run(prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=t)
-        for policy, t in [
-            (op.SmoothInverse(), table), (op.GenSmoothInverse(), table),
-            (op.GenSmoothInverse(), zero_l1),
-        ]
-    ]
-    smooth = runs[0]
-    for other in runs[1:]:
-        assert other.f_final == smooth.f_final
-        for a, b in zip(other.model.layers, smooth.model.layers):
-            np.testing.assert_array_equal(a, b)
-        for r, ref in zip(other.reports, smooth.reports, strict=True):
-            assert (r.active, r.f_before, r.f_after, r.applied) == (
-                ref.active, ref.f_before, ref.f_after, ref.applied
-            )
+    smooth, other = (
+        op.run(prob, scheme, op.SmoothInverse(), 20, 3, norms=norms, x0=x0, table=t)
+        for t in (table, zero_l1)
+    )
+    assert other.f_final == smooth.f_final
+    for a, b in zip(other.model.layers, smooth.model.layers):
+        np.testing.assert_array_equal(a, b)
+    for r, ref in zip(other.reports, smooth.reports, strict=True):
+        assert (r.active, r.f_before, r.f_after, r.applied) == (
+            ref.active, ref.f_before, ref.f_after, ref.applied
+        )
 
 
 # ---------------------------------------------------------------------------

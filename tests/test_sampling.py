@@ -421,3 +421,37 @@ def test_scheme_roundtrip(scheme):
 def test_epoch_shift_scheme_roundtrip():
     scheme = sp.EpochShiftRpt(5, -0.3)
     assert sp.scheme_from_dict(config_document(scheme)) == scheme
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "tau_nice", "b": 4, "tau": 2.5}, "scheme.tau: expected an integer, got 2.5"),
+    ({"kind": "tau_nice", "b": 4, "tau": True}, "scheme.tau: expected an integer, got True"),
+    ({"kind": "tau_submodel", "b": "4", "tau": 2, "p": [0.5, 0.5, 0.0]},
+     "scheme.b: expected an integer, got '4'"),
+    ({"kind": "partitioned_submodel", "blocks": [[1.5, 2]], "p": [1.0]},
+     "scheme.blocks[0][0]: expected an integer, got 1.5"),
+    ({"kind": "partitioned_submodel", "blocks": [[1], [2, False]], "p": [0.5, 0.5]},
+     "scheme.blocks[1][1]: expected an integer, got False"),
+    ({"kind": "partitioned_submodel", "blocks": [1, 2], "p": [0.5, 0.5]},
+     "scheme.blocks[0]: expected a list, got 1"),
+    ({"kind": "full_network", "b": 4.9}, "scheme.b: expected an integer, got 4.9"),
+    ({"kind": "rpt", "p": ["0.5", 0.5]}, "scheme.p[0]: expected a number, got '0.5'"),
+    ({"kind": "rpt", "p": [0.0, True]}, "scheme.p[1]: expected a number, got True"),
+    ({"kind": "rpt", "p": "1"}, "scheme.p: expected a list, got '1'"),
+    ({"kind": "epoch_shift", "b": 3, "alpha": "2"}, "scheme.alpha: expected a number, got '2'"),
+    (["rpt"], "scheme: expected an object, got ['rpt']"),
+], ids=["tau_float", "tau_bool", "b_string", "block_member_float", "block_member_bool",
+        "block_not_list", "b_float", "p_string", "p_bool", "p_not_list", "alpha_string",
+        "not_object"])
+def test_scheme_from_dict_refuses_what_it_would_coerce(spec, message):
+    with pytest.raises(ValueError) as info:
+        sp.scheme_from_dict(spec)
+    assert str(info.value) == message
+
+
+def test_scheme_from_dict_reads_integers_as_numbers():
+    # a JSON integer is a number: p and alpha accept one
+    assert sp.scheme_from_dict({"kind": "rpt", "p": [1, 0]}) == sp.Rpt((1.0, 0.0))
+    assert sp.scheme_from_dict({"kind": "epoch_shift", "b": 3, "alpha": 2}) == sp.EpochShiftRpt(
+        3, 2.0
+    )
