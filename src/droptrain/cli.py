@@ -15,7 +15,9 @@ metadata is quarantined to the summary's ``metadata`` block.
 
 ``run`` compiles the config once into a ``RunPlan`` (``compile_plan``), which
 builds every scheme, policy, smoothness table, x0 and cost once, and then runs
-each (variant, seed) on it.  Its exit codes:
+each (variant, seed) on it; a variant that draws nothing from the seed's
+streams (``optimizer.uses_seed``) runs once, and its seeds share its CSV
+bytes.  Its exit codes:
 
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
@@ -448,6 +450,28 @@ def _time_to_target(rows, thresholds):
     return out
 
 
+def _run_one(plan: RunPlan, variant: VariantPlan, seed: int, columns) -> tuple[str, dict]:
+    """One (variant, seed) run: its CSV text and its summary entry, without ``csv``."""
+    problem = plan.problem
+    # the run's finiteness guard reports an overflow itself;
+    # numpy's floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = optimizer.run(
+            problem, variant.scheme, variant.policy, plan.iterations, seed,
+            norms=plan.norms, x0=plan.x0, table=variant.table, noise=plan.noise,
+        )
+        rows, cumulative_cost = _csv_rows(result, variant.weights, problem, plan.cost)
+    lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    entry = {
+        "initial_f": result.f_initial,
+        "final_f": result.f_final,
+        "final_fgap": result.f_final - problem.f_star,
+        "cumulative_cost": cumulative_cost,
+        "time_to_target": _time_to_target(rows, plan.targets),
+    }
+    return "\n".join(lines) + "\n", entry
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -469,37 +493,33 @@ def cmd_run(args) -> int:
         "csv_columns": columns,
         "config": cfg,
         "variants": {},
-        "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool": "droptrain"},
+        "metadata": {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "tool": "droptrain",
+            "seed_free_variants": [],  # each ran once, and its seeds share its CSV bytes
+        },
     }
 
     for variant in plan.variants:
         per_seed = {}
-        # seeds run serially: threads gain nothing on this GIL-bound loop
+        seed_dependent = optimizer.uses_seed(variant.scheme, variant.policy, plan.noise)
+        if not seed_dependent:
+            summary["metadata"]["seed_free_variants"].append(variant.name)
+        text = None
+        # seeds run serially: threads gain nothing on this GIL-bound loop.  A
+        # seed-free variant runs at its first seed only; its CSV text and
+        # summary entry are written for every seed
         for seed in plan.seeds:
-            try:
-                # the run's finiteness guard reports an overflow itself;
-                # numpy's floating-point warnings would only repeat it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    result = optimizer.run(
-                        problem, variant.scheme, variant.policy, plan.iterations, seed,
-                        norms=plan.norms, x0=plan.x0, table=variant.table, noise=plan.noise,
-                    )
-                    rows, cumulative_cost = _csv_rows(result, variant.weights, problem, plan.cost)
-            except (KeyError, ValueError) as exc:
-                print(f"run error: variant {variant.name!r}, seed {seed}: {exc}", file=sys.stderr)
-                return 1
+            if text is None or seed_dependent:
+                try:
+                    text, entry = _run_one(plan, variant, seed, columns)
+                except (KeyError, ValueError) as exc:
+                    print(f"run error: variant {variant.name!r}, seed {seed}: {exc}",
+                          file=sys.stderr)
+                    return 1
             csv_path = out_dir / f"{variant.name}_seed{seed}.csv"
-            lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
             with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-            per_seed[str(seed)] = {
-                "initial_f": result.f_initial,
-                "final_f": result.f_final,
-                "final_fgap": result.f_final - problem.f_star,
-                "cumulative_cost": cumulative_cost,
-                "time_to_target": _time_to_target(rows, plan.targets),
-                "csv": csv_path.name,
-            }
+                fh.write(text)
+            per_seed[str(seed)] = {**entry, "csv": csv_path.name}
         summary["variants"][variant.name] = per_seed
         if variant.eta_squared_caps is not None:
             per_seed["eta_squared_caps"] = variant.eta_squared_caps

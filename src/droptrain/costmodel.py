@@ -120,7 +120,17 @@ class CostParams:
 
     @staticmethod
     def from_dict(spec: dict) -> "CostParams":
-        return CostParams(float(spec["c_ov"]), tuple(spec["c"]), tuple(spec["c_sharp"]))
+        """The cost parameters of a ``to_dict`` document, read without coercion.
+
+        ``c_ov`` and each entry of the lists ``c`` and ``c_sharp`` must be a
+        number (a bool or a string is not); a value of another type raises
+        ValueError naming ``cost.<field>``, a missing field KeyError.
+        """
+        def numbers(name: str) -> tuple[float, ...]:
+            values = _json_list(spec[name], f"cost.{name}")
+            return tuple(_json_number(v, f"cost.{name}[{j}]") for j, v in enumerate(values))
+
+        return CostParams(_json_number(spec["c_ov"], "cost.c_ov"), numbers("c"), numbers("c_sharp"))
 
 
 class TableMode(str, enum.Enum):

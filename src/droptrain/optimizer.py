@@ -97,6 +97,7 @@ __all__ = [
     "StepReport",
     "RunResult",
     "stoch_step",
+    "uses_seed",
     "run",
 ]
 
@@ -568,6 +569,23 @@ def stoch_step(
     return _stoch_step(model, samples, momentum, plan, ns_config)
 
 
+def uses_seed(
+    scheme: sampling.SamplingScheme | sampling.EpochShiftRpt,
+    policy: StepPolicy,
+    noise: problems.NoiseSpec | None,
+) -> bool:
+    """Whether ``run`` draws from ``sampling.stream``, so that its result can depend on the seed.
+
+    False exactly for a ``FullNetwork`` scheme under ``SmoothInverse``, whose
+    step never reads ``noise``, or under a radius policy with no noise or
+    all-zero sigmas, whose M0 and samples are then the exact gradient.  Any
+    other scheme counts as drawing, even one whose draws are all certain.
+    """
+    if not isinstance(scheme, sampling.FullNetwork):
+        return True
+    return not isinstance(policy, SmoothInverse) and noise is not None and any(noise.sigmas)
+
+
 def run(
     problem,
     scheme: sampling.SamplingScheme | sampling.EpochShiftRpt,
@@ -584,6 +602,8 @@ def run(
 ) -> RunResult:
     """Drive the optimizer for ``iterations`` steps; deterministic given the seed.
 
+    The seed enters only through ``sampling.stream``; where ``uses_seed`` is
+    False nothing is drawn from it, and every seed gives the same result.
     Stream-splitting rule: stream(seed, 0) feeds initialization draws (e.g.
     the momentum-initializing stochastic gradient), stream(seed, k + 1) feeds
     iteration k, which consumes first the active-set draw, then the gradient

@@ -412,12 +412,15 @@ def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatc
     cfg = base_config(iterations=20, seeds=(0, 1))
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == len(cfg["variants"]) * len(cfg["seeds"]) * (cfg["iterations"] + 1)
+    # the seed-free "full" variant runs once, "rpt" once per seed
+    runs_made = 1 + len(cfg["seeds"])
+    assert len(calls) == runs_made * (cfg["iterations"] + 1)
 
 
 def test_run_prices_each_distinct_active_set_once_per_csv(tmp_path, monkeypatch):
     # the rows' cost cells equal iteration_cost, which runs once per distinct
-    # active set of a (variant, seed) run; both variants' sets are fixed by min S
+    # active set of a run made; both variants' sets are fixed by min S, and the
+    # seed-free "full" variant runs once, at the first seed, for both its CSVs
     calls = []
     inner = cm.iteration_cost
 
@@ -430,17 +433,63 @@ def test_run_prices_each_distinct_active_set_once_per_csv(tmp_path, monkeypatch)
     cost = cm.CostParams(cfg["cost"]["c_ov"], tuple(cfg["cost"]["c"]), tuple(cfg["cost"]["c_sharp"]))
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    made = {"full_seed0.csv", "rpt_seed0.csv", "rpt_seed1.csv"}
     distinct = 0
     for csv in sorted((tmp_path / "out").glob("*.csv")):
         lines = csv.read_text().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         cutoffs = {int(r["active_min"]) for r in rows}
-        distinct += len(cutoffs)
+        distinct += len(cutoffs) if csv.name in made else 0
         for r in rows:
             s = int(r["active_min"])
             assert float(r["cost_units"]) == inner(frozenset(range(s, 4)), cost)
     assert len(calls) == distinct
+
+
+def test_run_makes_each_seed_free_variant_once_and_writes_it_for_every_seed(tmp_path,
+                                                                          monkeypatch):
+    cfg = base_config(iterations=12, seeds=(0, 3, 7))
+    cfg["noise"] = {"sigmas": [0.0, 0.0, 0.0]}
+    cfg["variants"] = [
+        {"name": "full", "scheme": {"kind": "full_network", "b": 3},
+         "policy": {"kind": "smooth_inverse"}},
+        {"name": "full_radius", "scheme": {"kind": "full_network", "b": 3},
+         "policy": {"kind": "fixed_radius", "radii": [0.1, 0.2, 0.1]}},
+        {"name": "rpt", "scheme": {"kind": "rpt", "p": [0.5, 0.3, 0.2]},
+         "policy": {"kind": "smooth_inverse"}},
+    ]
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    calls = []
+    inner = cli.optimizer.run
+
+    def counting(problem, scheme, policy, iterations, seed, **kwargs):
+        calls.append((type(scheme).__name__, type(policy).__name__, seed))
+        return inner(problem, scheme, policy, iterations, seed, **kwargs)
+
+    monkeypatch.setattr(cli.optimizer, "run", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert calls == [
+        ("FullNetwork", "SmoothInverse", 0), ("FullNetwork", "FixedRadius", 0),
+        ("Rpt", "SmoothInverse", 0), ("Rpt", "SmoothInverse", 3), ("Rpt", "SmoothInverse", 7),
+    ]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metadata"]["seed_free_variants"] == ["full", "full_radius"]
+    for seed in cfg["seeds"]:
+        alone = tmp_path / f"alone{seed}"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(alone), "--seed", str(seed)]) == 0
+        single = json.loads((alone / "summary.json").read_text())
+        for v in cfg["variants"]:
+            name = f"{v['name']}_seed{seed}.csv"
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
+            assert summary["variants"][v["name"]][str(seed)] == \
+                single["variants"][v["name"]][str(seed)]
+    for name in ("full", "full_radius"):
+        entries = [dict(summary["variants"][name][str(s)]) for s in cfg["seeds"]]
+        assert [e.pop("csv") for e in entries] == [f"{name}_seed{s}.csv" for s in cfg["seeds"]]
+        assert entries[0] == entries[1] == entries[2]
+    assert (out / "rpt_seed0.csv").read_bytes() != (out / "rpt_seed3.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cfg", [base_config(), mlp_config((0, 1))], ids=["quadratic", "tiny_mlp"])
@@ -795,6 +844,25 @@ def test_cost_command(tmp_path, capsys):
     assert payload["total"] == pytest.approx(
         payload["iterations"] * payload["expected_iteration_cost"], rel=1e-9
     )
+
+
+@pytest.mark.parametrize("cost, field", [
+    ({"c_ov": "1", "c": ["1", True], "c_sharp": [0, 0]}, "cost.c_ov: expected a number, got '1'"),
+    ({"c_ov": 1, "c": ["1", True], "c_sharp": [0, 0]}, "cost.c[0]: expected a number, got '1'"),
+    ({"c_ov": 1, "c": [1, True], "c_sharp": [0, 0]}, "cost.c[1]: expected a number, got True"),
+    ({"c_ov": 1, "c": [1, 1], "c_sharp": "00"}, "cost.c_sharp: expected a list, got '00'"),
+], ids=["c_ov_string", "c_string", "c_bool", "c_sharp_string"])
+@pytest.mark.parametrize("command", ["cost", "optimal-probs"])
+def test_cost_file_commands_refuse_a_coercible_value(tmp_path, capsys, command, cost, field):
+    files = ["--table", write_json(tmp_path / "t.json", TABLE2),
+             "--cost", write_json(tmp_path / "c.json", cost)]
+    if command == "cost":
+        files += ["--scheme", write_json(tmp_path / "s.json", {"kind": "rpt", "p": [0.5, 0.5]})]
+    else:
+        files += ["--regime", "l0l1-eps"]
+    assert cli.main([command] + files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {field}\n"
 
 
 RPT3 = {"kind": "rpt", "p": [0.5, 0.3, 0.2]}

@@ -200,6 +200,76 @@ def test_run_different_seed_differs():
     )
 
 
+SEED_SCHEMES = {
+    "rpt": sp.Rpt((0.5, 0.3, 0.2)),
+    "rpt_certain": sp.Rpt((1.0, 0.0, 0.0)),
+    "tau_nice": sp.TauNice(3, 2),
+    "tau_nice_all": sp.TauNice(3, 3),
+    "tau_submodel": sp.TauSubmodel(3, 2, (0.5, 0.5)),
+    "partitioned": sp.PartitionedSubmodel((frozenset({1}), frozenset({2, 3})), (0.4, 0.6)),
+    "epoch_shift": sp.EpochShiftRpt(3, 1.0),
+    "full_network": sp.FullNetwork(3),
+}
+SEED_POLICIES = {
+    "smooth_inverse": op.SmoothInverse(),
+    "fixed_radius": op.FixedRadius((0.1, 0.2, 0.1)),
+    "horizon": op.HorizonSchedule(),
+}
+SEED_NOISES = {"none": None, "zero": pb.NoiseSpec((0.0,) * 3), "nonzero": pb.NoiseSpec((0.0, 0.2, 0.0))}
+
+
+class DrewFromStream(Exception):
+    pass
+
+
+class Tripwire:
+    """A stand-in for a stream's generator that refuses every attribute access."""
+
+    def __getattribute__(self, name):
+        raise DrewFromStream(name)
+
+
+def seed_run(scheme_name, policy_name, noise_name, seed):
+    rng = np.random.default_rng(19)
+    prob = scalar_quadratic(rng)
+    norms = [EUC, SPEC, EUC]
+    # under a drawing scheme the first draw comes before any table lookup
+    table = table_for(prob, norms) if policy_name == "smooth_inverse" else None
+    return op.run(
+        prob, SEED_SCHEMES[scheme_name], SEED_POLICIES[policy_name], 6, seed, norms=norms,
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table,
+        noise=SEED_NOISES[noise_name],
+    )
+
+
+@pytest.mark.parametrize("noise_name", sorted(SEED_NOISES))
+@pytest.mark.parametrize("policy_name", sorted(SEED_POLICIES))
+@pytest.mark.parametrize("scheme_name", sorted(SEED_SCHEMES))
+def test_uses_seed_is_false_exactly_when_run_draws_nothing(
+    monkeypatch, scheme_name, policy_name, noise_name
+):
+    scheme, policy, noise = (SEED_SCHEMES[scheme_name], SEED_POLICIES[policy_name],
+                             SEED_NOISES[noise_name])
+    seed_free = scheme_name == "full_network" and (
+        policy_name == "smooth_inverse" or noise_name != "nonzero"
+    )
+    assert op.uses_seed(scheme, policy, noise) is not seed_free
+    if seed_free:
+        runs = [seed_run(scheme_name, policy_name, noise_name, seed) for seed in (0, 7)]
+    monkeypatch.setattr(sp, "stream", lambda seed, *path: Tripwire())
+    if not seed_free:
+        with pytest.raises(DrewFromStream):
+            seed_run(scheme_name, policy_name, noise_name, 0)
+        return
+    runs.append(seed_run(scheme_name, policy_name, noise_name, 0))
+    first = runs[0]
+    for other in runs[1:]:
+        assert other.reports == first.reports
+        assert (other.f_initial, other.f_final) == (first.f_initial, first.f_final)
+        for a, b in zip(other.model.stacks, first.model.stacks):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_run_horizon_schedule_parameters():
     rng = np.random.default_rng(12)
     prob = scalar_quadratic(rng)
@@ -1582,6 +1652,10 @@ def _benchmark_workloads():
     return module
 
 
+# the runs `droptrain run` makes: quad_det's seed-free "full" variant runs once
+RUNS_MADE = {"quad_det": 1 + 4, "mlp_rpt": 2 * 2}
+
+
 @pytest.mark.parametrize("name", ["quad_det", "mlp_rpt"])
 def test_benchmark_tracer_sees_every_iteration(name, tmp_path):
     cfg = _benchmark_workloads().make_config(name, 0, tiny=True)
@@ -1596,5 +1670,5 @@ def test_benchmark_tracer_sees_every_iteration(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "result.json").read_text())["rc"] == 0
     iterations = json.loads((tmp_path / "spans.json").read_text())["iterations"]
-    assert len(iterations) == len(cfg["variants"]) * len(cfg["seeds"]) * cfg["iterations"]
+    assert len(iterations) == RUNS_MADE[name] * cfg["iterations"]
     assert all(it[4] is not None and it[5] is not None for it in iterations)  # closed, with min S
