@@ -394,6 +394,22 @@ def test_run_non_finite_iterate_one_error_line(tmp_path, capsys):
     ]
 
 
+def test_run_seed_free_failure_reports_the_first_seed_as_before(tmp_path, capsys):
+    # a seed-free variant runs at its first seed only; its failure reads as it did
+    # when every seed ran, since the first seed ran first then too
+    cfg = base_config(iterations=4, seeds=(5, 2), targets=())
+    cfg["variants"] = [
+        {"name": "blowup", "scheme": {"kind": "full_network", "b": 3},
+         "policy": {"kind": "fixed_radius", "radii": [1e308] * 3, "beta": 1.0}},
+    ]
+    cfg["x0"] = {"kind": "arrays", "values": [np.ones((2, 2)).tolist()] * 3}
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run error: variant 'blowup', seed 5: iteration 0: ")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatch):
     # initial_f comes from the run's own f(x_0): K + 1 passes, not K + 2
     calls = []
@@ -478,7 +494,8 @@ def test_run_makes_each_seed_free_variant_once_and_writes_it_for_every_seed(tmp_
     assert summary["metadata"]["seed_free_variants"] == ["full", "full_radius"]
     for seed in cfg["seeds"]:
         alone = tmp_path / f"alone{seed}"
-        assert cli.main(["run", "--config", cfg_path, "--out", str(alone), "--seed", str(seed)]) == 0
+        argv = ["run", "--config", cfg_path, "--out", str(alone), "--seed", str(seed)]
+        assert cli.main(argv) == 0
         single = json.loads((alone / "summary.json").read_text())
         for v in cfg["variants"]:
             name = f"{v['name']}_seed{seed}.csv"

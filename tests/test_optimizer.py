@@ -215,7 +215,9 @@ SEED_POLICIES = {
     "fixed_radius": op.FixedRadius((0.1, 0.2, 0.1)),
     "horizon": op.HorizonSchedule(),
 }
-SEED_NOISES = {"none": None, "zero": pb.NoiseSpec((0.0,) * 3), "nonzero": pb.NoiseSpec((0.0, 0.2, 0.0))}
+SEED_NOISES = {
+    "none": None, "zero": pb.NoiseSpec((0.0,) * 3), "nonzero": pb.NoiseSpec((0.0, 0.2, 0.0)),
+}
 
 
 class DrewFromStream(Exception):
@@ -248,20 +250,20 @@ def seed_run(scheme_name, policy_name, noise_name, seed):
 def test_uses_seed_is_false_exactly_when_run_draws_nothing(
     monkeypatch, scheme_name, policy_name, noise_name
 ):
-    scheme, policy, noise = (SEED_SCHEMES[scheme_name], SEED_POLICIES[policy_name],
-                             SEED_NOISES[noise_name])
+    names = (scheme_name, policy_name, noise_name)
     seed_free = scheme_name == "full_network" and (
         policy_name == "smooth_inverse" or noise_name != "nonzero"
     )
-    assert op.uses_seed(scheme, policy, noise) is not seed_free
-    if seed_free:
-        runs = [seed_run(scheme_name, policy_name, noise_name, seed) for seed in (0, 7)]
+    uses = op.uses_seed(SEED_SCHEMES[scheme_name], SEED_POLICIES[policy_name],
+                        SEED_NOISES[noise_name])
+    assert uses is not seed_free
+    runs = [seed_run(*names, seed) for seed in (0, 7)] if seed_free else []
     monkeypatch.setattr(sp, "stream", lambda seed, *path: Tripwire())
     if not seed_free:
         with pytest.raises(DrewFromStream):
-            seed_run(scheme_name, policy_name, noise_name, 0)
+            seed_run(*names, 0)
         return
-    runs.append(seed_run(scheme_name, policy_name, noise_name, 0))
+    runs.append(seed_run(*names, 0))
     first = runs[0]
     for other in runs[1:]:
         assert other.reports == first.reports
