@@ -13,7 +13,7 @@
 ``run`` is also the only gradient caller, once per iterate x_0..x_K, and
 it keeps gradients in layer-group stacks from the problem to the step.  Its
 one gradient path is the oracle it asks the problem for once,
-``stacked_oracle(model.groups)``, which takes the model's stacks and the
+``stacked_oracle(model.layout)``, which takes the model's stacks and the
 frozen-prefix length and returns f, one gradient stack per group and the
 forward MACs (or None); it never calls ``value_and_grad``.  ``TinyMlp``'s
 oracle keeps the activations of its last pass and recomputes only layers
@@ -41,12 +41,14 @@ beta meaning slow incorporation of fresh gradients: the horizon schedule sets
 beta = (K+1)^{-1/2}, which only makes sense under this parametrization (the
 mainstream Muon convention is the mirror image).
 
-Every layer is a member of exactly one ``LayerGroup``: the layers that share
+Every layer is a member of exactly one layer group: the layers that share
 its shape and norm kind, worked out once when ``run`` builds its model.
-``LayerModel`` stores each group as one contiguous (n, m, k) array, at the
-(group, row) places of its ``problems.Layout``, and ``model.layers[i - 1]`` is
-a view of layer i's row: update it in place and never rebind it.
-``MomentumState`` stores its buffers by the same layout.  Each
+``LayerModel.layout``, a ``problems.Layout`` keyed by (shape, norm kind), is
+the one description of the groups that the plans, the diagnostics, the
+oracle and the momentum read.  ``LayerModel`` stores each group as one
+contiguous (n, m, k) array, at the (group, row) places of its layout, and
+``model.layers[i - 1]`` is a view of layer i's row: update it in place and
+never rebind it.  ``MomentumState`` stores its buffers by the same layout.  Each
 per-iteration operation runs once per group, not once per layer: the
 gradient dual norms (``geometry.dual_norms``), the momentum update, the LMO
 or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
@@ -88,7 +90,6 @@ from .costmodel import SmoothnessTable
 from .geometry import NormKind
 
 __all__ = [
-    "LayerGroup",
     "LayerModel",
     "MomentumState",
     "SmoothInverse",
@@ -104,38 +105,19 @@ __all__ = [
 INIT_STREAM = 0  # stream(seed, 0) feeds initialization; iteration k uses stream(seed, k + 1)
 
 
-@dataclass(frozen=True)
-class LayerGroup:
-    """The layers of one shape and one norm kind: 1-based ``members``, ascending."""
-
-    shape: tuple[int, ...]
-    kind: NormKind
-    members: tuple[int, ...]
-
-    def active_rows(self, active: frozenset[int]) -> tuple[slice | list[int], list[int]]:
-        """The rows of the active members in the group's stack, and their layers.
-
-        The rows are a slice when they are consecutive, as a suffix ``{s..b}``
-        always is; otherwise a list, which gathers and scatters.
-        """
-        rows = [j for j, i in enumerate(self.members) if i in active]
-        return problems._row_index(rows), [self.members[j] for j in rows]
-
-
 @dataclass
 class LayerModel:
     """Ordered layer matrices plus each layer's norm choice; shapes are fixed.
 
-    Every layer belongs to exactly one ``LayerGroup``: the layers that share
-    its shape and norm kind.  ``stacks[g]`` holds group g's members as the
-    rows of one (n, m, k) array, at the places ``layout`` gives, and
+    Every layer belongs to exactly one group of ``layout``: the layers that
+    share its key, (shape, norm kind).  ``stacks[g]`` holds group g's members
+    as the rows of one (n, m, k) array, at the places ``layout`` gives, and
     ``layers[i - 1]`` is a view of layer i's row, so update a layer in place
     and never rebind it.
     """
 
     layers: list[np.ndarray]
     norms: list[NormKind]
-    groups: list[LayerGroup] = field(init=False, repr=False)
     layout: problems.Layout = field(init=False, repr=False)
     stacks: list[np.ndarray] = field(init=False, repr=False)
 
@@ -145,11 +127,7 @@ class LayerModel:
             raise ValueError("need one norm kind per layer")
         if not self.layers:
             raise ValueError("at least one layer required")
-        keys = [(x.shape, kind) for x, kind in zip(self.layers, self.norms)]
-        self.layout = problems.Layout(problems._groups_by(keys))
-        self.groups = [
-            LayerGroup(*keys[ids[0]], tuple(i + 1 for i in ids)) for ids in self.layout.groups
-        ]
+        self.layout = problems.Layout([(x.shape, kind) for x, kind in zip(self.layers, self.norms)])
         self.stacks = self.layout.stack(self.layers)
         self.layers = self.layout.rows(self.stacks)
 
@@ -285,7 +263,7 @@ class _Noise(NamedTuple):
 class _GroupStep:
     """One layer group's share of an active set's plan: its active rows and what they take."""
 
-    index: int  # the group's position in ``model.groups``
+    index: int  # the group's position in ``model.layout``
     kind: NormKind
     rows: slice | list[int]
     layers: list[int]
@@ -311,7 +289,7 @@ def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None
     noisy = [j for j, i in enumerate(st.layers) if offsets[i - 1] is not None]
     if not noisy:
         return None
-    shape = (len(noisy),) + tuple(model.groups[st.index].shape)
+    shape = (len(noisy),) + model.layout.shapes[st.index]
     size = math.prod(shape[1:])
     starts = [offsets[st.layers[j] - 1] for j in noisy]
     if starts == list(range(starts[0], starts[0] + len(starts) * size, size)):
@@ -330,10 +308,10 @@ def _plan(
 ) -> _Plan:
     """Each group's active rows, with their radii and, under ``layout``, their noise."""
     steps = []
-    for index, group in enumerate(model.groups):
-        rows, layers = group.active_rows(active)
+    for index, (_, kind) in enumerate(model.layout.keys):
+        rows, layers = model.layout.active_rows(index, active)
         if layers:
-            steps.append(_GroupStep(index, group.kind, rows, layers))
+            steps.append(_GroupStep(index, kind, rows, layers))
     for st in steps:
         if radii is not None:
             st.radii = radii[[i - 1 for i in st.layers]]
@@ -409,16 +387,16 @@ def _dual_norms(
     norm is not finite.
     """
     values, norms, failed = [0.0] * model.b, [], False
-    for group, grad in zip(model.groups, grads):
+    for (_, kind), members, grad in zip(model.layout.keys, model.layout.members, grads):
         try:
-            nrm = geometry.dual_norms(group.kind, grad)
+            nrm = geometry.dual_norms(kind, grad)
         except ValueError:
             failed = True
             norms.append(None)
             continue
         column = nrm.tolist()
         failed = failed or not all(map(math.isfinite, column))
-        for i, value in zip(group.members, column):
+        for i, value in zip(members, column):
             values[i - 1] = value
         norms.append(nrm)
     if failed:
@@ -565,7 +543,7 @@ def stoch_step(
         if not 1 <= i <= model.b:
             raise ValueError(f"active layer {i} is not in 1..{model.b}")
     plan = _plan(model, active, radii)
-    samples = [problems._stack_of(grads, [i - 1 for i in st.layers]) for st in plan.groups]
+    samples = [np.array([grads[i - 1] for i in st.layers], dtype=float) for st in plan.groups]
     return _stoch_step(model, samples, momentum, plan, ns_config)
 
 
@@ -613,7 +591,7 @@ def run(
     iteration k, so it stays one call per iteration.
 
     The problem is evaluated once per iterate (K + 1 passes), through its
-    ``stacked_oracle(model.groups)``; a problem without one raises
+    ``stacked_oracle(model.layout)``; a problem without one raises
     AttributeError before x0 is evaluated.  Each stochastic sample, M0
     included, is that exact gradient plus noise on the sampled rows.
     ``on_step`` must not change the model: a prefix-reusing pass relies on
@@ -640,7 +618,7 @@ def run(
     if deterministic and table is None:
         raise ValueError("the smoothness-inverse policy needs a SmoothnessTable")
 
-    oracle = problem.stacked_oracle(model.groups)
+    oracle = problem.stacked_oracle(model.layout)
     f_curr, grads, _ = oracle(model.stacks, 0)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")

@@ -1,7 +1,7 @@
 """Desk-scale objectives with controllable layer-wise smoothness.
 
 Three problem families share one duck-typed interface (``b``, ``shapes``,
-``f_star``, ``stacked_oracle(groups)`` and the per-layer reference
+``f_star``, ``stacked_oracle(layout)`` and the per-layer reference
 ``value_and_grad(layers)``):
 
 * ``SeparableQuadratic`` -- per-layer quadratics with no cross terms; the
@@ -18,15 +18,17 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   operations it spends on the rest.  The network keeps no activations of
   its own: the oracle that runs the passes owns them.
 
-``Layout`` is the one owner of how layers sit in group stacks: each group's
-0-based layers, each layer's (group, row), and the copies between per-layer
-lists and stacks.  ``stacked_oracle(groups)`` binds a problem to its
-caller's layer groups (each with a ``shape`` and 1-based ``members``, as
-``optimizer.LayerGroup`` has), checking the shapes once and keeping their
-``Layout``.  The oracle it returns takes one (n, m, k) stack of layers per
-group and the frozen-prefix length, and returns f, one gradient stack per
-group and the forward MACs (None for the quadratics).  It is the only
-gradient path ``optimizer.run`` takes.  The two quadratics build their
+``Layout`` is the one description of how layers sit in group stacks: it
+groups the layers by one key per layer whose first item is the layer's shape
+(``optimizer.LayerModel`` keys by shape and norm kind), and carries each
+group's key, shape and 1-based members, each layer's (group, row), each
+group's active rows for an active set, and the copies between per-layer
+lists and stacks.  ``stacked_oracle(layout)`` binds a problem to its
+caller's layout, checking it against the problem's layer shapes once.  The
+oracle it returns takes one (n, m, k) stack of layers per group and the
+frozen-prefix length, and returns f, one gradient stack per group and the
+forward MACs (None for the quadratics).  It is the only gradient path
+``optimizer.run`` takes, as ``stacked_oracle(model.layout)``.  The two quadratics build their
 target, weight, curvature and tilt stacks for those groups, and stack the
 coupling maps per (left group, right group) pair; each keeps the per-layer
 formula's BLAS calls and order of additions, so f and the gradients equal
@@ -72,19 +74,6 @@ def _as_layer_list(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.asarray(a, dtype=float) for a in arrays]
 
 
-def _groups_by(keys: Sequence) -> list[list[int]]:
-    """0-based indices grouped by equal key, groups in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _stack_of(arrays: Sequence[np.ndarray], ids: list[int]) -> np.ndarray:
-    """The arrays at the 0-based ``ids`` copied into one float stack."""
-    return np.array([arrays[i] for i in ids], dtype=float)
-
-
 def _row_index(rows: list[int]) -> slice | list[int]:
     """Rows of a stack as a slice when they are consecutive (a view), else as a list."""
     if rows and rows[-1] - rows[0] == len(rows) - 1:
@@ -98,35 +87,47 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 class Layout:
-    """Layers as the rows of group stacks: ``groups[g]`` lists group g's 0-based layers,
-    and ``where[i]`` is layer i's (group, row)."""
+    """Layers as the rows of group stacks, one group per distinct key.
 
-    def __init__(self, groups: list[list[int]]) -> None:
-        self.groups = groups
-        where = {i: (g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids)}
-        self.where = [where[i] for i in range(len(where))]
+    Built from one key per layer whose first item is the layer's shape;
+    groups come in order of their key's first appearance.  ``keys[g]``,
+    ``shapes[g]`` and ``members[g]`` are group g's key, shape and 1-based
+    layers, ascending, and ``where[i]`` is layer i + 1's (group, row).
+    """
+
+    def __init__(self, keys: Sequence[tuple]) -> None:
+        groups: dict = {}
+        for i, key in enumerate(keys, start=1):
+            groups.setdefault(key, []).append(i)
+        self.keys = list(groups)
+        self.shapes = [tuple(key[0]) for key in self.keys]
+        self.members = [tuple(ids) for ids in groups.values()]
+        where = {i: (g, row) for g, ids in enumerate(self.members) for row, i in enumerate(ids)}
+        self.where = [where[i] for i in range(1, len(keys) + 1)]
+
+    def active_rows(self, g: int, active: frozenset[int]) -> tuple[slice | list[int], list[int]]:
+        """The rows of group g's active members in its stack, and their layers.
+
+        The rows are a slice when they are consecutive, as a suffix ``{s..b}``
+        always is; otherwise a list, which gathers and scatters.
+        """
+        rows = [j for j, i in enumerate(self.members[g]) if i in active]
+        return _row_index(rows), [self.members[g][j] for j in rows]
+
+    def check(self, shapes: Sequence[tuple[int, int]]) -> None:
+        """Refuse a layout whose layers are not ``shapes``, one per layer."""
+        if len(shapes) != len(self.where) or any(
+            tuple(shapes[i]) != self.shapes[g] for i, (g, _) in enumerate(self.where)
+        ):
+            raise ValueError("layer shapes do not match the problem")
 
     def stack(self, arrays: Sequence) -> list[np.ndarray]:
         """``arrays``, one per layer, copied into one float stack per group."""
-        return [_stack_of(arrays, ids) for ids in self.groups]
+        return [np.array([arrays[i - 1] for i in ids], dtype=float) for ids in self.members]
 
     def rows(self, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per-layer views of the rows of one stack per group, in layer order."""
         return [stacks[g][row] for g, row in self.where]
-
-
-def _group_ids(groups, shapes: list[tuple[int, int]]) -> Layout:
-    """The layout of the caller's layer groups, checked against the layer shapes.
-
-    Each group has ``shape`` and 1-based ``members``; together the groups
-    must hold every layer once, each of its group's shape.
-    """
-    ids = [[i - 1 for i in group.members] for group in groups]
-    if sorted(i for g in ids for i in g) != list(range(len(shapes))) or any(
-        shapes[i] != tuple(group.shape) for group, g in zip(groups, ids) for i in g
-    ):
-        raise ValueError("layer shapes do not match the problem")
-    return Layout(ids)
 
 
 class _SeparableStacks:
@@ -177,10 +178,11 @@ class _CoupledStacks:
         self._tilts = None
         if prob.tilt is not None:
             self._tilts = [t.reshape(len(t), -1) for t in layout.stack(prob.tilt)]
+        pairs: dict = {}  # the maps i by (left group, right group), in order of first appearance
+        for i in range(prob.b - 1):
+            pairs.setdefault((where[i][0], where[i + 1][0]), []).append(i)
         self._maps = []
-        pairs = [(where[i][0], where[i + 1][0]) for i in range(prob.b - 1)]
-        for ids in _groups_by(pairs):
-            left, right = pairs[ids[0]]
+        for (left, right), ids in pairs.items():
             self._maps.append((
                 ids, np.array([prob.maps[i] for i in ids]),
                 left, _row_index([where[i][1] for i in ids]),
@@ -253,17 +255,17 @@ class _Quadratic:
     def shapes(self) -> list[tuple[int, int]]:
         return [a.shape for a in self.targets]
 
-    def stacked_oracle(self, groups):
-        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group in ``groups``.
+    def stacked_oracle(self, layout: Layout):
+        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group of ``layout``.
 
-        ``groups`` are the caller's layer groups (``shape`` and 1-based
-        ``members``); the shapes are checked here, once.
+        The layout's shapes are checked here, once.
         """
-        return self._Stacks(self, _group_ids(groups, self.shapes))
+        layout.check(self.shapes)
+        return self._Stacks(self, layout)
 
     @functools.cached_property
     def _shape_oracle(self):
-        layout = Layout(_groups_by(self.shapes))
+        layout = Layout([(s,) for s in self.shapes])
         return layout, self._Stacks(self, layout)
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
@@ -550,14 +552,15 @@ class TinyMlp:
             raise ValueError("reusing a prefix needs the activations of an earlier pass")
         return self._pass(layers, acts[: frozen + 1] if frozen else [self.inputs], 1)
 
-    def stacked_oracle(self, groups):
-        """``(stacks, frozen) -> (f, gradient stacks, MACs)`` on one stack per group in ``groups``.
+    def stacked_oracle(self, layout: Layout):
+        """``(stacks, frozen) -> (f, gradient stacks, MACs)`` on one stack per group of ``layout``.
 
         Each call is a ``value_and_grad_from_prefix`` pass that reuses the
         activations of the oracle's previous pass for layers 1..frozen, which
         the caller guarantees are unchanged since; the backward is full.
         """
-        return _MlpPasses(self, _group_ids(groups, self.shapes))
+        layout.check(self.shapes)
+        return _MlpPasses(self, layout)
 
 
 # ---------------------------------------------------------------------------

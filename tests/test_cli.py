@@ -415,8 +415,8 @@ def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatc
     calls = []
     inner = problems.SeparableQuadratic.stacked_oracle
 
-    def counting(self, groups):  # counts the passes of the oracle run builds
-        oracle = inner(self, groups)
+    def counting(self, layout):  # counts the passes of the oracle run builds
+        oracle = inner(self, layout)
 
         def counted(stacks, frozen):
             calls.append(None)

@@ -639,8 +639,8 @@ class CountingProblem:
         self.calls += 1
         return self.inner.value_and_grad(layers)
 
-    def stacked_oracle(self, groups):
-        oracle = self.inner.stacked_oracle(groups)
+    def stacked_oracle(self, layout):
+        oracle = self.inner.stacked_oracle(layout)
 
         def counted(stacks, frozen):
             self.calls += 1
@@ -831,14 +831,14 @@ class BadGradientAfterFirstStep(CountingProblem):
         self.bad = bad
         self.fill = fill
 
-    def stacked_oracle(self, groups):
-        counted = super().stacked_oracle(groups)
+    def stacked_oracle(self, layout):
+        counted = super().stacked_oracle(layout)
 
         def oracle(stacks, frozen):
             f, grads, macs = counted(stacks, frozen)
             if self.calls > 1:
-                for group, grad in zip(groups, grads):
-                    for row, i in enumerate(group.members):
+                for members, grad in zip(layout.members, grads):
+                    for row, i in enumerate(members):
                         if i in self.bad:
                             grad[row] = self.fill
             return f, grads, macs
@@ -915,9 +915,9 @@ class FixedGradients:
         self.shapes = [gr.shape for gr in grads]
         self.f_star = 0.0
 
-    def stacked_oracle(self, groups):
+    def stacked_oracle(self, layout):
         stacks = [
-            np.array([self.grads[i - 1] for i in group.members], dtype=float) for group in groups
+            np.array([self.grads[i - 1] for i in members], dtype=float) for members in layout.members
         ]
         return lambda _stacks, _frozen: (0.0, stacks, None)
 
@@ -1444,13 +1444,13 @@ class ScriptedGradients(FixedGradients):
         super().__init__(script[0])
         self.script = script
 
-    def stacked_oracle(self, groups):
+    def stacked_oracle(self, layout):
         calls = []
 
         def oracle(_stacks, _frozen):
             grads = self.script[min(len(calls), len(self.script) - 1)]
             calls.append(None)
-            stacks = [np.array([grads[i - 1] for i in gr.members]) for gr in groups]
+            stacks = [np.array([grads[i - 1] for i in members]) for members in layout.members]
             return 0.0, stacks, None
 
         return oracle
@@ -1540,22 +1540,23 @@ def test_stacked_noise_on_active_rows_equals_stoch_grad(case):
     shapes, norms, sigmas, active, seed = case
     rng = np.random.default_rng(seed)
     model = op.LayerModel([np.zeros(s) for s in shapes], norms)
-    grads = [rng.standard_normal((len(gr.members),) + gr.shape) for gr in model.groups]
+    layout = model.layout
+    grads = [rng.standard_normal((len(m),) + s) for m, s in zip(layout.members, layout.shapes)]
     per_layer = [None] * len(shapes)
-    for group, stack in zip(model.groups, grads):
-        for i, row in zip(group.members, stack):
+    for members, stack in zip(layout.members, grads):
+        for i, row in zip(members, stack):
             per_layer[i - 1] = row
     noise = pb.NoiseSpec(sigmas)
     got_rng, ref_rng = sp.stream(seed % 97, 3), sp.stream(seed % 97, 3)
     ref = pb.stoch_grad(per_layer, noise, ref_rng)
-    layout = noise.layout([x.size for x in model.layers])
-    plan = op._plan(model, active, layout=layout)
-    samples = op._samples(grads, plan, layout, got_rng)
+    noise_layout = noise.layout([x.size for x in model.layers])
+    plan = op._plan(model, active, layout=noise_layout)
+    samples = op._samples(grads, plan, noise_layout, got_rng)
     assert [i for step in plan.groups for i in step.layers] == [
-        i for group in model.groups for i in group.members if i in active
+        i for members in layout.members for i in members if i in active
     ]
     for step, sample in zip(plan.groups, samples):
-        assert sample.shape == (len(step.layers),) + model.groups[step.index].shape
+        assert sample.shape == (len(step.layers),) + layout.shapes[step.index]
         for i, row in zip(step.layers, sample):
             assert np.array_equal(row, ref[i - 1])
             if sigmas[i - 1] == 0.0:
@@ -1617,7 +1618,7 @@ def test_run_plans_an_active_set_on_its_first_draw_only():
 
 
 def test_run_plans_each_distinct_active_set_once(monkeypatch):
-    # LayerGroup.active_rows runs once per (set, group) and SmoothnessTable.require
+    # Layout.active_rows runs once per (set, group) and SmoothnessTable.require
     # once per (set, layer), however often a set is drawn
     rng = np.random.default_rng(48)
     shapes = [(3, 2), (2, 2), (3, 2), (3, 2), (2, 2)]
@@ -1625,17 +1626,17 @@ def test_run_plans_each_distinct_active_set_once(monkeypatch):
     scheme = sp.Rpt((0.2,) * 5)
     table = pb.smoothness_constants(prob, scheme, [EUC] * 5)
     rows_calls, require_calls = [], []
-    active_rows, require = op.LayerGroup.active_rows, cm.SmoothnessTable.require
+    active_rows, require = pb.Layout.active_rows, cm.SmoothnessTable.require
 
-    def counting_rows(self, active):
-        rows_calls.append((self.members, active))
-        return active_rows(self, active)
+    def counting_rows(self, g, active):
+        rows_calls.append((self.members[g], active))
+        return active_rows(self, g, active)
 
     def counting_require(self, i, key, which="l0"):
         require_calls.append((i, key, which))
         return require(self, i, key, which)
 
-    monkeypatch.setattr(op.LayerGroup, "active_rows", counting_rows)
+    monkeypatch.setattr(pb.Layout, "active_rows", counting_rows)
     monkeypatch.setattr(cm.SmoothnessTable, "require", counting_require)
     res = op.run(prob, scheme, op.SmoothInverse(), 60, 2, table=table)
     drawn = {r.active for r in res.reports}

@@ -241,15 +241,15 @@ def test_value_and_grad_repeated_calls_equal_a_fresh_instances(kind):
 # the stacked oracle on a model's layer groups equals value_and_grad bit for bit
 
 def assert_oracle_equals_value_and_grad(prob, layers, norms):
-    """The oracle bound to the groups of (layers, norms) against the per-layer evaluation."""
+    """The oracle bound to the layout of (layers, norms) against the per-layer evaluation."""
     model = LayerModel([np.array(x, dtype=float) for x in layers], norms)
-    f, grads, macs = prob.stacked_oracle(model.groups)(model.stacks, 0)
+    f, grads, macs = prob.stacked_oracle(model.layout)(model.stacks, 0)
     ref_f, ref_grads = prob.value_and_grad(model.layers)
     assert f == ref_f and macs is None
-    assert len(grads) == len(model.groups)
-    for group, stack in zip(model.groups, grads):
-        assert stack.shape == (len(group.members),) + group.shape
-        for i, row in zip(group.members, stack):
+    assert len(grads) == len(model.layout.members)
+    for shape, members, stack in zip(model.layout.shapes, model.layout.members, grads):
+        assert stack.shape == (len(members),) + shape
+        for i, row in zip(members, stack):
             assert np.array_equal(row, ref_grads[i - 1])
 
 
@@ -315,16 +315,65 @@ def test_coupled_oracle_equals_value_and_grad_on_unequal_shapes(norms, tilt):
     assert_oracle_equals_value_and_grad(prob, [rng.standard_normal(s) for s in shapes], norms)
 
 
-def test_oracle_refuses_groups_that_do_not_match_the_layer_shapes():
+# problems.Layout: the one description of the layer groups
+
+def test_layout_groups_layers_by_key_in_order_of_first_appearance():
+    keys = [((2, 3), EUC), ((3, 3), SPEC), ((2, 3), EUC), ((2, 3), SPEC), ((3, 3), SPEC)]
+    layout = pb.Layout(keys)
+    assert layout.keys == [((2, 3), EUC), ((3, 3), SPEC), ((2, 3), SPEC)]
+    assert layout.shapes == [(2, 3), (3, 3), (2, 3)]
+    assert layout.members == [(1, 3), (2, 5), (4,)]
+    assert layout.where == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    for g, members in enumerate(layout.members):
+        assert [layout.where[i - 1] for i in members] == [(g, row) for row in range(len(members))]
+
+
+def test_layout_stack_then_rows_gives_views_in_layer_order():
+    shapes = [(2, 3), (3, 3), (2, 3), (2, 3), (3, 3)]
+    layout = pb.Layout([(s,) for s in shapes])
+    arrays = [np.full(s, i) for i, s in enumerate(shapes, start=1)]  # ints, stacked as floats
+    stacks = layout.stack(arrays)
+    assert [(x.shape, x.dtype) for x in stacks] == [((3, 2, 3), float), ((2, 3, 3), float)]
+    rows = layout.rows(stacks)
+    for row, a, (g, _) in zip(rows, arrays, layout.where):
+        assert np.array_equal(row, a) and row.base is stacks[g]
+    rows[3] += 10.0  # layer 4 is row 2 of group 0
+    assert stacks[0][2, 0, 0] == 14.0 and arrays[3][0, 0] == 4
+
+
+def test_layout_active_rows_slices_a_suffix_and_lists_other_sets():
+    # interleaved shapes A B A B A B: groups {1, 3, 5} and {2, 4, 6}
+    layout = pb.Layout([((2, 2),), ((3, 2),)] * 3)
+    assert layout.members == [(1, 3, 5), (2, 4, 6)]
+    for s in range(1, 7):
+        suffix = frozenset(range(s, 7))
+        for g, members in enumerate(layout.members):
+            rows, layers = layout.active_rows(g, suffix)
+            assert layers == [i for i in members if i >= s]
+            if layers:
+                assert isinstance(rows, slice) and list(members[rows]) == layers
+    assert layout.active_rows(0, frozenset({1, 5})) == ([0, 2], [1, 5])
+    assert layout.active_rows(1, frozenset({1, 5})) == ([], [])
+    assert layout.active_rows(1, frozenset({2, 4, 5})) == (slice(0, 2), [2, 4])
+
+
+def test_oracle_refuses_a_layout_that_does_not_match_the_layer_shapes():
+    # a layout of other shapes, of the problem's shapes in another order, or of
+    # another layer count is refused by check and by every stacked oracle
     rng = np.random.default_rng(44)
     sep, coup = make_separable(rng), make_coupled(rng)
     mlp = pb.TinyMlp.synthetic([3, 4, 2], n_samples=5, seed=1)
     for prob in (sep, coup, mlp):
-        wrong = LayerModel([np.zeros((1, 1))] * prob.b, [EUC] * prob.b)
-        short = LayerModel([np.zeros(prob.shapes[0])], [EUC])
-        for model in (wrong, short):
+        wrong = pb.Layout([((1, 1), EUC)] * prob.b)
+        reordered = pb.Layout([(s, EUC) for s in prob.shapes[::-1]])
+        short = pb.Layout([(prob.shapes[0], EUC)])
+        longer = pb.Layout([(s, EUC) for s in prob.shapes + prob.shapes[:1]])
+        for layout in (wrong, reordered, short, longer):
             with pytest.raises(ValueError, match="layer shapes do not match the problem"):
-                prob.stacked_oracle(model.groups)
+                layout.check(prob.shapes)
+            with pytest.raises(ValueError, match="layer shapes do not match the problem"):
+                prob.stacked_oracle(layout)
+        prob.stacked_oracle(pb.Layout([(s, SPEC) for s in prob.shapes]))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -335,7 +384,7 @@ def test_mlp_oracle_equals_a_fresh_pass_for_every_frozen_prefix(activation):
     sizes = [4, 6, 6, 6, 3]
     mlp = pb.TinyMlp.synthetic(sizes, n_samples=12, activation=activation, seed=5)
     model = LayerModel([w.copy() for w in mlp.weights], [EUC, SPEC, SPEC, EUC])
-    oracle = mlp.stacked_oracle(model.groups)
+    oracle = mlp.stacked_oracle(model.layout)
     rng = np.random.default_rng(45)
     n = mlp.inputs.shape[1]
     for frozen in [0, 3, 1, 2, 0, 2]:
@@ -345,8 +394,8 @@ def test_mlp_oracle_equals_a_fresh_pass_for_every_frozen_prefix(activation):
         f, grads, macs = oracle(model.stacks, frozen)
         ref_f, ref_grads = mlp.value_and_grad(model.layers)
         assert f == ref_f
-        for group, stack in zip(model.groups, grads):
-            for i, row in zip(group.members, stack):
+        for members, stack in zip(model.layout.members, grads):
+            for i, row in zip(members, stack):
                 assert np.array_equal(row, ref_grads[i - 1])
         assert macs == sum(sizes[l] * sizes[l - 1] * n for l in range(frozen + 1, 5)) + 3 * n
 
