@@ -38,11 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costmodel, geometry, optimizer, problems, sampling, verify
+from . import costmodel, geometry, optimizer, problems, sampling
 from .costmodel import CostParams, SmoothnessTable
 from .geometry import NormKind
 
 SCHEMA_VERSION = 1
+
+# the names of verify.SUITES, sorted; verify is imported only by the commands that use it
+SUITES = ["cost", "descent", "geometry", "rates", "sampling", "stochastic"]
 
 CSV_COLUMNS_BASE = ["k", "f_before", "f_after", "fgap_after", "grad_sq_weighted"]
 CSV_COLUMNS_TAIL = ["active_min", "cost_units", "cum_units", "measured_fwd_macs"]
@@ -654,6 +657,8 @@ def cmd_marginals(args) -> int:
     for flag, value, minimum in (("--draws", args.draws, 1), ("--seed", args.seed, 0)):
         if value < minimum:
             return _bad_flag(flag, f"an integer >= {minimum}", value)
+    if not 0.0 <= args.progress <= 1.0:  # nan too
+        return _bad_flag("--progress", "a number in [0, 1]", args.progress)
     try:
         scheme = sampling.scheme_from_dict(json.loads(Path(args.scheme).read_text()))
         if isinstance(scheme, sampling.EpochShiftRpt):
@@ -662,6 +667,8 @@ def cmd_marginals(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"scheme error: {exc}", file=sys.stderr)
         return 2
+    from . import verify
+
     b = scheme.b
     f_emp, q_emp = verify.empirical_marginals(scheme, args.draws, args.seed)
 
@@ -690,6 +697,8 @@ def cmd_marginals(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         return _bad_flag("--seed", "an integer >= 0", args.seed)
+    from . import verify
+
     try:
         results = verify.run_suite(args.suite, seed=args.seed)
     except ValueError as exc:
@@ -743,7 +752,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a property/oracle suite")
     p_ver.add_argument(
         "--suite", required=True,
-        choices=sorted(verify.SUITES) + ["all"],
+        choices=SUITES + ["all"],
     )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default=None, help="write a JSON report here")

@@ -43,8 +43,10 @@ from .sampling import (
     PartitionedSubmodel,
     Rpt,
     SamplingScheme,
+    _json_field,
     _json_list,
     _json_number,
+    _json_object,
     marginals,
 )
 
@@ -87,27 +89,32 @@ MONOTONICITY_TOL = 1e-12  # a subset's constant may exceed its superset's by thi
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-iteration cost constants: overhead, per-layer backward/forward, per-layer sharp."""
+    """Per-iteration cost constants: overhead, per-layer backward/forward, per-layer sharp.
+
+    Each entry must be a number (a bool or a string is not; numpy scalars
+    are), stored as a float; a non-number, a non-finite value or a value
+    below its bound (c_ov >= 0, c[j] > 0, c_sharp[j] >= 0) raises ValueError
+    naming the entry.
+    """
 
     c_ov: float
     c: tuple[float, ...]
     c_sharp: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
-        object.__setattr__(self, "c_sharp", tuple(float(x) for x in self.c_sharp))
-        if not math.isfinite(self.c_ov):
-            raise ValueError(f"c_ov must be finite, got {self.c_ov}")
-        for name in ("c", "c_sharp"):
-            for j, x in enumerate(getattr(self, name)):
-                if not math.isfinite(x):
-                    raise ValueError(f"{name}[{j}] must be finite, got {x}")
-        if self.c_ov < 0.0:
-            raise ValueError("c_ov must be >= 0")
-        if any(x <= 0.0 for x in self.c):
-            raise ValueError("per-layer costs c_i must be > 0")
-        if any(x < 0.0 for x in self.c_sharp):
-            raise ValueError("sharp costs must be >= 0")
+        object.__setattr__(self, "c_ov", _json_number(self.c_ov, "c_ov"))
+        entries = [("c_ov", self.c_ov, ">=")]
+        for name, bound in (("c", ">"), ("c_sharp", ">=")):
+            values = getattr(self, name)
+            values = tuple(_json_number(x, f"{name}[{j}]") for j, x in enumerate(values))
+            object.__setattr__(self, name, values)
+            entries += [(f"{name}[{j}]", x, bound) for j, x in enumerate(values)]
+        for at, x, _ in entries:
+            if not math.isfinite(x):
+                raise ValueError(f"{at} must be finite, got {x}")
+        for at, x, bound in entries:
+            if x < 0.0 or (bound == ">" and x == 0.0):
+                raise ValueError(f"{at} must be {bound} 0, got {x}")
         if len(self.c) != len(self.c_sharp):
             raise ValueError("c and c_sharp must have equal length")
 
@@ -122,15 +129,17 @@ class CostParams:
     def from_dict(spec: dict) -> "CostParams":
         """The cost parameters of a ``to_dict`` document, read without coercion.
 
-        ``c_ov`` and each entry of the lists ``c`` and ``c_sharp`` must be a
-        number (a bool or a string is not); a value of another type raises
-        ValueError naming ``cost.<field>``, a missing field KeyError.
+        ``spec`` must be an object, and ``c_ov`` and each entry of the lists
+        ``c`` and ``c_sharp`` a number (a bool or a string is not); a value of
+        another type, or a missing field, raises ValueError naming
+        ``cost.<field>``.
         """
         def numbers(name: str) -> tuple[float, ...]:
-            values = _json_list(spec[name], f"cost.{name}")
+            values = _json_list(_json_field(spec, name, "cost"), f"cost.{name}")
             return tuple(_json_number(v, f"cost.{name}[{j}]") for j, v in enumerate(values))
 
-        return CostParams(_json_number(spec["c_ov"], "cost.c_ov"), numbers("c"), numbers("c_sharp"))
+        c_ov = _json_number(_json_field(_json_object(spec, "cost"), "c_ov", "cost"), "cost.c_ov")
+        return CostParams(c_ov, numbers("c"), numbers("c_sharp"))
 
 
 class TableMode(str, enum.Enum):
@@ -231,15 +240,23 @@ class SmoothnessTable:
     def from_dict(spec: dict) -> "SmoothnessTable":
         """The table of a ``to_dict`` document, read without coercion.
 
-        ``b`` and each entry's layer and set key must be integers, its
-        constant a number (a bool or a string is neither) and ``approximate``
-        a bool; a value of another type, or a second entry for one (layer,
-        set key), raises ValueError naming ``table.<field>``.
+        ``spec`` must be an object, ``mode`` a ``TableMode`` value, ``b`` and
+        each entry's layer and set key integers, its constant a number (a
+        bool or a string is neither) and ``approximate`` a bool; each entry
+        is a [layer, set key, constant] triple.  A value of another type, a
+        missing field, or a second entry for one (layer, set key), raises
+        ValueError naming ``table.<field>``.
         """
         def constants(which: str) -> dict[tuple[int, int], float]:
             out = {}
-            for j, (i, k, v) in enumerate(_json_list(spec[which], f"table.{which}")):
+            entries = _json_list(_json_field(spec, which, "table"), f"table.{which}")
+            for j, entry in enumerate(entries):
                 at = f"table.{which}[{j}]"
+                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                    raise ValueError(
+                        f"{at}: expected a [layer, set key, constant] triple, got {entry!r}"
+                    )
+                i, k, v = entry
                 key = (_json_number(i, f"{at}[0]", integer=True),
                        _json_number(k, f"{at}[1]", integer=True))
                 if key in out:
@@ -247,12 +264,16 @@ class SmoothnessTable:
                 out[key] = _json_number(v, f"{at}[2]")
             return out
 
+        modes = [m.value for m in TableMode]
+        mode = _json_field(_json_object(spec, "table"), "mode", "table")
+        if mode not in modes:
+            raise ValueError(f"table.mode: expected one of {modes}, got {mode!r}")
         approximate = spec.get("approximate", False)
         if not isinstance(approximate, bool):
             raise ValueError(f"table.approximate: expected a bool, got {approximate!r}")
         return SmoothnessTable(
-            TableMode(spec["mode"]),
-            _json_number(spec["b"], "table.b", integer=True),
+            TableMode(mode),
+            _json_number(_json_field(spec, "b", "table"), "table.b", integer=True),
             constants("l0"),
             None if spec.get("l1") is None else constants("l1"),
             approximate,

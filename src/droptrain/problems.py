@@ -275,9 +275,8 @@ class _Quadratic:
         targets, weights, curvatures, maps and tilt are fixed after
         construction.
         """
-        if [np.shape(x) for x in layers] != self.shapes:
-            raise ValueError("layer shapes do not match the problem")
         layout, oracle = self._shape_oracle
+        layout.check([np.shape(x) for x in layers])
         f, grads, _ = oracle(layout.stack(layers), 0)
         return f, layout.rows(grads)
 

@@ -474,6 +474,20 @@ def epoch_shift_probs(b: int, alpha: float, progress: float) -> np.ndarray:
 # Parsing (structured config documents)
 # ---------------------------------------------------------------------------
 
+def _json_object(value, path: str) -> dict:
+    """``value`` checked as a JSON object; ValueError naming ``path`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected an object, got {value!r}")
+    return value
+
+
+def _json_field(spec: dict, key: str, path: str):
+    """``spec[key]``; ValueError naming ``path.key`` when the field is missing."""
+    if key not in spec:
+        raise ValueError(f"{path}.{key}: missing required field")
+    return spec[key]
+
+
 def _json_list(value, path: str) -> list:
     """``value`` checked as a JSON list; ValueError naming ``path`` otherwise."""
     if not isinstance(value, (list, tuple)):
@@ -497,17 +511,18 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
 
     ``b``, ``tau`` and block members must be integers and ``p`` and
     ``alpha`` numbers (a bool or a string is neither); a value of another
-    type raises ValueError naming ``scheme.<field>``, a missing field KeyError.
+    type, or a missing field, raises ValueError naming ``scheme.<field>``.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"scheme: expected an object, got {spec!r}")
-    kind = spec.get("kind")
+    kind = _json_object(spec, "scheme").get("kind")
+
+    def field(key: str):
+        return _json_field(spec, key, "scheme")
 
     def integer(key: str) -> int:
-        return _json_number(spec[key], f"scheme.{key}", integer=True)
+        return _json_number(field(key), f"scheme.{key}", integer=True)
 
     def probs() -> tuple[float, ...]:
-        p = _json_list(spec["p"], "scheme.p")
+        p = _json_list(field("p"), "scheme.p")
         return tuple(_json_number(v, f"scheme.p[{j}]") for j, v in enumerate(p))
 
     if kind == "rpt":
@@ -522,11 +537,11 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
                 _json_number(i, f"scheme.blocks[{k}][{j}]", integer=True)
                 for j, i in enumerate(_json_list(blk, f"scheme.blocks[{k}]"))
             )
-            for k, blk in enumerate(_json_list(spec["blocks"], "scheme.blocks"))
+            for k, blk in enumerate(_json_list(field("blocks"), "scheme.blocks"))
         )
         return PartitionedSubmodel(blocks, probs())
     if kind == "full_network":
         return FullNetwork(integer("b"))
     if kind == "epoch_shift":
-        return EpochShiftRpt(integer("b"), _json_number(spec["alpha"], "scheme.alpha"))
+        return EpochShiftRpt(integer("b"), _json_number(field("alpha"), "scheme.alpha"))
     raise ValueError(f"scheme.kind: unknown kind {kind!r}")

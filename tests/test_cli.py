@@ -887,6 +887,70 @@ TABLE3 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]]).
 COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
 TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
 COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
+EPOCH3 = {"kind": "epoch_shift", "b": 3, "alpha": 0.5}
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, bad, doc, message", [
+    ("run", "table", [1, 2],
+     "config error: config.smoothness_table: cannot load {table}: table: expected an object, "
+     "got [1, 2]"),
+    ("optimal-probs", "table", [1, 2], "table error: table: expected an object, got [1, 2]"),
+    ("cost", "table", [1, 2], "error: table: expected an object, got [1, 2]"),
+    ("optimal-probs", "table", without(TABLE3, "l0"),
+     "table error: table.l0: missing required field"),
+    ("cost", "table", without(TABLE3, "mode"), "error: table.mode: missing required field"),
+    ("optimal-probs", "table", {**TABLE3, "l0": [[1, 1]]},
+     "table error: table.l0[0]: expected a [layer, set key, constant] triple, got [1, 1]"),
+    ("cost", "table", {**TABLE3, "l0": [5]},
+     "error: table.l0[0]: expected a [layer, set key, constant] triple, got 5"),
+    ("optimal-probs", "table", {**TABLE3, "mode": "rpt"},
+     "table error: table.mode: expected one of ['rpt_cutoff', 'partition'], got 'rpt'"),
+    ("run", "scheme", {"kind": "rpt"},
+     "config error: config.variants[1].scheme: scheme.p: missing required field"),
+    ("cost", "scheme", {"kind": "rpt"}, "error: scheme.p: missing required field"),
+    ("marginals", "scheme", {"kind": "rpt"}, "scheme error: scheme.p: missing required field"),
+    ("marginals", "scheme", {"kind": "epoch_shift", "b": 3},
+     "scheme error: scheme.alpha: missing required field"),
+    ("cost", "cost", without(COST3, "c_ov"), "error: cost.c_ov: missing required field"),
+    ("optimal-probs", "cost", without(COST3, "c_ov"), "error: cost.c_ov: missing required field"),
+    ("optimal-probs", "cost", without(COST3, "c_sharp"),
+     "error: cost.c_sharp: missing required field"),
+    ("cost", "cost", [1, 2], "error: cost: expected an object, got [1, 2]"),
+    ("run", "cost", {**COST3, "c_sharp": [0, 0, -1]},
+     "config error: cost: c_sharp[2] must be >= 0, got -1.0"),
+], ids=["run_table_list", "optimal_probs_table_list", "cost_table_list", "table_no_l0",
+        "table_no_mode", "table_pair", "table_entry_number", "table_mode_rpt", "run_scheme_no_p",
+        "cost_scheme_no_p", "marginals_scheme_no_p", "marginals_scheme_no_alpha", "cost_no_c_ov",
+        "optimal_probs_cost_no_c_ov", "optimal_probs_cost_no_c_sharp", "cost_list",
+        "run_c_sharp_negative"])
+def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, bad, doc, message):
+    docs = {"scheme": RPT3, "table": TABLE3, "cost": COST3, bad: doc}
+    files = {f"--{name}": write_json(tmp_path / f"{name}.json", d) for name, d in docs.items()}
+    if command == "run":
+        cfg = base_config()
+        if bad == "scheme":
+            cfg["variants"][1]["scheme"] = doc
+        elif bad == "cost":
+            cfg["cost"] = doc
+        else:
+            cfg["smoothness_table"] = files["--table"]
+        argv = ["run", "--config", write_json(tmp_path / "cfg.json", cfg),
+                "--out", str(tmp_path / "out")]
+    else:
+        flags = {"marginals": ["--scheme"], "optimal-probs": ["--table", "--cost"],
+                 "cost": ["--scheme", "--table", "--cost"]}[command]
+        argv = [command] + [arg for flag in flags for arg in (flag, files[flag])]
+        if command == "optimal-probs":
+            argv += ["--regime", "l0l1-eps"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.replace("{table}", files["--table"]) + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flags, flag", [
@@ -897,20 +961,29 @@ COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
     ("cost", ["--eps", "nan"], "--eps"),
     ("marginals", ["--seed", "-1"], "--seed"),
     ("verify", ["--seed", "-1"], "--seed"),
+    ("marginals", ["--progress", "7"], "--progress"),
+    ("marginals", ["--progress", "-0.5"], "--progress"),
+    ("marginals", ["--progress", "nan"], "--progress"),
 ], ids=["draws_0", "draws_negative", "delta0_inf", "eps_inf", "eps_nan", "marginals_seed_negative",
-        "verify_seed_negative"])
+        "verify_seed_negative", "progress_7", "progress_negative", "progress_nan"])
 def test_numeric_flags_refused_with_exit_2(tmp_path, capsys, command, flags, flag):
-    argv = [command, "--scheme", write_json(tmp_path / "s.json", RPT3)]
-    if command == "verify":
-        argv = [command, "--suite", "sampling"]
-    if command == "cost":
-        argv += ["--table", write_json(tmp_path / "t.json", TABLE3),
-                 "--cost", write_json(tmp_path / "c.json", COST3)]
-    assert cli.main(argv + flags) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: ")
+    # --progress is refused for every scheme, before the scheme is read
+    schemes = [RPT3, EPOCH3] if flag == "--progress" else [RPT3]
+    for j, scheme in enumerate(schemes):
+        argv = [command, "--scheme", write_json(tmp_path / f"s{j}.json", scheme)]
+        if command == "verify":
+            argv = [command, "--suite", "sampling"]
+        if command == "cost":
+            argv += ["--table", write_json(tmp_path / "t.json", TABLE3),
+                     "--cost", write_json(tmp_path / "c.json", COST3)]
+        assert cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: ")
+        if flag == "--progress":
+            got = float(flags[1])
+            assert lines[0] == f"error: --progress: expected a number in [0, 1], got {got!r}"
 
 
 @pytest.mark.parametrize("command, scheme, table, cost", [

@@ -30,6 +30,31 @@ def test_cost_params_refuse_a_non_finite_entry_by_name(field, args, bad):
         CostParams(*args(bad))
 
 
+@pytest.mark.parametrize("args, message", [
+    (("1", (1.0, 1.0), (0.0, 0.0)), "c_ov: expected a number, got '1'"),
+    ((True, (1.0, 1.0), (0.0, 0.0)), "c_ov: expected a number, got True"),
+    ((1.0, ("1", True), (0.0, 0.0)), "c[0]: expected a number, got '1'"),
+    ((1.0, (1.0, True), (0.0, 0.0)), "c[1]: expected a number, got True"),
+    ((1.0, (1.0, 1.0), (0.0, None)), "c_sharp[1]: expected a number, got None"),
+    ((1.0, (1.0, 1.0), (0.0, [0.0])), "c_sharp[1]: expected a number, got [0.0]"),
+    ((-1.0, (1.0, 1.0), (0.0, 0.0)), "c_ov must be >= 0, got -1.0"),
+    ((1.0, (1.0, 0.0), (0.0, 0.0)), "c[1] must be > 0, got 0.0"),
+    ((1.0, (1.0, -2.0), (0.0, 0.0)), "c[1] must be > 0, got -2.0"),
+    ((1.0, (1.0,) * 6, (0.0,) * 5 + (-1.0,)), "c_sharp[5] must be >= 0, got -1.0"),
+], ids=["c_ov_string", "c_ov_bool", "c_string", "c_bool", "c_sharp_none", "c_sharp_list",
+        "c_ov_negative", "c_zero", "c_negative", "c_sharp_negative"])
+def test_cost_params_refuse_a_non_number_or_a_bad_sign_by_entry(args, message):
+    with pytest.raises(ValueError) as info:
+        CostParams(*args)
+    assert str(info.value) == message
+
+
+def test_cost_params_accept_numpy_scalars_and_store_floats():
+    cp = CostParams(np.int64(1), (np.float64(0.5), 2), np.array([0.0, np.float32(0.25)]))
+    assert cp == CostParams(1.0, (0.5, 2.0), (0.0, 0.25))
+    assert all(type(x) is float for x in (cp.c_ov,) + cp.c + cp.c_sharp)
+
+
 # ---------------------------------------------------------------------------
 # iteration / expected cost
 # ---------------------------------------------------------------------------

@@ -916,9 +916,7 @@ class FixedGradients:
         self.f_star = 0.0
 
     def stacked_oracle(self, layout):
-        stacks = [
-            np.array([self.grads[i - 1] for i in members], dtype=float) for members in layout.members
-        ]
+        stacks = [np.array([self.grads[i - 1] for i in ids], dtype=float) for ids in layout.members]
         return lambda _stacks, _frozen: (0.0, stacks, None)
 
 

@@ -57,3 +57,24 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    # only the verify and marginals commands import verify; building the
+    # parser, --help included, does not
+    code = (
+        "import sys, droptrain.cli as cli; cli.make_parser().format_help(); "
+        "print('droptrain.verify' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_cli_suite_names_are_those_of_verify():
+    from droptrain import verify
+
+    assert cli.SUITES == sorted(verify.SUITES)
