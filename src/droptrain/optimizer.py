@@ -48,8 +48,8 @@ the one description of the groups that the plans, the diagnostics, the
 oracle and the momentum read.  ``LayerModel`` stores each group as one
 contiguous (n, m, k) array, at the (group, row) places of its layout, and
 ``model.layers[i - 1]`` is a view of layer i's row: update it in place and
-never rebind it.  ``MomentumState`` stores its buffers by the same layout.  Each
-per-iteration operation runs once per group, not once per layer: the
+never rebind it.  ``MomentumState`` stores its buffers by the same layout.
+Each per-iteration operation runs once per group, not once per layer: the
 gradient dual norms (``geometry.dual_norms``), the momentum update, the LMO
 or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
 update.  Under RPT the active members of a group are a suffix of it, so

@@ -28,13 +28,13 @@ caller's layout, checking it against the problem's layer shapes once.  The
 oracle it returns takes one (n, m, k) stack of layers per group and the
 frozen-prefix length, and returns f, one gradient stack per group and the
 forward MACs (None for the quadratics).  It is the only gradient path
-``optimizer.run`` takes, as ``stacked_oracle(model.layout)``.  The two quadratics build their
-target, weight, curvature and tilt stacks for those groups, and stack the
-coupling maps per (left group, right group) pair; each keeps the per-layer
-formula's BLAS calls and order of additions, so f and the gradients equal
-the per-layer formulas bit for bit whatever the grouping.  Their
-``value_and_grad`` is that oracle on one stack per layer shape, built once
-per instance.
+``optimizer.run`` takes, as ``stacked_oracle(model.layout)``.  The two
+quadratics build their target, weight, curvature and tilt stacks for those
+groups, and stack the coupling maps per (left group, right group) pair;
+each keeps the per-layer formula's BLAS calls and order of additions, so f
+and the gradients equal the per-layer formulas bit for bit whatever the
+grouping.  Their ``value_and_grad`` is that oracle on one stack per layer
+shape, built once per instance.
 
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
