@@ -6,9 +6,12 @@
   ``X_i <- X_i - gamma_i * sharp(grad_i)``, with the stepsize taken from the
   layer-wise smoothness table: 1/L0, or 1/(L0 + L1 ||grad_i||_dual) when the
   table carries an L1 map;
-* radius policies take ``stoch_step``, the momentum + LMO step
+* radius policies take the momentum + LMO step (``_stoch_step``)
   ``M_i <- (1 - beta) M_i + beta g_i`` then ``X_i <- X_i + lmo(M_i, t_i)``;
   every applied update has primal norm exactly t_i.
+
+``run`` is the only step entry: ``verify`` checks it by driving it and reading
+its ``on_step`` hook, not through a copy of its loop.
 
 ``run`` is also the only gradient caller, once per iterate x_0..x_K, and
 it keeps gradients in layer-group stacks from the problem to the step.  Its
@@ -23,7 +26,7 @@ adds noise to the active rows only (to every row for M0), drawn as
 ``problems.stoch_grad`` draws it: one ``standard_normal`` call over every
 noisy layer, in layer order.  The only diagnostics are f and the gradient
 dual norms; momentum errors ||M_i - grad_i||_dual are left to ``verify``,
-whose descent-lemma check drives ``stoch_step`` itself.
+whose descent-lemma check reads the momentum through ``on_step``.
 
 What an active set determines -- each group's active rows and layers, their
 radii, noise offsets and scales, the smoothness-table key and the stepsizes
@@ -55,8 +58,6 @@ or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
 update.  Under RPT the active members of a group are a suffix of it, so
 this is one slice per stack; other schemes gather and scatter.  A group of
 one is a stack of one.  The results equal the per-layer calls bit for bit.
-The public ``stoch_step`` stacks a per-layer gradient list and takes the
-same step as ``run``.
 
 ``run`` checks each array once per iteration, by a value it computes anyway:
 a gradient by its group's dual norms (``_dual_norms``; the Euclidean norm is
@@ -96,8 +97,8 @@ __all__ = [
     "FixedRadius",
     "HorizonSchedule",
     "StepReport",
+    "StepView",
     "RunResult",
-    "stoch_step",
     "uses_seed",
     "run",
 ]
@@ -138,32 +139,20 @@ class LayerModel:
 
 @dataclass
 class MomentumState:
-    """Per-layer momentum buffers M_i and the one parameter beta in [0, 1] they share.
+    """Momentum buffers M_i, one stack per layer group of the model, and the beta in [0, 1]
+    they share.
 
-    ``stoch_step`` stores the buffers as one stack per group of its model
-    (``stacks``); ``m[i - 1]`` is then a view of its row, updated in place.
+    ``run``, the only step entry, builds it from M0 and ``_stoch_step``
+    updates the active rows in place.
     """
 
-    m: list[np.ndarray]
+    stacks: list[np.ndarray]
     beta: float
-    _layout: problems.Layout | None = field(default=None, init=False, repr=False)
-    _stacks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        self.m = list(self.m)
         # beta = 1 is the fresh-gradient endpoint of the convex combination
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-
-    def stacks(self, model: LayerModel) -> list[np.ndarray]:
-        """The buffers as one stack per group of ``model``, stacked on first use."""
-        if self._layout is not model.layout:
-            if [np.shape(m) for m in self.m] != [x.shape for x in model.layers]:
-                raise ValueError("need one momentum buffer per layer, shaped like the layer")
-            self._stacks = model.layout.stack(self.m)
-            self.m[:] = model.layout.rows(self._stacks)
-            self._layout = model.layout
-        return self._stacks
 
 
 def _positive_finite(values, name: str) -> tuple[float, ...]:
@@ -238,6 +227,20 @@ class StepReport:
     degenerate: frozenset[int] = frozenset()
     k: int | None = None
     fwd_macs: int | None = None  # forward MACs of the pass at x_{k+1}, when reported
+
+
+class StepView(NamedTuple):
+    """What ``on_step`` reads after iteration ``report.k``: read-only views of the run's state.
+
+    ``layers`` are x_{k+1}, ``grads`` the exact gradients at x_{k+1} and
+    ``momentum`` the buffers M_i after the step (None on the deterministic
+    path), one array per layer; a write through any of them raises ValueError.
+    """
+
+    report: StepReport
+    layers: list[np.ndarray]
+    momentum: list[np.ndarray] | None
+    grads: list[np.ndarray]
 
 
 @dataclass
@@ -364,9 +367,10 @@ def _raise_momentum_fault(
 ) -> NoReturn:
     """Raise ValueError naming the lowest active layer whose LMO step fails or vanishes."""
     radii = {i: t for st in plan.groups for i, t in zip(st.layers, st.radii.tolist())}
+    m = model.layout.rows(momentum.stacks)
     for i, t in sorted(radii.items()):
         try:
-            res = geometry.lmos(model.norms[i - 1], momentum.m[i - 1][None], [t], ns=ns_config)
+            res = geometry.lmos(model.norms[i - 1], m[i - 1][None], [t], ns=ns_config)
         except ValueError as exc:
             raise ValueError(f"layer {i}: momentum: {exc}") from None
         if not (res.degenerate[0] or res.step.any()):
@@ -468,8 +472,19 @@ def _stoch_step(
     plan: _Plan,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> StepReport:
-    """``stoch_step`` on one sample stack per planned group."""
-    beta, m_stacks = momentum.beta, momentum.stacks(model)
+    """One momentum + LMO step on the plan's active rows, once per layer group, in place.
+
+    For i not active, M_i and X_i are untouched (bit-identical).  Each
+    group's active rows refresh their momentum from ``samples`` (one stack of
+    stochastic gradient samples per planned group) and move by the radius-t_i
+    LMO step, of primal norm exactly t_i on the SVD backend;
+    ``ns_config`` switches spectral groups to the Newton-Schulz
+    orthogonalization.  A zero refreshed momentum leaves its layer in place
+    and is flagged degenerate.  A non-finite momentum, or a step that
+    vanishes for a non-zero momentum (its norm overflows), raises ValueError
+    naming the lowest such layer.  ``run``, the only step entry, calls it.
+    """
+    beta, m_stacks = momentum.beta, momentum.stacks
     degenerate, applied, failed = set(), {}, False
     for st, sample in zip(plan.groups, samples):
         x, m, rows = model.stacks[st.index], m_stacks[st.index], st.rows
@@ -500,51 +515,12 @@ def _stoch_step(
     )
 
 
-def stoch_step(
-    model: LayerModel,
-    grads: Sequence[np.ndarray],
-    momentum: MomentumState,
-    active: frozenset[int],
-    radii: Sequence[float],
-    ns_config: geometry.NewtonSchulzConfig | None = None,
-) -> StepReport:
-    """One momentum + LMO step on the active layers, once per layer group.
-
-    For i not active, M_i and X_i are untouched (bit-identical).  For active
-    layers the momentum is refreshed from ``grads`` (one stochastic gradient
-    sample per layer) and the parameters move by the radius-t_i LMO step,
-    i.e. a normalized steepest-descent step of primal norm exactly t_i.  A
-    zero refreshed momentum leaves the layer in place and is flagged
-    degenerate.  A non-finite momentum, or a step that vanishes for a
-    non-zero momentum (its norm overflows), raises ValueError naming the
-    lowest such layer, after the groups without one have stepped.  An active
-    layer outside 1..b, or gradients whose count or shapes do not match the
-    layers, raise ValueError before anything moves.
-
-    Each group's active members update as one slice of its momentum and
-    layer stacks (a gather and scatter when they are not consecutive) and
-    take one ``geometry.lmos`` call, on either backend.  ``ns_config``
-    switches spectral groups from the exact-SVD LMO to the Newton-Schulz
-    approximate orthogonalization, with the same checks (the cheap optimizer
-    path; the step norm then only approximates t_i, which is why property
-    tests pin the SVD path).  ``run`` takes the same step on gradient stacks.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (model.b,):
-        raise ValueError("need one radius per layer")
-    if len(grads) != model.b:
-        raise ValueError(f"need one gradient per layer, got {len(grads)} for {model.b} layers")
-    for i, (grad, x) in enumerate(zip(grads, model.layers), start=1):
-        if np.shape(grad) != x.shape:
-            raise ValueError(
-                f"layer {i}: gradient shape {np.shape(grad)} does not match the layer's {x.shape}"
-            )
-    for i in sorted(active):
-        if not 1 <= i <= model.b:
-            raise ValueError(f"active layer {i} is not in 1..{model.b}")
-    plan = _plan(model, active, radii)
-    samples = [np.array([grads[i - 1] for i in st.layers], dtype=float) for st in plan.groups]
-    return _stoch_step(model, samples, momentum, plan, ns_config)
+def _read_only(layout: problems.Layout, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-layer read-only views of ``stacks``."""
+    views = [s.view() for s in stacks]
+    for view in views:
+        view.flags.writeable = False
+    return layout.rows(views)
 
 
 def uses_seed(
@@ -576,7 +552,7 @@ def run(
     table: SmoothnessTable | None = None,
     noise: problems.NoiseSpec | None = None,
     newton_schulz_cfg: geometry.NewtonSchulzConfig | None = None,
-    on_step: Callable[[int, LayerModel, StepReport], None] | None = None,
+    on_step: Callable[[StepView], None] | None = None,
 ) -> RunResult:
     """Drive the optimizer for ``iterations`` steps; deterministic given the seed.
 
@@ -594,8 +570,10 @@ def run(
     ``stacked_oracle(model.layout)``; a problem without one raises
     AttributeError before x0 is evaluated.  Each stochastic sample, M0
     included, is that exact gradient plus noise on the sampled rows.
-    ``on_step`` must not change the model: a prefix-reusing pass relies on
-    frozen layers staying as stepped.
+    ``on_step`` is called after each iteration with a ``StepView``: read-only
+    views of the layers, the momentum and the gradients, so that a hook
+    cannot change the run (a prefix-reusing pass relies on frozen layers
+    staying as stepped).
 
     An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
     k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
@@ -638,8 +616,8 @@ def run(
         full = frozenset(range(1, b + 1))
         plans[full] = _plan(model, full, radii, layout)
         m0 = _samples(grads, plans[full], layout, sampling.stream(seed, INIT_STREAM))
-        # MomentumState.stacks copies M0 on the first step: it shares no row with grads
-        momentum = MomentumState(model.layout.rows(m0), beta)
+        # copied, so that M0 shares no row with grads
+        momentum = MomentumState([np.array(m, dtype=float) for m in m0], beta)
 
     reports: list[StepReport] = []
     for k in range(iterations):
@@ -673,7 +651,11 @@ def run(
             raise type(exc)(f"iteration {k}: {exc}") from exc
         report.f_after = f_curr
         if on_step is not None:
-            on_step(k, model, report)
+            on_step(StepView(
+                report, _read_only(model.layout, model.stacks),
+                None if momentum is None else _read_only(model.layout, momentum.stacks),
+                _read_only(model.layout, grads),
+            ))
         reports.append(report)
 
     return RunResult(model, reports, f_curr, f_initial)

@@ -321,9 +321,7 @@ def descent_suite(seed: int = 0):
     optimizer.run(
         prob, scheme, optimizer.SmoothInverse(), 50, seed + 1, norms=norms,
         x0=x0, table=table,
-        on_step=lambda _k, model, r: snapshots.append(
-            (r.active, [x.copy() for x in model.layers])
-        ),
+        on_step=lambda view: snapshots.append((view.report.active, _copies(view.layers))),
     )
     frozen_ok = True
     before = x0
@@ -334,18 +332,17 @@ def descent_suite(seed: int = 0):
         before = after
     results.append(_check("descent/freeze_invariance", frozen_ok))
 
-    # zero-noise stochastic step matches the deterministic direction exactly
+    # one zero-noise stochastic step with beta = 1 matches the deterministic direction exactly
     t = 0.1
-    model_a = optimizer.LayerModel([x.copy() for x in x0], norms)
-    _, grads = prob.value_and_grad(model_a.layers)
-    momentum = optimizer.MomentumState([np.zeros_like(g) for g in grads], 1.0)
-    optimizer.stoch_step(
-        model_a, grads, momentum, frozenset(range(1, prob.b + 1)), [t] * prob.b
+    res = optimizer.run(
+        prob, sampling.FullNetwork(prob.b), optimizer.FixedRadius((t,) * prob.b, beta=1.0), 1,
+        seed, norms=norms, x0=x0,
     )
+    _, grads = prob.value_and_grad(x0)
     max_err = 0.0
     for i in range(prob.b):
         expected = x0[i] - (t / np.linalg.norm(grads[i])) * grads[i]
-        max_err = max(max_err, float(np.max(np.abs(model_a.layers[i] - expected))))
+        max_err = max(max_err, float(np.max(np.abs(res.model.layers[i] - expected))))
     results.append(
         _check("descent/zero_noise_matches_det_direction", max_err <= 1e-12, max_err=max_err)
     )
@@ -353,31 +350,32 @@ def descent_suite(seed: int = 0):
     return results
 
 
+def _copies(arrays) -> list[np.ndarray]:
+    return [a.copy() for a in arrays]
+
+
 def _prefix_reuse_check(seed: int) -> CheckResult:
-    """A run's prefix-reusing TinyMlp passes equal fresh ``value_and_grad`` calls exactly."""
+    """Each iterate's f and gradients from a run's prefix-reusing TinyMlp passes equal a
+    fresh ``value_and_grad`` call exactly."""
     iterations = 30
-    seen = []  # (problem, layers, f, gradients) of every pass
+    passes = mismatches = 0
     for activation in ("tanh", "relu"):
         mlp = problems.TinyMlp.synthetic([4, 6, 6, 5, 3], 12, activation=activation, seed=seed)
-        reuse = mlp.value_and_grad_from_prefix
-
-        def recording(layers, acts, frozen):  # called within this loop turn only
-            out = reuse(layers, acts, frozen)
-            seen.append((mlp, [x.copy() for x in layers], out[0], [g.copy() for g in out[1]]))
-            return out
-
-        mlp.value_and_grad_from_prefix = recording
+        seen = []  # (layers, f, gradients) at each x_{k+1}
         optimizer.run(
             mlp, sampling.Rpt((0.3, 0.3, 0.2, 0.2)), optimizer.HorizonSchedule(), iterations,
             seed, x0=mlp.weights, noise=problems.NoiseSpec((0.05,) * 4),
+            on_step=lambda view: seen.append(
+                (_copies(view.layers), view.report.f_after, _copies(view.grads))
+            ),
         )
-    mismatches = 0
-    for mlp, layers, f, grads in seen:
-        f_ref, grads_ref = mlp.value_and_grad(layers)
-        mismatches += f != f_ref or not all(map(np.array_equal, grads, grads_ref))
-    ok = mismatches == 0 and len(seen) == 2 * (iterations + 1)
+        for layers, f, grads in seen:
+            f_ref, grads_ref = mlp.value_and_grad(layers)
+            mismatches += f != f_ref or not all(map(np.array_equal, grads, grads_ref))
+        passes += len(seen)
+    ok = mismatches == 0 and passes == 2 * iterations
     return _check(
-        "descent/mlp/prefix_reuse_matches_fresh", ok, passes=len(seen), mismatches=mismatches
+        "descent/mlp/prefix_reuse_matches_fresh", ok, passes=passes, mismatches=mismatches
     )
 
 
@@ -730,55 +728,49 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
 
     # (c) every applied stochastic update has primal norm exactly t_i; frozen layers stay
     qprob, scheme, _table, norms, x0 = rate_check_setup(seed + 2)
-    model = optimizer.LayerModel([v.copy() for v in x0], norms)
-    momentum = optimizer.MomentumState([np.zeros(s) for s in qprob.shapes], 0.7)
-    radii = [0.05, 0.1, 0.2]
-    worst, frozen_moved = 0.0, 0
-    for k in range(100):
-        srng = sampling.stream(seed + 3, k)
-        active = sampling.sample(scheme, srng)
-        before = [m.copy() for m in model.layers]
-        _, grads = qprob.value_and_grad(model.layers)
-        rep = optimizer.stoch_step(
-            model, problems.stoch_grad(grads, problems.NoiseSpec((0.1,) * 3), srng),
-            momentum, active, radii,
-        )
+    noise, radii = problems.NoiseSpec((0.1,) * 3), (0.05, 0.1, 0.2)
+    steps = []  # (report, layers after the step)
+    optimizer.run(
+        qprob, scheme, optimizer.FixedRadius(radii, beta=0.7), 100, seed + 3, norms=norms,
+        x0=x0, noise=noise,
+        on_step=lambda view: steps.append((view.report, _copies(view.layers))),
+    )
+    worst, frozen_moved, before = 0.0, 0, x0
+    for rep, after in steps:
         for i in rep.applied:
-            step_norm = geometry.norm(norms[i - 1], model.layers[i - 1] - before[i - 1])
+            step_norm = geometry.norm(norms[i - 1], after[i - 1] - before[i - 1])
             worst = max(worst, abs(step_norm - radii[i - 1]))
         frozen_moved += sum(
-            not np.array_equal(before[i - 1], model.layers[i - 1])
-            for i in range(1, qprob.b + 1) if i not in active
+            not np.array_equal(before[i - 1], after[i - 1])
+            for i in range(1, qprob.b + 1) if i not in rep.active
         )
+        before = after
     results.append(_check(
         "stochastic/normalized_step_norm", worst <= 1e-9 and not frozen_moved,
         worst=worst, frozen_moved=frozen_moved,
     ))
 
-    # (d) per-iteration descent inequality with measured momentum error.  The
-    # loop keeps run's stream rule: M0 from stream(seed, 0), and iteration k
-    # draws its active set, then its noise, from stream(seed, k + 1).
+    # (d) per-iteration descent inequality with the run's measured momentum error:
+    # f(x_{k+1}) <= f(x_k) + sum_i 2 t_i ||M_i - g_i||_* - t_i ||g_i||_* + L_i t_i^2 / 2
     table = problems.smoothness_constants(qprob, scheme, norms)
-    run_seed, noise, radii = seed + 4, problems.NoiseSpec((0.1,) * 3), [0.05] * 3
-    model = optimizer.LayerModel([v.copy() for v in x0], norms)
-    f, grads = qprob.value_and_grad(model.layers)
-    momentum = optimizer.MomentumState(
-        problems.stoch_grad(grads, noise, sampling.stream(run_seed, 0)), 0.4
+    steps = []  # (report, momentum after the step, layers after the step)
+    optimizer.run(
+        qprob, scheme, optimizer.FixedRadius((0.05,) * 3, beta=0.4), 150, seed + 4,
+        norms=norms, x0=x0, noise=noise,
+        on_step=lambda view: steps.append(
+            (view.report, _copies(view.momentum), _copies(view.layers))
+        ),
     )
     violations = []
-    for k in range(150):
-        srng = sampling.stream(run_seed, k + 1)
-        active = sampling.sample(scheme, srng)
-        rep = optimizer.stoch_step(
-            model, problems.stoch_grad(grads, noise, srng), momentum, active, radii
-        )
-        f_after, grads_after = qprob.value_and_grad(model.layers)
+    f, grads = qprob.value_and_grad(x0)
+    for rep, momentum, layers in steps:
+        f_after, grads_after = qprob.value_and_grad(layers)
         rhs = f
-        for i in active:
+        for i in rep.active:
             t_i = rep.applied.get(i, 0.0)
-            m_err = geometry.dual_norm(norms[i - 1], momentum.m[i - 1] - grads[i - 1])
+            m_err = geometry.dual_norm(norms[i - 1], momentum[i - 1] - grads[i - 1])
             rhs += 2.0 * t_i * m_err - t_i * geometry.dual_norm(norms[i - 1], grads[i - 1])
-            rhs += 0.5 * table.require(i, min(active)) * t_i**2
+            rhs += 0.5 * table.require(i, min(rep.active)) * t_i**2
         violations.append(f_after - rhs)
         f, grads = f_after, grads_after
     results.append(_check(

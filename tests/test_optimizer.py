@@ -64,7 +64,7 @@ def test_det_step_freezes_inactive_layers_bitwise():
     steps = []  # (active set, layers after the step)
     op.run(
         prob, sp.Rpt((0.0, 0.5, 0.5)), op.SmoothInverse(), 6, 0, x0=x0, table=table,
-        on_step=lambda _k, model, r: steps.append((r.active, [x.copy() for x in model.layers])),
+        on_step=lambda view: steps.append((view.report.active, [x.copy() for x in view.layers])),
     )
     before = x0
     for active, after in steps:
@@ -86,62 +86,109 @@ def test_det_step_missing_constant_names_pair():
 
 
 # ---------------------------------------------------------------------------
-# stoch_step
+# momentum + LMO step (driven through run)
 # ---------------------------------------------------------------------------
 
+def only(active, b):
+    """A scheme whose every draw is ``active``."""
+    rest = frozenset(range(1, b + 1)) - active
+    return sp.PartitionedSubmodel((active, rest), (1.0, 0.0)) if rest else sp.FullNetwork(b)
+
+
 def test_beta_one_momentum_is_fresh_gradient():
+    # M_1 = 0 * M_0 + g(x_1), read through the hook, is the gradient the hook saw at x_1
     rng = np.random.default_rng(4)
     prob = scalar_quadratic(rng)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    _, grads = prob.value_and_grad(model.layers)
-    momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], 1.0)
-    op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
-    for i in range(3):
-        np.testing.assert_allclose(momentum.m[i], grads[i], atol=1e-15)
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    seen = []  # (momentum after step k, gradients at x_{k+1})
+    op.run(
+        prob, sp.FullNetwork(3), op.FixedRadius((0.1,) * 3, beta=1.0), 2, 0, x0=x0,
+        on_step=lambda view: seen.append(
+            ([m.copy() for m in view.momentum], [gr.copy() for gr in view.grads])
+        ),
+    )
+    for m, gr in zip(seen[1][0], seen[0][1]):
+        np.testing.assert_array_equal(m, gr)
+    assert not np.array_equal(seen[1][0][0], seen[0][0][0])
 
 
-def test_stoch_step_moves_exactly_radius():
+def test_radius_step_moves_exactly_radius():
     rng = np.random.default_rng(5)
     prob = pb.SeparableQuadratic(
         [rng.standard_normal((3, 2)) for _ in range(3)], (1.0, 2.0, 0.5)
     )
+    radii = (0.05, 0.1, 0.15)
     for kind in (EUC, NormKind.SPECTRAL):
-        model = op.LayerModel([rng.standard_normal((3, 2)) for _ in range(3)], [kind] * 3)
-        before = [x.copy() for x in model.layers]
-        momentum = op.MomentumState([np.zeros((3, 2)) for _ in range(3)], 0.5)
-        radii = [0.05, 0.1, 0.15]
-        rep = op.stoch_step(
-            model, prob.value_and_grad(model.layers)[1], momentum, frozenset({1, 2, 3}), radii
+        x0 = [rng.standard_normal((3, 2)) for _ in range(3)]
+        res = op.run(
+            prob, sp.FullNetwork(3), op.FixedRadius(radii, beta=0.5), 1, 0, norms=[kind] * 3,
+            x0=x0,
         )
-        for i in rep.applied:
-            moved = model.layers[i - 1] - before[i - 1]
+        assert set(res.reports[0].applied) == {1, 2, 3}
+        for i in res.reports[0].applied:
+            moved = res.model.layers[i - 1] - x0[i - 1]
             assert g.norm(kind, moved) == pytest.approx(radii[i - 1], abs=1e-9)
 
 
-def test_stoch_step_zero_momentum_flagged_degenerate():
+def test_radius_step_zero_momentum_flagged_degenerate():
     prob = pb.SeparableQuadratic([np.zeros((2, 2))], (1.0,))
-    model = op.LayerModel([np.zeros((2, 2))], [EUC])  # at the optimum: zero gradient
-    momentum = op.MomentumState([np.zeros((2, 2))], 1.0)
-    rep = op.stoch_step(
-        model, prob.value_and_grad(model.layers)[1], momentum, frozenset({1}), [0.1]
+    res = op.run(  # at the optimum: zero gradient
+        prob, sp.FullNetwork(1), op.FixedRadius((0.1,), beta=1.0), 1, 0, x0=[np.zeros((2, 2))],
     )
-    assert rep.degenerate == frozenset({1})
-    np.testing.assert_array_equal(model.layers[0], np.zeros((2, 2)))
+    assert res.reports[0].degenerate == frozenset({1}) and res.reports[0].applied == {}
+    np.testing.assert_array_equal(res.model.layers[0], np.zeros((2, 2)))
 
 
-def test_stoch_step_freezes_momentum_and_layers():
+def test_radius_step_freezes_momentum_and_layers():
+    # only layer 2 is ever active: layers 1 and 3 and their momenta M_0 = g(x_0) stay
     rng = np.random.default_rng(6)
     prob = scalar_quadratic(rng)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], 0.5)
-    x_before = [x.copy() for x in model.layers]
-    m_before = [m.copy() for m in momentum.m]
-    op.stoch_step(
-        model, prob.value_and_grad(model.layers)[1], momentum, frozenset({2}), [0.1] * 3
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    _, g0 = prob.value_and_grad(x0)
+    seen = []
+    op.run(
+        prob, only(frozenset({2}), 3), op.FixedRadius((0.1,) * 3, beta=0.5), 3, 0, x0=x0,
+        on_step=lambda view: seen.append(
+            ([x.copy() for x in view.layers], [m.copy() for m in view.momentum])
+        ),
     )
-    for i in (0, 2):  # layers 1 and 3 frozen
-        np.testing.assert_array_equal(model.layers[i], x_before[i])
-        np.testing.assert_array_equal(momentum.m[i], m_before[i])
+    for layers, momentum in seen:
+        for i in (0, 2):  # layers 1 and 3 frozen
+            np.testing.assert_array_equal(layers[i], x0[i])
+            np.testing.assert_array_equal(momentum[i], g0[i])
+        assert not np.array_equal(layers[1], x0[1])
+
+
+@pytest.mark.parametrize("field", ["layers", "momentum", "grads"])
+def test_on_step_cannot_write_the_run_state(field):
+    # a hook that moved frozen layer 1 would leave the prefix-reusing pass stale:
+    # run would report an f_final that a fresh pass at its final layers does not give
+    prob = pb.TinyMlp.synthetic([4, 6, 6, 5, 3], 12, seed=0)
+
+    def write(view):
+        getattr(view, field)[0] += 0.5
+
+    with pytest.raises(ValueError, match="read-only"):
+        op.run(
+            prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.HorizonSchedule(), 3, 0, x0=prob.weights,
+            noise=pb.NoiseSpec((0.05,) * 4), on_step=write,
+        )
+    res = op.run(
+        prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.HorizonSchedule(), 3, 0, x0=prob.weights,
+        on_step=lambda view: [x.sum() for x in view.layers + view.momentum + view.grads],
+    )
+    assert res.f_final == prob.value_and_grad(res.model.layers)[0]
+
+
+def test_on_step_sees_no_momentum_on_the_deterministic_path():
+    rng = np.random.default_rng(7)
+    prob = scalar_quadratic(rng)
+    seen = []
+    op.run(
+        prob, sp.FullNetwork(3), op.SmoothInverse(), 2, 0, table=table_for(prob),
+        on_step=lambda view: seen.append((view.report.k, view.momentum, len(view.grads))),
+    )
+    assert seen == [(0, None, 3), (1, None, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +473,27 @@ def test_run_newton_schulz_backend_close_to_svd():
     assert approx.f_final < prob.value_and_grad(x0)[0]  # still makes progress
 
 
-def test_stoch_step_unit_beta_zero_noise_momentum_is_exact_gradient():
+def test_run_unit_beta_zero_noise_momentum_is_exact_gradient():
     rng = np.random.default_rng(15)
     prob = scalar_quadratic(rng)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], 1.0)
-    scheme = sp.Rpt((0.5, 0.3, 0.2))
-    for k in range(5):
-        _, grads = prob.value_and_grad(model.layers)
-        srng = sp.stream(0, k + 1)
-        active = sp.sample(scheme, srng)
-        frozen = {i: momentum.m[i - 1] for i in range(1, 4) if i not in active}
-        op.stoch_step(model, pb.stoch_grad(grads, None, srng), momentum, active, [0.05] * 3)
-        # beta = 1 with zero noise makes the active momenta the exact gradients
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    _, grads = prob.value_and_grad(x0)
+    seen = []  # (active set, momentum after the step, gradients at x_{k+1})
+    op.run(
+        prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius((0.05,) * 3, beta=1.0), 5, 0, x0=x0,
+        on_step=lambda view: seen.append((
+            view.report.active, [m.copy() for m in view.momentum],
+            [gr.copy() for gr in view.grads],
+        )),
+    )
+    momentum = grads  # M_0 is the exact gradient at x_0
+    for active, after, grads_after in seen:
+        # beta = 1 with zero noise makes the active momenta the exact gradients at x_k
         for i in range(1, 4):
-            expected = frozen[i] if i in frozen else grads[i - 1]
-            np.testing.assert_array_equal(momentum.m[i - 1], expected)
+            expected = grads[i - 1] if i in active else momentum[i - 1]
+            np.testing.assert_array_equal(after[i - 1], expected)
+        momentum, grads = after, grads_after
+    assert {frozenset({1, 2, 3})} < {active for active, *_ in seen}
 
 
 def test_run_makes_two_svds_per_stochastic_iteration(monkeypatch):
@@ -485,8 +537,8 @@ def test_newton_schulz_run_makes_one_call_per_active_spectral_group(monkeypatch,
     monkeypatch.setattr(g, "newton_schulz", counting)
     per_iteration = []
 
-    def on_step(_k, _model, report):
-        per_iteration.append((list(calls), report.active))
+    def on_step(view):
+        per_iteration.append((list(calls), view.report.active))
         calls.clear()
 
     op.run(
@@ -764,7 +816,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
     iterates = [x0]
     res = op.run(
         prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=table, noise=noise,
-        on_step=lambda _k, model, _r: iterates.append([x.copy() for x in model.layers]),
+        on_step=lambda view: iterates.append([x.copy() for x in view.layers]),
     )
     assert len(passes) == len(iterates) == 21
     for (_, f, grads, _), layers in zip(passes, iterates):
@@ -889,21 +941,58 @@ def test_run_finite_gradient_with_overflowing_norm_names_iteration_and_layer(pol
         )
 
 
+def first_momentum(grads, noise, seed, scheme, beta=1.0):
+    """M_1 = (1 - beta) M_0 + beta S_0 under run's stream rule: M_0 from stream(seed, 0), then
+    the iteration-0 active set and its sample S_0 from stream(seed, 1), drawn as
+    ``problems.stoch_grad`` draws them (exact for the layers of that active set)."""
+    m0 = pb.stoch_grad(grads, noise, sp.stream(seed, 0))
+    rng = sp.stream(seed, 1)
+    sp.sample(scheme, rng)
+    return [(1.0 - beta) * m + beta * s for m, s in zip(m0, pb.stoch_grad(grads, noise, rng))]
+
+
+def seed_where(condition, grads, noise, scheme):
+    """The first seed whose ``first_momentum`` under beta = 1 meets ``condition``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return next(s for s in range(100_000) if condition(first_momentum(grads, noise, s, scheme)))
+
+
+def non_finite(*layers):
+    """Whether each of ``layers`` (1-based) of a momentum has a non-finite entry."""
+    return lambda m: all(not np.isfinite(m[i - 1]).all() for i in layers)
+
+
+HUGE = 1.7e308  # a noise sigma whose draws overflow some entries to inf
+
+
 @pytest.mark.parametrize(
-    "fill, message",
+    "fault, message",
     [
-        (np.nan, "layer 2: momentum: matrix entries must be finite"),
-        (np.inf, "layer 2: momentum: matrix entries must be finite"),
-        (1e200, r"layer 2: the radius-0.1 step vanished for a non-zero momentum "
-                r"\(its norm overflows\)"),
+        ("nan", "layer 2: momentum: matrix entries must be finite"),  # 0 * an inf M_0
+        ("inf", "layer 2: momentum: matrix entries must be finite"),  # an inf sample
+        ("overflow", "layer 2: the radius-0.1 step vanished for a non-zero momentum "
+                     "(its norm overflows)"),
     ],
 )
-def test_stoch_step_overflowing_euclidean_momentum_names_layer(fill, message):
-    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
-    grads = [np.ones((2, 2)), np.full((2, 2), fill), np.ones((2, 2))]
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
-        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+def test_run_non_finite_or_overflowing_euclidean_momentum_names_layer(fault, message):
+    # layer 2's gradient is finite; its noise makes the momentum M_1 fail
+    grads = [np.ones((2, 2)) for _ in range(3)]
+    scheme = sp.FullNetwork(3)
+    if fault == "overflow":  # finite entries near 1e300, whose Frobenius norm overflows
+        noise, seed = pb.NoiseSpec((0.0, 1e300, 0.0)), 0
+    else:
+        noise = pb.NoiseSpec((0.0, HUGE, 0.0))
+        bad = non_finite(2)
+        seed = seed_where(
+            lambda m: bad(m) and np.isnan(m[1]).any() == (fault == "nan"), grads, noise, scheme,
+        )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match=f"^iteration 0: {re.escape(message)}$"
+    ):
+        op.run(
+            FixedGradients(grads), scheme, op.FixedRadius((0.1,) * 3, beta=1.0), 1, seed,
+            x0=[np.zeros((2, 2))] * 3, noise=noise,
+        )
 
 
 class FixedGradients:
@@ -1010,7 +1099,7 @@ def test_run_euclidean_det_loop_scans_no_matrix_and_calls_no_choice(monkeypatch)
     op.run(
         prob, sp.Rpt((0.3, 0.2, 0.2, 0.1, 0.1, 0.1)), op.SmoothInverse(), 20, 0,
         x0=[rng.standard_normal((4, 3)) for _ in range(b)], table=table_for(prob),
-        on_step=lambda k, _model, _r: counts.append((len(checks), len(choices))),
+        on_step=lambda _view: counts.append((len(checks), len(choices))),
     )
     assert counts == [(b, 0)] * 20
 
@@ -1048,45 +1137,35 @@ def test_run_two_bad_layers_in_spectral_group_names_lowest(policy):
         )
 
 
-def test_stoch_step_two_bad_momenta_in_spectral_group_names_lowest():
-    rng = np.random.default_rng(23)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
-    grads = [rng.standard_normal((2, 2)) for _ in range(3)]
-    grads[2][0, 0] = grads[1][1, 1] = np.inf
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 0.5)
-    with pytest.raises(ValueError, match="layer 2: momentum: matrix entries must be finite"):
-        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
-
-
-def test_stoch_step_newton_schulz_two_bad_momenta_in_spectral_group_names_lowest():
-    rng = np.random.default_rng(23)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
-    grads = [rng.standard_normal((2, 2)) for _ in range(3)]
-    grads[2][0, 0] = grads[1][1, 1] = np.inf
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 0.5)
-    with pytest.raises(ValueError, match="^layer 2: momentum: matrix entries must be finite$"):
-        op.stoch_step(
-            model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3,
-            ns_config=g.NewtonSchulzConfig(),
-        )
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
 @pytest.mark.parametrize("ns_config", [None, g.NewtonSchulzConfig()])
-def test_stoch_step_refuses_a_bad_radius_on_either_backend(ns_config, bad):
-    # the Newton-Schulz backend takes the SVD backend's radius check and message
-    rng = np.random.default_rng(26)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [SPEC] * 3)
-    before = [x.copy() for x in model.layers]
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
-    message = f"^layer 2: momentum: lmo radius t must be positive and finite, got {bad}$"
-    with pytest.raises(ValueError, match=message):
-        op.stoch_step(
-            model, [rng.standard_normal((2, 2)) for _ in range(3)], momentum,
-            frozenset({1, 2, 3}), [0.1, bad, bad], ns_config=ns_config,
+def test_run_two_bad_momenta_in_spectral_group_names_lowest(ns_config):
+    rng = np.random.default_rng(23)
+    grads = [rng.standard_normal((2, 2)) for _ in range(3)]
+    noise, scheme = pb.NoiseSpec((0.0, HUGE, HUGE)), sp.FullNetwork(3)
+    seed = seed_where(non_finite(2, 3), grads, noise, scheme)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="^iteration 0: layer 2: momentum: matrix entries must be finite$"
+    ):
+        op.run(
+            FixedGradients(grads), scheme, op.FixedRadius((0.1,) * 3, beta=1.0), 1, seed,
+            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)], noise=noise,
+            newton_schulz_cfg=ns_config,
         )
-    for x, x0 in zip(model.layers, before):
-        np.testing.assert_array_equal(x, x0)
+
+
+@pytest.mark.parametrize("ns_config", [None, g.NewtonSchulzConfig()])
+def test_run_refuses_an_underflowed_radius_on_either_backend(ns_config):
+    # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; the
+    # Newton-Schulz backend takes the SVD backend's radius check and message
+    rng = np.random.default_rng(26)
+    prob = scalar_quadratic(rng)
+    message = "^iteration 0: layer 2: momentum: lmo radius t must be positive and finite, got 0.0$"
+    with pytest.raises(ValueError, match=message):
+        op.run(
+            prob, sp.FullNetwork(3), op.HorizonSchedule((0.1, 5e-324, 5e-324)), 3, 0,
+            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
+            newton_schulz_cfg=ns_config,
+        )
 
 
 def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
@@ -1101,60 +1180,33 @@ def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
             FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0,
             x0=[np.zeros((2, 2))] * 3, table=table,
         )
-    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
-    with np.errstate(over="ignore"), pytest.raises(
-        ValueError, match=r"^layer 2: the radius-0.1 step vanished"
-    ):
-        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
-
-
-def assert_stoch_step_refuses(grads, active, message):
-    """stoch_step raises ``message`` and leaves the model and the momentum as they were."""
-    rng = np.random.default_rng(27)
-    model = op.LayerModel([rng.standard_normal((2, 2)) for _ in range(3)], [EUC] * 3)
-    momentum = op.MomentumState([rng.standard_normal((2, 2)) for _ in range(3)], 0.5)
-    before = [x.copy() for x in model.layers], [m.copy() for m in momentum.m]
-    with pytest.raises(ValueError, match=message):
-        op.stoch_step(model, grads, momentum, active, [0.1] * 3)
-    for now, then in zip(model.layers + momentum.m, before[0] + before[1]):
-        np.testing.assert_array_equal(now, then)
-
-
-@pytest.mark.parametrize("active, bad", [({4}, 4), ({0}, 0), ({1, 2, 4}, 4), ({-1, 3}, -1)])
-def test_stoch_step_refuses_an_active_layer_outside_the_model(active, bad):
+    # the same for the momentum: layer 2's overflows its norm, layer 3's is not finite
     grads = [np.ones((2, 2)) for _ in range(3)]
-    assert_stoch_step_refuses(grads, frozenset(active), rf"^active layer {bad} is not in 1\.\.3$")
+    noise, scheme = pb.NoiseSpec((0.0, 1e300, HUGE)), sp.FullNetwork(3)
+    seed = seed_where(non_finite(3), grads, noise, scheme)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match=r"^iteration 0: layer 2: the radius-0.1 step vanished"
+    ):
+        op.run(
+            FixedGradients(grads), scheme, op.FixedRadius((0.1,) * 3, beta=1.0), 1, seed,
+            x0=[np.zeros((2, 2))] * 3, noise=noise,
+        )
 
 
-@pytest.mark.parametrize(
-    "grads, message",
-    [
-        ([np.ones((1, 2))] * 3,
-         r"^layer 1: gradient shape \(1, 2\) does not match the layer's \(2, 2\)$"),
-        ([np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2, 1))],
-         r"^layer 3: gradient shape \(2, 2, 1\) does not match the layer's \(2, 2\)$"),
-        ([np.ones((2, 2))] * 2, r"^need one gradient per layer, got 2 for 3 layers$"),
-        ([np.ones((2, 2))] * 4, r"^need one gradient per layer, got 4 for 3 layers$"),
-    ],
-)
-def test_stoch_step_refuses_gradients_that_do_not_match_the_layers(grads, message):
-    # a (1, 2) gradient would broadcast into a (2, 2) momentum and step every layer
-    assert_stoch_step_refuses(grads, frozenset({1, 2, 3}), message)
-
-
-def test_stoch_step_zero_momentum_in_spectral_group_flagged_degenerate():
+def test_run_zero_momentum_in_spectral_group_flagged_degenerate():
     rng = np.random.default_rng(24)
-    model = op.LayerModel([rng.standard_normal((3, 2)) for _ in range(3)], [SPEC] * 3)
-    before = [x.copy() for x in model.layers]
+    x0 = [rng.standard_normal((3, 2)) for _ in range(3)]
     grads = [rng.standard_normal((3, 2)), np.zeros((3, 2)), rng.standard_normal((3, 2))]
-    momentum = op.MomentumState([np.zeros((3, 2)) for _ in range(3)], 1.0)
-    rep = op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1, 0.2, 0.3])
+    res = op.run(
+        FixedGradients(grads), sp.FullNetwork(3), op.FixedRadius((0.1, 0.2, 0.3), beta=1.0), 1,
+        0, norms=[SPEC] * 3, x0=x0,
+    )
+    rep = res.reports[0]
     assert rep.degenerate == frozenset({2}) and set(rep.applied) == {1, 3}
-    np.testing.assert_array_equal(model.layers[1], before[1])
+    np.testing.assert_array_equal(res.model.layers[1], x0[1])
     for i in (1, 3):
-        expected = before[i - 1] + g.lmo(SPEC, grads[i - 1], rep.applied[i]).step
-        np.testing.assert_array_equal(model.layers[i - 1], expected)
+        expected = x0[i - 1] + g.lmo(SPEC, grads[i - 1], rep.applied[i]).step
+        np.testing.assert_array_equal(res.model.layers[i - 1], expected)
 
 
 def test_run_overflowing_momentum_in_spectral_group_names_layer():
@@ -1169,18 +1221,20 @@ def test_run_overflowing_momentum_in_spectral_group_names_layer():
 
 
 @pytest.mark.parametrize("kind, ns_config", [(EUC, None), (SPEC, None), (SPEC, g.NewtonSchulzConfig())])
-def test_stoch_step_steps_a_momentum_whose_squared_norm_underflows(kind, ns_config):
+def test_run_steps_a_momentum_whose_squared_norm_underflows(kind, ns_config):
     # layer 2's momentum is layer 1's scaled by 1e-170, so its squared norm
     # underflows to 0; it takes the same step as layer 1, of norm t
-    model = op.LayerModel([np.zeros((2, 2)) for _ in range(2)], [kind] * 2)
     grads = [np.ones((2, 2)), np.full((2, 2), 1e-170)]
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(2)], 1.0)
-    rep = op.stoch_step(model, grads, momentum, frozenset({1, 2}), [0.1, 0.1], ns_config=ns_config)
+    res = op.run(
+        FixedGradients(grads), sp.FullNetwork(2), op.FixedRadius((0.1, 0.1), beta=1.0), 1, 0,
+        norms=[kind] * 2, x0=[np.zeros((2, 2))] * 2, newton_schulz_cfg=ns_config,
+    )
+    rep, layers = res.reports[0], res.model.layers
     assert rep.applied == {1: 0.1, 2: 0.1} and not rep.degenerate
-    assert np.isfinite(model.layers[1]).all()
-    np.testing.assert_allclose(model.layers[1], model.layers[0], rtol=1e-12)
+    assert np.isfinite(layers[1]).all()
+    np.testing.assert_allclose(layers[1], layers[0], rtol=1e-12)
     if kind == EUC:
-        assert g.norm(EUC, model.layers[1]) == pytest.approx(0.1, rel=1e-15)
+        assert g.norm(EUC, layers[1]) == pytest.approx(0.1, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -1216,15 +1270,14 @@ def test_run_refuses_a_nan_stepsize_denominator(l0, l1, gamma):
 # ---------------------------------------------------------------------------
 
 FAULTS = ("none", "nan", "inf", "overflow", "zero")
-BAD_RADII = (np.nan, np.inf, 0.0, -1.0)
 
 
 @st.composite
-def faulty_layers(draw, bad_radii=True):
+def faulty_layers(draw):
     """Two to five layers of three shapes, each Euclidean or spectral, so that
     shapes and kinds interleave across groups (norms [S, E, S, S] on one
-    shape, for one); each gradient carries one random fault or none, and with
-    ``bad_radii`` each radius may be bad."""
+    shape, for one); each gradient carries one random fault or none, and each
+    layer a radius."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grads, kinds, radii = [], [], []
     for _ in range(draw(st.integers(2, 5))):
@@ -1239,8 +1292,7 @@ def faulty_layers(draw, bad_radii=True):
             grad[:] = 0.0
         grads.append(grad)
         kinds.append(draw(st.sampled_from([EUC, SPEC])))
-        bad = bad_radii and all(draw(st.lists(st.booleans(), min_size=3, max_size=3)))
-        radii.append(draw(st.sampled_from(BAD_RADII) if bad else st.floats(0.1, 1.0)))
+        radii.append(draw(st.floats(0.1, 1.0)))
     return grads, kinds, radii
 
 
@@ -1285,36 +1337,58 @@ def assert_raises_exactly(message, call):
 NS_BACKENDS = st.sampled_from([None, g.NewtonSchulzConfig()])
 
 
+@st.composite
+def noisy_layers(draw):
+    """Two to five layers of three shapes, each Euclidean or spectral, with finite (maybe
+    zero) gradients, a radius each and a noise sigma each: none, 1e300 (finite sample
+    entries whose Frobenius norm overflows) or HUGE (sample entries that may overflow)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads, kinds, radii, sigmas = [], [], [], []
+    for _ in range(draw(st.integers(2, 5))):
+        shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+        grads.append(rng.standard_normal(shape) if draw(st.booleans()) else np.zeros(shape))
+        kinds.append(draw(st.sampled_from([EUC, SPEC])))
+        radii.append(draw(st.floats(0.1, 1.0)))
+        sigmas.append(draw(st.sampled_from([0.0, 0.0, 1e300, HUGE])))
+    return grads, kinds, radii, sigmas
+
+
 @settings(max_examples=200, deadline=None)
-@given(faulty_layers(), st.data(), NS_BACKENDS)
-def test_stoch_step_names_the_lowest_failing_layer_across_groups(layers, data, ns_config):
-    grads, kinds, radii = layers
+@given(noisy_layers(), st.data(), NS_BACKENDS, st.integers(0, 2**16))
+def test_run_names_the_lowest_failing_momentum_across_groups(layers, data, ns_config, seed):
+    grads, kinds, radii, sigmas = layers
     b = len(grads)
     active = frozenset(data.draw(st.sets(st.integers(1, b), min_size=1)))
+    scheme, noise = only(active, b), pb.NoiseSpec(sigmas)
     x0 = [np.full_like(gr, 0.5) for gr in grads]
-    model = op.LayerModel(x0, kinds)
-    momentum = op.MomentumState([np.zeros_like(gr) for gr in grads], 1.0)  # M_i = g_i
     with np.errstate(over="ignore", invalid="ignore"):
+        momentum = first_momentum(grads, noise, seed, scheme)  # beta = 1
         faults = {
-            i: momentum_fault(i, kinds[i - 1], grads[i - 1], radii[i - 1], ns_config)
+            i: momentum_fault(i, kinds[i - 1], momentum[i - 1], radii[i - 1], ns_config)
             for i in active
         }
         first = next((faults[i] for i in sorted(active) if faults[i]), None)
-        assert_raises_exactly(
-            first,
-            lambda: op.stoch_step(model, grads, momentum, active, radii, ns_config=ns_config),
+        res = assert_raises_exactly(
+            None if first is None else f"iteration 0: {first}",
+            lambda: op.run(
+                FixedGradients(grads), scheme, op.FixedRadius(radii, beta=1.0), 1, seed,
+                norms=kinds, x0=x0, noise=noise, newton_schulz_cfg=ns_config,
+            ),
         )
-        # a group steps unless one of its active layers failed
-        for i, (x, start) in enumerate(zip(model.layers, x0), start=1):
-            group = [j for j in active if (grads[j - 1].shape, kinds[j - 1]) == (x.shape, kinds[i - 1])]
+        if res is None:
+            return
+        # each active layer moved by its per-matrix LMO step; each frozen one stayed
+        for i, (x, start) in enumerate(zip(res.model.layers, x0), start=1):
             expected = start
-            if i in active and not any(faults[j] for j in group):
-                expected = start + per_matrix_step(kinds[i - 1], grads[i - 1], radii[i - 1], ns_config)
+            if i in active:
+                expected = start + per_matrix_step(
+                    kinds[i - 1], momentum[i - 1], radii[i - 1], ns_config
+                )
             np.testing.assert_array_equal(x, expected)
 
 
 @settings(max_examples=150, deadline=None)
-@given(faulty_layers(bad_radii=False), st.sampled_from(["smooth", "svd", "ns"]))
+@given(faulty_layers(), st.sampled_from(["smooth", "svd", "ns"]))
 def test_run_names_the_lowest_failing_layer_across_groups(layers, path):
     grads, kinds, radii = layers
     b = len(grads)
@@ -1358,11 +1432,10 @@ def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1.0 for i in (1, 2, 3)})
     with pytest.raises(ValueError, match="^iteration 0: a stacked gradient check failed"):
         op.run(FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0, table=table)
+    monkeypatch.setattr(g, "dual_norms", dual_norms)
     monkeypatch.setattr(g, "lmos", stacked_lmos_fail)
-    model = op.LayerModel([np.zeros((2, 2)) for _ in range(3)], [EUC] * 3)
-    momentum = op.MomentumState([np.zeros((2, 2)) for _ in range(3)], 1.0)
-    with pytest.raises(ValueError, match="^a stacked momentum step failed"):
-        op.stoch_step(model, grads, momentum, frozenset({1, 2, 3}), [0.1] * 3)
+    with pytest.raises(ValueError, match="^iteration 0: a stacked momentum step failed"):
+        op.run(FixedGradients(grads), sp.FullNetwork(3), op.FixedRadius((0.1,) * 3, beta=1.0), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1470,7 +1543,7 @@ def test_run_names_the_lowest_late_stepsize_fault_across_groups():
     with pytest.raises(ValueError, match=message):
         op.run(
             prob, sp.FullNetwork(3), op.SmoothInverse(), 4, 0, x0=x0, table=table,
-            on_step=lambda _k, _model, r: reports.append(r),
+            on_step=lambda view: reports.append(view.report),
         )
     assert [r.applied for r in reports] == [{1: 1.0 / (1.0 + 0.5 * 6 ** 0.5), 2: 1.0, 3: 0.0}] * 2
 

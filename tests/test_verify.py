@@ -2,7 +2,7 @@
 
 import pytest
 
-from droptrain import cli, costmodel, optimizer, verify
+from droptrain import cli, costmodel, geometry, optimizer, problems, verify
 
 
 def test_unknown_suite_rejected():
@@ -45,22 +45,57 @@ def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
 
 def test_stochastic_suite_reports_a_moved_frozen_layer_as_fail(monkeypatch, capsys):
     # check (c) folds the frozen-layer invariant into its result instead of asserting
-    stoch_step = optimizer.stoch_step
+    stoch_step = optimizer._stoch_step
 
-    def moving_frozen_layers(model, grads, momentum, active, radii, ns_config=None):
-        report = stoch_step(model, grads, momentum, active, radii, ns_config)
+    def moving_frozen_layers(model, samples, momentum, plan, ns_config):
+        report = stoch_step(model, samples, momentum, plan, ns_config)
         for i in range(1, model.b + 1):
-            if i not in active:
+            if i not in plan.active:
                 model.layers[i - 1] += 1.0
         return report
 
-    monkeypatch.setattr(optimizer, "stoch_step", moving_frozen_layers)
+    monkeypatch.setattr(optimizer, "_stoch_step", moving_frozen_layers)
     results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
     check = results["stochastic/normalized_step_norm"]
     assert not check.passed and check.detail["frozen_moved"] > 0
     assert check.detail["worst"] <= 1e-9  # the applied steps still have norm t_i
     assert cli.main(["verify", "--suite", "stochastic"]) == 1
     assert "[FAIL] stochastic/normalized_step_norm" in capsys.readouterr().out
+
+
+def scaled_lmo_steps(monkeypatch, factor):
+    """Mutate run's LMO: every step it applies is scaled by ``factor``."""
+    lmos = geometry.lmos
+
+    def scaled(kind, ms, t, ns=None):
+        res = lmos(kind, ms, t, ns=ns)
+        return res._replace(step=factor * res.step)
+
+    monkeypatch.setattr(geometry, "lmos", scaled)
+
+
+def stale_mlp_prefix(monkeypatch):
+    """Mutate the MLP oracle: each pass reuses one activation layer more than is frozen."""
+    reuse = problems.TinyMlp.value_and_grad_from_prefix
+
+    def one_too_many(self, layers, acts, frozen):
+        return reuse(self, layers, acts, frozen if acts is None else min(frozen + 1, self.b - 1))
+
+    monkeypatch.setattr(problems.TinyMlp, "value_and_grad_from_prefix", one_too_many)
+
+
+@pytest.mark.parametrize("mutate, suite, name", [
+    (lambda mp: scaled_lmo_steps(mp, 1.0 + 1e-6), "stochastic", "stochastic/normalized_step_norm"),
+    (lambda mp: scaled_lmo_steps(mp, 1.0 + 1e-6), "descent",
+     "descent/zero_noise_matches_det_direction"),
+    (lambda mp: scaled_lmo_steps(mp, -1.0), "stochastic", "stochastic/descent_lemma_diagnostic"),
+    (stale_mlp_prefix, "descent", "descent/mlp/prefix_reuse_matches_fresh"),
+], ids=["scaled_step_norm", "scaled_step_direction", "reversed_step", "stale_prefix"])
+def test_each_check_that_drives_run_fails_on_a_mutation_of_run(monkeypatch, capsys, mutate,
+                                                               suite, name):
+    mutate(monkeypatch)
+    assert cli.main(["verify", "--suite", suite]) == 1
+    assert f"[FAIL] {name}" in capsys.readouterr().out
 
 
 def force_full_network_optimal(monkeypatch):
