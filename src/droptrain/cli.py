@@ -219,17 +219,13 @@ def _build_noise(spec, b: int, path: str = "noise"):
         raise ConfigError(f"{path}.sigmas", str(exc)) from exc
 
 
-def _build_cost(spec, b: int, path: str = "cost") -> CostParams | None:
+def _build_cost(spec, b: int) -> CostParams | None:
     if spec is None:
         return None
-    c_ov = _require(spec, path, "c_ov")
-    _expect(_is_finite(c_ov), f"{path}.c_ov", "a finite number", c_ov)
-    for key in ("c", "c_sharp"):
-        _numbers(_require(spec, path, key), f"{path}.{key}", b)
     try:
-        return CostParams.from_dict(spec)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return CostParams.from_dict(spec, b)
+    except ValueError as exc:  # from_dict names the field: "cost.<field>: <fault>"
+        raise ConfigError(*str(exc).split(": ", 1)) from exc
 
 
 def build_policy(spec: dict, b: int, path: str):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,27 +94,32 @@ class CostParams:
     Each entry must be a number (a bool or a string is not; numpy scalars
     are), stored as a float; a non-number, a non-finite value or a value
     below its bound (c_ov >= 0, c[j] > 0, c_sharp[j] >= 0) raises ValueError
-    naming the entry.
+    naming the entry, as ``path.<entry>:`` when ``path`` is given.
     """
 
     c_ov: float
     c: tuple[float, ...]
     c_sharp: tuple[float, ...]
+    path: InitVar[str | None] = None  # the document path that names a faulty entry
 
-    def __post_init__(self):
-        object.__setattr__(self, "c_ov", _json_number(self.c_ov, "c_ov"))
+    def __post_init__(self, path):
+        def at(name: str) -> str:
+            return name if path is None else f"{path}.{name}"
+
+        sep = "" if path is None else ":"
+        object.__setattr__(self, "c_ov", _json_number(self.c_ov, at("c_ov")))
         entries = [("c_ov", self.c_ov, ">=")]
         for name, bound in (("c", ">"), ("c_sharp", ">=")):
             values = getattr(self, name)
-            values = tuple(_json_number(x, f"{name}[{j}]") for j, x in enumerate(values))
+            values = tuple(_json_number(x, at(f"{name}[{j}]")) for j, x in enumerate(values))
             object.__setattr__(self, name, values)
             entries += [(f"{name}[{j}]", x, bound) for j, x in enumerate(values)]
-        for at, x, _ in entries:
+        for name, x, _ in entries:
             if not math.isfinite(x):
-                raise ValueError(f"{at} must be finite, got {x}")
-        for at, x, bound in entries:
+                raise ValueError(f"{at(name)}{sep} must be finite, got {x}")
+        for name, x, bound in entries:
             if x < 0.0 or (bound == ">" and x == 0.0):
-                raise ValueError(f"{at} must be {bound} 0, got {x}")
+                raise ValueError(f"{at(name)}{sep} must be {bound} 0, got {x}")
         if len(self.c) != len(self.c_sharp):
             raise ValueError("c and c_sharp must have equal length")
 
@@ -126,20 +131,24 @@ class CostParams:
         return {"c_ov": self.c_ov, "c": list(self.c), "c_sharp": list(self.c_sharp)}
 
     @staticmethod
-    def from_dict(spec: dict) -> "CostParams":
-        """The cost parameters of a ``to_dict`` document, read without coercion.
+    def from_dict(spec: dict, b: int | None = None) -> "CostParams":
+        """The cost parameters of a ``to_dict`` document, read once and without coercion.
 
-        ``spec`` must be an object, and ``c_ov`` and each entry of the lists
-        ``c`` and ``c_sharp`` a number (a bool or a string is not); a value of
-        another type, or a missing field, raises ValueError naming
-        ``cost.<field>``.
+        ``spec`` must be an object with the fields ``c_ov`` and the lists
+        ``c`` and ``c_sharp``, of ``b`` entries each when ``b`` is given, else
+        of equal length.  A missing field, a value of another type, a
+        non-finite value, a value below its bound or a list of the wrong
+        length raises ValueError naming ``cost.<field>``.
         """
-        def numbers(name: str) -> tuple[float, ...]:
+        def entries(name: str, n: int | None) -> list:
             values = _json_list(_json_field(spec, name, "cost"), f"cost.{name}")
-            return tuple(_json_number(v, f"cost.{name}[{j}]") for j, v in enumerate(values))
+            if n is not None and len(values) != n:
+                raise ValueError(f"cost.{name}: expected {n} entries, got {len(values)}")
+            return values
 
-        c_ov = _json_number(_json_field(_json_object(spec, "cost"), "c_ov", "cost"), "cost.c_ov")
-        return CostParams(c_ov, numbers("c"), numbers("c_sharp"))
+        c_ov = _json_field(_json_object(spec, "cost"), "c_ov", "cost")
+        c = entries("c", b)
+        return CostParams(c_ov, c, entries("c_sharp", len(c)), "cost")
 
 
 class TableMode(str, enum.Enum):

@@ -784,7 +784,7 @@ def test_cost_command_refuses_a_non_finite_cost_parameter(tmp_path, capsys):
     ]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: c_ov must be finite, got nan\n"
+    assert captured.out == "" and captured.err == "error: cost.c_ov: must be finite, got nan\n"
 
 
 def test_optimal_probs_missing_constants_named(tmp_path, capsys):
@@ -921,12 +921,20 @@ def without(doc, key):
      "error: cost.c_sharp: missing required field"),
     ("cost", "cost", [1, 2], "error: cost: expected an object, got [1, 2]"),
     ("run", "cost", {**COST3, "c_sharp": [0, 0, -1]},
-     "config error: cost: c_sharp[2] must be >= 0, got -1.0"),
+     "config error: cost.c_sharp[2]: must be >= 0, got -1.0"),
+    ("cost", "cost", {**COST3, "c_sharp": [0, -1, 0]},
+     "error: cost.c_sharp[1]: must be >= 0, got -1.0"),
+    ("optimal-probs", "cost", {**COST3, "c": [1, 0, 1]}, "error: cost.c[1]: must be > 0, got 0.0"),
+    ("cost", "cost", {**COST3, "c": [1, 1, float("inf")]},
+     "error: cost.c[2]: must be finite, got inf"),
+    ("optimal-probs", "cost", {**COST3, "c_ov": float("nan")},
+     "error: cost.c_ov: must be finite, got nan"),
 ], ids=["run_table_list", "optimal_probs_table_list", "cost_table_list", "table_no_l0",
         "table_no_mode", "table_pair", "table_entry_number", "table_mode_rpt", "run_scheme_no_p",
         "cost_scheme_no_p", "marginals_scheme_no_p", "marginals_scheme_no_alpha", "cost_no_c_ov",
         "optimal_probs_cost_no_c_ov", "optimal_probs_cost_no_c_sharp", "cost_list",
-        "run_c_sharp_negative"])
+        "run_c_sharp_negative", "cost_c_sharp_negative", "optimal_probs_c_zero", "cost_c_inf",
+        "optimal_probs_c_ov_nan"])
 def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, bad, doc, message):
     docs = {"scheme": RPT3, "table": TABLE3, "cost": COST3, bad: doc}
     files = {f"--{name}": write_json(tmp_path / f"{name}.json", d) for name, d in docs.items()}
