@@ -493,7 +493,7 @@ def test_run_unit_beta_zero_noise_momentum_is_exact_gradient():
             expected = grads[i - 1] if i in active else momentum[i - 1]
             np.testing.assert_array_equal(after[i - 1], expected)
         momentum, grads = after, grads_after
-    assert {frozenset({1, 2, 3})} < {active for active, *_ in seen}
+    assert len({active for active, *_ in seen}) > 1  # some iterations froze a layer
 
 
 def test_run_makes_two_svds_per_stochastic_iteration(monkeypatch):
