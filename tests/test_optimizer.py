@@ -96,7 +96,7 @@ def only(active, b):
 
 
 def test_beta_one_momentum_is_fresh_gradient():
-    # M_1 = 0 * M_0 + g(x_1), read through the hook, is the gradient the hook saw at x_1
+    # the momentum after step 1, 0 * M + g(x_1), is the gradient the hook saw at x_1
     rng = np.random.default_rng(4)
     prob = scalar_quadratic(rng)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
