@@ -637,6 +637,34 @@ def bad_run_configs():
     case("target_not_number", "config.targets[0]")["targets"] = ["x"]
     case("iterations_negative", "config.iterations")["iterations"] = -3
     case("iterations_not_int", "config.iterations")["iterations"] = 2.5
+    case("iterations_bool", "config.iterations")["iterations"] = True
+    case("norms_number", "norms")["norms"] = 7
+    case("quad_shapes_empty", "problem.shapes")["problem"] = {**quad, "shapes": []}
+    variant("eta_entry", "config.variants[0].policy.eta[1]", 0)["policy"] = {
+        "kind": "horizon", "eta": [1.0, "x"],
+    }
+    variant("beta_bool", "config.variants[0].policy.beta", 0)["policy"]["beta"] = True
+    variant("scheme_blocks_overlap", "config.variants[0].scheme", 0)["scheme"] = {
+        "kind": "partitioned_submodel", "blocks": [[1, 2], [2]], "p": [0.5, 0.5],
+    }
+    variant("scheme_tau_above_b", "config.variants[0].scheme", 0)["scheme"] = {
+        "kind": "tau_nice", "b": 2, "tau": 3,
+    }
+    variant("radii_string", "config.variants[0].policy.radii[0]", 0)["policy"]["radii"] = [
+        "0.05", 0.05,
+    ]
+    case("quad_curvature_inf", "problem.curvatures[0]")["problem"] = {
+        **quad, "curvatures": [float("inf"), 2.0],
+    }
+    case("coupled_curvature_negative", "problem.curvatures[1]")["problem"] = {
+        **coupled, "curvatures": [2.0, -1.0],
+    }
+    case("coupled_coupling_nan", "problem.coupling")["problem"] = {
+        **coupled, "coupling": float("nan"),
+    }
+    case("noise_sigma_string", "noise.sigmas[0]")["noise"] = {"sigmas": ["0.05", 0.05]}
+    case("x0_scale_string", "x0.scale")["x0"] = {"kind": "random", "scale": "1"}
+    case("target_inf", "config.targets[0]")["targets"] = [float("inf")]
     return cases
 
 
