@@ -36,7 +36,7 @@ def test_quick_stochastic_suite_passes():
 
 
 def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
-    # check (d) drives stoch_step itself; quick shortens only checks (a, b, e)
+    # check (d) drives optimizer.run itself; quick shortens only checks (a, b, e)
     results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
     check = results["stochastic/descent_lemma_diagnostic"]
     assert check.passed
