@@ -17,7 +17,19 @@ metadata is quarantined to the summary's ``metadata`` block.
 builds every scheme, policy, smoothness table, x0 and cost once, and then runs
 each (variant, seed) on it; a variant that draws nothing from the seed's
 streams (``optimizer.uses_seed``) runs once, and its seeds share its CSV
-bytes.  Its exit codes:
+bytes.
+
+Each config block is read once, by the one set of readers in ``sampling``'s
+parsing section, which ``costmodel`` and the constructors share: a type,
+length or shape fault raises ``ConfigError`` (``sampling.ConfigError``)
+naming the field path, as in ``config.iterations: expected an integer >= 0,
+got 2.5``.  A value's range is checked once, by the constructor that owns
+it (``NoiseSpec``, ``FixedRadius``, ``HorizonSchedule``, the quadratics,
+``CostParams``, ``SmoothnessTable.from_dict``), which is given the block's
+path and names the entry: ``noise.sigmas[1]: must be finite and >= 0, got
+-1.0``.  A scheme's faults keep the scheme document's own names under the
+variant's path: ``config.variants[1].scheme: scheme.p: missing required
+field``.  ``run``'s exit codes:
 
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
@@ -41,6 +53,8 @@ import numpy as np
 from . import costmodel, geometry, optimizer, problems, sampling
 from .costmodel import CostParams, SmoothnessTable
 from .geometry import NormKind
+from .sampling import ConfigError, _json_field, _json_finite, _json_int, _json_list
+from .sampling import _json_matrix, _json_object
 
 SCHEMA_VERSION = 1
 
@@ -51,139 +65,66 @@ CSV_COLUMNS_BASE = ["k", "f_before", "f_after", "fgap_after", "grad_sq_weighted"
 CSV_COLUMNS_TAIL = ["active_min", "cost_units", "cum_units", "measured_fwd_macs"]
 
 
-class ConfigError(ValueError):
-    """Configuration problem with the offending field path in the message."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _require(cfg, path: str, key: str, kind=None):
-    _expect(isinstance(cfg, dict), path, "an object", cfg)
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = cfg[key]
-    if kind is not None:
-        _expect(isinstance(value, kind), f"{path}.{key}", kind.__name__, value)
-    return value
-
-
-def _expect(ok: bool, path: str, what: str, value):
-    if not ok:
-        raise ConfigError(path, f"expected {what}, got {value!r}")
-    return value
-
-
-def _is_finite(value, kind=(int, float)) -> bool:
-    """``value`` is a finite JSON number of ``kind``; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        return False
-    return abs(value) <= sys.float_info.max
-
-
-def _numbers(values, path: str, b: int | None = None, positive: bool = False) -> list:
-    """``values`` checked as a list of numbers, of length ``b`` when given."""
-    _expect(isinstance(values, list), path, "a list", values)
-    if b is not None and len(values) != b:
-        raise ConfigError(path, f"expected {b} entries, got {len(values)}")
-    what = "a positive finite number" if positive else "a finite number"
-    for j, v in enumerate(values):
-        _expect(_is_finite(v) and (v > 0 or not positive), f"{path}[{j}]", what, v)
-    return values
-
-
-def _integer(value, path: str, minimum: int = 0) -> int:
-    """``value`` checked as a JSON integer >= ``minimum``."""
-    return _expect(_is_finite(value, int) and value >= minimum, path,
-                   f"an integer >= {minimum}", value)
-
-
-def _matrix(value, path: str, shape) -> np.ndarray:
-    """``value`` checked as a finite matrix of ``shape``."""
-    try:
-        x = geometry.check_matrix(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-    _expect(x.shape == tuple(shape), path, f"shape {shape}", x.shape)
-    return x
-
-
 def _shapes(spec: dict, path: str) -> list[tuple[int, int]]:
-    shapes = _require(spec, path, "shapes", list)
+    shapes = _json_list(_json_field(spec, "shapes", path), f"{path}.shapes")
     if not shapes:
         raise ConfigError(f"{path}.shapes", "must be non-empty")
-    for j, s in enumerate(shapes):
-        ok = isinstance(s, list) and len(s) == 2 and all(_is_finite(d, int) and d >= 1 for d in s)
-        _expect(ok, f"{path}.shapes[{j}]", "a [rows, columns] pair of integers >= 1", s)
-    return [tuple(s) for s in shapes]
+    return [
+        tuple(_json_int(d, f"{path}.shapes[{j}][{k}]", 1)
+              for k, d in enumerate(_json_list(s, f"{path}.shapes[{j}]", 2)))
+        for j, s in enumerate(shapes)
+    ]
 
 
 def _separable_targets(spec, path: str, shapes) -> list[np.ndarray]:
     if spec == "zeros":
         return [np.zeros(s) for s in shapes]
     if isinstance(spec, dict):
-        trng = np.random.default_rng(_integer(_require(spec, path, "seed"), f"{path}.seed"))
+        trng = np.random.default_rng(_json_int(_json_field(spec, "seed", path), f"{path}.seed", 0))
         return [trng.standard_normal(s) for s in shapes]
-    _expect(isinstance(spec, list), path, '"zeros", {"seed": n} or a list of matrices', spec)
-    if len(spec) != len(shapes):
-        raise ConfigError(path, f"expected {len(shapes)} entries, got {len(spec)}")
-    return [_matrix(t, f"{path}[{j}]", s) for j, (t, s) in enumerate(zip(spec, shapes))]
+    if not isinstance(spec, list):
+        raise ConfigError(path, 'expected "zeros", {"seed": n} or a list of matrices, '
+                                f"got {spec!r}")
+    _json_list(spec, path, len(shapes))
+    return [_json_matrix(t, f"{path}[{j}]", s) for j, (t, s) in enumerate(zip(spec, shapes))]
 
 
 def build_problem(spec: dict, path: str = "problem"):
-    kind = _require(spec, path, "kind", str)
+    kind = _json_field(spec, "kind", path)
     if kind == "separable_quadratic":
         shapes = _shapes(spec, path)
-        curvatures = _require(spec, path, "curvatures", list)
-        if len(curvatures) != len(shapes):
-            raise ConfigError(
-                f"{path}.curvatures", f"expected {len(shapes)} entries, got {len(curvatures)}"
-            )
-        for j, (w, shape) in enumerate(zip(curvatures, shapes)):
-            where = f"{path}.curvatures[{j}]"
-            if isinstance(w, list):
-                _expect(np.all(_matrix(w, where, shape) > 0), where, "positive entries", w)
-            else:
-                _expect(_is_finite(w) and w > 0, where, "a positive number or a matrix", w)
+        curvatures = _json_field(spec, "curvatures", path)
         targets = _separable_targets(spec.get("targets", "zeros"), f"{path}.targets", shapes)
-        return problems.SeparableQuadratic(targets, curvatures)
+        return problems.SeparableQuadratic(targets, curvatures, path)
     if kind == "coupled_quadratic":
         shapes = _shapes(spec, path)
-        curvatures = _numbers(
-            _require(spec, path, "curvatures"), f"{path}.curvatures", len(shapes), positive=True
+        curvatures = _json_field(spec, "curvatures", path)
+        coupling = _json_finite(_json_field(spec, "coupling", path), f"{path}.coupling")
+        map_seed = _json_int(spec.get("map_seed", 0), f"{path}.map_seed", 0)
+        return problems.CoupledQuadratic(
+            [np.zeros(s) for s in shapes], curvatures, coupling,
+            rng=np.random.default_rng(map_seed), path=path,
         )
-        coupling = _require(spec, path, "coupling")
-        _expect(_is_finite(coupling), f"{path}.coupling", "a finite number", coupling)
-        map_seed = _integer(spec.get("map_seed", 0), f"{path}.map_seed")
-        try:
-            return problems.CoupledQuadratic(
-                [np.zeros(s) for s in shapes], curvatures, float(coupling),
-                rng=np.random.default_rng(map_seed),
-            )
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
     if kind == "tiny_mlp":
-        layer_sizes = _require(spec, path, "layer_sizes", list)
+        layer_sizes = _json_list(_json_field(spec, "layer_sizes", path), f"{path}.layer_sizes")
         if len(layer_sizes) < 2:
-            raise ConfigError(
-                f"{path}.layer_sizes",
-                f"need at least 2 sizes (input and output), got {len(layer_sizes)}",
-            )
+            raise ConfigError(f"{path}.layer_sizes", "need at least 2 sizes (input and output), "
+                              f"got {len(layer_sizes)}")
         for j, n in enumerate(layer_sizes):
-            _integer(n, f"{path}.layer_sizes[{j}]", 1)
+            _json_int(n, f"{path}.layer_sizes[{j}]", 1)
         activation = spec.get("activation", "tanh")
-        _expect(activation in ("tanh", "relu"), f"{path}.activation", '"tanh" or "relu"',
-                activation)
-        n_samples = _integer(spec.get("n_samples", 64), f"{path}.n_samples", 1)
-        n_clusters = _integer(spec.get("n_clusters", 3), f"{path}.n_clusters", 1)
-        seed = _integer(spec.get("seed", 0), f"{path}.seed")
+        if activation not in ("tanh", "relu"):
+            raise ConfigError(f"{path}.activation",
+                              f'expected "tanh" or "relu", got {activation!r}')
         return problems.TinyMlp.synthetic(
-            layer_sizes, n_samples=n_samples, n_clusters=n_clusters, activation=activation,
-            seed=seed,
+            layer_sizes, activation=activation,
+            n_samples=_json_int(spec.get("n_samples", 64), f"{path}.n_samples", 1),
+            n_clusters=_json_int(spec.get("n_clusters", 3), f"{path}.n_clusters", 1),
+            seed=_json_int(spec.get("seed", 0), f"{path}.seed", 0),
         )
     raise ConfigError(f"{path}.kind", f"unknown problem kind {kind!r}")
 
@@ -209,63 +150,39 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
     raise ConfigError(path, "expected a norm name or a list of norm names")
 
 
-def _build_noise(spec, b: int, path: str = "noise"):
-    if spec is None:
-        return None
-    sigmas = _numbers(_require(spec, path, "sigmas"), f"{path}.sigmas", b)
-    try:
-        return problems.NoiseSpec(tuple(sigmas))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.sigmas", str(exc)) from exc
-
-
-def _build_cost(spec, b: int) -> CostParams | None:
-    if spec is None:
-        return None
-    try:
-        return CostParams.from_dict(spec, b)
-    except ValueError as exc:  # from_dict names the field: "cost.<field>: <fault>"
-        raise ConfigError(*str(exc).split(": ", 1)) from exc
-
-
 def build_policy(spec: dict, b: int, path: str):
-    kind = _require(spec, path, "kind", str)
+    kind = _json_field(spec, "kind", path)
     if kind == "smooth_inverse":
         return optimizer.SmoothInverse()
     if kind == "fixed_radius":
-        radii = _numbers(_require(spec, path, "radii"), f"{path}.radii", b, positive=True)
-        beta = spec.get("beta", 0.9)
-        _expect(_is_finite(beta) and 0 <= beta <= 1, f"{path}.beta", "a number in [0, 1]", beta)
-        return optimizer.FixedRadius(tuple(radii), float(beta))
+        radii = _json_list(_json_field(spec, "radii", path), f"{path}.radii", b)
+        return optimizer.FixedRadius(tuple(radii), spec.get("beta", 0.9), path)
     if kind == "horizon":
         eta = spec.get("eta")
         if eta is not None:
-            eta = tuple(_numbers(eta, f"{path}.eta", b, positive=True))
-        return optimizer.HorizonSchedule(eta)
+            eta = tuple(_json_list(eta, f"{path}.eta", b))
+        return optimizer.HorizonSchedule(eta, path)
     raise ConfigError(f"{path}.kind", f"unknown policy kind {kind!r}")
 
 
 def build_x0(spec, problem, path: str = "x0") -> list[np.ndarray]:
-    spec = {} if spec is None else _expect(isinstance(spec, dict), path, "an object", spec)
+    spec = _json_object({} if spec is None else spec, path)
     kind = spec.get("kind", "zeros")
     if kind == "zeros":
         return [np.zeros(s) for s in problem.shapes]
     if kind == "random":
-        scale = spec.get("scale", 1.0)
-        rng = np.random.default_rng(_integer(spec.get("seed", 0), f"{path}.seed"))
-        _expect(_is_finite(scale), f"{path}.scale", "a finite number", scale)
+        rng = np.random.default_rng(_json_int(spec.get("seed", 0), f"{path}.seed", 0))
+        scale = _json_finite(spec.get("scale", 1.0), f"{path}.scale")
         quadratic = isinstance(problem, (problems.SeparableQuadratic, problems.CoupledQuadratic))
         out = []
         for i, s in enumerate(problem.shapes):
             center = problem.targets[i] if quadratic else np.zeros(s)
-            out.append(center + float(scale) * rng.standard_normal(s))
+            out.append(center + scale * rng.standard_normal(s))
         return out
     if kind == "arrays":
-        values = _require(spec, path, "values", list)
-        if len(values) != problem.b:
-            raise ConfigError(f"{path}.values", f"expected {problem.b} entries, got {len(values)}")
+        values = _json_list(_json_field(spec, "values", path), f"{path}.values", problem.b)
         return [
-            _matrix(v, f"{path}.values[{j}]", shape)
+            _json_matrix(v, f"{path}.values[{j}]", shape)
             for j, (v, shape) in enumerate(zip(values, problem.shapes))
         ]
     raise ConfigError(f"{path}.kind", f"unknown x0 kind {kind!r}")
@@ -311,14 +228,15 @@ class RunPlan:
 
 def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> VariantPlan:
     """Check one variant against the names taken and build what its seeds share."""
-    name = _require(spec, path, "name", str)
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    name = _json_field(spec, "name", path)
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"{path}.name", f"{name!r} is not a file name stem")
     if name in names:
         raise ConfigError(f"{path}.name", f"duplicate variant name {name!r}")
+    scheme_spec = _json_field(spec, "scheme", path)
     try:
-        scheme = sampling.scheme_from_dict(_require(spec, path, "scheme", dict))
-    except (KeyError, TypeError, ValueError) as exc:
+        scheme = sampling.scheme_from_dict(scheme_spec)
+    except ValueError as exc:  # scheme-document paths and constructor faults, under this path
         raise ConfigError(f"{path}.scheme", str(exc)) from exc
     b = problem.b
     if scheme.b != b:
@@ -355,24 +273,29 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
     ``seed`` (the ``--seed`` flag) replaces the config's seeds.  Raises
     ConfigError naming the field path of the first fault.
     """
-    problem = build_problem(_require(cfg, "config", "problem", dict))
+    problem = build_problem(_json_field(cfg, "problem", "config"))
     b = problem.b
     norms = build_norms(cfg.get("norms"), b)
-    noise = _build_noise(cfg.get("noise"), b)
+    noise = None
+    if cfg.get("noise") is not None:
+        sigmas = _json_list(_json_field(cfg["noise"], "sigmas", "noise"), "noise.sigmas", b)
+        noise = problems.NoiseSpec(tuple(sigmas), "noise")
     x0 = build_x0(cfg.get("x0"), problem)
-    cost = _build_cost(cfg.get("cost"), b)
-    iterations = _integer(_require(cfg, "config", "iterations"), "config.iterations")
-    seeds = _require(cfg, "config", "seeds", list)
+    cost = None if cfg.get("cost") is None else CostParams.from_dict(cfg["cost"], b)
+    iterations = _json_int(_json_field(cfg, "iterations", "config"), "config.iterations", 0)
+    seeds = _json_list(_json_field(cfg, "seeds", "config"), "config.seeds")
     if not seeds:
         raise ConfigError("config.seeds", "must be non-empty")
     for j, s in enumerate(seeds):
-        _integer(s, f"config.seeds[{j}]")
+        _json_int(s, f"config.seeds[{j}]", 0)
         if s in seeds[:j]:
             raise ConfigError(f"config.seeds[{j}]", f"duplicate seed {s}")
     if seed is not None:
-        seeds = [_integer(seed, "--seed")]
-    targets = [float(t) for t in _numbers(cfg.get("targets", []), "config.targets")]
-    _expect(isinstance(cfg.get("out", ""), str), "config.out", "a string", cfg.get("out"))
+        seeds = [_json_int(seed, "--seed", 0)]
+    targets = [_json_finite(t, f"config.targets[{j}]")
+               for j, t in enumerate(_json_list(cfg.get("targets", []), "config.targets"))]
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError("config.out", f"expected a string, got {cfg['out']!r}")
 
     caps_table = None
     if "smoothness_table" in cfg:
@@ -386,7 +309,7 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
             raise ConfigError(
                 "config.smoothness_table", f"table has {caps_table.b} layers, the problem has {b}"
             )
-    variant_specs = _require(cfg, "config", "variants", list)
+    variant_specs = _json_list(_json_field(cfg, "variants", "config"), "config.variants")
     if not variant_specs:
         raise ConfigError("config.variants", "must be non-empty")
     variants = []
@@ -551,20 +474,16 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_table(path: str) -> SmoothnessTable:
-    """The table at ``path``; ValueError if a constant is not finite or not monotone."""
+    """The table at ``path``; ValueError if its constants are not monotone over nested sets."""
     table = SmoothnessTable.from_dict(json.loads(Path(path).read_text()))
-    for which, constants in (("L0", table.l0), ("L1", table.l1 or {})):
-        for (i, key), value in sorted(constants.items()):
-            if not math.isfinite(value):
-                raise ValueError(f"{which} of layer {i}, set key {key} is {value}")
     violations = table.monotonicity_violations()
     if violations:
         raise ValueError(f"constants not monotone over nested sets: {', '.join(violations)}")
     return table
 
 
-def _load_cost(path: str) -> CostParams:
-    return CostParams.from_dict(json.loads(Path(path).read_text()))
+def _load_cost(path: str, b: int) -> CostParams:
+    return CostParams.from_dict(json.loads(Path(path).read_text()), b)
 
 
 REGIMES = {"smooth": "smooth", "l0l1-eps": "l0l1_eps", "l0l1-eps2": "l0l1_eps2"}
@@ -590,7 +509,7 @@ def cmd_optimal_probs(args) -> int:
             )
             out.update({"p": p.tolist(), "full_network_optimal": optimal, "verdict": verdict})
         else:
-            cp = _load_cost(args.cost) if args.cost else None
+            cp = _load_cost(args.cost, table.b) if args.cost else None
             if cp is None:
                 print("l0l1 regimes need --cost", file=sys.stderr)
                 return 2
@@ -634,7 +553,7 @@ def cmd_cost(args) -> int:
         if isinstance(scheme, sampling.EpochShiftRpt):
             raise ValueError("an epoch_shift scheme has no fixed cost: its cutoffs move with k / K")
         table = _load_table(args.table)
-        cp = _load_cost(args.cost)
+        cp = _load_cost(args.cost, table.b)
         breakdown = costmodel.total_cost(
             scheme, cp, table, args.eps, REGIMES[args.regime], delta0=args.delta0
         )

@@ -39,14 +39,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .sampling import (
+    ConfigError,
     FullNetwork,
     PartitionedSubmodel,
     Rpt,
     SamplingScheme,
+    _entry,
+    _entry_fault,
     _json_field,
+    _json_finite,
+    _json_int,
     _json_list,
     _json_number,
-    _json_object,
     marginals,
 )
 
@@ -103,23 +107,19 @@ class CostParams:
     path: InitVar[str | None] = None  # the document path that names a faulty entry
 
     def __post_init__(self, path):
-        def at(name: str) -> str:
-            return name if path is None else f"{path}.{name}"
-
-        sep = "" if path is None else ":"
-        object.__setattr__(self, "c_ov", _json_number(self.c_ov, at("c_ov")))
+        object.__setattr__(self, "c_ov", _json_number(self.c_ov, _entry(path, "c_ov")))
         entries = [("c_ov", self.c_ov, ">=")]
         for name, bound in (("c", ">"), ("c_sharp", ">=")):
-            values = getattr(self, name)
-            values = tuple(_json_number(x, at(f"{name}[{j}]")) for j, x in enumerate(values))
+            values = tuple(_json_number(x, _entry(path, f"{name}[{j}]"))
+                           for j, x in enumerate(getattr(self, name)))
             object.__setattr__(self, name, values)
             entries += [(f"{name}[{j}]", x, bound) for j, x in enumerate(values)]
         for name, x, _ in entries:
             if not math.isfinite(x):
-                raise ValueError(f"{at(name)}{sep} must be finite, got {x}")
+                raise _entry_fault(path, name, f"must be finite, got {x}")
         for name, x, bound in entries:
             if x < 0.0 or (bound == ">" and x == 0.0):
-                raise ValueError(f"{at(name)}{sep} must be {bound} 0, got {x}")
+                raise _entry_fault(path, name, f"must be {bound} 0, got {x}")
         if len(self.c) != len(self.c_sharp):
             raise ValueError("c and c_sharp must have equal length")
 
@@ -138,17 +138,12 @@ class CostParams:
         ``c`` and ``c_sharp``, of ``b`` entries each when ``b`` is given, else
         of equal length.  A missing field, a value of another type, a
         non-finite value, a value below its bound or a list of the wrong
-        length raises ValueError naming ``cost.<field>``.
+        length raises ConfigError naming ``cost.<field>``.
         """
-        def entries(name: str, n: int | None) -> list:
-            values = _json_list(_json_field(spec, name, "cost"), f"cost.{name}")
-            if n is not None and len(values) != n:
-                raise ValueError(f"cost.{name}: expected {n} entries, got {len(values)}")
-            return values
-
-        c_ov = _json_field(_json_object(spec, "cost"), "c_ov", "cost")
-        c = entries("c", b)
-        return CostParams(c_ov, c, entries("c_sharp", len(c)), "cost")
+        c_ov = _json_field(spec, "c_ov", "cost")
+        c = _json_list(_json_field(spec, "c", "cost"), "cost.c", b)
+        c_sharp = _json_list(_json_field(spec, "c_sharp", "cost"), "cost.c_sharp", len(c))
+        return CostParams(c_ov, c, c_sharp, "cost")
 
 
 class TableMode(str, enum.Enum):
@@ -252,9 +247,10 @@ class SmoothnessTable:
         ``spec`` must be an object, ``mode`` a ``TableMode`` value, ``b`` and
         each entry's layer and set key integers, its constant a number (a
         bool or a string is neither) and ``approximate`` a bool; each entry
-        is a [layer, set key, constant] triple.  A value of another type, a
-        missing field, or a second entry for one (layer, set key), raises
-        ValueError naming ``table.<field>``.
+        is a [layer, set key, constant] triple with a finite constant.  A
+        value of another type, a non-finite constant, a missing field, or a
+        second entry for one (layer, set key), raises ConfigError naming
+        ``table.<field>``.
         """
         def constants(which: str) -> dict[tuple[int, int], float]:
             out = {}
@@ -262,27 +258,26 @@ class SmoothnessTable:
             for j, entry in enumerate(entries):
                 at = f"table.{which}[{j}]"
                 if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                    raise ValueError(
-                        f"{at}: expected a [layer, set key, constant] triple, got {entry!r}"
+                    raise ConfigError(
+                        at, f"expected a [layer, set key, constant] triple, got {entry!r}"
                     )
                 i, k, v = entry
-                key = (_json_number(i, f"{at}[0]", integer=True),
-                       _json_number(k, f"{at}[1]", integer=True))
+                key = (_json_int(i, f"{at}[0]"), _json_int(k, f"{at}[1]"))
                 if key in out:
-                    raise ValueError(f"{at}: a second entry for layer {key[0]}, set key {key[1]}")
-                out[key] = _json_number(v, f"{at}[2]")
+                    raise ConfigError(at, f"a second entry for layer {key[0]}, set key {key[1]}")
+                out[key] = _json_finite(v, f"{at}[2]")
             return out
 
         modes = [m.value for m in TableMode]
-        mode = _json_field(_json_object(spec, "table"), "mode", "table")
+        mode = _json_field(spec, "mode", "table")
         if mode not in modes:
-            raise ValueError(f"table.mode: expected one of {modes}, got {mode!r}")
+            raise ConfigError("table.mode", f"expected one of {modes}, got {mode!r}")
         approximate = spec.get("approximate", False)
         if not isinstance(approximate, bool):
-            raise ValueError(f"table.approximate: expected a bool, got {approximate!r}")
+            raise ConfigError("table.approximate", f"expected a bool, got {approximate!r}")
         return SmoothnessTable(
             TableMode(mode),
-            _json_number(_json_field(spec, "b", "table"), "table.b", integer=True),
+            _json_int(_json_field(spec, "b", "table"), "table.b"),
             constants("l0"),
             None if spec.get("l1") is None else constants("l1"),
             approximate,

@@ -81,7 +81,7 @@ guarantees are stated with, live in ``costmodel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -89,6 +89,7 @@ import numpy as np
 from . import geometry, problems, sampling
 from .costmodel import SmoothnessTable
 from .geometry import NormKind
+from .sampling import _entry, _entry_fault, _json_number, _positive_finite
 
 __all__ = [
     "LayerModel",
@@ -142,26 +143,13 @@ class MomentumState:
     """Momentum buffers M_i, one stack per layer group of the model, and the beta in [0, 1]
     they share.
 
-    ``run``, the only step entry, builds it from M0 and ``_stoch_step``
-    updates the active rows in place.
+    ``run``, the only step entry, builds it from M0 and the policy's beta
+    (``FixedRadius`` checks its own; the horizon schedule's lies in (0, 1]),
+    and ``_stoch_step`` updates the active rows in place.
     """
 
     stacks: list[np.ndarray]
     beta: float
-
-    def __post_init__(self):
-        # beta = 1 is the fresh-gradient endpoint of the convex combination
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-
-
-def _positive_finite(values, name: str) -> tuple[float, ...]:
-    """``values`` as floats, each checked to be positive and finite."""
-    values = tuple(float(v) for v in values)
-    for j, v in enumerate(values):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name}[{j}] must be positive and finite, got {v}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -176,13 +164,22 @@ class SmoothInverse:
 
 @dataclass(frozen=True)
 class FixedRadius:
-    """Constant per-layer LMO radii t_i, momentum beta, M0 = stochastic gradient at X0."""
+    """Constant per-layer LMO radii t_i, momentum beta, M0 = stochastic gradient at X0.
+
+    Each radius must be a positive finite number and beta a number in [0, 1]
+    (beta = 1 is the fresh-gradient endpoint of the convex combination); a
+    fault is named as ``path.radii[j]:`` or ``path.beta:`` when ``path`` is given.
+    """
 
     radii: tuple[float, ...]
     beta: float = 0.9
+    path: InitVar[str | None] = None  # the document path that names a faulty entry
 
-    def __post_init__(self):
-        object.__setattr__(self, "radii", _positive_finite(self.radii, "radii"))
+    def __post_init__(self, path):
+        object.__setattr__(self, "radii", _positive_finite(self.radii, "radii", path))
+        object.__setattr__(self, "beta", _json_number(self.beta, _entry(path, "beta")))
+        if not 0.0 <= self.beta <= 1.0:
+            raise _entry_fault(path, "beta", f"must lie in [0, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -196,10 +193,11 @@ class HorizonSchedule:
     """
 
     eta: tuple[float, ...] | None = None
+    path: InitVar[str | None] = None  # the document path that names a faulty entry
 
-    def __post_init__(self):
+    def __post_init__(self, path):
         if self.eta is not None:
-            object.__setattr__(self, "eta", _positive_finite(self.eta, "eta"))
+            object.__setattr__(self, "eta", _positive_finite(self.eta, "eta", path))
 
     def radii(self, b: int, horizon: int) -> np.ndarray:
         eta = np.ones(b) if self.eta is None else np.asarray(self.eta, dtype=float)

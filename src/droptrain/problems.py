@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ import numpy as np
 from .costmodel import SmoothnessTable, TableMode
 from .geometry import NormKind, norm_ratio_squared
 from .sampling import EpochShiftRpt, FullNetwork, PartitionedSubmodel, Rpt, SamplingScheme
+from .sampling import _entry, _entry_fault, _json_list, _json_matrix, _json_number, _positive_finite
 
 __all__ = [
     "Layout",
@@ -286,20 +287,28 @@ class SeparableQuadratic(_Quadratic):
 
     ``curvatures[i]`` may be a positive scalar (the classic a_i/2 ||X_i - A_i||^2
     layer) or an array of positive entry weights matching the layer shape.
-    The minimum is X = A with f* = 0.
+    The minimum is X = A with f* = 0.  A curvature that is not a positive
+    finite number or a finite matrix of its layer's shape with positive
+    entries is named ``curvatures[j]``, as ``path.curvatures[j]:`` when
+    ``path`` is given.
     """
 
     _Stacks = _SeparableStacks
 
-    def __init__(self, targets: Sequence[np.ndarray], curvatures: Sequence) -> None:
+    def __init__(
+        self, targets: Sequence[np.ndarray], curvatures: Sequence, path: str | None = None
+    ) -> None:
         self.targets = _as_layer_list(targets)
-        if len(curvatures) != len(self.targets):
-            raise ValueError("one curvature per layer required")
+        _json_list(curvatures, _entry(path, "curvatures"), len(self.targets))
         self.weights = []
-        for a, w in zip(self.targets, curvatures):
-            warr = np.broadcast_to(np.asarray(w, dtype=float), a.shape).copy()
-            if np.any(warr <= 0.0):
-                raise ValueError("curvatures must be positive")
+        for j, (a, w) in enumerate(zip(self.targets, curvatures)):
+            name = f"curvatures[{j}]"
+            if isinstance(w, (list, tuple, np.ndarray)):
+                warr = _json_matrix(w, _entry(path, name), a.shape).copy()
+            else:
+                warr = np.full(a.shape, _json_number(w, _entry(path, name)))
+            if not np.all((0.0 < warr) & (warr < math.inf)):
+                raise _entry_fault(path, name, f"must be positive and finite, got {w}")
             self.weights.append(warr)
         self.f_star = 0.0
 
@@ -318,7 +327,10 @@ class CoupledQuadratic(_Quadratic):
     The coupling maps R_i are normalized to unit operator norm, so the overall
     Hessian is block tridiagonal with off-diagonal blocks of norm ``coupling``.
     Positive semidefiniteness is checked at construction; f* comes from a
-    direct linear solve on the assembled (desk-scale) Hessian.
+    direct linear solve on the assembled (desk-scale) Hessian.  A curvature
+    that is not a positive finite number is named ``curvatures[j]``, and a
+    coupling that breaks semidefiniteness ``coupling``, as ``path.<name>:``
+    when ``path`` is given.
     """
 
     _Stacks = _CoupledStacks
@@ -330,11 +342,11 @@ class CoupledQuadratic(_Quadratic):
         coupling: float,
         tilt: Sequence[np.ndarray] | None = None,
         rng: np.random.Generator | None = None,
+        path: str | None = None,
     ) -> None:
         self.targets = _as_layer_list(targets)
-        self.curvatures = [float(a) for a in curvatures]
-        if len(self.curvatures) != self.b or any(a <= 0 for a in self.curvatures):
-            raise ValueError("need one positive curvature per layer")
+        _json_list(curvatures, _entry(path, "curvatures"), self.b)
+        self.curvatures = list(_positive_finite(curvatures, "curvatures", path))
         self.coupling = float(coupling)
         dims = [a.size for a in self.targets]
         rng = rng or np.random.default_rng(0)
@@ -352,7 +364,8 @@ class CoupledQuadratic(_Quadratic):
         self._hessian = self._assemble_hessian()
         eigmin = float(np.linalg.eigvalsh(self._hessian).min())
         if eigmin < -1e-10:
-            raise ValueError(f"Hessian not PSD (min eigenvalue {eigmin:.3e}); reduce coupling")
+            message = f"makes the Hessian not PSD (min eigenvalue {eigmin:.3e}); reduce it"
+            raise _entry_fault(path, "coupling", message)
         if self.tilt is None:
             self.f_star = 0.0
         else:
@@ -393,15 +406,21 @@ class CoupledQuadratic(_Quadratic):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-layer additive Gaussian gradient noise with E||noise_i||_F^2 = sigma_i^2."""
+    """Per-layer additive Gaussian gradient noise with E||noise_i||_F^2 = sigma_i^2.
+
+    Each sigma must be a finite number >= 0; a fault is named ``sigmas[j]``,
+    as ``path.sigmas[j]:`` when ``path`` is given.
+    """
 
     sigmas: tuple[float, ...]
+    path: InitVar[str | None] = None  # the document path that names a faulty entry
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        for j, sigma in enumerate(self.sigmas):
+    def __post_init__(self, path):
+        sigmas = [_json_number(s, _entry(path, f"sigmas[{j}]")) for j, s in enumerate(self.sigmas)]
+        object.__setattr__(self, "sigmas", tuple(sigmas))
+        for j, sigma in enumerate(sigmas):
             if not 0.0 <= sigma < math.inf:
-                raise ValueError(f"sigmas[{j}] must be finite and >= 0, got {sigma}")
+                raise _entry_fault(path, f"sigmas[{j}]", f"must be finite and >= 0, got {sigma}")
 
     def layout(self, sizes: Sequence[int]) -> tuple[list[int | None], list[float], int]:
         """Where each layer's noise lies in the one draw, its scale, and the draw's length.

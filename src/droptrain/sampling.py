@@ -46,6 +46,8 @@ from typing import Union
 
 import numpy as np
 
+from .geometry import check_matrix
+
 __all__ = [
     "Rpt",
     "TauNice",
@@ -60,6 +62,7 @@ __all__ = [
     "distribution",
     "epoch_shift_probs",
     "scheme_from_dict",
+    "ConfigError",
 ]
 
 PROB_SUM_TOL = 1e-12
@@ -474,36 +477,94 @@ def epoch_shift_probs(b: int, alpha: float, progress: float) -> np.ndarray:
 # Parsing (structured config documents)
 # ---------------------------------------------------------------------------
 
+class ConfigError(ValueError):
+    """A fault in a config document; the message starts with the field path of the value."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+
+
+def _entry(path: str | None, name: str) -> str:
+    """The field path of a constructor's entry ``name``: ``path.name``, or ``name`` alone."""
+    return name if path is None else f"{path}.{name}"
+
+
+def _entry_fault(path: str | None, name: str, message: str) -> ValueError:
+    """A constructor's fault of entry ``name``: ``name message``, or, under a document
+    path, the ConfigError ``path.name: message``."""
+    if path is None:
+        return ValueError(f"{name} {message}")
+    return ConfigError(f"{path}.{name}", message)
+
+
+def _positive_finite(values, name: str, path: str | None) -> tuple[float, ...]:
+    """A constructor's entries ``name[j]``, each checked to be a positive finite number."""
+    values = tuple(_json_number(v, _entry(path, f"{name}[{j}]")) for j, v in enumerate(values))
+    for j, v in enumerate(values):
+        if not 0.0 < v < math.inf:
+            raise _entry_fault(path, f"{name}[{j}]", f"must be positive and finite, got {v}")
+    return values
+
+
 def _json_object(value, path: str) -> dict:
-    """``value`` checked as a JSON object; ValueError naming ``path`` otherwise."""
+    """``value`` checked as a JSON object."""
     if not isinstance(value, dict):
-        raise ValueError(f"{path}: expected an object, got {value!r}")
+        raise ConfigError(path, f"expected an object, got {value!r}")
     return value
 
 
-def _json_field(spec: dict, key: str, path: str):
-    """``spec[key]``; ValueError naming ``path.key`` when the field is missing."""
-    if key not in spec:
-        raise ValueError(f"{path}.{key}: missing required field")
+def _json_field(spec, key: str, path: str):
+    """``spec[key]`` of the JSON object ``spec``; a missing field is named ``path.key``."""
+    if key not in _json_object(spec, path):
+        raise ConfigError(f"{path}.{key}", "missing required field")
     return spec[key]
 
 
-def _json_list(value, path: str) -> list:
-    """``value`` checked as a JSON list; ValueError naming ``path`` otherwise."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{path}: expected a list, got {value!r}")
+def _json_list(value, path: str, n: int | None = None) -> list:
+    """``value`` checked as a JSON list (or a tuple or an array), of ``n`` entries when given."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    if n is not None and len(value) != n:
+        raise ConfigError(path, f"expected {n} entries, got {len(value)}")
     return value
 
 
-def _json_number(value, path: str, integer: bool = False):
-    """``value`` checked as a JSON number, or integer, and never a bool or a string.
+def _json_number(value, path: str) -> float:
+    """``value`` checked as a JSON number, never a bool or a string, and returned as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(path, f"must be finite, got {value}") from None
 
-    Returns it as a float, or an int; ValueError naming ``path`` otherwise.
-    """
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{path}: expected {what}, got {value!r}")
-    return int(value) if integer else float(value)
+
+def _json_int(value, path: str, minimum: int | None = None) -> int:
+    """``value`` checked as a JSON integer, never a bool, and not below ``minimum`` when given."""
+    what = "an integer" if minimum is None else f"an integer >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or \
+            (minimum is not None and value < minimum):
+        raise ConfigError(path, f"expected {what}, got {value!r}")
+    return int(value)
+
+
+def _json_finite(value, path: str) -> float:
+    """``value`` checked as a finite JSON number."""
+    x = _json_number(value, path)
+    if not math.isfinite(x):
+        raise ConfigError(path, f"must be finite, got {x}")
+    return x
+
+
+def _json_matrix(value, path: str, shape) -> np.ndarray:
+    """``value`` checked as a finite matrix of ``shape``."""
+    try:
+        x = check_matrix(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    if x.shape != tuple(shape):
+        raise ConfigError(path, f"expected shape {tuple(shape)}, got {x.shape}")
+    return x
 
 
 def scheme_from_dict(spec: dict) -> SamplingScheme:
@@ -511,7 +572,8 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
 
     ``b``, ``tau`` and block members must be integers and ``p`` and
     ``alpha`` numbers (a bool or a string is neither); a value of another
-    type, or a missing field, raises ValueError naming ``scheme.<field>``.
+    type, or a missing field, raises ConfigError naming ``scheme.<field>``.
+    The scheme's constructor checks the values' ranges, with its own messages.
     """
     kind = _json_object(spec, "scheme").get("kind")
 
@@ -519,7 +581,7 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
         return _json_field(spec, key, "scheme")
 
     def integer(key: str) -> int:
-        return _json_number(field(key), f"scheme.{key}", integer=True)
+        return _json_int(field(key), f"scheme.{key}")
 
     def probs() -> tuple[float, ...]:
         p = _json_list(field("p"), "scheme.p")
@@ -534,7 +596,7 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
     if kind == "partitioned_submodel":
         blocks = tuple(
             frozenset(
-                _json_number(i, f"scheme.blocks[{k}][{j}]", integer=True)
+                _json_int(i, f"scheme.blocks[{k}][{j}]")
                 for j, i in enumerate(_json_list(blk, f"scheme.blocks[{k}]"))
             )
             for k, blk in enumerate(_json_list(field("blocks"), "scheme.blocks"))
@@ -544,4 +606,4 @@ def scheme_from_dict(spec: dict) -> SamplingScheme:
         return FullNetwork(integer("b"))
     if kind == "epoch_shift":
         return EpochShiftRpt(integer("b"), _json_number(field("alpha"), "scheme.alpha"))
-    raise ValueError(f"scheme.kind: unknown kind {kind!r}")
+    raise ConfigError("scheme.kind", f"unknown kind {kind!r}")

@@ -562,6 +562,7 @@ def bad_run_configs():
     case("coupled_map_seed", "problem.map_seed")["problem"] = {**coupled, "map_seed": -3}
     case("norms_entry", "norms[1]")["norms"] = ["euclidean", "spectrall"]
     case("noise_sigmas_length", "noise.sigmas")["noise"] = {"sigmas": [0.05]}
+    case("noise_sigma_negative", "noise.sigmas[1]")["noise"] = {"sigmas": [0.05, -1.0]}
     case("smoothness_table_missing", "config.smoothness_table")["smoothness_table"] = (
         "missing/table.json"
     )
@@ -799,9 +800,8 @@ def test_table_commands_refuse_a_non_finite_constant(tmp_path, capsys, command, 
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"{prefix}{which.upper()} of layer 2, set key 1 is nan\n"
-    )
+    # the table reader names the entry's place in the document
+    assert captured.err == f"{prefix}table.{which}[1][2]: must be finite, got nan\n"
 
 
 def test_cost_command_refuses_a_non_finite_cost_parameter(tmp_path, capsys):
@@ -813,6 +813,17 @@ def test_cost_command_refuses_a_non_finite_cost_parameter(tmp_path, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: cost.c_ov: must be finite, got nan\n"
+
+
+def test_optimal_probs_l0l1_refuses_a_cost_file_of_another_layer_count(tmp_path, capsys):
+    # with L1 constants the solver runs, so a cost file read without the table's
+    # layer count would reach it with 2-entry lists beside a 3-layer table
+    t = verify.random_l1_rpt_table(np.random.default_rng(1), 3, False)
+    argv = ["optimal-probs", "--table", write_json(tmp_path / "t.json", t.to_dict()),
+            "--cost", write_json(tmp_path / "c.json", COST2), "--regime", "l0l1-eps"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: cost.c: expected 3 entries, got 2\n"
 
 
 def test_optimal_probs_missing_constants_named(tmp_path, capsys):
@@ -916,6 +927,7 @@ COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
 TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
 COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
 EPOCH3 = {"kind": "epoch_shift", "b": 3, "alpha": 0.5}
+TABLE3_L0_INF = {**TABLE3, "l0": [[1, 1, float("inf")]] + TABLE3["l0"][1:]}
 
 
 def without(doc, key):
@@ -957,12 +969,21 @@ def without(doc, key):
      "error: cost.c[2]: must be finite, got inf"),
     ("optimal-probs", "cost", {**COST3, "c_ov": float("nan")},
      "error: cost.c_ov: must be finite, got nan"),
+    ("cost", "cost", COST2, "error: cost.c: expected 3 entries, got 2"),
+    ("optimal-probs", "cost", COST2, "error: cost.c: expected 3 entries, got 2"),
+    ("run", "table", TABLE3_L0_INF,
+     "config error: config.smoothness_table: cannot load {table}: table.l0[0][2]: must be "
+     "finite, got inf"),
+    ("cost", "table", TABLE3_L0_INF, "error: table.l0[0][2]: must be finite, got inf"),
+    ("optimal-probs", "table", TABLE3_L0_INF,
+     "table error: table.l0[0][2]: must be finite, got inf"),
 ], ids=["run_table_list", "optimal_probs_table_list", "cost_table_list", "table_no_l0",
         "table_no_mode", "table_pair", "table_entry_number", "table_mode_rpt", "run_scheme_no_p",
         "cost_scheme_no_p", "marginals_scheme_no_p", "marginals_scheme_no_alpha", "cost_no_c_ov",
         "optimal_probs_cost_no_c_ov", "optimal_probs_cost_no_c_sharp", "cost_list",
         "run_c_sharp_negative", "cost_c_sharp_negative", "optimal_probs_c_zero", "cost_c_inf",
-        "optimal_probs_c_ov_nan"])
+        "optimal_probs_c_ov_nan", "cost_layer_count", "optimal_probs_cost_layer_count",
+        "run_table_l0_inf", "cost_table_l0_inf", "optimal_probs_table_l0_inf"])
 def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, bad, doc, message):
     docs = {"scheme": RPT3, "table": TABLE3, "cost": COST3, bad: doc}
     files = {f"--{name}": write_json(tmp_path / f"{name}.json", d) for name, d in docs.items()}
