@@ -25,11 +25,11 @@ length or shape fault raises ``ConfigError`` (``sampling.ConfigError``)
 naming the field path, as in ``config.iterations: expected an integer >= 0,
 got 2.5``.  A value's range is checked once, by the constructor that owns
 it (``NoiseSpec``, ``FixedRadius``, ``HorizonSchedule``, the quadratics,
-``CostParams``, ``SmoothnessTable.from_dict``), which is given the block's
-path and names the entry: ``noise.sigmas[1]: must be finite and >= 0, got
--1.0``.  A scheme's faults keep the scheme document's own names under the
-variant's path: ``config.variants[1].scheme: scheme.p: missing required
-field``.  ``run``'s exit codes:
+``TinyMlp``, ``CostParams``, ``SmoothnessTable.from_dict``), which is given
+the block's path and names the entry: ``noise.sigmas[1]: must be finite and
+>= 0, got -1.0``.  A scheme's faults keep the scheme document's own names
+under the variant's path: ``config.variants[1].scheme: scheme.p: missing
+required field``.  ``run``'s exit codes:
 
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
@@ -116,15 +116,11 @@ def build_problem(spec: dict, path: str = "problem"):
                               f"got {len(layer_sizes)}")
         for j, n in enumerate(layer_sizes):
             _json_int(n, f"{path}.layer_sizes[{j}]", 1)
-        activation = spec.get("activation", "tanh")
-        if activation not in ("tanh", "relu"):
-            raise ConfigError(f"{path}.activation",
-                              f'expected "tanh" or "relu", got {activation!r}')
         return problems.TinyMlp.synthetic(
-            layer_sizes, activation=activation,
+            layer_sizes, activation=spec.get("activation", "tanh"),
             n_samples=_json_int(spec.get("n_samples", 64), f"{path}.n_samples", 1),
             n_clusters=_json_int(spec.get("n_clusters", 3), f"{path}.n_clusters", 1),
-            seed=_json_int(spec.get("seed", 0), f"{path}.seed", 0),
+            seed=_json_int(spec.get("seed", 0), f"{path}.seed", 0), path=path,
         )
     raise ConfigError(f"{path}.kind", f"unknown problem kind {kind!r}")
 
@@ -138,10 +134,8 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     if isinstance(spec, list):
-        if len(spec) != b:
-            raise ConfigError(path, f"expected {b} entries, got {len(spec)}")
         norms = []
-        for j, s in enumerate(spec):
+        for j, s in enumerate(_json_list(spec, path, b)):
             try:
                 norms.append(NormKind(s))
             except ValueError as exc:

@@ -446,7 +446,9 @@ class TinyMlp:
     Layer l computes z_l = W_l a_{l-1}; hidden layers apply tanh (default) or
     relu, the last layer is linear, and the loss is mean squared error against
     the stored targets over the in-memory batch.  tanh keeps finite-difference
-    checks clean; relu is available with looser tolerances near kinks.
+    checks clean; relu is available with looser tolerances near kinks.  Another
+    activation is named ``activation``, as ``path.activation:`` when ``path``
+    is given.
     """
 
     def __init__(
@@ -455,12 +457,13 @@ class TinyMlp:
         inputs: np.ndarray,
         targets: np.ndarray,
         activation: str = "tanh",
+        path: str | None = None,
     ) -> None:
         self.weights = _as_layer_list(weights)
         self.inputs = np.asarray(inputs, dtype=float)
         self.targets_out = np.asarray(targets, dtype=float)
         if activation not in ("tanh", "relu"):
-            raise ValueError("activation must be 'tanh' or 'relu'")
+            raise _entry_fault(path, "activation", f"must be 'tanh' or 'relu', got {activation!r}")
         self.activation = activation
         for l in range(1, self.b):
             if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
@@ -478,10 +481,12 @@ class TinyMlp:
         n_clusters: int = 3,
         activation: str = "tanh",
         seed: int = 0,
+        path: str | None = None,
     ) -> "TinyMlp":
         """Hermetic instance: Gaussian-cluster inputs and targets from the seed.
 
-        Layer l's weights are 0.5 * N(0, 1) / sqrt(fan-in).
+        Layer l's weights are 0.5 * N(0, 1) / sqrt(fan-in); ``path`` is the
+        constructor's.
         """
         rng = np.random.default_rng(seed)
         d0, dout = layer_sizes[0], layer_sizes[-1]
@@ -495,7 +500,7 @@ class TinyMlp:
             / np.sqrt(layer_sizes[l])
             for l in range(len(layer_sizes) - 1)
         ]
-        return TinyMlp(weights, x, y, activation)
+        return TinyMlp(weights, x, y, activation, path)
 
     @property
     def b(self) -> int:
