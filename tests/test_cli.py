@@ -815,17 +815,6 @@ def test_cost_command_refuses_a_non_finite_cost_parameter(tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: cost.c_ov: must be finite, got nan\n"
 
 
-def test_optimal_probs_l0l1_refuses_a_cost_file_of_another_layer_count(tmp_path, capsys):
-    # with L1 constants the solver runs, so a cost file read without the table's
-    # layer count would reach it with 2-entry lists beside a 3-layer table
-    t = verify.random_l1_rpt_table(np.random.default_rng(1), 3, False)
-    argv = ["optimal-probs", "--table", write_json(tmp_path / "t.json", t.to_dict()),
-            "--cost", write_json(tmp_path / "c.json", COST2), "--regime", "l0l1-eps"]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: cost.c: expected 3 entries, got 2\n"
-
-
 def test_optimal_probs_missing_constants_named(tmp_path, capsys):
     t = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 2, {(1, 1): 1.0, (2, 2): 1.0})
     path = write_json(tmp_path / "t.json", t.to_dict())
@@ -922,7 +911,9 @@ def test_cost_file_commands_refuse_a_coercible_value(tmp_path, capsys, command, 
 
 
 RPT3 = {"kind": "rpt", "p": [0.5, 0.3, 0.2]}
-TABLE3 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]]).to_dict()
+# with L1 constants, so that optimal-probs --regime l0l1-eps would reach its solver
+TABLE3 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]],
+                                          [[0.5], [0.5, 0.5], [0.5, 0.5, 0.5]]).to_dict()
 COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
 TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
 COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
