@@ -663,6 +663,7 @@ def bad_run_configs():
     case("coupled_coupling_nan", "problem.coupling")["problem"] = {
         **coupled, "coupling": float("nan"),
     }
+    case("coupled_not_psd", "problem.coupling")["problem"] = {**coupled, "coupling": 5.0}
     case("noise_sigma_string", "noise.sigmas[0]")["noise"] = {"sigmas": ["0.05", 0.05]}
     case("x0_scale_string", "x0.scale")["x0"] = {"kind": "random", "scale": "1"}
     case("target_inf", "config.targets[0]")["targets"] = [float("inf")]

@@ -2,6 +2,7 @@
 noise statistics, truncated backprop, and frozen-prefix reuse."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,11 +119,14 @@ def test_coupled_f_star_via_linear_solve():
     assert all(np.linalg.norm(g) <= 1e-8 for g in grads)
 
 
-def test_coupled_rejects_indefinite():
+@pytest.mark.parametrize("path, prefix", [(None, "coupling "), ("problem", "problem.coupling: ")])
+def test_coupled_rejects_indefinite(path, prefix):
     rng = np.random.default_rng(6)
     targets = [rng.standard_normal((2, 2)), rng.standard_normal((2, 2))]
-    with pytest.raises(ValueError, match="PSD"):
-        pb.CoupledQuadratic(targets, (0.1, 0.1), 5.0, rng=rng)
+    with pytest.raises(ValueError) as info:
+        pb.CoupledQuadratic(targets, (0.1, 0.1), 5.0, rng=rng, path=path)
+    message = r"makes the Hessian not PSD \(min eigenvalue -\d\.\d{3}e\+00\); reduce it"
+    assert re.fullmatch(re.escape(prefix) + message, str(info.value)), str(info.value)
 
 
 def test_shape_mismatch_raises():
