@@ -265,9 +265,15 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
     """Check ``cfg`` and build every object a run needs once, before any output.
 
     ``seed`` (the ``--seed`` flag) replaces the config's seeds.  Raises
-    ConfigError naming the field path of the first fault.
+    ConfigError naming the field path of the first fault; any other
+    ValueError raised while building the problem is named ``problem``.
     """
-    problem = build_problem(_json_field(cfg, "problem", "config"))
+    try:
+        problem = build_problem(_json_field(cfg, "problem", "config"))
+    except ConfigError:
+        raise
+    except ValueError as exc:  # numpy refuses a size the readers pass, such as 10**400
+        raise ConfigError("problem", str(exc)) from exc
     b = problem.b
     norms = build_norms(cfg.get("norms"), b)
     noise = None

@@ -248,9 +248,9 @@ class SmoothnessTable:
         each entry's layer and set key integers, its constant a number (a
         bool or a string is neither) and ``approximate`` a bool; each entry
         is a [layer, set key, constant] triple with a finite constant.  A
-        value of another type, a non-finite constant, a missing field, or a
-        second entry for one (layer, set key), raises ConfigError naming
-        ``table.<field>``.
+        value of another type, a non-finite constant, a missing field, a
+        ``b`` below 1, a layer or set key outside 1..b, or a second entry for
+        one (layer, set key), raises ConfigError naming ``table.<field>``.
         """
         def constants(which: str) -> dict[tuple[int, int], float]:
             out = {}
@@ -263,6 +263,9 @@ class SmoothnessTable:
                     )
                 i, k, v = entry
                 key = (_json_int(i, f"{at}[0]"), _json_int(k, f"{at}[1]"))
+                for n, x in enumerate(key):
+                    if not 1 <= x <= b:
+                        raise ConfigError(f"{at}[{n}]", f"must be in 1..{b}, got {x}")
                 if key in out:
                     raise ConfigError(at, f"a second entry for layer {key[0]}, set key {key[1]}")
                 out[key] = _json_finite(v, f"{at}[2]")
@@ -275,9 +278,12 @@ class SmoothnessTable:
         approximate = spec.get("approximate", False)
         if not isinstance(approximate, bool):
             raise ConfigError("table.approximate", f"expected a bool, got {approximate!r}")
+        b = _json_int(_json_field(spec, "b", "table"), "table.b")
+        if b < 1:
+            raise ConfigError("table.b", f"must be >= 1, got {b}")
         return SmoothnessTable(
             TableMode(mode),
-            _json_int(_json_field(spec, "b", "table"), "table.b"),
+            b,
             constants("l0"),
             None if spec.get("l1") is None else constants("l1"),
             approximate,

@@ -10,7 +10,10 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   is fully controllable while f* = 0 stays exact.
 * ``CoupledQuadratic`` -- adjacent layers coupled through fixed linear maps,
   which makes the layer-wise constants genuinely depend on which other layers
-  move; constants come from block operator norms of the assembled Hessian.
+  move; constants are row sums of the Hessian's block operator norms (the
+  curvatures and ``|coupling|``).  The same row sums certify the Hessian
+  PSD at construction; only when they cannot, or a tilt needs the solve for
+  f*, is the dense Hessian assembled.
 * ``TinyMlp`` -- a small dense network with manual backpropagation, a
   truncated backward pass (gradients only for layers >= s), and
   ``value_and_grad_from_prefix``, which takes a frozen prefix's activations
@@ -326,14 +329,21 @@ class CoupledQuadratic(_Quadratic):
 
     The coupling maps R_i are normalized to unit operator norm, so the overall
     Hessian is block tridiagonal with off-diagonal blocks of norm ``coupling``.
-    Positive semidefiniteness is checked at construction; f* comes from a
-    direct linear solve on the assembled (desk-scale) Hessian.  A curvature
-    that is not a positive finite number is named ``curvatures[j]``, and a
-    coupling that breaks semidefiniteness ``coupling``, as ``path.<name>:``
-    when ``path`` is given.
+    The constructor proves it positive semidefinite without assembling it when
+    the block row sums do (block Gershgorin): with deg_i the number of maps
+    at layer i (1 at the ends, 2 inside, 0 when b = 1),
+    z'Hz >= sum_i (a_i - |coupling| deg_i) ||z_i||^2, so
+    a_i >= |coupling| deg_i (1 + 1e-9) for every layer suffices; the margin
+    covers the rounding of the normalization.  Otherwise, or with a tilt, it
+    assembles the dense Hessian, refuses it if its smallest eigenvalue is
+    below -1e-10, and takes f* from a direct linear solve on it (desk scale);
+    with no tilt f* = 0.  A curvature that is not a positive finite number is
+    named ``curvatures[j]``, and a coupling that breaks semidefiniteness
+    ``coupling``, as ``path.<name>:`` when ``path`` is given.
     """
 
     _Stacks = _CoupledStacks
+    _psd_margin = 1e-9  # the certificate's relative margin, a few million ulps
 
     def __init__(
         self,
@@ -361,17 +371,21 @@ class CoupledQuadratic(_Quadratic):
             if [t.shape for t in self.tilt] != self.shapes:
                 raise ValueError("tilt shapes must match layer shapes")
 
-        self._hessian = self._assemble_hessian()
-        eigmin = float(np.linalg.eigvalsh(self._hessian).min())
+        self.f_star = 0.0
+        # block Gershgorin: z'Hz >= sum_i (a_i - |c| deg_i) ||z_i||^2, deg_i = maps at layer i
+        per_map = abs(self.coupling) * (1 + self._psd_margin)
+        if self.tilt is None and all(a >= per_map * ((i > 0) + (i < self.b - 1))
+                                     for i, a in enumerate(self.curvatures)):
+            return
+        h = self._assemble_hessian()
+        eigmin = float(np.linalg.eigvalsh(h).min())
         if eigmin < -1e-10:
             message = f"makes the Hessian not PSD (min eigenvalue {eigmin:.3e}); reduce it"
             raise _entry_fault(path, "coupling", message)
-        if self.tilt is None:
-            self.f_star = 0.0
-        else:
+        if self.tilt is not None:
             t = np.concatenate([x.ravel() for x in self.tilt])
-            zstar = np.linalg.lstsq(self._hessian, -t, rcond=None)[0]
-            self.f_star = float(0.5 * zstar @ self._hessian @ zstar + t @ zstar)
+            zstar = np.linalg.lstsq(h, -t, rcond=None)[0]
+            self.f_star = float(0.5 * zstar @ h @ zstar + t @ zstar)
 
     def _assemble_hessian(self) -> np.ndarray:
         dims = [a.size for a in self.targets]

@@ -664,6 +664,11 @@ def bad_run_configs():
         **coupled, "coupling": float("nan"),
     }
     case("coupled_not_psd", "problem.coupling")["problem"] = {**coupled, "coupling": 5.0}
+    # sizes the readers pass but numpy refuses to build, without allocating
+    case("mlp_layer_size_unbuildable", "problem")["problem"]["layer_sizes"] = [3, 10**400, 2]
+    case("coupled_shape_unbuildable", "problem")["problem"] = {
+        **coupled, "shapes": [[10**400, 2], [2, 2]],
+    }
     case("noise_sigma_string", "noise.sigmas[0]")["noise"] = {"sigmas": ["0.05", 0.05]}
     case("x0_scale_string", "x0.scale")["x0"] = {"kind": "random", "scale": "1"}
     case("target_inf", "config.targets[0]")["targets"] = [float("inf")]
@@ -713,13 +718,19 @@ def test_run_builds_one_smoothness_table_per_variant(tmp_path, monkeypatch):
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
+def load_workloads():
+    """The benchmark's workload module, only read."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 @pytest.mark.parametrize("workload", ["mlp_rpt", "coupled_spectral", "quad_det"])
 def test_run_benchmark_workload_csvs_match_reference_digests(tmp_path, workload):
     # the benchmark files are only read: its workloads at the default seed must
     # reproduce the recorded CSV bytes
-    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     digests = json.loads((BENCHMARKS / "reference_digests.json").read_text())[workload]
     cfg = workloads.make_config(workload, workloads.DEFAULT_SEED)
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
@@ -727,6 +738,17 @@ def test_run_benchmark_workload_csvs_match_reference_digests(tmp_path, workload)
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert got == digests
+
+
+def test_coupled_spectral_problem_builds_without_its_dense_hessian(monkeypatch):
+    # curvature 2 >= 2 * coupling 0.5 on every layer: the block row sums certify PSD
+    def refuse(self):
+        raise AssertionError("the dense Hessian was assembled")
+
+    monkeypatch.setattr(problems.CoupledQuadratic, "_assemble_hessian", refuse)
+    workloads = load_workloads()
+    cfg = workloads.make_config("coupled_spectral", workloads.DEFAULT_SEED)
+    assert cli.build_problem(cfg["problem"]).f_star == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -969,13 +991,23 @@ def without(doc, key):
     ("cost", "table", TABLE3_L0_INF, "error: table.l0[0][2]: must be finite, got inf"),
     ("optimal-probs", "table", TABLE3_L0_INF,
      "table error: table.l0[0][2]: must be finite, got inf"),
+    ("optimal-probs", "table", {**TABLE3, "b": 0}, "table error: table.b: must be >= 1, got 0"),
+    ("cost", "table", {**TABLE3, "l0": TABLE3["l0"] + [[7, 1, 1.0]]},
+     "error: table.l0[6][0]: must be in 1..3, got 7"),
+    ("run", "table", {**TABLE3, "l1": TABLE3["l1"] + [[3, 0, 0.5]]},
+     "config error: config.smoothness_table: cannot load {table}: table.l1[6][1]: must be in "
+     "1..3, got 0"),
+    ("optimal-probs", "table", {**TABLE3, "l0": TABLE3["l0"] + [[3, 4, 1.0]]},
+     "table error: table.l0[6][1]: must be in 1..3, got 4"),
 ], ids=["run_table_list", "optimal_probs_table_list", "cost_table_list", "table_no_l0",
         "table_no_mode", "table_pair", "table_entry_number", "table_mode_rpt", "run_scheme_no_p",
         "cost_scheme_no_p", "marginals_scheme_no_p", "marginals_scheme_no_alpha", "cost_no_c_ov",
         "optimal_probs_cost_no_c_ov", "optimal_probs_cost_no_c_sharp", "cost_list",
         "run_c_sharp_negative", "cost_c_sharp_negative", "optimal_probs_c_zero", "cost_c_inf",
         "optimal_probs_c_ov_nan", "cost_layer_count", "optimal_probs_cost_layer_count",
-        "run_table_l0_inf", "cost_table_l0_inf", "optimal_probs_table_l0_inf"])
+        "run_table_l0_inf", "cost_table_l0_inf", "optimal_probs_table_l0_inf",
+        "optimal_probs_table_b_zero", "cost_table_layer_above_b", "run_table_set_key_zero",
+        "optimal_probs_table_set_key_above_b"])
 def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, bad, doc, message):
     docs = {"scheme": RPT3, "table": TABLE3, "cost": COST3, bad: doc}
     files = {f"--{name}": write_json(tmp_path / f"{name}.json", d) for name, d in docs.items()}

@@ -129,6 +129,57 @@ def test_coupled_rejects_indefinite(path, prefix):
     assert re.fullmatch(re.escape(prefix) + message, str(info.value)), str(info.value)
 
 
+@st.composite
+def coupled_specs(draw):
+    """(shapes, curvatures, coupling, map seed); a curvature may sit on its layer's
+    certificate boundary |coupling| * deg_i, just below it, or on it times (1 + margin)."""
+    b = draw(st.integers(1, 5))
+    dims = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    shapes = draw(st.lists(dims, min_size=b, max_size=b))
+    coupling = draw(st.floats(-4.0, 4.0))
+    curvatures = []
+    for i in range(b):
+        edge = abs(coupling) * ((i > 0) + (i < b - 1))
+        if edge > 0 and draw(st.booleans()):
+            margin = pb.CoupledQuadratic._psd_margin
+            curvatures.append(edge * draw(st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + margin])))
+        else:
+            curvatures.append(draw(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True)))
+    return shapes, curvatures, coupling, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupled_specs())
+@example(([(2, 2)] * 3, [1.0, 1.0, 1.0], 0.6, 0))  # uncertified (1 < 2 * 0.6), yet PSD
+@example(([(2, 2)] * 3, [0.5, 1.0, 0.5], -0.5, 1))  # every curvature on its boundary
+@example(([(1, 1), (2, 1)], [0.99, 0.99], 1.0, 2))  # just below it: min eigenvalue -0.01
+def test_coupled_refuses_iff_the_dense_hessian_is_indefinite(spec):
+    shapes, curvatures, coupling, seed = spec
+    targets = [np.zeros(s) for s in shapes]
+    # the maps do not depend on the coupling: draw them uncoupled, assemble with it
+    ref = pb.CoupledQuadratic(targets, curvatures, 0.0, rng=np.random.default_rng(seed))
+    ref.coupling = coupling
+    indefinite = np.linalg.eigvalsh(ref._assemble_hessian()).min() < -1e-10
+    try:
+        prob = pb.CoupledQuadratic(targets, curvatures, coupling, rng=np.random.default_rng(seed))
+    except ValueError as exc:
+        assert indefinite and "not PSD" in str(exc)
+    else:
+        assert not indefinite and prob.f_star == 0.0
+        assert all(np.array_equal(m, r) for m, r in zip(prob.maps, ref.maps))
+
+
+def test_coupled_uncertified_psd_hessian_is_accepted_by_the_dense_check(monkeypatch):
+    # the middle layer's row sum 1 - 2 * 0.6 < 0 certifies nothing, yet the
+    # smallest eigenvalue is at least 1 - 0.6 * sqrt(2) > 0
+    calls = []
+    assemble = pb.CoupledQuadratic._assemble_hessian
+    monkeypatch.setattr(pb.CoupledQuadratic, "_assemble_hessian",
+                        lambda self: calls.append(self) or assemble(self))
+    prob = pb.CoupledQuadratic([np.zeros((2, 2))] * 3, (1.0, 1.0, 1.0), 0.6)
+    assert calls == [prob] and prob.f_star == 0.0
+
+
 def test_shape_mismatch_raises():
     prob = make_separable(np.random.default_rng(7))
     with pytest.raises(ValueError):
