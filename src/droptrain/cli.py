@@ -252,12 +252,14 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
             and caps_table.l1 is not None:
         try:
             p = costmodel.cutoff_probs(scheme)
-            rho = [math.sqrt(geometry.norm_ratio_squared(*ks)) for ks in zip(norms, problem.shapes)]
-            caps = costmodel.horizon_eta_caps(p, caps_table, iterations, rho).tolist()
         except ValueError:
-            pass  # no cutoff distribution, no caps
-        except KeyError as exc:
-            raise ConfigError("config.smoothness_table", exc.args[0]) from exc
+            p = None  # no cutoff distribution, no caps
+        if p is not None:
+            rho = [math.sqrt(geometry.norm_ratio_squared(*ks)) for ks in zip(norms, problem.shapes)]
+            try:
+                caps = costmodel.horizon_eta_caps(p, caps_table, iterations, rho).tolist()
+            except (KeyError, ValueError) as exc:
+                raise ConfigError("config.smoothness_table", exc.args[0]) from exc
     return VariantPlan(name, scheme, policy, table, weights, caps)
 
 
@@ -531,12 +533,18 @@ def cmd_optimal_probs(args) -> int:
                 }
             )
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     print("p* =", " ".join(f"{x:.6f}" for x in out["p"]))
     print("verdict:", out["verdict"])
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
+
+
+def _input_error(exc: Exception) -> int:
+    """Print ``error:`` and the message of a command's input fault (a KeyError's without
+    its repr quotes); return exit code 2."""
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    return 2
 
 
 def _bad_flag(flag: str, what: str, value) -> int:
@@ -558,8 +566,7 @@ def cmd_cost(args) -> int:
             scheme, cp, table, args.eps, REGIMES[args.regime], delta0=args.delta0
         )
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     print(json.dumps(dataclasses.asdict(breakdown), indent=2, sort_keys=True))
     return 0
 

@@ -336,7 +336,14 @@ class TheoryWeights:
 
 
 def _rpt_matrix(table: SmoothnessTable, which: str = "l0") -> np.ndarray:
-    """Dense (b, b) array M[i-1, s-1] = L_{i,{s..b}} (L0 or L1) for s <= i; 0 elsewhere."""
+    """Dense (b, b) array M[i-1, s-1] = L_{i,{s..b}} (L0 or L1) for s <= i; 0 elsewhere.
+
+    Raises ValueError naming the mode of a table not keyed by cutoff.
+    """
+    if table.mode != TableMode.RPT_CUTOFF:
+        raise ValueError(
+            f"cutoff-keyed constants need an rpt_cutoff-mode table, got {table.mode.value}"
+        )
     b = table.b
     out = np.zeros((b, b))
     for i in range(1, b + 1):
@@ -426,13 +433,13 @@ def horizon_eta_caps(
     b = table.b
     rho = np.broadcast_to(np.asarray(rho_ratio, dtype=float), (b,))
     beta = 1.0 / math.sqrt(horizon + 1)  # the horizon schedule's momentum parameter
+    cum, _, a1 = _l0l1_sums(p, table)  # first: it refuses a table not keyed by cutoff
     # E[max_l L1_{l, S}] over the cutoff draw
     e_max_l1 = sum(
         p[s - 1] * max(table.require(i, s, "l1") for i in range(s, b + 1))
         for s in range(1, b + 1)
         if p[s - 1] > 0
     )
-    cum, _, a1 = _l0l1_sums(p, table)
     caps = np.ones(b)
     for i in range(b):
         if a1[i] <= 0 or e_max_l1 <= 0:
@@ -567,8 +574,6 @@ def smooth_recursion_q(table: SmoothnessTable) -> np.ndarray:
     tight: sum_{s<=i} q_s / (2 L0_{i,{s..b}}) = 1 (mass could otherwise be
     shifted deeper at a strict gain).
     """
-    if table.mode != TableMode.RPT_CUTOFF:
-        raise ValueError("recursion needs an rpt_cutoff-mode table")
     b = table.b
     lmat = _rpt_matrix(table)
     if np.any(lmat[np.tril_indices(b)] <= 0.0):

@@ -51,7 +51,8 @@ the one description of the groups that the plans, the diagnostics, the
 oracle and the momentum read.  ``LayerModel`` stores each group as one
 contiguous (n, m, k) array, at the (group, row) places of its layout, and
 ``model.layers[i - 1]`` is a view of layer i's row: update it in place and
-never rebind it.  ``MomentumState`` stores its buffers by the same layout.
+never rebind it.  ``run`` keeps the momentum buffers as one stack per group
+of the same layout, and beta beside them, as locals of the run.
 Each per-iteration operation runs once per group, not once per layer: the
 gradient dual norms (``geometry.dual_norms``), the momentum update, the LMO
 or sharp step (``geometry.lmos``, ``geometry.sharps``) and the parameter
@@ -93,7 +94,6 @@ from .sampling import _entry, _entry_fault, _json_number, _positive_finite
 
 __all__ = [
     "LayerModel",
-    "MomentumState",
     "SmoothInverse",
     "FixedRadius",
     "HorizonSchedule",
@@ -136,20 +136,6 @@ class LayerModel:
     @property
     def b(self) -> int:
         return len(self.layers)
-
-
-@dataclass
-class MomentumState:
-    """Momentum buffers M_i, one stack per layer group of the model, and the beta in [0, 1]
-    they share.
-
-    ``run``, the only step entry, builds it from M0 and the policy's beta
-    (``FixedRadius`` checks its own; the horizon schedule's lies in (0, 1]),
-    and ``_stoch_step`` updates the active rows in place.
-    """
-
-    stacks: list[np.ndarray]
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -360,12 +346,13 @@ def _raise_gradient_fault(model: LayerModel, grads: Sequence[np.ndarray]) -> NoR
 
 
 def _raise_momentum_fault(
-    model: LayerModel, momentum: MomentumState, plan: _Plan,
+    model: LayerModel, momentum: list[np.ndarray], plan: _Plan,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> NoReturn:
-    """Raise ValueError naming the lowest active layer whose LMO step fails or vanishes."""
+    """Raise ValueError naming the lowest active layer whose LMO step, on the ``momentum``
+    stacks, fails or vanishes."""
     radii = {i: t for st in plan.groups for i, t in zip(st.layers, st.radii.tolist())}
-    m = model.layout.rows(momentum.stacks)
+    m = model.layout.rows(momentum)
     for i, t in sorted(radii.items()):
         try:
             res = geometry.lmos(model.norms[i - 1], m[i - 1][None], [t], ns=ns_config)
@@ -466,14 +453,16 @@ def _samples(
 def _stoch_step(
     model: LayerModel,
     samples: list[np.ndarray],
-    momentum: MomentumState,
+    momentum: list[np.ndarray],
+    beta: float,
     plan: _Plan,
     ns_config: geometry.NewtonSchulzConfig | None,
 ) -> StepReport:
     """One momentum + LMO step on the plan's active rows, once per layer group, in place.
 
     For i not active, M_i and X_i are untouched (bit-identical).  Each
-    group's active rows refresh their momentum from ``samples`` (one stack of
+    group's active rows refresh their rows of ``momentum`` (one stack per
+    layer group) with weight ``beta`` on ``samples`` (one stack of
     stochastic gradient samples per planned group) and move by the radius-t_i
     LMO step, of primal norm exactly t_i on the SVD backend;
     ``ns_config`` switches spectral groups to the Newton-Schulz
@@ -482,10 +471,9 @@ def _stoch_step(
     vanishes for a non-zero momentum (its norm overflows), raises ValueError
     naming the lowest such layer.  ``run``, the only step entry, calls it.
     """
-    beta, m_stacks = momentum.beta, momentum.stacks
     degenerate, applied, failed = set(), {}, False
     for st, sample in zip(plan.groups, samples):
-        x, m, rows = model.stacks[st.index], m_stacks[st.index], st.rows
+        x, m, rows = model.stacks[st.index], momentum[st.index], st.rows
         m[rows] = (1.0 - beta) * m[rows] + beta * sample
         try:
             res = geometry.lmos(st.kind, m[rows], st.radii, ns=ns_config)
@@ -601,7 +589,7 @@ def run(
     f_initial = f_curr
 
     plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
-    momentum = radii = layout = None
+    momentum = radii = layout = None  # momentum: one stack per layer group
     if isinstance(policy, FixedRadius):
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")
@@ -614,17 +602,16 @@ def run(
         full = frozenset(range(1, b + 1))
         plans[full] = _plan(model, full, radii, layout)
         m0 = _samples(grads, plans[full], layout, sampling.stream(seed, INIT_STREAM))
-        # copied, so that M0 shares no row with grads
-        momentum = MomentumState([np.array(m, dtype=float) for m in m0], beta)
+        momentum = [np.array(m, dtype=float) for m in m0]  # copied: M0 shares no row with grads
 
     reports: list[StepReport] = []
     for k in range(iterations):
         rng = sampling.stream(seed, k + 1)
-        scheme_k = scheme
-        if isinstance(scheme, sampling.EpochShiftRpt):
-            scheme_k = scheme.at(k / iterations)
-        active = sampling.sample(scheme_k, rng)
         try:
+            scheme_k = scheme
+            if isinstance(scheme, sampling.EpochShiftRpt):
+                scheme_k = scheme.at(k / iterations)
+            active = sampling.sample(scheme_k, rng)
             norms_map, norms = _dual_norms(model, grads)
             plan = plans.get(active)
             if plan is None:
@@ -637,7 +624,8 @@ def run(
                 report = StepReport(active=active, applied=applied)
             else:
                 report = _stoch_step(
-                    model, _samples(grads, plan, layout, rng), momentum, plan, newton_schulz_cfg
+                    model, _samples(grads, plan, layout, rng), momentum, beta, plan,
+                    newton_schulz_cfg,
                 )
             report.grad_dual_norms = norms_map
             report.k = k
@@ -651,7 +639,7 @@ def run(
         if on_step is not None:
             on_step(StepView(
                 report, _read_only(model.layout, model.stacks),
-                None if momentum is None else _read_only(model.layout, momentum.stacks),
+                None if momentum is None else _read_only(model.layout, momentum),
                 _read_only(model.layout, grads),
             ))
         reports.append(report)

@@ -14,12 +14,12 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   curvatures and ``|coupling|``).  The same row sums certify the Hessian
   PSD at construction; only when they cannot, or a tilt needs the solve for
   f*, is the dense Hessian assembled.
-* ``TinyMlp`` -- a small dense network with manual backpropagation, a
-  truncated backward pass (gradients only for layers >= s), and
-  ``value_and_grad_from_prefix``, which takes a frozen prefix's activations
-  from the caller's previous pass and counts the multiply-accumulate
-  operations it spends on the rest.  The network keeps no activations of
-  its own: the oracle that runs the passes owns them.
+* ``TinyMlp`` -- a small dense network with manual backpropagation.  Its
+  one pass, ``_pass(layers, prefix, first_layer)``, runs the forward on
+  from a given activation prefix, backpropagates down to ``first_layer``
+  and counts the multiply-accumulate operations it spends.  The network
+  keeps no activations of its own: its stacked oracle owns those of its
+  last pass and hands the frozen prefix to the next.
 
 ``Layout`` is the one description of how layers sit in group stacks: it
 groups the layers by one key per layer whose first item is the layer's shape
@@ -228,9 +228,10 @@ class _CoupledStacks:
 class _MlpPasses:
     """A ``TinyMlp``'s passes on layer stacks; it owns the activations of the last pass.
 
-    Each call is one ``value_and_grad_from_prefix`` call through the network
-    instance, on per-layer views of the stacks, reusing the frozen prefix of
-    the previous call's activations; the gradients are stacked once per group.
+    Each call is one ``TinyMlp._pass`` on per-layer views of the stacks, from
+    the frozen prefix a_0..a_frozen of the previous call's activations, which
+    the caller guarantees are unchanged since -- nothing compares them; the
+    backward is full and the gradients are stacked once per group.
     """
 
     def __init__(self, mlp: "TinyMlp", layout: Layout) -> None:
@@ -239,9 +240,13 @@ class _MlpPasses:
         self._acts = None
 
     def __call__(self, stacks: list[np.ndarray], frozen: int):
-        f, grads, self._acts, macs = self._mlp.value_and_grad_from_prefix(
-            self._layout.rows(stacks), self._acts, frozen
-        )
+        mlp = self._mlp
+        if not 0 <= frozen < mlp.b:
+            raise ValueError(f"frozen must be in [0, {mlp.b}), got {frozen}")
+        if frozen and self._acts is None:
+            raise ValueError("reusing a prefix needs the activations of an earlier pass")
+        prefix = self._acts[: frozen + 1] if frozen else [mlp.inputs]
+        f, grads, self._acts, macs = mlp._pass(self._layout.rows(stacks), prefix, 1)
         return f, self._layout.stack(grads), macs
 
 
@@ -455,7 +460,7 @@ class NoiseSpec:
 
 
 class TinyMlp:
-    """Dense network with manual backprop, truncated backward, and prefix reuse.
+    """Dense network with manual backprop; one pass serves the reference and the oracle.
 
     Layer l computes z_l = W_l a_{l-1}; hidden layers apply tanh (default) or
     relu, the last layer is linear, and the loss is mean squared error against
@@ -559,42 +564,13 @@ class TinyMlp:
         loss, grads, _, _ = self._pass(layers, [self.inputs], 1)
         return loss, grads
 
-    def truncated_grad(
-        self, layers: Sequence[np.ndarray], first_layer: int
-    ) -> tuple[float, list[np.ndarray]]:
-        """Loss and gradients for layers >= first_layer (1-based); prefix gradients skipped.
-
-        Backpropagation runs from the output down to ``first_layer`` only; the
-        computed slices are bit-identical to the full pass because the shared
-        recursion is evaluated in the same order.
-        """
-        if not 1 <= first_layer <= self.b:
-            raise ValueError(f"first_layer must be in [1, {self.b}], got {first_layer}")
-        loss, grads, _, _ = self._pass(layers, [self.inputs], first_layer)
-        return loss, grads
-
-    def value_and_grad_from_prefix(
-        self, layers: Sequence[np.ndarray], acts: list[np.ndarray] | None, frozen: int
-    ) -> tuple[float, list[np.ndarray], list[np.ndarray], int]:
-        """(loss, all b gradients, activations, MACs spent), reusing ``frozen`` layers.
-
-        ``acts`` are the activations this returned for an earlier pass (None
-        before the first); the caller guarantees that layers 1..frozen are
-        unchanged since -- nothing compares them -- so only layers > frozen
-        are recomputed.  The backward is full.
-        """
-        if not 0 <= frozen < self.b:
-            raise ValueError(f"frozen must be in [0, {self.b}), got {frozen}")
-        if frozen and (acts is None or len(acts) != self.b):
-            raise ValueError("reusing a prefix needs the activations of an earlier pass")
-        return self._pass(layers, acts[: frozen + 1] if frozen else [self.inputs], 1)
-
     def stacked_oracle(self, layout: Layout):
         """``(stacks, frozen) -> (f, gradient stacks, MACs)`` on one stack per group of ``layout``.
 
-        Each call is a ``value_and_grad_from_prefix`` pass that reuses the
-        activations of the oracle's previous pass for layers 1..frozen, which
-        the caller guarantees are unchanged since; the backward is full.
+        Each call is a full-backward pass that reuses the activations of the
+        oracle's previous pass for layers 1..frozen, which the caller
+        guarantees are unchanged since; ``frozen`` must be in [0, b), and
+        above 0 only after a first pass.
         """
         layout.check(self.shapes)
         return _MlpPasses(self, layout)

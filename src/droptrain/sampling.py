@@ -41,6 +41,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -188,6 +189,9 @@ class FullNetwork:
             raise ValueError("b must be >= 1")
 
 
+_EXPONENT_MARGIN = 1e-9  # relative rounding of an epoch-shift exponent's bracket
+
+
 @dataclass(frozen=True)
 class EpochShiftRpt:
     """RPT whose cutoff distribution drifts with training progress.
@@ -196,6 +200,10 @@ class EpochShiftRpt:
     the optimizer recomputes it each iteration from progress = k / K.  The
     static scheme operations (sample, marginals, distribution) need a progress
     value, so call ``at`` first.
+
+    alpha must be finite, and so must the largest exponent magnitude,
+    |alpha| * (b - 1) at progress 0 and 1, with a margin for its rounding;
+    beyond that the weights overflow there.
     """
 
     b: int
@@ -206,6 +214,11 @@ class EpochShiftRpt:
             raise ValueError("b must be >= 1")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        scale = math.fabs(self.alpha) * (1.0 + _EXPONENT_MARGIN)
+        if scale and self.b - 1 > sys.float_info.max / scale:  # an exact int-float comparison
+            raise ValueError(
+                f"|alpha| * (b - 1) must be finite, got alpha {self.alpha} with b = {self.b}"
+            )
 
     def at(self, progress: float) -> "Rpt":
         return Rpt(tuple(epoch_shift_probs(self.b, self.alpha, progress)))

@@ -138,19 +138,21 @@ def test_criterion_8_mlp_truncated_backward_and_cache():
     slices_ok = True
     worst = 0.0
     for s in range(1, mlp.b + 1):
-        _, partial = mlp.truncated_grad(x, s)
+        _, partial, _, _ = mlp._pass(x, [mlp.inputs], s)
         for offset, grad in enumerate(partial):
             err = float(np.max(np.abs(grad - full[s - 1 + offset])))
             worst = max(worst, err)
             if err > 1e-12:
                 slices_ok = False
 
-    # cached-prefix half: the pass ``droptrain run`` makes after a step that
-    # left layers 1..frozen untouched
+    # cached-prefix half: the oracle pass ``droptrain run`` makes after a step
+    # that left layers 1..frozen untouched
     n = mlp.inputs.shape[1]
     layer_macs = [w.size * n for w in mlp.weights]  # out_l * in_l * N
     loss_macs = mlp.weights[-1].shape[0] * n
-    _, _, acts, full_macs = mlp.value_and_grad_from_prefix(x, None, 0)
+    layout = pb.Layout([(w.shape,) for w in mlp.weights])
+    oracle = mlp.stacked_oracle(layout)
+    _, _, full_macs = oracle(layout.stack(x), 0)
     macs_ok = full_macs == sum(layer_macs) + loss_macs
     equal_ok = True
     spent = {}
@@ -158,7 +160,9 @@ def test_criterion_8_mlp_truncated_backward_and_cache():
         x2 = [w.copy() for w in x]
         for l in range(frozen, mlp.b):
             x2[l] += 0.01
-        loss, grads, _, macs = mlp.value_and_grad_from_prefix(x2, acts, frozen)
+        loss, grad_stacks, macs = oracle(layout.stack(x2), frozen)
+        oracle(layout.stack(x), 0)  # back at x: the next pass reuses these activations
+        grads = layout.rows(grad_stacks)
         plain_loss, plain_grads = mlp.value_and_grad(x2)
         spent[frozen] = macs
         macs_ok = macs_ok and macs == sum(layer_macs[frozen:]) + loss_macs and macs < full_macs

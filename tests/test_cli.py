@@ -941,7 +941,15 @@ COST3 = {"c_ov": 1.0, "c": [1, 1, 1], "c_sharp": [0, 0, 0]}
 TABLE2 = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0]]).to_dict()
 COST2 = {"c_ov": 1.0, "c": [1, 1], "c_sharp": [0, 0]}
 EPOCH3 = {"kind": "epoch_shift", "b": 3, "alpha": 0.5}
+EPOCH3_OVERFLOWING = {"kind": "epoch_shift", "b": 3, "alpha": 1e308}
+ALPHA_OVERFLOWS = "|alpha| * (b - 1) must be finite, got alpha 1e+308 with b = 3"
 TABLE3_L0_INF = {**TABLE3, "l0": [[1, 1, float("inf")]] + TABLE3["l0"][1:]}
+TABLE3_NO_L0_22 = {**TABLE3, "l0": [e for e in TABLE3["l0"] if e[:2] != [2, 2]]}
+PARTITION3 = cm.SmoothnessTable(
+    cm.TableMode.PARTITION, 3, {(1, 1): 1.0, (2, 2): 2.0, (3, 3): 1.0},
+    {(1, 1): 0.5, (2, 2): 0.5, (3, 3): 0.5},
+).to_dict()
+PARTITION_MODE = "cutoff-keyed constants need an rpt_cutoff-mode table, got partition"
 
 
 def without(doc, key):
@@ -999,6 +1007,14 @@ def without(doc, key):
      "1..3, got 0"),
     ("optimal-probs", "table", {**TABLE3, "l0": TABLE3["l0"] + [[3, 4, 1.0]]},
      "table error: table.l0[6][1]: must be in 1..3, got 4"),
+    ("run", "scheme", EPOCH3_OVERFLOWING,
+     f"config error: config.variants[1].scheme: {ALPHA_OVERFLOWS}"),
+    ("marginals", "scheme", EPOCH3_OVERFLOWING, f"scheme error: {ALPHA_OVERFLOWS}"),
+    ("optimal-probs", "table", PARTITION3, f"error: {PARTITION_MODE}"),
+    ("cost", "table", TABLE3_NO_L0_22,
+     "error: missing smoothness constant L0 for layer 2, set key 2"),
+    ("optimal-probs", "table", TABLE3_NO_L0_22,
+     "error: missing smoothness constant L0 for layer 2, set key 2"),
 ], ids=["run_table_list", "optimal_probs_table_list", "cost_table_list", "table_no_l0",
         "table_no_mode", "table_pair", "table_entry_number", "table_mode_rpt", "run_scheme_no_p",
         "cost_scheme_no_p", "marginals_scheme_no_p", "marginals_scheme_no_alpha", "cost_no_c_ov",
@@ -1007,7 +1023,9 @@ def without(doc, key):
         "optimal_probs_c_ov_nan", "cost_layer_count", "optimal_probs_cost_layer_count",
         "run_table_l0_inf", "cost_table_l0_inf", "optimal_probs_table_l0_inf",
         "optimal_probs_table_b_zero", "cost_table_layer_above_b", "run_table_set_key_zero",
-        "optimal_probs_table_set_key_above_b"])
+        "optimal_probs_table_set_key_above_b", "run_alpha_overflows", "marginals_alpha_overflows",
+        "optimal_probs_partition_table", "cost_table_missing_constant",
+        "optimal_probs_table_missing_constant"])
 def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, bad, doc, message):
     docs = {"scheme": RPT3, "table": TABLE3, "cost": COST3, bad: doc}
     files = {f"--{name}": write_json(tmp_path / f"{name}.json", d) for name, d in docs.items()}
@@ -1031,6 +1049,28 @@ def test_reader_faults_name_their_field_with_exit_2(tmp_path, capsys, command, b
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message.replace("{table}", files["--table"]) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_epoch_shift_alpha_is_refused_before_any_weight(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", EPOCH3_OVERFLOWING)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["marginals", "--scheme", path, "--draws", "100", "--seed", "0"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"scheme error: {ALPHA_OVERFLOWS}\n"
+
+
+def test_horizon_caps_name_a_partition_tables_mode(tmp_path, capsys):
+    cfg = base_config()
+    cfg["variants"][1]["policy"] = {"kind": "horizon"}
+    cfg["smoothness_table"] = write_json(tmp_path / "t.json", PARTITION3)
+    argv = ["run", "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: config.smoothness_table: {PARTITION_MODE}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -337,6 +337,23 @@ def test_l0l1_scale_invariance_eps_regime():
     assert s2.value == pytest.approx(3.0 * s1.value, rel=1e-9)
 
 
+PARTITION3 = SmoothnessTable(
+    TableMode.PARTITION, 3, {(1, 1): 1.0, (2, 2): 2.0, (3, 3): 1.0},
+    {(1, 1): 0.5, (2, 2): 0.5, (3, 3): 0.5},
+)
+
+
+@pytest.mark.parametrize("read", [
+    lambda t: cm.optimal_rpt_probs_l0l1(t, CostParams(1.0, (1.0,) * 3, (0.0,) * 3), "eps"),
+    lambda t: cm.horizon_eta_caps([0.5, 0.3, 0.2], t, 10),
+    cm.optimal_rpt_probs_smooth,
+], ids=["l0l1_solver", "horizon_caps", "smooth_recursion"])
+def test_cutoff_keyed_reads_name_a_partition_tables_mode(read):
+    message = "^cutoff-keyed constants need an rpt_cutoff-mode table, got partition$"
+    with pytest.raises(ValueError, match=message):
+        read(PARTITION3)
+
+
 def test_l0l1_dimension_limit():
     big = SmoothnessTable.from_rpt_rows(
         [[1.0] * i for i in range(1, 10)], [[1.0] * i for i in range(1, 10)]

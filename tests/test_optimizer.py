@@ -780,17 +780,33 @@ MLP_SCHEMES = {
 }
 
 
+def test_a_sampling_fault_names_its_iteration(monkeypatch):
+    prob = scalar_quadratic(np.random.default_rng(3))
+    scheme = sp.EpochShiftRpt(3, 1.0)
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 3)
+
+    def refusing(scheme, rng):
+        raise ValueError("no draw")
+
+    monkeypatch.setattr(sp, "sample", refusing)
+    with pytest.raises(ValueError, match=r"^iteration 0: no draw$"):
+        op.run(prob, scheme, op.SmoothInverse(), 5, 0, table=table)
+
+
 def recording_prefix_passes(prob):
-    """Wraps the problem's prefix-reusing pass; returns the list it records into."""
+    """Wraps the network's one pass, ``TinyMlp._pass``; returns the list it records into.
+
+    Each record is (frozen, f, gradients, MACs); delete ``prob._pass`` to stop recording.
+    """
     passes = []
-    reuse = prob.value_and_grad_from_prefix
+    run_pass = prob._pass
 
-    def recording(layers, acts, frozen):
-        f, grads, new_acts, macs = reuse(layers, acts, frozen)
-        passes.append((frozen, f, [g.copy() for g in grads], macs))
-        return f, grads, new_acts, macs
+    def recording(layers, prefix, first_layer):
+        f, grads, acts, macs = run_pass(layers, prefix, first_layer)
+        passes.append((len(prefix) - 1, f, [g.copy() for g in grads], macs))
+        return f, grads, acts, macs
 
-    prob.value_and_grad_from_prefix = recording
+    prob._pass = recording
     return passes
 
 
@@ -818,6 +834,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
         prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=table, noise=noise,
         on_step=lambda view: iterates.append([x.copy() for x in view.layers]),
     )
+    del prob._pass  # the reference passes below go through it too
     assert len(passes) == len(iterates) == 21
     for (_, f, grads, _), layers in zip(passes, iterates):
         f_ref, grads_ref = prob.value_and_grad(layers)

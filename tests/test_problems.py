@@ -598,17 +598,10 @@ def test_truncated_backward_bit_identical_slices():
     x = [w + 0.2 * rng.standard_normal(w.shape) for w in mlp.weights]
     _, full = mlp.value_and_grad(x)
     for s in range(1, mlp.b + 1):
-        loss, partial = mlp.truncated_grad(x, s)
+        loss, partial, _, _ = mlp._pass(x, [mlp.inputs], s)
         assert len(partial) == mlp.b - s + 1
         for offset, g in enumerate(partial):
             np.testing.assert_array_equal(g, full[s - 1 + offset])
-
-
-@pytest.mark.parametrize("first_layer", [0, -1, 4])
-def test_truncated_grad_rejects_first_layer_out_of_range(first_layer):
-    mlp = pb.TinyMlp.synthetic([3, 4, 3, 2], n_samples=8, seed=14)
-    with pytest.raises(ValueError, match=r"first_layer must be in \[1, 3\]"):
-        mlp.truncated_grad(mlp.weights, first_layer)
 
 
 def reference_mlp_value_and_grad(mlp, layers):
@@ -647,7 +640,7 @@ def test_backward_from_stored_activations_matches_phi_prime_of_z(activation):
         for g, g_ref in zip(grads, grads_ref):
             np.testing.assert_array_equal(g, g_ref)
         for s in range(1, mlp.b + 1):
-            _, partial = mlp.truncated_grad(x, s)
+            _, partial, _, _ = mlp._pass(x, [mlp.inputs], s)
             for g, g_ref in zip(partial, grads_ref[s - 1 :]):
                 np.testing.assert_array_equal(g, g_ref)
 
@@ -655,8 +648,11 @@ def test_backward_from_stored_activations_matches_phi_prime_of_z(activation):
 @pytest.mark.parametrize("frozen", [0, 1, 2])
 def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=23)
+    layout = pb.Layout([(w.shape,) for w in mlp.weights])
+    oracle = mlp.stacked_oracle(layout)
     x = [w.copy() for w in mlp.weights]
-    f0, grads0, acts, macs0 = mlp.value_and_grad_from_prefix(x, None, 0)
+    f0, stacks0, macs0 = oracle(layout.stack(x), 0)
+    grads0 = layout.rows(stacks0)
     f0_ref, grads0_ref = mlp.value_and_grad(x)
     assert f0 == f0_ref
     for g, g_ref in zip(grads0, grads0_ref):
@@ -665,7 +661,8 @@ def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     assert macs0 == sum(layer_macs) + 3 * 16
     for l in range(frozen, mlp.b):  # layers 1..frozen stay as they were
         x[l] += 0.05
-    f, grads, _, macs = mlp.value_and_grad_from_prefix(x, acts, frozen)
+    f, stacks, macs = oracle(layout.stack(x), frozen)
+    grads = layout.rows(stacks)
     f_ref, grads_ref = mlp.value_and_grad(x)
     assert f == f_ref and f != f0
     assert len(grads) == mlp.b
@@ -674,9 +671,25 @@ def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     assert macs == sum(layer_macs[frozen:]) + 3 * 16
     assert frozen == 0 or macs < macs0
     with pytest.raises(ValueError, match="frozen must be in"):
-        mlp.value_and_grad_from_prefix(x, acts, 3)
+        oracle(layout.stack(x), 3)
     with pytest.raises(ValueError, match="activations of an earlier pass"):
-        mlp.value_and_grad_from_prefix(x, None, 1)
+        mlp.stacked_oracle(layout)(layout.stack(x), 1)
+
+
+def test_mlp_oracle_refuses_a_prefix_it_cannot_reuse_and_keeps_its_activations():
+    mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=23)
+    layout = pb.Layout([(w.shape,) for w in mlp.weights])
+    stacks = layout.stack(mlp.weights)
+    oracle = mlp.stacked_oracle(layout)
+    message = "^reusing a prefix needs the activations of an earlier pass$"
+    with pytest.raises(ValueError, match=message):
+        oracle(stacks, 1)
+    f_full, _, _ = oracle(stacks, 0)
+    for frozen in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^frozen must be in \[0, 3\), got {frozen}$"):
+            oracle(stacks, frozen)
+    f, _, macs = oracle(stacks, 2)  # the refused calls left the first pass's activations
+    assert f == f_full and macs == 3 * 5 * 16 + 3 * 16
 
 
 def test_relu_activation_gradients_close():

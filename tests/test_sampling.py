@@ -87,6 +87,42 @@ def test_epoch_shift_refuses_a_non_finite_alpha(bad):
         sp.EpochShiftRpt(3, bad)
 
 
+def largest_accepted_alpha(b):
+    """The largest alpha that ``EpochShiftRpt(b, alpha)`` accepts, by bisection on float bits."""
+    def value(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, np.finfo(float).max))
+    while hi - lo > 1:  # positive floats order as their bit patterns do
+        mid = (lo + hi) // 2
+        try:
+            sp.EpochShiftRpt(b, value(mid))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return value(lo)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 64])
+def test_epoch_shift_largest_accepted_alpha_gives_finite_probabilities(b):
+    alpha = largest_accepted_alpha(b)
+    with pytest.raises(ValueError, match=r"^\|alpha\| \* \(b - 1\) must be finite, got alpha "):
+        sp.EpochShiftRpt(b, -math.nextafter(alpha, math.inf))
+    for a in (alpha, -alpha):
+        for progress in (0.0, 0.5, 1.0):
+            with np.errstate(over="raise", invalid="raise"):  # underflow to 0 is fine
+                p = sp.EpochShiftRpt(b, a).at(progress).p
+            assert np.all(np.isfinite(p)) and abs(sum(p) - 1.0) <= 1e-12
+
+
+def test_epoch_shift_refuses_an_alpha_whose_weights_overflow():
+    with pytest.raises(ValueError, match=r"^\|alpha\| \* \(b - 1\) must be finite, "
+                                         r"got alpha 1e\+308 with b = 3$"):
+        sp.EpochShiftRpt(3, 1e308)
+    assert sp.EpochShiftRpt(1, np.finfo(float).max).at(0.5).p == (1.0,)  # one layer: no exponent
+    assert sp.EpochShiftRpt(10**400, 0.0).alpha == 0.0  # b beyond the float range, compared exactly
+
+
 def test_tau_bounds():
     with pytest.raises(ValueError):
         sp.TauNice(3, 0)

@@ -47,8 +47,8 @@ def test_stochastic_suite_reports_a_moved_frozen_layer_as_fail(monkeypatch, caps
     # check (c) folds the frozen-layer invariant into its result instead of asserting
     stoch_step = optimizer._stoch_step
 
-    def moving_frozen_layers(model, samples, momentum, plan, ns_config):
-        report = stoch_step(model, samples, momentum, plan, ns_config)
+    def moving_frozen_layers(model, samples, momentum, beta, plan, ns_config):
+        report = stoch_step(model, samples, momentum, beta, plan, ns_config)
         for i in range(1, model.b + 1):
             if i not in plan.active:
                 model.layers[i - 1] += 1.0
@@ -76,12 +76,13 @@ def scaled_lmo_steps(monkeypatch, factor):
 
 def stale_mlp_prefix(monkeypatch):
     """Mutate the MLP oracle: each pass reuses one activation layer more than is frozen."""
-    reuse = problems.TinyMlp.value_and_grad_from_prefix
+    call = problems._MlpPasses.__call__
 
-    def one_too_many(self, layers, acts, frozen):
-        return reuse(self, layers, acts, frozen if acts is None else min(frozen + 1, self.b - 1))
+    def one_too_many(self, stacks, frozen):
+        b = self._mlp.b
+        return call(self, stacks, frozen if self._acts is None else min(frozen + 1, b - 1))
 
-    monkeypatch.setattr(problems.TinyMlp, "value_and_grad_from_prefix", one_too_many)
+    monkeypatch.setattr(problems._MlpPasses, "__call__", one_too_many)
 
 
 @pytest.mark.parametrize("mutate, suite, name", [
