@@ -22,11 +22,14 @@ forward MACs (or None); it never calls ``value_and_grad``.  ``TinyMlp``'s
 oracle keeps the activations of its last pass and recomputes only layers
 >= min S, since a step writes only its active layers.  That gradient feeds
 the diagnostics, the deterministic step and the stochastic sample, which
-adds noise to the active rows only (to every row for M0), drawn as
-``problems.stoch_grad`` draws it: one ``standard_normal`` call over every
-noisy layer, in layer order.  The only diagnostics are f and the gradient
-dual norms; momentum errors ||M_i - grad_i||_dual are left to ``verify``,
-whose descent-lemma check reads the momentum through ``on_step``.
+adds noise to the active rows only (to every row for M0).  An iteration's
+noise is one ``standard_normal`` call over every noisy layer, active or not,
+in layer order, laid out by ``NoiseSpec.layout``; a plan lists each noisy
+active row with its offset and scale in that draw, and the row adds its own
+slice, the numbers ``problems.stoch_grad`` draws layer by layer.  The only
+diagnostics are f and the gradient dual norms; momentum errors
+||M_i - grad_i||_dual are left to ``verify``, whose descent-lemma check reads
+the momentum through ``on_step``.
 
 What an active set determines -- each group's active rows and layers, their
 radii, noise offsets and scales, the smoothness-table key and the stepsizes
@@ -237,15 +240,6 @@ class RunResult:
     f_initial: float
 
 
-class _Noise(NamedTuple):
-    """Where a group's noisy active rows take their noise from the iteration's one draw."""
-
-    rows: list[int] | None  # positions among the group's active rows; None for all of them
-    at: slice | np.ndarray  # their entries of the draw, in row order
-    shape: tuple[int, ...]  # (noisy rows, m, k)
-    scales: np.ndarray  # (noisy rows, 1, 1): sigma_i / sqrt(size_i)
-
-
 @dataclass
 class _GroupStep:
     """One layer group's share of an active set's plan: its active rows and what they take."""
@@ -255,7 +249,6 @@ class _GroupStep:
     rows: slice | list[int]
     layers: list[int]
     radii: np.ndarray | None = None  # t_i of the rows (stochastic path)
-    noise: _Noise | None = None
     gammas: np.ndarray | None = None  # (n, 1, 1) stepsizes 1/L0 (table without L1)
     l0: np.ndarray | None = None  # L0 and L1 of the rows (table with L1)
     l1: np.ndarray | None = None
@@ -267,24 +260,9 @@ class _Plan:
 
     active: frozenset[int]
     groups: list[_GroupStep]  # the groups with active members, in model order
+    noise: list[tuple[int, int, int, float]]  # (group, row, offset, scale) of each noisy row
+    draw: int  # the length of the iteration's one noise draw
     applied: dict[int, float] | None = None  # stepsizes 1/L0 (table without L1), in layer order
-
-
-def _noise_of(model: LayerModel, st: _GroupStep, layout: tuple) -> _Noise | None:
-    """The noise of a group's active rows under ``layout`` (``NoiseSpec.layout``)."""
-    offsets, scales, _ = layout
-    noisy = [j for j, i in enumerate(st.layers) if offsets[i - 1] is not None]
-    if not noisy:
-        return None
-    shape = (len(noisy),) + model.layout.shapes[st.index]
-    size = math.prod(shape[1:])
-    starts = [offsets[st.layers[j] - 1] for j in noisy]
-    if starts == list(range(starts[0], starts[0] + len(starts) * size, size)):
-        at = slice(starts[0], starts[0] + len(starts) * size)  # consecutive: a view
-    else:
-        at = (np.array(starts)[:, None] + np.arange(size)).ravel()
-    column = np.array([scales[st.layers[j] - 1] for j in noisy])[:, None, None]
-    return _Noise(None if len(noisy) == len(st.layers) else noisy, at, shape, column)
 
 
 def _plan(
@@ -293,18 +271,26 @@ def _plan(
     radii: np.ndarray | None = None,
     layout: tuple | None = None,
 ) -> _Plan:
-    """Each group's active rows, with their radii and, under ``layout``, their noise."""
-    steps = []
+    """Each group's active rows with their radii and, under ``layout`` (``NoiseSpec.layout``),
+    the noise entries of its noisy rows.
+
+    An entry is (the group's place among the planned groups, the row's place
+    among the group's active rows, its offset into the iteration's one draw,
+    sigma_i / sqrt(size_i)).
+    """
+    offsets, scales, draw = layout if layout is not None else ([None] * model.b, None, 0)
+    steps, noise = [], []
     for index, (_, kind) in enumerate(model.layout.keys):
         rows, layers = model.layout.active_rows(index, active)
-        if layers:
-            steps.append(_GroupStep(index, kind, rows, layers))
-    for st in steps:
-        if radii is not None:
-            st.radii = radii[[i - 1 for i in st.layers]]
-        if layout is not None:
-            st.noise = _noise_of(model, st, layout)
-    return _Plan(active, steps)
+        if not layers:
+            continue
+        noise += [
+            (len(steps), j, offsets[i - 1], scales[i - 1])
+            for j, i in enumerate(layers) if offsets[i - 1] is not None
+        ]
+        group_radii = None if radii is None else radii[[i - 1 for i in layers]]
+        steps.append(_GroupStep(index, kind, rows, layers, group_radii))
+    return _Plan(active, steps, noise, draw)
 
 
 def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: dict[int, float]) -> None:
@@ -429,24 +415,22 @@ def _det_step(
     return applied
 
 
-def _samples(
-    grads: list[np.ndarray], plan: _Plan, layout: tuple | None, rng: np.random.Generator
-) -> list[np.ndarray]:
+def _samples(grads: list[np.ndarray], plan: _Plan, rng: np.random.Generator) -> list[np.ndarray]:
     """The stochastic gradient sample of each planned group's rows: its exact gradient
-    rows plus, on noisy rows, their share of ``problems.stoch_grad``'s one draw."""
-    draws = rng.standard_normal(layout[2]) if layout is not None and layout[2] else None
-    out = []
-    for st in plan.groups:
-        sample = grads[st.index][st.rows]
-        if st.noise is not None:
-            noise = st.noise
-            z = draws[noise.at].reshape(noise.shape)
-            if noise.rows is None:
-                sample = sample + noise.scales * z
-            else:
-                sample = sample.copy()
-                sample[noise.rows] += noise.scales * z
-        out.append(sample)
+    rows plus, on each noisy row, that layer's share of ``problems.stoch_grad``'s draws.
+
+    The noise of every noisy layer, active or not, is one ``standard_normal``
+    draw, in layer order.  A group with a noisy row is copied; the others
+    are views of ``grads``.
+    """
+    out = [grads[st.index][st.rows] for st in plan.groups]
+    if plan.draw:
+        z = rng.standard_normal(plan.draw)
+        for g in {entry[0] for entry in plan.noise}:
+            out[g] = out[g].copy()
+        for g, j, start, scale in plan.noise:
+            row = out[g][j]
+            row += scale * z[start : start + row.size].reshape(row.shape)
     return out
 
 
@@ -601,7 +585,7 @@ def run(
             layout = noise.layout([x.size for x in model.layers])
         full = frozenset(range(1, b + 1))
         plans[full] = _plan(model, full, radii, layout)
-        m0 = _samples(grads, plans[full], layout, sampling.stream(seed, INIT_STREAM))
+        m0 = _samples(grads, plans[full], sampling.stream(seed, INIT_STREAM))
         momentum = [np.array(m, dtype=float) for m in m0]  # copied: M0 shares no row with grads
 
     reports: list[StepReport] = []
@@ -612,7 +596,7 @@ def run(
             if isinstance(scheme, sampling.EpochShiftRpt):
                 scheme_k = scheme.at(k / iterations)
             active = sampling.sample(scheme_k, rng)
-            norms_map, norms = _dual_norms(model, grads)
+            norms_map, group_norms = _dual_norms(model, grads)
             plan = plans.get(active)
             if plan is None:
                 plan = _plan(model, active, radii, layout)
@@ -620,11 +604,11 @@ def run(
                     _plan_stepsizes(plan, table, norms_map)
                 plans[active] = plan
             if deterministic:
-                applied = _det_step(model, grads, norms, plan)
+                applied = _det_step(model, grads, group_norms, plan)
                 report = StepReport(active=active, applied=applied)
             else:
                 report = _stoch_step(
-                    model, _samples(grads, plan, layout, rng), momentum, beta, plan,
+                    model, _samples(grads, plan, rng), momentum, beta, plan,
                     newton_schulz_cfg,
                 )
             report.grad_dual_norms = norms_map
@@ -634,7 +618,8 @@ def run(
             if not math.isfinite(f_curr):
                 raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:
-            raise type(exc)(f"iteration {k}: {exc}") from exc
+            message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+            raise type(exc)(f"iteration {k}: {message}") from exc
         report.f_after = f_curr
         if on_step is not None:
             on_step(StepView(

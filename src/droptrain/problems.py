@@ -42,10 +42,11 @@ shape, built once per instance.
 ``stoch_grad`` turns gradients the caller already holds into a stochastic
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
 Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
-It draws the noise of every noisy layer, in layer order, in one call, laid
-out by ``NoiseSpec.layout``.  ``optimizer.run`` does not call it: it adds the
-same noise, by the same layout, to the rows of its gradient stacks, so
-``stoch_grad`` is the per-layer reference that ``verify`` and the tests
+Each noisy layer draws its own ``standard_normal`` of its shape, in layer
+order.  ``optimizer.run`` does not call it: it draws the same numbers in one
+call, laid out by ``NoiseSpec.layout``, and adds each active row's slice to
+the rows of its gradient stacks.  ``stoch_grad`` shares none of that offset
+arithmetic, and is the per-layer reference that ``verify`` and the tests
 compare against.
 """
 
@@ -587,18 +588,17 @@ def stoch_grad(
 ) -> list[np.ndarray]:
     """Unbiased stochastic gradient: the exact ``grads`` plus per-layer Gaussian noise.
 
-    One ``standard_normal`` call draws the noise of every layer with a
-    non-zero sigma, in layer order, which gives the same numbers as one call
-    per layer; a zero sigma draws nothing and returns that layer's gradient
-    unchanged.
+    Each layer with a non-zero sigma draws ``rng.standard_normal`` of its
+    shape, in layer order, scaled by sigma_i / sqrt(size_i); a zero sigma
+    draws nothing and returns that layer's gradient unchanged.
     """
     if noise is None:
         return list(grads)
-    offsets, scales, length = noise.layout([g.size for g in grads])
-    draws = rng.standard_normal(length) if length else None
+    if len(noise.sigmas) != len(grads):
+        raise ValueError("need one sigma per layer")
     return [
-        g if start is None else g + scale * draws[start : start + g.size].reshape(g.shape)
-        for g, start, scale in zip(grads, offsets, scales)
+        g + sigma / math.sqrt(g.size) * rng.standard_normal(g.shape) if sigma else g
+        for g, sigma in zip(grads, noise.sigmas)
     ]
 
 
@@ -677,7 +677,7 @@ def _mlp_secant_estimates(mlp: TinyMlp, samples: int) -> np.ndarray:
         f0, g0 = mlp.value_and_grad(x)
         xp = [w.copy() for w in x]
         xp[i] = xp[i] + gamma
-        f1, _ = mlp.value_and_grad(xp)
+        f1 = mlp._pass(xp, [mlp.inputs], mlp.b + 1)[0]  # forward and loss only
         gap = f1 - f0 - float(np.sum(g0[i] * gamma))
         est[i] = max(est[i], 2.0 * gap / float(np.sum(gamma * gamma)))
     return np.maximum(est, 1e-8) * 1.5

@@ -3,6 +3,7 @@ rate weights."""
 
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -1521,7 +1522,7 @@ def test_run_names_the_lowest_stepsize_fault_across_groups(case, with_l1):
         return
     with pytest.raises(type(expected)) as info:
         call()
-    assert info.value.args == (f"iteration 0: {expected}",)
+    assert info.value.args == (f"iteration 0: {expected.args[0]}",)
 
 
 class ScriptedGradients(FixedGradients):
@@ -1637,9 +1638,8 @@ def test_stacked_noise_on_active_rows_equals_stoch_grad(case):
     noise = pb.NoiseSpec(sigmas)
     got_rng, ref_rng = sp.stream(seed % 97, 3), sp.stream(seed % 97, 3)
     ref = pb.stoch_grad(per_layer, noise, ref_rng)
-    noise_layout = noise.layout([x.size for x in model.layers])
-    plan = op._plan(model, active, layout=noise_layout)
-    samples = op._samples(grads, plan, noise_layout, got_rng)
+    plan = op._plan(model, active, layout=noise.layout([x.size for x in model.layers]))
+    samples = op._samples(grads, plan, got_rng)
     assert [i for step in plan.groups for i in step.layers] == [
         i for members in layout.members for i in members if i in active
     ]
@@ -1673,12 +1673,84 @@ def test_run_stacked_noise_on_non_suffix_sets_matches_fresh_reference(scheme_nam
         np.testing.assert_array_equal(a, b)
 
 
+# interleaved groups {1, 3, 5} (spectral 3x2) and {2, 4, 6} (Euclidean 2x2), noisy but
+# for layer 4; the active set {1, 2, 4, 5} freezes the noisy layer 3 between the active
+# noisy layers 1 and 5, and keeps the zero-sigma layer 4 active
+INTERLEAVED_SHAPES = [(3, 2), (2, 2)] * 3
+INTERLEAVED_NORMS = [SPEC, EUC] * 3
+INTERLEAVED_SIGMAS = (0.3, 0.5, 0.2, 0.0, 0.4, 0.1)
+
+
+@pytest.mark.parametrize("active", [{1, 2, 4, 5}, {1, 5}, {4}, {3, 6}, set(range(1, 7))])
+def test_noise_entries_of_interleaved_groups_equal_stoch_grad(active):
+    # each noisy active row takes its own layer's slice of the one draw; a frozen noisy
+    # row in between shifts nothing, a zero-sigma row is the exact gradient, and the
+    # gradient stacks are not written
+    model = op.LayerModel([np.zeros(s) for s in INTERLEAVED_SHAPES], INTERLEAVED_NORMS)
+    noise = pb.NoiseSpec(INTERLEAVED_SIGMAS)
+    plan = op._plan(model, frozenset(active), layout=noise.layout([6, 4] * 3))
+    # layer sizes 6, 4, 6, 4, 6, 4; layer 4 draws nothing
+    offsets = {1: 0, 2: 6, 3: 10, 5: 16, 6: 22}
+    assert plan.draw == 26
+    assert sorted(
+        (plan.groups[g].layers[j], start, scale) for g, j, start, scale in plan.noise
+    ) == [(i, offsets[i], INTERLEAVED_SIGMAS[i - 1] / math.sqrt(6 if i % 2 else 4))
+          for i in sorted(active - {4})]
+    rng = np.random.default_rng(48)
+    grads = [rng.standard_normal((3,) + s) for s in model.layout.shapes]
+    kept = [gr.copy() for gr in grads]
+    samples = op._samples(grads, plan, sp.stream(5, 2))
+    exact = model.layout.rows(grads)
+    ref = pb.stoch_grad(exact, noise, sp.stream(5, 2))
+    for gr, before in zip(grads, kept):
+        assert np.array_equal(gr, before)
+    for step, sample in zip(plan.groups, samples):
+        for i, row in zip(step.layers, sample, strict=True):
+            assert np.array_equal(row, ref[i - 1])
+            assert np.array_equal(row, exact[i - 1]) == (i == 4)
+
+
+@pytest.mark.parametrize("blocks", [
+    (frozenset({1, 2, 4, 5}), frozenset({3, 6})),
+    (frozenset({1, 5}), frozenset({2, 3}), frozenset({4, 6})),
+])
+def test_run_noise_around_a_frozen_noisy_row_matches_fresh_reference(blocks):
+    rng = np.random.default_rng(49)
+    shapes = INTERLEAVED_SHAPES
+    prob = pb.SeparableQuadratic([rng.standard_normal(s) for s in shapes], (1, 2, 0.5, 1.5, 1, 3))
+    scheme = sp.PartitionedSubmodel(blocks, (1.0 / len(blocks),) * len(blocks))
+    x0 = [rng.standard_normal(s) for s in shapes]
+    noise = pb.NoiseSpec(INTERLEAVED_SIGMAS)
+    policy = op.FixedRadius((0.05, 0.1, 0.02, 0.07, 0.04, 0.03), beta=0.6)
+    ref_layers, ref_rows = reference_stochastic_run(
+        prob, scheme, policy, 20, 6, INTERLEAVED_NORMS, x0, noise
+    )
+    res = op.run(prob, scheme, policy, 20, 6, norms=INTERLEAVED_NORMS, x0=x0, noise=noise)
+    assert [(r.active, r.f_before, r.f_after, r.grad_dual_norms) for r in res.reports] == ref_rows
+    for a, b in zip(res.model.layers, ref_layers):
+        np.testing.assert_array_equal(a, b)
+
+
 def first_iteration_drawing(scheme, seed, cutoff, iterations):
     """The first iteration k < iterations whose active set has min S == cutoff, or None."""
     for k in range(iterations):
         if min(sp.sample(scheme, sp.stream(seed, k + 1))) == cutoff:
             return k
     return None
+
+
+def test_run_names_a_missing_constant_without_quotes():
+    # a KeyError's str() is its repr; run's message takes the fault's own text
+    rng = np.random.default_rng(50)
+    prob = pb.SeparableQuadratic([rng.standard_normal((2, 2)) for _ in range(2)], (1.0, 2.0))
+    scheme = sp.Rpt((0.0, 1.0))
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 2)
+    del table.l0[(2, 2)]
+    with pytest.raises(KeyError) as info:
+        op.run(prob, scheme, op.SmoothInverse(), 3, 0, table=table)
+    message = "iteration 0: missing smoothness constant L0 for layer 2, set key 2"
+    assert info.value.args == (message,)
+    assert "'" not in info.value.args[0]
 
 
 def test_run_plans_an_active_set_on_its_first_draw_only():

@@ -588,6 +588,28 @@ def test_mlp_constants_flagged_approximate():
     assert all(v > 0 for v in table.l0.values())
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_secant_estimates_take_one_backward_per_sample(activation, monkeypatch):
+    # each secant needs the gradient at x and only the loss at x + gamma: the estimates
+    # equal those of two full passes per sample bit for bit, with half the backward passes
+    mlp = pb.TinyMlp.synthetic([3, 5, 4, 2], n_samples=12, activation=activation, seed=24)
+    one_pass = pb.TinyMlp._pass
+    backwards = []
+
+    def counted(self, layers, prefix, first_layer):
+        backwards.append(first_layer <= self.b)
+        return one_pass(self, layers, prefix, first_layer)
+
+    def full_backward(self, layers, prefix, first_layer):
+        return one_pass(self, layers, prefix, 1)
+
+    monkeypatch.setattr(pb.TinyMlp, "_pass", counted)
+    got = pb._mlp_secant_estimates(mlp, 30)
+    assert (len(backwards), sum(backwards)) == (60, 30)
+    monkeypatch.setattr(pb.TinyMlp, "_pass", full_backward)
+    assert np.array_equal(got, pb._mlp_secant_estimates(mlp, 30))
+
+
 # ---------------------------------------------------------------------------
 # truncated backward pass and frozen-prefix reuse
 # ---------------------------------------------------------------------------
