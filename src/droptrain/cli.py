@@ -33,7 +33,8 @@ required field``.  ``run``'s exit codes:
 
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
-   reported before any output, so no output directory is made;
+   reported before any output, so no output directory is made; an output
+   directory that cannot be made is named as ``--out`` or ``config.out``;
 1  a run failed: one ``run error: variant ..., seed ...: iteration k: ...``
    line naming the variant, the seed, the iteration and the layer.
 """
@@ -405,7 +406,13 @@ def cmd_run(args) -> int:
         return 2
     problem = plan.problem
     out_dir = Path(args.out or cfg.get("out", "results"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = "--out" if args.out else "config.out"
+        print(f"config error: {where}: cannot make the directory {str(out_dir)!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
 
     columns = (
         CSV_COLUMNS_BASE

@@ -22,20 +22,20 @@ forward MACs (or None); it never calls ``value_and_grad``.  ``TinyMlp``'s
 oracle keeps the activations of its last pass and recomputes only layers
 >= min S, since a step writes only its active layers.  That gradient feeds
 the diagnostics, the deterministic step and the stochastic sample, which
-adds noise to the active rows only (to every row for M0).  An iteration's
-noise is one ``standard_normal`` call over every noisy layer, active or not,
-in layer order, laid out by ``NoiseSpec.layout``; a plan lists each noisy
-active row with its offset and scale in that draw, and the row adds its own
-slice, the numbers ``problems.stoch_grad`` draws layer by layer.  The only
+adds noise to the active rows only (to every row for M0).  Each noisy layer,
+active or not, draws ``standard_normal`` of its own shape, in layer order,
+as ``problems.stoch_grad`` does: a plan lists each noisy layer with its
+scale and its place (planned group, row), an active layer's row adds its
+draw, and a frozen layer's draw is discarded.  The only
 diagnostics are f and the gradient dual norms; momentum errors
 ||M_i - grad_i||_dual are left to ``verify``, whose descent-lemma check reads
 the momentum through ``on_step``.
 
 What an active set determines -- each group's active rows and layers, their
-radii, noise offsets and scales, the smoothness-table key and the stepsizes
-1/L0 (or, on a table with an L1 map, the L0 and L1) -- is a plan, built on
-the first draw of its set and kept for the run, so a run builds at most one
-plan per distinct set it draws (b under RPT).  The stochastic path builds the
+radii, the noisy layers' places and scales, the smoothness-table key and the
+stepsizes 1/L0 (or, on a table with an L1 map, the L0 and L1) -- is a plan,
+built on the first draw of its set and kept for the run, so a run builds at
+most one plan per distinct set it draws (b under RPT).  The stochastic path builds the
 full set's plan before the loop, to draw M0 through it.  The plan derives and
 checks the stepsizes, layer by layer (L0, L1, denominator), so a missing
 constant or a bad denominator raises at the first iteration that draws the
@@ -260,8 +260,7 @@ class _Plan:
 
     active: frozenset[int]
     groups: list[_GroupStep]  # the groups with active members, in model order
-    noise: list[tuple[int, int, int, float]]  # (group, row, offset, scale) of each noisy row
-    draw: int  # the length of the iteration's one noise draw
+    noise: list[tuple[tuple[int, ...], float, tuple[int, int] | None]]  # see ``_plan``
     applied: dict[int, float] | None = None  # stepsizes 1/L0 (table without L1), in layer order
 
 
@@ -269,28 +268,27 @@ def _plan(
     model: LayerModel,
     active: frozenset[int],
     radii: np.ndarray | None = None,
-    layout: tuple | None = None,
+    sigmas: Sequence[float] | None = None,
 ) -> _Plan:
-    """Each group's active rows with their radii and, under ``layout`` (``NoiseSpec.layout``),
-    the noise entries of its noisy rows.
+    """Each group's active rows with their radii and, under ``sigmas``, the noisy layers.
 
-    An entry is (the group's place among the planned groups, the row's place
-    among the group's active rows, its offset into the iteration's one draw,
-    sigma_i / sqrt(size_i)).
+    A noisy layer's entry, in layer order, is (its shape, sigma_i / sqrt(size_i),
+    its place): the group's place among the planned groups and the row's place
+    among the group's active rows, or None when the layer is frozen.
     """
-    offsets, scales, draw = layout if layout is not None else ([None] * model.b, None, 0)
-    steps, noise = [], []
+    steps, places = [], {}
     for index, (_, kind) in enumerate(model.layout.keys):
         rows, layers = model.layout.active_rows(index, active)
         if not layers:
             continue
-        noise += [
-            (len(steps), j, offsets[i - 1], scales[i - 1])
-            for j, i in enumerate(layers) if offsets[i - 1] is not None
-        ]
+        places.update((i, (len(steps), j)) for j, i in enumerate(layers))
         group_radii = None if radii is None else radii[[i - 1 for i in layers]]
         steps.append(_GroupStep(index, kind, rows, layers, group_radii))
-    return _Plan(active, steps, noise, draw)
+    noise = [
+        (x.shape, sigma / math.sqrt(x.size), places.get(i))
+        for i, (x, sigma) in enumerate(zip(model.layers, sigmas or ()), start=1) if sigma
+    ]
+    return _Plan(active, steps, noise)
 
 
 def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: dict[int, float]) -> None:
@@ -417,20 +415,19 @@ def _det_step(
 
 def _samples(grads: list[np.ndarray], plan: _Plan, rng: np.random.Generator) -> list[np.ndarray]:
     """The stochastic gradient sample of each planned group's rows: its exact gradient
-    rows plus, on each noisy row, that layer's share of ``problems.stoch_grad``'s draws.
+    rows plus, on each noisy row, that layer's ``problems.stoch_grad`` noise.
 
-    The noise of every noisy layer, active or not, is one ``standard_normal``
-    draw, in layer order.  A group with a noisy row is copied; the others
-    are views of ``grads``.
+    Every noisy layer, active or not, draws ``standard_normal`` of its shape,
+    in layer order; a frozen layer's draw is discarded.  A group with a noisy
+    row is copied; the others are views of ``grads``.
     """
     out = [grads[st.index][st.rows] for st in plan.groups]
-    if plan.draw:
-        z = rng.standard_normal(plan.draw)
-        for g in {entry[0] for entry in plan.noise}:
-            out[g] = out[g].copy()
-        for g, j, start, scale in plan.noise:
-            row = out[g][j]
-            row += scale * z[start : start + row.size].reshape(row.shape)
+    for g in {place[0] for *_, place in plan.noise if place is not None}:
+        out[g] = out[g].copy()
+    for shape, scale, place in plan.noise:
+        z = rng.standard_normal(shape)
+        if place is not None:
+            out[place[0]][place[1]] += scale * z
     return out
 
 
@@ -573,7 +570,7 @@ def run(
     f_initial = f_curr
 
     plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
-    momentum = radii = layout = None  # momentum: one stack per layer group
+    momentum = radii = sigmas = None  # momentum: one stack per layer group
     if isinstance(policy, FixedRadius):
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")
@@ -582,9 +579,11 @@ def run(
         radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
     if radii is not None:
         if noise is not None:
-            layout = noise.layout([x.size for x in model.layers])
+            sigmas = noise.sigmas
+            if len(sigmas) != b:
+                raise ValueError("need one sigma per layer")
         full = frozenset(range(1, b + 1))
-        plans[full] = _plan(model, full, radii, layout)
+        plans[full] = _plan(model, full, radii, sigmas)
         m0 = _samples(grads, plans[full], sampling.stream(seed, INIT_STREAM))
         momentum = [np.array(m, dtype=float) for m in m0]  # copied: M0 shares no row with grads
 
@@ -599,7 +598,7 @@ def run(
             norms_map, group_norms = _dual_norms(model, grads)
             plan = plans.get(active)
             if plan is None:
-                plan = _plan(model, active, radii, layout)
+                plan = _plan(model, active, radii, sigmas)
                 if deterministic:
                     _plan_stepsizes(plan, table, norms_map)
                 plans[active] = plan

@@ -43,11 +43,10 @@ shape, built once per instance.
 sample by adding zero-mean Gaussian noise scaled so that the expected squared
 Frobenius noise norm per layer equals sigma_i^2; it evaluates nothing itself.
 Each noisy layer draws its own ``standard_normal`` of its shape, in layer
-order.  ``optimizer.run`` does not call it: it draws the same numbers in one
-call, laid out by ``NoiseSpec.layout``, and adds each active row's slice to
-the rows of its gradient stacks.  ``stoch_grad`` shares none of that offset
-arithmetic, and is the per-layer reference that ``verify`` and the tests
-compare against.
+order.  ``optimizer.run`` does not call it: it makes the same draws, in the
+same order, from its plans, adds each active layer's draw to that layer's
+row of its gradient stacks and discards a frozen layer's.  ``stoch_grad`` is
+the per-layer reference that ``verify`` and the tests compare against.
 """
 
 from __future__ import annotations
@@ -442,23 +441,6 @@ class NoiseSpec:
             if not 0.0 <= sigma < math.inf:
                 raise _entry_fault(path, f"sigmas[{j}]", f"must be finite and >= 0, got {sigma}")
 
-    def layout(self, sizes: Sequence[int]) -> tuple[list[int | None], list[float], int]:
-        """Where each layer's noise lies in the one draw, its scale, and the draw's length.
-
-        Layer i (0-based, ``sizes[i]`` entries) with a non-zero sigma takes
-        ``sizes[i]`` standard normals from offset ``offsets[i]`` of one
-        ``standard_normal(length)`` draw, in layer order, scaled by
-        ``sigma_i / sqrt(sizes[i])``; a zero sigma has offset None and draws nothing.
-        """
-        if len(self.sigmas) != len(sizes):
-            raise ValueError("need one sigma per layer")
-        offsets, scales, length = [], [], 0
-        for sigma, size in zip(self.sigmas, sizes):
-            offsets.append(length if sigma else None)
-            scales.append(sigma / math.sqrt(size) if sigma else 0.0)
-            length += size if sigma else 0
-        return offsets, scales, length
-
 
 class TinyMlp:
     """Dense network with manual backprop; one pass serves the reference and the oracle.
@@ -664,7 +646,9 @@ def _mlp_secant_estimates(mlp: TinyMlp, samples: int) -> np.ndarray:
     """Per-layer curvature upper estimates from random secants around the weights.
 
     Single-layer perturbations only, drawn from seed 0; a 1.5x safety factor
-    absorbs the sampling gap.  Upper estimate, not a certificate.
+    absorbs the sampling gap.  Upper estimate, not a certificate.  A sample
+    on layer i + 1 backpropagates only down to that layer, and its perturbed
+    loss reruns the forward from that layer on, reusing x's activations below.
     """
     rng = np.random.default_rng(0)
     est = np.zeros(mlp.b)
@@ -674,10 +658,10 @@ def _mlp_secant_estimates(mlp: TinyMlp, samples: int) -> np.ndarray:
         x = [w + 0.2 * rng.standard_normal(w.shape) for w in base]
         gamma = rng.standard_normal(base[i].shape)
         gamma *= 0.1 / np.linalg.norm(gamma)
-        f0, g0 = mlp.value_and_grad(x)
-        xp = [w.copy() for w in x]
-        xp[i] = xp[i] + gamma
-        f1 = mlp._pass(xp, [mlp.inputs], mlp.b + 1)[0]  # forward and loss only
-        gap = f1 - f0 - float(np.sum(g0[i] * gamma))
+        f0, g0, acts, _ = mlp._pass(x, [mlp.inputs], i + 1)  # g0[0] is layer i + 1's
+        xp = list(x)
+        xp[i] = x[i] + gamma
+        f1 = mlp._pass(xp, acts[: i + 1], mlp.b + 1)[0]  # forward from layer i + 1, loss only
+        gap = f1 - f0 - float(np.sum(g0[0] * gamma))
         est[i] = max(est[i], 2.0 * gap / float(np.sum(gamma * gamma)))
     return np.maximum(est, 1e-8) * 1.5

@@ -169,6 +169,29 @@ def test_run_invalid_config_field_path(tmp_path, capsys):
     assert "config.seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["--out", "config.out"])
+def test_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys, where):
+    # one config error line and exit 2, with nothing written, whichever names the path
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfg = base_config()
+    argv = ["run", "--config", None]
+    if where == "--out":
+        argv += ["--out", str(blocker)]
+    else:
+        cfg["out"] = str(blocker)
+    argv[2] = write_json(tmp_path / "cfg.json", cfg)
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {where}: cannot make the directory {str(blocker)!r}: File exists\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "not a directory"
+
+
 def test_run_bad_probability_vector(tmp_path, capsys):
     cfg = base_config()
     cfg["variants"][1]["scheme"]["p"] = [0.9, 0.3, 0.2]

@@ -1625,7 +1625,7 @@ def noisy_stacks(draw):
 def test_stacked_noise_on_active_rows_equals_stoch_grad(case):
     # run adds stoch_grad's noise to the active rows of its gradient stacks only;
     # every active row equals stoch_grad's layer bit for bit, a zero-sigma row is
-    # the exact gradient, and the one draw leaves the generator where stoch_grad does
+    # the exact gradient, and the draws leave the generator where stoch_grad does
     shapes, norms, sigmas, active, seed = case
     rng = np.random.default_rng(seed)
     model = op.LayerModel([np.zeros(s) for s in shapes], norms)
@@ -1638,7 +1638,7 @@ def test_stacked_noise_on_active_rows_equals_stoch_grad(case):
     noise = pb.NoiseSpec(sigmas)
     got_rng, ref_rng = sp.stream(seed % 97, 3), sp.stream(seed % 97, 3)
     ref = pb.stoch_grad(per_layer, noise, ref_rng)
-    plan = op._plan(model, active, layout=noise.layout([x.size for x in model.layers]))
+    plan = op._plan(model, active, sigmas=noise.sigmas)
     samples = op._samples(grads, plan, got_rng)
     assert [i for step in plan.groups for i in step.layers] == [
         i for members in layout.members for i in members if i in active
@@ -1683,31 +1683,120 @@ INTERLEAVED_SIGMAS = (0.3, 0.5, 0.2, 0.0, 0.4, 0.1)
 
 @pytest.mark.parametrize("active", [{1, 2, 4, 5}, {1, 5}, {4}, {3, 6}, set(range(1, 7))])
 def test_noise_entries_of_interleaved_groups_equal_stoch_grad(active):
-    # each noisy active row takes its own layer's slice of the one draw; a frozen noisy
-    # row in between shifts nothing, a zero-sigma row is the exact gradient, and the
-    # gradient stacks are not written
+    # every noisy layer has an entry, in layer order, placed at its row when active and
+    # unplaced when frozen; a frozen noisy row in between shifts nothing, a zero-sigma row
+    # is the exact gradient, and the gradient stacks are not written
     model = op.LayerModel([np.zeros(s) for s in INTERLEAVED_SHAPES], INTERLEAVED_NORMS)
     noise = pb.NoiseSpec(INTERLEAVED_SIGMAS)
-    plan = op._plan(model, frozenset(active), layout=noise.layout([6, 4] * 3))
+    plan = op._plan(model, frozenset(active), sigmas=noise.sigmas)
+    places = {
+        i: (g_, j) for g_, step in enumerate(plan.groups) for j, i in enumerate(step.layers)
+    }
     # layer sizes 6, 4, 6, 4, 6, 4; layer 4 draws nothing
-    offsets = {1: 0, 2: 6, 3: 10, 5: 16, 6: 22}
-    assert plan.draw == 26
-    assert sorted(
-        (plan.groups[g].layers[j], start, scale) for g, j, start, scale in plan.noise
-    ) == [(i, offsets[i], INTERLEAVED_SIGMAS[i - 1] / math.sqrt(6 if i % 2 else 4))
-          for i in sorted(active - {4})]
+    assert plan.noise == [
+        (INTERLEAVED_SHAPES[i - 1], INTERLEAVED_SIGMAS[i - 1] / math.sqrt(6 if i % 2 else 4),
+         places[i] if i in active else None)
+        for i in (1, 2, 3, 5, 6)
+    ]
     rng = np.random.default_rng(48)
     grads = [rng.standard_normal((3,) + s) for s in model.layout.shapes]
     kept = [gr.copy() for gr in grads]
-    samples = op._samples(grads, plan, sp.stream(5, 2))
+    got_rng, ref_rng = sp.stream(5, 2), sp.stream(5, 2)
+    samples = op._samples(grads, plan, got_rng)
     exact = model.layout.rows(grads)
-    ref = pb.stoch_grad(exact, noise, sp.stream(5, 2))
+    ref = pb.stoch_grad(exact, noise, ref_rng)
     for gr, before in zip(grads, kept):
         assert np.array_equal(gr, before)
     for step, sample in zip(plan.groups, samples):
         for i, row in zip(step.layers, sample, strict=True):
             assert np.array_equal(row, ref[i - 1])
             assert np.array_equal(row, exact[i - 1]) == (i == 4)
+    assert got_rng.random() == ref_rng.random()
+
+
+# layers 1 and 2 are noisy and, under RPT with min S = 3, always frozen; layer 3 is
+# noiseless and layer 4 noisy, so layer 4's noise follows the two discarded draws
+PREFIX_SHAPES = [(2, 3), (3, 3), (3, 3), (2, 3)]
+PREFIX_NORMS = [SPEC, EUC, SPEC, SPEC]
+PREFIX_NOISE = pb.NoiseSpec((0.4, 0.7, 0.0, 0.3))
+
+
+def prefix_problem():
+    rng = np.random.default_rng(51)
+    targets = [rng.standard_normal(s) for s in PREFIX_SHAPES]
+    return pb.SeparableQuadratic(targets, (1.0, 2.0, 0.5, 1.5)), [
+        rng.standard_normal(s) for s in PREFIX_SHAPES
+    ]
+
+
+def test_run_m0_equals_stoch_grad_at_x0():
+    # beta = 0 keeps the momentum at M0, which draws every noisy layer's noise from
+    # stream(seed, 0) as stoch_grad does
+    prob, x0 = prefix_problem()
+    seen = []
+    op.run(
+        prob, sp.Rpt((0.0, 0.0, 1.0, 0.0)), op.FixedRadius((0.1,) * 4, beta=0.0), 2, 7,
+        norms=PREFIX_NORMS, x0=x0, noise=PREFIX_NOISE,
+        on_step=lambda view: seen.append([m.copy() for m in view.momentum]),
+    )
+    m0 = pb.stoch_grad(prob.value_and_grad(x0)[1], PREFIX_NOISE, sp.stream(7, 0))
+    for momentum in seen:
+        for got, want in zip(momentum, m0, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_run_frozen_noisy_prefix_draws_and_discards_its_noise():
+    # min S = 3: each iteration's sample is stoch_grad's, noisy layers 1 and 2 drawing
+    # their normals first; their momentum stays M0 and their layers stay x0
+    prob, x0 = prefix_problem()
+    scheme, policy = sp.Rpt((0.0, 0.0, 1.0, 0.0)), op.FixedRadius((0.05, 0.1, 0.02, 0.07), 0.6)
+    seen = []
+    op.run(
+        prob, scheme, policy, 6, 8, norms=PREFIX_NORMS, x0=x0, noise=PREFIX_NOISE,
+        on_step=lambda view: seen.append(
+            ([x.copy() for x in view.layers], [m.copy() for m in view.momentum])
+        ),
+    )
+    layers = [x.copy() for x in x0]
+    momentum = pb.stoch_grad(prob.value_and_grad(layers)[1], PREFIX_NOISE, sp.stream(8, 0))
+    m0 = [m.copy() for m in momentum]
+    for k, (got_layers, got_momentum) in enumerate(seen):
+        rng = sp.stream(8, k + 1)
+        assert sp.sample(scheme, rng) == {3, 4}
+        sample = pb.stoch_grad(prob.value_and_grad(layers)[1], PREFIX_NOISE, rng)
+        for i in (3, 4):
+            momentum[i - 1] = (1.0 - policy.beta) * momentum[i - 1] + policy.beta * sample[i - 1]
+            step, degenerate = g.lmo(PREFIX_NORMS[i - 1], momentum[i - 1], policy.radii[i - 1])
+            assert not degenerate
+            layers[i - 1] = layers[i - 1] + step
+        for i in range(1, 5):
+            assert np.array_equal(got_momentum[i - 1], momentum[i - 1])
+            assert np.array_equal(got_layers[i - 1], layers[i - 1])
+        for i in (1, 2):
+            assert np.array_equal(got_momentum[i - 1], m0[i - 1])
+            assert np.array_equal(got_layers[i - 1], x0[i - 1])
+
+
+def test_run_refuses_a_sigma_count_that_is_not_one_per_layer():
+    # the refusal comes after x0's pass and before the first iteration
+    prob, x0 = prefix_problem()
+    passes = []
+    oracle = prob.stacked_oracle
+
+    def counted(layout):
+        inner = oracle(layout)
+
+        def call(stacks, frozen):
+            passes.append(frozen)
+            return inner(stacks, frozen)
+
+        return call
+
+    prob.stacked_oracle = counted
+    with pytest.raises(ValueError, match=r"^need one sigma per layer$"):
+        op.run(prob, sp.Rpt((0.0, 0.0, 1.0, 0.0)), op.FixedRadius((0.1,) * 4), 3, 0,
+               norms=PREFIX_NORMS, x0=x0, noise=pb.NoiseSpec((0.4, 0.7, 0.0)))
+    assert passes == [0]
 
 
 @pytest.mark.parametrize("blocks", [

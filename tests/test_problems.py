@@ -590,23 +590,29 @@ def test_mlp_constants_flagged_approximate():
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mlp_secant_estimates_take_one_backward_per_sample(activation, monkeypatch):
-    # each secant needs the gradient at x and only the loss at x + gamma: the estimates
-    # equal those of two full passes per sample bit for bit, with half the backward passes
+    # each secant on layer s needs the loss and layer s's gradient at x, from a backward
+    # that stops at s, and the loss at x + gamma, from a forward that restarts at s on
+    # x's activations: the estimates equal those of full passes bit for bit
     mlp = pb.TinyMlp.synthetic([3, 5, 4, 2], n_samples=12, activation=activation, seed=24)
     one_pass = pb.TinyMlp._pass
-    backwards = []
+    calls = []
 
     def counted(self, layers, prefix, first_layer):
-        backwards.append(first_layer <= self.b)
+        calls.append((first_layer, len(prefix)))
         return one_pass(self, layers, prefix, first_layer)
 
-    def full_backward(self, layers, prefix, first_layer):
-        return one_pass(self, layers, prefix, 1)
+    def full_passes(self, layers, prefix, first_layer):
+        loss, grads, acts, macs = one_pass(self, layers, [self.inputs], 1)
+        return loss, grads[first_layer - 1 :], acts, macs
 
     monkeypatch.setattr(pb.TinyMlp, "_pass", counted)
     got = pb._mlp_secant_estimates(mlp, 30)
-    assert (len(backwards), sum(backwards)) == (60, 30)
-    monkeypatch.setattr(pb.TinyMlp, "_pass", full_backward)
+    cutoffs = [first for first, _ in calls[::2]]
+    assert calls == [c for s in cutoffs for c in ((s, 1), (mlp.b + 1, s))]
+    assert set(cutoffs) == {1, 2, 3}
+    # a backward from the loss down to layer s covers b - s + 1 layers, not b
+    assert sum(mlp.b - s + 1 for s in cutoffs) < 30 * mlp.b
+    monkeypatch.setattr(pb.TinyMlp, "_pass", full_passes)
     assert np.array_equal(got, pb._mlp_secant_estimates(mlp, 30))
 
 
