@@ -34,7 +34,8 @@ required field``.  ``run``'s exit codes:
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
    reported before any output, so no output directory is made; an output
-   directory that cannot be made is named as ``--out`` or ``config.out``;
+   directory that is empty or cannot be made is named as ``--out`` or
+   ``config.out``;
 1  a run failed: one ``run error: variant ..., seed ...: iteration k: ...``
    line naming the variant, the seed, the iteration and the layer.
 """
@@ -405,11 +406,16 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     problem = plan.problem
-    out_dir = Path(args.out or cfg.get("out", "results"))
+    where, out = "--out", args.out
+    if out is None:
+        where, out = "config.out", cfg.get("out", "results")
+    if not out:  # Path("") is the working directory
+        print(f"config error: {where}: must name a directory, got ''", file=sys.stderr)
+        return 2
+    out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        where = "--out" if args.out else "config.out"
         print(f"config error: {where}: cannot make the directory {str(out_dir)!r}: "
               f"{exc.strerror}", file=sys.stderr)
         return 2

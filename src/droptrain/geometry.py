@@ -195,8 +195,6 @@ def _truncate(
     u: np.ndarray, s: np.ndarray, vt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop the near-zero singular values of one compact SVD (copies ``u`` and ``vt``)."""
-    if s.size == 0 or s[0] <= 0.0:
-        return u[:, :0], s[:0], vt[:0, :]
     keep = s > RANK_TOL * s[0]
     return u[:, keep], s[keep], vt[keep, :]
 

@@ -12,8 +12,8 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   which makes the layer-wise constants genuinely depend on which other layers
   move; constants are row sums of the Hessian's block operator norms (the
   curvatures and ``|coupling|``).  The same row sums certify the Hessian
-  PSD at construction; only when they cannot, or a tilt needs the solve for
-  f*, is the dense Hessian assembled.
+  PSD at construction; only when they cannot is the dense Hessian
+  assembled.  The minimum is at the targets, with f* = 0.
 * ``TinyMlp`` -- a small dense network with manual backpropagation.  Its
   one pass, ``_pass(layers, prefix, first_layer)``, runs the forward on
   from a given activation prefix, backpropagates down to ``first_layer``
@@ -32,7 +32,7 @@ oracle it returns takes one (n, m, k) stack of layers per group and the
 frozen-prefix length, and returns f, one gradient stack per group and the
 forward MACs (None for the quadratics).  It is the only gradient path
 ``optimizer.run`` takes, as ``stacked_oracle(model.layout)``.  The two
-quadratics build their target, weight, curvature and tilt stacks for those
+quadratics build their target, weight and curvature stacks for those
 groups, and stack the coupling maps per (left group, right group) pair;
 each keeps the per-layer formula's BLAS calls and order of additions, so f
 and the gradients equal the per-layer formulas bit for bit whatever the
@@ -164,13 +164,12 @@ class _SeparableStacks:
 class _CoupledStacks:
     """f and the gradient stacks of a ``CoupledQuadratic`` for one ``Layout`` of its layers.
 
-    The curvatures, targets and tilts are stacked per group, and the coupling
-    maps per (left group, right group) pair.  Each product is the BLAS call
-    of the per-layer formula and each sum runs in its order, so the result
-    equals it bit for bit whatever the grouping:
-    f = 1/2 sum_i a_i e_i.e_i, then + coupling e_i.R_i e_{i+1} map by map,
-    then + tilt_i.e_i; grad_i = a_i e_i + coupling R_{i-1}^T e_{i-1}, then
-    + coupling R_i e_{i+1}, then + tilt_i.
+    The curvatures and targets are stacked per group, and the coupling maps
+    per (left group, right group) pair.  Each product is the BLAS call of the
+    per-layer formula and each sum runs in its order, so the result equals it
+    bit for bit whatever the grouping:
+    f = 1/2 sum_i a_i e_i.e_i, then + coupling e_i.R_i e_{i+1} map by map;
+    grad_i = a_i e_i + coupling R_{i-1}^T e_{i-1}, then + coupling R_i e_{i+1}.
     """
 
     def __init__(self, prob: "CoupledQuadratic", layout: Layout) -> None:
@@ -179,9 +178,6 @@ class _CoupledStacks:
         self._where = where = layout.where
         self._targets = [a.reshape(len(a), -1) for a in layout.stack(prob.targets)]
         self._curvature_cols = [a[:, None] for a in layout.stack(prob.curvatures)]
-        self._tilts = None
-        if prob.tilt is not None:
-            self._tilts = [t.reshape(len(t), -1) for t in layout.stack(prob.tilt)]
         pairs: dict = {}  # the maps i by (left group, right group), in order of first appearance
         for i in range(prob.b - 1):
             pairs.setdefault((where[i][0], where[i + 1][0]), []).append(i)
@@ -194,12 +190,10 @@ class _CoupledStacks:
             ))
 
     def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
-        sq, tilt_dots, errs, grads = [], [], [], []
+        sq, errs, grads = [], [], []
         for g, x in enumerate(stacks):
             e = x.reshape(len(x), -1) - self._targets[g]
             sq.append(_row_dots(e, e))
-            if self._tilts is not None:
-                tilt_dots.append(_row_dots(self._tilts[g], e))
             errs.append(e)
             grads.append(self._curvature_cols[g] * e)
         val = 0.5 * sum(a * sq[g][row] for a, (g, row) in zip(self._curvatures, self._where))
@@ -217,11 +211,6 @@ class _CoupledStacks:
             grads[left][left_rows] += self._coupling * r_next
         for v in cross:
             val += self._coupling * v
-        if self._tilts is not None:
-            for g, row in self._where:
-                val += tilt_dots[g][row]
-            for grad, t in zip(grads, self._tilts):
-                grad += t
         return float(val), [grad.reshape(x.shape) for grad, x in zip(grads, stacks)], None
 
 
@@ -281,7 +270,7 @@ class _Quadratic:
         """f and the per-layer gradients: the stacked oracle on one float stack per layer shape.
 
         That oracle is built on the first call and kept, so the problem's
-        targets, weights, curvatures, maps and tilt are fixed after
+        targets, weights, curvatures and maps are fixed after
         construction.
         """
         layout, oracle = self._shape_oracle
@@ -330,7 +319,6 @@ class CoupledQuadratic(_Quadratic):
 
     f(X) = sum_i a_i/2 ||X_i - A_i||_F^2
          + coupling * sum_{i<b} <vec(X_i - A_i), R_i vec(X_{i+1} - A_{i+1})>
-         + <tilt, vec(X - A)>
 
     The coupling maps R_i are normalized to unit operator norm, so the overall
     Hessian is block tridiagonal with off-diagonal blocks of norm ``coupling``.
@@ -339,11 +327,11 @@ class CoupledQuadratic(_Quadratic):
     at layer i (1 at the ends, 2 inside, 0 when b = 1),
     z'Hz >= sum_i (a_i - |coupling| deg_i) ||z_i||^2, so
     a_i >= |coupling| deg_i (1 + 1e-9) for every layer suffices; the margin
-    covers the rounding of the normalization.  Otherwise, or with a tilt, it
-    assembles the dense Hessian, refuses it if its smallest eigenvalue is
-    below -1e-10, and takes f* from a direct linear solve on it (desk scale);
-    with no tilt f* = 0.  A curvature that is not a positive finite number is
-    named ``curvatures[j]``, and a coupling that breaks semidefiniteness
+    covers the rounding of the normalization.  Otherwise it assembles the
+    dense Hessian (desk scale) and refuses it if its smallest eigenvalue is
+    below -1e-10.  A PSD Hessian puts the minimum at X = A, with f* = 0.  A
+    curvature that is not a positive finite number is named
+    ``curvatures[j]``, and a coupling that breaks semidefiniteness
     ``coupling``, as ``path.<name>:`` when ``path`` is given.
     """
 
@@ -355,7 +343,6 @@ class CoupledQuadratic(_Quadratic):
         targets: Sequence[np.ndarray],
         curvatures: Sequence[float],
         coupling: float,
-        tilt: Sequence[np.ndarray] | None = None,
         rng: np.random.Generator | None = None,
         path: str | None = None,
     ) -> None:
@@ -370,27 +357,15 @@ class CoupledQuadratic(_Quadratic):
             r = rng.standard_normal((dims[i], dims[i + 1]))
             op = np.linalg.norm(r, 2)
             self.maps.append(r / op if op > 0 else r)
-        self.tilt = None
-        if tilt is not None:
-            self.tilt = _as_layer_list(tilt)
-            if [t.shape for t in self.tilt] != self.shapes:
-                raise ValueError("tilt shapes must match layer shapes")
-
         self.f_star = 0.0
         # block Gershgorin: z'Hz >= sum_i (a_i - |c| deg_i) ||z_i||^2, deg_i = maps at layer i
         per_map = abs(self.coupling) * (1 + self._psd_margin)
-        if self.tilt is None and all(a >= per_map * ((i > 0) + (i < self.b - 1))
-                                     for i, a in enumerate(self.curvatures)):
+        if all(a >= per_map * ((i > 0) + (i < self.b - 1)) for i, a in enumerate(self.curvatures)):
             return
-        h = self._assemble_hessian()
-        eigmin = float(np.linalg.eigvalsh(h).min())
+        eigmin = float(np.linalg.eigvalsh(self._assemble_hessian()).min())
         if eigmin < -1e-10:
             message = f"makes the Hessian not PSD (min eigenvalue {eigmin:.3e}); reduce it"
             raise _entry_fault(path, "coupling", message)
-        if self.tilt is not None:
-            t = np.concatenate([x.ravel() for x in self.tilt])
-            zstar = np.linalg.lstsq(h, -t, rcond=None)[0]
-            self.f_star = float(0.5 * zstar @ h @ zstar + t @ zstar)
 
     def _assemble_hessian(self) -> np.ndarray:
         dims = [a.size for a in self.targets]
@@ -565,7 +540,7 @@ class TinyMlp:
 
 def stoch_grad(
     grads: Sequence[np.ndarray],
-    noise: NoiseSpec | None,
+    noise: NoiseSpec,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Unbiased stochastic gradient: the exact ``grads`` plus per-layer Gaussian noise.
@@ -574,8 +549,6 @@ def stoch_grad(
     shape, in layer order, scaled by sigma_i / sqrt(size_i); a zero sigma
     draws nothing and returns that layer's gradient unchanged.
     """
-    if noise is None:
-        return list(grads)
     if len(noise.sigmas) != len(grads):
         raise ValueError("need one sigma per layer")
     return [

@@ -12,6 +12,7 @@ import pytest
 from droptrain import cli
 from droptrain import costmodel as cm
 from droptrain import problems
+from droptrain import sampling as sp
 from droptrain import verify
 
 
@@ -190,6 +191,24 @@ def test_run_refuses_an_out_path_that_is_a_file(tmp_path, capsys, where):
     )
     assert sorted(tmp_path.iterdir()) == before
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("where", ["--out", "config.out"])
+def test_run_refuses_an_empty_out_path(tmp_path, capsys, monkeypatch, where):
+    # Path("") is the working directory: an empty path is refused, and an empty
+    # --out does not fall through to config.out
+    monkeypatch.chdir(tmp_path)
+    cfg = base_config()
+    cfg["out"] = "" if where == "config.out" else str(tmp_path / "from_config")
+    argv = ["run", "--config", write_json(tmp_path / "cfg.json", cfg)]
+    if where == "--out":
+        argv += ["--out", ""]
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {where}: must name a directory, got ''\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_run_bad_probability_vector(tmp_path, capsys):
@@ -886,6 +905,17 @@ def test_marginals_tau_nice(tmp_path, capsys):
     assert "0.500000" in out  # analytic Q column
 
 
+def test_marginals_epoch_shift_at_progress(tmp_path, capsys):
+    # the analytic F of an epoch-shift scheme is its cutoff CDF at --progress
+    path = write_json(tmp_path / "s.json", {"kind": "epoch_shift", "b": 4, "alpha": 1.5})
+    assert cli.main(["marginals", "--scheme", path, "--draws", "200", "--seed", "0",
+                     "--progress", "0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:5]
+    f_cells = [row.split()[1] for row in rows]
+    assert f_cells == [f"{f:.6f}" for f in np.cumsum(sp.epoch_shift_probs(4, 1.5, 0.5))]
+    assert f_cells != [f"{f:.6f}" for f in np.cumsum(sp.epoch_shift_probs(4, 1.5, 0.0))]
+
+
 @pytest.mark.parametrize("scheme, message", [
     ({"kind": "rpt", "p": [float("nan"), 0.5, 0.5]}, "p[0] must be finite, got nan"),
     ({"kind": "epoch_shift", "b": 3, "alpha": float("nan")}, "alpha must be finite, got nan"),
@@ -935,6 +965,27 @@ def test_cost_command(tmp_path, capsys):
     assert payload["total"] == pytest.approx(
         payload["iterations"] * payload["expected_iteration_cost"], rel=1e-9
     )
+
+
+@pytest.mark.parametrize("regime, iterations, min_weight", [
+    ("smooth", 10000, 0.1), ("l0l1-eps", 1667, 1.2), ("l0l1-eps2", 152500000, 1.2),
+])
+def test_cost_command_on_a_partitioned_scheme(tmp_path, capsys, regime, iterations, min_weight):
+    # blocks {1, 2} and {3}; the iterations of costmodel.total_cost on the same inputs
+    scheme = {"kind": "partitioned_submodel", "blocks": [[1, 2], [3]], "p": [0.6, 0.4]}
+    table = cm.SmoothnessTable(
+        cm.TableMode.PARTITION, 3, {(1, 1): 2.0, (2, 1): 3.0, (3, 2): 1.5},
+        {(1, 1): 0.5, (2, 1): 0.2, (3, 2): 0.1},
+    )
+    assert cli.main([
+        "cost", "--scheme", write_json(tmp_path / "s.json", scheme),
+        "--table", write_json(tmp_path / "t.json", table.to_dict()),
+        "--cost", write_json(tmp_path / "c.json", {"c_ov": 1, "c": [1] * 3, "c_sharp": [0.5] * 3}),
+        "--regime", regime, "--eps", "1e-3",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["iterations"] == iterations
+    assert payload["terms"]["min_weight"] == pytest.approx(min_weight, rel=1e-12)
 
 
 @pytest.mark.parametrize("cost, field", [

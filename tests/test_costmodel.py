@@ -403,6 +403,30 @@ def test_total_cost_full_network_matches_display():
     assert bd.total == pytest.approx(expected_k * (1.0 + 6.0 + 0.6))
 
 
+# blocks {1, 2} and {3} drawn with p = (0.6, 0.4); block-keyed L0 = (2, 3, 1.5), L1 = (0.5, 0.2, 0.1)
+PARTITION_SCHEME = sp.PartitionedSubmodel((frozenset({1, 2}), frozenset({3})), (0.6, 0.4))
+PARTITION_TABLE = SmoothnessTable(
+    TableMode.PARTITION, 3, {(1, 1): 2.0, (2, 1): 3.0, (3, 2): 1.5},
+    {(1, 1): 0.5, (2, 1): 0.2, (3, 2): 0.1},
+)
+PARTITION_COST = CostParams(1.0, (1.0,) * 3, (0.5,) * 3)
+# smooth: w = p / (2 L0) = (0.15, 0.1, 0.1333), K = 1 / (eps 0.1);
+# l0l1: w = p / L1 = (1.2, 3, 4), K = 2 / (eps 1.2) rounded up, and
+# K = 2 sum(p L0 / L1^2) / (eps min w)^2 = 2 (4.8 + 45 + 60) / (1e-3 1.2)^2
+PARTITION_COSTS = {"smooth": (10000, 0.1), "l0l1_eps": (1667, 1.2), "l0l1_eps2": (152500000, 1.2)}
+
+
+@pytest.mark.parametrize("regime", sorted(PARTITION_COSTS))
+def test_total_cost_on_a_partitioned_scheme(regime):
+    bd = cm.total_cost(PARTITION_SCHEME, PARTITION_COST, PARTITION_TABLE, 1e-3, regime)
+    iterations, min_weight = PARTITION_COSTS[regime]
+    assert bd.iterations == iterations
+    assert bd.terms["min_weight"] == pytest.approx(min_weight, rel=1e-12)
+    # c_ov + c.F + c_sharp.Q with F = (0.6, 0.6, 1) and Q = (0.6, 0.6, 0.4)
+    assert bd.expected_iteration_cost == pytest.approx(1.0 + 2.2 + 0.8, rel=1e-12)
+    assert bd.total == bd.iterations * bd.expected_iteration_cost
+
+
 def test_total_cost_eps_scaling():
     table = verify.random_rpt_table(np.random.default_rng(8), 3)
     b1 = cm.total_cost(sp.Rpt((0.5, 0.3, 0.2)), CP3, table, 1e-3, "smooth", apply_ceil=False)

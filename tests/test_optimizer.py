@@ -724,8 +724,7 @@ def shipped_problem(name, rng):
         return scalar_quadratic(rng)
     if name == "coupled":
         return pb.CoupledQuadratic(
-            [rng.standard_normal((2, 2)) for _ in range(3)], (2.0, 2.5, 3.0), 0.5,
-            tilt=[0.1 * rng.standard_normal((2, 2)) for _ in range(3)], rng=rng,
+            [rng.standard_normal((2, 2)) for _ in range(3)], (2.0, 2.5, 3.0), 0.5, rng=rng
         )
     return pb.TinyMlp.synthetic([3, 4, 4, 2], n_samples=8, seed=3)
 

@@ -47,19 +47,20 @@ def make_separable(rng, weighted=False):
     return pb.SeparableQuadratic(targets, curvs)
 
 
-def make_coupled(rng, coupling=0.3, tilt=False):
+def make_coupled(rng, coupling=0.3):
     shapes = [(2, 2), (2, 3), (3, 2)]
     targets = [rng.standard_normal(s) for s in shapes]
-    tilts = [0.1 * rng.standard_normal(s) for s in shapes] if tilt else None
-    return pb.CoupledQuadratic(targets, (2.0, 1.5, 2.5), coupling, tilt=tilts, rng=rng)
+    return pb.CoupledQuadratic(targets, (2.0, 1.5, 2.5), coupling, rng=rng)
 
 
 # ---------------------------------------------------------------------------
 # value_and_grad
 # ---------------------------------------------------------------------------
 
-def test_separable_minimum_at_targets():
-    prob = make_separable(np.random.default_rng(0))
+@pytest.mark.parametrize("make", [make_separable, make_coupled], ids=["separable", "coupled"])
+def test_quadratic_minimum_at_targets(make):
+    prob = make(np.random.default_rng(0))
+    assert prob.f_star == 0.0
     val, grads = prob.value_and_grad(prob.targets)
     assert val == 0.0
     assert all(not g.any() for g in grads)
@@ -67,7 +68,7 @@ def test_separable_minimum_at_targets():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    for prob in (make_separable(rng, weighted=True), make_coupled(rng, tilt=True)):
+    for prob in (make_separable(rng, weighted=True), make_coupled(rng)):
         for _ in range(5):
             x = [rng.standard_normal(s) for s in prob.shapes]
             _, grads = prob.value_and_grad(x)
@@ -99,24 +100,6 @@ def test_coupled_zero_coupling_matches_separable():
     assert vc == pytest.approx(vs, abs=1e-12)
     for a, b in zip(gc, gs):
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_coupled_f_star_via_linear_solve():
-    rng = np.random.default_rng(5)
-    prob = make_coupled(rng, tilt=True)
-    assert prob.f_star < 0.0
-    # f_star is attainable: evaluate at the solved minimizer
-    h = prob._assemble_hessian()
-    t = np.concatenate([x.ravel() for x in prob.tilt])
-    z = np.linalg.solve(h, -t)
-    offs = np.cumsum([0] + [a.size for a in prob.targets])
-    x_star = [
-        prob.targets[i] + z[offs[i] : offs[i + 1]].reshape(prob.shapes[i])
-        for i in range(prob.b)
-    ]
-    val, grads = prob.value_and_grad(x_star)
-    assert val == pytest.approx(prob.f_star, abs=1e-10)
-    assert all(np.linalg.norm(g) <= 1e-8 for g in grads)
 
 
 @pytest.mark.parametrize("path, prefix", [(None, "coupling "), ("problem", "problem.coupling: ")])
@@ -201,7 +184,7 @@ def separable_reference(prob, layers):
 
 def coupled_reference(prob, layers):
     """The per-layer formula, with its order of additions: a_i e_i + c R_{i-1}^T e_{i-1}
-    first, then + c R_i e_{i+1}, then + tilt_i; f adds the map terms map by map."""
+    first, then + c R_i e_{i+1}; f adds the map terms map by map."""
     errs = [(np.asarray(x, dtype=float) - a).ravel() for x, a in zip(layers, prob.targets)]
     val = 0.5 * sum(prob.curvatures[i] * float(e @ e) for i, e in enumerate(errs))
     gvecs = [prob.curvatures[i] * e for i, e in enumerate(errs)]
@@ -210,10 +193,6 @@ def coupled_reference(prob, layers):
         val += prob.coupling * float(errs[i] @ r_next)
         gvecs[i] = gvecs[i] + prob.coupling * r_next
         gvecs[i + 1] = gvecs[i + 1] + prob.coupling * (r.T @ errs[i])
-    if prob.tilt is not None:
-        for i, t in enumerate(prob.tilt):
-            val += float(t.ravel() @ errs[i])
-            gvecs[i] = gvecs[i] + t.ravel()
     return float(val), [gv.reshape(prob.shapes[i]) for i, gv in enumerate(gvecs)]
 
 
@@ -248,16 +227,13 @@ def test_separable_stacked_value_and_grad_equals_per_layer_formula(mix, weighted
         )
 
 
-@pytest.mark.parametrize("tilt", [False, True])
 @pytest.mark.parametrize("mix", sorted(SHAPE_MIXES))
-def test_coupled_stacked_value_and_grad_equals_per_layer_formula(mix, tilt):
+def test_coupled_stacked_value_and_grad_equals_per_layer_formula(mix):
     rng = np.random.default_rng(41)
     shapes = SHAPE_MIXES[mix]
     b = len(shapes)
-    tilts = [0.1 * rng.standard_normal(s) for s in shapes] if tilt else None
     prob = pb.CoupledQuadratic(
-        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5,
-        tilt=tilts, rng=rng,
+        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5, rng=rng
     )
     for scale in (1e-3, 1.0, 1e3):
         assert_value_and_grad_equal(
@@ -275,7 +251,7 @@ def test_value_and_grad_repeated_calls_equal_a_fresh_instances(kind):
         rng = np.random.default_rng(42)
         if kind == "separable":
             return make_separable(rng, weighted=True)
-        return make_coupled(rng, tilt=True)
+        return make_coupled(rng)
 
     prob = build()
     rng = np.random.default_rng(43)
@@ -337,17 +313,15 @@ def test_separable_oracle_equals_value_and_grad_on_any_grouping(weighted, case):
         )
 
 
-@pytest.mark.parametrize("tilt", [False, True])
 @settings(max_examples=60, deadline=None)
 @given(grouped_layers())
 @example(([(2, 2)] * 4, [SPEC, EUC, SPEC, SPEC], 0))  # one shape, groups {1, 3, 4} and {2}
-def test_coupled_oracle_equals_value_and_grad_on_any_grouping(tilt, case):
+def test_coupled_oracle_equals_value_and_grad_on_any_grouping(case):
     shapes, norms, seed = case
     rng = np.random.default_rng(seed)
     b = len(shapes)
     prob = pb.CoupledQuadratic(
-        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5,
-        tilt=[0.1 * rng.standard_normal(s) for s in shapes] if tilt else None, rng=rng,
+        [rng.standard_normal(s) for s in shapes], rng.uniform(2.0, 3.0, b).tolist(), 0.5, rng=rng
     )
     for scale in (1e-3, 1.0, 1e3):
         assert_oracle_equals_value_and_grad(
@@ -355,17 +329,15 @@ def test_coupled_oracle_equals_value_and_grad_on_any_grouping(tilt, case):
         )
 
 
-@pytest.mark.parametrize("tilt", [False, True])
 @pytest.mark.parametrize(
     "norms", [[SPEC] * 4, [SPEC, EUC, SPEC, SPEC], [EUC, SPEC, EUC, SPEC]], ids=["S", "SESS", "ESES"]
 )
-def test_coupled_oracle_equals_value_and_grad_on_unequal_shapes(norms, tilt):
+def test_coupled_oracle_equals_value_and_grad_on_unequal_shapes(norms):
     # the shapes of the unequal-size coupled run: maps 2x2-2x3, 2x3-3x2, 3x2-2x3
     shapes = [(2, 2), (2, 3), (3, 2), (2, 3)]
     rng = np.random.default_rng(43)
     prob = pb.CoupledQuadratic(
-        [rng.standard_normal(s) for s in shapes], (2.0, 2.5, 2.0, 3.0), 0.5,
-        tilt=[0.1 * rng.standard_normal(s) for s in shapes] if tilt else None, rng=rng,
+        [rng.standard_normal(s) for s in shapes], (2.0, 2.5, 2.0, 3.0), 0.5, rng=rng
     )
     assert_oracle_equals_value_and_grad(prob, [rng.standard_normal(s) for s in shapes], norms)
 

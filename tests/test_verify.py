@@ -10,6 +10,13 @@ def test_unknown_suite_rejected():
         verify.run_suite("nope")
 
 
+def test_run_suite_all_concatenates_the_suites_in_order(monkeypatch):
+    stubs = {name: (lambda seed, name=name: [verify.CheckResult(f"{name}/{seed}", True)])
+             for name in verify.SUITES}
+    monkeypatch.setattr(verify, "SUITES", stubs)
+    assert [r.name for r in verify.run_suite("all", 3)] == [f"{name}/3" for name in stubs]
+
+
 def test_check_result_repr():
     assert "PASS" in repr(verify.CheckResult("x", True))
     assert "FAIL" in repr(verify.CheckResult("x", False))
@@ -19,6 +26,12 @@ def test_quick_cost_suite_passes():
     results = verify.cost_suite(seed=1, quick=True)
     failed = [r for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_sampling_suite_passes():
+    results = verify.sampling_suite(0)
+    failed = [r for r in results if not r.passed]
+    assert results and not failed, failed
 
 
 @pytest.mark.parametrize("seed", [0, 1])
