@@ -505,6 +505,10 @@ REGIMES = {"smooth": "smooth", "l0l1-eps": "l0l1_eps", "l0l1-eps2": "l0l1_eps2"}
 
 
 def cmd_optimal_probs(args) -> int:
+    if args.regime == "smooth" and args.cost is not None:
+        return _flag_error("--cost", "the smooth regime reads no cost params")
+    if args.regime != "smooth" and not args.cost:
+        return _flag_error("--cost", f"the {args.regime} regime needs a cost params file")
     try:
         table = _load_table(args.table)
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -524,10 +528,7 @@ def cmd_optimal_probs(args) -> int:
             )
             out.update({"p": p.tolist(), "full_network_optimal": optimal, "verdict": verdict})
         else:
-            cp = _load_cost(args.cost, table.b) if args.cost else None
-            if cp is None:
-                print("l0l1 regimes need --cost", file=sys.stderr)
-                return 2
+            cp = _load_cost(args.cost, table.b)
             regime = "eps" if args.regime == "l0l1-eps" else "eps2"
             sol = costmodel.optimal_rpt_probs_l0l1(table, cp, regime)
             verdict = (
@@ -560,9 +561,13 @@ def _input_error(exc: Exception) -> int:
     return 2
 
 
-def _bad_flag(flag: str, what: str, value) -> int:
-    print(f"error: {flag}: expected {what}, got {value!r}", file=sys.stderr)
+def _flag_error(flag: str, message: str) -> int:
+    print(f"error: {flag}: {message}", file=sys.stderr)
     return 2
+
+
+def _bad_flag(flag: str, what: str, value) -> int:
+    return _flag_error(flag, f"expected {what}, got {value!r}")
 
 
 def cmd_cost(args) -> int:
@@ -592,12 +597,14 @@ def cmd_marginals(args) -> int:
     for flag, value, minimum in (("--draws", args.draws, 1), ("--seed", args.seed, 0)):
         if value < minimum:
             return _bad_flag(flag, f"an integer >= {minimum}", value)
-    if not 0.0 <= args.progress <= 1.0:  # nan too
+    if args.progress is not None and not 0.0 <= args.progress <= 1.0:  # nan too
         return _bad_flag("--progress", "a number in [0, 1]", args.progress)
     try:
         scheme = sampling.scheme_from_dict(json.loads(Path(args.scheme).read_text()))
         if isinstance(scheme, sampling.EpochShiftRpt):
-            scheme = scheme.at(args.progress)
+            scheme = scheme.at(args.progress or 0.0)
+        elif args.progress is not None:
+            return _flag_error("--progress", "only an epoch_shift scheme reads a training progress")
         f_ana, q_ana = sampling.marginals(scheme)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"scheme error: {exc}", file=sys.stderr)
@@ -680,7 +687,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimal-probs", help="optimal sampling probabilities for a table")
     p_opt.add_argument("--table", required=True, help="smoothness table JSON")
-    p_opt.add_argument("--cost", default=None, help="cost params JSON (l0l1 regimes)")
+    p_opt.add_argument("--cost", default=None, help="cost params JSON (l0l1 regimes only)")
     p_opt.add_argument("--regime", choices=sorted(REGIMES), default="smooth")
     p_opt.set_defaults(func=cmd_optimal_probs)
 
@@ -697,8 +704,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_marg.add_argument("--scheme", required=True, help="scheme JSON path")
     p_marg.add_argument("--draws", type=int, default=100_000)
     p_marg.add_argument("--seed", type=int, default=0)
-    p_marg.add_argument("--progress", type=float, default=0.0,
-                        help="training progress for epoch-shift schemes")
+    p_marg.add_argument("--progress", type=float, default=None,
+                        help="training progress in [0, 1] of an epoch-shift scheme (default 0)")
     p_marg.set_defaults(func=cmd_marginals)
 
     p_cost = sub.add_parser("cost", help="total-cost breakdown for a scheme")

@@ -11,7 +11,11 @@
   every applied update has primal norm exactly t_i.
 
 ``run`` is the only step entry: ``verify`` checks it by driving it and reading
-its ``on_step`` hook, not through a copy of its loop.
+its ``on_step`` hook, not through a copy of its loop.  Both steps return the
+same thing, the stepsizes or radii they applied, in layer order, and ``run``
+builds each iteration's ``StepReport`` once from them, after f at the new
+iterate has passed its check.  A report is read-only, so the one a hook sees
+is the one the run returns.
 
 ``run`` is also the only gradient caller, once per iterate x_0..x_K, and
 it keeps gradients in layer-group stacks from the problem to the step.  Its
@@ -86,7 +90,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -202,26 +207,40 @@ class HorizonSchedule:
 StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepReport:
-    """Per-iteration record of what the step saw and applied."""
+    """Read-only record of iteration ``k``: what the step saw and applied.
+
+    ``run`` builds it once, after f at x_{k+1} has passed its check.
+    ``grad_dual_norms`` maps every layer to its exact gradient's dual norm at
+    x_k; ``applied`` maps each active layer that moved, in layer order, to its
+    stepsize (smoothness-inverse) or radius (radius policies).  Both are
+    read-only mappings, and setting a field raises, so no reader can rewrite
+    a run's record.
+    """
 
     active: frozenset[int]
-    f_before: float | None = None
-    f_after: float | None = None
-    grad_dual_norms: dict[int, float] = field(default_factory=dict)
-    applied: dict[int, float] = field(default_factory=dict)  # stepsize or radius, active layers
-    degenerate: frozenset[int] = frozenset()
-    k: int | None = None
-    fwd_macs: int | None = None  # forward MACs of the pass at x_{k+1}, when reported
+    f_before: float
+    f_after: float
+    grad_dual_norms: Mapping[int, float]
+    applied: Mapping[int, float]
+    k: int
+    fwd_macs: int | None  # forward MACs of the pass at x_{k+1}, when reported
+
+    @property
+    def degenerate(self) -> frozenset[int]:
+        """The active layers that did not move: a radius step's zero refreshed momentum."""
+        return self.active.difference(self.applied)
 
 
 class StepView(NamedTuple):
     """What ``on_step`` reads after iteration ``report.k``: read-only views of the run's state.
 
-    ``layers`` are x_{k+1}, ``grads`` the exact gradients at x_{k+1} and
-    ``momentum`` the buffers M_i after the step (None on the deterministic
-    path), one array per layer; a write through any of them raises ValueError.
+    ``report`` is the record ``run`` returns for the iteration, read-only
+    like the rest.  ``layers`` are x_{k+1}, ``grads`` the exact gradients at
+    x_{k+1} and ``momentum`` the buffers M_i after the step (None on the
+    deterministic path), one array per layer; a write through any of them
+    raises ValueError.
     """
 
     report: StepReport
@@ -261,7 +280,7 @@ class _Plan:
     active: frozenset[int]
     groups: list[_GroupStep]  # the groups with active members, in model order
     noise: list[tuple[tuple[int, ...], float, tuple[int, int] | None]]  # see ``_plan``
-    applied: dict[int, float] | None = None  # stepsizes 1/L0 (table without L1), in layer order
+    applied: Mapping[int, float] | None = None  # read-only 1/L0 (table without L1), layer order
 
 
 def _plan(
@@ -291,7 +310,7 @@ def _plan(
     return _Plan(active, steps, noise)
 
 
-def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: dict[int, float]) -> None:
+def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: Mapping[int, float]) -> None:
     """Give each planned group its stepsizes 1/L0, or its L0 and L1 on a table with an L1 map.
 
     Each active layer, in layer order, raises on a missing L0, then L1, then
@@ -312,7 +331,7 @@ def _plan_stepsizes(plan: _Plan, table: SmoothnessTable, dual_norms: dict[int, f
             st.l0 = np.array([l0[i] for i in st.layers])
             st.l1 = np.array([l1[i] for i in st.layers])
         return
-    plan.applied = {i: 1.0 / v for i, v in l0.items()}
+    plan.applied = MappingProxyType({i: 1.0 / v for i, v in l0.items()})
     for st in plan.groups:
         st.gammas = np.array([plan.applied[i] for i in st.layers])[:, None, None]
 
@@ -352,9 +371,9 @@ def _raise_momentum_fault(
 
 def _dual_norms(
     model: LayerModel, grads: Sequence[np.ndarray]
-) -> tuple[dict[int, float], list[np.ndarray | None]]:
-    """Per-layer gradient dual norms from one stacked call per group of gradient stacks,
-    and each group's array of them.
+) -> tuple[Mapping[int, float], list[np.ndarray | None]]:
+    """Per-layer gradient dual norms from one stacked call per group of gradient stacks, as a
+    read-only mapping, and each group's array of them.
 
     Raises ValueError naming the lowest-numbered layer whose gradient or dual
     norm is not finite.
@@ -374,13 +393,14 @@ def _dual_norms(
         norms.append(nrm)
     if failed:
         _raise_gradient_fault(model, grads)
-    return dict(enumerate(values, start=1)), norms
+    return MappingProxyType(dict(enumerate(values, start=1))), norms
 
 
 def _det_step(
     model: LayerModel, grads: list[np.ndarray], norms: list[np.ndarray], plan: _Plan
-) -> dict[int, float]:
-    """In-place sharp-operator updates on the plan's rows, once per group; returns stepsizes.
+) -> Mapping[int, float]:
+    """In-place sharp-operator updates on the plan's rows, once per group; returns the
+    stepsizes, in layer order, as a read-only mapping (the plan's own, on a table without L1).
 
     The Euclidean sharp operator is the identity, so a Euclidean group moves
     by ``gamma * grad`` directly; ``_dual_norms`` has already checked those
@@ -390,7 +410,7 @@ def _det_step(
     """
     if plan.applied is not None:
         gammas = [st.gammas for st in plan.groups]
-        applied = dict(plan.applied)
+        applied = plan.applied
     else:
         gammas, layers, values, faults = [], [], [], []
         for st in plan.groups:
@@ -404,7 +424,7 @@ def _det_step(
         if faults:
             i, denom = min(faults)  # groups run in model order, not layer order
             raise ValueError(f"layer {i}: stepsize denominator must be positive, got {denom}")
-        applied = dict(sorted(zip(layers, values)))
+        applied = MappingProxyType(dict(sorted(zip(layers, values))))
     for st, gamma in zip(plan.groups, gammas):
         step = grads[st.index][st.rows]
         if st.kind != NormKind.EUCLIDEAN:
@@ -438,8 +458,9 @@ def _stoch_step(
     beta: float,
     plan: _Plan,
     ns_config: geometry.NewtonSchulzConfig | None,
-) -> StepReport:
-    """One momentum + LMO step on the plan's active rows, once per layer group, in place.
+) -> Mapping[int, float]:
+    """One momentum + LMO step on the plan's active rows, once per layer group, in place;
+    returns the radii of the layers that moved, in layer order, as a read-only mapping.
 
     For i not active, M_i and X_i are untouched (bit-identical).  Each
     group's active rows refresh their rows of ``momentum`` (one stack per
@@ -448,11 +469,12 @@ def _stoch_step(
     LMO step, of primal norm exactly t_i on the SVD backend;
     ``ns_config`` switches spectral groups to the Newton-Schulz
     orthogonalization.  A zero refreshed momentum leaves its layer in place
-    and is flagged degenerate.  A non-finite momentum, or a step that
-    vanishes for a non-zero momentum (its norm overflows), raises ValueError
-    naming the lowest such layer.  ``run``, the only step entry, calls it.
+    and out of the returned radii (its report counts it ``degenerate``).  A
+    non-finite momentum, or a step that vanishes for a non-zero momentum (its
+    norm overflows), raises ValueError naming the lowest such layer.  ``run``,
+    the only step entry, calls it.
     """
-    degenerate, applied, failed = set(), {}, False
+    applied, failed = {}, False
     for st, sample in zip(plan.groups, samples):
         x, m, rows = model.stacks[st.index], momentum[st.index], st.rows
         m[rows] = (1.0 - beta) * m[rows] + beta * sample
@@ -470,16 +492,11 @@ def _stoch_step(
             rows, step = np.arange(len(x))[rows][moved], step[moved]
         x[rows] += step
         for i, flag, t_i in zip(st.layers, flags, st.radii.tolist()):
-            if flag:
-                degenerate.add(i)
-            else:
+            if not flag:
                 applied[i] = t_i
     if failed:
         _raise_momentum_fault(model, momentum, plan, ns_config)
-    return StepReport(
-        active=plan.active, applied=dict(sorted(applied.items())),
-        degenerate=frozenset(degenerate),
-    )
+    return MappingProxyType(dict(sorted(applied.items())))
 
 
 def _read_only(layout: problems.Layout, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -548,7 +565,8 @@ def run(
 
     Reports carry f before and after each step and the exact gradients'
     per-layer dual norms as diagnostics (the stochastic path's *updates* see
-    only the noisy sample); momentum errors are not computed here.
+    only the noisy sample); momentum errors are not computed here.  Each
+    report is built once, read-only, and is the same object ``on_step`` saw.
     A failed step -- a missing smoothness constant, a non-finite gradient,
     momentum or f, a vanished LMO step -- raises with ``iteration k:`` and the
     layer in the message.
@@ -604,22 +622,17 @@ def run(
                 plans[active] = plan
             if deterministic:
                 applied = _det_step(model, grads, group_norms, plan)
-                report = StepReport(active=active, applied=applied)
             else:
-                report = _stoch_step(
-                    model, _samples(grads, plan, rng), momentum, beta, plan,
-                    newton_schulz_cfg,
-                )
-            report.grad_dual_norms = norms_map
-            report.k = k
-            report.f_before = f_curr
-            f_curr, grads, report.fwd_macs = oracle(model.stacks, min(active) - 1)
-            if not math.isfinite(f_curr):
-                raise ValueError(f"f_after is {f_curr} after updating layers {sorted(active)}")
+                samples = _samples(grads, plan, rng)
+                applied = _stoch_step(model, samples, momentum, beta, plan, newton_schulz_cfg)
+            f_after, grads, fwd_macs = oracle(model.stacks, min(active) - 1)
+            if not math.isfinite(f_after):
+                raise ValueError(f"f_after is {f_after} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:
             message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
             raise type(exc)(f"iteration {k}: {message}") from exc
-        report.f_after = f_curr
+        report = StepReport(active, f_curr, f_after, norms_map, applied, k, fwd_macs)
+        f_curr = f_after
         if on_step is not None:
             on_step(StepView(
                 report, _read_only(model.layout, model.stacks),

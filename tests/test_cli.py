@@ -1181,6 +1181,35 @@ def test_numeric_flags_refused_with_exit_2(tmp_path, capsys, command, flags, fla
             assert lines[0] == f"error: --progress: expected a number in [0, 1], got {got!r}"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["marginals", "--scheme", "{scheme}", "--progress", "0.7"],
+     "error: --progress: only an epoch_shift scheme reads a training progress"),
+    (["optimal-probs", "--table", "{table}", "--regime", "smooth", "--cost", "{cost}"],
+     "error: --cost: the smooth regime reads no cost params"),
+    (["optimal-probs", "--table", "{table}", "--regime", "l0l1-eps"],
+     "error: --cost: the l0l1-eps regime needs a cost params file"),
+], ids=["progress_on_rpt", "cost_on_smooth", "l0l1_without_cost"])
+def test_a_flag_that_the_mode_ignores_or_needs_is_named_with_exit_2(tmp_path, capsys, argv,
+                                                                    message):
+    files = {
+        "{scheme}": write_json(tmp_path / "s.json", RPT3),
+        "{table}": write_json(tmp_path / "t.json", TABLE3),
+        "{cost}": write_json(tmp_path / "c.json", COST3),
+    }
+    assert cli.main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_marginals_reads_an_epoch_shift_scheme_at_progress_0_by_default(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", EPOCH3)
+    argv, outs = ["marginals", "--scheme", path, "--draws", "200", "--seed", "0"], []
+    for extra in ([], ["--progress", "0"]):
+        assert cli.main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command, scheme, table, cost", [
     ("cost", {"kind": "rpt", "p": 5}, TABLE3, COST3),
     ("cost", RPT3, {**TABLE3, "l0": 5}, COST3),

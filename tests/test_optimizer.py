@@ -181,6 +181,40 @@ def test_on_step_cannot_write_the_run_state(field):
     assert res.f_final == prob.value_and_grad(res.model.layers)[0]
 
 
+@pytest.mark.parametrize("policy_name", ["smooth_inverse", "horizon"])
+def test_on_step_cannot_rewrite_the_report(policy_name):
+    # a hook's writes to its report raise, and the run returns the reports of a hook-free run
+    rng = np.random.default_rng(8)
+    prob = scalar_quadratic(rng)
+    x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
+    kwargs = dict(x0=x0, table=table_for(prob)) if policy_name == "smooth_inverse" else dict(
+        x0=x0, noise=pb.NoiseSpec((0.1, 0.2, 0.0))
+    )
+    policy = op.SmoothInverse() if policy_name == "smooth_inverse" else op.HorizonSchedule()
+    writes = [
+        lambda r: setattr(r, "f_after", 123.0),
+        lambda r: setattr(r, "active", frozenset()),
+        lambda r: r.applied.clear(),
+        lambda r: r.applied.__setitem__(min(r.active), 0.0),
+        lambda r: r.grad_dual_norms.__setitem__(1, 0.0),
+    ]
+    raised = []
+
+    def rewrite(view):
+        for write in writes:
+            with pytest.raises((AttributeError, TypeError)):
+                write(view.report)
+            raised.append(write)
+
+    scheme = sp.Rpt((0.3, 0.3, 0.4))
+    res = op.run(prob, scheme, policy, 4, 2, on_step=rewrite, **kwargs)
+    assert len(raised) == 4 * len(writes)
+    assert res.reports == op.run(prob, scheme, policy, 4, 2, **kwargs).reports
+    for write in writes:  # and after the run
+        with pytest.raises((AttributeError, TypeError)):
+            write(res.reports[-1])
+
+
 def test_on_step_sees_no_momentum_on_the_deterministic_path():
     rng = np.random.default_rng(7)
     prob = scalar_quadratic(rng)
@@ -674,6 +708,7 @@ def test_run_single_pass_matches_fresh_gradient_reference(case):
     res = op.run(prob, scheme, policy, 25, 5, norms=norms, x0=x0, noise=noise)
     got = [(r.active, r.f_before, r.f_after, r.grad_dual_norms) for r in res.reports]
     assert got == ref_rows
+    assert all(r.degenerate == r.active - set(r.applied) for r in res.reports)
     for a, b in zip(res.model.layers, ref_layers):
         np.testing.assert_array_equal(a, b)
 
@@ -848,6 +883,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
         assert r.fwd_macs == macs == sum(
             sizes[l] * sizes[l - 1] * n for l in range(s, prob.b + 1)
         ) + sizes[-1] * n
+        assert r.degenerate == r.active - set(r.applied)
     if scheme_name != "full_network":
         assert any(frozen > 0 for frozen, *_ in passes)
 
