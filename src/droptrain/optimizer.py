@@ -207,8 +207,7 @@ class HorizonSchedule:
 StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Read-only record of iteration ``k``: what the step saw and applied.
 
     ``run`` builds it once, after f at x_{k+1} has passed its check.
@@ -216,7 +215,9 @@ class StepReport:
     x_k; ``applied`` maps each active layer that moved, in layer order, to its
     stepsize (smoothness-inverse) or radius (radius policies).  Both are
     read-only mappings, and setting a field raises, so no reader can rewrite
-    a run's record.
+    a run's record.  A named tuple, not a frozen dataclass: ``run`` builds one
+    per iteration, and a frozen dataclass's ``__init__`` costs about three
+    times as much.
     """
 
     active: frozenset[int]
