@@ -296,8 +296,12 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
             raise ConfigError(f"config.seeds[{j}]", f"duplicate seed {s}")
     if seed is not None:
         seeds = [_json_int(seed, "--seed", 0)]
-    targets = [_json_finite(t, f"config.targets[{j}]")
-               for j, t in enumerate(_json_list(cfg.get("targets", []), "config.targets"))]
+    targets = []
+    for j, t in enumerate(_json_list(cfg.get("targets", []), "config.targets")):
+        t = _json_finite(t, f"config.targets[{j}]")
+        if t in targets:
+            raise ConfigError(f"config.targets[{j}]", f"duplicate target {t}")
+        targets.append(t)
     if not isinstance(cfg.get("out", ""), str):
         raise ConfigError("config.out", f"expected a string, got {cfg['out']!r}")
 
@@ -639,6 +643,11 @@ def cmd_marginals(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         return _bad_flag("--seed", "an integer >= 0", args.seed)
+    if args.out:
+        try:  # refused before any suite runs; appending leaves an existing report as it is
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _flag_error("--out", f"cannot write {args.out!r}: {exc.strerror}")
     from . import verify
 
     try:

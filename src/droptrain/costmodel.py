@@ -32,6 +32,8 @@ by RPT cutoff s (the active set {s..b}) or by partition block id.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
@@ -679,32 +681,39 @@ def rpt_cost_objective_l0l1(
     ``eps2``: like ``eps`` but with the 1/eps^2 iteration term, which also
     involves the L0 constants.
     """
-    value = _l0l1_objective_grid(
-        np.asarray(p, dtype=float)[None, :], table, cp, regime
-    )[0]
-    return float(value)
+    return float(_l0l1_objective(table, cp, regime)(np.asarray(p, dtype=float)[None, :])[0])
 
 
-def _l0l1_objective_grid(
-    grid: np.ndarray, table: SmoothnessTable, cp: CostParams, regime: str
-) -> np.ndarray:
-    """Vectorized (L0, L1) objective over an (N, b) array of cutoff vectors."""
+def _l0l1_objective(
+    table: SmoothnessTable, cp: CostParams, regime: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The vectorized (L0, L1) objective over (N, b) arrays of cutoff vectors.
+
+    The cost vector and the table's dense L0 and L1 cutoff matrices are built
+    once, here, for every array the returned function is given.
+    """
     if regime not in ("eps", "eps2"):
         raise ValueError(f"unknown regime {regime!r}")
-    num = grid @ _rpt_d_vector(cp)
-    cum, a0, a1 = _l0l1_sums(grid, table)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(a1 > 0.0, cum**2 / a1, np.where(cum > 0.0, np.inf, 0.0))
-    min_ratio = ratio.min(axis=1)
-    out = np.full(grid.shape[0], np.inf)
-    ok = min_ratio > 0.0
-    if regime == "eps":
-        out[ok] = num[ok] / min_ratio[ok]
+    d = _rpt_d_vector(cp)
+    l0t, l1t = _rpt_matrix(table, "l0").T, _rpt_matrix(table, "l1").T
+
+    def objective(grid: np.ndarray) -> np.ndarray:
+        num = grid @ d
+        cum, a0, a1 = np.cumsum(grid, axis=-1), grid @ l0t, grid @ l1t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(a1 > 0.0, cum**2 / a1, np.where(cum > 0.0, np.inf, 0.0))
+        min_ratio = ratio.min(axis=1)
+        out = np.full(grid.shape[0], np.inf)
+        ok = min_ratio > 0.0
+        if regime == "eps":
+            out[ok] = num[ok] / min_ratio[ok]
+            return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(a1 > 0.0, cum**2 * a0 / a1**2, np.where(cum > 0.0, np.inf, 0.0))
+        out[ok] = terms[ok].sum(axis=1) * num[ok] / min_ratio[ok] ** 2
         return out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(a1 > 0.0, cum**2 * a0 / a1**2, np.where(cum > 0.0, np.inf, 0.0))
-    out[ok] = terms[ok].sum(axis=1) * num[ok] / min_ratio[ok] ** 2
-    return out
+
+    return objective
 
 
 def _smooth_objective_grid(
@@ -726,31 +735,22 @@ def _smooth_objective_grid(
 # Simplex grids and brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _compositions(n: int, b: int) -> np.ndarray:
-    """All compositions of n into b non-negative parts, ascending lexicographic."""
-    if b == 1:
-        return np.array([[n]])
-    rows = []
-    for k in range(n + 1):
-        rest = _compositions(n - k, b - 1)
-        rows.append(np.hstack([np.full((rest.shape[0], 1), k), rest]))
-    return np.vstack(rows)
-
-
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def simplex_grid(b: int, resolution_denominator: int) -> np.ndarray:
     """Probability vectors with entries multiple of 1/n, ascending lexicographic order.
 
+    Stars and bars: each ascending choice of b - 1 bar places among n + b - 1
+    slots gives the parts between the bars, and ``itertools.combinations``
+    yields the choices, and so the parts, in ascending lexicographic order.
     The returned array is cached and read-only; copy before mutating.
     """
-    key = (b, resolution_denominator)
-    if key not in _GRID_CACHE:
-        grid = _compositions(resolution_denominator, b) / float(resolution_denominator)
-        grid.setflags(write=False)
-        _GRID_CACHE[key] = grid
-    return _GRID_CACHE[key]
+    n = resolution_denominator
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n + b - 1), b - 1)), dtype=int
+    ).reshape(math.comb(n + b - 1, b - 1), b - 1)
+    grid = (np.diff(bars, prepend=-1, append=n + b - 1) - 1) / float(n)
+    grid.setflags(write=False)
+    return grid
 
 
 def brute_force_optimal_probs(
@@ -815,7 +815,8 @@ def optimal_rpt_probs_l0l1(
         raise ValueError("table must carry L1 constants")
     n = L0L1_GRID_DENOMINATOR[b]
     grid = simplex_grid(b, n)
-    vals = _l0l1_objective_grid(grid, table, cp, regime)
+    objective = _l0l1_objective(table, cp, regime)
+    vals = objective(grid)
     best_idx = int(np.argmin(vals))
     best = grid[best_idx].copy()
     best_val = float(vals[best_idx])
@@ -842,7 +843,7 @@ def optimal_rpt_probs_l0l1(
                 else:
                     continue
                 cand[i] = best[i] - move
-                val = float(_l0l1_objective_grid(cand[None, :], table, cp, regime)[0])
+                val = float(objective(cand[None, :])[0])
                 if val < best_val:
                     best, best_val, improved = cand, val, True
         if not improved:
@@ -852,7 +853,7 @@ def optimal_rpt_probs_l0l1(
 
     vertex = np.zeros(b)
     vertex[0] = 1.0
-    vertex_val = float(_l0l1_objective_grid(vertex[None, :], table, cp, regime)[0])
+    vertex_val = float(objective(vertex[None, :])[0])
     if vertex_val <= best_val:
         best, best_val = vertex, vertex_val
     full_l1 = np.array([table.require(i, 1, "l1") for i in range(1, b + 1)])

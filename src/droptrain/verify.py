@@ -10,6 +10,7 @@ the acceptance tests, which call them with pinned parameters.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,13 @@ class CheckResult:
 
 def _check(name: str, passed, **detail) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
+
+
+# The sizes of the acceptance criteria that the suites state, by criterion
+GEOMETRY_MATRICES, GEOMETRY_TOL = 1000, 1e-9  # 1: random matrices per norm kind, tolerance
+RATE_SEEDS, RATE_HORIZONS = 20, (10, 100, 1000)  # 3
+TREND_K_SHORT, TREND_K_LONG, TREND_FACTOR = 16, 256, 1.5  # 6: horizons, required short / long
+COST_RATIO_RPT_SEEDS = 5  # 7
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +109,14 @@ def _random_matrix(rng):
 # geometry suite
 # ---------------------------------------------------------------------------
 
-def geometry_suite(seed: int = 0, n_matrices: int = 1000, tol: float = 1e-9):
-    """LMO/sharp identities over random matrices, per norm kind, at ``tol``."""
+def geometry_suite(seed: int = 0):
+    """LMO/sharp identities over random matrices, per norm kind, at ``GEOMETRY_TOL``."""
     rng = np.random.default_rng(seed)
     results = []
     for kind in (NormKind.EUCLIDEAN, NormKind.SPECTRAL):
         worst = {"normlmo": 0.0, "inplmo": 0.0, "inpsharp": 0.0, "normsharp": 0.0,
                  "consistency": 0.0, "cauchy_schwarz": 0.0}
-        for _ in range(n_matrices):
+        for _ in range(GEOMETRY_MATRICES):
             m = _random_matrix(rng)
             if not m.any():
                 continue
@@ -130,9 +138,8 @@ def geometry_suite(seed: int = 0, n_matrices: int = 1000, tol: float = 1e-9):
             viol = abs(float(np.sum(m * other))) - dn * geometry.norm(kind, other)
             worst["cauchy_schwarz"] = max(worst["cauchy_schwarz"], viol)
         for name, err in worst.items():
-            results.append(
-                _check(f"geometry/{kind.value}/{name}", err <= tol, max_abs_error=err, tol=tol)
-            )
+            results.append(_check(f"geometry/{kind.value}/{name}", err <= GEOMETRY_TOL,
+                                  max_abs_error=err, tol=GEOMETRY_TOL))
     results.append(_stacked_spectral_check(rng))
     return results
 
@@ -179,16 +186,17 @@ def _stacked_spectral_check(rng: np.random.Generator) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def empirical_marginals(scheme, draws, seed):
-    """Monte Carlo F_i = P(min S <= i) and Q_i = P(i in S) from ``stream(seed)``."""
-    b = scheme.b
-    f = np.zeros(b)
-    q = np.zeros(b)
+    """Monte Carlo F_i = P(min S <= i) and Q_i = P(i in S) from ``stream(seed)``.
+
+    Each distinct drawn set adds its count once.
+    """
     rng = sampling.stream(seed)
-    for _ in range(draws):
-        s = sampling.sample(scheme, rng)
-        f[min(s) - 1 :] += 1
-        for i in s:
-            q[i - 1] += 1
+    counts = Counter(sampling.sample(scheme, rng) for _ in range(draws))
+    f = np.zeros(scheme.b)
+    q = np.zeros(scheme.b)
+    for s, n in counts.items():
+        f[min(s) - 1 :] += n
+        q[[i - 1 for i in s]] += n
     return f / draws, q / draws
 
 
@@ -383,15 +391,15 @@ def _prefix_reuse_check(seed: int) -> CheckResult:
 # rates suite (deterministic rate bound)
 # ---------------------------------------------------------------------------
 
-def rates_suite(seed: int = 0, n_seeds: int = 20, horizons=(10, 100, 1000)):
+def rates_suite(seed: int = 0):
     """Averaged weighted squared dual gradient norms against the rate bound."""
     prob, scheme, table, norms, x0 = rate_check_setup(seed)
     delta0 = prob.value_and_grad(x0)[0] - prob.f_star
     tw = costmodel.theory_weights(scheme.p, table, "smooth")
     results = []
-    for horizon in horizons:
+    for horizon in RATE_HORIZONS:
         values = []
-        for s in range(n_seeds):
+        for s in range(RATE_SEEDS):
             res = optimizer.run(
                 prob, scheme, optimizer.SmoothInverse(), horizon, seed * 1000 + s,
                 norms=norms, x0=x0, table=table,
@@ -409,7 +417,7 @@ def rates_suite(seed: int = 0, n_seeds: int = 20, horizons=(10, 100, 1000)):
             _check(
                 f"rates/weighted_grad_bound_K{horizon}",
                 lhs <= rhs,
-                lhs=lhs, rhs=rhs, margin=1.0 - lhs / rhs, seeds=n_seeds,
+                lhs=lhs, rhs=rhs, margin=1.0 - lhs / rhs, seeds=RATE_SEEDS,
             )
         )
     return results
@@ -552,10 +560,7 @@ def cost_suite(seed: int = 0, quick: bool = False):
     for name, scheme in fam_schemes.items():
         cp = random_cost_params(fam_rng, scheme.b)
         analytic = costmodel.expected_iteration_cost(scheme, cp)
-        srng = sampling.stream(seed + 11)
-        costs = np.array([
-            costmodel.iteration_cost(sampling.sample(scheme, srng), cp) for _ in range(draws)
-        ])
+        costs = _drawn_costs(scheme, cp, draws, seed + 11)
         err = abs(float(costs.mean()) - analytic)
         tol = 3.0 * float(costs.std()) / math.sqrt(draws) + 1e-12
         results.append(
@@ -604,6 +609,15 @@ def cost_suite(seed: int = 0, quick: bool = False):
     return results
 
 
+def _drawn_costs(scheme, cp: CostParams, draws: int, seed: int) -> np.ndarray:
+    """``iteration_cost`` of each of ``draws`` sets drawn from ``stream(seed)``, in draw
+    order; each distinct set is priced once."""
+    rng = sampling.stream(seed)
+    drawn = [sampling.sample(scheme, rng) for _ in range(draws)]
+    prices = {s: costmodel.iteration_cost(s, cp) for s in set(drawn)}
+    return np.array([prices[s] for s in drawn])
+
+
 def cost_ratio_setup():
     """A 4-layer instance where full-network training is provably suboptimal.
 
@@ -637,7 +651,7 @@ def cost_ratio_setup():
     return prob, x0, cp, table, scheme_full, scheme_rpt
 
 
-def cost_ratio_check(seed: int = 0, n_rpt_seeds: int = 5) -> CheckResult:
+def cost_ratio_check(seed: int = 0) -> CheckResult:
     """Run full-network vs optimal-RPT to one f-gap target and compare cost ratios.
 
     Fails, without a ratio, when full-network training is optimal on the
@@ -664,7 +678,7 @@ def cost_ratio_check(seed: int = 0, n_rpt_seeds: int = 5) -> CheckResult:
         return None
 
     cost_full = cost_to_target(scheme_full, seed)
-    costs_rpt = [cost_to_target(scheme_rpt, seed + 1 + s) for s in range(n_rpt_seeds)]
+    costs_rpt = [cost_to_target(scheme_rpt, seed + 1 + s) for s in range(COST_RATIO_RPT_SEEDS)]
     if cost_full is None or None in costs_rpt:
         return _check(name, False, error="target not reached within the iteration budget")
     measured = cost_full / float(np.mean(costs_rpt))
@@ -780,11 +794,47 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
 
     # (e) horizon-schedule trend: longer horizons drive the weighted norm lower
     results.append(horizon_trend_check(seed, n_seeds=5 if quick else 20))
+    # (f) the noise that run adds is the noise that (a, b) checked
+    results.append(_run_noise_check(seed))
     return results
 
 
-def horizon_trend_check(seed: int = 0, n_seeds: int = 20, k_short: int = 16,
-                        k_long: int = 256, required_factor: float = 1.5) -> CheckResult:
+def _run_noise_check(seed: int) -> CheckResult:
+    """Each stochastic sample of a run with seed s equals
+    ``stoch_grad(g(x_k), spec, stream(s, k + 1))`` bit for bit.
+
+    Under ``FullNetwork`` no active set is drawn, and with beta = 1 the
+    momentum after step k is step k's sample.  The four layers alternate two
+    shapes, so the samples come from two stacked groups, and one sigma is 0.
+    The run's seed comes from the check's own generator, so no other check
+    draws from its streams.
+    """
+    rng = np.random.default_rng(seed + 5)
+    iterations, run_seed = 40, int(rng.integers(2**31))
+    shapes = [(2, 3), (3, 2), (2, 3), (3, 2)]
+    targets = [rng.standard_normal(s) for s in shapes]
+    prob = problems.SeparableQuadratic(targets, [1.0, 2.0, 0.5, 1.5])
+    x0 = [rng.standard_normal(s) for s in shapes]
+    spec = problems.NoiseSpec((0.5, 0.0, 1.5, 0.2))
+    seen = []  # (momentum after step k, gradients at x_{k+1})
+    optimizer.run(
+        prob, sampling.FullNetwork(4), optimizer.FixedRadius((0.05,) * 4, beta=1.0), iterations,
+        run_seed, x0=x0, noise=spec,
+        on_step=lambda view: seen.append((_copies(view.momentum), _copies(view.grads))),
+    )
+    _, grads = prob.value_and_grad(x0)
+    mismatches = 0
+    for k, (momentum, grads_after) in enumerate(seen):
+        expected = problems.stoch_grad(grads, spec, sampling.stream(run_seed, k + 1))
+        mismatches += not all(map(np.array_equal, momentum, expected))
+        grads = grads_after
+    return _check(
+        "stochastic/run_noise_matches_stoch_grad", mismatches == 0 and len(seen) == iterations,
+        iterations=len(seen), mismatches=mismatches,
+    )
+
+
+def horizon_trend_check(seed: int = 0, n_seeds: int = 20) -> CheckResult:
     """Running-min weighted dual gradient norm at two horizons of the schedule."""
     rng = np.random.default_rng(seed)
     shape = (2, 2)
@@ -814,13 +864,13 @@ def horizon_trend_check(seed: int = 0, n_seeds: int = 20, k_short: int = 16,
         )
         return min(best, final)
 
-    short = float(np.mean([running_min(k_short, seed * 7919 + s) for s in range(n_seeds)]))
-    long = float(np.mean([running_min(k_long, seed * 7919 + s) for s in range(n_seeds)]))
+    short = float(np.mean([running_min(TREND_K_SHORT, seed * 7919 + s) for s in range(n_seeds)]))
+    long = float(np.mean([running_min(TREND_K_LONG, seed * 7919 + s) for s in range(n_seeds)]))
     factor = short / long
     return _check(
         "stochastic/horizon_trend",
-        factor >= required_factor,
-        k_short=k_short, k_long=k_long, factor=factor, required=required_factor,
+        factor >= TREND_FACTOR,
+        k_short=TREND_K_SHORT, k_long=TREND_K_LONG, factor=factor, required=TREND_FACTOR,
         short_min=short, long_min=long,
     )
 

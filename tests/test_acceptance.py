@@ -25,7 +25,8 @@ def _report(num: int, title: str, passed: bool, elapsed: float, budget: float, d
 
 def test_criterion_1_geometry_identities():
     t0 = time.time()
-    results = verify.geometry_suite(seed=0, n_matrices=1000, tol=1e-9)
+    assert (verify.GEOMETRY_MATRICES, verify.GEOMETRY_TOL) == (1000, 1e-9)
+    results = verify.geometry_suite(seed=0)
     elapsed = time.time() - t0
     identity_checks = [r for r in results if any(
         k in r.name for k in ("normlmo", "inplmo", "inpsharp", "normsharp")
@@ -68,7 +69,8 @@ def test_criterion_2_marginals():
 def test_criterion_3_deterministic_descent_and_rate():
     t0 = time.time()
     descent = [r for r in verify.descent_suite(seed=0) if r.name == "descent/monotone_f"]
-    rates = verify.rates_suite(seed=0, n_seeds=20, horizons=(10, 100, 1000))
+    assert (verify.RATE_SEEDS, verify.RATE_HORIZONS) == (20, (10, 100, 1000))
+    rates = verify.rates_suite(seed=0)
     elapsed = time.time() - t0
     margins = {r.name.rsplit("K", 1)[1]: r.detail["margin"] for r in rates}
     _report(
@@ -106,8 +108,8 @@ def test_criterion_5_l0l1_first_layer_condition():
 
 def test_criterion_6_stochastic_trend():
     t0 = time.time()
-    result = verify.horizon_trend_check(seed=0, n_seeds=20, k_short=16, k_long=256,
-                                        required_factor=1.5)
+    assert (verify.TREND_K_SHORT, verify.TREND_K_LONG, verify.TREND_FACTOR) == (16, 256, 1.5)
+    result = verify.horizon_trend_check(seed=0)
     elapsed = time.time() - t0
     _report(
         6, "running-min weighted gradient norm improves with the horizon",
@@ -118,7 +120,8 @@ def test_criterion_6_stochastic_trend():
 
 def test_criterion_7_cost_ratio_analogue():
     t0 = time.time()
-    result = verify.cost_ratio_check(seed=0, n_rpt_seeds=5)
+    assert verify.COST_RATIO_RPT_SEEDS == 5
+    result = verify.cost_ratio_check(seed=0)
     elapsed = time.time() - t0
     _report(
         7, "constructed-instance cost ratio vs model prediction",

@@ -678,6 +678,7 @@ def bad_run_configs():
     case("seed_negative", "config.seeds[0]")["seeds"] = [-1]
     case("seed_duplicate", "config.seeds[1]")["seeds"] = [0, 0]
     case("target_not_number", "config.targets[0]")["targets"] = ["x"]
+    case("target_duplicate", "config.targets[1]")["targets"] = [0.1, 0.1, 1e-3]
     case("iterations_negative", "config.iterations")["iterations"] = -3
     case("iterations_not_int", "config.iterations")["iterations"] = 2.5
     case("iterations_bool", "config.iterations")["iterations"] = True
@@ -1246,6 +1247,22 @@ def test_verify_command_geometry(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     payload = json.loads(report.read_text())
     assert payload["passed"] and payload["suite"] == "geometry"
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_verify_refuses_an_unwritable_out_before_any_suite_runs(tmp_path, capsys, monkeypatch,
+                                                                where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    out, reason = tmp_path / "missing" / "report.json", "No such file or directory"
+    if where == "a_directory":
+        out, reason = tmp_path, "Is a directory"
+    assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out: cannot write {str(out)!r}: {reason}\n"
 
 
 def test_verify_unknown_suite_rejected(capsys):

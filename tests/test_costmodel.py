@@ -389,6 +389,50 @@ def test_simplex_grid_counts_and_validity():
     np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
 
 
+def recursive_compositions(n, b):
+    """Reference: all compositions of n into b non-negative parts, ascending lexicographic,
+    built by the recursion that ``simplex_grid`` replaced."""
+    if b == 1:
+        return np.array([[n]])
+    rows = []
+    for k in range(n + 1):
+        rest = recursive_compositions(n - k, b - 1)
+        rows.append(np.hstack([np.full((rest.shape[0], 1), k), rest]))
+    return np.vstack(rows)
+
+
+# every (b, n) the solver's L0L1_GRID_DENOMINATOR, verify and the tests ask for, and b = 1
+GRID_SIZES = sorted(set(cm.L0L1_GRID_DENOMINATOR.items())
+                    | {(2, 100), (3, 100), (4, 100), (2, 40), (3, 40), (4, 40), (3, 10),
+                       (2, 10), (1, 7)})
+
+
+@pytest.mark.parametrize("b, n", GRID_SIZES, ids=[f"b{b}_n{n}" for b, n in GRID_SIZES])
+def test_simplex_grid_equals_the_recursive_compositions(b, n):
+    grid = cm.simplex_grid(b, n)
+    reference = recursive_compositions(n, b) / float(n)
+    assert grid.dtype == reference.dtype and grid.shape == reference.shape
+    assert np.array_equal(grid, reference)
+    assert not grid.flags.writeable and cm.simplex_grid(b, n) is grid
+
+
+def test_l0l1_solve_builds_the_dense_cutoff_matrices_once(monkeypatch):
+    calls = []
+    rpt_matrix = cm._rpt_matrix
+
+    def counting(table, which="l0"):
+        calls.append(which)
+        return rpt_matrix(table, which)
+
+    monkeypatch.setattr(cm, "_rpt_matrix", counting)
+    table = verify.random_l1_rpt_table(np.random.default_rng(8), 8, first_layer_max=False)
+    cp = verify.random_cost_params(np.random.default_rng(9), 8)
+    for regime in ("eps", "eps2"):
+        calls.clear()
+        cm.optimal_rpt_probs_l0l1(table, cp, regime)
+        assert calls == ["l0", "l1"]
+
+
 # ---------------------------------------------------------------------------
 # total cost
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Suite plumbing: every named suite runs and reports structured results."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from droptrain import cli, costmodel, geometry, optimizer, problems, verify
+from droptrain import cli, costmodel, geometry, optimizer, problems, sampling, verify
 
 
 def test_unknown_suite_rejected():
@@ -44,8 +47,57 @@ def test_descent_suite_passes(seed):
 
 def test_quick_stochastic_suite_passes():
     results = verify.stochastic_suite(seed=1, quick=True)
+    assert results[-1].name == "stochastic/run_noise_matches_stoch_grad"
     failed = [r for r in results if not r.passed]
     assert not failed, failed
+
+
+# every scheme family, with zero-probability cutoffs, starts and blocks where it has them
+MARGINAL_SCHEMES = {
+    "rpt": sampling.Rpt((0.4, 0.0, 0.35, 0.25)),
+    "tau_nice": sampling.TauNice(6, 2),
+    "tau_submodel": sampling.TauSubmodel(5, 2, (0.5, 0.0, 0.3, 0.2)),
+    "partitioned": sampling.PartitionedSubmodel(
+        (frozenset({1, 4}), frozenset({2}), frozenset({3, 5})), (0.5, 0.0, 0.5)
+    ),
+    "full": sampling.FullNetwork(4),
+    "epoch_shift": sampling.EpochShiftRpt(5, 0.7).at(0.3),
+}
+
+
+def per_draw_marginals(scheme, draws, seed):
+    """Reference: the per-draw loop that the counted ``empirical_marginals`` replaced."""
+    b = scheme.b
+    f = np.zeros(b)
+    q = np.zeros(b)
+    rng = sampling.stream(seed)
+    for _ in range(draws):
+        s = sampling.sample(scheme, rng)
+        f[min(s) - 1 :] += 1
+        for i in s:
+            q[i - 1] += 1
+    return f / draws, q / draws
+
+
+@pytest.mark.parametrize("name", MARGINAL_SCHEMES)
+def test_counted_empirical_marginals_equal_the_per_draw_loop(name):
+    scheme = MARGINAL_SCHEMES[name]
+    for draws, seed in ((1, 0), (5000, 3)):
+        got = verify.empirical_marginals(scheme, draws, seed)
+        want = per_draw_marginals(scheme, draws, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", MARGINAL_SCHEMES)
+def test_drawn_costs_equal_per_draw_pricing(name):
+    scheme = MARGINAL_SCHEMES[name]
+    cp = verify.random_cost_params(np.random.default_rng(4), scheme.b)
+    rng = sampling.stream(11)
+    want = np.array([costmodel.iteration_cost(sampling.sample(scheme, rng), cp)
+                     for _ in range(5000)])
+    got = verify._drawn_costs(scheme, cp, 5000, 11)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
@@ -87,6 +139,17 @@ def scaled_lmo_steps(monkeypatch, factor):
     monkeypatch.setattr(geometry, "lmos", scaled)
 
 
+def tripled_noise(monkeypatch):
+    """Mutate run's samples: the noise on each noisy row is three times its scale."""
+    samples = optimizer._samples
+
+    def tripled(grads, plan, rng):
+        noise = [(shape, 3.0 * scale, place) for shape, scale, place in plan.noise]
+        return samples(grads, dataclasses.replace(plan, noise=noise), rng)
+
+    monkeypatch.setattr(optimizer, "_samples", tripled)
+
+
 def stale_mlp_prefix(monkeypatch):
     """Mutate the MLP oracle: each pass reuses one activation layer more than is frozen."""
     call = problems._MlpPasses.__call__
@@ -104,7 +167,9 @@ def stale_mlp_prefix(monkeypatch):
      "descent/zero_noise_matches_det_direction"),
     (lambda mp: scaled_lmo_steps(mp, -1.0), "stochastic", "stochastic/descent_lemma_diagnostic"),
     (stale_mlp_prefix, "descent", "descent/mlp/prefix_reuse_matches_fresh"),
-], ids=["scaled_step_norm", "scaled_step_direction", "reversed_step", "stale_prefix"])
+    (tripled_noise, "stochastic", "stochastic/run_noise_matches_stoch_grad"),
+], ids=["scaled_step_norm", "scaled_step_direction", "reversed_step", "stale_prefix",
+        "tripled_noise"])
 def test_each_check_that_drives_run_fails_on_a_mutation_of_run(monkeypatch, capsys, mutate,
                                                                suite, name):
     mutate(monkeypatch)
@@ -130,7 +195,7 @@ def force_target_not_reached(monkeypatch):
 @pytest.mark.parametrize("force", [force_full_network_optimal, force_target_not_reached])
 def test_cost_ratio_check_reports_a_broken_premise_as_fail(monkeypatch, capsys, force):
     error = force(monkeypatch)
-    result = verify.cost_ratio_check(seed=0, n_rpt_seeds=5)
+    result = verify.cost_ratio_check(seed=0)
     assert result.name == "cost/constructed_instance_cost_ratio"
     assert not result.passed and result.detail == {"error": error}
     # the CLI runs the cost suite narrowed to this check, which is the one that raised
