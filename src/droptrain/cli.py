@@ -643,7 +643,7 @@ def cmd_marginals(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         return _bad_flag("--seed", "an integer >= 0", args.seed)
-    if args.out:
+    if args.out is not None:
         try:  # refused before any suite runs; appending leaves an existing report as it is
             open(args.out, "a").close()
         except OSError as exc:
@@ -671,7 +671,7 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True, default=float))
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1

@@ -1249,20 +1249,23 @@ def test_verify_command_geometry(tmp_path, capsys):
     assert payload["passed"] and payload["suite"] == "geometry"
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory", "empty"])
 def test_verify_refuses_an_unwritable_out_before_any_suite_runs(tmp_path, capsys, monkeypatch,
                                                                 where):
     def refuse(*args, **kwargs):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(verify, "run_suite", refuse)
-    out, reason = tmp_path / "missing" / "report.json", "No such file or directory"
-    if where == "a_directory":
-        out, reason = tmp_path, "Is a directory"
-    assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 2
+    out, reason = {
+        "missing_directory": (str(tmp_path / "missing" / "report.json"),
+                              "No such file or directory"),
+        "a_directory": (str(tmp_path), "Is a directory"),
+        "empty": ("", "No such file or directory"),
+    }[where]
+    assert cli.main(["verify", "--suite", "all", "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --out: cannot write {str(out)!r}: {reason}\n"
+    assert captured.err == f"error: --out: cannot write {out!r}: {reason}\n"
 
 
 def test_verify_unknown_suite_rejected(capsys):

@@ -401,10 +401,11 @@ def recursive_compositions(n, b):
     return np.vstack(rows)
 
 
-# every (b, n) the solver's L0L1_GRID_DENOMINATOR, verify and the tests ask for, and b = 1
+# every (b, n) the solver's L0L1_GRID_DENOMINATOR, verify (b in 2..4 at 1/100 and 1/40)
+# and the brute-force tests ask for, and a second b = 1 grid
 GRID_SIZES = sorted(set(cm.L0L1_GRID_DENOMINATOR.items())
-                    | {(2, 100), (3, 100), (4, 100), (2, 40), (3, 40), (4, 40), (3, 10),
-                       (2, 10), (1, 7)})
+                    | {(2, 100), (3, 100), (4, 100), (2, 40), (3, 40), (4, 40), (2, 400),
+                       (3, 60), (3, 10), (2, 10), (1, 7)})
 
 
 @pytest.mark.parametrize("b, n", GRID_SIZES, ids=[f"b{b}_n{n}" for b, n in GRID_SIZES])
