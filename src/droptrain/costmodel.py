@@ -666,7 +666,7 @@ def rpt_cost_objective_smooth(
     p: Sequence[float], table: SmoothnessTable, cp: CostParams
 ) -> float:
     """Smooth-regime RPT cost ratio: expected iteration cost over min_i w_i."""
-    return float(_smooth_objective_grid(np.asarray(p, dtype=float)[None, :], table, cp)[0])
+    return float(_smooth_objective(np.asarray(p, dtype=float)[None, :], table)(cp)[0])
 
 
 def rpt_cost_objective_l0l1(
@@ -716,19 +716,25 @@ def _l0l1_objective(
     return objective
 
 
-def _smooth_objective_grid(
-    grid: np.ndarray, table: SmoothnessTable, cp: CostParams
-) -> np.ndarray:
-    """Vectorized smooth-regime objective over an (N, b) array of cutoff vectors."""
+def _smooth_objective(grid: np.ndarray, table: SmoothnessTable) -> Callable[[CostParams], np.ndarray]:
+    """The vectorized smooth-regime objective over an (N, b) array of cutoff vectors, as a
+    function of the cost parameters.
+
+    The denominator, min_i w_i of each cutoff vector, depends on the table and
+    the grid alone, so it is computed once, here, for every cost it is priced at.
+    """
     lower = np.tri(table.b, dtype=bool)
     inv = np.zeros((table.b, table.b))
     inv[lower] = 0.5 / _rpt_matrix(table)[lower]  # inv[i-1, s-1] = 1 / (2 L0_{i,{s..b}})
-    num = grid @ _rpt_d_vector(cp)
     den = (grid @ inv.T).min(axis=1)
-    out = np.full(grid.shape[0], np.inf)
     ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
-    return out
+
+    def objective(cp: CostParams) -> np.ndarray:
+        out = np.full(grid.shape[0], np.inf)
+        out[ok] = (grid @ _rpt_d_vector(cp))[ok] / den[ok]
+        return out
+
+    return objective
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,17 @@ is the one the run returns.
 ``run`` is also the only gradient caller, once per iterate x_0..x_K, and
 it keeps gradients in layer-group stacks from the problem to the step.  Its
 one gradient path is the oracle it asks the problem for once,
-``stacked_oracle(model.layout)``, which takes the model's stacks and the
-frozen-prefix length and returns f, one gradient stack per group and the
-forward MACs (or None); it never calls ``value_and_grad``.  ``TinyMlp``'s
-oracle keeps the activations of its last pass and recomputes only layers
->= min S, since a step writes only its active layers.  That gradient feeds
+``stacked_oracle(model.layout)``, called as ``oracle(stacks, forward_from,
+backward_to)``: the layer the pass's forward starts at and the layer its
+backward stops at.  It returns f, one gradient stack per group (rows below
+``backward_to`` read NaN) and the forward MACs (or None); ``run`` never
+calls ``value_and_grad``.  ``TinyMlp``'s oracle keeps the activations of its
+last pass, so the pass at x_{k+1} starts its forward at min S_k, the lowest
+layer the step wrote.  Its backward runs to layer 1, except that the pass at
+x_K computes f only when no ``on_step`` hook reads its gradients.  Each
+active set is drawn one iteration ahead: S_{k+1} at the end of iteration k,
+just before the pass at x_{k+1}, so that pass could stop its backward at
+min S_{k+1}.  That gradient feeds
 the diagnostics, the deterministic step and the stochastic sample, which
 adds noise to the active rows only (to every row for M0).  Each noisy layer,
 active or not, draws ``standard_normal`` of its own shape, in layer order,
@@ -500,6 +506,26 @@ def _stoch_step(
     return MappingProxyType(dict(sorted(applied.items())))
 
 
+def _at_iteration(k: int, exc: KeyError | ValueError) -> KeyError | ValueError:
+    """``exc``'s type with ``iteration k:`` before its message (a KeyError's unquoted)."""
+    return type(exc)(f"iteration {k}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
+
+
+def _draw(scheme, k: int, iterations: int, seed: int) -> tuple[np.random.Generator, frozenset[int]]:
+    """Iteration k's stream, ``stream(seed, k + 1)``, and the active set drawn first from it.
+
+    An ``EpochShiftRpt`` scheme is rematerialized at progress k / K.  A fault
+    is named ``iteration k:``.
+    """
+    rng = sampling.stream(seed, k + 1)
+    try:
+        if isinstance(scheme, sampling.EpochShiftRpt):
+            scheme = scheme.at(k / iterations)
+        return rng, sampling.sample(scheme, rng)
+    except (KeyError, ValueError) as exc:
+        raise _at_iteration(k, exc) from exc
+
+
 def _read_only(layout: problems.Layout, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Per-layer read-only views of ``stacks``."""
     views = [s.view() for s in stacks]
@@ -547,21 +573,34 @@ def run(
     the momentum-initializing stochastic gradient), stream(seed, k + 1) feeds
     iteration k, which consumes first the active-set draw, then the gradient
     noise.  Replaying any iteration therefore needs only (seed, k).  The
-    per-iteration ``sampling.stream(seed, k + 1)`` call is also what the
-    benchmark tracer (``benchmarks/tracer.py``) counts as the start of
-    iteration k, so it stays one call per iteration.
+    active-set draw is made one iteration ahead: S_0 from stream(seed, 1)
+    after M0's draw and before the loop, S_{k+1} from stream(seed, k + 2) at
+    the end of iteration k, just before the pass at x_{k+1}; that generator
+    is carried into iteration k + 1 for its noise.  The last iteration draws
+    nothing, and K = 0 never opens stream(seed, 1).  The numbers drawn, and
+    their order within each stream, are those of a draw at the top of each
+    iteration.  A run still makes one ``sampling.stream(seed, k + 1)`` call
+    per iteration, K in all, which the benchmark tracer
+    (``benchmarks/tracer.py``) counts as the start of iteration k.  The
+    call comes before the pass at x_k, so for 0 < k < K that pass falls
+    inside iteration k's traced span, not iteration k - 1's: iteration 0's
+    span holds no pass and iteration K - 1's holds the passes at x_{K-1}
+    and x_K.
 
     The problem is evaluated once per iterate (K + 1 passes), through its
     ``stacked_oracle(model.layout)``; a problem without one raises
-    AttributeError before x0 is evaluated.  Each stochastic sample, M0
-    included, is that exact gradient plus noise on the sampled rows.
+    AttributeError before x0 is evaluated.  Each pass starts its forward at
+    min S of the step before it (layer 1 at x0) and runs its backward to
+    layer 1, except the pass at x_K, which computes f only when ``on_step``
+    is None.  Each stochastic sample, M0 included, is that exact gradient
+    plus noise on the sampled rows.
     ``on_step`` is called after each iteration with a ``StepView``: read-only
     views of the layers, the momentum and the gradients, so that a hook
     cannot change the run (a prefix-reusing pass relies on frozen layers
     staying as stepped).
 
-    An ``EpochShiftRpt`` scheme is rematerialized each iteration at progress
-    k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
+    An ``EpochShiftRpt`` scheme is rematerialized for iteration k's draw at
+    progress k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
     backend for spectral layers on the stochastic path.
 
     Reports carry f before and after each step and the exact gradients'
@@ -570,7 +609,8 @@ def run(
     report is built once, read-only, and is the same object ``on_step`` saw.
     A failed step -- a missing smoothness constant, a non-finite gradient,
     momentum or f, a vanished LMO step -- raises with ``iteration k:`` and the
-    layer in the message.
+    layer in the message; a fault in the look-ahead draw of S_{k+1} names
+    ``iteration k + 1``.
     """
     b = problem.b
     if scheme.b != b:
@@ -583,7 +623,7 @@ def run(
         raise ValueError("the smoothness-inverse policy needs a SmoothnessTable")
 
     oracle = problem.stacked_oracle(model.layout)
-    f_curr, grads, _ = oracle(model.stacks, 0)
+    f_curr, grads, _ = oracle(model.stacks, 1, 1)
     if not math.isfinite(f_curr):
         raise ValueError(f"f is {f_curr} at x0")
     f_initial = f_curr
@@ -606,14 +646,11 @@ def run(
         m0 = _samples(grads, plans[full], sampling.stream(seed, INIT_STREAM))
         momentum = [np.array(m, dtype=float) for m in m0]  # copied: M0 shares no row with grads
 
+    if iterations:
+        rng, active = _draw(scheme, 0, iterations, seed)
     reports: list[StepReport] = []
     for k in range(iterations):
-        rng = sampling.stream(seed, k + 1)
         try:
-            scheme_k = scheme
-            if isinstance(scheme, sampling.EpochShiftRpt):
-                scheme_k = scheme.at(k / iterations)
-            active = sampling.sample(scheme_k, rng)
             norms_map, group_norms = _dual_norms(model, grads)
             plan = plans.get(active)
             if plan is None:
@@ -626,13 +663,19 @@ def run(
             else:
                 samples = _samples(grads, plan, rng)
                 applied = _stoch_step(model, samples, momentum, beta, plan, newton_schulz_cfg)
-            f_after, grads, fwd_macs = oracle(model.stacks, min(active) - 1)
-            if not math.isfinite(f_after):
-                raise ValueError(f"f_after is {f_after} after updating layers {sorted(active)}")
         except (KeyError, ValueError) as exc:
-            message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
-            raise type(exc)(f"iteration {k}: {message}") from exc
-        report = StepReport(active, f_curr, f_after, norms_map, applied, k, fwd_macs)
+            raise _at_iteration(k, exc) from exc
+        # the pass at x_K computes f only when no hook reads its gradients
+        backward_to = 1 if k + 1 < iterations or on_step is not None else b + 1
+        if k + 1 < iterations:  # look ahead: S_{k+1} and the generator of its noise
+            rng, active = _draw(scheme, k + 1, iterations, seed)
+        try:
+            f_after, grads, fwd_macs = oracle(model.stacks, min(plan.active), backward_to)
+            if not math.isfinite(f_after):
+                raise ValueError(f"f_after is {f_after} after updating layers {sorted(plan.active)}")
+        except (KeyError, ValueError) as exc:
+            raise _at_iteration(k, exc) from exc
+        report = StepReport(plan.active, f_curr, f_after, norms_map, applied, k, fwd_macs)
         f_curr = f_after
         if on_step is not None:
             on_step(StepView(

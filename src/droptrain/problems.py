@@ -19,7 +19,7 @@ Three problem families share one duck-typed interface (``b``, ``shapes``,
   from a given activation prefix, backpropagates down to ``first_layer``
   and counts the multiply-accumulate operations it spends.  The network
   keeps no activations of its own: its stacked oracle owns those of its
-  last pass and hands the frozen prefix to the next.
+  last pass and hands their prefix to the next.
 
 ``Layout`` is the one description of how layers sit in group stacks: it
 groups the layers by one key per layer whose first item is the layer's shape
@@ -28,10 +28,14 @@ group's key, shape and 1-based members, each layer's (group, row), each
 group's active rows for an active set, and the copies between per-layer
 lists and stacks.  ``stacked_oracle(layout)`` binds a problem to its
 caller's layout, checking it against the problem's layer shapes once.  The
-oracle it returns takes one (n, m, k) stack of layers per group and the
-frozen-prefix length, and returns f, one gradient stack per group and the
-forward MACs (None for the quadratics).  It is the only gradient path
-``optimizer.run`` takes, as ``stacked_oracle(model.layout)``.  The two
+oracle it returns is called as ``oracle(stacks, forward_from, backward_to)``:
+one (n, m, k) stack of layers per group, the layer its forward starts at and
+the layer its backward stops at, 1 <= forward_from <= b and
+1 <= backward_to <= b + 1 (b + 1 computes f only).  It returns f, one
+gradient stack per group, whose rows below ``backward_to`` read NaN, and the
+forward MACs (None for the quadratics, which ignore both ends and return
+every row).  It is the only gradient path ``optimizer.run`` takes, as
+``stacked_oracle(model.layout)``.  The two
 quadratics build their target, weight and curvature stacks for those
 groups, and stack the coupling maps per (left group, right group) pair;
 each keeps the per-layer formula's BLAS calls and order of additions, so f
@@ -148,7 +152,7 @@ class _SeparableStacks:
         self._weights = layout.stack(prob.weights)
         self._where = layout.where
 
-    def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
+    def __call__(self, stacks: list[np.ndarray], forward_from: int, backward_to: int):
         terms, grads = [], []
         for x, a, w in zip(stacks, self._targets, self._weights):
             e = x - a
@@ -189,7 +193,7 @@ class _CoupledStacks:
                 right, _row_index([where[i + 1][1] for i in ids]),
             ))
 
-    def __call__(self, stacks: list[np.ndarray], frozen: int = 0):
+    def __call__(self, stacks: list[np.ndarray], forward_from: int, backward_to: int):
         sq, errs, grads = [], [], []
         for g, x in enumerate(stacks):
             e = x.reshape(len(x), -1) - self._targets[g]
@@ -217,26 +221,29 @@ class _CoupledStacks:
 class _MlpPasses:
     """A ``TinyMlp``'s passes on layer stacks; it owns the activations of the last pass.
 
-    Each call is one ``TinyMlp._pass`` on per-layer views of the stacks, from
-    the frozen prefix a_0..a_frozen of the previous call's activations, which
-    the caller guarantees are unchanged since -- nothing compares them; the
-    backward is full and the gradients are stacked once per group.
+    Each call is one ``TinyMlp._pass`` on per-layer views of the stacks.  Its
+    forward starts at layer ``forward_from`` from the activations
+    a_0..a_{forward_from - 1} of the last pass, which the caller guarantees
+    are unchanged since -- nothing compares them.  The cache starts as [a_0],
+    so a first call is a fresh pass whatever ``forward_from``.  Its backward
+    stops at layer ``backward_to``, the rows below read NaN, and the
+    gradients are stacked once per group.
     """
 
     def __init__(self, mlp: "TinyMlp", layout: Layout) -> None:
         self._mlp = mlp
         self._layout = layout
-        self._acts = None
+        self._acts = [mlp.inputs]
 
-    def __call__(self, stacks: list[np.ndarray], frozen: int):
-        mlp = self._mlp
-        if not 0 <= frozen < mlp.b:
-            raise ValueError(f"frozen must be in [0, {mlp.b}), got {frozen}")
-        if frozen and self._acts is None:
-            raise ValueError("reusing a prefix needs the activations of an earlier pass")
-        prefix = self._acts[: frozen + 1] if frozen else [mlp.inputs]
-        f, grads, self._acts, macs = mlp._pass(self._layout.rows(stacks), prefix, 1)
-        return f, self._layout.stack(grads), macs
+    def __call__(self, stacks: list[np.ndarray], forward_from: int, backward_to: int):
+        b = self._mlp.b
+        if not (1 <= forward_from <= b and 1 <= backward_to <= b + 1):
+            raise ValueError(f"forward_from must be in [1, {b}] and backward_to in [1, {b + 1}], "
+                             f"got {forward_from} and {backward_to}")
+        layers, prefix = self._layout.rows(stacks), self._acts[:forward_from]
+        f, grads, self._acts, macs = self._mlp._pass(layers, prefix, backward_to)
+        unset = [np.full(x.shape, np.nan) for x in layers[: backward_to - 1]]
+        return f, self._layout.stack(unset + grads), macs
 
 
 class _Quadratic:
@@ -254,7 +261,8 @@ class _Quadratic:
         return [a.shape for a in self.targets]
 
     def stacked_oracle(self, layout: Layout):
-        """``(stacks, frozen) -> (f, gradient stacks, None)`` on one stack per group of ``layout``.
+        """``(stacks, forward_from, backward_to) -> (f, gradient stacks, None)`` on one stack
+        per group of ``layout``; both ends are ignored.
 
         The layout's shapes are checked here, once.
         """
@@ -275,7 +283,7 @@ class _Quadratic:
         """
         layout, oracle = self._shape_oracle
         layout.check([np.shape(x) for x in layers])
-        f, grads, _ = oracle(layout.stack(layers), 0)
+        f, grads, _ = oracle(layout.stack(layers), 1, 1)
         return f, layout.rows(grads)
 
 
@@ -519,16 +527,16 @@ class TinyMlp:
         return loss, grads[::-1], acts, macs + z.size
 
     def value_and_grad(self, layers: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        loss, grads, _, _ = self._pass(layers, [self.inputs], 1)
-        return loss, grads
+        return self._pass(layers, [self.inputs], 1)[:2]
 
     def stacked_oracle(self, layout: Layout):
-        """``(stacks, frozen) -> (f, gradient stacks, MACs)`` on one stack per group of ``layout``.
+        """``(stacks, forward_from, backward_to) -> (f, gradient stacks, MACs)`` on one stack
+        per group of ``layout``.
 
-        Each call is a full-backward pass that reuses the activations of the
-        oracle's previous pass for layers 1..frozen, which the caller
-        guarantees are unchanged since; ``frozen`` must be in [0, b), and
-        above 0 only after a first pass.
+        Each call is one pass: its forward reuses the activations of the
+        oracle's previous pass below layer ``forward_from``, which the caller
+        guarantees are unchanged since, and its backward stops at layer
+        ``backward_to``; the gradient rows below it read NaN.
         """
         layout.check(self.shapes)
         return _MlpPasses(self, layout)

@@ -58,6 +58,7 @@ def _check(name: str, passed, **detail) -> CheckResult:
 GEOMETRY_MATRICES, GEOMETRY_TOL = 1000, 1e-9  # 1: random matrices per norm kind, tolerance
 RATE_SEEDS, RATE_HORIZONS = 20, (10, 100, 1000)  # 3
 TREND_K_SHORT, TREND_K_LONG, TREND_FACTOR = 16, 256, 1.5  # 6: horizons, required short / long
+TREND_SEEDS = 20  # 6: runs per horizon
 COST_RATIO_RPT_SEEDS = 5  # 7
 
 
@@ -447,17 +448,17 @@ def recursion_oracle_checks(rng: np.random.Generator, n_tables: int) -> list[Che
         cp = random_cost_params(rng, b)
         p_star = costmodel.optimal_rpt_probs_smooth(table)
         val = costmodel.rpt_cost_objective_smooth(p_star, table, cp)
-        grid_vals = costmodel._smooth_objective_grid(costmodel.simplex_grid(b, 100), table, cp)
+        grid_vals = costmodel._smooth_objective(costmodel.simplex_grid(b, 100), table)(cp)
         excess = val - float(grid_vals.min())
         worst_excess = max(worst_excess, excess)
         grid_ok = grid_ok and excess <= 1e-9
         is_vertex = bool(np.all(p_star[1:] == 0.0))
         mismatches += is_vertex != costmodel.full_network_optimal_smooth(table)
+        objective = costmodel._smooth_objective(costmodel.simplex_grid(b, 40), table)
         for _ in range(10):
             other = random_cost_params(rng, b)
             val = costmodel.rpt_cost_objective_smooth(p_star, table, other)
-            grid = costmodel._smooth_objective_grid(costmodel.simplex_grid(b, 40), table, other)
-            worst_other_excess = max(worst_other_excess, val - float(grid.min()))
+            worst_other_excess = max(worst_other_excess, val - float(objective(other).min()))
     return [
         _check("cost/recursion_beats_grid", grid_ok, tables=n_tables, worst_excess=worst_excess),
         _check("cost/vertex_condition_equivalence", mismatches == 0,
@@ -490,13 +491,11 @@ def l0l1_condition_check(rng: np.random.Generator, n_tables: int) -> CheckResult
     )
 
 
-def cost_suite(seed: int = 0, quick: bool = False):
+def cost_suite(seed: int = 0):
     rng = np.random.default_rng(seed)
-    n_oracle = 100 if quick else 500
-    n_l0l1 = 40 if quick else 200
 
     # (a)-(c) the smooth recursion: grid oracle, vertex condition, cost invariance
-    results = recursion_oracle_checks(rng, n_oracle)
+    results = recursion_oracle_checks(rng, 500)
 
     # (d) exchange property: positive mass forces a tight constraint
     worst_slack = 0.0
@@ -546,7 +545,7 @@ def cost_suite(seed: int = 0, quick: bool = False):
     )
 
     # (f) expected iteration cost equals the Monte Carlo mean (3 sigma), per family
-    draws = 20_000 if quick else 100_000
+    draws = 100_000
     fam_rng = np.random.default_rng(seed + 7)
     fam_schemes = {
         "rpt": sampling.Rpt((0.4, 0.3, 0.2, 0.1)),
@@ -568,7 +567,7 @@ def cost_suite(seed: int = 0, quick: bool = False):
         )
 
     # (g) first-layer L1 condition vs the numeric (L0, L1) solver
-    results.append(l0l1_condition_check(rng, n_l0l1))
+    results.append(l0l1_condition_check(rng, 200))
 
     # (h) tau-nice scan: constant L -> tau* = b; linear L -> tau* = 1; B decreasing
     cp6 = CostParams(0.4, (1.0, 0.8, 1.2, 0.9, 1.1, 1.0), (0.3,) * 6)
@@ -698,10 +697,10 @@ def cost_ratio_check(seed: int = 0) -> CheckResult:
 # stochastic suite
 # ---------------------------------------------------------------------------
 
-def stochastic_suite(seed: int = 0, quick: bool = False):
+def stochastic_suite(seed: int = 0):
     rng = np.random.default_rng(seed)
     results = []
-    draws = 2000 if quick else 10_000
+    draws = 10_000
 
     # (a, b) noise is unbiased with the declared per-layer variance
     prob = problems.SeparableQuadratic(
@@ -793,7 +792,7 @@ def stochastic_suite(seed: int = 0, quick: bool = False):
     ))
 
     # (e) horizon-schedule trend: longer horizons drive the weighted norm lower
-    results.append(horizon_trend_check(seed, n_seeds=5 if quick else 20))
+    results.append(horizon_trend_check(seed))
     # (f) the noise that run adds is the noise that (a, b) checked
     results.append(_run_noise_check(seed))
     return results
@@ -834,7 +833,7 @@ def _run_noise_check(seed: int) -> CheckResult:
     )
 
 
-def horizon_trend_check(seed: int = 0, n_seeds: int = 20) -> CheckResult:
+def horizon_trend_check(seed: int = 0) -> CheckResult:
     """Running-min weighted dual gradient norm at two horizons of the schedule."""
     rng = np.random.default_rng(seed)
     shape = (2, 2)
@@ -864,8 +863,9 @@ def horizon_trend_check(seed: int = 0, n_seeds: int = 20) -> CheckResult:
         )
         return min(best, final)
 
-    short = float(np.mean([running_min(TREND_K_SHORT, seed * 7919 + s) for s in range(n_seeds)]))
-    long = float(np.mean([running_min(TREND_K_LONG, seed * 7919 + s) for s in range(n_seeds)]))
+    seeds = [seed * 7919 + s for s in range(TREND_SEEDS)]
+    short = float(np.mean([running_min(TREND_K_SHORT, s) for s in seeds]))
+    long = float(np.mean([running_min(TREND_K_LONG, s) for s in seeds]))
     factor = short / long
     return _check(
         "stochastic/horizon_trend",

@@ -109,6 +109,7 @@ def test_criterion_5_l0l1_first_layer_condition():
 def test_criterion_6_stochastic_trend():
     t0 = time.time()
     assert (verify.TREND_K_SHORT, verify.TREND_K_LONG, verify.TREND_FACTOR) == (16, 256, 1.5)
+    assert verify.TREND_SEEDS == 20
     result = verify.horizon_trend_check(seed=0)
     elapsed = time.time() - t0
     _report(
@@ -155,7 +156,7 @@ def test_criterion_8_mlp_truncated_backward_and_cache():
     loss_macs = mlp.weights[-1].shape[0] * n
     layout = pb.Layout([(w.shape,) for w in mlp.weights])
     oracle = mlp.stacked_oracle(layout)
-    _, _, full_macs = oracle(layout.stack(x), 0)
+    _, _, full_macs = oracle(layout.stack(x), 1, 1)
     macs_ok = full_macs == sum(layer_macs) + loss_macs
     equal_ok = True
     spent = {}
@@ -163,8 +164,8 @@ def test_criterion_8_mlp_truncated_backward_and_cache():
         x2 = [w.copy() for w in x]
         for l in range(frozen, mlp.b):
             x2[l] += 0.01
-        loss, grad_stacks, macs = oracle(layout.stack(x2), frozen)
-        oracle(layout.stack(x), 0)  # back at x: the next pass reuses these activations
+        loss, grad_stacks, macs = oracle(layout.stack(x2), frozen + 1, 1)
+        oracle(layout.stack(x), 1, 1)  # back at x: the next pass reuses these activations
         grads = layout.rows(grad_stacks)
         plain_loss, plain_grads = mlp.value_and_grad(x2)
         spent[frozen] = macs

@@ -460,9 +460,9 @@ def test_run_one_gradient_pass_per_iterate_per_variant_seed(tmp_path, monkeypatc
     def counting(self, layout):  # counts the passes of the oracle run builds
         oracle = inner(self, layout)
 
-        def counted(stacks, frozen):
+        def counted(stacks, forward_from, backward_to):
             calls.append(None)
-            return oracle(stacks, frozen)
+            return oracle(stacks, forward_from, backward_to)
 
         return counted
 

@@ -730,9 +730,9 @@ class CountingProblem:
     def stacked_oracle(self, layout):
         oracle = self.inner.stacked_oracle(layout)
 
-        def counted(stacks, frozen):
+        def counted(stacks, forward_from, backward_to):
             self.calls += 1
-            return oracle(stacks, frozen)
+            return oracle(stacks, forward_from, backward_to)
 
         return counted
 
@@ -826,6 +826,98 @@ def test_a_sampling_fault_names_its_iteration(monkeypatch):
     monkeypatch.setattr(sp, "sample", refusing)
     with pytest.raises(ValueError, match=r"^iteration 0: no draw$"):
         op.run(prob, scheme, op.SmoothInverse(), 5, 0, table=table)
+
+
+# the look-ahead: S_{k+1} is drawn at the end of iteration k, before the pass at x_{k+1}
+
+def test_epoch_shift_look_ahead_draws_iteration_k_plus_1_at_progress_k_plus_1_over_k(
+    monkeypatch,
+):
+    prob = scalar_quadratic(np.random.default_rng(3))
+    scheme, iterations, seed = sp.EpochShiftRpt(3, 1.0), 5, 4
+    table = pb.smoothness_constants(prob, scheme, [EUC] * 3)
+    at, seen, progress = sp.EpochShiftRpt.at, [], []
+
+    def recording(self, t):
+        progress.append((len(seen), t))  # (reports seen so far, progress)
+        return at(self, t)
+
+    monkeypatch.setattr(sp.EpochShiftRpt, "at", recording)
+    res = op.run(prob, scheme, op.SmoothInverse(), iterations, seed, table=table,
+                 on_step=lambda view: seen.append(view.report.k))
+    # S_0 before the loop; S_{k+1} inside iteration k, before its report
+    assert progress == [(0, 0.0)] + [(k, (k + 1) / iterations) for k in range(iterations - 1)]
+    monkeypatch.setattr(sp.EpochShiftRpt, "at", at)
+    for k, r in enumerate(res.reports):
+        assert r.active == sp.sample(scheme.at(k / iterations), sp.stream(seed, k + 1))
+
+
+def test_a_look_ahead_sampling_fault_names_the_next_iteration(monkeypatch):
+    prob = scalar_quadratic(np.random.default_rng(3))
+    scheme = sp.Rpt((0.5, 0.3, 0.2))
+    sample, draws, seen = sp.sample, [], []
+
+    def refusing_the_third(scheme, rng):
+        draws.append(None)
+        if len(draws) == 3:
+            raise ValueError("no draw")
+        return sample(scheme, rng)
+
+    monkeypatch.setattr(sp, "sample", refusing_the_third)
+    with pytest.raises(ValueError, match=r"^iteration 2: no draw$"):
+        op.run(prob, scheme, op.HorizonSchedule(), 5, 0,
+               on_step=lambda view: seen.append(view.report.k))
+    assert seen == [0]  # S_2 is drawn in iteration 1, before the pass at x_2
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.HorizonSchedule()])
+def test_zero_iterations_draw_no_active_set(monkeypatch, policy):
+    prob = scalar_quadratic(np.random.default_rng(3))
+    stream, streams = sp.stream, []
+
+    def recording(*args):
+        streams.append(args)
+        return stream(*args)
+
+    monkeypatch.setattr(sp, "stream", recording)
+    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), policy, 0, 9, table=table_for(prob),
+                 noise=pb.NoiseSpec((0.1,) * 3))
+    assert res.reports == [] and res.f_final == res.f_initial
+    assert streams == ([] if isinstance(policy, op.SmoothInverse) else [(9, op.INIT_STREAM)])
+
+
+def recording_backward_stops(prob):
+    """Wraps the network's one pass; returns the list of the layers its backward stopped at."""
+    stops = []
+    run_pass = prob._pass
+
+    def recording(layers, prefix, first_layer):
+        stops.append(first_layer)
+        return run_pass(layers, prefix, first_layer)
+
+    prob._pass = recording
+    return stops
+
+
+@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.HorizonSchedule()])
+def test_the_last_pass_runs_a_backward_only_for_a_hook(policy):
+    prob = pb.TinyMlp.synthetic([4, 6, 6, 5, 3], n_samples=12, seed=7)
+    scheme, norms = sp.Rpt((0.3, 0.3, 0.2, 0.2)), [EUC, SPEC, SPEC, EUC]
+    kwargs = dict(norms=norms, x0=prob.weights, table=pb.smoothness_constants(prob, scheme, norms),
+                  noise=pb.NoiseSpec((0.05,) * 4))
+    stops = recording_backward_stops(prob)
+    lean = op.run(prob, scheme, policy, 6, 3, **kwargs)
+    assert stops == [1] * 6 + [prob.b + 1]  # x_0..x_5 with a backward, x_6 f only
+    stops.clear()
+    views = []
+    hooked = op.run(prob, scheme, policy, 6, 3, on_step=views.append, **kwargs)
+    assert stops == [1] * 7
+    del prob._pass
+    assert hooked.reports == lean.reports and hooked.f_final == lean.f_final
+    f_ref, grads_ref = prob.value_and_grad(hooked.model.layers)
+    assert f_ref == hooked.f_final
+    for got, want in zip(views[-1].grads, grads_ref, strict=True):
+        assert np.array_equal(got, want)
 
 
 def recording_prefix_passes(prob):
@@ -939,8 +1031,8 @@ class BadGradientAfterFirstStep(CountingProblem):
     def stacked_oracle(self, layout):
         counted = super().stacked_oracle(layout)
 
-        def oracle(stacks, frozen):
-            f, grads, macs = counted(stacks, frozen)
+        def oracle(stacks, forward_from, backward_to):
+            f, grads, macs = counted(stacks, forward_from, backward_to)
             if self.calls > 1:
                 for members, grad in zip(layout.members, grads):
                     for row, i in enumerate(members):
@@ -1059,7 +1151,7 @@ class FixedGradients:
 
     def stacked_oracle(self, layout):
         stacks = [np.array([self.grads[i - 1] for i in ids], dtype=float) for ids in layout.members]
-        return lambda _stacks, _frozen: (0.0, stacks, None)
+        return lambda _stacks, _forward_from, _backward_to: (0.0, stacks, None)
 
 
 @st.composite
@@ -1571,7 +1663,7 @@ class ScriptedGradients(FixedGradients):
     def stacked_oracle(self, layout):
         calls = []
 
-        def oracle(_stacks, _frozen):
+        def oracle(_stacks, _forward_from, _backward_to):
             grads = self.script[min(len(calls), len(self.script) - 1)]
             calls.append(None)
             stacks = [np.array([grads[i - 1] for i in members]) for members in layout.members]
@@ -1821,9 +1913,9 @@ def test_run_refuses_a_sigma_count_that_is_not_one_per_layer():
     def counted(layout):
         inner = oracle(layout)
 
-        def call(stacks, frozen):
-            passes.append(frozen)
-            return inner(stacks, frozen)
+        def call(stacks, forward_from, backward_to):
+            passes.append((forward_from, backward_to))
+            return inner(stacks, forward_from, backward_to)
 
         return call
 
@@ -1831,7 +1923,7 @@ def test_run_refuses_a_sigma_count_that_is_not_one_per_layer():
     with pytest.raises(ValueError, match=r"^need one sigma per layer$"):
         op.run(prob, sp.Rpt((0.0, 0.0, 1.0, 0.0)), op.FixedRadius((0.1,) * 4), 3, 0,
                norms=PREFIX_NORMS, x0=x0, noise=pb.NoiseSpec((0.4, 0.7, 0.0)))
-    assert passes == [0]
+    assert passes == [(1, 1)]
 
 
 @pytest.mark.parametrize("blocks", [

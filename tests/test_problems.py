@@ -274,7 +274,7 @@ def test_value_and_grad_repeated_calls_equal_a_fresh_instances(kind):
 def assert_oracle_equals_value_and_grad(prob, layers, norms):
     """The oracle bound to the layout of (layers, norms) against the per-layer evaluation."""
     model = LayerModel([np.array(x, dtype=float) for x in layers], norms)
-    f, grads, macs = prob.stacked_oracle(model.layout)(model.stacks, 0)
+    f, grads, macs = prob.stacked_oracle(model.layout)(model.stacks, 1, 1)
     ref_f, ref_grads = prob.value_and_grad(model.layers)
     assert f == ref_f and macs is None
     assert len(grads) == len(model.layout.members)
@@ -406,25 +406,30 @@ def test_oracle_refuses_a_layout_that_does_not_match_the_layer_shapes():
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mlp_oracle_equals_a_fresh_pass_for_every_frozen_prefix(activation):
     # layers 2 and 3 share a shape and a group; after each pass the oracle
-    # keeps its activations, and a pass that moves only layers > frozen
-    # equals a fresh value_and_grad
+    # keeps its activations, and a pass that moves only layers >= forward_from
+    # equals a fresh value_and_grad in f and in every row >= backward_to, for
+    # every pair of ends; the rows below backward_to read NaN
     sizes = [4, 6, 6, 6, 3]
     mlp = pb.TinyMlp.synthetic(sizes, n_samples=12, activation=activation, seed=5)
     model = LayerModel([w.copy() for w in mlp.weights], [EUC, SPEC, SPEC, EUC])
     oracle = mlp.stacked_oracle(model.layout)
     rng = np.random.default_rng(45)
     n = mlp.inputs.shape[1]
-    for frozen in [0, 3, 1, 2, 0, 2]:
-        if frozen:
-            for x in model.layers[frozen:]:
+    for forward_from in [1, 4, 2, 3, 1, 3]:
+        for backward_to in range(1, mlp.b + 2):
+            for x in model.layers[forward_from - 1 :]:
                 x += 0.05 * rng.standard_normal(x.shape)
-        f, grads, macs = oracle(model.stacks, frozen)
-        ref_f, ref_grads = mlp.value_and_grad(model.layers)
-        assert f == ref_f
-        for members, stack in zip(model.layout.members, grads):
-            for i, row in zip(members, stack):
-                assert np.array_equal(row, ref_grads[i - 1])
-        assert macs == sum(sizes[l] * sizes[l - 1] * n for l in range(frozen + 1, 5)) + 3 * n
+            f, grads, macs = oracle(model.stacks, forward_from, backward_to)
+            ref_f, ref_grads = mlp.value_and_grad(model.layers)
+            assert f == ref_f
+            for members, stack in zip(model.layout.members, grads):
+                for i, row in zip(members, stack):
+                    if i >= backward_to:
+                        assert np.array_equal(row, ref_grads[i - 1])
+                    else:
+                        assert np.isnan(row).all()
+            recomputed = range(forward_from, mlp.b + 1)
+            assert macs == sum(sizes[l] * sizes[l - 1] * n for l in recomputed) + 3 * n
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +656,7 @@ def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     layout = pb.Layout([(w.shape,) for w in mlp.weights])
     oracle = mlp.stacked_oracle(layout)
     x = [w.copy() for w in mlp.weights]
-    f0, stacks0, macs0 = oracle(layout.stack(x), 0)
+    f0, stacks0, macs0 = oracle(layout.stack(x), 1, 1)
     grads0 = layout.rows(stacks0)
     f0_ref, grads0_ref = mlp.value_and_grad(x)
     assert f0 == f0_ref
@@ -661,7 +666,7 @@ def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
     assert macs0 == sum(layer_macs) + 3 * 16
     for l in range(frozen, mlp.b):  # layers 1..frozen stay as they were
         x[l] += 0.05
-    f, stacks, macs = oracle(layout.stack(x), frozen)
+    f, stacks, macs = oracle(layout.stack(x), frozen + 1, 1)
     grads = layout.rows(stacks)
     f_ref, grads_ref = mlp.value_and_grad(x)
     assert f == f_ref and f != f0
@@ -670,25 +675,26 @@ def test_prefix_pass_reuses_activations_and_counts_recomputed_macs(frozen):
         np.testing.assert_array_equal(g, g_ref)
     assert macs == sum(layer_macs[frozen:]) + 3 * 16
     assert frozen == 0 or macs < macs0
-    with pytest.raises(ValueError, match="frozen must be in"):
-        oracle(layout.stack(x), 3)
-    with pytest.raises(ValueError, match="activations of an earlier pass"):
-        mlp.stacked_oracle(layout)(layout.stack(x), 1)
+    with pytest.raises(ValueError, match="forward_from must be in"):
+        oracle(layout.stack(x), 4, 1)
+    # a new oracle's first pass is fresh whatever its forward start
+    assert mlp.stacked_oracle(layout)(layout.stack(x), frozen + 1, 1)[::2] == (f, macs0)
 
 
-def test_mlp_oracle_refuses_a_prefix_it_cannot_reuse_and_keeps_its_activations():
+def test_mlp_oracle_first_pass_is_fresh_and_refused_ends_keep_its_activations():
     mlp = pb.TinyMlp.synthetic([4, 6, 5, 3], n_samples=16, seed=23)
     layout = pb.Layout([(w.shape,) for w in mlp.weights])
     stacks = layout.stack(mlp.weights)
     oracle = mlp.stacked_oracle(layout)
-    message = "^reusing a prefix needs the activations of an earlier pass$"
-    with pytest.raises(ValueError, match=message):
-        oracle(stacks, 1)
-    f_full, _, _ = oracle(stacks, 0)
-    for frozen in (-1, 3):
-        with pytest.raises(ValueError, match=rf"^frozen must be in \[0, 3\), got {frozen}$"):
-            oracle(stacks, frozen)
-    f, _, macs = oracle(stacks, 2)  # the refused calls left the first pass's activations
+    f_full, _, macs_full = oracle(stacks, 2, 1)  # no earlier activations: a fresh pass
+    assert f_full == mlp.value_and_grad(mlp.weights)[0]
+    assert macs_full == 6 * 4 * 16 + 5 * 6 * 16 + 3 * 5 * 16 + 3 * 16
+    for forward_from, backward_to in ((0, 1), (4, 1), (1, 0), (1, 5)):
+        message = (rf"^forward_from must be in \[1, 3\] and backward_to in \[1, 4\], "
+                   rf"got {forward_from} and {backward_to}$")
+        with pytest.raises(ValueError, match=message):
+            oracle(stacks, forward_from, backward_to)
+    f, _, macs = oracle(stacks, 3, 1)  # the refused calls left the first pass's activations
     assert f == f_full and macs == 3 * 5 * 16 + 3 * 16
 
 

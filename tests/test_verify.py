@@ -25,8 +25,8 @@ def test_check_result_repr():
     assert "FAIL" in repr(verify.CheckResult("x", False))
 
 
-def test_quick_cost_suite_passes():
-    results = verify.cost_suite(seed=1, quick=True)
+def test_cost_suite_passes():
+    results = verify.cost_suite(seed=1)
     failed = [r for r in results if not r.passed]
     assert not failed, failed
 
@@ -45,8 +45,8 @@ def test_descent_suite_passes(seed):
     assert not failed, failed
 
 
-def test_quick_stochastic_suite_passes():
-    results = verify.stochastic_suite(seed=1, quick=True)
+def test_stochastic_suite_passes():
+    results = verify.stochastic_suite(seed=1)
     assert results[-1].name == "stochastic/run_noise_matches_stoch_grad"
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -101,8 +101,8 @@ def test_drawn_costs_equal_per_draw_pricing(name):
 
 
 def test_stochastic_descent_lemma_check_keeps_its_worst_violation():
-    # check (d) drives optimizer.run itself; quick shortens only checks (a, b, e)
-    results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
+    # check (d) drives optimizer.run itself
+    results = {r.name: r for r in verify.stochastic_suite(seed=0)}
     check = results["stochastic/descent_lemma_diagnostic"]
     assert check.passed
     assert check.detail["worst_violation"] == -0.002339504740431264
@@ -120,7 +120,7 @@ def test_stochastic_suite_reports_a_moved_frozen_layer_as_fail(monkeypatch, caps
         return report
 
     monkeypatch.setattr(optimizer, "_stoch_step", moving_frozen_layers)
-    results = {r.name: r for r in verify.stochastic_suite(seed=0, quick=True)}
+    results = {r.name: r for r in verify.stochastic_suite(seed=0)}
     check = results["stochastic/normalized_step_norm"]
     assert not check.passed and check.detail["frozen_moved"] > 0
     assert check.detail["worst"] <= 1e-9  # the applied steps still have norm t_i
@@ -151,14 +151,14 @@ def tripled_noise(monkeypatch):
 
 
 def stale_mlp_prefix(monkeypatch):
-    """Mutate the MLP oracle: each pass reuses one activation layer more than is frozen."""
+    """Mutate the MLP oracle: each pass starts its forward one layer too high, reusing one
+    activation layer more than is unchanged."""
     call = problems._MlpPasses.__call__
 
-    def one_too_many(self, stacks, frozen):
-        b = self._mlp.b
-        return call(self, stacks, frozen if self._acts is None else min(frozen + 1, b - 1))
+    def one_too_high(self, stacks, forward_from, backward_to):
+        return call(self, stacks, min(forward_from + 1, self._mlp.b), backward_to)
 
-    monkeypatch.setattr(problems._MlpPasses, "__call__", one_too_many)
+    monkeypatch.setattr(problems._MlpPasses, "__call__", one_too_high)
 
 
 @pytest.mark.parametrize("mutate, suite, name", [
