@@ -146,10 +146,15 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
     raise ConfigError(path, "expected a norm name or a list of norm names")
 
 
-def build_policy(spec: dict, b: int, path: str):
+def build_policy(spec: dict, problem, scheme, norms: list[NormKind], path: str):
+    """The step rule of ``spec``; a smoothness-inverse rule carries the problem's table."""
     kind = _json_field(spec, "kind", path)
+    b = problem.b
     if kind == "smooth_inverse":
-        return optimizer.SmoothInverse()
+        try:
+            return optimizer.SmoothInverse(problems.smoothness_constants(problem, scheme, norms))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
     if kind == "fixed_radius":
         radii = _json_list(_json_field(spec, "radii", path), f"{path}.radii", b)
         return optimizer.FixedRadius(tuple(radii), spec.get("beta", 0.9), path)
@@ -202,7 +207,6 @@ class VariantPlan:
     name: str
     scheme: sampling.SamplingScheme | sampling.EpochShiftRpt
     policy: optimizer.StepPolicy
-    table: SmoothnessTable | None         # the smoothness-inverse policy's constants
     weights: np.ndarray                   # rate weights of the CSV's grad_sq_weighted
     eta_squared_caps: list[float] | None  # horizon policy with a loaded smoothness table
 
@@ -237,16 +241,13 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
     b = problem.b
     if scheme.b != b:
         raise ConfigError(f"{path}.scheme", f"scheme has {scheme.b} layers, the problem has {b}")
-    policy = build_policy(spec.get("policy", {"kind": "smooth_inverse"}), b, f"{path}.policy")
+    policy_spec = spec.get("policy", {"kind": "smooth_inverse"})
+    policy = build_policy(policy_spec, problem, scheme, norms, f"{path}.policy")
 
-    table, weights, caps = None, np.ones(b), None
+    weights, caps = np.ones(b), None
     if isinstance(policy, optimizer.SmoothInverse):
         try:
-            table = problems.smoothness_constants(problem, scheme, norms)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.policy", str(exc)) from exc
-        try:
-            tw = costmodel.theory_weights(costmodel.cutoff_probs(scheme), table, "smooth")
+            tw = costmodel.theory_weights(costmodel.cutoff_probs(scheme), policy.table, "smooth")
             weights = tw.w / tw.mean
         except (ValueError, KeyError):
             pass  # no RPT rate weights for this scheme: the CSV weighs layers equally
@@ -262,7 +263,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
                 caps = costmodel.horizon_eta_caps(p, caps_table, iterations, rho).tolist()
             except (KeyError, ValueError) as exc:
                 raise ConfigError("config.smoothness_table", exc.args[0]) from exc
-    return VariantPlan(name, scheme, policy, table, weights, caps)
+    return VariantPlan(name, scheme, policy, weights, caps)
 
 
 def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
@@ -388,7 +389,7 @@ def _run_one(plan: RunPlan, variant: VariantPlan, seed: int, columns) -> tuple[s
     with np.errstate(over="ignore", invalid="ignore"):
         result = optimizer.run(
             problem, variant.scheme, variant.policy, plan.iterations, seed,
-            norms=plan.norms, x0=plan.x0, table=variant.table, noise=plan.noise,
+            norms=plan.norms, x0=plan.x0, noise=plan.noise,
         )
         rows, cumulative_cost = _csv_rows(result, variant.weights, problem, plan.cost)
     lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]

@@ -158,8 +158,11 @@ class SmoothInverse:
     else gamma_i = 1 / L0_{i,S}; exact-gradient path.
 
     The table decides the rule: layer-wise (L0, L1)-smoothness with an L1
-    map, layer-wise smoothness without one.
+    map, layer-wise smoothness without one.  The sharp step scales U V^T by
+    the nuclear norm, which Newton-Schulz does not give, so it is SVD-only.
     """
+
+    table: SmoothnessTable
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,14 @@ class FixedRadius:
     Each radius must be a positive finite number and beta a number in [0, 1]
     (beta = 1 is the fresh-gradient endpoint of the convex combination); a
     fault is named as ``path.radii[j]:`` or ``path.beta:`` when ``path`` is given.
+    ``ns`` switches the spectral LMO to Newton-Schulz orthogonalization; None
+    takes the SVD.
     """
 
     radii: tuple[float, ...]
     beta: float = 0.9
     path: InitVar[str | None] = None  # the document path that names a faulty entry
+    ns: geometry.NewtonSchulzConfig | None = None
 
     def __post_init__(self, path):
         object.__setattr__(self, "radii", _positive_finite(self.radii, "radii", path))
@@ -199,15 +205,12 @@ class HorizonSchedule:
         if self.eta is not None:
             object.__setattr__(self, "eta", _positive_finite(self.eta, "eta", path))
 
-    def radii(self, b: int, horizon: int) -> np.ndarray:
+    def at(self, b: int, horizon: int) -> FixedRadius:
+        """The ``FixedRadius`` this schedule stands for on ``b`` layers over ``horizon`` steps."""
         eta = np.ones(b) if self.eta is None else np.asarray(self.eta, dtype=float)
         if eta.shape != (b,):
             raise ValueError("eta must have one entry per layer")
-        return eta / (horizon + 1) ** 0.75
-
-    @staticmethod
-    def beta(horizon: int) -> float:
-        return 1.0 / math.sqrt(horizon + 1)
+        return FixedRadius(tuple(eta / (horizon + 1) ** 0.75), 1.0 / math.sqrt(horizon + 1))
 
 
 StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule
@@ -560,9 +563,7 @@ def run(
     *,
     norms: Sequence[NormKind] | None = None,
     x0: Sequence[np.ndarray] | None = None,
-    table: SmoothnessTable | None = None,
     noise: problems.NoiseSpec | None = None,
-    newton_schulz_cfg: geometry.NewtonSchulzConfig | None = None,
     on_step: Callable[[StepView], None] | None = None,
 ) -> RunResult:
     """Drive the optimizer for ``iterations`` steps; deterministic given the seed.
@@ -600,8 +601,10 @@ def run(
     staying as stepped).
 
     An ``EpochShiftRpt`` scheme is rematerialized for iteration k's draw at
-    progress k / K.  ``newton_schulz_cfg`` selects the approximate-orthogonalization
-    backend for spectral layers on the stochastic path.
+    progress k / K, and a ``HorizonSchedule`` once, as the ``FixedRadius``
+    its ``at(b, K)`` returns.  A rule carries its own inputs: the smoothness
+    table of ``SmoothInverse``, refused before x0's pass when it is sized for
+    another network, and the Newton-Schulz config of ``FixedRadius``.
 
     Reports carry f before and after each step and the exact gradients'
     per-layer dual norms as diagnostics (the stochastic path's *updates* see
@@ -619,8 +622,8 @@ def run(
     model = LayerModel(list(x0) if x0 is not None else [np.zeros(s) for s in problem.shapes], norms)
 
     deterministic = isinstance(policy, SmoothInverse)
-    if deterministic and table is None:
-        raise ValueError("the smoothness-inverse policy needs a SmoothnessTable")
+    if deterministic and policy.table.b != b:
+        raise ValueError(f"the smoothness table has {policy.table.b} layers, the problem has {b}")
 
     oracle = problem.stacked_oracle(model.layout)
     f_curr, grads, _ = oracle(model.stacks, 1, 1)
@@ -630,13 +633,12 @@ def run(
 
     plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
     momentum = radii = sigmas = None  # momentum: one stack per layer group
-    if isinstance(policy, FixedRadius):
+    if isinstance(policy, HorizonSchedule):
+        policy = policy.at(b, iterations)
+    if not deterministic:
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")
         radii, beta = np.asarray(policy.radii), policy.beta
-    elif isinstance(policy, HorizonSchedule):
-        radii, beta = policy.radii(b, iterations), HorizonSchedule.beta(iterations)
-    if radii is not None:
         if noise is not None:
             sigmas = noise.sigmas
             if len(sigmas) != b:
@@ -656,13 +658,13 @@ def run(
             if plan is None:
                 plan = _plan(model, active, radii, sigmas)
                 if deterministic:
-                    _plan_stepsizes(plan, table, norms_map)
+                    _plan_stepsizes(plan, policy.table, norms_map)
                 plans[active] = plan
             if deterministic:
                 applied = _det_step(model, grads, group_norms, plan)
             else:
                 samples = _samples(grads, plan, rng)
-                applied = _stoch_step(model, samples, momentum, beta, plan, newton_schulz_cfg)
+                applied = _stoch_step(model, samples, momentum, beta, plan, policy.ns)
         except (KeyError, ValueError) as exc:
             raise _at_iteration(k, exc) from exc
         # the pass at x_K computes f only when no hook reads its gradients

@@ -306,8 +306,7 @@ def descent_suite(seed: int = 0):
     prob, scheme, table, norms, x0 = rate_check_setup(seed)
 
     res = optimizer.run(
-        prob, scheme, optimizer.SmoothInverse(), iterations, seed, norms=norms,
-        x0=x0, table=table,
+        prob, scheme, optimizer.SmoothInverse(table), iterations, seed, norms=norms, x0=x0
     )
     descent_ok = all(r.f_after <= r.f_before + 1e-10 for r in res.reports)
     results.append(_check("descent/monotone_f", descent_ok, iterations=iterations))
@@ -328,8 +327,7 @@ def descent_suite(seed: int = 0):
     # freeze invariance: inactive layers bit-identical across a step
     snapshots = []
     optimizer.run(
-        prob, scheme, optimizer.SmoothInverse(), 50, seed + 1, norms=norms,
-        x0=x0, table=table,
+        prob, scheme, optimizer.SmoothInverse(table), 50, seed + 1, norms=norms, x0=x0,
         on_step=lambda view: snapshots.append((view.report.active, _copies(view.layers))),
     )
     frozen_ok = True
@@ -402,8 +400,8 @@ def rates_suite(seed: int = 0):
         values = []
         for s in range(RATE_SEEDS):
             res = optimizer.run(
-                prob, scheme, optimizer.SmoothInverse(), horizon, seed * 1000 + s,
-                norms=norms, x0=x0, table=table,
+                prob, scheme, optimizer.SmoothInverse(table), horizon, seed * 1000 + s,
+                norms=norms, x0=x0,
             )
             acc = 0.0
             for r in res.reports:
@@ -666,8 +664,8 @@ def cost_ratio_check(seed: int = 0) -> CheckResult:
 
     def cost_to_target(scheme, run_seed):
         res = optimizer.run(
-            prob, scheme, optimizer.SmoothInverse(), 2000, run_seed,
-            norms=norms, x0=[x.copy() for x in x0], table=table,
+            prob, scheme, optimizer.SmoothInverse(table), 2000, run_seed,
+            norms=norms, x0=[x.copy() for x in x0],
         )
         cum = 0.0
         for r in res.reports:

@@ -1,6 +1,7 @@
 """Optimizer steps and runs: freeze contracts, exact-step landings, determinism,
 rate weights."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -39,6 +40,11 @@ def table_for(prob, norms=None):
     return pb.smoothness_constants(prob, sp.FullNetwork(prob.b), norms)
 
 
+def with_table(policy, table):
+    """``policy``, or, for the ``SmoothInverse`` class, the rule that carries ``table``."""
+    return policy(table) if policy is op.SmoothInverse else policy
+
+
 # ---------------------------------------------------------------------------
 # deterministic step (driven through run)
 # ---------------------------------------------------------------------------
@@ -49,7 +55,7 @@ def test_det_step_full_network_exact_newton_landing():
     prob = scalar_quadratic(rng)
     table = table_for(prob)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    res = op.run(prob, sp.FullNetwork(3), op.SmoothInverse(), 1, 0, x0=x0, table=table)
+    res = op.run(prob, sp.FullNetwork(3), op.SmoothInverse(table), 1, 0, x0=x0)
     for i in range(3):
         np.testing.assert_allclose(res.model.layers[i], prob.targets[i], atol=1e-12)
     rep = res.reports[0]
@@ -64,7 +70,7 @@ def test_det_step_freezes_inactive_layers_bitwise():
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
     steps = []  # (active set, layers after the step)
     op.run(
-        prob, sp.Rpt((0.0, 0.5, 0.5)), op.SmoothInverse(), 6, 0, x0=x0, table=table,
+        prob, sp.Rpt((0.0, 0.5, 0.5)), op.SmoothInverse(table), 6, 0, x0=x0,
         on_step=lambda view: steps.append((view.report.active, [x.copy() for x in view.layers])),
     )
     before = x0
@@ -83,7 +89,7 @@ def test_det_step_missing_constant_names_pair():
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(1, 1): 1.0})  # only one entry
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
     with pytest.raises(KeyError, match="iteration 0: .*layer 2, set key 2"):
-        op.run(prob, sp.Rpt((0.0, 1.0, 0.0)), op.SmoothInverse(), 2, 0, x0=x0, table=table)
+        op.run(prob, sp.Rpt((0.0, 1.0, 0.0)), op.SmoothInverse(table), 2, 0, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +193,11 @@ def test_on_step_cannot_rewrite_the_report(policy_name):
     rng = np.random.default_rng(8)
     prob = scalar_quadratic(rng)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    kwargs = dict(x0=x0, table=table_for(prob)) if policy_name == "smooth_inverse" else dict(
+    kwargs = dict(x0=x0) if policy_name == "smooth_inverse" else dict(
         x0=x0, noise=pb.NoiseSpec((0.1, 0.2, 0.0))
     )
-    policy = op.SmoothInverse() if policy_name == "smooth_inverse" else op.HorizonSchedule()
+    policy = op.SmoothInverse(table_for(prob)) if policy_name == "smooth_inverse" \
+        else op.HorizonSchedule()
     writes = [
         lambda r: setattr(r, "f_after", 123.0),
         lambda r: setattr(r, "active", frozenset()),
@@ -220,7 +227,7 @@ def test_on_step_sees_no_momentum_on_the_deterministic_path():
     prob = scalar_quadratic(rng)
     seen = []
     op.run(
-        prob, sp.FullNetwork(3), op.SmoothInverse(), 2, 0, table=table_for(prob),
+        prob, sp.FullNetwork(3), op.SmoothInverse(table_for(prob)), 2, 0,
         on_step=lambda view: seen.append((view.report.k, view.momentum, len(view.grads))),
     )
     assert seen == [(0, None, 3), (1, None, 3)]
@@ -235,8 +242,8 @@ def test_run_zero_iterations_returns_initial_model():
     prob = scalar_quadratic(rng)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
     res = op.run(
-        prob, sp.FullNetwork(3), op.SmoothInverse(), 0, 0,
-        x0=x0, table=table_for(prob),
+        prob, sp.FullNetwork(3), op.SmoothInverse(table_for(prob)), 0, 0,
+        x0=x0,
     )
     assert res.reports == []
     for a, b in zip(res.model.layers, x0):
@@ -247,8 +254,8 @@ def test_run_descent_on_quadratic():
     rng = np.random.default_rng(8)
     prob = scalar_quadratic(rng)
     res = op.run(
-        prob, sp.FullNetwork(3), op.SmoothInverse(), 20, 0,
-        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(prob),
+        prob, sp.FullNetwork(3), op.SmoothInverse(table_for(prob)), 20, 0,
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)],
     )
     fs = [r.f_before for r in res.reports] + [res.f_final]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
@@ -293,7 +300,11 @@ SEED_SCHEMES = {
     "full_network": sp.FullNetwork(3),
 }
 SEED_POLICIES = {
-    "smooth_inverse": op.SmoothInverse(),
+    # the table of seed_run's problem; under a drawing scheme the first draw
+    # comes before any table lookup
+    "smooth_inverse": op.SmoothInverse(
+        table_for(scalar_quadratic(np.random.default_rng(19)), [EUC, SPEC, EUC])
+    ),
     "fixed_radius": op.FixedRadius((0.1, 0.2, 0.1)),
     "horizon": op.HorizonSchedule(),
 }
@@ -317,12 +328,9 @@ def seed_run(scheme_name, policy_name, noise_name, seed):
     rng = np.random.default_rng(19)
     prob = scalar_quadratic(rng)
     norms = [EUC, SPEC, EUC]
-    # under a drawing scheme the first draw comes before any table lookup
-    table = table_for(prob, norms) if policy_name == "smooth_inverse" else None
     return op.run(
         prob, SEED_SCHEMES[scheme_name], SEED_POLICIES[policy_name], 6, seed, norms=norms,
-        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table,
-        noise=SEED_NOISES[noise_name],
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)], noise=SEED_NOISES[noise_name],
     )
 
 
@@ -390,10 +398,60 @@ def test_run_radius_policies_start_momentum_at_gradient():
     assert res.reports[0].degenerate == frozenset()
 
 
-def test_run_requires_table_for_det_policies():
+def test_a_rule_carries_its_own_inputs():
+    # the table and the Newton-Schulz config are fields of the rules, not run keywords
     prob = scalar_quadratic(np.random.default_rng(14))
-    with pytest.raises(ValueError, match="SmoothnessTable"):
-        op.run(prob, sp.FullNetwork(3), op.SmoothInverse(), 5, 0)
+    with pytest.raises(TypeError):
+        op.SmoothInverse()
+    for keyword in ("table", "newton_schulz_cfg"):
+        with pytest.raises(TypeError, match=keyword):
+            op.run(prob, sp.FullNetwork(3), op.FixedRadius((0.1,) * 3), 5, 0, **{keyword: None})
+    rule = op.FixedRadius((0.1, 0.2), 0.5, "policy")  # positional up to the document path
+    assert (rule.radii, rule.beta, rule.ns) == ((0.1, 0.2), 0.5, None)
+
+
+@pytest.mark.parametrize("mode", ["rpt_cutoff", "partition"])
+def test_run_refuses_a_table_sized_for_another_network_before_x0(mode):
+    rng = np.random.default_rng(14)
+    prob = CountingProblem(scalar_quadratic(rng))
+    if mode == "rpt_cutoff":
+        scheme = sp.Rpt((0.5, 0.3, 0.2))
+        table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0], [4.0] * 4])
+    else:
+        scheme = sp.PartitionedSubmodel((frozenset({1, 2}), frozenset({3})), (0.9, 0.1))
+        l0 = {(i, k): 1.0 for i in range(1, 5) for k in (1, 2)}
+        table = cm.SmoothnessTable(cm.TableMode.PARTITION, 4, l0)
+    with pytest.raises(ValueError, match="^the smoothness table has 4 layers, the problem has 3$"):
+        op.run(prob, scheme, op.SmoothInverse(table), 20, 0)
+    assert prob.calls == 0
+
+
+@pytest.mark.parametrize("norm", [EUC, SPEC])
+def test_run_with_a_horizon_schedule_is_run_with_its_fixed_radius(norm):
+    # run turns the schedule into the FixedRadius its ``at`` returns, bit for bit
+    rng = np.random.default_rng(30)
+    prob = pb.SeparableQuadratic([rng.standard_normal((3, 2)) for _ in range(4)], (1, 2, 0.5, 3))
+    x0 = [rng.standard_normal((3, 2)) for _ in range(4)]
+    eta, iterations = (0.3, 1.0, 0.2, 0.7), 12
+    schedule = op.HorizonSchedule(eta)
+    expected = op.FixedRadius(
+        tuple(np.asarray(eta) / (iterations + 1) ** 0.75), 1.0 / math.sqrt(iterations + 1)
+    )
+    assert schedule.at(4, iterations) == expected
+
+    def traced(policy):
+        momenta = []
+        res = op.run(
+            prob, sp.Rpt((0.4, 0.3, 0.2, 0.1)), policy, iterations, 5, norms=[norm] * 4, x0=x0,
+            noise=pb.NoiseSpec((0.1, 0.0, 0.2, 0.1)),
+            on_step=lambda view: momenta.append([m.copy() for m in view.momentum]),
+        )
+        return res, momenta
+
+    (res, momenta), (ref, ref_momenta) = traced(schedule), traced(schedule.at(4, iterations))
+    assert res.reports == ref.reports and res.f_final == ref.f_final
+    for a, b in zip(res.model.stacks + sum(momenta, []), ref.model.stacks + sum(ref_momenta, [])):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +539,8 @@ def test_run_epoch_shift_scheme_recomputed_per_iteration():
     rng = np.random.default_rng(16)
     prob = scalar_quadratic(rng)
     res = op.run(
-        prob, sp.EpochShiftRpt(3, 4.0), op.SmoothInverse(), 60, 0,
-        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(prob),
+        prob, sp.EpochShiftRpt(3, 4.0), op.SmoothInverse(table_for(prob)), 60, 0,
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)],
     )
     mins = [min(r.active) for r in res.reports]
     # strong shallow bias early, deep bias late
@@ -500,8 +558,8 @@ def test_run_newton_schulz_backend_close_to_svd():
     kwargs = dict(norms=[NormKind.SPECTRAL] * 2, x0=x0)
     exact = op.run(prob, sp.FullNetwork(2), op.FixedRadius((0.1, 0.1), beta=1.0), 10, 0, **kwargs)
     approx = op.run(
-        prob, sp.FullNetwork(2), op.FixedRadius((0.1, 0.1), beta=1.0), 10, 0,
-        newton_schulz_cfg=g.NewtonSchulzConfig(), **kwargs,
+        prob, sp.FullNetwork(2), op.FixedRadius((0.1, 0.1), beta=1.0, ns=g.NewtonSchulzConfig()),
+        10, 0, **kwargs,
     )
     for a, b in zip(exact.model.layers, approx.model.layers):
         assert np.max(np.abs(a - b)) <= 0.05  # same direction up to iteration error
@@ -576,10 +634,11 @@ def test_newton_schulz_run_makes_one_call_per_active_spectral_group(monkeypatch,
         per_iteration.append((list(calls), view.report.active))
         calls.clear()
 
+    policy = dataclasses.replace(op.HorizonSchedule().at(5, 12), ns=g.NewtonSchulzConfig())
     op.run(
-        prob, scheme, op.HorizonSchedule(), 12, 0, norms=norms,
+        prob, scheme, policy, 12, 0, norms=norms,
         x0=[rng.standard_normal(s) for s in shapes], noise=pb.NoiseSpec((0.1,) * 5),
-        newton_schulz_cfg=g.NewtonSchulzConfig(), on_step=on_step,
+        on_step=on_step,
     )
     assert len(per_iteration) == 12
     for shapes_seen, active in per_iteration:
@@ -608,9 +667,8 @@ def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x
     b = problem.b
     layers = [np.array(x, dtype=float) for x in x0]
     if isinstance(policy, op.HorizonSchedule):
-        radii, beta = policy.radii(b, iterations), op.HorizonSchedule.beta(iterations)
-    else:
-        radii, beta = np.asarray(policy.radii), policy.beta
+        policy = policy.at(b, iterations)
+    radii, beta = np.asarray(policy.radii), policy.beta
     momentum = [m.copy() for m in fresh_sample(layers, sp.stream(seed, 0))]
     f, grads = problem.value_and_grad(layers)
     rows = []
@@ -738,7 +796,7 @@ class CountingProblem:
 
 
 @pytest.mark.parametrize(
-    "policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()]
+    "policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.HorizonSchedule()]
 )
 def test_run_one_gradient_pass_per_iterate(policy):
     rng = np.random.default_rng(20)
@@ -746,8 +804,8 @@ def test_run_one_gradient_pass_per_iterate(policy):
     prob = CountingProblem(inner)
     iterations = 7
     op.run(
-        prob, sp.Rpt((0.5, 0.3, 0.2)), policy, iterations, 0,
-        x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+        prob, sp.Rpt((0.5, 0.3, 0.2)), with_table(policy, table_for(inner)), iterations, 0,
+        x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         noise=pb.NoiseSpec((0.1,) * 3),
     )
     assert prob.calls == iterations + 1
@@ -766,7 +824,7 @@ def shipped_problem(name, rng):
 
 @pytest.mark.parametrize(
     "policy",
-    [op.SmoothInverse(), op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
+    [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
 )
 @pytest.mark.parametrize("name", ["separable", "coupled", "mlp"])
 def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy):
@@ -784,7 +842,7 @@ def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy
     monkeypatch.setattr(type(prob), "value_and_grad", per_layer_path)
     monkeypatch.setattr(pb, "stoch_grad", per_layer_path)
     noise = pb.NoiseSpec((0.1, 0.0, 0.2))
-    res = op.run(prob, scheme, policy, 10, 0, x0=x0, table=table, noise=noise)
+    res = op.run(prob, scheme, with_table(policy, table), 10, 0, x0=x0, noise=noise)
     assert len(res.reports) == 10 and np.isfinite(res.f_final)
 
 
@@ -825,7 +883,7 @@ def test_a_sampling_fault_names_its_iteration(monkeypatch):
 
     monkeypatch.setattr(sp, "sample", refusing)
     with pytest.raises(ValueError, match=r"^iteration 0: no draw$"):
-        op.run(prob, scheme, op.SmoothInverse(), 5, 0, table=table)
+        op.run(prob, scheme, op.SmoothInverse(table), 5, 0)
 
 
 # the look-ahead: S_{k+1} is drawn at the end of iteration k, before the pass at x_{k+1}
@@ -843,7 +901,7 @@ def test_epoch_shift_look_ahead_draws_iteration_k_plus_1_at_progress_k_plus_1_ov
         return at(self, t)
 
     monkeypatch.setattr(sp.EpochShiftRpt, "at", recording)
-    res = op.run(prob, scheme, op.SmoothInverse(), iterations, seed, table=table,
+    res = op.run(prob, scheme, op.SmoothInverse(table), iterations, seed,
                  on_step=lambda view: seen.append(view.report.k))
     # S_0 before the loop; S_{k+1} inside iteration k, before its report
     assert progress == [(0, 0.0)] + [(k, (k + 1) / iterations) for k in range(iterations - 1)]
@@ -870,7 +928,7 @@ def test_a_look_ahead_sampling_fault_names_the_next_iteration(monkeypatch):
     assert seen == [0]  # S_2 is drawn in iteration 1, before the pass at x_2
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.HorizonSchedule()])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.HorizonSchedule()])
 def test_zero_iterations_draw_no_active_set(monkeypatch, policy):
     prob = scalar_quadratic(np.random.default_rng(3))
     stream, streams = sp.stream, []
@@ -880,10 +938,10 @@ def test_zero_iterations_draw_no_active_set(monkeypatch, policy):
         return stream(*args)
 
     monkeypatch.setattr(sp, "stream", recording)
-    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), policy, 0, 9, table=table_for(prob),
+    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), with_table(policy, table_for(prob)), 0, 9,
                  noise=pb.NoiseSpec((0.1,) * 3))
     assert res.reports == [] and res.f_final == res.f_initial
-    assert streams == ([] if isinstance(policy, op.SmoothInverse) else [(9, op.INIT_STREAM)])
+    assert streams == ([] if policy is op.SmoothInverse else [(9, op.INIT_STREAM)])
 
 
 def recording_backward_stops(prob):
@@ -899,12 +957,12 @@ def recording_backward_stops(prob):
     return stops
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.HorizonSchedule()])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.HorizonSchedule()])
 def test_the_last_pass_runs_a_backward_only_for_a_hook(policy):
     prob = pb.TinyMlp.synthetic([4, 6, 6, 5, 3], n_samples=12, seed=7)
     scheme, norms = sp.Rpt((0.3, 0.3, 0.2, 0.2)), [EUC, SPEC, SPEC, EUC]
-    kwargs = dict(norms=norms, x0=prob.weights, table=pb.smoothness_constants(prob, scheme, norms),
-                  noise=pb.NoiseSpec((0.05,) * 4))
+    policy = with_table(policy, pb.smoothness_constants(prob, scheme, norms))
+    kwargs = dict(norms=norms, x0=prob.weights, noise=pb.NoiseSpec((0.05,) * 4))
     stops = recording_backward_stops(prob)
     lean = op.run(prob, scheme, policy, 6, 3, **kwargs)
     assert stops == [1] * 6 + [prob.b + 1]  # x_0..x_5 with a backward, x_6 f only
@@ -945,10 +1003,9 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
     prob = pb.TinyMlp.synthetic(sizes, n_samples=12, activation=activation, seed=7)
     scheme = MLP_SCHEMES[scheme_name]
     norms = [EUC, SPEC, SPEC, EUC]
-    table, noise = None, pb.NoiseSpec((0.05, 0.0, 0.1, 0.05))
+    noise = pb.NoiseSpec((0.05, 0.0, 0.1, 0.05))
     if policy_name == "smooth_inverse":
-        policy, noise = op.SmoothInverse(), None
-        table = pb.smoothness_constants(prob, scheme, norms)
+        policy, noise = op.SmoothInverse(pb.smoothness_constants(prob, scheme, norms)), None
     elif policy_name == "fixed_radius":
         policy = op.FixedRadius((0.05, 0.1, 0.07, 0.03), beta=0.6)
     else:
@@ -958,7 +1015,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
     passes = recording_prefix_passes(prob)
     iterates = [x0]
     res = op.run(
-        prob, scheme, policy, 20, 3, norms=norms, x0=x0, table=table, noise=noise,
+        prob, scheme, policy, 20, 3, norms=norms, x0=x0, noise=noise,
         on_step=lambda view: iterates.append([x.copy() for x in view.layers]),
     )
     del prob._pass  # the reference passes below go through it too
@@ -999,14 +1056,14 @@ def overflow_quadratic():
 def test_run_overflowing_step_names_iteration_and_layers(path):
     prob, x0 = overflow_quadratic()
     if path == "stochastic":
-        policy, table = op.FixedRadius((1e308,) * 3, beta=1), None
+        policy = op.FixedRadius((1e308,) * 3, beta=1)
     else:  # constants this small make the stepsize 1/L0 overflow the iterate
-        policy = op.SmoothInverse()
         table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1e-308 for i in (1, 2, 3)})
+        policy = op.SmoothInverse(table)
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match=r"iteration 0: f_after is inf after updating layers \[1, 2, 3\]"
     ):
-        op.run(prob, sp.FullNetwork(3), policy, 4, 0, x0=x0, table=table)
+        op.run(prob, sp.FullNetwork(3), policy, 4, 0, x0=x0)
 
 
 def test_run_overflowing_momentum_norm_names_iteration_and_layer():
@@ -1043,7 +1100,7 @@ class BadGradientAfterFirstStep(CountingProblem):
         return oracle
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3)])
 def test_run_non_finite_gradient_names_iteration_and_layer(policy):
     rng = np.random.default_rng(21)
     inner = scalar_quadratic(rng)
@@ -1051,13 +1108,14 @@ def test_run_non_finite_gradient_names_iteration_and_layer(policy):
         ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
     ):
         op.run(
-            BadGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0,
-            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+            BadGradientAfterFirstStep(inner), sp.FullNetwork(3),
+            with_table(policy, table_for(inner)), 4, 0,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         )
 
 
 @pytest.mark.parametrize("norm", [EUC, SPEC])
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3)])
 def test_run_nan_gradient_names_iteration_and_layer(policy, norm):
     rng = np.random.default_rng(21)
     inner = scalar_quadratic(rng)
@@ -1066,13 +1124,13 @@ def test_run_nan_gradient_names_iteration_and_layer(policy, norm):
         ValueError, match="^iteration 1: layer 2: gradient: matrix entries must be finite$"
     ):
         op.run(
-            BadGradientAfterFirstStep(inner, fill=np.nan), sp.Rpt((0.5, 0.3, 0.2)), policy, 4,
+            BadGradientAfterFirstStep(inner, fill=np.nan), sp.Rpt((0.5, 0.3, 0.2)),
+            with_table(policy, table_for(inner, norms)), 4,
             0, norms=norms, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
-            table=table_for(inner, norms),
         )
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3)])
 def test_run_finite_gradient_with_overflowing_norm_names_iteration_and_layer(policy):
     # the entries pass the finiteness check; the Euclidean dual norm is inf
     rng = np.random.default_rng(21)
@@ -1081,8 +1139,9 @@ def test_run_finite_gradient_with_overflowing_norm_names_iteration_and_layer(pol
         ValueError, match="^iteration 1: layer 2: gradient dual norm is inf$"
     ):
         op.run(
-            BadGradientAfterFirstStep(inner, fill=1e200), sp.FullNetwork(3), policy, 4, 0,
-            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner),
+            BadGradientAfterFirstStep(inner, fill=1e200), sp.FullNetwork(3),
+            with_table(policy, table_for(inner)), 4, 0,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         )
 
 
@@ -1192,8 +1251,8 @@ def test_run_det_update_equals_the_checked_sharp_step(grads_and_kinds, l0, l1, g
         cm.TableMode.RPT_CUTOFF, b, {(i, 1): l0 for i in range(1, b + 1)},
         {(i, 1): l1 for i in range(1, b + 1)} if generalized else None,
     )
-    policy = op.SmoothInverse()
-    kwargs = dict(norms=kinds, x0=x0, table=table)
+    policy = op.SmoothInverse(table)
+    kwargs = dict(norms=kinds, x0=x0)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [g.dual_norm(kind, gr) for kind, gr in zip(kinds, grads)]
         if not all(np.isfinite(norms)):
@@ -1242,8 +1301,8 @@ def test_run_euclidean_det_loop_scans_no_matrix_and_calls_no_choice(monkeypatch)
     checks.clear(), choices.clear()
     counts = []
     op.run(
-        prob, sp.Rpt((0.3, 0.2, 0.2, 0.1, 0.1, 0.1)), op.SmoothInverse(), 20, 0,
-        x0=[rng.standard_normal((4, 3)) for _ in range(b)], table=table_for(prob),
+        prob, sp.Rpt((0.3, 0.2, 0.2, 0.1, 0.1, 0.1)), op.SmoothInverse(table_for(prob)), 20, 0,
+        x0=[rng.standard_normal((4, 3)) for _ in range(b)],
         on_step=lambda _view: counts.append((len(checks), len(choices))),
     )
     assert counts == [(b, 0)] * 20
@@ -1251,7 +1310,7 @@ def test_run_euclidean_det_loop_scans_no_matrix_and_calls_no_choice(monkeypatch)
 
 # the same guards where the failing layers share a stacked SVD with others
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 3)])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3)])
 def test_run_non_finite_gradient_in_spectral_group_names_layer(policy):
     rng = np.random.default_rng(21)
     inner = scalar_quadratic(rng)
@@ -1260,12 +1319,13 @@ def test_run_non_finite_gradient_in_spectral_group_names_layer(policy):
         ValueError, match="iteration 1: layer 2: gradient: matrix entries must be finite"
     ):
         op.run(
-            BadGradientAfterFirstStep(inner), sp.FullNetwork(3), policy, 4, 0, norms=norms,
-            x0=[rng.standard_normal((2, 2)) for _ in range(3)], table=table_for(inner, norms),
+            BadGradientAfterFirstStep(inner), sp.FullNetwork(3),
+            with_table(policy, table_for(inner, norms)), 4, 0, norms=norms,
+            x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         )
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse(), op.FixedRadius((0.1,) * 4)])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 4)])
 def test_run_two_bad_layers_in_spectral_group_names_lowest(policy):
     rng = np.random.default_rng(22)
     inner = pb.SeparableQuadratic(
@@ -1276,9 +1336,9 @@ def test_run_two_bad_layers_in_spectral_group_names_lowest(policy):
         ValueError, match="iteration 1: layer 3: gradient: matrix entries must be finite"
     ):
         op.run(
-            BadGradientAfterFirstStep(inner, bad=(4, 3)), sp.FullNetwork(4), policy, 4, 0,
+            BadGradientAfterFirstStep(inner, bad=(4, 3)), sp.FullNetwork(4),
+            with_table(policy, table_for(inner, norms)), 4, 0,
             norms=norms, x0=[rng.standard_normal((2, 2)) for _ in range(4)],
-            table=table_for(inner, norms),
         )
 
 
@@ -1292,24 +1352,24 @@ def test_run_two_bad_momenta_in_spectral_group_names_lowest(ns_config):
         ValueError, match="^iteration 0: layer 2: momentum: matrix entries must be finite$"
     ):
         op.run(
-            FixedGradients(grads), scheme, op.FixedRadius((0.1,) * 3, beta=1.0), 1, seed,
-            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)], noise=noise,
-            newton_schulz_cfg=ns_config,
+            FixedGradients(grads), scheme, op.FixedRadius((0.1,) * 3, beta=1.0, ns=ns_config), 1,
+            seed, norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
+            noise=noise,
         )
 
 
 @pytest.mark.parametrize("ns_config", [None, g.NewtonSchulzConfig()])
 def test_run_refuses_an_underflowed_radius_on_either_backend(ns_config):
     # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; the
-    # Newton-Schulz backend takes the SVD backend's radius check and message
+    # FixedRadius the schedule stands for refuses it whatever its LMO backend
     rng = np.random.default_rng(26)
     prob = scalar_quadratic(rng)
-    message = "^iteration 0: layer 2: momentum: lmo radius t must be positive and finite, got 0.0$"
+    message = r"^radii\[1\] must be positive and finite, got 0.0$"
     with pytest.raises(ValueError, match=message):
         op.run(
-            prob, sp.FullNetwork(3), op.HorizonSchedule((0.1, 5e-324, 5e-324)), 3, 0,
-            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
-            newton_schulz_cfg=ns_config,
+            prob, sp.FullNetwork(3),
+            dataclasses.replace(op.HorizonSchedule((0.1, 5e-324, 5e-324)).at(3, 3), ns=ns_config),
+            3, 0, norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         )
 
 
@@ -1322,8 +1382,8 @@ def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
         ValueError, match="^iteration 0: layer 2: gradient dual norm is inf$"
     ):
         op.run(
-            FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0,
-            x0=[np.zeros((2, 2))] * 3, table=table,
+            FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(table), 1, 0,
+            x0=[np.zeros((2, 2))] * 3,
         )
     # the same for the momentum: layer 2's overflows its norm, layer 3's is not finite
     grads = [np.ones((2, 2)) for _ in range(3)]
@@ -1371,8 +1431,9 @@ def test_run_steps_a_momentum_whose_squared_norm_underflows(kind, ns_config):
     # underflows to 0; it takes the same step as layer 1, of norm t
     grads = [np.ones((2, 2)), np.full((2, 2), 1e-170)]
     res = op.run(
-        FixedGradients(grads), sp.FullNetwork(2), op.FixedRadius((0.1, 0.1), beta=1.0), 1, 0,
-        norms=[kind] * 2, x0=[np.zeros((2, 2))] * 2, newton_schulz_cfg=ns_config,
+        FixedGradients(grads), sp.FullNetwork(2),
+        op.FixedRadius((0.1, 0.1), beta=1.0, ns=ns_config), 1, 0,
+        norms=[kind] * 2, x0=[np.zeros((2, 2))] * 2,
     )
     rep, layers = res.reports[0], res.model.layers
     assert rep.applied == {1: 0.1, 2: 0.1} and not rep.degenerate
@@ -1393,11 +1454,11 @@ def test_run_refuses_a_nan_stepsize_denominator(l0, l1, gamma):
     l0s = {(1, 1): 1.0, (2, 1): l0, (3, 1): 1.0}
     l1s = None if l1 is None else {(1, 1): 0.0, (2, 1): l1, (3, 1): 0.0}
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, l0s, l1s)
-    policy = op.SmoothInverse()
+    policy = op.SmoothInverse(table)
     x0 = [np.zeros((2, 2))] * 3
 
     def call():
-        return op.run(FixedGradients(grads), sp.FullNetwork(3), policy, 1, 0, x0=x0, table=table)
+        return op.run(FixedGradients(grads), sp.FullNetwork(3), policy, 1, 0, x0=x0)
 
     if gamma is not None:
         res = call()
@@ -1516,8 +1577,8 @@ def test_run_names_the_lowest_failing_momentum_across_groups(layers, data, ns_co
         res = assert_raises_exactly(
             None if first is None else f"iteration 0: {first}",
             lambda: op.run(
-                FixedGradients(grads), scheme, op.FixedRadius(radii, beta=1.0), 1, seed,
-                norms=kinds, x0=x0, noise=noise, newton_schulz_cfg=ns_config,
+                FixedGradients(grads), scheme, op.FixedRadius(radii, beta=1.0, ns=ns_config), 1,
+                seed, norms=kinds, x0=x0, noise=noise,
             ),
         )
         if res is None:
@@ -1539,8 +1600,9 @@ def test_run_names_the_lowest_failing_layer_across_groups(layers, path):
     b = len(grads)
     beta = 0.5
     ns_config = g.NewtonSchulzConfig() if path == "ns" else None
-    policy = op.SmoothInverse() if path == "smooth" else op.FixedRadius(radii, beta)
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, b, {(i, 1): 1.0 for i in range(1, b + 1)})
+    policy = op.SmoothInverse(table) if path == "smooth" \
+        else op.FixedRadius(radii, beta, ns=ns_config)
     with np.errstate(over="ignore", invalid="ignore"):
         message = gradient_fault(kinds, grads)
         if message is None and path != "smooth":  # M_0 = g, then M_1 = (1 - beta) M_0 + beta g
@@ -1556,8 +1618,7 @@ def test_run_names_the_lowest_failing_layer_across_groups(layers, path):
             None if message is None else f"iteration 0: {message}",
             lambda: op.run(
                 FixedGradients(grads), sp.FullNetwork(b), policy, 1, 0, norms=kinds,
-                x0=[np.full_like(gr, 0.5) for gr in grads], table=table,
-                newton_schulz_cfg=ns_config,
+                x0=[np.full_like(gr, 0.5) for gr in grads],
             ),
         )
 
@@ -1576,7 +1637,7 @@ def test_a_fault_that_no_single_layer_shows_still_stops_the_step(monkeypatch):
     monkeypatch.setattr(g, "dual_norms", lambda kind, ms: dual_norms(kind, ms) * np.nan)
     table = cm.SmoothnessTable(cm.TableMode.RPT_CUTOFF, 3, {(i, 1): 1.0 for i in (1, 2, 3)})
     with pytest.raises(ValueError, match="^iteration 0: a stacked gradient check failed"):
-        op.run(FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(), 1, 0, table=table)
+        op.run(FixedGradients(grads), sp.FullNetwork(3), op.SmoothInverse(table), 1, 0)
     monkeypatch.setattr(g, "dual_norms", dual_norms)
     monkeypatch.setattr(g, "lmos", stacked_lmos_fail)
     with pytest.raises(ValueError, match="^iteration 0: a stacked momentum step failed"):
@@ -1637,8 +1698,8 @@ def test_run_names_the_lowest_stepsize_fault_across_groups(case, with_l1):
 
     def call():
         return op.run(
-            FixedGradients(grads), sp.FullNetwork(b), op.SmoothInverse(), 1, 0, norms=kinds,
-            x0=[np.full_like(gr, 0.5) for gr in grads], table=table,
+            FixedGradients(grads), sp.FullNetwork(b), op.SmoothInverse(table), 1, 0, norms=kinds,
+            x0=[np.full_like(gr, 0.5) for gr in grads],
         )
 
     if expected is None:
@@ -1687,7 +1748,7 @@ def test_run_names_the_lowest_late_stepsize_fault_across_groups():
     message = "^iteration 2: layer 2: stepsize denominator must be positive, got -0.5$"
     with pytest.raises(ValueError, match=message):
         op.run(
-            prob, sp.FullNetwork(3), op.SmoothInverse(), 4, 0, x0=x0, table=table,
+            prob, sp.FullNetwork(3), op.SmoothInverse(table), 4, 0, x0=x0,
             on_step=lambda view: reports.append(view.report),
         )
     assert [r.applied for r in reports] == [{1: 1.0 / (1.0 + 0.5 * 6 ** 0.5), 2: 1.0, 3: 0.0}] * 2
@@ -1716,7 +1777,7 @@ def test_gen_smooth_without_l1_equals_smooth_bit_for_bit(scheme_name):
     zero_l1 = cm.SmoothnessTable(table.mode, table.b, table.l0, {k: 0.0 for k in table.l0})
     x0 = [rng.standard_normal(s) for s in shapes]
     smooth, other = (
-        op.run(prob, scheme, op.SmoothInverse(), 20, 3, norms=norms, x0=x0, table=t)
+        op.run(prob, scheme, op.SmoothInverse(t), 20, 3, norms=norms, x0=x0)
         for t in (table, zero_l1)
     )
     assert other.f_final == smooth.f_final
@@ -1963,7 +2024,7 @@ def test_run_names_a_missing_constant_without_quotes():
     table = pb.smoothness_constants(prob, scheme, [EUC] * 2)
     del table.l0[(2, 2)]
     with pytest.raises(KeyError) as info:
-        op.run(prob, scheme, op.SmoothInverse(), 3, 0, table=table)
+        op.run(prob, scheme, op.SmoothInverse(table), 3, 0)
     message = "iteration 0: missing smoothness constant L0 for layer 2, set key 2"
     assert info.value.args == (message,)
     assert "'" not in info.value.args[0]
@@ -1986,9 +2047,9 @@ def test_run_plans_an_active_set_on_its_first_draw_only():
     k = first_iteration_drawing(scheme, seed, 3, iterations)
     x0 = [np.zeros((2, 2))] * 4
     with pytest.raises(KeyError, match=f"iteration {k}: .*for layer 3, set key 3"):
-        op.run(prob, scheme, op.SmoothInverse(), iterations, seed, x0=x0, table=table)
+        op.run(prob, scheme, op.SmoothInverse(table), iterations, seed, x0=x0)
     never = sp.Rpt((0.4, 0.3, 0.0, 0.3))
-    res = op.run(prob, never, op.SmoothInverse(), iterations, seed, x0=x0, table=table)
+    res = op.run(prob, never, op.SmoothInverse(table), iterations, seed, x0=x0)
     assert len(res.reports) == iterations
     assert {min(r.active) for r in res.reports} == {1, 2, 4}
 
@@ -2014,7 +2075,7 @@ def test_run_plans_each_distinct_active_set_once(monkeypatch):
 
     monkeypatch.setattr(pb.Layout, "active_rows", counting_rows)
     monkeypatch.setattr(cm.SmoothnessTable, "require", counting_require)
-    res = op.run(prob, scheme, op.SmoothInverse(), 60, 2, table=table)
+    res = op.run(prob, scheme, op.SmoothInverse(table), 60, 2)
     drawn = {r.active for r in res.reports}
     assert len(drawn) >= 3 and len(res.reports) > 2 * len(drawn)
     groups = [(1, 3, 4), (2, 5)]  # by shape
