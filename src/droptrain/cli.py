@@ -536,8 +536,9 @@ def cmd_optimal_probs(args) -> int:
             cp = _load_cost(args.cost, table.b)
             regime = "eps" if args.regime == "l0l1-eps" else "eps2"
             sol = costmodel.optimal_rpt_probs_l0l1(table, cp, regime)
+            condition = "holds" if sol.first_layer_l1_is_max else "fails"
             verdict = (
-                "full-network optimal candidate (first-layer condition holds)"
+                f"full-network optimal candidate (first-layer condition {condition})"
                 if not sol.vertex_beaten
                 else "full-network suboptimal (strictly better distribution found)"
             )

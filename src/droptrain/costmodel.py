@@ -364,6 +364,23 @@ def _l0l1_sums(p, table: SmoothnessTable) -> tuple[np.ndarray, ...]:
     return np.cumsum(p, axis=-1), p @ _rpt_matrix(table, "l0").T, p @ _rpt_matrix(table, "l1").T
 
 
+def _over_l1(num, den, drawn, a1) -> np.ndarray:
+    """``num / den`` where a layer's L1 sum ``a1`` is positive; elsewhere +inf where the layer
+    is drawn (``drawn`` > 0), which the (L0, L1) bound's min does not bind, and 0 where it never
+    is.  The one zero-L1 rule of the weights, the cost and the objective."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a1 > 0.0, num / den, np.where(drawn > 0.0, np.inf, 0.0))
+
+
+def _eps2_terms(num, a1, drawn) -> np.ndarray:
+    """``num / a1**2``, the 1/eps^2 bound's terms, once the weights have refused a layer never
+    drawn; raises naming the lowest drawn layer whose L1 sum ``a1`` is 0."""
+    zero = np.flatnonzero((a1 <= 0.0) & (drawn > 0.0))
+    if zero.size:
+        raise ValueError(f"layer {zero[0] + 1} has an L1 sum of 0; the 1/eps^2 bound divides by it")
+    return num / a1**2
+
+
 def _all_updated(w: np.ndarray) -> np.ndarray:
     """``w``, unless a layer has weight 0: it is never updated and no rate bound holds."""
     if np.any(w <= 0.0):
@@ -381,7 +398,8 @@ def theory_weights(
     """Per-layer rate weights for an RPT cutoff distribution over the table's layers.
 
     smooth:     w_i = sum_{s<=i} p_s / (2 L0_{i,{s..b}})
-    l0l1:       w_i = (sum_{s<=i} p_s)^2 / sum_{s<=i} p_s L1_{i,{s..b}}
+    l0l1:       w_i = (sum_{s<=i} p_s)^2 / sum_{s<=i} p_s L1_{i,{s..b}}, +inf for a
+                drawn layer whose L1 sum is 0 (``_over_l1``)
     stochastic: w_i = (sum_{s<=i} p_s) * eta_i
 
     Raises if p does not have one entry per layer, or if any weight is zero
@@ -403,7 +421,7 @@ def theory_weights(
                     w[i - 1] += p[s - 1] / (2.0 * l)
     elif regime == "l0l1":
         cum, _, a1 = _l0l1_sums(p, table)
-        w = cum**2 / np.where(a1 > 0.0, a1, np.inf)
+        w = _over_l1(cum**2, a1, cum, a1)
     elif regime == "stochastic":
         w = np.cumsum(p) * (1.0 if eta is None else np.asarray(eta, dtype=float))
     else:
@@ -462,11 +480,11 @@ def l0l1_iterations(
     """Iterations sufficient for the weighted dual-gradient-norm criterion <= eps.
 
     Two-term bound: a 1/eps^2 term with the mixed L0/L1 sums plus a 1/eps
-    term, both normalized by the mean weight.
+    term, both normalized by the mean weight.  A drawn layer whose L1 sum is 0 is refused.
     """
     tw = theory_weights(p, table, "l0l1")
     cum, a0, a1 = _l0l1_sums(p, table)
-    total = float(np.sum(cum**2 * a0 / a1**2))
+    total = float(np.sum(_eps2_terms(cum**2 * a0, a1, cum)))
     return math.ceil(
         2.0 * delta0 * total / (eps**2 * tw.mean**2) + 2.0 * delta0 / (eps * tw.mean)
     )
@@ -512,8 +530,10 @@ def total_cost(
     K = delta0 / (eps * min_i w_i) with the smooth weights; ``l0l1_eps`` and
     ``l0l1_eps2`` keep respectively the 1/eps and 1/eps^2 term of the
     generalized-smooth iteration bound (the analysis splits by which term
-    dominates; regime selection is the caller's).  ``apply_ceil=False`` skips
-    the ceiling for proportionality checks.
+    dominates; regime selection is the caller's).  A drawn layer whose L1 sum
+    is 0 has an infinite weight, which ``l0l1_eps`` takes as no constraint and
+    ``l0l1_eps2``, whose terms divide by that sum, refuses.  ``apply_ceil=False``
+    skips the ceiling for proportionality checks.
     """
     if not (0.0 < eps < math.inf and 0.0 < delta0 < math.inf):
         raise ValueError("eps and delta0 must be positive")
@@ -531,18 +551,19 @@ def total_cost(
             a1 = np.array(
                 [table.require(i, scheme.block_of(i), "l1") for i in range(1, scheme.b + 1)]
             )
-            w = np.where(a1 > 0, q / a1, 0.0)
-            a0 = np.array([table.require(i, scheme.block_of(i)) for i in range(1, scheme.b + 1)])
-            ratio_terms = np.where(a1 > 0, q * a0 / a1**2, np.inf)
+            w = _over_l1(q, a1, q, a1)
         w = _all_updated(w)
+        if regime == "l0l1_eps2":
+            a0 = np.array([table.require(i, scheme.block_of(i)) for i in range(1, scheme.b + 1)])
+            ratio_terms = _eps2_terms(q * a0, a1, q)
     else:
         if table.mode != TableMode.RPT_CUTOFF:
             raise ValueError("RPT-style scheme needs an rpt_cutoff-mode table")
         p = cutoff_probs(scheme)
         w = theory_weights(p, table, "smooth" if regime == "smooth" else "l0l1").w
-        if regime != "smooth":
+        if regime == "l0l1_eps2":
             cum, a0, a1 = _l0l1_sums(p, table)
-            ratio_terms = cum**2 * a0 / a1**2  # every a1 > 0: no weight is 0
+            ratio_terms = _eps2_terms(cum**2 * a0, a1, cum)
 
     if regime == "smooth":
         k_raw = delta0 / (eps * float(w.min()))
@@ -700,17 +721,16 @@ def _l0l1_objective(
     def objective(grid: np.ndarray) -> np.ndarray:
         num = grid @ d
         cum, a0, a1 = np.cumsum(grid, axis=-1), grid @ l0t, grid @ l1t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(a1 > 0.0, cum**2 / a1, np.where(cum > 0.0, np.inf, 0.0))
+        ratio = _over_l1(cum**2, a1, cum, a1)
         min_ratio = ratio.min(axis=1)
         out = np.full(grid.shape[0], np.inf)
         ok = min_ratio > 0.0
         if regime == "eps":
             out[ok] = num[ok] / min_ratio[ok]
             return out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(a1 > 0.0, cum**2 * a0 / a1**2, np.where(cum > 0.0, np.inf, 0.0))
-        out[ok] = terms[ok].sum(axis=1) * num[ok] / min_ratio[ok] ** 2
+        terms = _over_l1(cum**2 * a0, a1**2, cum, a1).sum(axis=1)
+        ok &= terms < np.inf  # a drawn layer's zero L1 sum: no bound, even where min_ratio is inf
+        out[ok] = terms[ok] * num[ok] / min_ratio[ok] ** 2
         return out
 
     return objective
@@ -826,6 +846,11 @@ def optimal_rpt_probs_l0l1(
     best_idx = int(np.argmin(vals))
     best = grid[best_idx].copy()
     best_val = float(vals[best_idx])
+    if best_val == math.inf:  # the grid holds every support, and the support decides finiteness
+        raise ValueError(
+            f"no cutoff vector has a finite {regime} objective: each leaves a layer undrawn "
+            "or draws one whose L1 sum is 0"
+        )
 
     step = 1.0 / n
     for _ in range(L0L1_REFINE_ROUNDS):

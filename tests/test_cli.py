@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -837,6 +838,108 @@ def test_optimal_probs_l0l1_with_cost(tmp_path, capsys):
     ) == 0
     payload = capsys.readouterr().out
     assert "vertex_beaten" in payload and "suboptimal" in payload
+
+
+# layer 2's L1 constants are 0, so its L1 sum is 0 under every cutoff vector that draws it
+ZERO_L1_TABLE = cm.SmoothnessTable.from_rpt_rows(
+    [[1.5], [2.0, 1.2], [3.0, 2.5, 0.8]], [[0.7], [0.0, 0.0], [0.9, 0.8, 0.3]]
+)
+ZERO_L1_COST = {"c_ov": 0.5, "c": [1, 1, 1], "c_sharp": [0.2] * 3}
+
+
+def zero_l1_files(tmp_path, p=(0.5, 0.3, 0.2)):
+    return [
+        "--scheme", write_json(tmp_path / "s.json", {"kind": "rpt", "p": list(p)}),
+        "--table", write_json(tmp_path / "t.json", ZERO_L1_TABLE.to_dict()),
+        "--cost", write_json(tmp_path / "c.json", ZERO_L1_COST),
+    ]
+
+
+def test_cost_eps_takes_a_zero_l1_sum_as_no_constraint(tmp_path, capsys):
+    # layer 2 is drawn with probability 0.8: its weight is +inf, as in the objective
+    p, delta0, eps = (0.5, 0.3, 0.2), 2.0, 1e-2
+    argv = ["cost", *zero_l1_files(tmp_path, p), "--regime", "l0l1-eps", "--eps", str(eps),
+            "--delta0", str(delta0)]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cp = cm.CostParams.from_dict(ZERO_L1_COST, 3)
+    assert payload["terms"]["min_weight"] == pytest.approx(0.5**2 / (0.5 * 0.7), rel=1e-15)
+    bd = cm.total_cost(sp.Rpt(p), cp, ZERO_L1_TABLE, eps, "l0l1_eps", delta0, apply_ceil=False)
+    objective = cm.rpt_cost_objective_l0l1(p, ZERO_L1_TABLE, cp, "eps")
+    assert bd.total == pytest.approx(objective * 2.0 * delta0 / eps, rel=5e-16)
+
+
+def test_cost_accepts_the_eps_optimum_on_a_zero_l1_table(tmp_path, capsys):
+    files = zero_l1_files(tmp_path)
+    assert cli.main(["optimal-probs", *files[2:], "--regime", "l0l1-eps"]) == 0
+    p_star = json.loads(capsys.readouterr().out.split("\n", 2)[2])["p"]
+    assert np.round(p_star, 3).tolist() == [0.859, 0.0, 0.141]
+    assert cli.main(["cost", *zero_l1_files(tmp_path, p_star), "--regime", "l0l1-eps"]) == 0
+
+
+def test_the_eps2_forms_refuse_a_drawn_layer_with_a_zero_l1_sum(tmp_path, capsys):
+    message = "layer 2 has an L1 sum of 0; the 1/eps^2 bound divides by it"
+    assert cli.main(["cost", *zero_l1_files(tmp_path), "--regime", "l0l1-eps2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cm.l0l1_iterations((0.5, 0.3, 0.2), ZERO_L1_TABLE, 2.0, 1e-2)
+
+
+@pytest.mark.parametrize("regime", ["l0l1-eps", "l0l1-eps2"])
+def test_cost_on_a_partitioned_scheme_reads_a_zero_l1_constant_as_the_cutoff_path_does(
+    tmp_path, capsys, regime
+):
+    # layer 2 (block 1, drawn with probability 0.6) has L1 = 0: no constraint in the
+    # 1/eps regime; the 1/eps^2 regime divides by it and refuses
+    scheme = {"kind": "partitioned_submodel", "blocks": [[1, 2], [3]], "p": [0.6, 0.4]}
+    table = cm.SmoothnessTable(
+        cm.TableMode.PARTITION, 3, {(1, 1): 2.0, (2, 1): 3.0, (3, 2): 1.5},
+        {(1, 1): 0.5, (2, 1): 0.0, (3, 2): 0.1},
+    )
+    code = cli.main([
+        "cost", "--scheme", write_json(tmp_path / "s.json", scheme),
+        "--table", write_json(tmp_path / "t.json", table.to_dict()),
+        "--cost", write_json(tmp_path / "c.json", {"c_ov": 1, "c": [1] * 3, "c_sharp": [0.5] * 3}),
+        "--regime", regime, "--eps", "1e-3",
+    ])
+    captured = capsys.readouterr()
+    if regime == "l0l1-eps":
+        assert code == 0
+        assert json.loads(captured.out)["terms"]["min_weight"] == pytest.approx(1.2, rel=1e-12)
+    else:
+        assert code == 2
+        assert captured.err == \
+            "error: layer 2 has an L1 sum of 0; the 1/eps^2 bound divides by it\n"
+
+
+def test_optimal_probs_eps2_refuses_when_no_cutoff_vector_is_finite(tmp_path, capsys):
+    argv = ["optimal-probs", *zero_l1_files(tmp_path)[2:], "--regime", "l0l1-eps2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no cutoff vector has a finite eps2 objective: each leaves a layer undrawn "
+        "or draws one whose L1 sum is 0\n"
+    )
+
+
+@pytest.mark.parametrize("l1_rows, condition", [
+    ([[0.9], [0.5, 0.5], [0.1, 0.0, 0.0]], "holds"),
+    ([[0.5], [0.9, 0.5], [0.1, 0.0, 0.0]], "fails"),
+])
+def test_optimal_probs_verdict_states_the_first_layer_condition(tmp_path, capsys, l1_rows,
+                                                                  condition):
+    # layer 3's L1 sum is p_1 * 0.1, so the 1/eps^2 terms keep the optimum at the vertex
+    table = cm.SmoothnessTable.from_rpt_rows([[1.0], [2.0, 1.0], [3.0, 2.0, 1.0]], l1_rows)
+    assert cli.main([
+        "optimal-probs", "--table", write_json(tmp_path / "t.json", table.to_dict()),
+        "--cost", write_json(tmp_path / "c.json", ZERO_L1_COST), "--regime", "l0l1-eps2",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out.split("\n", 2)[2])
+    assert payload["vertex_beaten"] is False
+    assert payload["first_layer_l1_is_max"] is (condition == "holds")
+    verdict = f"full-network optimal candidate (first-layer condition {condition})"
+    assert payload["verdict"] == verdict
 
 
 @pytest.mark.parametrize("command, prefix", [("optimal-probs", "table error: "), ("cost", "error: ")])
