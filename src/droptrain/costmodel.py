@@ -531,8 +531,9 @@ def total_cost(
     ``l0l1_eps2`` keep respectively the 1/eps and 1/eps^2 term of the
     generalized-smooth iteration bound (the analysis splits by which term
     dominates; regime selection is the caller's).  A drawn layer whose L1 sum
-    is 0 has an infinite weight, which ``l0l1_eps`` takes as no constraint and
-    ``l0l1_eps2``, whose terms divide by that sum, refuses.  ``apply_ceil=False``
+    is 0 has an infinite weight, which ``l0l1_eps`` takes as no constraint,
+    unless every layer's is, and ``l0l1_eps2``, whose terms divide by that sum,
+    refuses.  ``apply_ceil=False``
     skips the ceiling for proportionality checks.
     """
     if not (0.0 < eps < math.inf and 0.0 < delta0 < math.inf):
@@ -568,6 +569,8 @@ def total_cost(
     if regime == "smooth":
         k_raw = delta0 / (eps * float(w.min()))
     elif regime == "l0l1_eps":
+        if w.min() == math.inf:
+            raise ValueError("no drawn layer has a positive L1 sum; the 1/eps bound is vacuous")
         k_raw = 2.0 * delta0 / (eps * float(w.min()))
     elif regime == "l0l1_eps2":
         k_raw = 2.0 * delta0 * float(ratio_terms.sum()) / (eps**2 * float(w.min()) ** 2)
@@ -724,12 +727,13 @@ def _l0l1_objective(
         ratio = _over_l1(cum**2, a1, cum, a1)
         min_ratio = ratio.min(axis=1)
         out = np.full(grid.shape[0], np.inf)
-        ok = min_ratio > 0.0
+        # 0: a layer is never drawn; inf: every layer's L1 sum is 0 and the bound is vacuous
+        ok = (min_ratio > 0.0) & (min_ratio < np.inf)
         if regime == "eps":
             out[ok] = num[ok] / min_ratio[ok]
             return out
         terms = _over_l1(cum**2 * a0, a1**2, cum, a1).sum(axis=1)
-        ok &= terms < np.inf  # a drawn layer's zero L1 sum: no bound, even where min_ratio is inf
+        ok &= terms < np.inf  # a drawn layer's zero L1 sum: the 1/eps^2 terms divide by it
         out[ok] = terms[ok] * num[ok] / min_ratio[ok] ** 2
         return out
 
@@ -847,9 +851,11 @@ def optimal_rpt_probs_l0l1(
     best = grid[best_idx].copy()
     best_val = float(vals[best_idx])
     if best_val == math.inf:  # the grid holds every support, and the support decides finiteness
+        zero = "gives every layer an L1 sum of 0" if regime == "eps" else \
+            "draws one whose L1 sum is 0"
         raise ValueError(
             f"no cutoff vector has a finite {regime} objective: each leaves a layer undrawn "
-            "or draws one whose L1 sum is 0"
+            f"or {zero}"
         )
 
     step = 1.0 / n

@@ -210,7 +210,10 @@ class HorizonSchedule:
         eta = np.ones(b) if self.eta is None else np.asarray(self.eta, dtype=float)
         if eta.shape != (b,):
             raise ValueError("eta must have one entry per layer")
-        return FixedRadius(tuple(eta / (horizon + 1) ** 0.75), 1.0 / math.sqrt(horizon + 1))
+        radii = eta / (horizon + 1) ** 0.75
+        if not radii.all():  # eta is positive: only an underflow gives a zero radius
+            raise ValueError(f"eta[{np.argmin(radii)}] / (K+1)^(3/4) rounds to 0 at K = {horizon}")
+        return FixedRadius(tuple(radii), 1.0 / math.sqrt(horizon + 1))
 
 
 StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule

@@ -912,6 +912,26 @@ def test_cost_on_a_partitioned_scheme_reads_a_zero_l1_constant_as_the_cutoff_pat
             "error: layer 2 has an L1 sum of 0; the 1/eps^2 bound divides by it\n"
 
 
+def test_the_eps_forms_refuse_a_table_whose_l1_sums_are_all_0(tmp_path, capsys):
+    # every drawn layer's weight is +inf: the 1/eps bound constrains nothing, and
+    # neither cost nor optimal-probs reads a zero cost or objective from it
+    table = cm.SmoothnessTable(ZERO_L1_TABLE.mode, 3, ZERO_L1_TABLE.l0,
+                               {key: 0.0 for key in ZERO_L1_TABLE.l0})
+    files = zero_l1_files(tmp_path)
+    files[3] = write_json(tmp_path / "t.json", table.to_dict())
+    assert cli.main(["cost", *files, "--regime", "l0l1-eps"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: no drawn layer has a positive L1 sum; the 1/eps bound is vacuous\n"
+    )
+    assert cli.main(["optimal-probs", *files[2:], "--regime", "l0l1-eps"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: no cutoff vector has a finite eps objective: each leaves a layer undrawn "
+        "or gives every layer an L1 sum of 0\n"
+    ))
+
+
 def test_optimal_probs_eps2_refuses_when_no_cutoff_vector_is_finite(tmp_path, capsys):
     argv = ["optimal-probs", *zero_l1_files(tmp_path)[2:], "--regime", "l0l1-eps2"]
     assert cli.main(argv) == 2

@@ -1358,18 +1358,16 @@ def test_run_two_bad_momenta_in_spectral_group_names_lowest(ns_config):
         )
 
 
-@pytest.mark.parametrize("ns_config", [None, g.NewtonSchulzConfig()])
-def test_run_refuses_an_underflowed_radius_on_either_backend(ns_config):
-    # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; the
-    # FixedRadius the schedule stands for refuses it whatever its LMO backend
+def test_run_refuses_an_underflowed_horizon_radius():
+    # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; run's own
+    # at(b, K) refuses it, naming the first such eta entry, before any step
     rng = np.random.default_rng(26)
     prob = scalar_quadratic(rng)
-    message = r"^radii\[1\] must be positive and finite, got 0.0$"
+    message = r"^eta\[1\] / \(K\+1\)\^\(3/4\) rounds to 0 at K = 3$"
     with pytest.raises(ValueError, match=message):
         op.run(
-            prob, sp.FullNetwork(3),
-            dataclasses.replace(op.HorizonSchedule((0.1, 5e-324, 5e-324)).at(3, 3), ns=ns_config),
-            3, 0, norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
+            prob, sp.FullNetwork(3), op.HorizonSchedule((0.1, 5e-324, 5e-324)), 3, 0,
+            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         )
 
 
