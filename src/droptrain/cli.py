@@ -24,10 +24,10 @@ parsing section, which ``costmodel`` and the constructors share: a type,
 length or shape fault raises ``ConfigError`` (``sampling.ConfigError``)
 naming the field path, as in ``config.iterations: expected an integer >= 0,
 got 2.5``.  A value's range is checked once, by the constructor that owns
-it (``NoiseSpec``, ``FixedRadius``, ``HorizonSchedule``, the quadratics,
-``TinyMlp``, ``CostParams``, ``SmoothnessTable.from_dict``), which is given
-the block's path and names the entry: ``noise.sigmas[1]: must be finite and
->= 0, got -1.0``.  A scheme's faults keep the scheme document's own names
+it (``NoiseSpec``, ``FixedRadius`` and its ``horizon`` schedule, the
+quadratics, ``TinyMlp``, ``CostParams``, ``SmoothnessTable.from_dict``),
+which is given the block's path and names the entry: ``noise.sigmas[1]: must
+be finite and >= 0, got -1.0``.  A scheme's faults keep the scheme document's own names
 under the variant's path: ``config.variants[1].scheme: scheme.p: missing
 required field``.  ``run``'s exit codes:
 
@@ -146,8 +146,9 @@ def build_norms(spec, b: int, path: str = "norms") -> list[NormKind]:
     raise ConfigError(path, "expected a norm name or a list of norm names")
 
 
-def build_policy(spec: dict, problem, scheme, norms: list[NormKind], path: str):
-    """The step rule of ``spec``; a smoothness-inverse rule carries the problem's table."""
+def build_policy(spec: dict, problem, scheme, norms: list[NormKind], iterations: int, path: str):
+    """The step rule of ``spec``; a smoothness-inverse rule carries the problem's table, a
+    horizon rule is the ``FixedRadius`` of its schedule at K = ``iterations``."""
     kind = _json_field(spec, "kind", path)
     b = problem.b
     if kind == "smooth_inverse":
@@ -162,7 +163,7 @@ def build_policy(spec: dict, problem, scheme, norms: list[NormKind], path: str):
         eta = spec.get("eta")
         if eta is not None:
             eta = tuple(_json_list(eta, f"{path}.eta", b))
-        return optimizer.HorizonSchedule(eta, path)
+        return optimizer.FixedRadius.horizon(b, iterations, eta, path)
     raise ConfigError(f"{path}.kind", f"unknown policy kind {kind!r}")
 
 
@@ -242,7 +243,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
     if scheme.b != b:
         raise ConfigError(f"{path}.scheme", f"scheme has {scheme.b} layers, the problem has {b}")
     policy_spec = spec.get("policy", {"kind": "smooth_inverse"})
-    policy = build_policy(policy_spec, problem, scheme, norms, f"{path}.policy")
+    policy = build_policy(policy_spec, problem, scheme, norms, iterations, f"{path}.policy")
 
     weights, caps = np.ones(b), None
     if isinstance(policy, optimizer.SmoothInverse):
@@ -251,8 +252,7 @@ def _plan_variant(spec, path, problem, norms, iterations, caps_table, names) -> 
             weights = tw.w / tw.mean
         except (ValueError, KeyError):
             pass  # no RPT rate weights for this scheme: the CSV weighs layers equally
-    if isinstance(policy, optimizer.HorizonSchedule) and caps_table is not None \
-            and caps_table.l1 is not None:
+    if policy_spec["kind"] == "horizon" and caps_table is not None and caps_table.l1 is not None:
         try:
             p = costmodel.cutoff_probs(scheme)
         except ValueError:
@@ -326,6 +326,11 @@ def compile_plan(cfg: dict, seed: int | None = None) -> RunPlan:
         variants.append(_plan_variant(
             spec, f"config.variants[{j}]", problem, norms, iterations, caps_table,
             {v.name for v in variants},
+        ))
+    if caps_table is not None and all(v.eta_squared_caps is None for v in variants):
+        raise ConfigError("config.smoothness_table", (
+            "no variant reads it: eta^2 caps need an L1 map and a horizon variant over an "
+            "rpt or full_network scheme"
         ))
     return RunPlan(problem, norms, noise, x0, cost, iterations, seeds, targets, variants)
 

@@ -110,7 +110,6 @@ __all__ = [
     "LayerModel",
     "SmoothInverse",
     "FixedRadius",
-    "HorizonSchedule",
     "StepReport",
     "StepView",
     "RunResult",
@@ -187,36 +186,30 @@ class FixedRadius:
         if not 0.0 <= self.beta <= 1.0:
             raise _entry_fault(path, "beta", f"must lie in [0, 1], got {self.beta}")
 
+    @classmethod
+    def horizon(cls, b: int, K: int, eta=None, path: str | None = None) -> FixedRadius:
+        """t_i = eta_i / (K+1)^{3/4}, beta = (K+1)^{-1/2}, on ``b`` layers over ``K`` steps.
 
-@dataclass(frozen=True)
-class HorizonSchedule:
-    """t_i = eta_i / (K+1)^{3/4}, beta = (K+1)^{-1/2}, M0 = stochastic gradient at X0.
-
-    The horizon-dependent radius/momentum schedule of the stochastic
-    convergence guarantee.  The bound's eta_i caps involve constants that are
-    unknown in practice; the default eta_i = 1 matches the shared-constant
-    learning rates the training experiments use, and eta is configurable.
-    """
-
-    eta: tuple[float, ...] | None = None
-    path: InitVar[str | None] = None  # the document path that names a faulty entry
-
-    def __post_init__(self, path):
-        if self.eta is not None:
-            object.__setattr__(self, "eta", _positive_finite(self.eta, "eta", path))
-
-    def at(self, b: int, horizon: int) -> FixedRadius:
-        """The ``FixedRadius`` this schedule stands for on ``b`` layers over ``horizon`` steps."""
-        eta = np.ones(b) if self.eta is None else np.asarray(self.eta, dtype=float)
-        if eta.shape != (b,):
-            raise ValueError("eta must have one entry per layer")
-        radii = eta / (horizon + 1) ** 0.75
+        The horizon-dependent radius/momentum schedule of the stochastic
+        convergence guarantee.  The bound's eta_i caps involve constants that
+        are unknown in practice; the default eta_i = 1 matches the
+        shared-constant learning rates the training experiments use.  Each
+        eta_i must be a positive finite number, one per layer, whose radius
+        does not round to 0; a fault is named as ``path.eta[i]:`` when
+        ``path`` is given.
+        """
+        eta = (1.0,) * b if eta is None else _positive_finite(eta, "eta", path)
+        if len(eta) != b:
+            raise _entry_fault(path, "eta", "must have one entry per layer")
+        radii = np.asarray(eta) / (K + 1) ** 0.75
         if not radii.all():  # eta is positive: only an underflow gives a zero radius
-            raise ValueError(f"eta[{np.argmin(radii)}] / (K+1)^(3/4) rounds to 0 at K = {horizon}")
-        return FixedRadius(tuple(radii), 1.0 / math.sqrt(horizon + 1))
+            raise _entry_fault(
+                path, f"eta[{np.argmin(radii)}]", f"/ (K+1)^(3/4) rounds to 0 at K = {K}"
+            )
+        return cls(tuple(radii), 1.0 / math.sqrt(K + 1))
 
 
-StepPolicy = SmoothInverse | FixedRadius | HorizonSchedule
+StepPolicy = SmoothInverse | FixedRadius
 
 
 class StepReport(NamedTuple):
@@ -604,10 +597,10 @@ def run(
     staying as stepped).
 
     An ``EpochShiftRpt`` scheme is rematerialized for iteration k's draw at
-    progress k / K, and a ``HorizonSchedule`` once, as the ``FixedRadius``
-    its ``at(b, K)`` returns.  A rule carries its own inputs: the smoothness
-    table of ``SmoothInverse``, refused before x0's pass when it is sized for
-    another network, and the Newton-Schulz config of ``FixedRadius``.
+    progress k / K.  A rule carries its own inputs: the smoothness table of
+    ``SmoothInverse``, refused before x0's pass when it is sized for another
+    network, and the radii, momentum and Newton-Schulz config of
+    ``FixedRadius`` (``FixedRadius.horizon(b, K)`` for the horizon schedule).
 
     Reports carry f before and after each step and the exact gradients'
     per-layer dual norms as diagnostics (the stochastic path's *updates* see
@@ -636,8 +629,6 @@ def run(
 
     plans: dict[frozenset[int], _Plan] = {}  # one per distinct active set, built on its first draw
     momentum = radii = sigmas = None  # momentum: one stack per layer group
-    if isinstance(policy, HorizonSchedule):
-        policy = policy.at(b, iterations)
     if not deterministic:
         if len(policy.radii) != b:
             raise ValueError("need one radius per layer")

@@ -370,8 +370,8 @@ def _prefix_reuse_check(seed: int) -> CheckResult:
         mlp = problems.TinyMlp.synthetic([4, 6, 6, 5, 3], 12, activation=activation, seed=seed)
         seen = []  # (layers, f, gradients) at each x_{k+1}
         optimizer.run(
-            mlp, sampling.Rpt((0.3, 0.3, 0.2, 0.2)), optimizer.HorizonSchedule(), iterations,
-            seed, x0=mlp.weights, noise=problems.NoiseSpec((0.05,) * 4),
+            mlp, sampling.Rpt((0.3, 0.3, 0.2, 0.2)), optimizer.FixedRadius.horizon(4, iterations),
+            iterations, seed, x0=mlp.weights, noise=problems.NoiseSpec((0.05,) * 4),
             on_step=lambda view: seen.append(
                 (_copies(view.layers), view.report.f_after, _copies(view.grads))
             ),
@@ -847,7 +847,7 @@ def horizon_trend_check(seed: int = 0) -> CheckResult:
 
     def running_min(horizon, run_seed):
         res = optimizer.run(
-            prob, scheme, optimizer.HorizonSchedule(), horizon, run_seed,
+            prob, scheme, optimizer.FixedRadius.horizon(3, horizon), horizon, run_seed,
             norms=norms, x0=[x.copy() for x in x0], noise=noise,
         )
         best = math.inf

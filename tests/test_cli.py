@@ -617,6 +617,17 @@ def bad_run_configs():
     case("smoothness_table_not_monotone", "config.smoothness_table")["smoothness_table"] = (
         cm.SmoothnessTable.from_rpt_rows([[1.0], [0.5, 0.8]]).to_dict()
     )
+    # a loaded table that gives no variant eta^2 caps, one case per way to miss them
+    caps_table = cm.SmoothnessTable.from_rpt_rows([[1.0], [1.0, 0.5]], [[0.5], [0.8, 0.4]])
+    cfg = case("smoothness_table_no_horizon_variant", "config.smoothness_table")
+    cfg.update(smoothness_table=caps_table.to_dict())
+    cfg["variants"][1]["policy"] = {"kind": "fixed_radius", "radii": [0.05, 0.05]}
+    case("smoothness_table_no_l1", "config.smoothness_table")["smoothness_table"] = (
+        cm.SmoothnessTable.from_rpt_rows([[1.0], [1.0, 0.5]]).to_dict()
+    )
+    cfg = case("smoothness_table_no_cutoff_scheme", "config.smoothness_table")
+    cfg.update(smoothness_table=caps_table.to_dict())
+    cfg["variants"][1]["scheme"] = {"kind": "tau_nice", "b": 2, "tau": 1}
     case("scheme_layer_count", "config.variants[1].scheme")["variants"][1]["scheme"] = {
         "kind": "full_network", "b": 3,
     }
@@ -665,6 +676,10 @@ def bad_run_configs():
     variant("beta_range", "config.variants[0].policy.beta", 0)["policy"]["beta"] = 1.5
     variant("eta_length", "config.variants[1].policy.eta", 1)["policy"]["eta"] = [1.0]
     variant("eta_not_list", "config.variants[1].policy.eta", 1)["policy"]["eta"] = 1.0
+    # 5e-324 / (K+1)^(3/4) rounds to 0 at the config's K = 12
+    variant("eta_underflow", "config.variants[1].policy.eta[1]", 1)["policy"]["eta"] = [
+        0.1, 5e-324,
+    ]
     variant("policy_not_object", "config.variants[1].policy", 1)["policy"] = "horizon"
     variant("table_scheme_unsupported", "config.variants[1].policy", 1).update(
         scheme={"kind": "tau_nice", "b": 2, "tau": 1}, policy={"kind": "smooth_inverse"},

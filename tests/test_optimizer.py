@@ -177,11 +177,11 @@ def test_on_step_cannot_write_the_run_state(field):
 
     with pytest.raises(ValueError, match="read-only"):
         op.run(
-            prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.HorizonSchedule(), 3, 0, x0=prob.weights,
+            prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.FixedRadius.horizon(4, 3), 3, 0, x0=prob.weights,
             noise=pb.NoiseSpec((0.05,) * 4), on_step=write,
         )
     res = op.run(
-        prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.HorizonSchedule(), 3, 0, x0=prob.weights,
+        prob, sp.Rpt((0.0, 0.0, 0.0, 1.0)), op.FixedRadius.horizon(4, 3), 3, 0, x0=prob.weights,
         on_step=lambda view: [x.sum() for x in view.layers + view.momentum + view.grads],
     )
     assert res.f_final == prob.value_and_grad(res.model.layers)[0]
@@ -197,7 +197,7 @@ def test_on_step_cannot_rewrite_the_report(policy_name):
         x0=x0, noise=pb.NoiseSpec((0.1, 0.2, 0.0))
     )
     policy = op.SmoothInverse(table_for(prob)) if policy_name == "smooth_inverse" \
-        else op.HorizonSchedule()
+        else op.FixedRadius.horizon(3, 4)
     writes = [
         lambda r: setattr(r, "f_after", 123.0),
         lambda r: setattr(r, "active", frozenset()),
@@ -268,8 +268,8 @@ def test_run_same_seed_bit_identical_trace():
     kwargs = dict(
         norms=[EUC] * 3, x0=x0, noise=pb.NoiseSpec((0.2,) * 3),
     )
-    r1 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 30, 17, **kwargs)
-    r2 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 30, 17, **kwargs)
+    r1 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius.horizon(3, 30), 30, 17, **kwargs)
+    r2 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius.horizon(3, 30), 30, 17, **kwargs)
     assert [r.active for r in r1.reports] == [r.active for r in r2.reports]
     for a, b in zip(r1.model.layers, r2.model.layers):
         np.testing.assert_array_equal(a, b)
@@ -280,9 +280,9 @@ def test_run_different_seed_differs():
     rng = np.random.default_rng(10)
     prob = scalar_quadratic(rng)
     x0 = [rng.standard_normal((2, 2)) for _ in range(3)]
-    r1 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 30, 1,
+    r1 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius.horizon(3, 30), 30, 1,
                 x0=x0, noise=pb.NoiseSpec((0.2,) * 3))
-    r2 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 30, 2,
+    r2 = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius.horizon(3, 30), 30, 2,
                 x0=x0, noise=pb.NoiseSpec((0.2,) * 3))
     assert [r.active for r in r1.reports] != [r.active for r in r2.reports] or not np.array_equal(
         r1.model.layers[0], r2.model.layers[0]
@@ -306,7 +306,7 @@ SEED_POLICIES = {
         table_for(scalar_quadratic(np.random.default_rng(19)), [EUC, SPEC, EUC])
     ),
     "fixed_radius": op.FixedRadius((0.1, 0.2, 0.1)),
-    "horizon": op.HorizonSchedule(),
+    "horizon": op.FixedRadius.horizon(3, 6),  # seed_run's K
 }
 SEED_NOISES = {
     "none": None, "zero": pb.NoiseSpec((0.0,) * 3), "nonzero": pb.NoiseSpec((0.0, 0.2, 0.0)),
@@ -367,7 +367,7 @@ def test_run_horizon_schedule_parameters():
     prob = scalar_quadratic(rng)
     horizon = 15
     res = op.run(
-        prob, sp.FullNetwork(3), op.HorizonSchedule(), horizon, 0,
+        prob, sp.FullNetwork(3), op.FixedRadius.horizon(3, horizon), horizon, 0,
         x0=[rng.standard_normal((2, 2)) for _ in range(3)],
         noise=pb.NoiseSpec((0.1,) * 3),
     )
@@ -383,7 +383,7 @@ def test_radius_policies_reject_a_radius_or_eta_that_is_not_positive_and_finite(
     with pytest.raises(ValueError, match=rf"^radii\[1\] must be positive and finite, got {bad}$"):
         op.FixedRadius((0.1, bad))
     with pytest.raises(ValueError, match=rf"^eta\[0\] must be positive and finite, got {bad}$"):
-        op.HorizonSchedule(eta=(bad, 1.0))
+        op.FixedRadius.horizon(2, 5, eta=(bad, 1.0))
 
 
 def test_run_radius_policies_start_momentum_at_gradient():
@@ -426,32 +426,25 @@ def test_run_refuses_a_table_sized_for_another_network_before_x0(mode):
     assert prob.calls == 0
 
 
-@pytest.mark.parametrize("norm", [EUC, SPEC])
-def test_run_with_a_horizon_schedule_is_run_with_its_fixed_radius(norm):
-    # run turns the schedule into the FixedRadius its ``at`` returns, bit for bit
-    rng = np.random.default_rng(30)
-    prob = pb.SeparableQuadratic([rng.standard_normal((3, 2)) for _ in range(4)], (1, 2, 0.5, 3))
-    x0 = [rng.standard_normal((3, 2)) for _ in range(4)]
+def test_fixed_radius_horizon_is_the_schedule_at_its_horizon():
+    # t_i = eta_i / (K+1)^(3/4) and beta = (K+1)^(-1/2), with eta_i = 1 by default;
+    # eta is checked per entry and for its length, named under a document path when given
     eta, iterations = (0.3, 1.0, 0.2, 0.7), 12
-    schedule = op.HorizonSchedule(eta)
-    expected = op.FixedRadius(
-        tuple(np.asarray(eta) / (iterations + 1) ** 0.75), 1.0 / math.sqrt(iterations + 1)
-    )
-    assert schedule.at(4, iterations) == expected
-
-    def traced(policy):
-        momenta = []
-        res = op.run(
-            prob, sp.Rpt((0.4, 0.3, 0.2, 0.1)), policy, iterations, 5, norms=[norm] * 4, x0=x0,
-            noise=pb.NoiseSpec((0.1, 0.0, 0.2, 0.1)),
-            on_step=lambda view: momenta.append([m.copy() for m in view.momentum]),
+    for given, weights in [(None, np.ones(4)), (eta, np.asarray(eta))]:
+        assert op.FixedRadius.horizon(4, iterations, given) == op.FixedRadius(
+            tuple(weights / (iterations + 1) ** 0.75), 1.0 / math.sqrt(iterations + 1)
         )
-        return res, momenta
-
-    (res, momenta), (ref, ref_momenta) = traced(schedule), traced(schedule.at(4, iterations))
-    assert res.reports == ref.reports and res.f_final == ref.f_final
-    for a, b in zip(res.model.stacks + sum(momenta, []), ref.model.stacks + sum(ref_momenta, [])):
-        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match=r"^eta must have one entry per layer$"):
+        op.FixedRadius.horizon(3, iterations, eta)
+    with pytest.raises(sp.ConfigError, match=r"^policy\.eta: must have one entry per layer$"):
+        op.FixedRadius.horizon(3, iterations, eta, "policy")
+    negative = (0.3, 1.0, -0.2, 0.7)
+    with pytest.raises(ValueError, match=r"^eta\[2\] must be positive and finite, got -0\.2$"):
+        op.FixedRadius.horizon(4, iterations, negative)
+    with pytest.raises(
+        sp.ConfigError, match=r"^policy\.eta\[2\]: must be positive and finite, got -0\.2$"
+    ):
+        op.FixedRadius.horizon(4, iterations, negative, "policy")
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +599,7 @@ def test_run_makes_two_svds_per_stochastic_iteration(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     op.run(
-        prob, sp.FullNetwork(3), op.HorizonSchedule(), 12, 0, norms=[SPEC] * 3, x0=x0,
+        prob, sp.FullNetwork(3), op.FixedRadius.horizon(3, 12), 12, 0, norms=[SPEC] * 3, x0=x0,
         noise=pb.NoiseSpec((0.1,) * 3),
     )
     assert len(calls) == 2 * 12
@@ -634,7 +627,7 @@ def test_newton_schulz_run_makes_one_call_per_active_spectral_group(monkeypatch,
         per_iteration.append((list(calls), view.report.active))
         calls.clear()
 
-    policy = dataclasses.replace(op.HorizonSchedule().at(5, 12), ns=g.NewtonSchulzConfig())
+    policy = dataclasses.replace(op.FixedRadius.horizon(5, 12), ns=g.NewtonSchulzConfig())
     op.run(
         prob, scheme, policy, 12, 0, norms=norms,
         x0=[rng.standard_normal(s) for s in shapes], noise=pb.NoiseSpec((0.1,) * 5),
@@ -666,8 +659,6 @@ def reference_stochastic_run(problem, scheme, policy, iterations, seed, norms, x
 
     b = problem.b
     layers = [np.array(x, dtype=float) for x in x0]
-    if isinstance(policy, op.HorizonSchedule):
-        policy = policy.at(b, iterations)
     radii, beta = np.asarray(policy.radii), policy.beta
     momentum = [m.copy() for m in fresh_sample(layers, sp.stream(seed, 0))]
     f, grads = problem.value_and_grad(layers)
@@ -757,7 +748,7 @@ def test_run_single_pass_matches_fresh_gradient_reference(case):
         x0 = [w + 0.1 * rng.standard_normal(w.shape) for w in prob.weights]
     b = prob.b
     policy = op.FixedRadius((0.05, 0.1, 0.02, 0.07)[:b], beta=0.6) if "fixed" in case \
-        else op.HorizonSchedule()
+        else op.FixedRadius.horizon(b, 25)
     if scheme is None:
         scheme = sp.Rpt((0.4, 0.3, 0.2, 0.1)[:b] if b == 4 else (0.5, 0.3, 0.2))
     if noise is None:
@@ -796,7 +787,7 @@ class CountingProblem:
 
 
 @pytest.mark.parametrize(
-    "policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.HorizonSchedule()]
+    "policy", [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.FixedRadius.horizon(3, 7)]
 )
 def test_run_one_gradient_pass_per_iterate(policy):
     rng = np.random.default_rng(20)
@@ -824,7 +815,7 @@ def shipped_problem(name, rng):
 
 @pytest.mark.parametrize(
     "policy",
-    [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.HorizonSchedule()],
+    [op.SmoothInverse, op.FixedRadius((0.1,) * 3), op.FixedRadius.horizon(3, 10)],
 )
 @pytest.mark.parametrize("name", ["separable", "coupled", "mlp"])
 def test_run_evaluates_only_through_the_stacked_oracle(monkeypatch, name, policy):
@@ -857,7 +848,7 @@ def test_run_refuses_a_problem_without_a_stacked_oracle_before_evaluating_x0():
 
     prob = PerLayerOnly()
     with pytest.raises(AttributeError, match="stacked_oracle"):
-        op.run(prob, sp.FullNetwork(2), op.HorizonSchedule(), 3, 0)
+        op.run(prob, sp.FullNetwork(2), op.FixedRadius.horizon(2, 3), 3, 0)
     assert prob.calls == 0
 
 
@@ -923,12 +914,12 @@ def test_a_look_ahead_sampling_fault_names_the_next_iteration(monkeypatch):
 
     monkeypatch.setattr(sp, "sample", refusing_the_third)
     with pytest.raises(ValueError, match=r"^iteration 2: no draw$"):
-        op.run(prob, scheme, op.HorizonSchedule(), 5, 0,
+        op.run(prob, scheme, op.FixedRadius.horizon(3, 5), 5, 0,
                on_step=lambda view: seen.append(view.report.k))
     assert seen == [0]  # S_2 is drawn in iteration 1, before the pass at x_2
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse, op.HorizonSchedule()])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius.horizon(3, 0)])
 def test_zero_iterations_draw_no_active_set(monkeypatch, policy):
     prob = scalar_quadratic(np.random.default_rng(3))
     stream, streams = sp.stream, []
@@ -957,7 +948,7 @@ def recording_backward_stops(prob):
     return stops
 
 
-@pytest.mark.parametrize("policy", [op.SmoothInverse, op.HorizonSchedule()])
+@pytest.mark.parametrize("policy", [op.SmoothInverse, op.FixedRadius.horizon(4, 6)])
 def test_the_last_pass_runs_a_backward_only_for_a_hook(policy):
     prob = pb.TinyMlp.synthetic([4, 6, 6, 5, 3], n_samples=12, seed=7)
     scheme, norms = sp.Rpt((0.3, 0.3, 0.2, 0.2)), [EUC, SPEC, SPEC, EUC]
@@ -1009,7 +1000,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
     elif policy_name == "fixed_radius":
         policy = op.FixedRadius((0.05, 0.1, 0.07, 0.03), beta=0.6)
     else:
-        policy = op.HorizonSchedule()
+        policy = op.FixedRadius.horizon(4, 20)
     rng = np.random.default_rng(23)
     x0 = [w + 0.1 * rng.standard_normal(w.shape) for w in prob.weights]
     passes = recording_prefix_passes(prob)
@@ -1040,7 +1031,7 @@ def test_run_prefix_reuse_matches_fresh_value_and_grad(activation, scheme_name, 
 def test_run_reports_no_macs_for_problems_without_prefix_reuse():
     rng = np.random.default_rng(24)
     prob = scalar_quadratic(rng)
-    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.HorizonSchedule(), 5, 0)
+    res = op.run(prob, sp.Rpt((0.5, 0.3, 0.2)), op.FixedRadius.horizon(3, 5), 5, 0)
     assert all(r.fwd_macs is None for r in res.reports)
 
 
@@ -1359,16 +1350,15 @@ def test_run_two_bad_momenta_in_spectral_group_names_lowest(ns_config):
 
 
 def test_run_refuses_an_underflowed_horizon_radius():
-    # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; run's own
-    # at(b, K) refuses it, naming the first such eta entry, before any step
-    rng = np.random.default_rng(26)
-    prob = scalar_quadratic(rng)
+    # eta = 5e-324 over (K + 1)^(3/4) with K = 3 rounds to a zero radius; the rule is
+    # refused where it is built, naming the first such eta entry and K
     message = r"^eta\[1\] / \(K\+1\)\^\(3/4\) rounds to 0 at K = 3$"
     with pytest.raises(ValueError, match=message):
-        op.run(
-            prob, sp.FullNetwork(3), op.HorizonSchedule((0.1, 5e-324, 5e-324)), 3, 0,
-            norms=[SPEC] * 3, x0=[rng.standard_normal((2, 2)) for _ in range(3)],
-        )
+        op.FixedRadius.horizon(3, 3, (0.1, 5e-324, 5e-324))
+    with pytest.raises(
+        sp.ConfigError, match=r"^policy\.eta\[1\]: / \(K\+1\)\^\(3/4\) rounds to 0 at K = 3$"
+    ):
+        op.FixedRadius.horizon(3, 3, (0.1, 5e-324, 5e-324), "policy")
 
 
 def test_run_names_an_overflowing_layer_below_a_non_finite_one_in_its_group():
