@@ -27,9 +27,9 @@ got 2.5``.  A value's range is checked once, by the constructor that owns
 it (``NoiseSpec``, ``FixedRadius`` and its ``horizon`` schedule, the
 quadratics, ``TinyMlp``, ``CostParams``, ``SmoothnessTable.from_dict``),
 which is given the block's path and names the entry: ``noise.sigmas[1]: must
-be finite and >= 0, got -1.0``.  A scheme's faults keep the scheme document's own names
-under the variant's path: ``config.variants[1].scheme: scheme.p: missing
-required field``.  ``run``'s exit codes:
+be finite and >= 0, got -1.0``.  A scheme's faults keep the scheme
+document's own names under the variant's path: ``config.variants[1].scheme:
+scheme.p: missing required field``.  ``run``'s exit codes:
 
 0  all runs finished and their outputs are written;
 2  a config fault: one ``config error: <field path>: ...`` line on stderr,
